@@ -39,8 +39,10 @@ across invocations unless ``--no-cache`` is given.  ``sweep`` expands
 ``--param key=v1,v2,...`` axes into a cartesian grid and runs every point
 through the same parallel fan-out and persistent store.  ``--shard-size N``
 additionally splits each pair's trace into N-access shards pipelined across
-the workers (bit-identical checkpoint handoff by default; ``--shard-warmup``
-selects the approximate independent-shard path).  Multi-mode runs pay the
+the workers (bit-identical checkpoint handoff).  Every multiprocess run goes
+through one supervised worker pool; ``--on-failure``, ``--task-deadline``
+and ``--task-retries`` only change how a failed task is handled (by default
+the first failure aborts the run with exit code 3).  Multi-mode runs pay the
 cache hierarchy once per benchmark by default -- a fast pre-pass distills
 the trace into a mode-independent miss-event stream that every mode replays
 from (bit-identical results; ``--no-distill`` forces the full per-access
@@ -275,15 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to an unsharded run (bench/sweep only)",
     )
     parser.add_argument(
-        "--shard-warmup",
-        type=int,
-        default=None,
-        metavar="W",
-        help="run shards independently, each warmed on the W accesses before "
-        "its window -- approximate (gated drift) but handoff-free; "
-        "requires --shard-size (bench only)",
-    )
-    parser.add_argument(
         "--stream",
         type=int,
         default=None,
@@ -292,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace -- distill it window by window (W accesses per window) into "
         "persistent event-slice entries that the shard tasks replay from; "
         "bit-identical to the captured run and served from the same store "
-        "entries (bench/sweep only; exact path, so it cannot combine with "
-        "--shard-warmup)",
+        "entries (bench/sweep only)",
     )
     parser.add_argument(
         "--no-distill",
@@ -314,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--on-failure",
         choices=["raise", "degrade"],
         default=None,
-        help="supervised-execution failure policy (bench/sweep only): "
+        help="failure policy of the worker pool (bench/sweep only): "
         "'raise' aborts on the first quarantined task, 'degrade' drops the "
         "affected benchmarks and reports them in the failure manifest; "
-        "giving either engages the supervised worker pool",
+        "either one also turns on the default deadline and retries "
+        "(without it, the first failure aborts the run)",
     )
     parser.add_argument(
         "--task-deadline",
@@ -490,7 +483,6 @@ def run_bench(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache,
             jobs=args.jobs,
             shard_size=args.shard_size,
-            shard_warmup=args.shard_warmup,
             distill=not args.no_distill,
             vector=not args.no_vector,
             stream=args.stream,
@@ -524,12 +516,7 @@ def run_bench(args: argparse.Namespace) -> str:
     throughput = replayed * args.accesses / replay_elapsed if replay_elapsed > 0 else 0.0
     sharding = ""
     if args.shard_size is not None:
-        discipline = (
-            "exact checkpoint handoff"
-            if args.shard_warmup is None
-            else f"warm-up {args.shard_warmup}"
-        )
-        sharding = f", shard {args.shard_size} ({discipline})"
+        sharding = f", shard {args.shard_size} (exact checkpoint handoff)"
     if args.stream is not None:
         sharding += f", stream {args.stream} (windowed event slices)"
     precompute_note = f", mac-tier {precompute:.2f}s excluded" if precompute >= 0.005 else ""
@@ -552,10 +539,6 @@ def run_sweep_command(args: argparse.Namespace) -> str:
         raise SweepAxisError(
             "sweep needs at least one --param axis, "
             "e.g. --param options.memory_level_parallelism=1,4,8"
-        )
-    if args.shard_warmup is not None:
-        raise SweepAxisError(
-            "sweep runs only the exact sharded path; --shard-warmup is bench-only"
         )
     axes = [parse_axis(spec) for spec in args.param]
     benchmarks = _resolve_benchmarks(args)
@@ -674,17 +657,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.shard_size is not None and args.shard_size <= 0:
         parser.error(f"--shard-size must be positive, got {args.shard_size}")
-    if args.shard_warmup is not None and args.shard_warmup < 0:
-        parser.error(f"--shard-warmup must be non-negative, got {args.shard_warmup}")
-    if args.shard_warmup is not None and args.shard_size is None:
-        parser.error("--shard-warmup requires --shard-size")
     if args.stream is not None and args.stream <= 0:
         parser.error(f"--stream must be positive, got {args.stream}")
-    if args.stream is not None and args.shard_warmup is not None:
-        parser.error(
-            "--stream is exact by construction and cannot combine with the "
-            "approximate --shard-warmup path"
-        )
     if args.stream is not None and args.experiment not in ("bench", "sweep"):
         parser.error("--stream only applies to bench and sweep")
     if args.task_deadline is not None and args.task_deadline <= 0:

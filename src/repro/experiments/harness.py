@@ -32,7 +32,12 @@ from repro.core.trip import TripFormat
 from repro.sim.configs import EVALUATED_MODES, ModeLike
 from repro.sim.engine import EngineOptions, run_suite
 from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import parallel_map, resolve_supervision, run_suite_parallel
+from repro.sim.parallel import (
+    DEFAULT_POLICY,
+    parallel_map,
+    resolve_supervision,
+    run_suite_parallel,
+)
 from repro.sim.shard import ShardSpec, run_suite_sharded
 from repro.sim.results import (
     SuiteResults,
@@ -99,7 +104,6 @@ def run_benchmarks(
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
     shard_size: Optional[int] = None,
-    shard_warmup: Optional[int] = None,
     distill: bool = True,
     vector: bool = True,
     stream: Optional[int] = None,
@@ -116,10 +120,8 @@ def run_benchmarks(
 
     ``shard_size`` additionally splits every pair's trace into contiguous
     shards (:mod:`repro.sim.shard`), unlocking parallelism *within* a long
-    trace.  The default checkpoint-handoff discipline is bit-identical to the
-    unsharded engine, so it shares the unsharded cache key; passing
-    ``shard_warmup`` selects the approximate independent-shard path, which is
-    keyed separately.
+    trace.  The checkpoint handoff between shards is bit-identical to the
+    unsharded engine, so it shares the unsharded cache key.
 
     ``distill`` (the default) pays each benchmark's cache hierarchy once per
     run -- a fast pre-pass distills the trace into a mode-independent
@@ -140,9 +142,8 @@ def run_benchmarks(
     streamed path: the trace is never captured whole -- each benchmark is
     distilled window by window into persistent ``events-slice`` store
     entries and every shard task replays from slice store keys
-    (:mod:`repro.sim.shard`).  Exact path only (it cannot combine with
-    ``shard_warmup``) and bit-identical to captured replay, so streamed
-    runs share the captured runs' suite cache key too.  Without
+    (:mod:`repro.sim.shard`).  Bit-identical to captured replay, so
+    streamed runs share the captured runs' suite cache key too.  Without
     ``shard_size`` the run is a single full-length shard -- still
     bounded-memory, since the payload is slices either way.
     """
@@ -156,36 +157,20 @@ def run_benchmarks(
 
     if stream is not None and stream <= 0:
         raise ValueError(f"stream window must be positive, got {stream}")
-    if stream is not None and shard_warmup is not None:
-        raise ValueError(
-            "streamed execution is exact by construction; it cannot be "
-            "combined with the approximate --shard-warmup path"
-        )
 
     spec: Optional[ShardSpec] = None
     if shard_size is not None:
-        spec = ShardSpec(shard_size=shard_size, warmup=shard_warmup)
-    elif shard_warmup is not None:
-        raise ValueError("shard_warmup needs shard_size (there is nothing to warm up)")
+        spec = ShardSpec(shard_size=shard_size)
     elif stream is not None:
         # Streamed runs route through the sharded driver; without an explicit
         # shard width the whole run is one full-length shard.
         spec = ShardSpec(shard_size=num_accesses)
 
     policy = resolve_supervision(policy, on_failure)
-    if policy is not None and manifest is None:
+    if manifest is None:
         manifest = FailureManifest()
 
-    key = suite_key(
-        names,
-        modes,
-        scale,
-        num_accesses,
-        seed,
-        config,
-        options,
-        sharding=spec.key_fields() if spec is not None else None,
-    )
+    key = suite_key(names, modes, scale, num_accesses, seed, config, options)
     if use_cache:
         cached = store.get(key, decoder=_decode_suite)
         if cached is not None:
@@ -209,7 +194,9 @@ def run_benchmarks(
             manifest=manifest,
             resume=resume,
         )
-    elif jobs != 1 or policy is not None:
+    elif jobs != 1 or policy != DEFAULT_POLICY:
+        # One in-process job under the default policy needs no task list:
+        # the serial suite driver computes the identical results directly.
         results = run_suite_parallel(
             names,
             modes=modes,
@@ -236,7 +223,7 @@ def run_benchmarks(
             distill=distill,
             vector=vector,
         )
-    degraded = manifest is not None and bool(manifest.quarantined)
+    degraded = bool(manifest.quarantined)
     if use_cache and not degraded:
         # A degraded suite is missing quarantined cells; caching it under the
         # full suite key would poison every later clean run.

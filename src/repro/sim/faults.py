@@ -344,8 +344,8 @@ class TaskFailureRecord:
 class TaskFailure:
     """Degrade-mode result sentinel for a quarantined task.
 
-    Merge layers (:func:`repro.sim.parallel.merge_suite_results`,
-    :func:`repro.sim.shard._stitch_suite`) skip these -- a quarantined task
+    The merge layer (:func:`repro.sim.parallel.stitch_suite`) skips
+    these -- a quarantined task
     contributes *nothing* to the merged results, never a partial or default
     value.
     """

@@ -5,7 +5,7 @@ builds its own cache hierarchy, protection-path components and RNGs from the
 run seed, and the only cross-mode coupling -- the NoProtect baseline time
 stitched into each result -- is a pure post-processing step.  That makes the
 suite embarrassingly parallel, and :func:`run_suite_parallel` fans the pairs
-out over a ``multiprocessing`` pool and then merges deterministically:
+out over worker processes and then merges deterministically:
 
 * tasks are enumerated benchmark-major, mode-minor (the serial order), and
   results are reassembled into the same nested dict shape regardless of
@@ -22,28 +22,42 @@ exposed separately so bulk runners -- the sweep subsystem in particular --
 can flatten *many* suites into one task list for a single pool, instead of
 paying pool startup per grid point.
 
-**Supervised execution.**  Passing a
-:class:`~repro.sim.faults.SupervisionPolicy` (or activating a
-:class:`~repro.sim.faults.FaultPlan` through ``REPRO_FAULT_PLAN``) routes
-``parallel_map``/``pipelined_map`` through :class:`SupervisedExecutor`
-instead of the plain pool: a fixed set of worker processes fed over
-per-worker pipes, with per-attempt deadlines enforced by a watchdog thread,
-detection of a worker dying *mid-task* (a plain ``apply_async`` whose worker
-segfaults simply never completes), checksummed result envelopes (a corrupted
-payload is detected and retried, never silently unpickled into a wrong
-answer), bounded retry with deterministic exponential backoff, and a
-quarantine path: a task that exhausts its retries either aborts the run
-(``on_failure="raise"``) or is recorded in a
-:class:`~repro.sim.faults.FailureManifest` and replaced by a
+**One pool.**  Every multiprocess task runs on :class:`SupervisedExecutor`:
+a fixed set of worker processes fed over per-worker pipes, with per-attempt
+deadlines enforced by a watchdog thread, detection of a worker dying
+*mid-task*, checksummed result envelopes (a corrupted payload is detected
+and retried, never silently unpickled into a wrong answer), bounded retry
+with deterministic exponential backoff, and a quarantine path: a task that
+exhausts its retries either aborts the run (``on_failure="raise"``) or is
+recorded in a :class:`~repro.sim.faults.FailureManifest` and replaced by a
 :class:`~repro.sim.faults.TaskFailure` sentinel so every *other* task and
-chain still completes (``"degrade"``).  Supervision is an execution
-strategy, not a model change: a supervised run's surviving results are
-bit-identical to an unsupervised run's, and nothing about the policy or
-plan ever enters a persistent-store key.
+chain still completes (``"degrade"``).  A single job or a single task runs
+in-process through :func:`_call_supervised_inline`, under the same policy.
+
+:func:`resolve_supervision` picks the policy, so the settings choose how a
+failure is handled, never which code runs:
+
+=============================  ==========================================
+caller passes                  policy
+=============================  ==========================================
+a ``SupervisionPolicy``        that policy (``on_failure`` overrides it)
+``on_failure`` alone           ``SupervisionPolicy(on_failure=...)``
+nothing, ``REPRO_FAULT_PLAN``  ``SupervisionPolicy()``
+nothing at all                 :data:`DEFAULT_POLICY`: no deadline, no
+                               retries, the first failure aborts
+=============================  ==========================================
+
+Under every policy a failed task surfaces as
+:class:`~repro.sim.faults.TaskFailedError` (or a ``TaskFailure`` sentinel
+under ``"degrade"``), never as the task's own exception type.  Supervision
+is an execution strategy, not a model change: a supervised run's surviving
+results are bit-identical to a serial run's, and nothing about the policy
+or plan ever enters a persistent-store key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import multiprocessing
@@ -127,21 +141,28 @@ def _task_label(task: Any) -> str:
     return type(task).__name__
 
 
-def _effective_policy(
-    policy: Optional[SupervisionPolicy],
-) -> Optional[SupervisionPolicy]:
-    """The policy to run under: explicit, implied by an active plan, or none.
+#: The policy of a run that asked for no supervision: the plain ``Pool.map``
+#: contract -- no watchdog thread, no retries, the first failure aborts.
+DEFAULT_POLICY = SupervisionPolicy(deadline=None, retries=0)
 
-    An activated :class:`FaultPlan` (``REPRO_FAULT_PLAN``) implies default
-    supervision even when the caller passed no policy -- the chaos CI job
-    sets the environment variable and every execution path self-arms,
-    with no argument threading through harness/sweep/CLI required.
+
+def resolve_supervision(
+    policy: Optional[SupervisionPolicy] = None, on_failure: Optional[str] = None
+) -> SupervisionPolicy:
+    """The policy to run under (see the module docstring's table).
+
+    An activated :class:`FaultPlan` (``REPRO_FAULT_PLAN``) implies
+    ``SupervisionPolicy()`` even when the caller passed no policy -- the
+    chaos CI job sets the environment variable and every execution path
+    self-arms, with no argument threading through harness/sweep/CLI.
     """
-    if policy is not None:
-        return policy
-    if FaultPlan.active() is not None:
-        return SupervisionPolicy()
-    return None
+    if policy is None:
+        if on_failure is None and FaultPlan.active() is None:
+            return DEFAULT_POLICY
+        policy = SupervisionPolicy()
+    if on_failure is not None:
+        policy = dataclasses.replace(policy, on_failure=on_failure)
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +170,10 @@ def _effective_policy(
 # ---------------------------------------------------------------------------
 
 
-def _supervised_worker_main(conn: multiprocessing.connection.Connection) -> None:
+def _supervised_worker_main(
+    conn: multiprocessing.connection.Connection,
+    parent_ends: Sequence[multiprocessing.connection.Connection] = (),
+) -> None:
     """Worker loop of the supervised executor: one process, many tasks.
 
     Messages are ``(task_index, attempt, func, args)``; ``None`` (or a
@@ -158,9 +182,17 @@ def _supervised_worker_main(conn: multiprocessing.connection.Connection) -> None
     fault-injection layer gets a chance to damage the payload, so an
     injected (or real) corruption is always detectable in the parent --
     the digest is the ground truth the corruption cannot touch.
+
+    ``parent_ends`` are the parent's ends of every worker pipe, this
+    worker's own included.  A forked worker inherits copies of them and
+    closes those first: a copy would keep its pipe open after the parent
+    dies, so a killed run would leave the worker blocked in ``recv``
+    forever instead of exiting on EOF (or on the failed ``send``).
     """
     from repro.sim.faults import corrupt_payload
 
+    for end in parent_ends:
+        end.close()
     plan = FaultPlan.active()
     while True:
         try:
@@ -235,8 +267,8 @@ class SupervisedExecutor:
     failure modes attributable:
 
     * **worker death** -- the worker's pipe EOFs / its sentinel fires, and
-      the parent knows exactly which task died with it (a pool's
-      ``apply_async`` in the same situation simply never completes);
+      the parent knows exactly which task died with it (a shared-queue
+      pool's task in the same situation simply never completes);
     * **hang** -- a watchdog thread kills any worker past its per-attempt
       deadline; the main loop then observes the death with ``timed_out``
       set and attributes it to the deadline, not a crash;
@@ -271,15 +303,23 @@ class SupervisedExecutor:
         self._outstanding = 0
         # Guards worker assignments shared with the watchdog thread.
         self._state_lock = threading.Lock()
+        # Hash the package source once here rather than once per spawn
+        # worker: the exported value rides the environment into every
+        # worker's code_fingerprint().
         export_code_fingerprint()
-        self._workers = [self._spawn_worker() for _ in range(max(1, jobs))]
+        self._workers: List[_SupervisedWorker] = []
+        for _ in range(max(1, jobs)):
+            self._workers.append(self._spawn_worker())
 
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn_worker(self) -> _SupervisedWorker:
         parent_conn, child_conn = self._ctx.Pipe()
+        parent_ends = [worker.conn for worker in self._workers] + [parent_conn]
         process = self._ctx.Process(
-            target=_supervised_worker_main, args=(child_conn,), daemon=True
+            target=_supervised_worker_main,
+            args=(child_conn, parent_ends),
+            daemon=True,
         )
         process.start()
         child_conn.close()
@@ -333,6 +373,10 @@ class SupervisedExecutor:
         :meth:`submit` to extend the run (the pipelined driver submits each
         chain's next step from its predecessor's delivery).  ``value`` is a
         :class:`TaskFailure` for degrade-mode quarantined tasks.
+
+        However the run ends -- done, a raise-mode quarantine, an exception
+        out of ``deliver``, or ^C -- every worker is stopped before this
+        returns; busy ones are killed, so none is left orphaned.
         """
         stop = threading.Event()
         watchdog = None
@@ -346,6 +390,10 @@ class SupervisedExecutor:
                 self._promote_due()
                 self._assign()
                 self._collect(deliver)
+        except KeyboardInterrupt:
+            # No sqlite handle may be left pinning the store WAL either.
+            close_default_connections()
+            raise
         finally:
             stop.set()
             if watchdog is not None:
@@ -511,7 +559,7 @@ def _call_supervised_inline(
     index: int,
     label: str,
 ) -> Any:
-    """In-process supervision for the serial fallback paths.
+    """The in-process path, taken with one job or a single task.
 
     Applies the same retry/backoff/quarantine discipline as the executor.
     Process-level faults (``crash``/``hang``/``corrupt``) need a worker
@@ -565,47 +613,27 @@ def parallel_map(
 ) -> List:
     """Map ``func`` over ``tasks`` with up to ``jobs`` worker processes.
 
-    Falls back to an in-process loop for a single job or a single task, so
-    callers get one code path whose serial case adds zero overhead.  Results
-    are returned in task order (``Pool.map`` preserves ordering), which is
-    what keeps the parallel suite merge deterministic.
+    Results are returned in task order, which is what keeps the parallel
+    suite merge deterministic.  A single job or a single task runs
+    in-process; everything else runs on :class:`SupervisedExecutor`.
 
-    With a :class:`SupervisionPolicy` (or an active ``REPRO_FAULT_PLAN``),
-    execution routes through :class:`SupervisedExecutor`: deadlines,
-    worker-death detection, retry with deterministic backoff, and -- under
-    ``on_failure="degrade"`` -- :class:`TaskFailure` sentinels in the slots
-    of quarantined tasks instead of an aborted run.
+    ``policy`` is resolved by :func:`resolve_supervision`: without one (and
+    without an active ``REPRO_FAULT_PLAN``) a failing task aborts the map
+    with :class:`TaskFailedError`.  Under ``on_failure="degrade"``,
+    :class:`TaskFailure` sentinels fill the slots of quarantined tasks
+    instead of an aborted run.
     """
     jobs = min(resolve_jobs(jobs), len(tasks))
-    policy = _effective_policy(policy)
-    if policy is not None and manifest is None:
+    policy = resolve_supervision(policy)
+    if manifest is None:
         manifest = FailureManifest()
-    if jobs <= 1 or len(tasks) <= 1:
-        if policy is None:
-            return [func(task) for task in tasks]
+    if jobs <= 1:
         return [
             _call_supervised_inline(
                 lambda t=task: func(t), policy, manifest, index, _task_label(task)
             )
             for index, task in enumerate(tasks)
         ]
-    if policy is None:
-        # Hash the package source once here rather than once per spawn
-        # worker: the exported value rides the environment into every
-        # worker's code_fingerprint(), whose first store access would
-        # otherwise re-read the whole source tree.
-        export_code_fingerprint()
-        pool = _pool_context().Pool(processes=jobs)
-        try:
-            with pool:
-                return pool.map(func, tasks, chunksize=1)
-        except KeyboardInterrupt:
-            # ^C during a map used to strand spawn workers mid-task and
-            # leave this process's sqlite handle pinning the store WAL.
-            pool.terminate()
-            pool.join()
-            close_default_connections()
-            raise
     executor = SupervisedExecutor(jobs, policy, manifest)
     results: List[Any] = [None] * len(tasks)
     for index, task in enumerate(tasks):
@@ -614,11 +642,7 @@ def parallel_map(
     def deliver(key: Any, value: Any) -> None:
         results[key] = value
 
-    try:
-        executor.run(deliver)
-    except KeyboardInterrupt:
-        close_default_connections()
-        raise
+    executor.run(deliver)
     return results
 
 
@@ -641,11 +665,11 @@ def pipelined_map(
     handoff: shard k of a (benchmark, mode) pair needs shard k-1's checkpoint,
     but every *pair's* current shard occupies a worker simultaneously.
 
-    Steps are submitted with ``apply_async`` and the completion callback
-    immediately submits the chain's next step, so no barrier ever holds a
-    finished chain hostage to a slower one.  Returns the final carry of each
-    chain, in chain order; the serial fallback (one job or one chain's worth
-    of work) keeps a single in-process code path.
+    The parent schedules chain steps itself: the delivery of step k submits
+    step k+1 to the executor, so no barrier ever holds a finished chain
+    hostage to a slower one, and worker death, retries and quarantine all
+    happen *per step*.  Returns the final carry of each chain, in chain
+    order; one job or a single step runs in-process.
 
     ``initials`` seeds each chain's first ``carry`` (resume support: a chain
     trimmed to its unfinished suffix starts from a restored checkpoint
@@ -653,10 +677,10 @@ def pipelined_map(
     in the *parent* after every completed step -- intermediate carries are
     checkpoints, the last carry is the chain's final result -- which is how
     :mod:`repro.sim.shard` persists in-flight checkpoints without widening
-    its task tuples.  Under a :class:`SupervisionPolicy` (or an active
-    ``REPRO_FAULT_PLAN``) steps run supervised; a chain whose step is
-    quarantined in degrade mode yields a :class:`TaskFailure` in its final
-    slot while every other chain runs to completion.
+    its task tuples; an exception it raises stops every worker and
+    propagates to the caller.  A chain whose step is quarantined in degrade
+    mode yields a :class:`TaskFailure` in its final slot while every other
+    chain runs to completion.
     """
     chains = [list(chain) for chain in chains]
     starts: List[Any] = (
@@ -668,8 +692,8 @@ def pipelined_map(
         )
     total = sum(len(chain) for chain in chains)
     jobs = min(resolve_jobs(jobs), max(1, len(chains)))
-    policy = _effective_policy(policy)
-    if policy is not None and manifest is None:
+    policy = resolve_supervision(policy)
+    if manifest is None:
         manifest = FailureManifest()
 
     if jobs <= 1 or total <= 1:
@@ -679,16 +703,13 @@ def pipelined_map(
             carry: Any = starts[chain_index]
             outcome: Any = None
             for step_index, task in enumerate(chain):
-                if policy is None:
-                    carry = func(task, carry)
-                else:
-                    carry = _call_supervised_inline(
-                        lambda t=task, c=carry: func(t, c),
-                        policy,
-                        manifest,
-                        index,
-                        _task_label(task),
-                    )
+                carry = _call_supervised_inline(
+                    lambda t=task, c=carry: func(t, c),
+                    policy,
+                    manifest,
+                    index,
+                    _task_label(task),
+                )
                 index += 1
                 outcome = carry
                 if isinstance(carry, TaskFailure):
@@ -698,106 +719,8 @@ def pipelined_map(
             finals.append(outcome)
         return finals
 
-    if policy is not None:
-        return _pipelined_supervised(
-            func, chains, starts, jobs, policy, manifest, on_carry
-        )
-
-    finals = [None] * len(chains)
-    errors: List[BaseException] = []
-    lock = threading.Lock()
-    done = threading.Event()
-    remaining = sum(1 for chain in chains if chain)
-
-    export_code_fingerprint()
-    pool = _pool_context().Pool(processes=jobs)
-    try:
-        with pool:
-
-            def submit(chain_index: int, step_index: int, carry: Any) -> None:
-                pool.apply_async(
-                    func,
-                    (chains[chain_index][step_index], carry),
-                    callback=lambda result: advance(chain_index, step_index, result),
-                    error_callback=fail,
-                )
-
-            def advance(chain_index: int, step_index: int, result: Any) -> None:
-                # Runs on the pool's result-handler thread; submitting the next
-                # step from here is what keeps the pipeline barrier-free.  An
-                # exception escaping this callback would kill that thread with
-                # ``done`` never set and the caller blocked forever, so anything
-                # raised here (e.g. ``submit`` on a pool that started closing,
-                # or a store write inside ``on_carry``) must land in ``errors``
-                # and release the waiter.  The except body runs after ``with
-                # lock`` has released, so re-taking the (non-reentrant) lock
-                # there cannot self-deadlock.
-                nonlocal remaining
-                try:
-                    with lock:
-                        if errors:
-                            return
-                        if on_carry is not None:
-                            on_carry(chain_index, step_index, result)
-                        if step_index + 1 < len(chains[chain_index]):
-                            submit(chain_index, step_index + 1, result)
-                            return
-                        finals[chain_index] = result
-                        remaining -= 1
-                        if remaining == 0:
-                            done.set()
-                except BaseException as exc:
-                    with lock:
-                        errors.append(exc)
-                    done.set()
-
-            def fail(error: BaseException) -> None:
-                with lock:
-                    errors.append(error)
-                done.set()
-
-            try:
-                with lock:
-                    if remaining == 0:
-                        done.set()
-                    for chain_index, chain in enumerate(chains):
-                        if chain:
-                            submit(chain_index, 0, starts[chain_index])
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                done.set()
-            done.wait()
-            if errors:
-                raise errors[0]
-    except KeyboardInterrupt:
-        # Same cleanup contract as parallel_map: no orphaned workers, no
-        # sqlite handle left pinning the store WAL.
-        pool.terminate()
-        pool.join()
-        close_default_connections()
-        raise
-    return finals
-
-
-def _pipelined_supervised(
-    func: Callable[[Any, Any], Any],
-    chains: List[List[Any]],
-    starts: List[Any],
-    jobs: int,
-    policy: SupervisionPolicy,
-    manifest: Optional[FailureManifest],
-    on_carry: Optional[Callable[[int, int, Any], None]],
-) -> List[Any]:
-    """Pipelined chains over the supervised executor.
-
-    The parent schedules chain steps itself (delivery of step k submits step
-    k+1), so worker death, retries and quarantine all happen *per step* --
-    a quarantined step abandons only its own chain, and every other chain's
-    steps keep flowing through the surviving workers.
-    """
     executor = SupervisedExecutor(jobs, policy, manifest)
-    finals: List[Any] = [None] * len(chains)
+    finals = [None] * len(chains)
 
     def submit_step(chain_index: int, step_index: int, carry: Any) -> None:
         task = chains[chain_index][step_index]
@@ -823,11 +746,7 @@ def _pipelined_supervised(
     for chain_index, chain in enumerate(chains):
         if chain:
             submit_step(chain_index, 0, starts[chain_index])
-    try:
-        executor.run(deliver)
-    except KeyboardInterrupt:
-        close_default_connections()
-        raise
+    executor.run(deliver)
     return finals
 
 
@@ -899,15 +818,14 @@ def suite_tasks(
     ]
 
 
-def merge_suite_results(
-    tasks: Sequence[SuiteTask],
-    results: Sequence[Any],
+def stitch_suite(
+    cells: Iterable[Tuple[str, str, Any]],
     requested_modes: Sequence[ModeLike],
 ) -> SuiteResults:
-    """Reassemble task-ordered results into the serial driver's suite shape.
+    """Nest ``(benchmark, mode label, result)`` cells into the suite shape.
 
     Stitches the per-benchmark NoProtect baseline into every result, then
-    returns only the requested modes -- exactly as the serial
+    keeps only the requested modes -- exactly as the serial
     :func:`repro.sim.engine.compare_modes` does.
 
     Degrade-mode :class:`TaskFailure` sentinels contribute nothing: the
@@ -919,10 +837,10 @@ def merge_suite_results(
     probing the suite shape.
     """
     complete: SuiteResults = {}
-    for (name, params, *_), result in zip(tasks, results):
+    for name, label, result in cells:
         if result is None or isinstance(result, TaskFailure):
             continue
-        complete.setdefault(name, {})[params.label] = result
+        complete.setdefault(name, {})[label] = result
 
     requested = {mode_label(mode) for mode in requested_modes}
     suite: SuiteResults = {}
@@ -936,6 +854,51 @@ def merge_suite_results(
             mode: result for mode, result in per_mode.items() if mode in requested
         }
     return suite
+
+
+def merge_suite_results(
+    tasks: Sequence[SuiteTask],
+    results: Sequence[Any],
+    requested_modes: Sequence[ModeLike],
+) -> SuiteResults:
+    """Reassemble task-ordered results into the serial driver's suite shape
+    (see :func:`stitch_suite`)."""
+    return stitch_suite(
+        ((name, params.label, result) for (name, params, *_), result in zip(tasks, results)),
+        requested_modes,
+    )
+
+
+def predistill(
+    names: Iterable[str],
+    modes: Sequence[ModeLike],
+    scale: float,
+    num_accesses: int,
+    seed: int,
+    config: Optional[SystemConfig],
+    vector: bool,
+) -> None:
+    """Distill every benchmark's event stream in the parent, before the pool.
+
+    Forked workers inherit the store's memory layer and replay without
+    capturing a trace or re-running the pre-pass (spawn workers read the
+    entry back from disk).  Without this, the first wave of workers -- all
+    landing on the same benchmark's modes -- would each distill it
+    concurrently.  The MAC tier (shared by every MAC-bearing mode) is
+    precomputed here for the same reason.
+    """
+    from repro.sim import replaycore
+    from repro.sim.distill import distilled_events
+
+    precompute_tier = (
+        vector
+        and replaycore.HAVE_NUMPY
+        and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
+    )
+    for name in names:
+        events = distilled_events(name, scale, seed, num_accesses, config)
+        if precompute_tier:
+            replaycore.distilled_mac_tier(events, config)
 
 
 def run_suite_parallel(
@@ -964,74 +927,41 @@ def run_suite_parallel(
     that support it.  Pass ``False`` to force the slower paths -- the
     results are identical on all of them.
 
-    ``on_failure`` ("raise" or "degrade") requests supervised execution and
-    overrides the policy's quarantine behaviour; ``policy``/``manifest``
-    pass a full :class:`SupervisionPolicy` and collect the run's
-    :class:`FailureManifest`.  A degraded suite omits quarantined cells (and
-    any benchmark whose baseline was quarantined) -- see
-    :func:`merge_suite_results`.
+    ``on_failure`` ("raise" or "degrade") overrides the policy's quarantine
+    behaviour; ``policy``/``manifest`` pass a full
+    :class:`SupervisionPolicy` and collect the run's
+    :class:`FailureManifest` (see :func:`resolve_supervision`).  A degraded
+    suite omits quarantined cells (and any benchmark whose baseline was
+    quarantined) -- see :func:`stitch_suite`.
     """
-    policy = resolve_supervision(policy, on_failure)
     names = list(benchmark_names)
     if distill:
-        # Pre-distill every benchmark's event stream in the parent, *before*
-        # the pool exists: forked workers inherit the store's memory layer and
-        # replay without capturing a trace or re-running the pre-pass (spawn
-        # workers read the entry back from disk).  Without this, the first
-        # wave of workers -- all landing on the same benchmark's modes --
-        # would each distill it concurrently.  The MAC tier (shared by every
-        # MAC-bearing mode) is precomputed here for the same reason.
-        from repro.sim import replaycore
-        from repro.sim.distill import distilled_events
-
-        precompute_tier = (
-            vector
-            and replaycore.HAVE_NUMPY
-            and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
-        )
-        for name in names:
-            events = distilled_events(name, scale, seed, num_accesses, config)
-            if precompute_tier:
-                replaycore.distilled_mac_tier(events, config)
+        predistill(names, modes, scale, num_accesses, seed, config, vector)
     tasks = suite_tasks(
         names, modes, scale, num_accesses, seed, config, options, distill, vector
     )
     results = parallel_map(
-        _run_suite_task, tasks, jobs=jobs, policy=policy, manifest=manifest
+        _run_suite_task,
+        tasks,
+        jobs=jobs,
+        policy=resolve_supervision(policy, on_failure),
+        manifest=manifest,
     )
     return merge_suite_results(tasks, results, modes)
 
 
-def resolve_supervision(
-    policy: Optional[SupervisionPolicy], on_failure: Optional[str]
-) -> Optional[SupervisionPolicy]:
-    """Combine an explicit policy with an ``on_failure`` override.
-
-    ``on_failure`` alone is enough to request supervision (the harness/CLI
-    surface it as ``--on-failure``); with neither set, supervision still
-    engages implicitly when a fault plan is active (see
-    :func:`_effective_policy`), and otherwise execution takes the plain
-    pool paths.
-    """
-    if on_failure is None:
-        return policy
-    import dataclasses
-
-    base = policy if policy is not None else _effective_policy(None)
-    if base is None:
-        base = SupervisionPolicy()
-    return dataclasses.replace(base, on_failure=on_failure)
-
-
 __all__ = [
+    "DEFAULT_POLICY",
     "SuiteResults",
     "SuiteTask",
     "SupervisedExecutor",
     "merge_suite_results",
     "parallel_map",
     "pipelined_map",
+    "predistill",
     "resolve_jobs",
     "resolve_supervision",
     "run_suite_parallel",
+    "stitch_suite",
     "suite_tasks",
 ]

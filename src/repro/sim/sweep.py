@@ -29,7 +29,7 @@ from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
-from repro.sim.configs import EVALUATED_MODES, ModeLike, mode_label, mode_parameters
+from repro.sim.configs import EVALUATED_MODES, ModeLike, mode_label
 from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
 from repro.sim.parallel import (
@@ -37,6 +37,7 @@ from repro.sim.parallel import (
     _run_suite_task,
     merge_suite_results,
     parallel_map,
+    predistill,
     resolve_supervision,
     suite_tasks,
 )
@@ -289,7 +290,7 @@ def run_sweep(
     names = tuple(benchmarks)
     mode_order = tuple(mode_label(mode) for mode in modes)
     policy = resolve_supervision(policy, on_failure)
-    if policy is not None and manifest is None:
+    if manifest is None:
         manifest = FailureManifest()
     axis_keys = [axis.key for axis in axes]
     duplicates = sorted({key for key in axis_keys if axis_keys.count(key) > 1})
@@ -343,26 +344,19 @@ def run_sweep(
 
     if tasks:
         if distill:
-            # Pre-distill each uncached point's benchmarks in the parent so
-            # forked workers inherit the streams (see run_suite_parallel);
-            # repeated (trace, geometry) combinations dedupe through the
-            # store's memory layer.  The per-family MAC tier rides along.
-            from repro.sim import replaycore
-            from repro.sim.distill import distilled_events
-
-            precompute_tier = (
-                vector
-                and replaycore.HAVE_NUMPY
-                and any(mode_parameters(mode).mac_traffic for mode in mode_order)
-            )
+            # Repeated (trace, geometry) combinations across points dedupe
+            # through the store's memory layer.
             for i, _, _ in slices:
                 point = points[i]
-                for name in names:
-                    events = distilled_events(
-                        name, point.scale, point.seed, point.num_accesses, point.config
-                    )
-                    if precompute_tier:
-                        replaycore.distilled_mac_tier(events, point.config)
+                predistill(
+                    names,
+                    mode_order,
+                    point.scale,
+                    point.num_accesses,
+                    point.seed,
+                    point.config,
+                    vector,
+                )
         results = parallel_map(_run_suite_task, tasks, jobs=jobs, policy=policy, manifest=manifest)
         for i, start, stop in slices:
             suite = merge_suite_results(tasks[start:stop], results[start:stop], mode_order)
@@ -389,7 +383,7 @@ def run_sweep(
                 suites[i] = cached
                 served[i] = True
                 continue
-        quarantined_before = manifest.quarantined if manifest is not None else 0
+        quarantined_before = manifest.quarantined
         suite = run_suite_sharded(
             names,
             ShardSpec(shard_size=point.shard_size or point.num_accesses),
@@ -408,7 +402,7 @@ def run_sweep(
             resume=resume,
         )
         suites[i] = suite
-        degraded = manifest is not None and manifest.quarantined > quarantined_before
+        degraded = manifest.quarantined > quarantined_before
         if use_cache and not degraded:
             store.put(keys[i], suite, encoder=encode_suite)
 

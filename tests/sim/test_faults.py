@@ -346,7 +346,7 @@ _SIGINT_SCRIPT = textwrap.dedent(
         marker = os.path.join(sys.argv[1], f"pid-{os.getpid()}-{i}")
         with open(marker, "w"):
             pass
-        time.sleep(120)
+        time.sleep(float(sys.argv[2]))
 
     if __name__ == "__main__":
         from repro.sim.parallel import parallel_map
@@ -360,8 +360,10 @@ _SIGINT_SCRIPT = textwrap.dedent(
 
 
 class TestKeyboardInterruptCleanup:
-    def test_sigint_terminates_workers(self, tmp_path):
-        """^C mid-map must kill the pool's workers, not strand them."""
+    @staticmethod
+    def _start(tmp_path, seconds):
+        """Run the interruptee until both its workers have started (each
+        sleeps ``seconds`` in its task); returns the process and their pids."""
         script = tmp_path / "interruptee.py"
         script.write_text(_SIGINT_SCRIPT)
         env = dict(os.environ)
@@ -369,25 +371,43 @@ class TestKeyboardInterruptCleanup:
             p for p in (env.get("PYTHONPATH"), str(_SRC_DIR)) if p
         )
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(tmp_path)],
+            [sys.executable, str(script), str(tmp_path), str(seconds)],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
+        deadline = time.monotonic() + 60
+        pids = []
+        while time.monotonic() < deadline:
+            pids = [
+                int(name.split("-")[1])
+                for name in os.listdir(tmp_path)
+                if name.startswith("pid-")
+            ]
+            if len(pids) >= 2:
+                break
+            if proc.poll() is not None:
+                break
+            time.sleep(0.05)
+        return proc, pids
+
+    @staticmethod
+    def _assert_workers_exit(pids, why):
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            if not any(_alive(pid) for pid in pids):
+                return
+            time.sleep(0.05)
+        leftover = [pid for pid in pids if _alive(pid)]
+        for pid in leftover:  # do not leak them into the rest of the suite
+            os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"orphaned workers survived {why}: {leftover}")
+
+    def test_sigint_terminates_workers(self, tmp_path):
+        """^C mid-map must kill the pool's workers, not strand them."""
+        proc, pids = self._start(tmp_path, 120)
         try:
-            deadline = time.monotonic() + 60
-            pids = []
-            while time.monotonic() < deadline:
-                pids = [
-                    int(name.split("-")[1])
-                    for name in os.listdir(tmp_path)
-                    if name.startswith("pid-")
-                ]
-                if len(pids) >= 2:
-                    break
-                assert proc.poll() is None, proc.stderr.read()
-                time.sleep(0.05)
             assert len(pids) >= 2, "workers never started"
             proc.send_signal(signal.SIGINT)
             stdout, stderr = proc.communicate(timeout=60)
@@ -397,15 +417,20 @@ class TestKeyboardInterruptCleanup:
                 proc.communicate()
         assert proc.returncode == 42, stderr
         assert "INTERRUPTED" in stdout
-        deadline = time.monotonic() + 20
-        while time.monotonic() < deadline:
-            if not any(_alive(pid) for pid in pids):
-                return
-            time.sleep(0.05)
-        leftover = [pid for pid in pids if _alive(pid)]
-        for pid in leftover:  # do not leak them into the rest of the suite
-            os.kill(pid, signal.SIGKILL)
-        pytest.fail(f"orphaned workers survived SIGINT: {leftover}")
+        self._assert_workers_exit(pids, "SIGINT")
+
+    def test_killed_parent_leaves_no_workers(self, tmp_path):
+        """A kill -9 of the run gives no chance to clean up; the workers
+        must still exit once their task ends, on the broken pipe."""
+        proc, pids = self._start(tmp_path, 1)
+        # wait(), not communicate(): orphaned workers would hold the
+        # output pipes open and turn a failure into a hang.
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+        assert len(pids) >= 2, "workers never started"
+        self._assert_workers_exit(pids, "a killed parent")
 
 
 _SRC_DIR = os.path.join(

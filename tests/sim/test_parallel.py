@@ -6,9 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.sim import parallel as parallel_module
 from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES, ProtectionMode
 from repro.sim.engine import run_suite
+from repro.sim.faults import FAULT_PLAN_ENV, FailureManifest, TaskFailedError
 from repro.sim.parallel import (
     parallel_map,
     pipelined_map,
@@ -147,68 +147,50 @@ def _chain_step(task, carry):
     return (carry or 0) + task
 
 
-class _FlakyPool:
-    """Real pool whose apply_async starts raising after N successful calls.
-
-    Models ``apply_async`` on a pool that began closing -- the failure mode
-    that used to kill the result-handler callback with ``done`` never set.
-    """
-
-    def __init__(self, real, fail_after):
-        self._real = real
-        self._fail_after = fail_after
-        self._calls = 0
-
-    def apply_async(self, *args, **kwargs):
-        self._calls += 1
-        if self._calls > self._fail_after:
-            raise ValueError("Pool not running")
-        return self._real.apply_async(*args, **kwargs)
-
-    def __enter__(self):
-        self._real.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self._real.__exit__(*exc)
+def _fail_on_carry(chain_index, step_index, carry):
+    raise RuntimeError("on_carry failed in the parent")
 
 
-class _FlakyContext:
-    def __init__(self, real_context, fail_after):
-        self._real_context = real_context
-        self._fail_after = fail_after
-
-    def Pool(self, processes):
-        return _FlakyPool(self._real_context.Pool(processes), self._fail_after)
+def _raise_value_error(task):
+    raise ValueError(f"bad task {task}")
 
 
 class TestPipelinedMapErrorPaths:
-    """A raising completion callback must raise to the caller, never hang."""
+    """A raising parent-side hook must raise to the caller, never hang."""
 
-    CHAINS = [[1, 2], [10, 20]]  # 2 chains so the pooled (non-serial) path runs
+    CHAINS = [[1, 2], [10, 20]]  # 2 chains so the multiprocess path runs
 
-    def _run_with_failure(self, monkeypatch, fail_after):
-        real = parallel_module._pool_context()
-        monkeypatch.setattr(
-            parallel_module, "_pool_context", lambda: _FlakyContext(real, fail_after)
-        )
+    def test_raising_on_carry_propagates_and_stops_every_worker(self):
+        before = set(multiprocessing.active_children())
         # A regression here deadlocks rather than fails; run the call on a
         # worker thread with a timeout so the suite sees an error, not a hang.
         with ThreadPoolExecutor(max_workers=1) as executor:
-            future = executor.submit(pipelined_map, _chain_step, self.CHAINS, 2)
-            with pytest.raises(ValueError, match="Pool not running"):
+            future = executor.submit(
+                pipelined_map, _chain_step, self.CHAINS, 2, on_carry=_fail_on_carry
+            )
+            with pytest.raises(RuntimeError, match="on_carry failed"):
                 future.result(timeout=60)
-
-    def test_callback_submit_failure_raises_not_deadlocks(self, monkeypatch):
-        # Both initial submissions succeed; the *callback-thread* submission
-        # of each chain's second step raises -- the historical deadlock.
-        self._run_with_failure(monkeypatch, fail_after=2)
-
-    def test_initial_submit_failure_raises_not_deadlocks(self, monkeypatch):
-        self._run_with_failure(monkeypatch, fail_after=1)
+        assert [p for p in multiprocessing.active_children() if p not in before] == []
 
     def test_pipelined_map_still_correct(self):
         assert pipelined_map(_chain_step, self.CHAINS, jobs=2) == [3, 30]
+
+
+class TestDefaultPolicy:
+    """Without a policy a failing task aborts the map, as ``Pool.map`` did,
+    but it surfaces as ``TaskFailedError`` at every ``jobs`` value."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_task_exception_is_a_task_failed_error(self, jobs, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        manifest = FailureManifest()
+        with pytest.raises(TaskFailedError) as err:
+            parallel_map(_raise_value_error, [1, 2], jobs=jobs, manifest=manifest)
+        record = err.value.record
+        assert record.reason == "exception"
+        assert record.error.startswith("ValueError: bad task ")
+        assert record.attempts == 1
+        assert manifest.retries == 0
 
 
 def _spawn_fingerprint_probe(_task):

@@ -1,11 +1,11 @@
 """Differential tests for sharded trace execution (`repro.sim.shard`).
 
-The design center of the sharding subsystem is *exactness*: the default
+The design center of the sharding subsystem is *exactness*: the
 checkpoint-handoff discipline must be bit-identical to the serial engine for
 every registered mode (seed modes and registry-only variants alike) at any
-shard width, and the opt-in warm-up discipline must stay inside its declared
-drift gate.  These tests are the pin: every field of every result is compared
-through ``SimulationResult.to_dict()`` -- floats included, no tolerance.
+shard width.  These tests are the pin: every field of every result is
+compared through ``SimulationResult.to_dict()`` -- floats included, no
+tolerance.
 """
 
 import dataclasses
@@ -16,15 +16,15 @@ import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
-from repro.sim.results import suite_key
 from repro.sim.shard import (
-    WARMUP_DRIFT_GATE,
     ShardSpec,
+    checkpoint_key,
     run_shard_step,
     run_sharded,
     run_suite_sharded,
     shard_bounds,
     shard_chain,
+    stream_shard_chain,
 )
 from repro.sim.store import ResultStore
 from repro.workloads.registry import get_workload
@@ -84,75 +84,6 @@ class TestExactShardingIsBitIdentical:
         serial = SimulationEngine.from_mode("Toleo", seed=3).run(trace, num_accesses=2000)
         sharded = run_sharded("Toleo", trace, ShardSpec(700), seed=3)
         assert sharded.to_dict() == serial.to_dict()
-
-
-class TestWarmupStaysInsideDriftGate:
-    """The approximate path honours its declared accuracy contract."""
-
-    @pytest.mark.parametrize("mode", ("CI", "Toleo", "CIF-Tree", "Client-SGX"))
-    def test_drift_gate(self, mode, trace, serial_results):
-        serial = serial_results[mode]
-        warm = run_sharded(
-            mode,
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 2),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        # The declared gate covers execution time (the metric every figure
-        # reports); traffic is bursty on tiny traces (EPC page-ins come 4 KiB
-        # at a time), so it gets twice the headroom.
-        drift = abs(warm.execution_time_ns - serial.execution_time_ns)
-        assert drift <= WARMUP_DRIFT_GATE * serial.execution_time_ns
-        byte_drift = abs(warm.traffic.total_bytes - serial.traffic.total_bytes)
-        assert byte_drift <= 2 * WARMUP_DRIFT_GATE * serial.traffic.total_bytes
-
-    def test_warmup_timeline_has_no_duplicated_samples(self, trace, serial_results):
-        # Each shard's warm-up replay covers indices the previous shard
-        # measures; its timeline samples over that window must be dropped
-        # before the merge concatenates, or the merged Toleo usage timeline
-        # roughly doubles (a sawtooth Figure-12 curve).
-        serial = serial_results["Toleo"]
-        warm = run_sharded(
-            "Toleo",
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 2),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        n_shards = len(shard_bounds(TRACE_LEN, TRACE_LEN // 4))
-        assert 0 < len(warm.toleo_usage_timeline) <= (
-            len(serial.toleo_usage_timeline) + n_shards
-        )
-
-    def test_full_prefix_warmup_converges_to_serial(self, trace, serial_results):
-        # warmup >= the whole preceding prefix makes each shard's start state
-        # exact, so the only remaining error is delta re-summation (float
-        # round-off) -- the merged time must sit tightly on the serial value.
-        serial = serial_results["Toleo"]
-        warm = run_sharded(
-            "Toleo",
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        drift = abs(warm.execution_time_ns - serial.execution_time_ns)
-        assert drift <= 1e-6 * serial.execution_time_ns
-
-    def test_zero_warmup_is_allowed_but_cold(self, trace, serial_results):
-        # warmup=0 is the fully independent extreme; it must still run and
-        # merge into a structurally sane result (cold shards see *more* LLC
-        # misses but *fewer* dirty writebacks, so no byte-count assertion
-        # holds -- that is exactly why warm-up is opt-in and gated).
-        warm = run_sharded(
-            "CI", trace, ShardSpec(TRACE_LEN // 4, warmup=0), config=SMALL_CONFIG, seed=7
-        )
-        serial = serial_results["CI"]
-        assert warm.accesses == TRACE_LEN
-        assert warm.llc_misses >= serial.llc_misses
-        assert warm.execution_time_ns > 0
-        assert warm.traffic.total_bytes > 0
 
 
 class TestSuiteShardedExecution:
@@ -217,6 +148,20 @@ class TestCheckpointHandoff:
         with pytest.raises(TypeError, match="EngineState"):
             EngineState.deserialize(pickle.dumps({"not": "a state"}))
 
+    def test_checkpoint_key_separates_every_strategy(self):
+        # One (benchmark, mode, stop), four strategies: a checkpoint written
+        # by one must never seed a chain replaying with another (a
+        # vectorized checkpoint leaves component caches untouched).
+        spec = ShardSpec(90)
+        captured = [
+            shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, distill=d, vector=v)[0]
+            for d, v in ((False, False), (True, False), (True, True))
+        ]
+        streamed = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)[0]
+        tasks = [*captured, streamed]
+        assert len({(task.name, task.params, task.stop) for task in tasks}) == 1
+        assert len({checkpoint_key(task) for task in tasks}) == 4
+
 
 class TestShardPlanning:
     def test_bounds_cover_and_partition(self):
@@ -233,30 +178,9 @@ class TestShardPlanning:
         with pytest.raises(ValueError, match="shard_size"):
             ShardSpec(bad)
 
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError, match="warmup"):
-            ShardSpec(10, warmup=-1)
-
 
 class TestStoreKeySemantics:
-    """Exact sharding shares unsharded cache entries; warm-up does not."""
-
-    ARGS = (("bsw",), ("CI",), 0.002, 2000, 1234, None, None)
-
-    def test_exact_sharding_preserves_the_unsharded_key(self):
-        unsharded = suite_key(*self.ARGS)
-        exact = suite_key(*self.ARGS, sharding=ShardSpec(500).key_fields())
-        assert exact == unsharded
-
-    def test_warmup_sharding_changes_the_key(self):
-        unsharded = suite_key(*self.ARGS)
-        warm = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=100).key_fields())
-        assert warm != unsharded
-
-    def test_different_warmups_key_differently(self):
-        a = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=100).key_fields())
-        b = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=200).key_fields())
-        assert a != b
+    """Sharded runs share unsharded cache entries."""
 
     def test_sharded_bench_served_from_unsharded_cache(self, tmp_path):
         from repro.experiments.harness import run_benchmarks
@@ -275,12 +199,6 @@ class TestStoreKeySemantics:
         )
         # Same key, memory layer preserves identity: no re-simulation happened.
         assert sharded is unsharded
-
-    def test_warmup_requires_shard_size(self):
-        from repro.experiments.harness import run_benchmarks
-
-        with pytest.raises(ValueError, match="shard_warmup needs shard_size"):
-            run_benchmarks(("bsw",), modes=("CI",), num_accesses=100, shard_warmup=50)
 
 
 class TestShardSizeSweepAxis:
@@ -354,13 +272,8 @@ class TestShardSizeSweepAxis:
     @pytest.mark.parametrize(
         "argv, message",
         (
-            (["bench", "--shard-warmup", "100"], "--shard-warmup requires --shard-size"),
             (["bench", "--shard-size", "0"], "--shard-size must be positive"),
             (["bench", "--shard-size", "-5"], "--shard-size must be positive"),
-            (
-                ["bench", "--shard-size", "10", "--shard-warmup", "-1"],
-                "--shard-warmup must be non-negative",
-            ),
         ),
     )
     def test_cli_shard_flag_misuse_is_a_usage_error(self, capsys, argv, message):
@@ -370,122 +283,3 @@ class TestShardSizeSweepAxis:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
-
-
-class TestWarmShardTelemetryMerge:
-    """Regression pins for the `merge_warm_shards` telemetry bugfix sweep.
-
-    The warm-path merge used to build its telemetry dict by update() in
-    shard order, so every count field (Trip format mix, Toleo usage/peak
-    bytes) silently reported only the *last* shard's window.  Counts must
-    sum across shards -- dicts element-wise, scalars directly -- and ratio
-    fields must be either present in every shard or in none.
-    """
-
-    @staticmethod
-    def make_counters(telemetry, llc_misses=10, llc_read_misses=8, writebacks=2):
-        from repro.sim.results import LatencyBreakdown, TrafficBreakdown
-        from repro.sim.shard import ShardCounters
-
-        return ShardCounters(
-            llc_misses=llc_misses,
-            llc_read_misses=llc_read_misses,
-            writebacks=writebacks,
-            traffic=TrafficBreakdown(),
-            latency=LatencyBreakdown(),
-            llc_mpki=2.0,
-            instructions_per_access=3.0,
-            telemetry=telemetry,
-        )
-
-    @staticmethod
-    def merge(shards):
-        from repro.sim.configs import mode_parameters
-        from repro.sim.shard import merge_warm_shards
-
-        return merge_warm_shards(
-            "memcached", mode_parameters("Toleo"), 100, shards, seed=7
-        )
-
-    def test_dict_telemetry_sums_element_wise_across_shards(self):
-        merged = self.merge(
-            [
-                self.make_counters(
-                    {
-                        "trip_format_counts": {"full": 3, "half": 1},
-                        "toleo_usage_bytes": {"flat": 100, "dynamic": 40},
-                    }
-                ),
-                self.make_counters(
-                    {
-                        "trip_format_counts": {"full": 2, "quarter": 5},
-                        "toleo_usage_bytes": {"flat": 60},
-                    }
-                ),
-            ]
-        )
-        assert merged.trip_format_counts == {"full": 5, "half": 1, "quarter": 5}
-        assert merged.toleo_usage_bytes == {"flat": 160, "dynamic": 40}
-
-    def test_scalar_count_telemetry_sums_across_shards(self):
-        merged = self.merge(
-            [
-                self.make_counters({"toleo_peak_bytes": 1000}),
-                self.make_counters({"toleo_peak_bytes": 2500}),
-                self.make_counters({"toleo_peak_bytes": 500}),
-            ]
-        )
-        assert merged.toleo_peak_bytes == 4000
-
-    def test_mixed_rate_field_presence_raises(self):
-        shards = [
-            self.make_counters({"mac_cache_hit_rate": 0.5}),
-            self.make_counters({}),
-        ]
-        with pytest.raises(ValueError, match="all-or-nothing"):
-            self.merge(shards)
-
-    def test_rate_fields_merge_miss_weighted(self):
-        shards = [
-            self.make_counters({"mac_cache_hit_rate": 0.25}, llc_read_misses=30, writebacks=0),
-            self.make_counters({"mac_cache_hit_rate": 0.75}, llc_read_misses=10, writebacks=0),
-        ]
-        merged = self.merge(shards)
-        assert merged.mac_cache_hit_rate == pytest.approx((0.25 * 30 + 0.75 * 10) / 40)
-
-    def test_merged_instruction_count_uses_the_shared_calibration(self):
-        from repro.workloads.base import calibrated_instruction_count
-
-        shards = [self.make_counters({}, llc_misses=40), self.make_counters({}, llc_misses=25)]
-        merged = self.merge(shards)
-        assert merged.instructions == calibrated_instruction_count(
-            100, 2.0, 3.0, llc_misses=65
-        )
-
-    def test_end_to_end_warm_counts_are_the_shard_sum(self, trace):
-        # Replicate the warm path's per-shard counter extraction and pin the
-        # merged result's count telemetry to the element-wise shard sums.
-        from repro.sim.shard import _warm_shard_counters
-
-        spec = ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 4)
-        engine = SimulationEngine.from_mode("Toleo", config=SMALL_CONFIG, seed=7)
-        counters = [
-            _warm_shard_counters(engine, trace, TRACE_LEN, start, stop, spec.warmup)
-            for start, stop in shard_bounds(TRACE_LEN, spec.shard_size)
-        ]
-        warm = run_sharded("Toleo", trace, spec, config=SMALL_CONFIG, seed=7)
-
-        expected_formats = {}
-        for c in counters:
-            for fmt, count in c.telemetry["trip_format_counts"].items():
-                expected_formats[fmt] = expected_formats.get(fmt, 0) + count
-        assert warm.trip_format_counts == expected_formats
-        assert warm.toleo_peak_bytes == sum(
-            c.telemetry["toleo_peak_bytes"] for c in counters
-        )
-        expected_usage = {}
-        for c in counters:
-            for bucket, count in c.telemetry["toleo_usage_bytes"].items():
-                expected_usage[bucket] = expected_usage.get(bucket, 0) + count
-        assert warm.toleo_usage_bytes == expected_usage
-        assert len(counters) > 1  # the pin is vacuous with a single shard
