@@ -3,17 +3,32 @@
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES, ProtectionMode
 from repro.sim.engine import run_suite
-from repro.sim.faults import FAULT_PLAN_ENV, FailureManifest, TaskFailedError
+from repro.sim.faults import (
+    FAULT_PLAN_ENV,
+    FailureManifest,
+    FaultPlan,
+    FaultSpec,
+    SupervisionPolicy,
+    TaskFailedError,
+    TaskFailure,
+    TaskFailureRecord,
+)
 from repro.sim.parallel import (
+    DEFAULT_POLICY,
+    merge_suite_results,
     parallel_map,
     pipelined_map,
     resolve_jobs,
+    resolve_supervision,
     run_suite_parallel,
+    stitch_suite,
+    suite_tasks,
 )
 from repro.sim.store import (
     CODE_FINGERPRINT_ENV,
@@ -191,6 +206,193 @@ class TestDefaultPolicy:
         assert record.error.startswith("ValueError: bad task ")
         assert record.attempts == 1
         assert manifest.retries == 0
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_chain_step_exception_is_a_task_failed_error(self, jobs, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        manifest = FailureManifest()
+        with pytest.raises(TaskFailedError) as err:
+            pipelined_map(
+                _raise_on_second_step, [[1, 2], [3, 4]], jobs=jobs, manifest=manifest
+            )
+        record = err.value.record
+        assert record.reason == "exception"
+        assert record.error.startswith("ValueError: step after carry ")
+        assert record.attempts == 1
+        assert manifest.retries == 0
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_on_failure_degrade_fills_the_failed_slot(self, jobs, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        policy = SupervisionPolicy(deadline=None, retries=1, backoff=0.0)
+        manifest = FailureManifest()
+        results = parallel_map(
+            _raise_on_odd,
+            [0, 1, 2],
+            jobs=jobs,
+            policy=resolve_supervision(policy, on_failure="degrade"),
+            manifest=manifest,
+        )
+        assert results[0] == 0 and results[2] == 2
+        assert isinstance(results[1], TaskFailure)
+        assert manifest.quarantined == 1 and manifest.retries == 1
+        assert manifest.records[0].attempts == 2
+
+
+def _raise_on_second_step(task, carry):
+    if carry is not None:
+        raise ValueError(f"step after carry {carry}")
+    return task
+
+
+def _raise_on_odd(task):
+    if task % 2:
+        raise ValueError(f"odd task {task}")
+    return task
+
+
+class TestResolveSupervision:
+    """The one resolver: settings choose the policy, never the code path."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_plan(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+
+    @staticmethod
+    def _activate_plan(monkeypatch):
+        plan = FaultPlan(faults=(FaultSpec(task_index=0, kind="crash"),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+
+    def test_nothing_gives_the_default_policy(self):
+        assert resolve_supervision() is DEFAULT_POLICY
+
+    def test_default_policy_is_the_plain_map_contract(self):
+        assert DEFAULT_POLICY.deadline is None
+        assert DEFAULT_POLICY.retries == 0
+        assert DEFAULT_POLICY.on_failure == "raise"
+
+    def test_explicit_policy_is_used_as_given(self):
+        policy = SupervisionPolicy(deadline=3.0, retries=5, backoff=0.5)
+        assert resolve_supervision(policy) is policy
+
+    @pytest.mark.parametrize("on_failure", ("raise", "degrade"))
+    def test_on_failure_overrides_an_explicit_policy(self, on_failure):
+        policy = SupervisionPolicy(deadline=3.0, retries=5, backoff=0.5)
+        assert resolve_supervision(policy, on_failure) == SupervisionPolicy(
+            deadline=3.0, retries=5, backoff=0.5, on_failure=on_failure
+        )
+
+    @pytest.mark.parametrize("on_failure", ("raise", "degrade"))
+    def test_on_failure_alone_arms_the_standard_policy(self, on_failure):
+        assert resolve_supervision(on_failure=on_failure) == SupervisionPolicy(
+            on_failure=on_failure
+        )
+
+    def test_active_fault_plan_arms_the_standard_policy(self, monkeypatch):
+        self._activate_plan(monkeypatch)
+        assert resolve_supervision() == SupervisionPolicy()
+
+    def test_explicit_policy_wins_over_an_active_fault_plan(self, monkeypatch):
+        self._activate_plan(monkeypatch)
+        policy = SupervisionPolicy(deadline=1.0, retries=7)
+        assert resolve_supervision(policy) is policy
+
+
+class TestPipelinedMapContract:
+    CHAINS = [[1, 2], [10, 20]]
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_initials_seed_each_chain(self, jobs):
+        finals = pipelined_map(_chain_step, self.CHAINS, jobs, initials=[100, 1000])
+        assert finals == [103, 1030]
+
+    def test_initials_must_match_the_chain_count(self):
+        with pytest.raises(ValueError, match="initials has 1 entries for 2 chains"):
+            pipelined_map(_chain_step, self.CHAINS, 2, initials=[5])
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_on_carry_sees_every_step_in_chain_order(self, jobs):
+        seen = []
+        pipelined_map(
+            _chain_step,
+            self.CHAINS,
+            jobs,
+            on_carry=lambda chain, step, carry: seen.append((chain, step, carry)),
+        )
+        assert sorted(seen) == [(0, 0, 1), (0, 1, 3), (1, 0, 10), (1, 1, 30)]
+        for chain in (0, 1):
+            assert [step for c, step, _ in seen if c == chain] == [0, 1]
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_empty_chain_yields_none(self, jobs):
+        assert pipelined_map(_chain_step, [[], [1, 2], [3]], jobs) == [None, 3, 3]
+
+
+def _cell(time_ns):
+    return SimpleNamespace(execution_time_ns=time_ns, baseline_time_ns=None)
+
+
+def _quarantined(label):
+    return TaskFailure(
+        TaskFailureRecord(index=0, label=label, attempts=1, reason="exception")
+    )
+
+
+class TestStitchSuite:
+    """The one partial-results contract shared by every suite merge."""
+
+    def test_baseline_stitched_into_every_result(self):
+        base, ci = _cell(100.0), _cell(150.0)
+        suite = stitch_suite(
+            [("bsw", "NoProtect", base), ("bsw", "CI", ci)], ("NoProtect", "CI")
+        )
+        assert list(suite["bsw"]) == ["NoProtect", "CI"]
+        assert base.baseline_time_ns == ci.baseline_time_ns == 100.0
+
+    def test_unrequested_baseline_stitched_then_dropped(self):
+        ci = _cell(150.0)
+        suite = stitch_suite(
+            [("bsw", "NoProtect", _cell(100.0)), ("bsw", "CI", ci)], ("CI",)
+        )
+        assert suite == {"bsw": {"CI": ci}}
+        assert ci.baseline_time_ns == 100.0
+
+    def test_quarantined_cell_is_absent(self):
+        toleo = _cell(120.0)
+        suite = stitch_suite(
+            [
+                ("bsw", "NoProtect", _cell(100.0)),
+                ("bsw", "CI", _quarantined("bsw/CI")),
+                ("bsw", "Toleo", toleo),
+            ],
+            ("CI", "Toleo"),
+        )
+        assert suite == {"bsw": {"Toleo": toleo}}
+
+    def test_quarantined_baseline_drops_the_benchmark(self):
+        suite = stitch_suite(
+            [
+                ("bsw", "NoProtect", _quarantined("bsw/NoProtect")),
+                ("bsw", "CI", _cell(150.0)),
+                ("fmi", "NoProtect", _cell(80.0)),
+                ("fmi", "CI", _cell(90.0)),
+            ],
+            ("CI",),
+        )
+        assert list(suite) == ["fmi"]
+
+    def test_merge_suite_results_keys_cells_by_task(self):
+        tasks = suite_tasks(("bsw", "fmi"), ("CI",), 0.002, 100, 1)
+        assert [(name, params.label) for name, params, *_ in tasks] == [
+            ("bsw", "NoProtect"),
+            ("bsw", "CI"),
+            ("fmi", "NoProtect"),
+            ("fmi", "CI"),
+        ]
+        results = [_cell(t) for t in (100.0, 150.0, 80.0, 90.0)]
+        suite = merge_suite_results(tasks, results, ("CI",))
+        assert suite == {"bsw": {"CI": results[1]}, "fmi": {"CI": results[3]}}
+        assert results[3].baseline_time_ns == 80.0
 
 
 def _spawn_fingerprint_probe(_task):

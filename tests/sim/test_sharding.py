@@ -18,6 +18,7 @@ from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
 from repro.sim.shard import (
     ShardSpec,
+    _CheckpointJournal,
     checkpoint_key,
     run_shard_step,
     run_sharded,
@@ -161,6 +162,57 @@ class TestCheckpointHandoff:
         tasks = [*captured, streamed]
         assert len({(task.name, task.params, task.stop) for task in tasks}) == 1
         assert len({checkpoint_key(task) for task in tasks}) == 4
+
+    def test_checkpoint_key_tracks_stop_and_stream_window(self):
+        spec = ShardSpec(90)
+        narrow = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)
+        wide = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 60)
+        keys = {checkpoint_key(task) for task in narrow + wide}
+        assert len(keys) == len(narrow) + len(wide)
+        rebuilt = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)
+        assert [checkpoint_key(t) for t in rebuilt] == [checkpoint_key(t) for t in narrow]
+
+
+class TestCheckpointJournal:
+    """The parent-side half of resume, driven through its ``on_carry`` hook."""
+
+    @staticmethod
+    def _chains():
+        spec = ShardSpec(90)  # 3 shards of TRACE_LEN per chain
+        return [
+            shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7),
+            shard_chain("bsw", "Toleo", spec, 0.002, TRACE_LEN, 7),
+        ]
+
+    def test_intermediate_carry_is_persisted_and_restored(self, tmp_path):
+        store = ResultStore(tmp_path)
+        chains = self._chains()
+        journal = _CheckpointJournal(chains, store)
+        journal.on_carry(0, 0, b"after shard 0")
+        journal.on_carry(0, 1, b"after shard 1")
+        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        assert trimmed == [chains[0][2:], chains[1]]
+        assert initials == [b"after shard 1", None]
+
+    def test_only_the_latest_checkpoint_is_kept(self, tmp_path):
+        store = ResultStore(tmp_path)
+        chains = self._chains()
+        journal = _CheckpointJournal(chains, store)
+        journal.on_carry(0, 0, b"a")
+        journal.on_carry(0, 1, b"b")
+        assert checkpoint_key(chains[0][0]) not in store
+        assert checkpoint_key(chains[0][1]) in store
+
+    def test_completion_spends_the_checkpoint(self, tmp_path):
+        store = ResultStore(tmp_path)
+        chains = self._chains()
+        journal = _CheckpointJournal(chains, store)
+        journal.on_carry(0, 0, b"a")
+        journal.on_carry(0, 1, b"b")
+        journal.on_carry(0, 2, "the chain's final result")
+        assert store.query(kind="checkpoint") == []
+        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        assert trimmed == chains and initials == [None, None]
 
 
 class TestShardPlanning:
