@@ -9,10 +9,11 @@ exactly; the tolerance (default 10%) exists to absorb *intentional* model
 refinements while catching accidental drift -- a cache sized wrong, a latency
 dropped from the critical path, a workload generator change.
 
-Before the baseline comparison the suite is run five ways -- plain, sharded,
-distilled, vectorized, and streamed -- and all five must agree *identically*:
-the execution strategies are exactness-preserving by contract, so any
-divergence is an execution-path bug, not drift.
+Before the baseline comparison the suite runs once through the reference
+oracle -- the serial, undistilled ``run_suite`` -- and three times through
+the suite pipeline -- unsharded, sharded and streamed -- and every pipeline
+run must match the oracle *identically*: the pipeline is exactness-preserving
+by contract, so any divergence is an execution-path bug, not drift.
 
 Usage:
     python scripts/check_bench_regression.py            # gate (exit 1 on drift)
@@ -37,6 +38,7 @@ sys.path.insert(
 
 from repro.experiments.harness import QUICK_BENCHMARKS, run_benchmarks
 from repro.sim.configs import BASELINE_MODE, EVALUATED_MODES
+from repro.sim.engine import run_suite
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_baseline.json")
 
@@ -68,14 +70,20 @@ def _slowdowns(suite: dict) -> dict:
     }
 
 
-def measure(
-    jobs: int,
-    shard_size: int = 0,
-    distill: bool = False,
-    vector: bool = False,
-    stream: int = 0,
-) -> dict:
-    """Current slowdown ratios for every (benchmark, gated mode) pair."""
+def oracle() -> dict:
+    """Slowdown ratios from the serial, undistilled reference engine."""
+    suite = run_suite(
+        QUICK_BENCHMARKS,
+        modes=GATED_MODES,
+        scale=SETTINGS["scale"],
+        num_accesses=SETTINGS["num_accesses"],
+        seed=SETTINGS["seed"],
+    )
+    return _slowdowns(suite)
+
+
+def measure(jobs: int, shard_size: int = 0, stream: int = 0) -> dict:
+    """Slowdown ratios from the suite pipeline, bypassing the result store."""
     suite = run_benchmarks(
         QUICK_BENCHMARKS,
         modes=GATED_MODES,
@@ -85,8 +93,6 @@ def measure(
         use_cache=False,
         jobs=jobs,
         shard_size=shard_size or None,
-        distill=distill,
-        vector=vector,
         stream=stream or None,
     )
     return _slowdowns(suite)
@@ -109,33 +115,28 @@ def main() -> int:
     parser.add_argument("--baseline", default=BASELINE_PATH)
     args = parser.parse_args()
 
-    current = measure(args.jobs)
+    current = oracle()
+    pipeline = measure(args.jobs)
     sharded = measure(args.jobs, shard_size=SETTINGS["shard_size"])
-    distilled = measure(args.jobs, distill=True)
-    vectorized = measure(args.jobs, distill=True, vector=True)
     streamed = measure(args.jobs, stream=SETTINGS["stream"])
 
-    # The sharded pass uses the exact checkpoint-handoff discipline, the
-    # distilled pass replays every mode from the shared miss-event stream,
-    # the vectorized pass additionally routes that replay through the numpy
-    # batch kernels, and the streamed pass replays from bounded-memory
-    # windowed event slices; all must match the plain run *identically* --
-    # any difference is an execution-path bug, gated before the baseline
-    # comparison even runs.
+    # The unsharded, sharded (exact checkpoint handoff) and streamed
+    # (bounded-memory windowed event slices) pipeline runs must all match
+    # the oracle *identically* -- any difference is an execution-path bug,
+    # gated before the baseline comparison even runs.
     for label, variant in (
+        ("pipeline", pipeline),
         ("sharded", sharded),
-        ("distilled", distilled),
-        ("vectorized", vectorized),
         ("streamed", streamed),
     ):
         if variant != current:
-            print(f"REGRESSION GATE FAILED: {label} run diverged from plain run")
+            print(f"REGRESSION GATE FAILED: {label} run diverged from the oracle")
             for bench in sorted(set(current) | set(variant)):
                 for mode in sorted(set(current.get(bench, {})) | set(variant.get(bench, {}))):
                     a = current.get(bench, {}).get(mode)
                     b = variant.get(bench, {}).get(mode)
                     if a != b:
-                        print(f"  - {bench}/{mode}: plain {a} vs {label} {b}")
+                        print(f"  - {bench}/{mode}: oracle {a} vs {label} {b}")
             return 1
 
     if args.update:
@@ -145,8 +146,6 @@ def main() -> int:
                     "settings": SETTINGS,
                     "slowdowns": current,
                     "sharded_slowdowns": sharded,
-                    "distilled_slowdowns": distilled,
-                    "vectorized_slowdowns": vectorized,
                     "streamed_slowdowns": streamed,
                 },
                 handle,
@@ -173,8 +172,6 @@ def main() -> int:
     sections = [
         ("slowdowns", current),
         ("sharded_slowdowns", sharded),
-        ("distilled_slowdowns", distilled),
-        ("vectorized_slowdowns", vectorized),
         ("streamed_slowdowns", streamed),
     ]
     for section, measured in sections:

@@ -37,20 +37,22 @@ over N worker processes (0 = one per CPU); results are bit-identical to a
 serial run.  Completed runs persist in ``.repro_cache/`` and are reused
 across invocations unless ``--no-cache`` is given.  ``sweep`` expands
 ``--param key=v1,v2,...`` axes into a cartesian grid and runs every point
-through the same parallel fan-out and persistent store.  ``--shard-size N``
+through the same pipeline and persistent store.  ``--shard-size N``
 additionally splits each pair's trace into N-access shards pipelined across
 the workers (bit-identical checkpoint handoff).  Every multiprocess run goes
 through one supervised worker pool; ``--on-failure``, ``--task-deadline``
 and ``--task-retries`` only change how a failed task is handled (by default
-the first failure aborts the run with exit code 3).  Multi-mode runs pay the
-cache hierarchy once per benchmark by default -- a fast pre-pass distills
-the trace into a mode-independent miss-event stream that every mode replays
-from (bit-identical results; ``--no-distill`` forces the full per-access
-replay).  ``--stream W`` goes one step further for tera-scale runs: the
-trace is never captured whole -- it is generated and distilled W accesses at
-a time into persistent event-slice store entries that the shard tasks replay
-from, so peak memory is bounded by the window while the results (and the
-store keys) stay identical to a captured run.
+the first failure aborts the run with exit code 3).  Runs pay the cache
+hierarchy once per benchmark -- a fast pre-pass distills the trace into a
+mode-independent miss-event stream that every mode replays from, through
+numpy batch kernels where the mode's components allow (bit-identical
+results either way; the replay loop follows from the mode and the
+installed packages, never from a flag).  ``--stream W`` goes one step
+further for tera-scale runs: the trace is never captured whole -- it is
+generated and distilled W accesses at a time into persistent event-slice
+store entries that the shard tasks replay from, so peak memory is bounded
+by the window while the results (and the store keys) stay identical to a
+captured run.
 """
 
 from __future__ import annotations
@@ -288,21 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "entries (bench/sweep only)",
     )
     parser.add_argument(
-        "--no-distill",
-        action="store_true",
-        help="disable miss-event distillation: replay every access of every "
-        "mode through the cache hierarchy instead of paying the hierarchy "
-        "once per benchmark (results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="disable the vectorized replay core: run the distilled event "
-        "replay as a scalar per-event loop instead of numpy batch kernels "
-        "(results are bit-identical either way; vectorization is also "
-        "skipped automatically when numpy is not installed)",
-    )
-    parser.add_argument(
         "--on-failure",
         choices=["raise", "degrade"],
         default=None,
@@ -483,8 +470,6 @@ def run_bench(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache,
             jobs=args.jobs,
             shard_size=args.shard_size,
-            distill=not args.no_distill,
-            vector=not args.no_vector,
             stream=args.stream,
             policy=policy,
             manifest=manifest,
@@ -524,9 +509,7 @@ def run_bench(args: argparse.Namespace) -> str:
         f"\n{len(suite)} benchmarks x {len(suite_modes)} modes, "
         f"{args.accesses} accesses @ scale {args.scale}, seed {args.seed}\n"
         f"wall time {elapsed:.2f}s, {throughput:,.0f} accesses/s "
-        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'}, "
-        f"distill={'off' if args.no_distill else 'on'}, "
-        f"vector={'off' if args.no_vector else 'on'}"
+        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'}"
         f"{sharding}{precompute_note})\n"
     )
     footer += _supervision_footer(manifest, policy)
@@ -558,8 +541,6 @@ def run_sweep_command(args: argparse.Namespace) -> str:
             jobs=args.jobs,
             use_cache=not args.no_cache,
             shard_size=args.shard_size,
-            distill=not args.no_distill,
-            vector=not args.no_vector,
             stream=args.stream,
             policy=policy,
             manifest=manifest,
@@ -603,9 +584,7 @@ def run_sweep_command(args: argparse.Namespace) -> str:
         f"x {len(result.modes)} modes ({result.simulated_points} simulated, "
         f"{cached_points} from store)\n"
         f"wall time {elapsed:.2f}s, {throughput:,.0f} accesses/s "
-        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'}, "
-        f"distill={'off' if args.no_distill else 'on'}, "
-        f"vector={'off' if args.no_vector else 'on'})\n"
+        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})\n"
     )
     # The queryable index replaces the old "glob the cache dir" instinct:
     # one line of provenance about what this sweep can be re-served from.

@@ -13,9 +13,11 @@ one entry point, :func:`run_benchmarks`, backed by the persistent
   its sqlite-indexed disk layer under ``.repro_cache/`` survives across
   processes, so a second ``repro bench`` (or a CI re-run on a warm cache)
   skips simulation entirely;
-* ``jobs > 1`` fans the independent (benchmark, mode) simulations out over
-  worker processes via :func:`repro.sim.parallel.run_suite_parallel`, with
-  output bit-identical to the serial run.
+* a miss runs the one suite pipeline,
+  :func:`repro.sim.shard.run_suite_sharded`: every (benchmark, mode) pair is
+  a shard chain (one full-length shard when unsharded) over ``jobs`` worker
+  processes, or in-process at ``jobs=1``, with output bit-identical to the
+  serial engine.
 
 The figure modules accept either a precomputed suite or the parameters to
 produce one.
@@ -30,14 +32,9 @@ from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
 from repro.sim.configs import EVALUATED_MODES, ModeLike
-from repro.sim.engine import EngineOptions, run_suite
+from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import (
-    DEFAULT_POLICY,
-    parallel_map,
-    resolve_supervision,
-    run_suite_parallel,
-)
+from repro.sim.parallel import parallel_map
 from repro.sim.shard import ShardSpec, run_suite_sharded
 from repro.sim.results import (
     SuiteResults,
@@ -104,8 +101,6 @@ def run_benchmarks(
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
     shard_size: Optional[int] = None,
-    distill: bool = True,
-    vector: bool = True,
     stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
@@ -114,29 +109,24 @@ def run_benchmarks(
 ) -> SuiteResults:
     """Run (or fetch from the persistent store) the benchmark suite.
 
-    ``jobs > 1`` distributes the (benchmark, mode) simulations over worker
-    processes; the merged output is bit-identical to the serial run, so the
-    cache key is deliberately independent of ``jobs``.
+    ``jobs > 1`` distributes the (benchmark, mode) chains over worker
+    processes and ``jobs=1`` runs them in-process; the merged output is
+    bit-identical to the serial run, so the cache key is deliberately
+    independent of ``jobs``.  A failing task surfaces as
+    :class:`~repro.sim.faults.TaskFailedError` at every ``jobs`` value;
+    ``policy``/``on_failure`` choose how failures are handled.
+
+    Every pair pays the cache hierarchy once per benchmark -- a fast
+    pre-pass distills the trace into a mode-independent miss-event stream
+    (:mod:`repro.sim.distill`) that each mode replays, through the numpy
+    batch kernels of :mod:`repro.sim.replaycore` where the stack supports
+    them.
 
     ``shard_size`` additionally splits every pair's trace into contiguous
     shards (:mod:`repro.sim.shard`), unlocking parallelism *within* a long
-    trace.  The checkpoint handoff between shards is bit-identical to the
-    unsharded engine, so it shares the unsharded cache key.
-
-    ``distill`` (the default) pays each benchmark's cache hierarchy once per
-    run -- a fast pre-pass distills the trace into a mode-independent
-    miss-event stream (:mod:`repro.sim.distill`, persisted content-keyed by
-    trace + cache geometry) and every mode replays from the events alone.
-    Results are bit-identical to the undistilled engine, so the suite cache
-    key is deliberately independent of ``distill`` too: distilled and
-    undistilled runs serve each other's store entries.
-
-    ``vector`` (the default) batches each distilled replay through the numpy
-    kernels of :mod:`repro.sim.replaycore` for the modes that support it,
-    with the MAC-cache lookup sequence distilled once per mode family.
-    Still bit-identical, still the same cache key -- vectorized, distilled
-    and plain runs all serve each other's store entries -- and it silently
-    degrades to the scalar replay when numpy is unavailable.
+    trace; without it each chain is one full-length shard.  The checkpoint
+    handoff between shards is bit-identical to the unsharded engine, so it
+    shares the unsharded cache key.
 
     ``stream`` (a window width in accesses) selects the bounded-memory
     streamed path: the trace is never captured whole -- each benchmark is
@@ -157,16 +147,7 @@ def run_benchmarks(
 
     if stream is not None and stream <= 0:
         raise ValueError(f"stream window must be positive, got {stream}")
-
-    spec: Optional[ShardSpec] = None
-    if shard_size is not None:
-        spec = ShardSpec(shard_size=shard_size)
-    elif stream is not None:
-        # Streamed runs route through the sharded driver; without an explicit
-        # shard width the whole run is one full-length shard.
-        spec = ShardSpec(shard_size=num_accesses)
-
-    policy = resolve_supervision(policy, on_failure)
+    spec = ShardSpec(num_accesses if shard_size is None else shard_size)
     if manifest is None:
         manifest = FailureManifest()
 
@@ -176,53 +157,22 @@ def run_benchmarks(
         if cached is not None:
             return cached
 
-    if spec is not None:
-        results = run_suite_sharded(
-            names,
-            spec,
-            modes=modes,
-            scale=scale,
-            num_accesses=num_accesses,
-            seed=seed,
-            config=config,
-            options=options,
-            jobs=jobs,
-            distill=distill,
-            vector=vector,
-            stream=stream,
-            policy=policy,
-            manifest=manifest,
-            resume=resume,
-        )
-    elif jobs != 1 or policy != DEFAULT_POLICY:
-        # One in-process job under the default policy needs no task list:
-        # the serial suite driver computes the identical results directly.
-        results = run_suite_parallel(
-            names,
-            modes=modes,
-            scale=scale,
-            num_accesses=num_accesses,
-            seed=seed,
-            config=config,
-            options=options,
-            jobs=jobs,
-            distill=distill,
-            vector=vector,
-            policy=policy,
-            manifest=manifest,
-        )
-    else:
-        results = run_suite(
-            names,
-            modes=modes,
-            scale=scale,
-            num_accesses=num_accesses,
-            seed=seed,
-            config=config,
-            options=options,
-            distill=distill,
-            vector=vector,
-        )
+    results = run_suite_sharded(
+        names,
+        spec,
+        modes=modes,
+        scale=scale,
+        num_accesses=num_accesses,
+        seed=seed,
+        config=config,
+        options=options,
+        jobs=jobs,
+        stream=stream,
+        policy=policy,
+        manifest=manifest,
+        on_failure=on_failure,
+        resume=resume,
+    )
     degraded = bool(manifest.quarantined)
     if use_cache and not degraded:
         # A degraded suite is missing quarantined cells; caching it under the

@@ -21,6 +21,13 @@ combines a fixed-CPI compute component with read-stall time (overlapped by a
 memory-level-parallelism factor) and a bandwidth-saturation term, which is
 what makes bandwidth-hungry workloads (pr, bfs, llama2-gen) pay more for the
 CI metadata traffic than compute-bound ones -- the shape of Figure 6.
+
+The engine has three replay loops over one resumable state: the per-access
+:meth:`SimulationEngine.replay`, the distilled
+:meth:`SimulationEngine.replay_events` and the batch replay of
+:mod:`repro.sim.replaycore`.  The convenience drivers :func:`compare_modes`
+and :func:`run_suite` run only the first: they are the undistilled serial
+oracle every other path is pinned against.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from repro.sim.configs import (
     mode_label,
     mode_parameters,
 )
-from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
+from repro.sim.distill import WB_NONE, MissEventStream
 from repro.sim.path import AccessContext, PathComponent, build_components
 from repro.sim.results import LatencyBreakdown, SimulationResult, TrafficBreakdown
 from repro.workloads.base import Trace, Workload
@@ -612,10 +619,14 @@ def compare_modes(
     options: Optional[EngineOptions] = None,
     seed: int = 0,
     reuse_trace: bool = True,
-    distill: bool = False,
-    vector: bool = False,
 ) -> Dict[str, SimulationResult]:
     """Run one workload under several configurations with a shared baseline.
+
+    This is the undistilled serial reference: every mode pushes every access
+    through the cache hierarchy (:meth:`SimulationEngine.run`), which is
+    what the golden fixtures regenerate from and what every faster path --
+    the suite pipeline of :mod:`repro.sim.shard` -- is pinned bit-identical
+    against.
 
     ``workload_factory`` is a zero-argument callable returning a *fresh*
     workload instance.  With ``reuse_trace`` (the default fast path) the
@@ -624,66 +635,23 @@ def compare_modes(
     slower but produces bit-identical results -- the equivalence is pinned by
     the simulator tests.
 
-    With ``distill`` the captured trace is additionally distilled into a
-    :class:`~repro.sim.distill.MissEventStream` once, and every mode whose
-    component stack supports it replays from the events alone
-    (:meth:`SimulationEngine.replay_events`) -- the data hierarchy is paid
-    once instead of once per mode, with bit-identical results.  The default
-    stays off so this function remains the undistilled reference the
-    differential tests compare against; the experiment harness turns it on.
-
-    ``vector`` additionally routes each distilled replay through the numpy
-    batch kernels of :mod:`repro.sim.replaycore` when the mode's component
-    stack supports it (still bit-identical); it only applies on the
-    ``distill`` path and silently degrades to the scalar event replay when
-    numpy is unavailable or a component type is unknown.
-
     ``NOPROTECT`` always *runs* first (it provides the baseline time every
     other result's slowdown is reported against), but the returned dict
     contains only the requested modes -- the baseline result no longer leaks
     into callers that did not ask for it.
     """
-    from repro.sim import replaycore
-
     results: Dict[str, SimulationResult] = {}
     baseline_time: Optional[float] = None
 
     trace: Optional[Trace] = None
-    events: Optional[MissEventStream] = None
     if reuse_trace:
         trace = workload_factory().capture(num_accesses)
-        if distill:
-            events = HierarchyDistiller(config).distill(trace, num_accesses)
-
-    # The events were distilled in-process, so the shared MAC tier is too
-    # (no store round-trip): one tier serves every MAC-bearing mode below.
-    tier = None
-    if (
-        vector
-        and events is not None
-        and replaycore.HAVE_NUMPY
-        and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
-    ):
-        tier = replaycore.compute_mac_tier(events, config)
 
     requested = {mode_label(mode) for mode in modes}
     for mode in ordered_modes(modes):
         engine = SimulationEngine.from_mode(mode, config=config, options=options, seed=seed)
         subject = trace if trace is not None else workload_factory()
-        if events is not None:
-            state = engine.begin(events, num_accesses)
-            if engine.distillable(state.components):
-                if vector and replaycore.vectorizable(state.components):
-                    replaycore.BatchReplayEngine(engine, events, tier=tier).replay(state)
-                else:
-                    engine.replay_events(state, events)
-            else:
-                engine.replay(state, subject)
-            result = engine.finish(state, subject, baseline_time_ns=baseline_time)
-        else:
-            result = engine.run(
-                subject, num_accesses=num_accesses, baseline_time_ns=baseline_time
-            )
+        result = engine.run(subject, num_accesses=num_accesses, baseline_time_ns=baseline_time)
         if mode == BASELINE_MODE:
             baseline_time = result.execution_time_ns
             result.baseline_time_ns = baseline_time
@@ -706,16 +674,11 @@ def run_suite(
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
     reuse_trace: bool = True,
-    distill: bool = False,
-    vector: bool = False,
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run a list of named benchmarks under the requested configurations.
 
-    ``distill`` (off by default, so this stays the reference serial path the
-    golden fixtures regenerate from) pays each benchmark's cache hierarchy
-    once and replays the remaining modes from the distilled event stream;
-    ``vector`` further batches the distilled replay through the numpy
-    kernels (see :func:`compare_modes`).
+    The serial, undistilled reference oracle (see :func:`compare_modes`);
+    the experiment harness runs the bit-identical suite pipeline instead.
     """
     from repro.workloads.registry import get_workload
 
@@ -729,8 +692,6 @@ def run_suite(
             options=options,
             seed=seed,
             reuse_trace=reuse_trace,
-            distill=distill,
-            vector=vector,
         )
     return suite
 

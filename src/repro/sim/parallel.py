@@ -1,26 +1,25 @@
-"""Parallel experiment orchestration over (benchmark, mode) pairs.
+"""Parallel execution primitives and the suite-level helpers around them.
 
 Every (benchmark, protection-mode) simulation is independent: the engine
 builds its own cache hierarchy, protection-path components and RNGs from the
 run seed, and the only cross-mode coupling -- the NoProtect baseline time
 stitched into each result -- is a pure post-processing step.  That makes the
-suite embarrassingly parallel, and :func:`run_suite_parallel` fans the pairs
-out over worker processes and then merges deterministically:
+suite embarrassingly parallel.  The suite pipeline itself lives in
+:mod:`repro.sim.shard`: every pair is a chain of shard tasks (one
+full-length shard when unsharded) run through :func:`pipelined_map`, and
+merged deterministically by :func:`stitch_suite`:
 
-* tasks are enumerated benchmark-major, mode-minor (the serial order), and
+* chains are enumerated benchmark-major, mode-minor (the serial order), and
   results are reassembled into the same nested dict shape regardless of
   completion order;
-* each worker replays the same captured trace a serial run would (same
-  workload seed), so the merged output is **bit-identical** to
+* each worker replays the same trace a serial run would (same workload
+  seed), so the merged output is **bit-identical** to
   :func:`repro.sim.engine.run_suite` -- pinned by ``tests/sim/test_parallel``.
 
-Workers memoise captured traces per process (`capture_trace`), so all modes
-of a benchmark that land on the same worker share one trace generation.
-
-The task/merge helpers (:func:`suite_tasks`, :func:`merge_suite_results`) are
-exposed separately so bulk runners -- the sweep subsystem in particular --
-can flatten *many* suites into one task list for a single pool, instead of
-paying pool startup per grid point.
+:func:`predistill` pays each benchmark's mode-independent pre-pass in the
+parent before any pool starts, so forked workers inherit it and the bulk
+runners -- the sweep subsystem in particular -- can flatten *many* suites
+into one chain list for a single pool.
 
 **One pool.**  Every multiprocess task runs on :class:`SupervisedExecutor`:
 a fixed set of worker processes fed over per-worker pipes, with per-attempt
@@ -67,18 +66,17 @@ import pickle
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.sim.configs import (
     BASELINE_MODE,
-    EVALUATED_MODES,
     ModeLike,
     ModeParameters,
     mode_label,
     mode_parameters,
 )
-from repro.sim.engine import EngineOptions, SimulationEngine, ordered_modes
+from repro.sim.engine import EngineOptions, ordered_modes
 from repro.sim.faults import (
     FailureManifest,
     FaultInjectionError,
@@ -88,32 +86,11 @@ from repro.sim.faults import (
     TaskFailure,
     TaskFailureRecord,
 )
-from repro.sim.results import SimulationResult, SuiteResults
+from repro.sim.results import SuiteResults
 from repro.sim.store import close_default_connections, export_code_fingerprint
 
-#: One unit of work: everything a worker needs to run one simulation.  The
-#: mode's *resolved* ModeParameters travel with the task (not just the enum)
-#: so runtime registry customisations in the parent process reach workers
-#: even under the spawn start method, where workers re-import the package
-#: and would otherwise resolve modes against a fresh default registry.
-#: The first trailing flag selects miss-event distillation: the worker
-#: replays the mode from the benchmark's distilled event stream (computed
-#: once per process and shared through the persistent store) instead of
-#: pushing every access through the cache hierarchy again; the second routes
-#: that replay through the numpy batch kernels of
-#: :mod:`repro.sim.replaycore` when the stack supports it -- bit-identical
-#: on every path.
-SuiteTask = Tuple[
-    str,
-    ModeParameters,
-    float,
-    int,
-    int,
-    Optional[SystemConfig],
-    Optional[EngineOptions],
-    bool,
-    bool,
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.shard import ShardTask
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -751,38 +728,8 @@ def pipelined_map(
 
 
 # ---------------------------------------------------------------------------
-# Suite-level fan-out
+# Suite-level helpers
 # ---------------------------------------------------------------------------
-
-
-def _run_suite_task(task: SuiteTask) -> SimulationResult:
-    """Worker body: simulate one (benchmark, mode) pair.
-
-    With distillation the worker fetches the benchmark's mode-independent
-    :class:`~repro.sim.distill.MissEventStream` (store memory layer within
-    the process, ``.repro_cache/`` across processes, one fast pre-pass on a
-    full miss) and replays the mode from the events alone; a served stream
-    never even regenerates the trace.  Modes whose components cannot be
-    event-driven fall back to the full per-access replay -- results are
-    bit-identical on both paths.
-    """
-    from repro.sim import replaycore
-    from repro.sim.distill import distilled_events
-    from repro.workloads.registry import capture_trace
-
-    name, params, scale, num_accesses, seed, config, options, distill, vector = task
-    engine = SimulationEngine(params, config=config, options=options, seed=seed)
-    if distill:
-        events = distilled_events(name, scale, seed, num_accesses, config)
-        state = engine.begin(events, num_accesses)
-        if engine.distillable(state.components):
-            if vector and replaycore.vectorizable(state.components):
-                replaycore.BatchReplayEngine(engine, events).replay(state)
-            else:
-                engine.replay_events(state, events)
-            return engine.finish(state, events)
-    trace = capture_trace(name, scale=scale, seed=seed, num_accesses=num_accesses)
-    return engine.run(trace, num_accesses=num_accesses)
 
 
 def suite_tasks(
@@ -793,28 +740,23 @@ def suite_tasks(
     seed: int,
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
-    distill: bool = True,
-    vector: bool = True,
-) -> List[SuiteTask]:
-    """Enumerate one suite's tasks benchmark-major, mode-minor (serial order).
+) -> List["ShardTask"]:
+    """One unsharded suite's tasks, benchmark-major, mode-minor (serial order).
 
-    ``NOPROTECT`` is always included (first) even when not requested -- it
-    provides the baseline time the merge stitches into every result.
+    These are what the pipeline dispatches for an unsharded run: each
+    (benchmark, mode) pair is a chain of one full-length
+    :class:`~repro.sim.shard.ShardTask`.  ``NOPROTECT`` is always included
+    (first) even when not requested -- it provides the baseline time the
+    merge stitches into every result.
     """
+    from repro.sim.shard import ShardSpec, shard_chain
+
+    spec = ShardSpec(num_accesses)
     return [
-        (
-            name,
-            mode_parameters(mode),
-            scale,
-            num_accesses,
-            seed,
-            config,
-            options,
-            distill,
-            vector,
-        )
+        task
         for name in names
         for mode in ordered_modes(modes)
+        for task in shard_chain(name, mode, spec, scale, num_accesses, seed, config, options)
     ]
 
 
@@ -856,19 +798,6 @@ def stitch_suite(
     return suite
 
 
-def merge_suite_results(
-    tasks: Sequence[SuiteTask],
-    results: Sequence[Any],
-    requested_modes: Sequence[ModeLike],
-) -> SuiteResults:
-    """Reassemble task-ordered results into the serial driver's suite shape
-    (see :func:`stitch_suite`)."""
-    return stitch_suite(
-        ((name, params.label, result) for (name, params, *_), result in zip(tasks, results)),
-        requested_modes,
-    )
-
-
 def predistill(
     names: Iterable[str],
     modes: Sequence[ModeLike],
@@ -876,7 +805,6 @@ def predistill(
     num_accesses: int,
     seed: int,
     config: Optional[SystemConfig],
-    vector: bool,
 ) -> None:
     """Distill every benchmark's event stream in the parent, before the pool.
 
@@ -885,15 +813,13 @@ def predistill(
     entry back from disk).  Without this, the first wave of workers -- all
     landing on the same benchmark's modes -- would each distill it
     concurrently.  The MAC tier (shared by every MAC-bearing mode) is
-    precomputed here for the same reason.
+    precomputed here for the same reason whenever numpy can use it.
     """
     from repro.sim import replaycore
     from repro.sim.distill import distilled_events
 
-    precompute_tier = (
-        vector
-        and replaycore.HAVE_NUMPY
-        and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
+    precompute_tier = replaycore.HAVE_NUMPY and any(
+        mode_parameters(mode).mac_traffic for mode in ordered_modes(modes)
     )
     for name in names:
         events = distilled_events(name, scale, seed, num_accesses, config)
@@ -901,67 +827,15 @@ def predistill(
             replaycore.distilled_mac_tier(events, config)
 
 
-def run_suite_parallel(
-    benchmark_names: Iterable[str],
-    modes: Sequence[ModeLike] = EVALUATED_MODES,
-    scale: float = 0.002,
-    num_accesses: int = 100_000,
-    seed: int = 1234,
-    config: Optional[SystemConfig] = None,
-    options: Optional[EngineOptions] = None,
-    jobs: Optional[int] = None,
-    distill: bool = True,
-    vector: bool = True,
-    policy: Optional[SupervisionPolicy] = None,
-    manifest: Optional[FailureManifest] = None,
-    on_failure: Optional[str] = None,
-) -> SuiteResults:
-    """Run the benchmark suite with (benchmark, mode) pairs fanned out.
-
-    Returns exactly what :func:`repro.sim.engine.run_suite` returns -- same
-    nesting, same iteration order, same numbers -- but with the independent
-    simulations spread over ``jobs`` worker processes.  ``distill`` (the
-    default) replays each mode from the benchmark's shared miss-event stream
-    instead of re-simulating the cache hierarchy per mode; ``vector`` (also
-    the default) batches that replay through the numpy kernels for the modes
-    that support it.  Pass ``False`` to force the slower paths -- the
-    results are identical on all of them.
-
-    ``on_failure`` ("raise" or "degrade") overrides the policy's quarantine
-    behaviour; ``policy``/``manifest`` pass a full
-    :class:`SupervisionPolicy` and collect the run's
-    :class:`FailureManifest` (see :func:`resolve_supervision`).  A degraded
-    suite omits quarantined cells (and any benchmark whose baseline was
-    quarantined) -- see :func:`stitch_suite`.
-    """
-    names = list(benchmark_names)
-    if distill:
-        predistill(names, modes, scale, num_accesses, seed, config, vector)
-    tasks = suite_tasks(
-        names, modes, scale, num_accesses, seed, config, options, distill, vector
-    )
-    results = parallel_map(
-        _run_suite_task,
-        tasks,
-        jobs=jobs,
-        policy=resolve_supervision(policy, on_failure),
-        manifest=manifest,
-    )
-    return merge_suite_results(tasks, results, modes)
-
-
 __all__ = [
     "DEFAULT_POLICY",
     "SuiteResults",
-    "SuiteTask",
     "SupervisedExecutor",
-    "merge_suite_results",
     "parallel_map",
     "pipelined_map",
     "predistill",
     "resolve_jobs",
     "resolve_supervision",
-    "run_suite_parallel",
     "stitch_suite",
     "suite_tasks",
 ]

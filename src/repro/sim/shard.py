@@ -1,11 +1,13 @@
-"""Sharded trace execution for tera-scale runs.
+"""The suite pipeline: every (benchmark, mode) pair runs as a shard chain.
 
-The parallel substrate (PR 1) fans *whole* (benchmark, mode) simulations over
-worker processes, which caps a practical run at a few hundred thousand
-accesses per pair: one pair is always one serial replay.  This module splits
-a run into contiguous shards and executes each pair as a *chain* of shard
-windows, so 10M+-access traces spread across the pool instead of
-monopolising one worker.
+This module is the one suite driver.  A run splits into contiguous shards
+and executes each (benchmark, mode) pair as a *chain* of shard windows, so
+10M+-access traces spread across the pool instead of monopolising one
+worker; an unsharded run is simply a chain of one full-length shard.  Every
+chain step is a :class:`ShardTask` replayed by :func:`run_shard_step`, and
+the replay loop is picked from what the worker observes -- the batch kernels
+when the stack is vectorizable, the scalar event replay when it is only
+distillable, the trace otherwise -- never from a flag.
 
 Exactness is the design center, and there is one discipline: **checkpointed
 handoff**.  Shard k starts from the serialized :class:`EngineState` produced
@@ -16,8 +18,8 @@ checkpoint; nothing is ever re-summed, so even float non-associativity
 cannot introduce drift).  Chains are sequential internally but independent
 of each other, and :func:`repro.sim.parallel.pipelined_map` keeps every
 pair's current shard on a worker simultaneously (pipelined handoff).  The
-captured path ships shard windows of a memoised trace or distilled event
-stream; the streamed path ships event-slice store keys.
+captured path ships shard windows of the distilled event stream; the
+streamed path ships event-slice store keys.
 
 **Exactness contract.**  Sharding is an execution strategy, not a model
 change: for every registered mode, at every shard width, the merged result
@@ -88,13 +90,15 @@ def shard_bounds(total: int, shard_size: int) -> List[Tuple[int, int]]:
 
 
 class ShardTask(NamedTuple):
-    """One shard of one (benchmark, mode) pair on the captured path.
+    """One shard of one (benchmark, mode) pair: the pipeline's one task type.
 
-    The resolved ModeParameters travel in the task for the same reason they
-    do in ``SuiteTask``: runtime registrations must reach spawn-context
-    workers.  ``distill`` replays each window from the shared distilled
-    event stream; ``vector`` batches those windows through the numpy
-    kernels (``repro.sim.replaycore``).
+    The resolved ModeParameters travel in the task (not just the label) so
+    runtime registry customisations in the parent process reach workers
+    even under the spawn start method, where workers re-import the package
+    and would otherwise resolve modes against a fresh default registry.
+    ``window`` is the event-slice width of a *streamed* chain; ``None``
+    replays windows of the benchmark's full distilled event stream.  Either
+    way the payload stays tiny: workers fetch their inputs from the store.
     """
 
     name: str
@@ -106,50 +110,43 @@ class ShardTask(NamedTuple):
     options: Optional[EngineOptions]
     start: int
     stop: int
-    distill: bool
-    vector: bool
+    window: Optional[int] = None
 
 
 def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
-    """Captured-path worker: advance one pair's chain over one shard window.
+    """Pipeline worker: advance one pair's chain over one shard window.
 
     ``carry`` is the previous shard's serialized checkpoint (``None`` for
     shard 0, which begins from the cold state).  Intermediate shards return
     the next checkpoint; the final shard returns the finished
     :class:`SimulationResult` -- exactly what the serial engine would have
-    produced, because the state never diverged from it.
+    produced, because the state never diverged from it.  Streamed tasks
+    (``task.window`` set) go to :func:`run_stream_shard_step`.
 
-    With the task's distill flag set, each window replays from the
-    benchmark's shared :class:`~repro.sim.distill.MissEventStream` (one
-    hierarchy pre-pass per worker per benchmark, all modes and all shards of
-    a chain reuse it) instead of pushing the window's accesses through the
-    hierarchy again; modes that cannot be event-driven fall back to the full
-    replay of the trace, which workers re-derive through the per-process
-    ``capture_trace`` memo.  Both paths produce the identical checkpoint
-    sequence.
-
-    The vector flag further batches each distilled window through the numpy
-    kernels.  The flag is constant across a chain, so a chain is replayed
-    with one strategy end to end -- the direction the batch path supports
-    (a vectorized checkpoint leaves component caches untouched and must not
-    be resumed by the scalar replay; see ``repro.sim.replaycore``).
+    Captured windows replay from the benchmark's shared
+    :class:`~repro.sim.distill.MissEventStream` (one hierarchy pre-pass per
+    benchmark, all modes and all shards of a chain reuse it): through the
+    numpy batch kernels when the stack is
+    :func:`~repro.sim.replaycore.vectorizable`, else through the scalar
+    event replay.  A stack that is not even
+    :meth:`~SimulationEngine.distillable` -- a third-party sampler without
+    ``access_period`` -- replays the trace, which workers re-derive through
+    the per-process ``capture_trace`` memo.  The loop depends only on the
+    stack and the worker's numpy, both constant along a chain, so a chain
+    replays with one loop end to end (a vectorized checkpoint leaves
+    component caches untouched and must not be resumed by the scalar replay;
+    :func:`checkpoint_key` keeps resumed chains on their loop too).
     """
+    if task.window is not None:
+        return run_stream_shard_step(task, carry)
     from repro.sim import replaycore
     from repro.sim.distill import distilled_events
     from repro.workloads.registry import capture_trace
 
     engine = SimulationEngine(task.params, config=task.config, options=task.options, seed=task.seed)
-
-    def trace() -> Trace:
-        return capture_trace(
-            task.name, scale=task.scale, seed=task.seed, num_accesses=task.num_accesses
-        )
-
-    events = None
-    if task.distill:
-        events = distilled_events(task.name, task.scale, task.seed, task.num_accesses, task.config)
+    events = distilled_events(task.name, task.scale, task.seed, task.num_accesses, task.config)
     if carry is None:
-        state = engine.begin(events if events is not None else trace(), task.num_accesses)
+        state = engine.begin(events, task.num_accesses)
     else:
         state = EngineState.deserialize(carry)
     if state.position != task.start:
@@ -157,50 +154,31 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
             f"checkpoint resumes at access {state.position}, "
             f"but this shard's window starts at {task.start}"
         )
-    if events is not None and engine.distillable(state.components):
-        if task.vector and replaycore.vectorizable(state.components):
-            replaycore.BatchReplayEngine(engine, events).replay(state, stop=task.stop)
-        else:
-            engine.replay_events(state, events, stop=task.stop)
-        subject: Any = events
-    else:
-        subject = trace()
+    subject: Any = events
+    if not engine.distillable(state.components):
+        subject = capture_trace(
+            task.name, scale=task.scale, seed=task.seed, num_accesses=task.num_accesses
+        )
         engine.replay(state, subject, stop=task.stop)
+    elif replaycore.vectorizable(state.components):
+        replaycore.BatchReplayEngine(engine, events).replay(state, stop=task.stop)
+    else:
+        engine.replay_events(state, events, stop=task.stop)
     if task.stop >= task.num_accesses:
         return engine.finish(state, subject)
     return state.serialize()
 
 
-class StreamShardTask(NamedTuple):
-    """One shard of one (benchmark, mode) pair on the *streamed* path.
-
-    The payload is deliberately tiny -- a worker derives the store keys of
-    the slices its window overlaps from (identity, ``window`` width) and
-    fetches them from the persistent store; no trace and no full event
-    stream ever crosses a process boundary or gets materialised.
-    """
-
-    name: str
-    params: ModeParameters
-    scale: float
-    num_accesses: int  # full run length
-    seed: int
-    config: Optional[SystemConfig]
-    options: Optional[EngineOptions]
-    start: int
-    stop: int
-    window: int  # event-slice window width
-
-
-def run_stream_shard_step(task: StreamShardTask, carry: Optional[bytes]) -> Any:
+def run_stream_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     """Streamed-path worker: advance one pair's chain over one shard window.
 
     Mirrors :func:`run_shard_step`'s checkpoint-handoff contract, but the
     replay consumes windowed event *slices* fetched from the persistent
-    store by :func:`~repro.sim.distill.events_slice_key` instead of a
-    captured trace or a full-run stream: peak memory is bounded by one slice
-    (plus the checkpoint), independent of the run length.  A worker whose
-    store is missing a slice self-heals by regenerating the run's slices
+    store by :func:`~repro.sim.distill.events_slice_key` (derived from the
+    task's identity and ``window`` width) instead of a captured trace or a
+    full-run stream: peak memory is bounded by one slice (plus the
+    checkpoint), independent of the run length.  A worker whose store is
+    missing a slice self-heals by regenerating the run's slices
     (bounded-memory, via :func:`~repro.sim.distill.stream_event_slices`).
     Slices are read with ``promote=False`` so the store's memory layer never
     re-accumulates the run.  Bit-identical to the serial engine by the same
@@ -268,24 +246,28 @@ def run_stream_shard_step(task: StreamShardTask, carry: Optional[bytes]) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_key(task: ShardTask | StreamShardTask) -> str:
+def checkpoint_key(task: ShardTask) -> str:
     """Content key of the checkpoint produced by completing this shard task.
 
     The key carries the *full* identity of the prefix the checkpoint
     represents -- benchmark, resolved mode parameters, scale, run length,
-    seed, config/options, the window's ``stop`` -- plus the execution
-    strategy that produced it.  Strategy matters here even though it never
-    enters a *result* key: a vectorized checkpoint leaves component caches
-    untouched and must not seed a scalar replay (and vice versa), and a
-    streamed chain's checkpoints are keyed to their slice window; the task's
-    type says which path it is on.  The code fingerprint rides in through
-    :func:`content_key` as always, so a source edit strands stale
+    seed, config/options, the window's ``stop`` -- plus the replay loop that
+    produced it.  The loop matters here even though it never enters a
+    *result* key: a vectorized checkpoint leaves component caches untouched
+    and must not seed a scalar replay (and vice versa), and a streamed
+    chain's checkpoints are keyed to their slice window.  A captured chain's
+    loop is keyed by what the resuming worker observes, whether numpy is
+    importable (``replaycore.HAVE_NUMPY``), so a checkpoint written with
+    numpy is never resumed without it.  The code fingerprint rides in
+    through :func:`content_key` as always, so a source edit strands stale
     checkpoints exactly like every other entry.
     """
-    if isinstance(task, StreamShardTask):
+    from repro.sim import replaycore
+
+    if task.window is not None:
         strategy: Dict[str, Any] = {"path": "streamed", "window": task.window}
     else:
-        strategy = {"path": "captured", "distill": task.distill, "vector": task.vector}
+        strategy = {"path": "captured", "vector": replaycore.HAVE_NUMPY}
     return content_key(
         "checkpoint",
         benchmark=task.name,
@@ -390,25 +372,18 @@ def shard_chain(
     seed: int,
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
-    distill: bool = False,
-    vector: bool = False,
+    window: Optional[int] = None,
 ) -> List[ShardTask]:
-    """One (benchmark, mode) pair's shard tasks, in window order."""
+    """One (benchmark, mode) pair's shard tasks, in window order.
+
+    ``window`` makes it a streamed chain replaying event slices of that
+    width (see :class:`ShardTask`).
+    """
+    if window is not None and window <= 0:
+        raise ValueError(f"stream window must be positive, got {window}")
     params = mode_parameters(mode)
     return [
-        ShardTask(
-            name,
-            params,
-            scale,
-            num_accesses,
-            seed,
-            config,
-            options,
-            start,
-            stop,
-            distill,
-            vector and distill,
-        )
+        ShardTask(name, params, scale, num_accesses, seed, config, options, start, stop, window)
         for start, stop in shard_bounds(num_accesses, spec.shard_size)
     ]
 
@@ -423,26 +398,9 @@ def stream_shard_chain(
     window: int,
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
-) -> List[StreamShardTask]:
+) -> List[ShardTask]:
     """One (benchmark, mode) pair's streamed shard tasks, in window order."""
-    if window <= 0:
-        raise ValueError(f"stream window must be positive, got {window}")
-    params = mode_parameters(mode)
-    return [
-        StreamShardTask(
-            name,
-            params,
-            scale,
-            num_accesses,
-            seed,
-            config,
-            options,
-            start,
-            stop,
-            window,
-        )
-        for start, stop in shard_bounds(num_accesses, spec.shard_size)
-    ]
+    return shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, window)
 
 
 def run_sharded(
@@ -502,6 +460,85 @@ def run_sharded(
     return engine.finish(state, trace, baseline_time_ns=baseline_time_ns)
 
 
+def prepare_suite(
+    names: Sequence[str],
+    modes: Sequence[ModeLike],
+    spec: ShardSpec,
+    scale: float,
+    num_accesses: int,
+    seed: int,
+    config: Optional[SystemConfig] = None,
+    options: Optional[EngineOptions] = None,
+    stream: Optional[int] = None,
+) -> List[List[ShardTask]]:
+    """One suite's (benchmark, mode) chains, with their inputs precomputed.
+
+    Chains come benchmark-major, mode-minor -- the serial order -- with
+    ``NOPROTECT`` always included first, since it provides the baseline
+    time :func:`~repro.sim.parallel.stitch_suite` stitches into every
+    result.  Before returning, the parent pays each benchmark's
+    mode-independent pre-pass (a no-op when the store already holds it), so
+    the workers' loads are warm store hits instead of one redundant
+    distillation per worker: the full event stream and MAC tier
+    (:func:`~repro.sim.parallel.predistill`), or with ``stream`` the
+    window-sized event slices
+    (:func:`~repro.sim.distill.stream_event_slices`).
+    """
+    from repro.sim.distill import stream_event_slices
+
+    chains = [
+        shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, stream)
+        for name in names
+        for mode in ordered_modes(modes)
+    ]
+    if stream is None:
+        predistill(names, modes, scale, num_accesses, seed, config)
+    else:
+        for name in names:
+            stream_event_slices(name, scale, seed, num_accesses, stream, config)
+    return chains
+
+
+def run_chains(
+    chains: Sequence[Sequence[ShardTask]],
+    jobs: Optional[int] = None,
+    policy: Optional[SupervisionPolicy] = None,
+    manifest: Optional[FailureManifest] = None,
+    resume: bool = True,
+) -> List[Any]:
+    """Pipeline shard chains over one worker pool; one final per chain.
+
+    A chain's final is its :class:`SimulationResult`, or a
+    :class:`~repro.sim.faults.TaskFailure` when degrade-mode supervision
+    quarantined one of its steps.  ``resume`` persists each chain's
+    in-flight checkpoint through the :class:`_CheckpointJournal` and first
+    resumes any chain a previous (killed) run left a checkpoint for.
+    """
+    journal = _CheckpointJournal(chains) if resume else None
+    initials = None
+    if journal is not None:
+        chains, initials = journal.restore()
+    return pipelined_map(
+        run_shard_step,
+        chains,
+        jobs=jobs,
+        policy=policy,
+        manifest=manifest,
+        initials=initials,
+        on_carry=journal.on_carry if journal is not None else None,
+    )
+
+
+def stitch_chains(
+    chains: Sequence[Sequence[ShardTask]], finals: Sequence[Any], modes: Sequence[ModeLike]
+) -> SuiteResults:
+    """Merge one suite's chain finals into the serial driver's suite shape."""
+    return stitch_suite(
+        ((chain[0].name, chain[0].params.label, final) for chain, final in zip(chains, finals)),
+        modes,
+    )
+
+
 def run_suite_sharded(
     benchmark_names: Iterable[str],
     spec: ShardSpec,
@@ -512,22 +549,19 @@ def run_suite_sharded(
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
     jobs: Optional[int] = None,
-    distill: bool = True,
-    vector: bool = True,
     stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
     on_failure: Optional[str] = None,
     resume: bool = True,
 ) -> SuiteResults:
-    """Run the benchmark suite with every (benchmark, mode) pair sharded.
+    """Run the benchmark suite with every (benchmark, mode) pair as a chain.
 
     Returns the same nested suite shape as
     :func:`repro.sim.engine.run_suite` -- and the same bits.  Each pair's
-    shard chain pipelines through :func:`pipelined_map`, with ``distill``
-    (the default) replaying each window from the benchmark's shared
-    miss-event stream and ``vector`` (also the default) batching those
-    windows through the numpy kernels.
+    shard chain pipelines through :func:`pipelined_map`, replaying each
+    window from the benchmark's shared miss-event stream; an unsharded run
+    passes ``ShardSpec(num_accesses)``, one full-length shard per chain.
 
     ``stream`` (a window width in accesses) selects the bounded-memory
     streamed path instead: the parent distills each benchmark once,
@@ -551,64 +585,25 @@ def run_suite_sharded(
     suite simply omits the quarantined cells (dropping a benchmark whose
     NoProtect baseline was lost).
     """
-    names = list(benchmark_names)
-    pairs = [(name, label) for name in names for label in ordered_modes(modes)]
-    if stream is not None:
-        from repro.sim.distill import stream_event_slices
-
-        if stream <= 0:
-            raise ValueError(f"stream window must be positive, got {stream}")
-        # Pre-distill the slices in the parent (a no-op when they are
-        # already stored), so the workers' loads are warm disk hits instead
-        # of one redundant regeneration per worker.
-        for name in names:
-            stream_event_slices(name, scale, seed, num_accesses, stream, config)
-        step: Any = run_stream_shard_step
-        chains: List[List[Any]] = [
-            stream_shard_chain(
-                name, label, spec, scale, num_accesses, seed, stream, config, options
-            )
-            for name, label in pairs
-        ]
-    else:
-        if distill:
-            predistill(names, modes, scale, num_accesses, seed, config, vector)
-        step = run_shard_step
-        chains = [
-            shard_chain(
-                name, label, spec, scale, num_accesses, seed, config, options, distill, vector
-            )
-            for name, label in pairs
-        ]
-
-    journal = _CheckpointJournal(chains) if resume else None
-    initials = None
-    if journal is not None:
-        chains, initials = journal.restore()
-    finals = pipelined_map(
-        step,
-        chains,
-        jobs=jobs,
-        policy=resolve_supervision(policy, on_failure),
-        manifest=manifest,
-        initials=initials,
-        on_carry=journal.on_carry if journal is not None else None,
+    chains = prepare_suite(
+        list(benchmark_names), modes, spec, scale, num_accesses, seed, config, options, stream
     )
-    return stitch_suite(
-        ((name, label, result) for (name, label), result in zip(pairs, finals)), modes
-    )
+    finals = run_chains(chains, jobs, resolve_supervision(policy, on_failure), manifest, resume)
+    return stitch_chains(chains, finals, modes)
 
 
 __all__ = [
     "ShardSpec",
     "ShardTask",
-    "StreamShardTask",
     "checkpoint_key",
+    "prepare_suite",
+    "run_chains",
     "run_shard_step",
     "run_sharded",
     "run_stream_shard_step",
     "run_suite_sharded",
     "shard_bounds",
     "shard_chain",
+    "stitch_chains",
     "stream_shard_chain",
 ]

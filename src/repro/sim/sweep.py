@@ -1,22 +1,23 @@
 """Grid sweeps over engine, system and run parameters.
 
 The ROADMAP's execution substrate (PR 1) left two seams for bulk runs:
-express the work as task lists for :func:`repro.sim.parallel.parallel_map`,
+express the work as chains for :func:`repro.sim.parallel.pipelined_map`,
 and persist results through :class:`repro.sim.store.ResultStore` content-hash
 keys.  This module builds the design-space-exploration subsystem on exactly
 those seams:
 
 * a sweep is a cartesian grid over named axes -- ``scale``, ``accesses``,
-  ``seed``, any ``options.<field>`` of :class:`EngineOptions`, any
-  ``config.<field>`` of :class:`SystemConfig` -- each point resolving to a
-  complete run description;
+  ``seed``, ``shard_size``, any ``options.<field>`` of
+  :class:`EngineOptions`, any ``config.<field>`` of :class:`SystemConfig`
+  -- each point resolving to a complete run description;
 * every point is keyed with the same :func:`repro.sim.results.suite_key` the
   experiment harness uses, so a sweep point is served from (and warms) the
   same persistent entries as an identical ``repro bench`` run, and re-running
   a sweep with one new axis value only simulates the new points;
-* all uncached points are flattened into **one** (benchmark, mode) task list
-  and fanned out through a single ``parallel_map`` call, so a 4-point grid
-  over 2 modes exposes 8-way parallelism instead of 2-way four times.
+* all uncached points are flattened into **one** list of (benchmark, mode)
+  shard chains and pipelined through a single pool
+  (:func:`repro.sim.shard.run_chains`), so a 4-point grid over 2 modes
+  exposes 8-way parallelism instead of 2-way four times.
 
 Exposed on the CLI as ``repro sweep --param key=v1,v2,... --jobs N``.
 """
@@ -32,17 +33,9 @@ from repro.core.config import SystemConfig
 from repro.sim.configs import EVALUATED_MODES, ModeLike, mode_label
 from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
-from repro.sim.parallel import (
-    SuiteTask,
-    _run_suite_task,
-    merge_suite_results,
-    parallel_map,
-    predistill,
-    resolve_supervision,
-    suite_tasks,
-)
+from repro.sim.parallel import resolve_supervision
 from repro.sim.results import SuiteResults, decode_suite, encode_suite, suite_key
-from repro.sim.shard import ShardSpec, run_suite_sharded
+from repro.sim.shard import ShardSpec, prepare_suite, run_chains, stitch_chains
 from repro.sim.store import ResultStore, default_store
 
 #: Axis keys that override run parameters rather than dataclass fields.
@@ -260,8 +253,6 @@ def run_sweep(
     use_cache: bool = True,
     store: Optional[ResultStore] = None,
     shard_size: Optional[int] = None,
-    distill: bool = True,
-    vector: bool = True,
     stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
@@ -271,21 +262,25 @@ def run_sweep(
     """Run the full grid, fetching cached points and fanning out the rest.
 
     Deterministic by construction: point order is the axes' cartesian order,
-    each point's simulations replay the same captured traces a serial
+    each point's simulations replay the same traces a serial
     :func:`repro.sim.engine.run_suite` would, and store-served points carry
     the exact payload a fresh simulation produces.
 
-    Points carrying a ``shard_size`` (from the base parameter or the
-    ``shard_size`` axis) run through the exact sharded runner
-    (:func:`repro.sim.shard.run_suite_sharded`): same results, same store
-    keys, but each pair's trace pipelines across the pool in shard-sized
-    steps instead of as one monolithic replay.
+    Every uncached point becomes (benchmark, mode) shard chains -- one
+    full-length shard each, or shard-sized steps for points carrying a
+    ``shard_size`` (from the base parameter or the ``shard_size`` axis) --
+    and all of them pipeline through one pool: same results, same store
+    keys.  With the cache on, points sharing a suite key (shard widths
+    never enter it) are simulated once and the rest count as served.
 
     ``stream`` (a window width in accesses) routes *every* uncached point
-    through the bounded-memory streamed runner -- event-slice store entries
+    through the bounded-memory streamed path -- event-slice store entries
     as the task payload, no captured traces -- still bit-identical, still
-    the same store keys; points without a shard width run as one full-length
-    shard.
+    the same store keys.
+
+    A point is degraded when any of its chains ended in a
+    :class:`~repro.sim.faults.TaskFailure` (``on_failure="degrade"``); a
+    degraded point is returned but never cached under its full suite key.
     """
     names = tuple(benchmarks)
     mode_order = tuple(mode_label(mode) for mode in modes)
@@ -321,90 +316,45 @@ def run_sweep(
                 suites[i] = cached
                 served[i] = True
 
-    # One flat task list across every uncached unsharded point: maximum
-    # fan-out width, one pool startup (the ROADMAP's parallel_map seam).
-    tasks: List[SuiteTask] = []
-    slices: List[Tuple[int, int, int]] = []  # (point index, start, stop)
+    # One flat chain list across every uncached point: maximum fan-out
+    # width, one pool startup.  Repeated (trace, geometry) pre-passes across
+    # points dedupe through the store's memory layer.
+    chains: List[List[Any]] = []
+    spans: List[Tuple[int, int, int]] = []  # (point index, first chain, end)
+    simulating: Dict[str, int] = {}  # suite key -> the point simulating it
+    twins: List[Tuple[int, int]] = []  # (point index, point simulating its key)
     for i, point in enumerate(points):
-        if suites[i] is not None or point.shard_size is not None or stream is not None:
+        if suites[i] is not None:
             continue
-        point_tasks = suite_tasks(
+        if use_cache and keys[i] in simulating:
+            twins.append((i, simulating[keys[i]]))
+            continue
+        simulating[keys[i]] = i
+        point_chains = prepare_suite(
             names,
             mode_order,
+            ShardSpec(point.shard_size or point.num_accesses),
             point.scale,
             point.num_accesses,
             point.seed,
             point.config,
             point.options,
-            distill,
-            vector,
+            stream,
         )
-        slices.append((i, len(tasks), len(tasks) + len(point_tasks)))
-        tasks.extend(point_tasks)
+        spans.append((i, len(chains), len(chains) + len(point_chains)))
+        chains.extend(point_chains)
 
-    if tasks:
-        if distill:
-            # Repeated (trace, geometry) combinations across points dedupe
-            # through the store's memory layer.
-            for i, _, _ in slices:
-                point = points[i]
-                predistill(
-                    names,
-                    mode_order,
-                    point.scale,
-                    point.num_accesses,
-                    point.seed,
-                    point.config,
-                    vector,
-                )
-        results = parallel_map(_run_suite_task, tasks, jobs=jobs, policy=policy, manifest=manifest)
-        for i, start, stop in slices:
-            suite = merge_suite_results(tasks[start:stop], results[start:stop], mode_order)
-            suites[i] = suite
-            degraded = any(isinstance(r, TaskFailure) for r in results[start:stop])
-            if use_cache and not degraded:
-                # A degraded point is missing quarantined cells; caching it
-                # under the full suite key would poison later clean runs.
-                store.put(keys[i], suite, encoder=encode_suite)
-
-    # Sharded points pipeline their shard chains over their own pool; their
-    # results (and store entries) are bit-identical to the unsharded path.
-    # With ``stream`` set every uncached point lands here (a point without a
-    # shard width runs as one full-length shard).
-    for i, point in enumerate(points):
-        if suites[i] is not None or (point.shard_size is None and stream is None):
-            continue
-        if use_cache:
-            # Exact sharding is key-invariant across shard widths, so an
-            # earlier grid point (sharded or not) may have just stored this
-            # point's suite -- the upfront lookup ran before any simulation.
-            cached = store.get(keys[i], decoder=decode_suite)
-            if cached is not None:
-                suites[i] = cached
-                served[i] = True
-                continue
-        quarantined_before = manifest.quarantined
-        suite = run_suite_sharded(
-            names,
-            ShardSpec(shard_size=point.shard_size or point.num_accesses),
-            modes=mode_order,
-            scale=point.scale,
-            num_accesses=point.num_accesses,
-            seed=point.seed,
-            config=point.config,
-            options=point.options,
-            jobs=jobs,
-            distill=distill,
-            vector=vector,
-            stream=stream,
-            policy=policy,
-            manifest=manifest,
-            resume=resume,
-        )
-        suites[i] = suite
-        degraded = manifest.quarantined > quarantined_before
+    finals = run_chains(chains, jobs, policy, manifest, resume) if chains else []
+    for i, start, stop in spans:
+        suites[i] = stitch_chains(chains[start:stop], finals[start:stop], mode_order)
+        degraded = any(isinstance(final, TaskFailure) for final in finals[start:stop])
         if use_cache and not degraded:
-            store.put(keys[i], suite, encoder=encode_suite)
+            # A degraded point is missing quarantined cells; caching it
+            # under the full suite key would poison later clean runs.
+            store.put(keys[i], suites[i], encoder=encode_suite)
+    for i, twin in twins:
+        suites[i] = suites[twin]
+        served[i] = True
 
     return SweepResult(
         benchmarks=names,

@@ -134,7 +134,7 @@ class TestDistilledReplayIsBitIdentical:
         names, modes = ("bsw", "memcached"), ("CI", "Toleo")
         serial = run_suite(names, modes=modes, num_accesses=2000)
         distilled = run_suite_sharded(
-            names, ShardSpec(600), modes=modes, num_accesses=2000, jobs=2, distill=True
+            names, ShardSpec(600), modes=modes, num_accesses=2000, jobs=2
         )
         assert {
             bench: {mode: result.to_dict() for mode, result in per_mode.items()}
@@ -334,42 +334,13 @@ class TestEventKeySemantics:
 
 
 class TestSuiteStoreSharing:
-    """Distilled and undistilled runs share persistent suite entries."""
-
-    def test_distilled_served_from_undistilled_entry(self, tmp_path):
-        from repro.experiments.harness import run_benchmarks
-
-        store = ResultStore(tmp_path)
-        undistilled = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=False,
-        )
-        distilled = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True,
-        )
-        # Same key, memory layer preserves identity: nothing re-simulated.
-        assert distilled is undistilled
-
-    def test_undistilled_served_from_distilled_entry(self, tmp_path):
-        from repro.experiments.harness import run_benchmarks
-
-        store = ResultStore(tmp_path)
-        distilled = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True,
-        )
-        undistilled = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=False,
-        )
-        assert undistilled is distilled
+    """Suite runs share persistent event-stream entries."""
 
     def test_event_streams_shared_across_mode_sets(self, tmp_path):
-        # A later parallel run over *different* modes re-uses the first run's
-        # event stream: after the cold run, no second events entry appears.
-        # (The jobs=1 serial path distills in-process and leaves the store
-        # untouched; the pool path is the one that persists streams.)
+        # A later run over *different* modes re-uses the first run's event
+        # stream: after the cold run, no second events entry appears.  Every
+        # jobs value runs the same pipeline, so the in-process jobs=1 run
+        # persists its stream just as the pool path does.
         from repro.experiments.harness import run_benchmarks
         from repro.sim.store import default_store, set_default_store
 
@@ -378,14 +349,13 @@ class TestSuiteStoreSharing:
         set_default_store(store)
         try:
             run_benchmarks(
-                ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-                jobs=2, distill=True,
+                ("bsw",), modes=("CI",), num_accesses=1500, store=store, jobs=1,
             )
             events_entries = [k for k in store.disk_keys() if k.startswith("events-")]
             assert len(events_entries) == 1
             run_benchmarks(
                 ("bsw",), modes=("Toleo", "CIF-Tree"), num_accesses=1500,
-                store=store, jobs=2, distill=True,
+                store=store, jobs=2,
             )
             assert [
                 k for k in store.disk_keys() if k.startswith("events-")
@@ -422,14 +392,13 @@ class TestFallbackForUndeclaredSamplers:
         with pytest.raises(ValueError, match="access_period"):
             engine.run_events(events)
 
-    def test_compare_modes_falls_back_bit_identically(self, monkeypatch):
-        from repro.sim.engine import compare_modes
-
-        factory = lambda: get_workload("memcached", scale=0.002, seed=7)  # noqa: E731
-        reference = compare_modes(
-            factory, modes=("Toleo",), num_accesses=TRACE_LEN,
-            config=SMALL_CONFIG, seed=7, distill=False,
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_pipeline_falls_back_bit_identically(self, jobs, monkeypatch):
+        run = dict(
+            modes=("Toleo",), scale=0.002, num_accesses=TRACE_LEN, seed=7,
+            config=SMALL_CONFIG,
         )
+        reference = run_suite(("memcached",), **run)["memcached"]["Toleo"]
 
         original = StealthFreshnessComponent.__init__
 
@@ -438,11 +407,10 @@ class TestFallbackForUndeclaredSamplers:
             del self.access_period
 
         monkeypatch.setattr(StealthFreshnessComponent, "__init__", init)
-        fallback = compare_modes(
-            factory, modes=("Toleo",), num_accesses=TRACE_LEN,
-            config=SMALL_CONFIG, seed=7, distill=True,
-        )
-        assert fallback["Toleo"].to_dict() == reference["Toleo"].to_dict()
+        fallback = run_suite_sharded(
+            ("memcached",), ShardSpec(TRACE_LEN), jobs=jobs, **run
+        )["memcached"]["Toleo"]
+        assert fallback.to_dict() == reference.to_dict()
 
 
 class TestReplayEventsContract:
@@ -488,21 +456,6 @@ class TestReplayEventsContract:
 
 
 class TestCliDistillFlags:
-    def test_bench_reports_distillation_state(self, capsys):
-        from repro.cli import main
-
-        assert main(
-            ["bench", "--benchmarks", "bsw", "--modes", "CI",
-             "--accesses", "1200", "--no-cache"]
-        ) == 0
-        assert "distill=on" in capsys.readouterr().out
-
-        assert main(
-            ["bench", "--benchmarks", "bsw", "--modes", "CI",
-             "--accesses", "1200", "--no-cache", "--no-distill"]
-        ) == 0
-        assert "distill=off" in capsys.readouterr().out
-
     def test_sweep_prints_measured_throughput(self, capsys):
         from repro.cli import main
 
@@ -512,4 +465,3 @@ class TestCliDistillFlags:
         ) == 0
         out = capsys.readouterr().out
         assert "accesses/s" in out
-        assert "distill=on" in out

@@ -1,4 +1,4 @@
-"""The parallel suite runner must be bit-identical to the serial driver."""
+"""The suite pipeline must be bit-identical to the serial driver."""
 
 import multiprocessing
 import os
@@ -21,15 +21,13 @@ from repro.sim.faults import (
 )
 from repro.sim.parallel import (
     DEFAULT_POLICY,
-    merge_suite_results,
     parallel_map,
     pipelined_map,
     resolve_jobs,
     resolve_supervision,
-    run_suite_parallel,
     stitch_suite,
-    suite_tasks,
 )
+from repro.sim.shard import ShardSpec, run_suite_sharded
 from repro.sim.store import (
     CODE_FINGERPRINT_ENV,
     code_fingerprint,
@@ -40,6 +38,19 @@ BENCHES = ("bsw", "memcached")
 ACCESSES = 5000
 SCALE = 0.002
 SEED = 1234
+
+
+def _pipeline(names, jobs, **kwargs):
+    """The one suite driver, unsharded: one full-length shard per chain."""
+    return run_suite_sharded(
+        names,
+        ShardSpec(ACCESSES),
+        scale=SCALE,
+        num_accesses=ACCESSES,
+        seed=SEED,
+        jobs=jobs,
+        **kwargs,
+    )
 
 
 def _flatten(suite):
@@ -74,29 +85,18 @@ def _flatten(suite):
 class TestParallelEqualsSerial:
     def test_all_modes_bit_identical(self):
         serial = run_suite(BENCHES, scale=SCALE, num_accesses=ACCESSES, seed=SEED)
-        parallel = run_suite_parallel(
-            BENCHES, scale=SCALE, num_accesses=ACCESSES, seed=SEED, jobs=2
-        )
+        parallel = _pipeline(BENCHES, jobs=2)
         assert _flatten(serial) == _flatten(parallel)
 
     def test_latency_modes_bit_identical(self):
         serial = run_suite(
             BENCHES, modes=LATENCY_MODES, scale=SCALE, num_accesses=ACCESSES, seed=SEED
         )
-        parallel = run_suite_parallel(
-            BENCHES,
-            modes=LATENCY_MODES,
-            scale=SCALE,
-            num_accesses=ACCESSES,
-            seed=SEED,
-            jobs=3,
-        )
+        parallel = _pipeline(BENCHES, jobs=3, modes=LATENCY_MODES)
         assert _flatten(serial) == _flatten(parallel)
 
     def test_merge_order_matches_serial(self):
-        suite = run_suite_parallel(
-            BENCHES, scale=SCALE, num_accesses=ACCESSES, seed=SEED, jobs=2
-        )
+        suite = _pipeline(BENCHES, jobs=2)
         assert list(suite) == list(BENCHES)
         for per_mode in suite.values():
             assert tuple(per_mode) == EVALUATED_MODES
@@ -104,14 +104,7 @@ class TestParallelEqualsSerial:
     def test_baseline_stitched_but_not_returned_when_missing(self):
         # NoProtect runs for the baseline time but stays out of the result,
         # mirroring the serial compare_modes contract.
-        suite = run_suite_parallel(
-            ("bsw",),
-            modes=(ProtectionMode.CI,),
-            scale=SCALE,
-            num_accesses=ACCESSES,
-            seed=SEED,
-            jobs=2,
-        )
+        suite = _pipeline(("bsw",), jobs=2, modes=(ProtectionMode.CI,))
         per_mode = suite["bsw"]
         assert set(per_mode) == {ProtectionMode.CI}
         ci = per_mode[ProtectionMode.CI]
@@ -126,21 +119,14 @@ class TestParallelEqualsSerial:
             num_accesses=ACCESSES,
             seed=SEED,
         )
-        parallel = run_suite_parallel(
-            BENCHES,
-            modes=(ProtectionMode.CI, ProtectionMode.TOLEO),
-            scale=SCALE,
-            num_accesses=ACCESSES,
-            seed=SEED,
-            jobs=2,
+        parallel = _pipeline(
+            BENCHES, jobs=2, modes=(ProtectionMode.CI, ProtectionMode.TOLEO)
         )
         assert _flatten(serial) == _flatten(parallel)
 
     def test_single_job_runs_in_process(self):
         serial = run_suite(("bsw",), scale=SCALE, num_accesses=ACCESSES, seed=SEED)
-        inline = run_suite_parallel(
-            ("bsw",), scale=SCALE, num_accesses=ACCESSES, seed=SEED, jobs=1
-        )
+        inline = _pipeline(("bsw",), jobs=1)
         assert _flatten(serial) == _flatten(inline)
 
 
@@ -380,19 +366,6 @@ class TestStitchSuite:
             ("CI",),
         )
         assert list(suite) == ["fmi"]
-
-    def test_merge_suite_results_keys_cells_by_task(self):
-        tasks = suite_tasks(("bsw", "fmi"), ("CI",), 0.002, 100, 1)
-        assert [(name, params.label) for name, params, *_ in tasks] == [
-            ("bsw", "NoProtect"),
-            ("bsw", "CI"),
-            ("fmi", "NoProtect"),
-            ("fmi", "CI"),
-        ]
-        results = [_cell(t) for t in (100.0, 150.0, 80.0, 90.0)]
-        suite = merge_suite_results(tasks, results, ("CI",))
-        assert suite == {"bsw": {"CI": results[1]}, "fmi": {"CI": results[3]}}
-        assert results[3].baseline_time_ns == 80.0
 
 
 def _spawn_fingerprint_probe(_task):

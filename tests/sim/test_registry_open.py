@@ -24,7 +24,6 @@ from repro.sim.configs import (
     unregister_mode,
 )
 from repro.sim.engine import run_suite
-from repro.sim.parallel import run_suite_parallel
 from repro.sim.path import (
     CounterTreeComponent,
     EncryptionComponent,
@@ -32,6 +31,7 @@ from repro.sim.path import (
     StealthFreshnessComponent,
     build_components,
 )
+from repro.sim.shard import ShardSpec, run_suite_sharded
 from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepAxis, run_sweep
 from repro.sim.variants import VARIANT_MODES
@@ -67,8 +67,8 @@ def _flatten(suite):
 class TestRuntimeRegistrationEndToEnd:
     def test_flows_through_parallel_fork_or_inline(self, runtime_mode):
         serial = run_suite(("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7)
-        fanned = run_suite_parallel(
-            ("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
+        fanned = run_suite_sharded(
+            ("bsw",), ShardSpec(2000), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
         )
         assert _flatten(serial) == _flatten(fanned)
 
@@ -82,8 +82,8 @@ class TestRuntimeRegistrationEndToEnd:
             lambda: multiprocessing.get_context("spawn"),
         )
         serial = run_suite(("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7)
-        spawned = run_suite_parallel(
-            ("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
+        spawned = run_suite_sharded(
+            ("bsw",), ShardSpec(2000), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
         )
         assert _flatten(serial) == _flatten(spawned)
 

@@ -3,9 +3,8 @@
 The contract of :mod:`repro.sim.replaycore` is the same one the distillation
 and sharding PRs established: a faster execution strategy must be
 *bit-identical* to the serial engine -- every counter, floats included, no
-tolerance -- for every registered mode, unsharded and at every shard width,
-and strategies must share persistent-store entries (strategy never enters a
-store key).  The MAC tier is additionally pinned against the real
+tolerance -- for every registered mode, unsharded and at every shard width.
+The MAC tier is additionally pinned against the real
 :class:`~repro.cache.mac_cache.MacCache`, hit for hit, and the packed numpy
 column views are pinned against ``MissEventStream.events()`` with Hypothesis.
 """
@@ -22,7 +21,7 @@ from repro.cache.mac_cache import MacCache
 from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
-from repro.sim.engine import EngineState, SimulationEngine, compare_modes
+from repro.sim.engine import EngineState, SimulationEngine
 from repro.sim.path import PathComponent
 from repro.sim.replaycore import (
     HAVE_NUMPY,
@@ -141,7 +140,8 @@ class TestVectorizedReplayIsBitIdentical:
         # component cache in its true state, so a vectorized continuation
         # (whose tier verdicts equal the true cache state at any position)
         # stays exact.  The reverse handoff is forbidden by construction --
-        # shard chains carry one constant vector flag.
+        # a chain's loop is fixed by its stack and the worker's numpy, and
+        # checkpoint keys record the latter.
         engine = SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7)
         state = engine.begin(events, events.num_accesses)
         engine.replay_events(state, events, stop=TRACE_LEN // 2)
@@ -159,20 +159,6 @@ class TestVectorizedReplayIsBitIdentical:
         state = engine.begin(events, events.num_accesses)
         BatchReplayEngine(engine, events, tier=compute_mac_tier(events)).replay(state)
         assert engine.finish(state, events).to_dict() == serial.to_dict()
-
-    def test_compare_modes_vector_matches_scalar(self, trace):
-        factory = lambda: get_workload("memcached", scale=0.002, seed=7)  # noqa: E731
-        scalar = compare_modes(
-            factory, modes=("CI", "Toleo"), num_accesses=TRACE_LEN,
-            config=SMALL_CONFIG, seed=7, distill=True, vector=False,
-        )
-        vector = compare_modes(
-            factory, modes=("CI", "Toleo"), num_accesses=TRACE_LEN,
-            config=SMALL_CONFIG, seed=7, distill=True, vector=True,
-        )
-        assert {m: r.to_dict() for m, r in vector.items()} == {
-            m: r.to_dict() for m, r in scalar.items()
-        }
 
 
 class TestMacTier:
@@ -238,39 +224,6 @@ class TestMacTier:
         window = distiller.advance(trace, 10, 20)
         with pytest.raises(ValueError, match="start_index 0"):
             distilled_mac_tier(window, SMALL_CONFIG, store=ResultStore(tmp_path))
-
-
-class TestSuiteStoreSharing:
-    """Vectorized and scalar runs share persistent suite entries."""
-
-    def test_scalar_served_from_vectorized_entry(self, tmp_path):
-        from repro.experiments.harness import run_benchmarks
-
-        store = ResultStore(tmp_path)
-        vectorized = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True, vector=True,
-        )
-        scalar = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True, vector=False,
-        )
-        # Same key, memory layer preserves identity: nothing re-simulated.
-        assert scalar is vectorized
-
-    def test_vectorized_served_from_scalar_entry(self, tmp_path):
-        from repro.experiments.harness import run_benchmarks
-
-        store = ResultStore(tmp_path)
-        scalar = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True, vector=False,
-        )
-        vectorized = run_benchmarks(
-            ("bsw",), modes=("CI",), num_accesses=1500, store=store,
-            use_cache=True, distill=True, vector=True,
-        )
-        assert vectorized is scalar
 
 
 class TestCapabilityRegistry:

@@ -14,6 +14,7 @@ import pytest
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
+from repro.sim import replaycore
 from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
 from repro.sim.shard import (
@@ -149,19 +150,38 @@ class TestCheckpointHandoff:
         with pytest.raises(TypeError, match="EngineState"):
             EngineState.deserialize(pickle.dumps({"not": "a state"}))
 
-    def test_checkpoint_key_separates_every_strategy(self):
-        # One (benchmark, mode, stop), four strategies: a checkpoint written
-        # by one must never seed a chain replaying with another (a
-        # vectorized checkpoint leaves component caches untouched).
+    def test_checkpoint_key_separates_every_strategy(self, monkeypatch):
+        # One (benchmark, mode, stop), three replay loops: captured with
+        # numpy (batch), captured without it (scalar) and streamed.  A
+        # checkpoint written by one must never seed a chain replaying with
+        # another (a vectorized checkpoint leaves component caches untouched).
         spec = ShardSpec(90)
-        captured = [
-            shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, distill=d, vector=v)[0]
-            for d, v in ((False, False), (True, False), (True, True))
-        ]
+        captured = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7)[0]
         streamed = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)[0]
-        tasks = [*captured, streamed]
-        assert len({(task.name, task.params, task.stop) for task in tasks}) == 1
-        assert len({checkpoint_key(task) for task in tasks}) == 4
+        assert (captured.name, captured.params, captured.stop) == (
+            streamed.name,
+            streamed.params,
+            streamed.stop,
+        )
+        keys = set()
+        for have_numpy in (True, False):
+            monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
+            keys.add(checkpoint_key(captured))
+        keys.add(checkpoint_key(streamed))
+        assert len(keys) == 3
+
+    def test_flipping_numpy_changes_the_captured_key(self, tmp_path, monkeypatch):
+        # A checkpoint written where numpy batched the replay must not be
+        # resumed by a worker without numpy, whose scalar replay would read
+        # the MAC cache the batch kernels never filled.
+        store = ResultStore(tmp_path)
+        chains = [shard_chain("bsw", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)]
+        monkeypatch.setattr(replaycore, "HAVE_NUMPY", True)
+        vectorized = checkpoint_key(chains[0][0])
+        _CheckpointJournal(chains, store).on_carry(0, 0, b"vectorized")
+        monkeypatch.setattr(replaycore, "HAVE_NUMPY", False)
+        assert checkpoint_key(chains[0][0]) != vectorized
+        assert _CheckpointJournal(chains, store).restore() == (chains, [None])
 
     def test_checkpoint_key_tracks_stop_and_stream_window(self):
         spec = ShardSpec(90)

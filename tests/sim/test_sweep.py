@@ -237,6 +237,28 @@ class TestRunSweep:
         fast = result.suites[1]["bsw"][ProtectionMode.CI]
         assert fast.execution_time_ns < slow.execution_time_ns
 
+    def test_sharded_grid_starts_one_pool(self, tmp_path, monkeypatch):
+        # Every uncached point's chains share one pipelined_map call, so a
+        # two-point sharded grid starts one executor, not one per point.
+        from repro.sim import parallel
+
+        started = []
+
+        class CountingExecutor(parallel.SupervisedExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "SupervisedExecutor", CountingExecutor)
+        result = run_sweep(
+            [SweepAxis("scale", (0.001, 0.002))],
+            benchmarks=BENCHES, modes=(ProtectionMode.CI,),
+            num_accesses=ACCESSES, jobs=2, shard_size=1000,
+            store=ResultStore(tmp_path / "cache"),
+        )
+        assert result.simulated_points == 2
+        assert len(started) == 1
+
     def test_sweep_covers_new_modes(self, tmp_path):
         result = run_sweep(
             [SweepAxis("scale", (0.001,))],
