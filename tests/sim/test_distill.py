@@ -465,3 +465,25 @@ class TestCliDistillFlags:
         ) == 0
         out = capsys.readouterr().out
         assert "accesses/s" in out
+
+    def test_bench_footer_names_no_replay_strategy(self, capsys):
+        # The worker picks its replay loop from the stack, so there is no
+        # strategy left for the footer to report.
+        from repro.cli import main
+
+        assert main(
+            ["bench", "--benchmarks", "bsw", "--modes", "CI",
+             "--accesses", "1200", "--no-cache"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "accesses/s" in out
+        assert "distill=" not in out and "vector=" not in out
+
+    @pytest.mark.parametrize("flag", ("--no-distill", "--no-vector"))
+    def test_retired_strategy_flags_are_usage_errors(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--benchmarks", "bsw", "--modes", "CI", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err

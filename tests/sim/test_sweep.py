@@ -269,3 +269,34 @@ class TestRunSweep:
         )
         per_mode = result.suites[0]["bsw"]
         assert per_mode[ProtectionMode.CIF_TREE].slowdown > 1.0
+
+    def test_degraded_point_is_returned_but_not_cached(self, tmp_path, monkeypatch):
+        # A point is degraded when any of its chains ended in a TaskFailure:
+        # it comes back without the lost cell and stays out of the store,
+        # while the clean point is cached as usual.
+        from repro.sim import sweep
+        from repro.sim.faults import TaskFailure, TaskFailureRecord
+
+        run_chains = sweep.run_chains
+
+        def lose_the_last_chain(chains, *args):
+            finals = run_chains(chains, *args)
+            lost = TaskFailureRecord(
+                index=len(chains) - 1, label="bsw/CI", attempts=1, reason="exception"
+            )
+            return finals[:-1] + [TaskFailure(lost)]
+
+        axes = [SweepAxis("scale", (0.001, 0.002))]
+        run = dict(
+            benchmarks=BENCHES, modes=(ProtectionMode.CI,), num_accesses=ACCESSES,
+            jobs=1, store=ResultStore(tmp_path / "cache"),
+        )
+        monkeypatch.setattr(sweep, "run_chains", lose_the_last_chain)
+        degraded = run_sweep(axes, **run)
+        assert ProtectionMode.CI in degraded.suites[0]["bsw"]
+        assert degraded.suites[1] == {"bsw": {}}
+
+        monkeypatch.setattr(sweep, "run_chains", run_chains)
+        rerun = run_sweep(axes, **run)
+        assert rerun.served_from_store == [True, False]
+        assert ProtectionMode.CI in rerun.suites[1]["bsw"]
