@@ -621,9 +621,12 @@ def distilled_events(
 
     Served from the store's memory layer within a process, from
     ``.repro_cache/`` across processes; on a full miss the trace is captured
-    (per-process memo) and distilled once.  Worker processes each consult the
-    same on-disk entry, so a suite's modes pay for at most one pre-pass per
-    worker -- and typically one per machine.
+    and distilled once.  The capture bypasses the per-process
+    ``capture_trace`` memo: the stream replaces the trace for every
+    distillable mode, so memoising it would only pin the whole trace for the
+    life of the process.  Worker processes each consult the same on-disk
+    entry, so a suite's modes pay for at most one pre-pass per worker -- and
+    typically one per machine.
 
     Streams are exact *derived* artifacts, so they are deliberately served
     even when result caching is off (``--no-cache`` forces re-simulation,
@@ -631,7 +634,7 @@ def distilled_events(
     fingerprint, so any change that could alter the trace or the hierarchy
     model already invalidates every stored stream.
     """
-    from repro.workloads.registry import capture_trace
+    from repro.workloads.registry import get_workload
 
     key = events_key(name, scale, seed, num_accesses, config)
     if store is None:
@@ -639,7 +642,7 @@ def distilled_events(
     cached = store.get(key, decoder=MissEventStream.from_payload)
     if cached is not None:
         return cached
-    trace = capture_trace(name, scale=scale, seed=seed, num_accesses=num_accesses)
+    trace = get_workload(name, scale=scale, seed=seed).capture(num_accesses)
     stream = HierarchyDistiller(config).distill(trace, num_accesses)
     store.put(key, stream, encoder=MissEventStream.to_payload)
     return stream

@@ -308,6 +308,11 @@ class _CheckpointJournal:
     A chain abandoned by degrade-mode quarantine keeps its last checkpoint
     on purpose: the next attempt resumes from the last good shard instead
     of replaying the prefix.
+
+    Chains of one journal may share checkpoint keys -- a sweep over
+    ``shard_size`` runs the same pair at several widths, whose common stops
+    hold the same state -- so a checkpoint is invalidated only once no
+    chain still holds it as its resume point.
     """
 
     def __init__(self, chains: Sequence[Sequence], store: Optional[ResultStore] = None):
@@ -346,17 +351,13 @@ class _CheckpointJournal:
         if step_index + 1 >= len(chain):
             # Final step: ``carry`` is the chain's result, not a checkpoint,
             # and the run it would have resumed is now complete.
-            if previous is not None:
-                self._store.invalidate(previous)
-                self._last[chain_index] = None
-            return
-        if not isinstance(carry, (bytes, bytearray)):
-            return
-        key = checkpoint_key(chain[step_index])
-        self._store.put(key, bytes(carry), encoder=_encode_checkpoint, keep_in_memory=False)
-        if previous is not None and previous != key:
+            self._last[chain_index] = None
+        elif isinstance(carry, (bytes, bytearray)):
+            key = checkpoint_key(chain[step_index])
+            self._store.put(key, bytes(carry), encoder=_encode_checkpoint, keep_in_memory=False)
+            self._last[chain_index] = key
+        if previous is not None and previous not in self._last:
             self._store.invalidate(previous)
-        self._last[chain_index] = key
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,9 @@ def run_sweep(
     ``shard_size`` (from the base parameter or the ``shard_size`` axis) --
     and all of them pipeline through one pool: same results, same store
     keys.  With the cache on, points sharing a suite key (shard widths
-    never enter it) are simulated once and the rest count as served.
+    never enter it) are simulated once and the rest count as served from
+    the stored entry; with it off every point simulates, so a
+    ``shard_size`` axis times each width.
 
     ``stream`` (a window width in accesses) routes *every* uncached point
     through the bounded-memory streamed path -- event-slice store entries
@@ -280,7 +282,8 @@ def run_sweep(
 
     A point is degraded when any of its chains ended in a
     :class:`~repro.sim.faults.TaskFailure` (``on_failure="degrade"``); a
-    degraded point is returned but never cached under its full suite key.
+    degraded point is returned but never cached under its full suite key,
+    and neither it nor a point sharing its key counts as served.
     """
     names = tuple(benchmarks)
     mode_order = tuple(mode_label(mode) for mode in modes)
@@ -345,6 +348,7 @@ def run_sweep(
         chains.extend(point_chains)
 
     finals = run_chains(chains, jobs, policy, manifest, resume) if chains else []
+    stored = set()
     for i, start, stop in spans:
         suites[i] = stitch_chains(chains[start:stop], finals[start:stop], mode_order)
         degraded = any(isinstance(final, TaskFailure) for final in finals[start:stop])
@@ -352,9 +356,12 @@ def run_sweep(
             # A degraded point is missing quarantined cells; caching it
             # under the full suite key would poison later clean runs.
             store.put(keys[i], suites[i], encoder=encode_suite)
+            stored.add(i)
     for i, twin in twins:
+        # A twin of a degraded point shares its lost cells and, like it, was
+        # never stored: it counts as simulated, so a rerun retries both.
         suites[i] = suites[twin]
-        served[i] = True
+        served[i] = twin in stored
 
     return SweepResult(
         benchmarks=names,

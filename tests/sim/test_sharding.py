@@ -28,7 +28,7 @@ from repro.sim.shard import (
     shard_chain,
     stream_shard_chain,
 )
-from repro.sim.store import ResultStore
+from repro.sim.store import ResultStore, default_store
 from repro.workloads.registry import get_workload
 
 #: A down-scaled cache geometry for the exhaustive mode x shard-width matrix:
@@ -100,6 +100,7 @@ class TestSuiteShardedExecution:
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_bit_identical_across_worker_counts(self, jobs, serial_suite):
+        checkpoints_before = default_store().query(kind="checkpoint")
         sharded = run_suite_sharded(
             self.NAMES, ShardSpec(600), modes=self.MODES, num_accesses=2000, jobs=jobs
         )
@@ -110,6 +111,8 @@ class TestSuiteShardedExecution:
             bench: {mode: result.to_dict() for mode, result in per_mode.items()}
             for bench, per_mode in serial_suite.items()
         }
+        # A completed run spends every checkpoint it wrote.
+        assert default_store().query(kind="checkpoint") == checkpoints_before
 
     def test_baseline_stitched_like_serial(self, serial_suite):
         sharded = run_suite_sharded(
@@ -233,6 +236,27 @@ class TestCheckpointJournal:
         assert store.query(kind="checkpoint") == []
         trimmed, initials = _CheckpointJournal(chains, store).restore()
         assert trimmed == chains and initials == [None, None]
+
+    def test_a_checkpoint_another_chain_holds_survives(self, tmp_path):
+        # One pair at widths 90 and 180 (a shard_size sweep): both chains
+        # checkpoint the same state at access 180, under one key.
+        store = ResultStore(tmp_path)
+        narrow = shard_chain("bsw", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)
+        wide = shard_chain("bsw", "CI", ShardSpec(180), 0.002, TRACE_LEN, 7)
+        shared = checkpoint_key(wide[0])
+        assert checkpoint_key(narrow[1]) == shared
+        journal = _CheckpointJournal([narrow, wide], store)
+        journal.on_carry(1, 0, b"at 180")
+        journal.on_carry(0, 0, b"at 90")
+        journal.on_carry(0, 1, b"at 180")
+        journal.on_carry(0, 2, "the narrow chain's final result")
+        assert shared in store
+        # Either width resumes from it: the state at 180 is the same.
+        trimmed, initials = _CheckpointJournal([narrow, wide], store).restore()
+        assert trimmed == [narrow[2:], wide[1:]]
+        assert initials == [b"at 180", b"at 180"]
+        journal.on_carry(1, 1, "the wide chain's final result")
+        assert store.query(kind="checkpoint") == []
 
 
 class TestShardPlanning:

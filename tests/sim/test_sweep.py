@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.sim import sweep
 from repro.sim.configs import ProtectionMode
+from repro.sim.faults import TaskFailure, TaskFailureRecord
 from repro.sim.store import ResultStore
 from repro.sim.sweep import (
     SweepAxis,
@@ -36,6 +38,20 @@ def _flatten(result):
                     )
                 )
     return out
+
+
+def _losing_the_last_chain(run_chains):
+    """Wrap ``run_chains`` so each run's last chain ends in a TaskFailure, as
+    a chain quarantined under ``on_failure="degrade"`` does."""
+
+    def run(chains, *args):
+        finals = run_chains(chains, *args)
+        lost = TaskFailureRecord(
+            index=len(chains) - 1, label="bsw/CI", attempts=1, reason="exception"
+        )
+        return finals[:-1] + [TaskFailure(lost)]
+
+    return run
 
 
 class TestAxisParsing:
@@ -274,24 +290,13 @@ class TestRunSweep:
         # A point is degraded when any of its chains ended in a TaskFailure:
         # it comes back without the lost cell and stays out of the store,
         # while the clean point is cached as usual.
-        from repro.sim import sweep
-        from repro.sim.faults import TaskFailure, TaskFailureRecord
-
         run_chains = sweep.run_chains
-
-        def lose_the_last_chain(chains, *args):
-            finals = run_chains(chains, *args)
-            lost = TaskFailureRecord(
-                index=len(chains) - 1, label="bsw/CI", attempts=1, reason="exception"
-            )
-            return finals[:-1] + [TaskFailure(lost)]
-
         axes = [SweepAxis("scale", (0.001, 0.002))]
         run = dict(
             benchmarks=BENCHES, modes=(ProtectionMode.CI,), num_accesses=ACCESSES,
             jobs=1, store=ResultStore(tmp_path / "cache"),
         )
-        monkeypatch.setattr(sweep, "run_chains", lose_the_last_chain)
+        monkeypatch.setattr(sweep, "run_chains", _losing_the_last_chain(run_chains))
         degraded = run_sweep(axes, **run)
         assert ProtectionMode.CI in degraded.suites[0]["bsw"]
         assert degraded.suites[1] == {"bsw": {}}
@@ -299,4 +304,29 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "run_chains", run_chains)
         rerun = run_sweep(axes, **run)
         assert rerun.served_from_store == [True, False]
+        assert ProtectionMode.CI in rerun.suites[1]["bsw"]
+
+    def test_twin_of_a_degraded_point_is_not_served(self, tmp_path, monkeypatch):
+        # Both shard widths share one suite key, so only the first point
+        # simulates.  When its chain is lost, the twin carries the same
+        # TaskFailure gap: nothing was stored, so neither point counts as
+        # served and a rerun simulates the key again.
+        run_chains = sweep.run_chains
+        store = ResultStore(tmp_path / "cache")
+        axes = [SweepAxis("shard_size", (300, 1000))]
+        run = dict(
+            benchmarks=BENCHES, modes=(ProtectionMode.CI,), num_accesses=ACCESSES,
+            jobs=1, store=store,
+        )
+        monkeypatch.setattr(sweep, "run_chains", _losing_the_last_chain(run_chains))
+        degraded = run_sweep(axes, **run)
+        assert degraded.suites == [{"bsw": {}}, {"bsw": {}}]
+        assert degraded.served_from_store == [False, False]
+        assert degraded.simulated_points == 2
+        assert store.query(kind="suite") == []
+
+        monkeypatch.setattr(sweep, "run_chains", run_chains)
+        rerun = run_sweep(axes, **run)
+        assert rerun.served_from_store == [False, True]
+        assert rerun.suites[1] is rerun.suites[0]
         assert ProtectionMode.CI in rerun.suites[1]["bsw"]
