@@ -46,13 +46,14 @@ the first failure aborts the run with exit code 3).  Runs pay the cache
 hierarchy once per benchmark -- a fast pre-pass distills the trace into a
 mode-independent miss-event stream that every mode replays from, through
 numpy batch kernels where the mode's components allow (bit-identical
-results either way; the replay loop follows from the mode and the
-installed packages, never from a flag).  ``--stream W`` goes one step
-further for tera-scale runs: the trace is never captured whole -- it is
-generated and distilled W accesses at a time into persistent event-slice
-store entries that the shard tasks replay from, so peak memory is bounded
-by the window while the results (and the store keys) stay identical to a
-captured run.
+results either way; the replay loop follows from the mode, the event
+window and the installed packages, never from a flag).  ``--stream W`` only
+sets how much memory a run uses: below the access count, the trace is never
+materialised whole -- it is generated and distilled W accesses at a time
+into persistent event-slice store entries that the shard tasks replay from,
+so peak memory is bounded by the window while the results (and the store
+keys) stay identical; at or beyond it the run is one window, as without
+the flag.
 """
 
 from __future__ import annotations
@@ -283,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="W",
-        help="bounded-memory streamed ingestion: never capture the full "
-        "trace -- distill it window by window (W accesses per window) into "
-        "persistent event-slice entries that the shard tasks replay from; "
-        "bit-identical to the captured run and served from the same store "
-        "entries (bench/sweep only)",
+        help="bounded-memory streamed ingestion: below the access count, "
+        "distill the trace window by window (W accesses per window) into "
+        "persistent event-slice entries that the shard tasks replay from, "
+        "never materialising it whole; results and store entries are those "
+        "of a run without the flag (bench/sweep only)",
     )
     parser.add_argument(
         "--on-failure",
@@ -503,7 +504,8 @@ def run_bench(args: argparse.Namespace) -> str:
     if args.shard_size is not None:
         sharding = f", shard {args.shard_size} (exact checkpoint handoff)"
     if args.stream is not None:
-        sharding += f", stream {args.stream} (windowed event slices)"
+        slices = "windowed event slices" if args.stream < args.accesses else "one window"
+        sharding += f", stream {args.stream} ({slices})"
     precompute_note = f", mac-tier {precompute:.2f}s excluded" if precompute >= 0.005 else ""
     footer = (
         f"\n{len(suite)} benchmarks x {len(suite_modes)} modes, "

@@ -128,13 +128,14 @@ def run_benchmarks(
     handoff between shards is bit-identical to the unsharded engine, so it
     shares the unsharded cache key.
 
-    ``stream`` (a window width in accesses) selects the bounded-memory
-    streamed path: the trace is never captured whole -- each benchmark is
-    distilled window by window into persistent ``events-slice`` store
-    entries and every shard task replays from slice store keys
-    (:mod:`repro.sim.shard`).  Bit-identical to captured replay, so
-    streamed runs share the captured runs' suite cache key too.  Without
-    ``shard_size`` the run is a single full-length shard -- still
+    ``stream`` (a window width in accesses) only sets how much memory the
+    run uses: below ``num_accesses`` each benchmark is distilled window by
+    window into persistent ``events-slice`` store entries that every shard
+    task replays from, so neither the trace nor its event stream is ever
+    materialised whole (:mod:`repro.sim.shard`); at or beyond it the run is
+    one window, as without ``stream``.  Results are bit-identical either
+    way, so every ``stream`` shares the same suite cache key.  Without
+    ``shard_size`` a windowed run is a single full-length shard -- still
     bounded-memory, since the payload is slices either way.
     """
     names = tuple(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS

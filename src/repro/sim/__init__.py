@@ -17,7 +17,6 @@ from repro.sim.configs import (
 from repro.sim.distill import (
     HierarchyDistiller,
     MissEventStream,
-    distilled_events,
     events_key,
 )
 from repro.sim.engine import EngineState, SimulationEngine, compare_modes, run_suite
@@ -53,7 +52,6 @@ __all__ = [
     "run_suite_sharded",
     "HierarchyDistiller",
     "MissEventStream",
-    "distilled_events",
     "events_key",
     "AccessContext",
     "PathComponent",

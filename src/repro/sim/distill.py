@@ -178,9 +178,9 @@ class MissEventStream:
         """A metadata-only stand-in for the *whole run* this slice belongs to.
 
         Carries the workload identity and calibration constants with
-        ``start_index`` 0 and no events, so the streamed shard path can hand
-        :meth:`SimulationEngine.begin`/:meth:`finish` a run-level subject
-        without ever materialising the run's trace or full event stream.  A
+        ``start_index`` 0 and no events, so a shard step replaying slices can
+        hand :meth:`SimulationEngine.finish` a run-level subject without ever
+        materialising the run's trace or full event stream.  A
         slice with ``start_index > 0`` must not be that subject itself: its
         uncalibrated instruction fallback counts only its own window.
         """
@@ -609,45 +609,6 @@ def events_key(
     )
 
 
-def distilled_events(
-    name: str,
-    scale: float,
-    seed: int,
-    num_accesses: int,
-    config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
-) -> MissEventStream:
-    """Fetch (or compute and persist) a benchmark's distilled event stream.
-
-    Served from the store's memory layer within a process, from
-    ``.repro_cache/`` across processes; on a full miss the trace is captured
-    and distilled once.  The capture bypasses the per-process
-    ``capture_trace`` memo: the stream replaces the trace for every
-    distillable mode, so memoising it would only pin the whole trace for the
-    life of the process.  Worker processes each consult the same on-disk
-    entry, so a suite's modes pay for at most one pre-pass per worker -- and
-    typically one per machine.
-
-    Streams are exact *derived* artifacts, so they are deliberately served
-    even when result caching is off (``--no-cache`` forces re-simulation,
-    not re-distillation): the content key folds in the package code
-    fingerprint, so any change that could alter the trace or the hierarchy
-    model already invalidates every stored stream.
-    """
-    from repro.workloads.registry import get_workload
-
-    key = events_key(name, scale, seed, num_accesses, config)
-    if store is None:
-        store = default_store()
-    cached = store.get(key, decoder=MissEventStream.from_payload)
-    if cached is not None:
-        return cached
-    trace = get_workload(name, scale=scale, seed=seed).capture(num_accesses)
-    stream = HierarchyDistiller(config).distill(trace, num_accesses)
-    store.put(key, stream, encoder=MissEventStream.to_payload)
-    return stream
-
-
 def slice_bounds(num_accesses: int, window: int) -> List[Tuple[int, int]]:
     """The half-open window partition ``[0, num_accesses)`` in ``window`` steps.
 
@@ -680,8 +641,11 @@ def events_slice_key(
     discipline: a new partition of the same stream is a new *axis on the
     key*, never an ad-hoc cache.  Slices of a ``num_accesses`` run under
     window ``w`` telescope (:meth:`MissEventStream.concat`) to exactly the
-    single :func:`events_key` stream.
+    single :func:`events_key` stream -- and a window covering the run has
+    one slice, which *is* that stream, so its key is :func:`events_key`.
     """
+    if window >= num_accesses:
+        return events_key(name, scale, seed, num_accesses, config)
     return content_key(
         "events-slice",
         benchmark=name,
@@ -708,11 +672,13 @@ def stream_event_slices(
     Streams the workload through :meth:`Workload.stream` window by window,
     folds each window through one stateful :class:`HierarchyDistiller`, and
     persists every window's :class:`MissEventStream` under its
-    :func:`events_slice_key`.  Returns the ordered slice keys -- the streamed
-    shard path's task payload.  At no point is the full trace or the full
-    event stream in memory: each window's trace and slice are dropped as soon
-    as the slice is persisted (``keep_in_memory=False`` keeps the store's
-    memory layer from re-accumulating them).
+    :func:`events_slice_key`.  Returns the ordered slice keys.  Below one
+    window per run, at no point is the full trace or the full event stream
+    in memory: each window's trace and slice are dropped as soon as the
+    slice is persisted (``keep_in_memory=False`` keeps the store's memory
+    layer from re-accumulating them).  A one-window run's single slice is
+    its ``events`` entry and stays in the memory layer, where every mode of
+    the suite -- and every forked worker -- reads it.
 
     If every slice is already stored the generation is skipped entirely; a
     partial cold store regenerates from access 0 (the distiller is stateful,
@@ -730,6 +696,7 @@ def stream_event_slices(
     ]
     if all(key in store for key in keys):
         return keys
+    whole = window >= num_accesses
     workload = get_workload(name, scale=scale, seed=seed)
     distiller = HierarchyDistiller(config)
     count = 0
@@ -744,7 +711,7 @@ def stream_event_slices(
             )
         stream = distiller.advance(trace_window, start, stop)
         if key not in store:
-            store.put(key, stream, encoder=MissEventStream.to_payload, keep_in_memory=False)
+            store.put(key, stream, encoder=MissEventStream.to_payload, keep_in_memory=whole)
         count += 1
     if count != len(bounds):
         raise RuntimeError(
@@ -753,14 +720,58 @@ def stream_event_slices(
     return keys
 
 
+def load_slice(
+    name: str,
+    scale: float,
+    seed: int,
+    num_accesses: int,
+    window: int,
+    index: int,
+    config: Optional[SystemConfig] = None,
+    store: Optional[ResultStore] = None,
+) -> MissEventStream:
+    """Slice ``index`` of a run's ``window``-wide partition, regenerated on a miss.
+
+    The pipeline's one event loader.  A one-window run's slice is its
+    ``events`` entry and is promoted into the store's memory layer like any
+    other entry; narrower slices are read with ``promote=False``, so the
+    memory layer never re-accumulates a streamed run.  A slice the store
+    cannot serve -- missing, or present but undecodable -- is dropped and
+    the run's slices are regenerated by :func:`stream_event_slices` (which
+    skips every key the store reports present, so a corrupt row has to go
+    first).
+
+    Slices are exact *derived* artifacts, so they are served even when
+    result caching is off (``--no-cache`` forces re-simulation, not
+    re-distillation): the content key folds in the package code
+    fingerprint, so any change that could alter the trace or the hierarchy
+    model already invalidates every stored slice.
+    """
+    if store is None:
+        store = default_store()
+    whole = window >= num_accesses
+    key = events_slice_key(name, scale, seed, num_accesses, window, index, config)
+    events = store.get(key, decoder=MissEventStream.from_payload, promote=whole)
+    if events is None:
+        store.invalidate(key)
+        stream_event_slices(name, scale, seed, num_accesses, window, config, store)
+        events = store.get(key, decoder=MissEventStream.from_payload, promote=whole)
+    if events is None:
+        raise RuntimeError(
+            f"event slice {index} of {name!r} (window {window}) is "
+            "missing from the store and could not be regenerated"
+        )
+    return events
+
+
 __all__ = [
     "WB_NONE",
     "HierarchyDistiller",
     "MissEventStream",
-    "distilled_events",
     "events_key",
     "events_slice_key",
     "geometry_fields",
+    "load_slice",
     "slice_bounds",
     "stream_event_slices",
 ]

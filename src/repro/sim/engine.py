@@ -618,7 +618,6 @@ def compare_modes(
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
     seed: int = 0,
-    reuse_trace: bool = True,
 ) -> Dict[str, SimulationResult]:
     """Run one workload under several configurations with a shared baseline.
 
@@ -629,11 +628,8 @@ def compare_modes(
     against.
 
     ``workload_factory`` is a zero-argument callable returning a *fresh*
-    workload instance.  With ``reuse_trace`` (the default fast path) the
-    trace is captured once and replayed for every mode; otherwise a fresh
-    workload regenerates the identical trace per mode (same seed), which is
-    slower but produces bit-identical results -- the equivalence is pinned by
-    the simulator tests.
+    workload instance; its trace is captured once and replayed for every
+    mode.
 
     ``NOPROTECT`` always *runs* first (it provides the baseline time every
     other result's slowdown is reported against), but the returned dict
@@ -643,15 +639,11 @@ def compare_modes(
     results: Dict[str, SimulationResult] = {}
     baseline_time: Optional[float] = None
 
-    trace: Optional[Trace] = None
-    if reuse_trace:
-        trace = workload_factory().capture(num_accesses)
-
+    trace = workload_factory().capture(num_accesses)
     requested = {mode_label(mode) for mode in modes}
     for mode in ordered_modes(modes):
         engine = SimulationEngine.from_mode(mode, config=config, options=options, seed=seed)
-        subject = trace if trace is not None else workload_factory()
-        result = engine.run(subject, num_accesses=num_accesses, baseline_time_ns=baseline_time)
+        result = engine.run(trace, num_accesses=num_accesses, baseline_time_ns=baseline_time)
         if mode == BASELINE_MODE:
             baseline_time = result.execution_time_ns
             result.baseline_time_ns = baseline_time
@@ -673,7 +665,6 @@ def run_suite(
     seed: int = 1234,
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
-    reuse_trace: bool = True,
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run a list of named benchmarks under the requested configurations.
 
@@ -691,7 +682,6 @@ def run_suite(
             config=config,
             options=options,
             seed=seed,
-            reuse_trace=reuse_trace,
         )
     return suite
 

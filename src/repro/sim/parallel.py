@@ -16,11 +16,6 @@ merged deterministically by :func:`stitch_suite`:
   seed), so the merged output is **bit-identical** to
   :func:`repro.sim.engine.run_suite` -- pinned by ``tests/sim/test_parallel``.
 
-:func:`predistill` pays each benchmark's mode-independent pre-pass in the
-parent before any pool starts, so forked workers inherit it and the bulk
-runners -- the sweep subsystem in particular -- can flatten *many* suites
-into one chain list for a single pool.
-
 **One pool.**  Every multiprocess task runs on :class:`SupervisedExecutor`:
 a fixed set of worker processes fed over per-worker pipes, with per-attempt
 deadlines enforced by a watchdog thread, detection of a worker dying
@@ -74,7 +69,6 @@ from repro.sim.configs import (
     ModeLike,
     ModeParameters,
     mode_label,
-    mode_parameters,
 )
 from repro.sim.engine import EngineOptions, ordered_modes
 from repro.sim.faults import (
@@ -744,7 +738,7 @@ def suite_tasks(
     """One unsharded suite's tasks, benchmark-major, mode-minor (serial order).
 
     These are what the pipeline dispatches for an unsharded run: each
-    (benchmark, mode) pair is a chain of one full-length
+    (benchmark, mode) pair is a chain of one full-length, one-window
     :class:`~repro.sim.shard.ShardTask`.  ``NOPROTECT`` is always included
     (first) even when not requested -- it provides the baseline time the
     merge stitches into every result.
@@ -798,42 +792,12 @@ def stitch_suite(
     return suite
 
 
-def predistill(
-    names: Iterable[str],
-    modes: Sequence[ModeLike],
-    scale: float,
-    num_accesses: int,
-    seed: int,
-    config: Optional[SystemConfig],
-) -> None:
-    """Distill every benchmark's event stream in the parent, before the pool.
-
-    Forked workers inherit the store's memory layer and replay without
-    capturing a trace or re-running the pre-pass (spawn workers read the
-    entry back from disk).  Without this, the first wave of workers -- all
-    landing on the same benchmark's modes -- would each distill it
-    concurrently.  The MAC tier (shared by every MAC-bearing mode) is
-    precomputed here for the same reason whenever numpy can use it.
-    """
-    from repro.sim import replaycore
-    from repro.sim.distill import distilled_events
-
-    precompute_tier = replaycore.HAVE_NUMPY and any(
-        mode_parameters(mode).mac_traffic for mode in ordered_modes(modes)
-    )
-    for name in names:
-        events = distilled_events(name, scale, seed, num_accesses, config)
-        if precompute_tier:
-            replaycore.distilled_mac_tier(events, config)
-
-
 __all__ = [
     "DEFAULT_POLICY",
     "SuiteResults",
     "SupervisedExecutor",
     "parallel_map",
     "pipelined_map",
-    "predistill",
     "resolve_jobs",
     "resolve_supervision",
     "stitch_suite",

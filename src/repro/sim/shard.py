@@ -4,10 +4,10 @@ This module is the one suite driver.  A run splits into contiguous shards
 and executes each (benchmark, mode) pair as a *chain* of shard windows, so
 10M+-access traces spread across the pool instead of monopolising one
 worker; an unsharded run is simply a chain of one full-length shard.  Every
-chain step is a :class:`ShardTask` replayed by :func:`run_shard_step`, and
-the replay loop is picked from what the worker observes -- the batch kernels
-when the stack is vectorizable, the scalar event replay when it is only
-distillable, the trace otherwise -- never from a flag.
+chain step is a :class:`ShardTask` replayed by :func:`run_shard_step` from
+the run's distilled event slices -- one slice covering the whole run unless
+a stream window narrows them -- and the replay loop is picked from what the
+worker observes, never from a flag.
 
 Exactness is the design center, and there is one discipline: **checkpointed
 handoff**.  Shard k starts from the serialized :class:`EngineState` produced
@@ -17,9 +17,8 @@ serial engine's state after the same prefix -- the merged result is
 checkpoint; nothing is ever re-summed, so even float non-associativity
 cannot introduce drift).  Chains are sequential internally but independent
 of each other, and :func:`repro.sim.parallel.pipelined_map` keeps every
-pair's current shard on a worker simultaneously (pipelined handoff).  The
-captured path ships shard windows of the distilled event stream; the
-streamed path ships event-slice store keys.
+pair's current shard on a worker simultaneously (pipelined handoff).  Tasks
+carry only the slice width; workers fetch the slices from the store.
 
 **Exactness contract.**  Sharding is an execution strategy, not a model
 change: for every registered mode, at every shard width, the merged result
@@ -52,7 +51,7 @@ from repro.sim.engine import (
     ordered_modes,
 )
 from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import pipelined_map, predistill, resolve_supervision, stitch_suite
+from repro.sim.parallel import pipelined_map, resolve_supervision, stitch_suite
 from repro.sim.results import SimulationResult, SuiteResults
 from repro.sim.store import ResultStore, content_key, default_store
 from repro.workloads.base import Trace
@@ -96,8 +95,8 @@ class ShardTask(NamedTuple):
     runtime registry customisations in the parent process reach workers
     even under the spawn start method, where workers re-import the package
     and would otherwise resolve modes against a fresh default registry.
-    ``window`` is the event-slice width of a *streamed* chain; ``None``
-    replays windows of the benchmark's full distilled event stream.  Either
+    ``window`` is the chain's event-slice width: the run length (one slice,
+    the run's ``events`` entry) unless a stream window narrows it.  Either
     way the payload stays tiny: workers fetch their inputs from the store.
     """
 
@@ -110,7 +109,7 @@ class ShardTask(NamedTuple):
     options: Optional[EngineOptions]
     start: int
     stop: int
-    window: Optional[int] = None
+    window: int
 
 
 def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
@@ -120,125 +119,61 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     shard 0, which begins from the cold state).  Intermediate shards return
     the next checkpoint; the final shard returns the finished
     :class:`SimulationResult` -- exactly what the serial engine would have
-    produced, because the state never diverged from it.  Streamed tasks
-    (``task.window`` set) go to :func:`run_stream_shard_step`.
+    produced, because the state never diverged from it.
 
-    Captured windows replay from the benchmark's shared
-    :class:`~repro.sim.distill.MissEventStream` (one hierarchy pre-pass per
-    benchmark, all modes and all shards of a chain reuse it): through the
-    numpy batch kernels when the stack is
-    :func:`~repro.sim.replaycore.vectorizable`, else through the scalar
-    event replay.  A stack that is not even
+    The window replays slice by slice (:func:`~repro.sim.distill.load_slice`;
+    one hierarchy pre-pass per benchmark serves every mode and shard), so
+    peak memory is one slice plus the checkpoint.  Each slice takes the loop
+    it and the stack allow: the numpy batch kernels when the slice is the
+    whole run and the stack is :func:`~repro.sim.replaycore.vectorizable`,
+    else the scalar event replay.  A stack that is not even
     :meth:`~SimulationEngine.distillable` -- a third-party sampler without
-    ``access_period`` -- replays the trace, which workers re-derive through
-    the per-process ``capture_trace`` memo.  The loop depends only on the
-    stack and the worker's numpy, both constant along a chain, so a chain
-    replays with one loop end to end (a vectorized checkpoint leaves
-    component caches untouched and must not be resumed by the scalar replay;
-    :func:`checkpoint_key` keeps resumed chains on their loop too).
+    ``access_period`` -- replays the trace (re-derived through the
+    per-process ``capture_trace`` memo), which needs the run in one window:
+    a windowed chain of such a stack raises ``ValueError``.  The loop
+    depends only on the window, the stack and the worker's numpy, all
+    constant along a chain, so a chain replays with one loop end to end (a
+    vectorized checkpoint leaves component caches untouched and must not be
+    resumed by the scalar replay; :func:`checkpoint_key` keeps resumed
+    chains on their loop too).
     """
-    if task.window is not None:
-        return run_stream_shard_step(task, carry)
     from repro.sim import replaycore
-    from repro.sim.distill import distilled_events
+    from repro.sim.distill import load_slice
     from repro.workloads.registry import capture_trace
-
-    engine = SimulationEngine(task.params, config=task.config, options=task.options, seed=task.seed)
-    events = distilled_events(task.name, task.scale, task.seed, task.num_accesses, task.config)
-    if carry is None:
-        state = engine.begin(events, task.num_accesses)
-    else:
-        state = EngineState.deserialize(carry)
-    if state.position != task.start:
-        raise ValueError(
-            f"checkpoint resumes at access {state.position}, "
-            f"but this shard's window starts at {task.start}"
-        )
-    subject: Any = events
-    if not engine.distillable(state.components):
-        subject = capture_trace(
-            task.name, scale=task.scale, seed=task.seed, num_accesses=task.num_accesses
-        )
-        engine.replay(state, subject, stop=task.stop)
-    elif replaycore.vectorizable(state.components):
-        replaycore.BatchReplayEngine(engine, events).replay(state, stop=task.stop)
-    else:
-        engine.replay_events(state, events, stop=task.stop)
-    if task.stop >= task.num_accesses:
-        return engine.finish(state, subject)
-    return state.serialize()
-
-
-def run_stream_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
-    """Streamed-path worker: advance one pair's chain over one shard window.
-
-    Mirrors :func:`run_shard_step`'s checkpoint-handoff contract, but the
-    replay consumes windowed event *slices* fetched from the persistent
-    store by :func:`~repro.sim.distill.events_slice_key` (derived from the
-    task's identity and ``window`` width) instead of a captured trace or a
-    full-run stream: peak memory is bounded by one slice (plus the
-    checkpoint), independent of the run length.  A worker whose store is
-    missing a slice self-heals by regenerating the run's slices
-    (bounded-memory, via :func:`~repro.sim.distill.stream_event_slices`).
-    Slices are read with ``promote=False`` so the store's memory layer never
-    re-accumulates the run.  Bit-identical to the serial engine by the same
-    induction as the captured path; the vectorized batch replay does not
-    apply here (it is built around one full-run stream), so streamed replay
-    is always scalar.
-    """
-    from repro.sim.distill import (
-        MissEventStream,
-        events_slice_key,
-        stream_event_slices,
-    )
 
     name, params, scale, num_accesses, seed, config, options, start, stop, window = task
     engine = SimulationEngine(params, config=config, options=options, seed=seed)
-    store = default_store()
-
-    def load_slice(position: int) -> MissEventStream:
-        index = position // window
-        key = events_slice_key(name, scale, seed, num_accesses, window, index, config)
-        events = store.get(key, decoder=MissEventStream.from_payload, promote=False)
-        if events is None:
-            stream_event_slices(name, scale, seed, num_accesses, window, config, store)
-            events = store.get(key, decoder=MissEventStream.from_payload, promote=False)
-        if events is None:
-            raise RuntimeError(
-                f"event slice {index} of {name!r} (window {window}) is "
-                "missing from the store and could not be regenerated"
-            )
-        return events
-
-    if carry is None:
-        state: Optional[EngineState] = None
-    else:
-        state = EngineState.deserialize(carry)
-    meta: Optional[MissEventStream] = None
+    state = None if carry is None else EngineState.deserialize(carry)
+    trace: Optional[Trace] = None
     position = start
     while position < stop:
-        events = load_slice(position)
-        meta = events.run_meta(num_accesses)
+        events = load_slice(name, scale, seed, num_accesses, window, position // window, config)
         if state is None:
-            state = engine.begin(meta, num_accesses)
-            if not engine.distillable(state.components):
-                raise ValueError(
-                    f"mode {params.label!r} has components that cannot be "
-                    "event-driven; streamed execution requires distillable "
-                    "components (declare access_period or use the captured "
-                    "path)"
-                )
+            state = engine.begin(events, num_accesses)
         if state.position != position:
             raise ValueError(
                 f"checkpoint resumes at access {state.position}, "
                 f"but this shard's window starts at {position}"
             )
-        engine.replay_events(state, events, stop=min(stop, events.stop_index))
+        whole = events.num_accesses == num_accesses
+        if not engine.distillable(state.components):
+            if not whole:
+                raise ValueError(
+                    f"mode {params.label!r} has components that cannot be "
+                    "event-driven, so it replays the trace and needs the whole "
+                    f"run in one window (stream window {window} < {num_accesses} "
+                    "accesses); declare access_period or drop the stream window"
+                )
+            trace = capture_trace(name, scale=scale, seed=seed, num_accesses=num_accesses)
+            engine.replay(state, trace, stop=stop)
+        elif whole and replaycore.vectorizable(state.components):
+            replaycore.BatchReplayEngine(engine, events).replay(state, stop=stop)
+        else:
+            engine.replay_events(state, events, stop=min(stop, events.stop_index))
         position = state.position
-    assert state is not None and meta is not None
-    if stop >= num_accesses:
-        return engine.finish(state, meta)
-    return state.serialize()
+    if stop < num_accesses:
+        return state.serialize()
+    return engine.finish(state, trace if trace is not None else events.run_meta(num_accesses))
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +186,19 @@ def checkpoint_key(task: ShardTask) -> str:
 
     The key carries the *full* identity of the prefix the checkpoint
     represents -- benchmark, resolved mode parameters, scale, run length,
-    seed, config/options, the window's ``stop`` -- plus the replay loop that
-    produced it.  The loop matters here even though it never enters a
-    *result* key: a vectorized checkpoint leaves component caches untouched
-    and must not seed a scalar replay (and vice versa), and a streamed
-    chain's checkpoints are keyed to their slice window.  A captured chain's
-    loop is keyed by what the resuming worker observes, whether numpy is
-    importable (``replaycore.HAVE_NUMPY``), so a checkpoint written with
-    numpy is never resumed without it.  The code fingerprint rides in
-    through :func:`content_key` as always, so a source edit strands stale
+    seed, config/options, the window's ``stop`` -- plus what picks the replay
+    loop that produced it.  The loop matters here even though it never
+    enters a *result* key: a vectorized checkpoint leaves component caches
+    untouched and must not seed a scalar replay (and vice versa).  It
+    follows from the chain's slice width and from whether numpy is
+    importable (``replaycore.HAVE_NUMPY``), so both are keyed: a checkpoint
+    written with numpy is never resumed without it, nor by a chain slicing
+    the run differently.  The code fingerprint rides in through
+    :func:`content_key` as always, so a source edit strands stale
     checkpoints exactly like every other entry.
     """
     from repro.sim import replaycore
 
-    if task.window is not None:
-        strategy: Dict[str, Any] = {"path": "streamed", "window": task.window}
-    else:
-        strategy = {"path": "captured", "vector": replaycore.HAVE_NUMPY}
     return content_key(
         "checkpoint",
         benchmark=task.name,
@@ -278,7 +209,7 @@ def checkpoint_key(task: ShardTask) -> str:
         config=task.config,
         options=task.options,
         stop=task.stop,
-        strategy=strategy,
+        strategy={"window": task.window, "vector": replaycore.HAVE_NUMPY},
     )
 
 
@@ -377,16 +308,25 @@ def shard_chain(
 ) -> List[ShardTask]:
     """One (benchmark, mode) pair's shard tasks, in window order.
 
-    ``window`` makes it a streamed chain replaying event slices of that
-    width (see :class:`ShardTask`).
+    ``window`` (a stream window) sets the width of the event slices the
+    chain replays (see :class:`ShardTask`); without one, or at or beyond
+    the run length, the whole run is one slice.
     """
-    if window is not None and window <= 0:
-        raise ValueError(f"stream window must be positive, got {window}")
+    window = _slice_width(num_accesses, window)
     params = mode_parameters(mode)
     return [
         ShardTask(name, params, scale, num_accesses, seed, config, options, start, stop, window)
         for start, stop in shard_bounds(num_accesses, spec.shard_size)
     ]
+
+
+def _slice_width(num_accesses: int, stream: Optional[int]) -> int:
+    """A chain's event-slice width: the stream window, capped at the run."""
+    if stream is None:
+        return num_accesses
+    if stream <= 0:
+        raise ValueError(f"stream window must be positive, got {stream}")
+    return min(stream, num_accesses)
 
 
 def stream_shard_chain(
@@ -400,7 +340,7 @@ def stream_shard_chain(
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
 ) -> List[ShardTask]:
-    """One (benchmark, mode) pair's streamed shard tasks, in window order."""
+    """One (benchmark, mode) pair's shard tasks over ``window``-wide slices."""
     return shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, window)
 
 
@@ -478,25 +418,33 @@ def prepare_suite(
     ``NOPROTECT`` always included first, since it provides the baseline
     time :func:`~repro.sim.parallel.stitch_suite` stitches into every
     result.  Before returning, the parent pays each benchmark's
-    mode-independent pre-pass (a no-op when the store already holds it), so
-    the workers' loads are warm store hits instead of one redundant
-    distillation per worker: the full event stream and MAC tier
-    (:func:`~repro.sim.parallel.predistill`), or with ``stream`` the
-    window-sized event slices
-    (:func:`~repro.sim.distill.stream_event_slices`).
+    mode-independent pre-pass once (a no-op when the store already holds
+    it), so the workers' loads are warm store hits instead of one redundant
+    distillation per worker: the event slices
+    (:func:`~repro.sim.distill.stream_event_slices`), and when one window
+    covers the run, the run's ``events`` entry and -- where a worker can
+    batch a MAC-bearing mode -- its MAC tier are loaded into the store's
+    memory layer, which forked workers inherit (spawned workers read them
+    back from disk).
     """
-    from repro.sim.distill import stream_event_slices
+    from repro.sim import replaycore
+    from repro.sim.distill import load_slice, stream_event_slices
 
+    window = _slice_width(num_accesses, stream)
     chains = [
-        shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, stream)
+        shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, window)
         for name in names
         for mode in ordered_modes(modes)
     ]
-    if stream is None:
-        predistill(names, modes, scale, num_accesses, seed, config)
-    else:
-        for name in names:
-            stream_event_slices(name, scale, seed, num_accesses, stream, config)
+    tiered = replaycore.HAVE_NUMPY and any(
+        mode_parameters(mode).mac_traffic for mode in ordered_modes(modes)
+    )
+    for name in names:
+        stream_event_slices(name, scale, seed, num_accesses, window, config)
+        if window == num_accesses:
+            events = load_slice(name, scale, seed, num_accesses, window, 0, config)
+            if tiered:
+                replaycore.distilled_mac_tier(events, config)
     return chains
 
 
@@ -561,17 +509,16 @@ def run_suite_sharded(
     Returns the same nested suite shape as
     :func:`repro.sim.engine.run_suite` -- and the same bits.  Each pair's
     shard chain pipelines through :func:`pipelined_map`, replaying each
-    window from the benchmark's shared miss-event stream; an unsharded run
+    window from the benchmark's distilled event slices; an unsharded run
     passes ``ShardSpec(num_accesses)``, one full-length shard per chain.
 
-    ``stream`` (a window width in accesses) selects the bounded-memory
-    streamed path instead: the parent distills each benchmark once,
-    window by window, into persistent ``events-slice`` store entries
-    (:func:`~repro.sim.distill.stream_event_slices`), and every shard task
-    replays from slice store keys -- no full trace or full event stream is
-    ever materialised, in the parent or in any worker.  Bit-identical to
-    the captured path, so streamed runs share the captured runs' persistent
-    store entries.
+    ``stream`` (a window width in accesses) only sets how much memory the
+    run uses: below the run length, the parent distills each benchmark
+    window by window into persistent ``events-slice`` store entries and no
+    full trace or full event stream is ever materialised, in the parent or
+    in any worker; without it (or at or beyond the run length) the whole
+    run is one slice, its ``events`` entry.  Results and their store keys
+    are the same either way.
 
     ``resume`` (the default) persists each chain's in-flight checkpoint as
     a content-keyed ``checkpoint-*`` store entry and, before running,
@@ -601,7 +548,6 @@ __all__ = [
     "run_chains",
     "run_shard_step",
     "run_sharded",
-    "run_stream_shard_step",
     "run_suite_sharded",
     "shard_bounds",
     "shard_chain",

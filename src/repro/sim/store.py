@@ -27,13 +27,6 @@ spill to content-named blob files under ``blobs/`` whose name is the sha256
 of the payload text -- identical payloads share one blob, and a blob whose
 content no longer matches its name reads as a miss, never as wrong data.
 
-A cache directory written by the JSON-era backend (one ``<key>.json``
-envelope per entry) migrates transparently: the first disk access of a
-:class:`ResultStore` over such a directory folds every legacy entry into the
-index and removes the legacy files.  Keys are unchanged, payloads are
-byte-identical, so a warm pre-migration cache keeps serving without a single
-re-simulation.
-
 Corrupt, version-mismatched or damaged entries (garbled payload text,
 truncated or missing blobs) are treated as misses, never errors; bumping
 ``FORMAT_VERSION`` invalidates every existing on-disk entry at once, and
@@ -338,30 +331,15 @@ class ResultStore:
         """Diagnostic file naming the most recent writer process."""
         return self.root / WRITER_PID_FILENAME
 
-    def path_for(self, key: str) -> Path:
-        """Where the JSON-era backend kept this entry.
-
-        Only meaningful for not-yet-migrated legacy caches: current entries
-        live in the sqlite index, and the first disk access migrates (and
-        removes) any file at this path.
-        """
-        return self.root / f"{key}.json"
-
     # -- connection management -----------------------------------------------
-
-    def _has_legacy_files(self) -> bool:
-        try:
-            return next(self.root.glob("*.json"), None) is not None
-        except OSError:
-            return False
 
     def _connection(self, create: bool) -> Optional[sqlite3.Connection]:
         """The per-process sqlite connection (caller holds ``self._lock``).
 
         ``create=False`` avoids materialising an index for a read against a
-        directory that has neither an index nor legacy entries.  A connection
-        inherited across ``fork`` belongs to the parent and is abandoned, not
-        reused: sqlite connections must never cross a process boundary.
+        directory that has none.  A connection inherited across ``fork``
+        belongs to the parent and is abandoned, not reused: sqlite
+        connections must never cross a process boundary.
         """
         if self._conn is not None:
             if self._conn_pid == os.getpid():
@@ -369,7 +347,7 @@ class ResultStore:
             _ABANDONED_CONNECTIONS.append(self._conn)
             self._conn = None
             self._conn_pid = None
-        if not create and not self.db_path.exists() and not self._has_legacy_files():
+        if not create and not self.db_path.exists():
             return None
         timeout_ms = _busy_timeout_ms()
         try:
@@ -389,47 +367,7 @@ class ResultStore:
             return None
         self._conn = conn
         self._conn_pid = os.getpid()
-        self._migrate_legacy(conn)
         return conn
-
-    def _migrate_legacy(self, conn: sqlite3.Connection) -> None:
-        """Fold a JSON-era cache directory into the index, once.
-
-        Every well-formed ``<key>.json`` envelope becomes an index entry
-        with a byte-identical payload (``INSERT OR IGNORE``: an entry the
-        index already has wins over the stale file); corrupt envelopes were
-        misses before and simply disappear.  Legacy files are removed either
-        way, so the scan is a no-op on every subsequent open.  Concurrent
-        migrations of the same directory are safe -- both insert the same
-        rows, and unlinking an already-unlinked file is ignored.
-        """
-        try:
-            legacy = sorted(self.root.glob("*.json"))
-        except OSError:
-            return
-        for path in legacy:
-            key = path.stem
-            try:
-                envelope = json.loads(path.read_text())
-            except (OSError, ValueError):
-                envelope = None
-            if (
-                isinstance(envelope, dict)
-                and envelope.get("format") == FORMAT_VERSION
-                and envelope.get("key") == key
-                and "payload" in envelope
-            ):
-                payload_text = json.dumps(
-                    envelope["payload"], separators=(",", ":")
-                )
-                try:
-                    self._write_row(conn, key, payload_text, replace=False)
-                except (sqlite3.Error, OSError):
-                    continue  # leave the legacy file for a later attempt
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     # -- blob spill ----------------------------------------------------------
 
@@ -492,13 +430,7 @@ class ResultStore:
             pass
         self._pid_advertised = pid
 
-    def _write_row(
-        self,
-        conn: sqlite3.Connection,
-        key: str,
-        payload_text: str,
-        replace: bool = True,
-    ) -> None:
+    def _write_row(self, conn: sqlite3.Connection, key: str, payload_text: str) -> None:
         """One writer transaction: insert/replace a single entry."""
         self._advertise_writer()
         blob: Optional[str] = None
@@ -509,10 +441,9 @@ class ResultStore:
         old = conn.execute(
             "SELECT blob FROM entries WHERE key = ?", (key,)
         ).fetchone()
-        verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
         with conn:
             conn.execute(
-                f"{verb} INTO entries (key, kind, format, code, size, payload, blob)"
+                "INSERT OR REPLACE INTO entries (key, kind, format, code, size, payload, blob)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     key,
@@ -524,7 +455,7 @@ class ResultStore:
                     blob,
                 ),
             )
-        if replace and old is not None and old[0] is not None and old[0] != blob:
+        if old is not None and old[0] is not None and old[0] != blob:
             self._release_blob(conn, old[0])
 
     # -- lookup --------------------------------------------------------------

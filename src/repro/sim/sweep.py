@@ -275,10 +275,10 @@ def run_sweep(
     the stored entry; with it off every point simulates, so a
     ``shard_size`` axis times each width.
 
-    ``stream`` (a window width in accesses) routes *every* uncached point
-    through the bounded-memory streamed path -- event-slice store entries
-    as the task payload, no captured traces -- still bit-identical, still
-    the same store keys.
+    ``stream`` (a window width in accesses) sets the event-slice width of
+    *every* uncached point: a point whose run is longer than the window
+    replays bounded-memory event-slice store entries, and the rest run as
+    one window -- still bit-identical, still the same store keys.
 
     A point is degraded when any of its chains ended in a
     :class:`~repro.sim.faults.TaskFailure` (``on_failure="degrade"``); a

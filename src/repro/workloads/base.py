@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import CACHE_BLOCK_BYTES, GIB, PAGE_BYTES
@@ -277,19 +278,18 @@ class Workload:
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        addresses = array("Q")
-        writes = bytearray()
+        accesses = self.generate(num_accesses)
         start = 0
-        for access in self.generate(num_accesses):
-            addresses.append(access.address)
-            writes.append(1 if access.is_write else 0)
-            if len(addresses) == window:
-                yield self._window_trace(addresses, writes, start)
-                start += window
-                addresses = array("Q")
-                writes = bytearray()
-        if addresses:
+        while True:
+            addresses = array("Q")
+            writes = bytearray()
+            for access in islice(accesses, window):
+                addresses.append(access.address)
+                writes.append(1 if access.is_write else 0)
+            if not addresses:
+                return
             yield self._window_trace(addresses, writes, start)
+            start += len(addresses)
 
     def _window_trace(self, addresses: array, writes: bytearray, start: int) -> "Trace":
         return Trace(

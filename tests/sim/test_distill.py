@@ -23,8 +23,8 @@ from repro.sim.distill import (
     WB_NONE,
     HierarchyDistiller,
     MissEventStream,
-    distilled_events,
     events_key,
+    load_slice,
 )
 from repro.sim.engine import SimulationEngine, run_suite
 from repro.sim.path import PathComponent, StealthFreshnessComponent
@@ -281,26 +281,29 @@ class TestStreamPersistence:
         with pytest.raises(ValueError, match="byte order"):
             MissEventStream.from_payload(payload)
 
-    def test_distilled_events_persists_and_reloads(self, tmp_path):
+    def test_one_window_slice_persists_and_reloads(self, tmp_path):
+        # A one-window run's single slice is its full ``events`` entry.
         store = ResultStore(tmp_path)
-        first = distilled_events("bsw", 0.002, 1234, 1500, None, store=store)
-        assert any(key.startswith("events-") for key in store.disk_keys())
+        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=store)
+        assert list(store.disk_keys()) == [events_key("bsw", 0.002, 1234, 1500, None)]
         # A fresh store over the same directory: served from disk, and the
         # stream replays to the same result as a fresh distillation.
-        reloaded = distilled_events("bsw", 0.002, 1234, 1500, None, store=ResultStore(tmp_path))
+        reloaded = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=ResultStore(tmp_path))
         assert reloaded.to_payload() == first.to_payload()
+        trace = get_workload("bsw", scale=0.002, seed=1234).capture(1500)
+        assert first.to_payload() == HierarchyDistiller().distill(trace, 1500).to_payload()
 
     def test_corrupt_disk_entry_degrades_to_recompute(self, tmp_path):
         import sqlite3
 
         store = ResultStore(tmp_path)
-        first = distilled_events("bsw", 0.002, 1234, 1500, None, store=store)
+        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=store)
         key = events_key("bsw", 0.002, 1234, 1500, None)
         with sqlite3.connect(store.db_path) as conn:
             conn.execute(
                 "UPDATE entries SET payload = '42', blob = NULL WHERE key = ?", (key,)
             )
-        recomputed = distilled_events("bsw", 0.002, 1234, 1500, None, store=ResultStore(tmp_path))
+        recomputed = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=ResultStore(tmp_path))
         assert recomputed.to_payload() == first.to_payload()
 
 

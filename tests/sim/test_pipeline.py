@@ -4,7 +4,8 @@ Every suite run -- unsharded, sharded or streamed -- plans its (benchmark,
 mode) chains and pays the parent pre-pass (:func:`prepare_suite`), pipelines
 them over one pool (:func:`run_chains`) and stitches the finals into the
 serial driver's suite shape (:func:`stitch_chains`).  Each worker step picks
-its replay loop from the component stack it observes, never from a flag.
+its replay loop from the event slice and component stack it observes, never
+from a flag.
 These tests pin each stage on its own; the end-to-end bit-identity of the
 whole pipeline is pinned by ``test_parallel.py`` and ``test_sharding.py``.
 """
@@ -13,10 +14,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.sim import distill, replaycore, shard
+from repro.sim import replaycore, shard
+from repro.sim.distill import events_key
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FAULT_PLAN_ENV, TaskFailedError
-from repro.sim.parallel import predistill, suite_tasks
+from repro.sim.parallel import suite_tasks
 from repro.sim.shard import (
     ShardSpec,
     ShardTask,
@@ -61,8 +63,13 @@ class TestSuitePlanning:
         ]
         assert all(isinstance(task, ShardTask) for task in tasks)
         assert {(task.start, task.stop, task.window) for task in tasks} == {
-            (0, ACCESSES, None)
+            (0, ACCESSES, ACCESSES)
         }
+
+    @pytest.mark.parametrize("stream", (None, ACCESSES, 3 * ACCESSES))
+    def test_a_stream_at_or_beyond_the_run_plans_one_window(self, stream):
+        (task,) = shard_chain("bsw", "CI", ShardSpec(ACCESSES), 0.002, ACCESSES, 1, window=stream)
+        assert task.window == ACCESSES
 
     def test_prepare_suite_pays_each_pre_pass_once(self, fresh_default_store):
         chains = prepare_suite(("bsw", "fmi"), ("CI",), ShardSpec(400), 0.002, ACCESSES, 1)
@@ -85,9 +92,9 @@ class TestSuitePlanning:
         assert fresh_default_store.query(kind="events") == []
 
 
-class TestPredistill:
-    """The parent pre-pass: every benchmark's events, and the MAC tier only
-    where a worker can use it."""
+class TestParentPrePass:
+    """:func:`prepare_suite`'s pre-pass: every benchmark's events, and the
+    MAC tier only where a worker can use it."""
 
     @pytest.mark.parametrize(
         "modes, have_numpy, tiered",
@@ -95,30 +102,41 @@ class TestPredistill:
         ids=("mac-mode-with-numpy", "no-mac-mode", "without-numpy"),
     )
     def test_mac_tier_needs_numpy_and_mac_traffic(
-        self, modes, have_numpy, tiered, monkeypatch
+        self, modes, have_numpy, tiered, monkeypatch, fresh_default_store
     ):
-        distilled, tiers = [], []
-
-        def fake_events(name, *run):
-            distilled.append(name)
-            return f"events:{name}"
-
         monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
-        monkeypatch.setattr(distill, "distilled_events", fake_events)
-        monkeypatch.setattr(
-            replaycore, "distilled_mac_tier", lambda events, config: tiers.append(events)
-        )
-        predistill(("bsw", "fmi"), modes, 0.002, ACCESSES, 1, None)
-        assert distilled == ["bsw", "fmi"]
-        assert tiers == (["events:bsw", "events:fmi"] if tiered else [])
+        prepare_suite(("bsw", "fmi"), modes, ShardSpec(ACCESSES), 0.002, ACCESSES, 1)
+        assert len(fresh_default_store.query(kind="events")) == 2
+        assert len(fresh_default_store.query(kind="mactier")) == (2 if tiered else 0)
 
     def test_pre_pass_pins_no_trace(self, fresh_default_store):
         # The trace is only the pre-pass's input; once its stream is stored,
         # no per-process memo may keep the whole trace alive.
         capture_trace.cache_clear()
-        predistill(("bsw", "fmi"), ("CI",), 0.002, ACCESSES, 1, None)
+        prepare_suite(("bsw", "fmi"), ("CI",), ShardSpec(ACCESSES), 0.002, ACCESSES, 1)
         assert len(fresh_default_store.query(kind="events")) == 2
         assert capture_trace.cache_info().currsize == 0
+
+    def test_warm_disk_pre_pass_fills_the_memory_layer_forks_inherit(
+        self, fresh_default_store
+    ):
+        # A warm disk store skips the distillation, but the one-window run's
+        # events entry and MAC tier must still land in the parent's memory
+        # layer, where forked workers inherit them; a windowed slice never
+        # enters it.
+        run = (ShardSpec(500), 0.002, ACCESSES, 1)
+        prepare_suite(("bsw",), ("CI",), *run)
+        prepare_suite(("bsw",), ("CI",), *run, stream=250)
+        fresh_default_store.clear_memory()
+        prepare_suite(("bsw",), ("CI",), *run, stream=250)
+        assert fresh_default_store._memory == {}
+        prepare_suite(("bsw",), ("CI",), *run)
+        key = events_key("bsw", 0.002, 1, ACCESSES)
+        events = fresh_default_store._memory[key]
+        expected = {key}
+        if replaycore.HAVE_NUMPY:
+            expected.add(replaycore.mac_tier_key(events))
+        assert set(fresh_default_store._memory) == expected
 
 
 class TestReplayLoopSelection:
@@ -141,12 +159,23 @@ class TestReplayLoopSelection:
             monkeypatch.setattr(owner, name, spy)
         return ran
 
-    @pytest.mark.parametrize("stack", ("vectorizable", "distillable", "opaque"))
-    def test_step_replays_through_the_loop_its_stack_allows(self, stack, monkeypatch):
-        serial = SimulationEngine.from_mode("CI", seed=7).run(
+    @staticmethod
+    def _serial(mode):
+        return SimulationEngine.from_mode(mode, seed=7).run(
             get_workload("memcached", scale=0.002, seed=7).capture(TRACE_LEN),
             num_accesses=TRACE_LEN,
         )
+
+    @staticmethod
+    def _run_chain(chain):
+        carry = None
+        for task in chain:
+            carry = run_shard_step(task, carry)
+        return carry
+
+    @pytest.mark.parametrize("stack", ("vectorizable", "distillable", "opaque"))
+    def test_step_replays_through_the_loop_its_stack_allows(self, stack, monkeypatch):
+        serial = self._serial("CI")
         # Without numpy no stack is vectorizable, so the scalar replay runs.
         expected = "batch" if replaycore.HAVE_NUMPY else "events"
         if stack == "distillable":
@@ -162,6 +191,47 @@ class TestReplayLoopSelection:
         (task,) = shard_chain("memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7)
         assert run_shard_step(task, None).to_dict() == serial.to_dict()
         assert ran == [expected]
+
+    def test_windowed_slices_replay_events_even_when_vectorizable(self, monkeypatch):
+        serial = self._serial("CI")
+        ran = self._record_loops(monkeypatch)
+        chain = shard_chain(
+            "memcached", "CI", ShardSpec(100), 0.002, TRACE_LEN, 7, window=64
+        )
+        assert self._run_chain(chain).to_dict() == serial.to_dict()
+        # Shards [0,100) [100,200) [200,260) over slices of 64 accesses.
+        assert ran == ["events"] * 7
+
+    def test_a_stream_covering_the_run_takes_the_batch_loop(self, monkeypatch):
+        serial = self._serial("CI")
+        ran = self._record_loops(monkeypatch)
+        chain = shard_chain(
+            "memcached", "CI", ShardSpec(100), 0.002, TRACE_LEN, 7, window=TRACE_LEN + 13
+        )
+        assert self._run_chain(chain).to_dict() == serial.to_dict()
+        assert ran == ["batch" if replaycore.HAVE_NUMPY else "events"] * 3
+
+    def test_a_windowed_opaque_stack_is_rejected_by_name(self, monkeypatch):
+        monkeypatch.setattr(
+            SimulationEngine, "distillable", staticmethod(lambda components: False)
+        )
+        (task,) = shard_chain(
+            "memcached", "Toleo", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, window=64
+        )
+        with pytest.raises(ValueError, match="mode 'Toleo' .* one window"):
+            run_shard_step(task, None)
+
+    def test_a_one_window_opaque_stack_replays_the_trace(self, monkeypatch):
+        serial = self._serial("Toleo")
+        monkeypatch.setattr(
+            SimulationEngine, "distillable", staticmethod(lambda components: False)
+        )
+        ran = self._record_loops(monkeypatch)
+        chain = shard_chain(
+            "memcached", "Toleo", ShardSpec(100), 0.002, TRACE_LEN, 7, window=TRACE_LEN
+        )
+        assert self._run_chain(chain).to_dict() == serial.to_dict()
+        assert ran == ["trace"] * 3
 
 
 class TestRunAndStitch:

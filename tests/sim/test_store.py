@@ -264,75 +264,6 @@ class TestConsistentViews:
         assert "mem-bb" in store and "disk-aa" in store
 
 
-class TestLegacyMigration:
-    """A JSON-era cache directory folds into the index on first access."""
-
-    @staticmethod
-    def write_legacy(root, key, payload):
-        envelope = {"format": FORMAT_VERSION, "key": key, "payload": payload}
-        (root / f"{key}.json").write_text(json.dumps(envelope))
-
-    def test_legacy_entries_served_and_files_consumed(self, tmp_path):
-        self.write_legacy(tmp_path, "suite-aa", {"x": 1})
-        self.write_legacy(tmp_path, "events-bb", [1, 2, 3])
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa", decoder=lambda p: p) == {"x": 1}
-        assert store.get("events-bb") == [1, 2, 3]
-        assert list(tmp_path.glob("suite-*.json")) == []
-        assert list(tmp_path.glob("events-*.json")) == []
-        assert set(ResultStore(tmp_path).disk_keys()) == {"events-bb", "suite-aa"}
-
-    def test_migrated_payload_is_byte_identical(self, tmp_path):
-        payload = {"b": [1, 2], "a": {"nested": True}, "f": 0.25}
-        ResultStore(tmp_path).put("suite-aa", payload, encoder=lambda v: v)
-        native = ResultStore(tmp_path).get("suite-aa")
-
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        self.write_legacy(legacy_root, "suite-aa", payload)
-        migrated = ResultStore(legacy_root).get("suite-aa")
-        assert json.dumps(migrated, sort_keys=True) == json.dumps(native, sort_keys=True)
-
-    def test_corrupt_legacy_file_is_dropped_not_fatal(self, tmp_path):
-        (tmp_path / "suite-aa.json").write_text("{ not json")
-        self.write_legacy(tmp_path, "suite-bb", {"x": 2})
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa") is None
-        assert store.get("suite-bb") == {"x": 2}
-        assert list(tmp_path.glob("suite-*.json")) == []
-
-    def test_stale_format_legacy_entry_not_migrated(self, tmp_path):
-        (tmp_path / "suite-aa.json").write_text(
-            json.dumps({"format": FORMAT_VERSION + 1, "key": "suite-aa", "payload": 1})
-        )
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa") is None
-        assert list(store.disk_keys()) == []
-
-    def test_index_entry_wins_over_stale_legacy_file(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("suite-aa", {"fresh": True}, encoder=lambda v: v)
-        self.write_legacy(tmp_path, "suite-aa", {"stale": True})
-        cold = ResultStore(tmp_path)
-        assert cold.get("suite-aa") == {"fresh": True}
-
-    def test_suite_served_from_migrated_legacy_cache(self, tmp_path):
-        # End to end: simulate into a store, re-encode the entries as
-        # JSON-era files in a fresh directory, and assert run_benchmarks is
-        # served from the migrated index with bit-identical results.
-        store = ResultStore(tmp_path / "native")
-        computed = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        for key in store.disk_keys():
-            self.write_legacy(legacy_root, key, ResultStore(tmp_path / "native").get(key))
-        served = run_benchmarks(
-            ("hyrise",), scale=0.002, num_accesses=4000, store=ResultStore(legacy_root)
-        )
-        for mode in computed["hyrise"]:
-            assert served["hyrise"][mode].to_dict() == computed["hyrise"][mode].to_dict()
-
-
 class TestQueryStatsGc:
     def test_query_filters_kind_and_prefix(self, tmp_path):
         store = ResultStore(tmp_path)

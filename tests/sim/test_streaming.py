@@ -10,6 +10,7 @@ entries.  These tests are the pin, in the same no-tolerance
 """
 
 import dataclasses
+import sqlite3
 
 import pytest
 
@@ -21,17 +22,18 @@ from repro.sim.distill import (
     MissEventStream,
     events_key,
     events_slice_key,
+    load_slice,
     slice_bounds,
     stream_event_slices,
 )
-from repro.sim.engine import run_suite
+from repro.sim.engine import SimulationEngine, run_suite
 from repro.sim.shard import (
     ShardSpec,
-    run_stream_shard_step,
+    run_shard_step,
     run_suite_sharded,
     stream_shard_chain,
 )
-from repro.sim.store import ResultStore, default_store
+from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.registry import get_workload
 
 SMALL_CONFIG = dataclasses.replace(
@@ -104,11 +106,9 @@ class TestStreamedExecutionIsBitIdentical:
         )
         carry = None
         for task in chain[:-1]:
-            carry = run_stream_shard_step(task, carry)
+            carry = run_shard_step(task, carry)
             assert isinstance(carry, bytes)
-        final = run_stream_shard_step(chain[-1], carry)
-        from repro.sim.engine import SimulationEngine
-
+        final = run_shard_step(chain[-1], carry)
         serial = SimulationEngine.from_mode(
             "Toleo", config=SMALL_CONFIG, seed=7
         ).run(
@@ -190,9 +190,63 @@ class TestEventSlices:
             64,
             SMALL_CONFIG,
         )
-        result = run_stream_shard_step(chain[0], None)
+        result = run_shard_step(chain[0], None)
         assert result.llc_misses > 0
         assert all(key in store for key in keys)
+
+    def test_a_window_covering_the_run_keys_the_events_entry(self):
+        full = events_key("bsw", 0.002, 7, 2000, SMALL_CONFIG)
+        assert events_slice_key("bsw", 0.002, 7, 2000, 2000, 0, SMALL_CONFIG) == full
+        assert events_slice_key("bsw", 0.002, 7, 2000, 5000, 0, SMALL_CONFIG) == full
+        assert events_slice_key("bsw", 0.002, 7, 2000, 1999, 0, SMALL_CONFIG) != full
+
+    def test_only_a_one_window_slice_enters_the_memory_layer(self, tmp_path):
+        run = ("memcached", 0.002, 7, TRACE_LEN)
+        store = ResultStore(tmp_path)
+        stream_event_slices(*run, 64, SMALL_CONFIG, store)
+        load_slice(*run, 64, 1, SMALL_CONFIG, store)
+        assert store._memory == {}
+        (whole,) = stream_event_slices(*run, TRACE_LEN, SMALL_CONFIG, store)
+        assert set(store._memory) == {whole}
+        store.clear_memory()
+        load_slice(*run, TRACE_LEN, 0, SMALL_CONFIG, store)
+        assert set(store._memory) == {whole}
+
+    @pytest.mark.parametrize("damage", ("inline-payload", "truncated-blob"))
+    def test_undecodable_slice_is_regenerated(self, damage, tmp_path, monkeypatch):
+        """A slice the store cannot decode is a miss like any other, even
+        though its row still counts as present."""
+        from repro.sim import store as store_module
+
+        if damage == "truncated-blob":
+            monkeypatch.setattr(store_module, "INLINE_LIMIT", 0)
+        store = ResultStore(tmp_path)
+        previous = default_store()
+        set_default_store(store)
+        try:
+            keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
+            if damage == "inline-payload":
+                with sqlite3.connect(store.db_path) as conn:
+                    conn.execute("UPDATE entries SET payload = '42' WHERE key = ?", (keys[1],))
+            else:
+                (blob,) = store.query(prefix=keys[1])
+                assert not blob.inline
+                for path in store.blob_dir.glob("*.json"):
+                    path.write_bytes(path.read_bytes()[:100])
+            assert keys[1] in store
+            assert store.get(keys[1], decoder=MissEventStream.from_payload) is None
+            chain = stream_shard_chain(
+                "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, 64, SMALL_CONFIG
+            )
+            result = run_shard_step(chain[0], None)
+            assert store.get(keys[1], decoder=MissEventStream.from_payload) is not None
+        finally:
+            set_default_store(previous)
+        serial = SimulationEngine.from_mode("CI", config=SMALL_CONFIG, seed=7).run(
+            get_workload("memcached", scale=0.002, seed=7).capture(TRACE_LEN),
+            num_accesses=TRACE_LEN,
+        )
+        assert result.to_dict() == serial.to_dict()
 
     def test_slice_entries_keep_their_own_kind_namespace(self):
         # `repro store ls --kind events-slice` must filter slices, and
@@ -307,6 +361,23 @@ class TestCliStreamFlag:
             == 0
         )
         assert "stream 400 (windowed event slices)" in capsys.readouterr().out
+
+    def test_a_stream_covering_the_run_writes_no_slices(self, capsys, tmp_path):
+        from repro.cli import main
+
+        store = ResultStore(tmp_path)
+        previous = default_store()
+        set_default_store(store)
+        try:
+            args = ["bench", "--benchmarks", "bsw", "--modes", "CI", "--accesses", "1200"]
+            assert main([*args, "--no-cache", "--stream", "1200"]) == 0
+        finally:
+            set_default_store(previous)
+        assert "stream 1200 (one window)" in capsys.readouterr().out
+        assert store.query(kind="events-slice") == []
+        assert [entry.key for entry in store.query(kind="events")] == [
+            events_key("bsw", 0.002, 1234, 1200)
+        ]
 
     def test_stream_flag_misuse_is_a_usage_error(self, capsys):
         from repro.cli import main
