@@ -81,11 +81,7 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.harness import (
-    DEFAULT_BENCHMARKS,
-    QUICK_BENCHMARKS,
-    run_benchmarks,
-)
+from repro.experiments.harness import DEFAULT_BENCHMARKS, QUICK_BENCHMARKS
 from repro.experiments.report import format_table
 from repro.sim.configs import (
     BASELINE_MODE,
@@ -95,12 +91,14 @@ from repro.sim.configs import (
     registered_modes,
     resolve_mode,
 )
+from repro.sim.engine import ordered_modes
 from repro.sim.faults import (
     FailureManifest,
     FaultPlan,
     SupervisionPolicy,
     TaskFailedError,
 )
+from repro.sim.shard import RunPlan, run_plans
 from repro.sim.store import default_store
 from repro.sim.sweep import SweepAxisError, parse_axis, run_sweep
 from repro.workloads.registry import BENCHMARKS, UnknownBenchmarkError
@@ -380,6 +378,38 @@ def _resolve_modes(args: argparse.Namespace) -> Tuple[str, ...]:
     return tuple(resolve_mode(name) for name in args.modes)
 
 
+def _run_plan(args: argparse.Namespace) -> RunPlan:
+    """The one run the bench/sweep flags describe (a sweep's base point)."""
+    return RunPlan(
+        tuple(_resolve_benchmarks(args)),
+        _resolve_modes(args),
+        args.scale,
+        args.accesses,
+        args.seed,
+        config=None,
+        options=None,
+        shard_size=args.shard_size,
+        stream=args.stream,
+    )
+
+
+def _replay_rate(plans: Sequence[RunPlan], served: Sequence[bool], elapsed: float) -> str:
+    """Measured replay throughput of a bench or sweep run, for its footer.
+
+    Every (benchmark, mode) pair of a simulated plan replays its accesses,
+    the NoProtect baseline included; a plan served from the store replays
+    nothing, so a run that simulated nothing reports that instead of a rate.
+    """
+    replayed = sum(
+        len(plan.benchmarks) * len(ordered_modes(plan.modes)) * plan.num_accesses
+        for plan, cached in zip(plans, served)
+        if not cached
+    )
+    if not replayed:
+        return "served from the store"
+    return f"{replayed / elapsed:,.0f} accesses/s"
+
+
 def run_list() -> str:
     """Everything the CLI can run: experiments, benchmarks and modes."""
     lines: List[str] = ["experiments:"]
@@ -453,28 +483,18 @@ def run_bench(args: argparse.Namespace) -> str:
     benchmark, one slowdown column per protected mode, plus wall-clock and
     cache telemetry so speedups (``--jobs``) and store hits are visible.
     """
-    from repro.sim import replaycore
-
-    benchmarks = _resolve_benchmarks(args)
-    modes = _resolve_modes(args)
+    plan = _run_plan(args)
     policy = _supervision_policy(args)
     manifest = FailureManifest()
-    replaycore.reset_precompute_seconds()
     started = time.perf_counter()
     try:
-        suite = run_benchmarks(
-            benchmarks,
-            modes=modes,
-            scale=args.scale,
-            num_accesses=args.accesses,
-            seed=args.seed,
-            use_cache=not args.no_cache,
+        (suite,), served = run_plans(
+            [plan],
             jobs=args.jobs,
-            shard_size=args.shard_size,
-            stream=args.stream,
             policy=policy,
             manifest=manifest,
             resume=args.resume,
+            use_cache=not args.no_cache,
         )
     finally:
         # Written even when a quarantined task aborts the run (on-failure
@@ -491,28 +511,17 @@ def run_bench(args: argparse.Namespace) -> str:
         rows.append(row)
     table = format_table(rows, title="Benchmark suite: slowdown vs NoProtect")
     suite_modes = next(iter(suite.values()), {})
-    # Replay throughput is measured, not assumed: baseline runs are included
-    # (they simulate too), and store-served runs report honestly absurd rates.
-    # MAC-tier precompute is a one-off pre-pass shared across modes, so its
-    # wall time is excluded from the *replay* rate -- the same exclusion
-    # `repro sweep` applies to store-served points.
-    replayed = len(suite) * (len(suite_modes) + (1 if BASELINE_MODE not in suite_modes else 0))
-    precompute = replaycore.precompute_seconds()
-    replay_elapsed = max(elapsed - precompute, 0.0)
-    throughput = replayed * args.accesses / replay_elapsed if replay_elapsed > 0 else 0.0
     sharding = ""
     if args.shard_size is not None:
         sharding = f", shard {args.shard_size} (exact checkpoint handoff)"
     if args.stream is not None:
         slices = "windowed event slices" if args.stream < args.accesses else "one window"
         sharding += f", stream {args.stream} ({slices})"
-    precompute_note = f", mac-tier {precompute:.2f}s excluded" if precompute >= 0.005 else ""
     footer = (
         f"\n{len(suite)} benchmarks x {len(suite_modes)} modes, "
         f"{args.accesses} accesses @ scale {args.scale}, seed {args.seed}\n"
-        f"wall time {elapsed:.2f}s, {throughput:,.0f} accesses/s "
-        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'}"
-        f"{sharding}{precompute_note})\n"
+        f"wall time {elapsed:.2f}s, {_replay_rate([plan], served, elapsed)} "
+        f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'}{sharding})\n"
     )
     footer += _supervision_footer(manifest, policy)
     return table + footer
@@ -526,8 +535,7 @@ def run_sweep_command(args: argparse.Namespace) -> str:
             "e.g. --param options.memory_level_parallelism=1,4,8"
         )
     axes = [parse_axis(spec) for spec in args.param]
-    benchmarks = _resolve_benchmarks(args)
-    modes = _resolve_modes(args)
+    plan = _run_plan(args)
     policy = _supervision_policy(args)
     manifest = FailureManifest()
 
@@ -535,15 +543,9 @@ def run_sweep_command(args: argparse.Namespace) -> str:
     try:
         result = run_sweep(
             axes,
-            benchmarks=benchmarks,
-            modes=modes,
-            scale=args.scale,
-            num_accesses=args.accesses,
-            seed=args.seed,
+            plan,
             jobs=args.jobs,
             use_cache=not args.no_cache,
-            shard_size=args.shard_size,
-            stream=args.stream,
             policy=policy,
             manifest=manifest,
             resume=args.resume,
@@ -568,24 +570,12 @@ def run_sweep_command(args: argparse.Namespace) -> str:
         title="Parameter sweep: slowdown vs NoProtect",
     )
     cached_points = len(result.points) - result.simulated_points
-    # Measured replay throughput, exactly as `repro bench` reports it: every
-    # simulated point replays all its benchmarks under the requested modes
-    # plus the NoProtect baseline; store-served points replay nothing (and so
-    # honestly inflate the rate).
-    pair_runs_per_point = len(result.benchmarks) * (
-        len(result.modes) + (1 if BASELINE_MODE not in result.modes else 0)
-    )
-    replayed_accesses = sum(
-        point.num_accesses * pair_runs_per_point
-        for point, cached in zip(result.points, result.served_from_store)
-        if not cached
-    )
-    throughput = replayed_accesses / elapsed if elapsed > 0 else 0.0
+    rate = _replay_rate(result.points, result.served_from_store, elapsed)
     footer = (
         f"\n{len(result.points)} grid points x {len(result.benchmarks)} benchmarks "
         f"x {len(result.modes)} modes ({result.simulated_points} simulated, "
         f"{cached_points} from store)\n"
-        f"wall time {elapsed:.2f}s, {throughput:,.0f} accesses/s "
+        f"wall time {elapsed:.2f}s, {rate} "
         f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})\n"
     )
     # The queryable index replaces the old "glob the cache dir" instinct:

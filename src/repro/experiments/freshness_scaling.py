@@ -25,6 +25,7 @@ from repro.experiments.harness import suite_key
 from repro.experiments.report import format_table
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
 from repro.sim.configs import BASELINE_MODE, FRESHNESS_MODES
+from repro.sim.shard import RunPlan
 from repro.sim.sweep import SweepAxis, run_sweep
 from repro.sim.variants import VARIANT_MODES
 from repro.workloads.registry import get_workload
@@ -55,13 +56,13 @@ def run(
     """One row per (benchmark, footprint point) with per-scheme slowdowns."""
     names = tuple(benchmarks) if benchmarks is not None else harness.QUICK_BENCHMARKS
     defaults = harness.execution_defaults()
+    plan = RunPlan(
+        names, COMPARED_MODES, scale, num_accesses, seed,
+        config=None, options=None, shard_size=None, stream=None,
+    )
     result = run_sweep(
         [SweepAxis("scale", sweep_scales(scale))],
-        benchmarks=names,
-        modes=COMPARED_MODES,
-        scale=scale,
-        num_accesses=num_accesses,
-        seed=seed,
+        plan,
         jobs=defaults["jobs"],
         use_cache=defaults["use_cache"],
     )

@@ -13,11 +13,11 @@ one entry point, :func:`run_benchmarks`, backed by the persistent
   its sqlite-indexed disk layer under ``.repro_cache/`` survives across
   processes, so a second ``repro bench`` (or a CI re-run on a warm cache)
   skips simulation entirely;
-* a miss runs the one suite pipeline,
-  :func:`repro.sim.shard.run_suite_sharded`: every (benchmark, mode) pair is
-  a shard chain (one full-length shard when unsharded) over ``jobs`` worker
-  processes, or in-process at ``jobs=1``, with output bit-identical to the
-  serial engine.
+* the run is one :class:`repro.sim.shard.RunPlan` and
+  :func:`repro.sim.shard.run_plans` runs it, as a one-point sweep: on a miss
+  every (benchmark, mode) pair is a shard chain (one full-length shard when
+  unsharded) over ``jobs`` worker processes, or in-process at ``jobs=1``,
+  with output bit-identical to the serial engine.
 
 The figure modules accept either a precomputed suite or the parameters to
 produce one.
@@ -34,14 +34,9 @@ from repro.core.trip import TripFormat
 from repro.sim.configs import EVALUATED_MODES, ModeLike
 from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import parallel_map
-from repro.sim.shard import ShardSpec, run_suite_sharded
-from repro.sim.results import (
-    SuiteResults,
-    decode_suite,
-    encode_suite,
-    suite_key,
-)
+from repro.sim.parallel import parallel_map, resolve_supervision
+from repro.sim.results import SuiteResults, suite_key
+from repro.sim.shard import RunPlan, run_plans
 from repro.sim.store import ResultStore, content_key, default_store
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -82,13 +77,6 @@ def execution_defaults() -> Dict[str, Any]:
 # Suite results (Figures 6-9, Tables 2/4)
 # ---------------------------------------------------------------------------
 
-# The suite encode/decode helpers and the content key now live in
-# ``repro.sim.results`` so the sweep runner shares them (and the store
-# entries they produce); re-exported here for compatibility.
-_encode_suite = encode_suite
-_decode_suite = decode_suite
-
-
 def run_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     modes: Sequence[ModeLike] = EVALUATED_MODES,
@@ -114,7 +102,9 @@ def run_benchmarks(
     bit-identical to the serial run, so the cache key is deliberately
     independent of ``jobs``.  A failing task surfaces as
     :class:`~repro.sim.faults.TaskFailedError` at every ``jobs`` value;
-    ``policy``/``on_failure`` choose how failures are handled.
+    ``policy``/``on_failure`` choose how failures are handled, and a run
+    that lost cells to degrade-mode quarantine is returned without them but
+    never cached.
 
     Every pair pays the cache hierarchy once per benchmark -- a fast
     pre-pass distills the trace into a mode-independent miss-event stream
@@ -138,48 +128,31 @@ def run_benchmarks(
     ``shard_size`` a windowed run is a single full-length shard -- still
     bounded-memory, since the payload is slices either way.
     """
-    names = tuple(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS
+    plan = RunPlan(
+        tuple(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS,
+        tuple(modes),
+        scale,
+        num_accesses,
+        seed,
+        config,
+        options,
+        shard_size,
+        stream,
+    )
     if use_cache is None:
         use_cache = bool(_EXECUTION_DEFAULTS["use_cache"])
     if jobs is None:
         jobs = int(_EXECUTION_DEFAULTS["jobs"])
-    if store is None:
-        store = default_store()
-
-    if stream is not None and stream <= 0:
-        raise ValueError(f"stream window must be positive, got {stream}")
-    spec = ShardSpec(num_accesses if shard_size is None else shard_size)
-    if manifest is None:
-        manifest = FailureManifest()
-
-    key = suite_key(names, modes, scale, num_accesses, seed, config, options)
-    if use_cache:
-        cached = store.get(key, decoder=_decode_suite)
-        if cached is not None:
-            return cached
-
-    results = run_suite_sharded(
-        names,
-        spec,
-        modes=modes,
-        scale=scale,
-        num_accesses=num_accesses,
-        seed=seed,
-        config=config,
-        options=options,
+    (suite,), _ = run_plans(
+        [plan],
         jobs=jobs,
-        stream=stream,
-        policy=policy,
+        policy=resolve_supervision(policy, on_failure),
         manifest=manifest,
-        on_failure=on_failure,
         resume=resume,
+        use_cache=use_cache,
+        store=store,
     )
-    degraded = bool(manifest.quarantined)
-    if use_cache and not degraded:
-        # A degraded suite is missing quarantined cells; caching it under the
-        # full suite key would poison every later clean run.
-        store.put(key, results, encoder=_encode_suite)
-    return results
+    return suite
 
 
 def clear_cache(disk: bool = False) -> None:

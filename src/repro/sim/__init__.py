@@ -22,7 +22,7 @@ from repro.sim.distill import (
 from repro.sim.engine import EngineState, SimulationEngine, compare_modes, run_suite
 from repro.sim.path import AccessContext, PathComponent, build_components
 from repro.sim.results import LatencyBreakdown, SimulationResult, TrafficBreakdown
-from repro.sim.shard import ShardSpec, run_sharded, run_suite_sharded
+from repro.sim.shard import RunPlan, ShardSpec, run_plans, run_sharded
 from repro.sim.sweep import SweepAxis, SweepResult, run_sweep
 from repro.sim.variants import VARIANT_MODES
 
@@ -47,9 +47,10 @@ __all__ = [
     "EngineState",
     "compare_modes",
     "run_suite",
+    "RunPlan",
     "ShardSpec",
+    "run_plans",
     "run_sharded",
-    "run_suite_sharded",
     "HierarchyDistiller",
     "MissEventStream",
     "events_key",

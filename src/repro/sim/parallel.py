@@ -52,6 +52,7 @@ or plan ever enters a persistent-store key.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import heapq
 import multiprocessing
@@ -584,9 +585,10 @@ def parallel_map(
 ) -> List:
     """Map ``func`` over ``tasks`` with up to ``jobs`` worker processes.
 
-    Results are returned in task order, which is what keeps the parallel
-    suite merge deterministic.  A single job or a single task runs
-    in-process; everything else runs on :class:`SupervisedExecutor`.
+    Each task is a one-step chain of :func:`pipelined_map`, so results come
+    back in task order, a task's fault-plan index is its position, and a
+    single job or a single task runs in-process; everything else runs on
+    :class:`SupervisedExecutor`.
 
     ``policy`` is resolved by :func:`resolve_supervision`: without one (and
     without an active ``REPRO_FAULT_PLAN``) a failing task aborts the map
@@ -594,27 +596,20 @@ def parallel_map(
     :class:`TaskFailure` sentinels fill the slots of quarantined tasks
     instead of an aborted run.
     """
-    jobs = min(resolve_jobs(jobs), len(tasks))
-    policy = resolve_supervision(policy)
-    if manifest is None:
-        manifest = FailureManifest()
-    if jobs <= 1:
-        return [
-            _call_supervised_inline(
-                lambda t=task: func(t), policy, manifest, index, _task_label(task)
-            )
-            for index, task in enumerate(tasks)
-        ]
-    executor = SupervisedExecutor(jobs, policy, manifest)
-    results: List[Any] = [None] * len(tasks)
-    for index, task in enumerate(tasks):
-        executor.submit(index, func, (task,), label=_task_label(task))
+    return pipelined_map(
+        functools.partial(_ignore_carry, func),
+        [[task] for task in tasks],
+        jobs=jobs,
+        policy=policy,
+        manifest=manifest,
+    )
 
-    def deliver(key: Any, value: Any) -> None:
-        results[key] = value
 
-    executor.run(deliver)
-    return results
+def _ignore_carry(func: Callable, task: Any, carry: None) -> Any:
+    """A one-step chain's body: ``func`` on the task alone.  Module-level,
+    so ``functools.partial(_ignore_carry, func)`` pickles wherever ``func``
+    does."""
+    return func(task)
 
 
 def pipelined_map(

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import base64
 import heapq
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
@@ -103,24 +102,6 @@ def _sequential_sum(initial: float, values: "np.ndarray") -> float:
 # ---------------------------------------------------------------------------
 # MAC-tier distillation (per mode family)
 # ---------------------------------------------------------------------------
-
-#: Accumulated wall-clock seconds spent *computing* MAC tiers (store hits add
-#: nothing).  ``repro bench`` subtracts this from its replay throughput so the
-#: footer reports replay speed, mirroring the store-served-point exclusion
-#: in ``repro sweep``.
-_PRECOMPUTE_SECONDS = 0.0
-
-
-def reset_precompute_seconds() -> None:
-    """Zero the MAC-tier precompute clock (start of a timed run)."""
-    global _PRECOMPUTE_SECONDS
-    _PRECOMPUTE_SECONDS = 0.0
-
-
-def precompute_seconds() -> float:
-    """Seconds spent computing MAC tiers since the last reset."""
-    return _PRECOMPUTE_SECONDS
-
 
 @dataclass
 class MacTier:
@@ -211,12 +192,7 @@ def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = N
     dicts, move-to-end on hit, evict the first key at way capacity).  Dirty
     bits are not tracked: dirtiness only feeds the ``dirty_evictions``
     statistic, which no lookup verdict -- and no simulation result -- reads.
-
-    The wall-clock time spent here is added to the precompute clock (see
-    :func:`precompute_seconds`) so ``repro bench`` can exclude it from the
-    replay throughput it reports.
     """
-    started = time.perf_counter()
     cfg = config if config is not None else SystemConfig()
     line_bytes = CACHE_BLOCK_BYTES
     lines = max(1, cfg.mac_cache_bytes // line_bytes)
@@ -251,10 +227,7 @@ def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = N
                 if len(tags) >= ways:
                     del tags[next(iter(tags))]
                 tags[tag] = True
-    tier = MacTier(num_events=len(events), read_hits=read_hits, wb_hits=wb_hits)
-    global _PRECOMPUTE_SECONDS
-    _PRECOMPUTE_SECONDS += time.perf_counter() - started
-    return tier
+    return MacTier(num_events=len(events), read_hits=read_hits, wb_hits=wb_hits)
 
 
 def distilled_mac_tier(
@@ -722,8 +695,6 @@ __all__ = [
     "mac_geometry_fields",
     "mac_tier_key",
     "mode_vector_profile",
-    "precompute_seconds",
     "register_batch_kernel",
-    "reset_precompute_seconds",
     "vectorizable",
 ]

@@ -1,13 +1,16 @@
 """The suite pipeline: every (benchmark, mode) pair runs as a shard chain.
 
-This module is the one suite driver.  A run splits into contiguous shards
-and executes each (benchmark, mode) pair as a *chain* of shard windows, so
-10M+-access traces spread across the pool instead of monopolising one
-worker; an unsharded run is simply a chain of one full-length shard.  Every
-chain step is a :class:`ShardTask` replayed by :func:`run_shard_step` from
-the run's distilled event slices -- one slice covering the whole run unless
-a stream window narrows them -- and the replay loop is picked from what the
-worker observes, never from a flag.
+This module is the one suite runner.  A run is described once, as a
+:class:`RunPlan`, and :func:`run_plans` runs a list of them -- one for
+``repro bench``, one per grid point for a sweep -- serving cached plans from
+the store and pipelining every other plan's chains over one pool.  A run
+splits into contiguous shards and executes each (benchmark, mode) pair as a
+*chain* of shard windows, so 10M+-access traces spread across the pool
+instead of monopolising one worker; an unsharded run is simply a chain of
+one full-length shard.  Every chain step is a :class:`ShardTask` replayed
+by :func:`run_shard_step` from the run's distilled event slices -- one
+slice covering the whole run unless a stream window narrows them -- and the
+replay loop is picked from what the worker observes, never from a flag.
 
 Exactness is the design center, and there is one discipline: **checkpointed
 handoff**.  Shard k starts from the serialized :class:`EngineState` produced
@@ -35,24 +38,25 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
-from repro.sim.configs import (
-    EVALUATED_MODES,
-    ModeLike,
-    ModeParameters,
-    mode_parameters,
-)
+from repro.sim.configs import ModeLike, ModeParameters, mode_parameters
 from repro.sim.engine import (
     EngineOptions,
     EngineState,
     SimulationEngine,
     ordered_modes,
 )
-from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import pipelined_map, resolve_supervision, stitch_suite
-from repro.sim.results import SimulationResult, SuiteResults
+from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
+from repro.sim.parallel import pipelined_map, stitch_suite
+from repro.sim.results import (
+    SimulationResult,
+    SuiteResults,
+    decode_suite,
+    encode_suite,
+    suite_key,
+)
 from repro.sim.store import ResultStore, content_key, default_store
 from repro.workloads.base import Trace
 
@@ -81,6 +85,57 @@ def shard_bounds(total: int, shard_size: int) -> List[Tuple[int, int]]:
     return [
         (start, min(start + shard_size, total)) for start in range(0, total, shard_size)
     ]
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One suite run, described once and passed whole through the pipeline.
+
+    The identity fields -- ``benchmarks`` to ``options`` -- fix the results,
+    and :attr:`key` is their :func:`~repro.sim.results.suite_key`.
+    ``shard_size`` (accesses per shard; ``None`` is one full-length shard)
+    and ``stream`` (the event-slice window; ``None`` is one window) only
+    choose how much parallelism and memory the run uses, and ``overrides``
+    records the sweep-axis values a grid point was resolved from.  None of
+    those three enters the key: every strategy is bit-identical, so they
+    all share one store entry.
+    """
+
+    benchmarks: Tuple[str, ...]
+    modes: Tuple[ModeLike, ...]
+    scale: float
+    num_accesses: int
+    seed: int
+    config: Optional[SystemConfig]
+    options: Optional[EngineOptions]
+    shard_size: Optional[int]
+    stream: Optional[int]
+    overrides: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.shard_size is not None and self.shard_size <= 0:
+            raise ValueError(f"shard_size must be positive, got {self.shard_size}")
+        if self.stream is not None and self.stream <= 0:
+            raise ValueError(f"stream window must be positive, got {self.stream}")
+
+    @property
+    def key(self) -> str:
+        """The persistent-store key of this run's suite."""
+        return suite_key(
+            self.benchmarks,
+            self.modes,
+            self.scale,
+            self.num_accesses,
+            self.seed,
+            self.config,
+            self.options,
+        )
+
+    @property
+    def label(self) -> str:
+        if not self.overrides:
+            return "(base)"
+        return ", ".join(f"{key}={value}" for key, value in self.overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +456,8 @@ def run_sharded(
     return engine.finish(state, trace, baseline_time_ns=baseline_time_ns)
 
 
-def prepare_suite(
-    names: Sequence[str],
-    modes: Sequence[ModeLike],
-    spec: ShardSpec,
-    scale: float,
-    num_accesses: int,
-    seed: int,
-    config: Optional[SystemConfig] = None,
-    options: Optional[EngineOptions] = None,
-    stream: Optional[int] = None,
-) -> List[List[ShardTask]]:
-    """One suite's (benchmark, mode) chains, with their inputs precomputed.
+def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
+    """One plan's (benchmark, mode) chains, with their inputs precomputed.
 
     Chains come benchmark-major, mode-minor -- the serial order -- with
     ``NOPROTECT`` always included first, since it provides the baseline
@@ -430,16 +475,17 @@ def prepare_suite(
     from repro.sim import replaycore
     from repro.sim.distill import load_slice, stream_event_slices
 
-    window = _slice_width(num_accesses, stream)
+    scale, num_accesses, seed, config = plan.scale, plan.num_accesses, plan.seed, plan.config
+    spec = ShardSpec(plan.shard_size or num_accesses)
+    window = _slice_width(num_accesses, plan.stream)
+    modes = ordered_modes(plan.modes)
     chains = [
-        shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, window)
-        for name in names
-        for mode in ordered_modes(modes)
+        shard_chain(name, mode, spec, scale, num_accesses, seed, config, plan.options, window)
+        for name in plan.benchmarks
+        for mode in modes
     ]
-    tiered = replaycore.HAVE_NUMPY and any(
-        mode_parameters(mode).mac_traffic for mode in ordered_modes(modes)
-    )
-    for name in names:
+    tiered = replaycore.HAVE_NUMPY and any(mode_parameters(mode).mac_traffic for mode in modes)
+    for name in plan.benchmarks:
         stream_event_slices(name, scale, seed, num_accesses, window, config)
         if window == num_accesses:
             events = load_slice(name, scale, seed, num_accesses, window, 0, config)
@@ -488,67 +534,94 @@ def stitch_chains(
     )
 
 
-def run_suite_sharded(
-    benchmark_names: Iterable[str],
-    spec: ShardSpec,
-    modes: Sequence[ModeLike] = EVALUATED_MODES,
-    scale: float = 0.002,
-    num_accesses: int = 100_000,
-    seed: int = 1234,
-    config: Optional[SystemConfig] = None,
-    options: Optional[EngineOptions] = None,
+def run_plans(
+    plans: Sequence[RunPlan],
+    *,
     jobs: Optional[int] = None,
-    stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    on_failure: Optional[str] = None,
     resume: bool = True,
-) -> SuiteResults:
-    """Run the benchmark suite with every (benchmark, mode) pair as a chain.
+    use_cache: bool = True,
+    store: Optional[ResultStore] = None,
+) -> Tuple[List[SuiteResults], List[bool]]:
+    """Run several plans as one pipeline; the one reader and writer of suites.
 
-    Returns the same nested suite shape as
-    :func:`repro.sim.engine.run_suite` -- and the same bits.  Each pair's
-    shard chain pipelines through :func:`pipelined_map`, replaying each
-    window from the benchmark's distilled event slices; an unsharded run
-    passes ``ShardSpec(num_accesses)``, one full-length shard per chain.
+    Returns each plan's suite -- the nested shape of
+    :func:`repro.sim.engine.run_suite`, and the same bits -- plus whether it
+    was served from ``store`` instead of simulated.  A ``repro bench`` run is
+    the one-plan case; a sweep passes every grid point.
 
-    ``stream`` (a window width in accesses) only sets how much memory the
-    run uses: below the run length, the parent distills each benchmark
-    window by window into persistent ``events-slice`` store entries and no
-    full trace or full event stream is ever materialised, in the parent or
-    in any worker; without it (or at or beyond the run length) the whole
-    run is one slice, its ``events`` entry.  Results and their store keys
-    are the same either way.
+    With ``use_cache`` on, each plan is first looked up under its
+    :attr:`RunPlan.key`, and plans sharing a key (shard widths and stream
+    windows never enter it) simulate once while the rest count as served
+    from the stored entry; with it off every plan simulates, so a sweep
+    over ``shard_size`` times each width.  Every uncached plan's chains
+    then run in **one** :func:`run_chains` call -- one pool for the whole
+    batch -- and each plan's suite is stitched from its own chains.
 
-    ``resume`` (the default) persists each chain's in-flight checkpoint as
-    a content-keyed ``checkpoint-*`` store entry and, before running,
-    resumes any chain whose previous (killed) run left one behind -- the
-    resumed run replays the identical checkpoint sequence, so it is
-    bit-identical to an uninterrupted run and a completed run spends its
-    checkpoints (no residue).  ``policy``/``manifest``/``on_failure``
-    select the supervision policy (see
-    :func:`~repro.sim.parallel.resolve_supervision`); under
-    ``on_failure="degrade"`` a quarantined step abandons only its own
-    (benchmark, mode) chain, every other chain completes, and the merged
-    suite simply omits the quarantined cells (dropping a benchmark whose
-    NoProtect baseline was lost).
+    ``resume`` persists each chain's in-flight checkpoint and first resumes
+    any chain a previous (killed) run left one for; ``policy``/``manifest``
+    are the supervision policy (see
+    :func:`~repro.sim.parallel.resolve_supervision`) and its failure record.
+    A plan is degraded when one of its own chains ended in a
+    :class:`~repro.sim.faults.TaskFailure` (``on_failure="degrade"``): its
+    suite lacks the quarantined cells, so it is returned but never stored,
+    and neither it nor a plan sharing its key counts as served.
     """
-    chains = prepare_suite(
-        list(benchmark_names), modes, spec, scale, num_accesses, seed, config, options, stream
-    )
-    finals = run_chains(chains, jobs, resolve_supervision(policy, on_failure), manifest, resume)
-    return stitch_chains(chains, finals, modes)
+    if store is None:
+        store = default_store()
+    keys = [plan.key for plan in plans]
+    suites: List[Optional[SuiteResults]] = [None] * len(plans)
+    served = [False] * len(plans)
+    if use_cache:
+        for i, key in enumerate(keys):
+            suites[i] = store.get(key, decoder=decode_suite)
+            served[i] = suites[i] is not None
+
+    # One flat chain list across every uncached plan: maximum fan-out
+    # width, one pool startup.  Repeated (trace, geometry) pre-passes across
+    # plans dedupe through the store's memory layer.
+    chains: List[List[ShardTask]] = []
+    spans: List[Tuple[int, int, int]] = []  # (plan index, first chain, end)
+    simulating: Dict[str, int] = {}  # suite key -> the plan simulating it
+    twins: List[Tuple[int, int]] = []  # (plan index, plan simulating its key)
+    for i, plan in enumerate(plans):
+        if served[i]:
+            continue
+        if use_cache and keys[i] in simulating:
+            twins.append((i, simulating[keys[i]]))
+            continue
+        simulating[keys[i]] = i
+        plan_chains = prepare_suite(plan)
+        spans.append((i, len(chains), len(chains) + len(plan_chains)))
+        chains.extend(plan_chains)
+
+    finals = run_chains(chains, jobs, policy, manifest, resume) if chains else []
+    stored = set()
+    for i, start, stop in spans:
+        suites[i] = stitch_chains(chains[start:stop], finals[start:stop], plans[i].modes)
+        degraded = any(isinstance(final, TaskFailure) for final in finals[start:stop])
+        if use_cache and not degraded:
+            store.put(keys[i], suites[i], encoder=encode_suite)
+            stored.add(i)
+    for i, twin in twins:
+        # A twin of a degraded plan shares its lost cells and, like it, was
+        # never stored: it counts as simulated, so a rerun retries both.
+        suites[i] = suites[twin]
+        served[i] = twin in stored
+    return suites, served
 
 
 __all__ = [
+    "RunPlan",
     "ShardSpec",
     "ShardTask",
     "checkpoint_key",
     "prepare_suite",
     "run_chains",
+    "run_plans",
     "run_shard_step",
     "run_sharded",
-    "run_suite_sharded",
     "shard_bounds",
     "shard_chain",
     "stitch_chains",

@@ -5,7 +5,7 @@ scheme below is a plain :func:`repro.sim.configs.register_mode` call -- no
 ``ProtectionMode`` enum member, no engine branch, no new path component.
 Each one recombines the existing :mod:`repro.sim.path` components under a
 fresh string label, and from that single registration it is simulatable by
-``SimulationEngine``, pipelined by ``run_suite_sharded``, swept by
+``SimulationEngine``, run by ``run_plans`` (``repro bench``), swept by
 ``run_sweep``, cached by the persistent store, and listed by ``repro list`` /
 ``repro bench --modes`` / ``repro sweep --modes``.
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import KIB, CacheConfig, SystemConfig
+from repro.experiments.harness import run_benchmarks
 from repro.sim.configs import registered_modes
 from repro.sim.distill import (
     WB_NONE,
@@ -28,7 +29,7 @@ from repro.sim.distill import (
 )
 from repro.sim.engine import SimulationEngine, run_suite
 from repro.sim.path import PathComponent, StealthFreshnessComponent
-from repro.sim.shard import ShardSpec, run_sharded, run_suite_sharded
+from repro.sim.shard import ShardSpec, run_sharded
 from repro.sim.store import ResultStore
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
@@ -133,8 +134,8 @@ class TestDistilledReplayIsBitIdentical:
     def test_suite_pipelines_distilled_through_the_pool(self):
         names, modes = ("bsw", "memcached"), ("CI", "Toleo")
         serial = run_suite(names, modes=modes, num_accesses=2000)
-        distilled = run_suite_sharded(
-            names, ShardSpec(600), modes=modes, num_accesses=2000, jobs=2
+        distilled = run_benchmarks(
+            names, modes=modes, num_accesses=2000, jobs=2, shard_size=600, use_cache=False
         )
         assert {
             bench: {mode: result.to_dict() for mode, result in per_mode.items()}
@@ -410,8 +411,8 @@ class TestFallbackForUndeclaredSamplers:
             del self.access_period
 
         monkeypatch.setattr(StealthFreshnessComponent, "__init__", init)
-        fallback = run_suite_sharded(
-            ("memcached",), ShardSpec(TRACE_LEN), jobs=jobs, **run
+        fallback = run_benchmarks(
+            ("memcached",), jobs=jobs, use_cache=False, **run
         )["memcached"]["Toleo"]
         assert fallback.to_dict() == reference.to_dict()
 

@@ -27,7 +27,7 @@ from repro.sim.parallel import (
     resolve_supervision,
     stitch_suite,
 )
-from repro.sim.shard import ShardSpec, run_suite_sharded
+from repro.experiments.harness import run_benchmarks
 from repro.sim.store import (
     CODE_FINGERPRINT_ENV,
     code_fingerprint,
@@ -42,13 +42,13 @@ SEED = 1234
 
 def _pipeline(names, jobs, **kwargs):
     """The one suite driver, unsharded: one full-length shard per chain."""
-    return run_suite_sharded(
+    return run_benchmarks(
         names,
-        ShardSpec(ACCESSES),
         scale=SCALE,
         num_accesses=ACCESSES,
         seed=SEED,
         jobs=jobs,
+        use_cache=False,
         **kwargs,
     )
 

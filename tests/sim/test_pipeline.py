@@ -10,16 +10,19 @@ These tests pin each stage on its own; the end-to-end bit-identity of the
 whole pipeline is pinned by ``test_parallel.py`` and ``test_sharding.py``.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.sim import replaycore, shard
 from repro.sim.distill import events_key
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import EngineOptions, SimulationEngine
 from repro.sim.faults import FAULT_PLAN_ENV, TaskFailedError
 from repro.sim.parallel import suite_tasks
 from repro.sim.shard import (
+    RunPlan,
     ShardSpec,
     ShardTask,
     prepare_suite,
@@ -45,12 +48,55 @@ def fresh_default_store(tmp_path):
     set_default_store(previous)
 
 
+def _plan(benchmarks, modes, shard_size, stream=None):
+    """A seed-1 plan of ``ACCESSES`` accesses at scale 0.002."""
+    return RunPlan(benchmarks, modes, 0.002, ACCESSES, 1, None, None, shard_size, stream)
+
+
 def _cell(time_ns):
     return SimpleNamespace(execution_time_ns=time_ns, baseline_time_ns=None)
 
 
 def _raise_in_shard_step(task, carry):
     raise ValueError(f"shard step {task.name}/{task.params.label}")
+
+
+class TestRunPlan:
+    """A plan's key is the suite key of its identity fields only."""
+
+    BASE = _plan(("bsw",), ("CI",), None)
+    #: A value other than ``BASE``'s for every field.  Identity fields fix
+    #: the results, so each must move the key; strategy fields must not.
+    IDENTITY = {
+        "benchmarks": ("fmi",),
+        "modes": ("Toleo",),
+        "scale": 0.004,
+        "num_accesses": 2 * ACCESSES,
+        "seed": 2,
+        "config": SystemConfig(aes_latency_cycles=400),
+        "options": EngineOptions(memory_level_parallelism=8.0),
+    }
+    STRATEGY = {"shard_size": 100, "stream": 250, "overrides": (("seed", 1),)}
+
+    def test_every_field_is_classified(self):
+        # A field added later must join one of the two lists.
+        fields = {field.name for field in dataclasses.fields(RunPlan)}
+        assert fields == self.IDENTITY.keys() | self.STRATEGY.keys()
+
+    @pytest.mark.parametrize("field", sorted(IDENTITY))
+    def test_an_identity_field_changes_the_key(self, field):
+        changed = dataclasses.replace(self.BASE, **{field: self.IDENTITY[field]})
+        assert changed.key != self.BASE.key
+
+    @pytest.mark.parametrize("field", sorted(STRATEGY))
+    def test_a_strategy_field_leaves_the_key(self, field):
+        changed = dataclasses.replace(self.BASE, **{field: self.STRATEGY[field]})
+        assert changed.key == self.BASE.key
+
+    @pytest.mark.parametrize("field", ("shard_size", "stream"))
+    def test_a_nonpositive_width_is_rejected_when_built(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
+            dataclasses.replace(self.BASE, **{field: 0})
 
 
 class TestSuitePlanning:
@@ -72,7 +118,7 @@ class TestSuitePlanning:
         assert task.window == ACCESSES
 
     def test_prepare_suite_pays_each_pre_pass_once(self, fresh_default_store):
-        chains = prepare_suite(("bsw", "fmi"), ("CI",), ShardSpec(400), 0.002, ACCESSES, 1)
+        chains = prepare_suite(_plan(("bsw", "fmi"), ("CI",), 400))
         assert [(chain[0].name, chain[0].params.label, len(chain)) for chain in chains] == [
             ("bsw", "NoProtect", 3),
             ("bsw", "CI", 3),
@@ -84,9 +130,7 @@ class TestSuitePlanning:
         assert len(fresh_default_store.query(kind="mactier")) == tiers
 
     def test_streamed_suite_persists_slices_not_the_stream(self, fresh_default_store):
-        chains = prepare_suite(
-            ("bsw",), ("CI",), ShardSpec(500), 0.002, ACCESSES, 1, stream=250
-        )
+        chains = prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
         assert {task.window for chain in chains for task in chain} == {250}
         assert len(fresh_default_store.query(kind="events-slice")) == 4
         assert fresh_default_store.query(kind="events") == []
@@ -105,7 +149,7 @@ class TestParentPrePass:
         self, modes, have_numpy, tiered, monkeypatch, fresh_default_store
     ):
         monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
-        prepare_suite(("bsw", "fmi"), modes, ShardSpec(ACCESSES), 0.002, ACCESSES, 1)
+        prepare_suite(_plan(("bsw", "fmi"), modes, ACCESSES))
         assert len(fresh_default_store.query(kind="events")) == 2
         assert len(fresh_default_store.query(kind="mactier")) == (2 if tiered else 0)
 
@@ -113,7 +157,7 @@ class TestParentPrePass:
         # The trace is only the pre-pass's input; once its stream is stored,
         # no per-process memo may keep the whole trace alive.
         capture_trace.cache_clear()
-        prepare_suite(("bsw", "fmi"), ("CI",), ShardSpec(ACCESSES), 0.002, ACCESSES, 1)
+        prepare_suite(_plan(("bsw", "fmi"), ("CI",), ACCESSES))
         assert len(fresh_default_store.query(kind="events")) == 2
         assert capture_trace.cache_info().currsize == 0
 
@@ -124,13 +168,12 @@ class TestParentPrePass:
         # events entry and MAC tier must still land in the parent's memory
         # layer, where forked workers inherit them; a windowed slice never
         # enters it.
-        run = (ShardSpec(500), 0.002, ACCESSES, 1)
-        prepare_suite(("bsw",), ("CI",), *run)
-        prepare_suite(("bsw",), ("CI",), *run, stream=250)
+        prepare_suite(_plan(("bsw",), ("CI",), 500))
+        prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
         fresh_default_store.clear_memory()
-        prepare_suite(("bsw",), ("CI",), *run, stream=250)
+        prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
         assert fresh_default_store._memory == {}
-        prepare_suite(("bsw",), ("CI",), *run)
+        prepare_suite(_plan(("bsw",), ("CI",), 500))
         key = events_key("bsw", 0.002, 1, ACCESSES)
         events = fresh_default_store._memory[key]
         expected = {key}

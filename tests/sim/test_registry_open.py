@@ -31,7 +31,8 @@ from repro.sim.path import (
     StealthFreshnessComponent,
     build_components,
 )
-from repro.sim.shard import ShardSpec, run_suite_sharded
+from repro.experiments.harness import run_benchmarks
+from repro.sim.shard import RunPlan
 from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepAxis, run_sweep
 from repro.sim.variants import VARIANT_MODES
@@ -67,8 +68,8 @@ def _flatten(suite):
 class TestRuntimeRegistrationEndToEnd:
     def test_flows_through_parallel_fork_or_inline(self, runtime_mode):
         serial = run_suite(("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7)
-        fanned = run_suite_sharded(
-            ("bsw",), ShardSpec(2000), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
+        fanned = run_benchmarks(
+            ("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2, use_cache=False
         )
         assert _flatten(serial) == _flatten(fanned)
 
@@ -82,26 +83,24 @@ class TestRuntimeRegistrationEndToEnd:
             lambda: multiprocessing.get_context("spawn"),
         )
         serial = run_suite(("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7)
-        spawned = run_suite_sharded(
-            ("bsw",), ShardSpec(2000), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2
+        spawned = run_benchmarks(
+            ("bsw",), modes=(runtime_mode,), num_accesses=2000, seed=7, jobs=2, use_cache=False
         )
         assert _flatten(serial) == _flatten(spawned)
 
     def test_flows_through_sweep_with_per_point_caching(self, runtime_mode, tmp_path):
         store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("scale", (0.001, 0.002))]
-        kwargs = dict(
-            benchmarks=("bsw",), modes=(runtime_mode,), num_accesses=2000, store=store
-        )
+        plan = RunPlan(("bsw",), (runtime_mode,), 0.002, 2000, 1234, None, None, None, None)
 
-        cold = run_sweep(axes, **kwargs)
+        cold = run_sweep(axes, plan, store=store)
         assert cold.simulated_points == 2
         for suite in cold.suites:
             assert list(suite["bsw"]) == [runtime_mode]
             assert suite["bsw"][runtime_mode].slowdown > 1.0
 
         store.clear_memory()  # force the disk layer
-        warm = run_sweep(axes, **kwargs)
+        warm = run_sweep(axes, plan, store=store)
         assert warm.simulated_points == 0
         assert all(warm.served_from_store)
         assert _flatten(warm.suites[0]) == _flatten(cold.suites[0])
@@ -111,10 +110,8 @@ class TestRuntimeRegistrationEndToEnd:
     ):
         store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("scale", (0.001,))]
-        kwargs = dict(
-            benchmarks=("bsw",), modes=(runtime_mode,), num_accesses=2000, store=store
-        )
-        first = run_sweep(axes, **kwargs)
+        plan = RunPlan(("bsw",), (runtime_mode,), 0.002, 2000, 1234, None, None, None, None)
+        first = run_sweep(axes, plan, store=store)
         assert first.simulated_points == 1
 
         # Same label, different scheme: the suite key folds the registered
@@ -129,7 +126,7 @@ class TestRuntimeRegistrationEndToEnd:
             ),
             replace=True,
         )
-        replaced = run_sweep(axes, **kwargs)
+        replaced = run_sweep(axes, plan, store=store)
         assert replaced.simulated_points == 1
         a = first.suites[0]["bsw"][runtime_mode]
         b = replaced.suites[0]["bsw"][runtime_mode]

@@ -22,6 +22,7 @@ from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
 from repro.sim.engine import EngineState, SimulationEngine
+from repro.sim import replaycore
 from repro.sim.path import PathComponent
 from repro.sim.replaycore import (
     HAVE_NUMPY,
@@ -32,9 +33,7 @@ from repro.sim.replaycore import (
     distilled_mac_tier,
     mac_tier_key,
     mode_vector_profile,
-    precompute_seconds,
     register_batch_kernel,
-    reset_precompute_seconds,
     vectorizable,
 )
 from repro.sim.shard import ShardSpec, run_sharded
@@ -199,24 +198,20 @@ class TestMacTier:
         fewer_ways = dataclasses.replace(SMALL_CONFIG, mac_cache_ways=2)
         assert mac_tier_key(events, fewer_ways) != base_key
 
-    def test_distilled_tier_persists_and_reloads(self, events, tier, tmp_path):
+    def test_distilled_tier_persists_and_reloads(self, events, tier, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         first = distilled_mac_tier(events, SMALL_CONFIG, store=store)
         assert first.to_payload() == tier.to_payload()
         assert any(key.startswith("mactier-") for key in store.disk_keys())
-        # A fresh store over the same directory serves the tier from disk
-        # without recomputing: the precompute clock does not advance.
-        reset_precompute_seconds()
-        reloaded = distilled_mac_tier(events, SMALL_CONFIG, store=ResultStore(tmp_path))
-        assert precompute_seconds() == 0.0
-        assert reloaded.to_payload() == first.to_payload()
 
-    def test_precompute_clock_counts_cold_computes(self, events):
-        reset_precompute_seconds()
-        compute_mac_tier(events, SMALL_CONFIG)
-        assert precompute_seconds() > 0.0
-        reset_precompute_seconds()
-        assert precompute_seconds() == 0.0
+        # A fresh store over the same directory serves the tier from disk,
+        # not recomputed.
+        def recompute(*args):
+            raise AssertionError("MAC tier recomputed instead of served from disk")
+
+        monkeypatch.setattr(replaycore, "compute_mac_tier", recompute)
+        reloaded = distilled_mac_tier(events, SMALL_CONFIG, store=ResultStore(tmp_path))
+        assert reloaded.to_payload() == first.to_payload()
 
     def test_tier_rejects_windowed_streams(self, trace, tmp_path):
         distiller = HierarchyDistiller(SMALL_CONFIG)

@@ -21,8 +21,8 @@ from repro.sim.faults import (
     FaultSpec,
     SupervisionPolicy,
     TaskFailedError,
+    TaskFailureRecord,
 )
-from repro.sim.shard import ShardSpec, run_suite_sharded
 
 BENCH = ("memcached",)
 ACCESSES = 4000
@@ -90,16 +90,9 @@ def _terminal_crash(task_index, retries):
 
 
 def _sharded(**overrides):
-    kwargs = dict(
-        benchmarks=BENCH,
-        spec=ShardSpec(shard_size=SHARD),
-        num_accesses=ACCESSES,
-        jobs=2,
-    )
+    kwargs = dict(shard_size=SHARD, num_accesses=ACCESSES, jobs=2, use_cache=False)
     kwargs.update(overrides)
-    benchmarks = kwargs.pop("benchmarks")
-    spec = kwargs.pop("spec")
-    return run_suite_sharded(benchmarks, spec, **kwargs)
+    return run_benchmarks(BENCH, **kwargs)
 
 
 class TestCheckpointLifecycle:
@@ -176,9 +169,7 @@ class TestChaosDifferential:
         modes = registered_modes()
         plan = FaultPlan.generate(seed=5, num_tasks=12, crashes=2, corrupts=1, errors=1)
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        chaotic = _sharded(
-            spec=ShardSpec(shard_size=1000), num_accesses=2000, modes=modes, policy=FAST
-        )
+        chaotic = _sharded(shard_size=1000, num_accesses=2000, modes=modes, policy=FAST)
         monkeypatch.delenv(FAULT_PLAN_ENV)
         serial = run_suite(BENCH, modes=modes, num_accesses=2000)
         assert _flatten(chaotic) == _flatten(serial)
@@ -215,3 +206,17 @@ class TestDegradedSuitesAreNotCached:
             BENCH, num_accesses=ACCESSES, jobs=2, store=fresh_store
         )
         assert _flatten(clean) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
+
+    def test_a_clean_run_is_cached_after_earlier_quarantines(self, fresh_store):
+        # A caller collecting several runs' failures in one manifest: a
+        # quarantine an earlier run recorded does not make this clean run
+        # degraded, so its suite is stored.
+        manifest = FailureManifest()
+        manifest.add(
+            TaskFailureRecord(index=0, label="bsw/CI", attempts=1, reason="exception")
+        )
+        run_benchmarks(
+            ("bsw",), modes=("CI",), num_accesses=1000, jobs=1, store=fresh_store,
+            manifest=manifest,
+        )
+        assert len(fresh_store.query(kind="suite")) == 1

@@ -14,16 +14,17 @@ import pytest
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
+from repro.experiments.harness import run_benchmarks
 from repro.sim import replaycore
 from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
 from repro.sim.shard import (
+    RunPlan,
     ShardSpec,
     _CheckpointJournal,
     checkpoint_key,
     run_shard_step,
     run_sharded,
-    run_suite_sharded,
     shard_bounds,
     shard_chain,
     stream_shard_chain,
@@ -101,8 +102,9 @@ class TestSuiteShardedExecution:
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_bit_identical_across_worker_counts(self, jobs, serial_suite):
         checkpoints_before = default_store().query(kind="checkpoint")
-        sharded = run_suite_sharded(
-            self.NAMES, ShardSpec(600), modes=self.MODES, num_accesses=2000, jobs=jobs
+        sharded = run_benchmarks(
+            self.NAMES, modes=self.MODES, num_accesses=2000, jobs=jobs, shard_size=600,
+            use_cache=False,
         )
         assert {
             bench: {mode: result.to_dict() for mode, result in per_mode.items()}
@@ -115,8 +117,9 @@ class TestSuiteShardedExecution:
         assert default_store().query(kind="checkpoint") == checkpoints_before
 
     def test_baseline_stitched_like_serial(self, serial_suite):
-        sharded = run_suite_sharded(
-            self.NAMES, ShardSpec(600), modes=self.MODES, num_accesses=2000, jobs=2
+        sharded = run_benchmarks(
+            self.NAMES, modes=self.MODES, num_accesses=2000, jobs=2, shard_size=600,
+            use_cache=False,
         )
         for bench in self.NAMES:
             for mode in self.MODES:
@@ -308,16 +311,17 @@ class TestShardSizeSweepAxis:
         from repro.sim.sweep import SweepAxisError, resolve_point
 
         with pytest.raises(SweepAxisError, match="positive"):
-            resolve_point((("shard_size", 0),), 0.002, 1000, 1, None, None)
+            resolve_point(
+                RunPlan(("bsw",), ("CI",), 0.002, 1000, 1, None, None, None, None),
+                (("shard_size", 0),),
+            )
 
     def test_sweep_over_shard_size_is_result_invariant(self, tmp_path):
         from repro.sim.sweep import SweepAxis, run_sweep
 
         result = run_sweep(
             [SweepAxis("shard_size", (300, 1000))],
-            benchmarks=("bsw",),
-            modes=("CI",),
-            num_accesses=1000,
+            RunPlan(("bsw",), ("CI",), 0.002, 1000, 1234, None, None, None, None),
             store=ResultStore(tmp_path),
             use_cache=False,
         )
@@ -334,9 +338,7 @@ class TestShardSizeSweepAxis:
 
         result = run_sweep(
             [SweepAxis("shard_size", (300, 500, 1000))],
-            benchmarks=("bsw",),
-            modes=("CI",),
-            num_accesses=1000,
+            RunPlan(("bsw",), ("CI",), 0.002, 1000, 1234, None, None, None, None),
             store=ResultStore(tmp_path),
             use_cache=True,
         )

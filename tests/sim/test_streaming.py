@@ -16,6 +16,7 @@ import pytest
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
+from repro.experiments.harness import run_benchmarks
 from repro.sim.configs import registered_modes
 from repro.sim.distill import (
     HierarchyDistiller,
@@ -30,7 +31,6 @@ from repro.sim.engine import SimulationEngine, run_suite
 from repro.sim.shard import (
     ShardSpec,
     run_shard_step,
-    run_suite_sharded,
     stream_shard_chain,
 )
 from repro.sim.store import ResultStore, default_store, set_default_store
@@ -76,16 +76,17 @@ class TestStreamedExecutionIsBitIdentical:
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
     def test_matrix_matches_serial(self, shard_size, window, serial_suite):
-        streamed = run_suite_sharded(
+        streamed = run_benchmarks(
             ["memcached"],
-            ShardSpec(shard_size),
             modes=ALL_MODES,
             scale=0.002,
             num_accesses=TRACE_LEN,
             seed=7,
             config=SMALL_CONFIG,
             jobs=1,
+            shard_size=shard_size,
             stream=window,
+            use_cache=False,
         )["memcached"]
         for mode in ALL_MODES:
             assert streamed[mode].to_dict() == serial_suite[mode].to_dict(), (

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.sim import sweep
+from repro.experiments.harness import run_benchmarks
+from repro.sim import shard
 from repro.sim.configs import ProtectionMode
 from repro.sim.faults import TaskFailure, TaskFailureRecord
+from repro.sim.shard import RunPlan
 from repro.sim.store import ResultStore
 from repro.sim.sweep import (
     SweepAxis,
@@ -19,6 +21,11 @@ from repro.sim.sweep import (
 BENCHES = ("bsw",)
 MODES = (ProtectionMode.CI, ProtectionMode.TOLEO)
 ACCESSES = 3000
+
+
+def _plan(modes=MODES, num_accesses=ACCESSES, seed=1234, shard_size=None):
+    """A base plan over ``BENCHES`` at scale 0.002."""
+    return RunPlan(BENCHES, modes, 0.002, num_accesses, seed, None, None, shard_size, None)
 
 
 def _flatten(result):
@@ -86,34 +93,32 @@ class TestAxisParsing:
 
     def test_non_numeric_run_value_is_a_clean_error(self):
         with pytest.raises(SweepAxisError, match="needs float values"):
-            resolve_point((("scale", "big"),), 0.002, 5000, 1, None, None)
+            resolve_point(_plan(num_accesses=5000, seed=1), (("scale", "big"),))
         with pytest.raises(SweepAxisError, match="needs int values"):
-            resolve_point((("accesses", "lots"),), 0.002, 5000, 1, None, None)
+            resolve_point(_plan(num_accesses=5000, seed=1), (("accesses", "lots"),))
 
     def test_non_numeric_field_value_is_a_clean_error(self):
         with pytest.raises(SweepAxisError, match="needs float values"):
             resolve_point(
+                _plan(num_accesses=5000, seed=1),
                 (("options.memory_level_parallelism", "fast"),),
-                0.002, 5000, 1, None, None,
             )
 
     def test_non_scalar_config_field_rejected(self):
         with pytest.raises(SweepAxisError, match="not a scalar"):
-            resolve_point((("config.toleo", 1),), 0.002, 5000, 1, None, None)
+            resolve_point(_plan(num_accesses=5000, seed=1), (("config.toleo", 1),))
 
     def test_non_integral_int_value_rejected_not_truncated(self):
         with pytest.raises(SweepAxisError, match="needs int values"):
-            resolve_point((("accesses", 2.5),), 0.002, 5000, 1, None, None)
+            resolve_point(_plan(num_accesses=5000, seed=1), (("accesses", 2.5),))
         with pytest.raises(SweepAxisError, match="needs int values"):
-            resolve_point((("seed", 1.5),), 0.002, 5000, 1, None, None)
+            resolve_point(_plan(num_accesses=5000, seed=1), (("seed", 1.5),))
 
     def test_duplicate_axis_keys_rejected(self, tmp_path):
         with pytest.raises(SweepAxisError, match="duplicate sweep axis"):
             run_sweep(
                 [SweepAxis("scale", (0.001, 0.002)), SweepAxis("scale", (0.004,))],
-                benchmarks=BENCHES,
-                modes=MODES,
-                num_accesses=ACCESSES,
+                _plan(),
                 store=ResultStore(tmp_path / "cache"),
             )
 
@@ -137,42 +142,30 @@ class TestGridExpansion:
 class TestPointResolution:
     def test_run_parameter_overrides(self):
         point = resolve_point(
+            _plan(num_accesses=5000, seed=1),
             (("scale", 0.004), ("accesses", 1000), ("seed", 9)),
-            scale=0.002,
-            num_accesses=5000,
-            seed=1,
-            config=None,
-            options=None,
         )
         assert (point.scale, point.num_accesses, point.seed) == (0.004, 1000, 9)
         assert point.config is None and point.options is None
 
     def test_options_override_builds_dataclass(self):
         point = resolve_point(
+            _plan(num_accesses=5000, seed=1),
             (("options.memory_level_parallelism", 8.0),),
-            scale=0.002,
-            num_accesses=5000,
-            seed=1,
-            config=None,
-            options=None,
         )
         assert point.options.memory_level_parallelism == 8.0
         assert point.config is None  # untouched scopes stay None (shared keys)
 
     def test_config_override_builds_dataclass(self):
         point = resolve_point(
+            _plan(num_accesses=5000, seed=1),
             (("config.aes_latency_cycles", 400),),
-            scale=0.002,
-            num_accesses=5000,
-            seed=1,
-            config=None,
-            options=None,
         )
         assert isinstance(point.config, SystemConfig)
         assert point.config.aes_latency_cycles == 400
 
     def test_base_point_label(self):
-        point = resolve_point((), 0.002, 5000, 1, None, None)
+        point = resolve_point(_plan(num_accesses=5000, seed=1), ())
         assert point.label == "(base)"
 
 
@@ -184,14 +177,7 @@ class TestRunSweep:
 
     def test_four_point_grid_through_parallel_map(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        result = run_sweep(
-            self.AXES,
-            benchmarks=BENCHES,
-            modes=MODES,
-            num_accesses=ACCESSES,
-            jobs=2,
-            store=store,
-        )
+        result = run_sweep(self.AXES, _plan(), jobs=2, store=store)
         assert len(result.points) == 4
         assert result.simulated_points == 4
         assert len(result.suites) == 4
@@ -204,54 +190,50 @@ class TestRunSweep:
 
     def test_warm_store_serves_identical_results(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        cold = run_sweep(
-            self.AXES, benchmarks=BENCHES, modes=MODES,
-            num_accesses=ACCESSES, jobs=2, store=store,
-        )
+        cold = run_sweep(self.AXES, _plan(), jobs=2, store=store)
         store.clear_memory()  # force the disk layer
-        warm = run_sweep(
-            self.AXES, benchmarks=BENCHES, modes=MODES,
-            num_accesses=ACCESSES, jobs=2, store=store,
-        )
+        warm = run_sweep(self.AXES, _plan(), jobs=2, store=store)
         assert warm.simulated_points == 0
         assert all(warm.served_from_store)
         assert _flatten(cold) == _flatten(warm)
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_sweep(
-            self.AXES, benchmarks=BENCHES, modes=MODES,
-            num_accesses=ACCESSES, jobs=1, use_cache=False,
-            store=ResultStore(tmp_path / "a"),
+            self.AXES, _plan(), jobs=1, use_cache=False, store=ResultStore(tmp_path / "a")
         )
         parallel = run_sweep(
-            self.AXES, benchmarks=BENCHES, modes=MODES,
-            num_accesses=ACCESSES, jobs=4, use_cache=False,
-            store=ResultStore(tmp_path / "b"),
+            self.AXES, _plan(), jobs=4, use_cache=False, store=ResultStore(tmp_path / "b")
         )
         assert _flatten(serial) == _flatten(parallel)
 
     def test_new_axis_value_only_simulates_new_points(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        run_sweep(
-            [SweepAxis("scale", (0.001, 0.002))],
-            benchmarks=BENCHES, modes=MODES, num_accesses=ACCESSES, store=store,
-        )
-        extended = run_sweep(
-            [SweepAxis("scale", (0.001, 0.002, 0.004))],
-            benchmarks=BENCHES, modes=MODES, num_accesses=ACCESSES, store=store,
-        )
+        run_sweep([SweepAxis("scale", (0.001, 0.002))], _plan(), store=store)
+        extended = run_sweep([SweepAxis("scale", (0.001, 0.002, 0.004))], _plan(), store=store)
         assert extended.simulated_points == 1
         assert extended.served_from_store == [True, True, False]
 
     def test_point_results_differ_across_the_axis(self, tmp_path):
         result = run_sweep(
             [SweepAxis("options.memory_level_parallelism", (1.0, 8.0))],
-            benchmarks=BENCHES, modes=(ProtectionMode.CI,),
-            num_accesses=ACCESSES, store=ResultStore(tmp_path / "cache"),
+            _plan(modes=(ProtectionMode.CI,)),
+            store=ResultStore(tmp_path / "cache"),
         )
         slow = result.suites[0]["bsw"][ProtectionMode.CI]
         fast = result.suites[1]["bsw"][ProtectionMode.CI]
         assert fast.execution_time_ns < slow.execution_time_ns
+
+    def test_a_bench_run_is_a_one_point_sweep(self, tmp_path):
+        # run_benchmarks and run_sweep share one runner: the sweep's only
+        # point is the bench run's plan, served from the bench run's entry.
+        store = ResultStore(tmp_path / "cache")
+        suite = run_benchmarks(
+            BENCHES, modes=MODES, num_accesses=ACCESSES, jobs=1, store=store
+        )
+        result = run_sweep([SweepAxis("seed", (1234,))], _plan(), store=store)
+        assert result.served_from_store == [True]
+        assert result.suites[0] is suite
+        assert len(store.query(kind="suite")) == 1
 
     def test_sharded_grid_starts_one_pool(self, tmp_path, monkeypatch):
         # Every uncached point's chains share one pipelined_map call, so a
@@ -268,8 +250,8 @@ class TestRunSweep:
         monkeypatch.setattr(parallel, "SupervisedExecutor", CountingExecutor)
         result = run_sweep(
             [SweepAxis("scale", (0.001, 0.002))],
-            benchmarks=BENCHES, modes=(ProtectionMode.CI,),
-            num_accesses=ACCESSES, jobs=2, shard_size=1000,
+            _plan(modes=(ProtectionMode.CI,), shard_size=1000),
+            jobs=2,
             store=ResultStore(tmp_path / "cache"),
         )
         assert result.simulated_points == 2
@@ -278,9 +260,7 @@ class TestRunSweep:
     def test_sweep_covers_new_modes(self, tmp_path):
         result = run_sweep(
             [SweepAxis("scale", (0.001,))],
-            benchmarks=BENCHES,
-            modes=(ProtectionMode.TOLEO, ProtectionMode.CIF_TREE),
-            num_accesses=ACCESSES,
+            _plan(modes=(ProtectionMode.TOLEO, ProtectionMode.CIF_TREE)),
             store=ResultStore(tmp_path / "cache"),
         )
         per_mode = result.suites[0]["bsw"]
@@ -290,19 +270,17 @@ class TestRunSweep:
         # A point is degraded when any of its chains ended in a TaskFailure:
         # it comes back without the lost cell and stays out of the store,
         # while the clean point is cached as usual.
-        run_chains = sweep.run_chains
+        run_chains = shard.run_chains
         axes = [SweepAxis("scale", (0.001, 0.002))]
-        run = dict(
-            benchmarks=BENCHES, modes=(ProtectionMode.CI,), num_accesses=ACCESSES,
-            jobs=1, store=ResultStore(tmp_path / "cache"),
-        )
-        monkeypatch.setattr(sweep, "run_chains", _losing_the_last_chain(run_chains))
-        degraded = run_sweep(axes, **run)
+        plan = _plan(modes=(ProtectionMode.CI,))
+        run = dict(jobs=1, store=ResultStore(tmp_path / "cache"))
+        monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
+        degraded = run_sweep(axes, plan, **run)
         assert ProtectionMode.CI in degraded.suites[0]["bsw"]
         assert degraded.suites[1] == {"bsw": {}}
 
-        monkeypatch.setattr(sweep, "run_chains", run_chains)
-        rerun = run_sweep(axes, **run)
+        monkeypatch.setattr(shard, "run_chains", run_chains)
+        rerun = run_sweep(axes, plan, **run)
         assert rerun.served_from_store == [True, False]
         assert ProtectionMode.CI in rerun.suites[1]["bsw"]
 
@@ -311,22 +289,19 @@ class TestRunSweep:
         # simulates.  When its chain is lost, the twin carries the same
         # TaskFailure gap: nothing was stored, so neither point counts as
         # served and a rerun simulates the key again.
-        run_chains = sweep.run_chains
+        run_chains = shard.run_chains
         store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("shard_size", (300, 1000))]
-        run = dict(
-            benchmarks=BENCHES, modes=(ProtectionMode.CI,), num_accesses=ACCESSES,
-            jobs=1, store=store,
-        )
-        monkeypatch.setattr(sweep, "run_chains", _losing_the_last_chain(run_chains))
-        degraded = run_sweep(axes, **run)
+        plan = _plan(modes=(ProtectionMode.CI,))
+        monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
+        degraded = run_sweep(axes, plan, jobs=1, store=store)
         assert degraded.suites == [{"bsw": {}}, {"bsw": {}}]
         assert degraded.served_from_store == [False, False]
         assert degraded.simulated_points == 2
         assert store.query(kind="suite") == []
 
-        monkeypatch.setattr(sweep, "run_chains", run_chains)
-        rerun = run_sweep(axes, **run)
+        monkeypatch.setattr(shard, "run_chains", run_chains)
+        rerun = run_sweep(axes, plan, jobs=1, store=store)
         assert rerun.served_from_store == [False, True]
         assert rerun.suites[1] is rerun.suites[0]
         assert ProtectionMode.CI in rerun.suites[1]["bsw"]
