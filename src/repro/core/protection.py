@@ -28,7 +28,6 @@ from typing import Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
-from repro.core.trip import TripFormat
 from repro.core.version_cache import StealthVersionCache
 from repro.core.versions import FullVersion
 from repro.cache.mac_cache import MacCache
@@ -218,7 +217,7 @@ class MemoryProtectionEngine:
             # Scalable SGX / TME: AES-XTS with an address-only tweak (no nonce).
             return 0
         assert self.toleo is not None
-        fmt = self._page_format(addr.page)
+        fmt = self.toleo.table.format_of(addr.page)
         cache_access = self.stealth_cache.access(addr.page, fmt, is_write=True)
         if cache_access.hit:
             self.stats.stealth_cache_hits += 1
@@ -237,7 +236,7 @@ class MemoryProtectionEngine:
         if not self.level.has_freshness:
             return 0
         assert self.toleo is not None
-        fmt = self._page_format(addr.page)
+        fmt = self.toleo.table.format_of(addr.page)
         cache_access = self.stealth_cache.access(addr.page, fmt, is_write=False)
         if cache_access.hit:
             self.stats.stealth_cache_hits += 1
@@ -248,12 +247,6 @@ class MemoryProtectionEngine:
         uv = self.memory.upper_version(addr.page)
         assert response.stealth is not None
         return FullVersion(upper=uv, stealth=response.stealth).value
-
-    def _page_format(self, page: int) -> TripFormat:
-        assert self.toleo is not None
-        if page in self.toleo.table:
-            return self.toleo.table.format_of(page)
-        return TripFormat.FLAT
 
     # ------------------------------------------------------------------
     # Stealth-reset handling (UV_UPDATE)

@@ -124,6 +124,12 @@ class ToleoDevice:
         If True (default), dynamic-entry allocation failures raise
         :class:`ToleoCapacityError`; if False the update proceeds but is
         counted in ``stats.rejected_updates`` (useful for space studies).
+
+    Space accounting is O(1) per request: the device's byte and format
+    aggregates (``dynamic_bytes_used``, ``usage_breakdown``,
+    ``snapshot_usage`` and the peak in ``stats``) read the running totals
+    that :class:`TripPageTable` keeps incrementally, so no request re-scans
+    the tracked pages.
     """
 
     #: Bytes of a stealth-version transfer on the CXL IDE link.  Versions are
@@ -172,9 +178,8 @@ class ToleoDevice:
     def update(self, page: int, block: int) -> ToleoResponse:
         """UPDATE: increment and return a block's stealth version."""
         self.stats.updates += 1
-        before = self.table.format_of(page) if page in self.table else TripFormat.FLAT
         outcome = self.table.update(page, block)
-        self._enforce_capacity(page, before, outcome)
+        self._enforce_capacity(page, outcome)
         self._record_dynamic_usage()
         if outcome.reset:
             self.stats.uv_updates += 1
@@ -191,9 +196,7 @@ class ToleoDevice:
 
     # -- capacity management --------------------------------------------------
 
-    def _enforce_capacity(
-        self, page: int, before: TripFormat, outcome: UpdateOutcome
-    ) -> None:
+    def _enforce_capacity(self, page: int, outcome: UpdateOutcome) -> None:
         if outcome.upgraded_to is None:
             return
         if self.dynamic_bytes_used() <= self.config.dynamic_region_bytes:

@@ -333,6 +333,12 @@ class TripPageTable:
     array is statically mapped, so "creation" only means the simulator starts
     tracking the page).  The table exposes the aggregate statistics used by
     the space-overhead experiments (Figures 10-12, Table 4).
+
+    Those aggregates are kept incrementally: a running page count per format
+    and a running dynamic-byte total, moved by a page's format and size change
+    at the only three places a page changes (its creation, :meth:`update` and
+    :meth:`reset_page`).  Pages therefore mutate only through the table, and
+    every aggregate is an O(1) read however many pages are tracked.
     """
 
     def __init__(
@@ -343,17 +349,27 @@ class TripPageTable:
         self.policy = policy if policy is not None else StealthVersionPolicy()
         self.blocks_per_page = blocks_per_page
         self._pages: Dict[int, TripPage] = {}
+        self._format_counts: Dict[TripFormat, int] = {fmt: 0 for fmt in TripFormat}
+        self._dynamic_bytes = 0
         self.stats = TripStats()
 
     # -- page access -------------------------------------------------------
 
-    def page(self, page_number: int) -> TripPage:
+    def _page(self, page_number: int) -> TripPage:
         """Return (creating if needed) the Trip state for a page."""
         state = self._pages.get(page_number)
         if state is None:
             state = TripPage(self.policy, self.blocks_per_page)
             self._pages[page_number] = state
+            self._format_counts[state.format] += 1
         return state
+
+    def _moved(self, page: TripPage, before: TripFormat, before_bytes: int) -> None:
+        """Move the running totals by one page's format and size change."""
+        if page.format is not before:
+            self._format_counts[before] -= 1
+            self._format_counts[page.format] += 1
+        self._dynamic_bytes += page.size_bytes - before_bytes
 
     def __contains__(self, page_number: int) -> bool:
         return page_number in self._pages
@@ -369,12 +385,15 @@ class TripPageTable:
     def read(self, page_number: int, block: int) -> int:
         """READ request: return a block's stealth version."""
         self.stats.reads += 1
-        return self.page(page_number).stealth_version(block)
+        return self._page(page_number).stealth_version(block)
 
     def update(self, page_number: int, block: int) -> UpdateOutcome:
         """UPDATE request: increment a block's stealth version."""
         self.stats.updates += 1
-        outcome = self.page(page_number).update(block)
+        page = self._page(page_number)
+        before, before_bytes = page.format, page.size_bytes
+        outcome = page.update(block)
+        self._moved(page, before, before_bytes)
         if outcome.reset:
             self.stats.resets += 1
         if outcome.upgraded_to is TripFormat.UNEVEN:
@@ -387,28 +406,27 @@ class TripPageTable:
 
     def reset_page(self, page_number: int) -> None:
         """RESET request: downgrade a page to flat (page free / remap)."""
-        if page_number in self._pages:
-            self._pages[page_number].downgrade()
+        page = self._pages.get(page_number)
+        if page is not None:
+            before, before_bytes = page.format, page.size_bytes
+            page.downgrade()
+            self._moved(page, before, before_bytes)
             self.stats.downgrades += 1
 
     # -- space accounting ------------------------------------------------------
 
     def format_of(self, page_number: int) -> TripFormat:
-        return self.page(page_number).format
+        """A page's current format; an untracked page is flat (and stays untracked)."""
+        page = self._pages.get(page_number)
+        return TripFormat.FLAT if page is None else page.format
 
     def format_counts(self) -> Dict[TripFormat, int]:
         """Number of tracked pages in each Trip format (Figure 10)."""
-        counts = {fmt: 0 for fmt in TripFormat}
-        for page in self._pages.values():
-            counts[page.format] += 1
-        return counts
+        return dict(self._format_counts)
 
     def dynamic_bytes(self) -> int:
         """Bytes of dynamically allocated uneven/full entries (Figure 12)."""
-        total = 0
-        for page in self._pages.values():
-            total += page.size_bytes - page.flat.size_bytes
-        return total
+        return self._dynamic_bytes
 
     def flat_bytes(self) -> int:
         """Bytes of statically mapped flat entries for the tracked pages."""

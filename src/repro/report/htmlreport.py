@@ -112,43 +112,124 @@ def _stage_breakdown(data: Mapping[str, Any]) -> str:
     return " + ".join(f"{name} {stages[name]}s" for name in known + extra)
 
 
+def _pass_rows(record: Mapping[str, Any]) -> List[str]:
+    """Rows of a pass record: one per undistilled/distilled/vectorized replay pass."""
+    name = escape(str(record.get("_file", "?")))
+    # Each variant's speedup is relative to the record's undistilled run.
+    variant_speedups = {
+        "distilled": record.get("speedup", ""),
+        "vectorized": record.get("vectorized_speedup", ""),
+    }
+    rows: List[str] = []
+    for variant in ("undistilled", "distilled", "vectorized"):
+        data = record.get(variant)
+        if not isinstance(data, Mapping):
+            continue
+        rate = data.get("accesses_per_second", 0)
+        rate_text = f"{rate:,}" if isinstance(rate, (int, float)) else str(rate)
+        speedup = variant_speedups.get(variant, "")
+        speedup_text = f"{speedup}x" if speedup else ""
+        rows.append(
+            "<tr>"
+            f"<td>{name}</td>"
+            f"<td>{escape(variant)}</td>"
+            f"<td>{escape(str(data.get('seconds', '')))}</td>"
+            f"<td>{escape(_stage_breakdown(data))}</td>"
+            f"<td>{escape(rate_text)}</td>"
+            f"<td>{escape(speedup_text)}</td>"
+            "</tr>"
+        )
+    return rows
+
+
+def _side(value: Any) -> tuple:
+    """(median, cell text) of one side of a paired metric.
+
+    A side is either a bare number (a single traced run) or a
+    ``{"median", "q1", "q3"}`` summary of the paired runs; anything else
+    renders an empty cell.
+    """
+    if isinstance(value, (int, float)):
+        return value, f"{value:.4g}"
+    if isinstance(value, Mapping) and all(
+        isinstance(value.get(key), (int, float)) for key in ("median", "q1", "q3")
+    ):
+        median = value["median"]
+        return median, f"{median:.4g} [{value['q1']:.4g}, {value['q3']:.4g}]"
+    return None, ""
+
+
+def _paired_rows(record: Mapping[str, Any]) -> List[str]:
+    """Rows of a paired record (``bench/run.py`` parent vs change runs).
+
+    One row per workload x metric of its ``pairs`` section, then of its
+    ``traced`` section, in file order.
+    """
+    name = escape(str(record.get("_file", "?")))
+    rows: List[str] = []
+    for section in ("pairs", "traced"):
+        workloads = record.get(section)
+        if not isinstance(workloads, Mapping):
+            continue
+        for workload, metrics in workloads.items():
+            if not isinstance(metrics, Mapping):
+                continue
+            label = workload if section == "pairs" else f"{workload} (traced)"
+            for metric, cell in metrics.items():
+                if not isinstance(cell, Mapping):
+                    continue
+                parent, parent_text = _side(cell.get("parent"))
+                change, change_text = _side(cell.get("change"))
+                delta = (
+                    f"{(change - parent) / parent * 100:+.1f}%"
+                    if parent and change is not None
+                    else ""
+                )
+                wins = (
+                    f"{cell['wins']}/{cell['n']}" if "wins" in cell and "n" in cell else ""
+                )
+                unit = cell.get("unit")
+                metric_text = f"{metric} ({unit})" if unit else str(metric)
+                rows.append(
+                    "<tr>"
+                    f"<td>{name}</td>"
+                    f"<td>{escape(str(label))}</td>"
+                    f"<td>{escape(metric_text)}</td>"
+                    f"<td>{escape(parent_text)}</td>"
+                    f"<td>{escape(change_text)}</td>"
+                    f"<td>{escape(delta)}</td>"
+                    f"<td>{escape(wins)}</td>"
+                    "</tr>"
+                )
+    return rows
+
+
 def _bench_section(records: Sequence[Mapping[str, Any]]) -> str:
     if not records:
         return (
             "<p>No committed <code>BENCH_*.json</code> records found next to "
             "the working directory.</p>"
         )
-    header = (
+    pass_header = (
         "<tr><th>record</th><th>configuration</th><th>wall&nbsp;time&nbsp;(s)</th>"
         "<th>stage&nbsp;breakdown</th><th>accesses/s</th><th>speedup</th></tr>"
     )
-    rows: List[str] = []
-    for record in records:
-        name = escape(str(record.get("_file", "?")))
-        # Each variant's speedup is relative to the record's undistilled run.
-        variant_speedups = {
-            "distilled": record.get("speedup", ""),
-            "vectorized": record.get("vectorized_speedup", ""),
-        }
-        for variant in ("undistilled", "distilled", "vectorized"):
-            data = record.get(variant)
-            if not isinstance(data, Mapping):
-                continue
-            rate = data.get("accesses_per_second", 0)
-            rate_text = f"{rate:,}" if isinstance(rate, (int, float)) else str(rate)
-            speedup = variant_speedups.get(variant, "")
-            speedup_text = f"{speedup}x" if speedup else ""
-            rows.append(
-                "<tr>"
-                f"<td>{name}</td>"
-                f"<td>{escape(variant)}</td>"
-                f"<td>{escape(str(data.get('seconds', '')))}</td>"
-                f"<td>{escape(_stage_breakdown(data))}</td>"
-                f"<td>{escape(rate_text)}</td>"
-                f"<td>{escape(speedup_text)}</td>"
-                "</tr>"
-            )
-    return f'<table class="bench">\n{header}\n' + "\n".join(rows) + "\n</table>"
+    paired_header = (
+        "<tr><th>record</th><th>workload</th><th>metric</th>"
+        "<th>parent&nbsp;median&nbsp;[q1,&nbsp;q3]</th>"
+        "<th>change&nbsp;median&nbsp;[q1,&nbsp;q3]</th><th>&Delta;</th>"
+        "<th>change&nbsp;wins</th></tr>"
+    )
+    pass_rows = [row for record in records for row in _pass_rows(record)]
+    paired_rows = [row for record in records for row in _paired_rows(record)]
+    tables = [
+        f'<table class="bench">\n{header}\n' + "\n".join(rows) + "\n</table>"
+        for header, rows in ((pass_header, pass_rows), (paired_header, paired_rows))
+        if rows
+    ]
+    if not tables:
+        return "<p>No committed <code>BENCH_*.json</code> record has rows to show.</p>"
+    return "\n".join(tables)
 
 
 def _stamp_details(stamp: ProvenanceStamp) -> str:
@@ -227,8 +308,9 @@ def build_index_html(
         + "\n</ul></nav>\n"
         + "\n".join(sections)
         + "\n<h2 id=\"perf-trajectory\">Performance trajectory</h2>\n"
-        "<p>Measured end-to-end replay throughput across the committed "
-        "<code>BENCH_*.json</code> records (one per performance PR).</p>\n"
+        "<p>Measured host time across the committed <code>BENCH_*.json</code> "
+        "records (one per performance PR): replay throughput per pass, then "
+        "paired parent/change runs of <code>bench/run.py</code>.</p>\n"
         + _bench_section(bench_records)
         + "\n</main>\n</body>\n</html>\n"
     )

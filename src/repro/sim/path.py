@@ -41,7 +41,6 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.mac_cache import MacCache
 from repro.core.config import CACHE_BLOCK_BYTES, PAGE_BYTES, SystemConfig
 from repro.core.toleo import ToleoDevice
-from repro.core.trip import TripFormat
 from repro.core.version_cache import StealthVersionCache
 from repro.crypto.rng import DRangeRng
 from repro.memory.address import block_index_in_page, page_number
@@ -180,10 +179,6 @@ class StealthFreshnessComponent(PathComponent):
         self.access_period = self.sample_every
         self.timeline: List[Dict[str, int]] = []
 
-    def _format_of(self, page: int) -> TripFormat:
-        table = self.toleo.table
-        return table.format_of(page) if page in table else TripFormat.FLAT
-
     def on_access(self, ctx: AccessContext) -> None:
         if ctx.index % self.sample_every == 0:
             self.timeline.append(self.toleo.snapshot_usage())
@@ -191,7 +186,7 @@ class StealthFreshnessComponent(PathComponent):
     def on_read_miss(self, ctx: AccessContext) -> None:
         page = page_number(ctx.address)
         block = block_index_in_page(ctx.address)
-        fmt = self._format_of(page)
+        fmt = self.toleo.table.format_of(page)
         cache_access = self.stealth_cache.access(page, fmt, is_write=False)
         if not cache_access.hit:
             response = self.toleo.read(page, block)
@@ -201,7 +196,7 @@ class StealthFreshnessComponent(PathComponent):
     def on_writeback(self, ctx: AccessContext) -> None:
         page = page_number(ctx.address)
         block = block_index_in_page(ctx.address)
-        fmt = self._format_of(page)
+        fmt = self.toleo.table.format_of(page)
         cache_access = self.stealth_cache.access(page, fmt, is_write=True)
         response = self.toleo.update(page, block)
         if not cache_access.hit:

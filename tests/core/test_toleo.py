@@ -1,8 +1,11 @@
 """Tests for the Toleo smart-memory device model."""
 
-import pytest
+import dataclasses
 
-from repro.core.config import BLOCKS_PER_PAGE, ToleoConfig, GIB, MIB
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.config import BLOCKS_PER_PAGE, UNEVEN_MAX_STRIDE, ToleoConfig, GIB, MIB
 from repro.core.toleo import (
     ToleoCapacityError,
     ToleoDevice,
@@ -11,6 +14,16 @@ from repro.core.toleo import (
 )
 from repro.core.trip import TripFormat
 from repro.crypto.rng import DRangeRng
+
+
+def _tiny_device(strict=True, reset_probability=None, pages=64):
+    # A device provisioned for a very small protected footprint so the
+    # dynamic region is only a few entries: 17 uneven ones at 64 pages,
+    # four uneven or one full one at 16.
+    config = ToleoConfig().scaled(pages * 4096)
+    if reset_probability is not None:
+        config = dataclasses.replace(config, reset_probability=reset_probability)
+    return ToleoDevice(config=config, rng=DRangeRng(seed=1), strict_capacity=strict)
 
 
 class TestRequestValidation:
@@ -132,14 +145,8 @@ class TestSpaceAccounting:
 
 
 class TestCapacityEnforcement:
-    def _tiny_device(self, strict=True):
-        # A device provisioned for a very small protected footprint so the
-        # dynamic region is only a few entries.
-        config = ToleoConfig().scaled(64 * 4096)  # 64 pages protected
-        return ToleoDevice(config=config, rng=DRangeRng(seed=1), strict_capacity=strict)
-
     def test_strict_capacity_raises_when_exhausted(self):
-        device = self._tiny_device(strict=True)
+        device = _tiny_device(strict=True)
         with pytest.raises(ToleoCapacityError):
             # Force many pages to upgrade to uneven entries.
             for page in range(100):
@@ -147,14 +154,14 @@ class TestCapacityEnforcement:
                 device.update(page, 0)
 
     def test_non_strict_capacity_counts_rejections(self):
-        device = self._tiny_device(strict=False)
+        device = _tiny_device(strict=False)
         for page in range(100):
             device.update(page, 0)
             device.update(page, 0)
         assert device.stats.rejected_updates > 0
 
     def test_downgrades_free_space_for_new_upgrades(self):
-        device = self._tiny_device(strict=True)
+        device = _tiny_device(strict=True)
         upgraded = []
         try:
             for page in range(100):
@@ -170,3 +177,138 @@ class TestCapacityEnforcement:
         device.update(10_000, 0)
         device.update(10_000, 0)
         assert device.table.format_of(10_000) is TripFormat.UNEVEN
+
+
+def _recount(table):
+    """Format counts and dynamic bytes summed page by page (the O(pages) way)."""
+    counts = {fmt: 0 for fmt in TripFormat}
+    dynamic = 0
+    for number in table.pages():
+        page = table._page(number)
+        counts[page.format] += 1
+        dynamic += page.size_bytes - page.flat.size_bytes
+    return counts, dynamic
+
+
+#: Requests over a small page range; an update step repeats on one block, so
+#: pages climb the whole flat -> uneven -> full ladder within a few steps.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("read", "update", "reset")),
+        st.integers(0, 15),
+        st.integers(0, BLOCKS_PER_PAGE - 1),
+        st.sampled_from((1, 2, 130)),
+    ),
+    max_size=40,
+)
+
+
+class TestRunningTotals:
+    """The table's O(1) aggregates equal a page-by-page recount after every
+    request, through stealth resets and strict-capacity rollbacks."""
+
+    @staticmethod
+    def _device(tiny, reset_probability):
+        if tiny:
+            return _tiny_device(strict=True, reset_probability=reset_probability, pages=16)
+        config = ToleoConfig(reset_probability=reset_probability)
+        return ToleoDevice(config=config, rng=DRangeRng(seed=11))
+
+    @staticmethod
+    def _check(device, peak):
+        table = device.table
+        counts, dynamic = _recount(table)
+        assert table.format_counts() == counts
+        assert table.dynamic_bytes() == dynamic
+        assert sum(counts.values()) == len(table)
+        breakdown = device.usage_breakdown()
+        assert breakdown["uneven"] + breakdown["full"] == device.dynamic_bytes_used()
+        assert device.stats.peak_dynamic_bytes == peak
+
+    @pytest.mark.parametrize("reset_probability", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("tiny", [False, True], ids=["default", "tiny-strict"])
+    @given(steps=_STEPS)
+    @settings(max_examples=25, deadline=None)
+    def test_aggregates_match_recount(self, tiny, reset_probability, steps):
+        device = self._device(tiny, reset_probability)
+        peak = 0
+        for op, page, block, repeat in steps:
+            for _ in range(repeat if op == "update" else 1):
+                try:
+                    if op == "read":
+                        device.read(page, block)
+                    elif op == "update":
+                        device.update(page, block)
+                    else:
+                        device.reset(page)
+                except ToleoCapacityError:
+                    pass  # the device rolled the page back; keep going
+                peak = max(peak, device.dynamic_bytes_used())
+                self._check(device, peak)
+
+    def test_rollbacks_keep_totals(self):
+        device = _tiny_device(strict=True)
+        rollbacks = 0
+        peak = 0
+        for page in range(40):
+            for _ in range(2):
+                try:
+                    device.update(page, 0)
+                except ToleoCapacityError:
+                    rollbacks += 1
+                peak = max(peak, device.dynamic_bytes_used())
+                self._check(device, peak)
+        assert rollbacks > 0
+        assert device.dynamic_bytes_used() <= device.config.dynamic_region_bytes
+
+    def test_format_of_untracked_page_does_not_track_it(self, toleo_device):
+        toleo_device.read(1, 0)
+        assert toleo_device.table.format_of(99) is TripFormat.FLAT
+        assert len(toleo_device.table) == 1
+        assert 99 not in toleo_device.table
+
+
+class _NoScanDict(dict):
+    """A page dict that fails any whole-table iteration."""
+
+    def _scan(self, *args):
+        raise AssertionError("the Trip page table was scanned")
+
+    values = items = keys = __iter__ = _scan
+
+
+class TestNoScan:
+    """Requests and usage reads touch only the pages they name.
+
+    Deterministic stand-in for a timing test: the table's page dict is
+    swapped for one whose iteration methods raise.
+    """
+
+    def test_requests_and_usage_reads_never_iterate_the_pages(self):
+        device = ToleoDevice(rng=DRangeRng(seed=3))
+        for page in range(64):
+            device.update(page, 0)
+        device.table._pages = _NoScanDict(device.table._pages)
+        device.update(1, 0)  # flat -> uneven
+        for _ in range(UNEVEN_MAX_STRIDE + 2):
+            device.update(2, 5)  # -> full
+        device.update(500, 3)  # a new page
+        device.read(501, 0)  # another new page
+        device.reset(1)
+        device.snapshot_usage()
+        table = device.table
+        assert table.format_of(2) is TripFormat.FULL
+        assert table.format_of(1) is TripFormat.FLAT
+        assert device.usage_breakdown()["full"] == device.dynamic_bytes_used() > 0
+        assert table.format_counts()[TripFormat.FLAT] == len(table) - 1 == 65
+        assert table.total_bytes() == table.flat_bytes() + table.dynamic_bytes()
+        assert table.average_entry_bytes() == table.total_bytes() / len(table)
+
+    def test_capacity_rollback_never_iterates_the_pages(self):
+        device = _tiny_device(strict=True)
+        device.table._pages = _NoScanDict()
+        with pytest.raises(ToleoCapacityError):
+            for page in range(100):
+                device.update(page, 0)
+                device.update(page, 0)
+        assert device.stats.rejected_updates == 1
