@@ -231,39 +231,6 @@ class ModeParameters:
     def is_invisimem(self) -> bool:
         return self.invisimem is not None
 
-    # -- vectorized-replay capability flags ---------------------------------
-    # Read by repro.sim.replaycore to decide batch-vs-scalar per component
-    # (and by the docs/tests describing which modes take which path).  The
-    # authoritative per-component gate is replaycore's type registry; these
-    # flags describe the stack build_components() produces for the mode.
-
-    @property
-    def scalar_replay_components(self) -> Tuple[str, ...]:
-        """Component families the vectorized replay must run scalar.
-
-        These are the stateful parts of the stack -- each access's cost
-        depends on simulator state the previous accesses mutated -- so the
-        batch kernels cannot lift them out of the per-event loop.
-        """
-        kinds = []
-        if self.stealth_traffic:
-            kinds.append("stealth-freshness")
-        if self.counter_tree is not None:
-            kinds.append("counter-tree")
-        if self.epc_paging is not None:
-            kinds.append("epc-paging")
-        return tuple(kinds)
-
-    @property
-    def batch_replay_safe(self) -> bool:
-        """Whether the mode's whole stack is constant-cost per event.
-
-        True means every component the mode builds has a numpy batch kernel
-        and no ``access_period`` sampler, so the vectorized replay runs no
-        scalar residual loop at all.
-        """
-        return not self.scalar_replay_components
-
     @property
     def mode(self) -> ModeLike:
         """Deprecated: the matching :class:`ProtectionMode` member for seed

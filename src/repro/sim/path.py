@@ -227,6 +227,9 @@ class CounterTreeComponent(PathComponent):
     depth, i.e. with the protected footprint.  This is the scaling behaviour
     the paper's introduction argues makes tree-based freshness untenable at
     rack scale, now observable in simulation against Toleo's flat cost.
+    The vectorized replay reads each walk's fetched-level count from a
+    :class:`~repro.sim.replaycore.TreeTier` instead; :meth:`_walk` is the
+    oracle that tier is pinned against, and the loop for scalar replays.
     """
 
     def __init__(
@@ -287,6 +290,8 @@ class EpcPagingComponent(PathComponent):
     fault penalty on the read critical path, charged to the freshness
     component since EPC eviction/reload is where Client SGX's version
     machinery does its work -- and a dirty eviction pages 4 KB back out.
+    The vectorized replay reads faults and dirty evictions from an
+    :class:`~repro.sim.replaycore.EpcTier`, pinned against :meth:`_touch`.
     """
 
     def __init__(self, spec: EpcPagingSpec, footprint_bytes: int) -> None:

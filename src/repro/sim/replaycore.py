@@ -2,21 +2,30 @@
 
 PR 5 reduced per-mode work to a scalar Python loop over the distilled
 :class:`~repro.sim.distill.MissEventStream`.  This module removes the loop
-for the constant-cost parts of the protection path:
+for every protection component whose per-event cost is a function of the
+event columns plus a *verdict* that depends only on the event sequence:
 
 * :class:`BatchReplayEngine` replays a window of events with numpy kernels
-  for the components whose per-event cost depends only on the event columns
-  (encryption latency, MAC fetches, InvisiMem packet inflation, the engine's
-  own rack data fetch and device tallies), and runs only the *residual*
-  stateful components (counter tree, EPC paging, Toleo stealth freshness,
-  ``access_period`` samplers) through the original scalar hook loop.
+  for the engine's own rack data fetch and device tallies, encryption
+  latency, MAC fetches, counter-tree walks, EPC paging and InvisiMem packet
+  inflation, and runs only the *residual* components -- Toleo's stealth
+  freshness, whose RNG-driven Trip format changes make it truly stateful,
+  and third-party components declared scalar-safe -- through the original
+  per-event hook loop, along with ``access_period`` samplers.
 
-* :func:`distilled_mac_tier` is a second distillation tier keyed per *mode
-  family*: the MAC cache's hit/miss verdict for every event depends only on
-  the event sequence and the MAC-cache geometry -- not on the mode's
-  ``fetch_bytes`` -- so it is simulated once per ``(events_key, mac
-  geometry)`` into the :class:`~repro.sim.store.ResultStore` and shared by
-  every MAC-bearing mode (CI, Toleo, CIF-Tree, Client-SGX, InvisiMem, ...).
+* A **verdict tier** (:class:`VerdictTier`) is a second distillation tier:
+  the per-event verdict columns of one stateful component, computed once per
+  ``(events, component geometry)`` into a content-keyed
+  :class:`~repro.sim.store.ResultStore` entry.  Three families ship: the MAC
+  cache's hit/miss per lookup (:class:`MacTier`, shared by every
+  MAC-bearing mode because ``fetch_bytes`` is not part of the verdict), the
+  number of levels each counter-tree walk fetched (:class:`TreeTier`), and
+  the EPC's page faults and dirty evictions (:class:`EpcTier`).  Each is
+  computed by a stateful :class:`TierSimulator` whose :meth:`advance` carries
+  its cache state across windows, like
+  :meth:`~repro.sim.distill.HierarchyDistiller.advance`; the one-shot tier
+  is ``advance`` over the whole stream.  The kernels rebuild node addresses,
+  device classes and byte counts from the verdicts alone.
 
 The contract is the repo's differential discipline: the vectorized replay is
 **bit-identical** to :meth:`SimulationEngine.replay_events` (which is itself
@@ -24,16 +33,26 @@ bit-identical to the full serial replay) for every registered mode and every
 shard width.  Floats make that non-trivial: ``np.sum`` uses pairwise
 summation, which is a *different* fold than the scalar ``+=`` loop, so every
 float accumulator is advanced with :func:`_sequential_sum` -- a seeded
-``np.add.accumulate`` scan, the same left fold the loop performs.
+``np.add.accumulate`` scan, the same left fold the loop performs.  A latency
+accumulator may have several writers (``freshness_ns`` has two in
+Client-SGX and in Toleo+Tree), so writers never add to it directly: each
+contributes its addends as columns tagged with their event and phase, and
+the window folds every accumulator **once**, with the addends sorted by
+(event, phase, stack order) -- the order the scalar loop adds them in.  The
+residual loop's addends to a batch-written accumulator are captured exactly
+(see :func:`_capturing`) and join the same fold.
 
 Windowed replay composes: seeding each window's scan with the running
 accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
 match too.  One caveat: the vectorized path never touches the components'
-own cache objects (the MAC tier stands in for the MAC-cache lookups), so a
-checkpoint produced by a vectorized window can only be resumed vectorized.
-A scalar window *can* be resumed vectorized -- the tier's simulator state at
-any event position equals the real cache's.  Drivers use one strategy per
-chain, so this never arises in practice.
+own cache objects (the tiers stand in for the MAC-cache, tree-cache and EPC
+lookups), so a checkpoint produced by a vectorized window can only be
+resumed vectorized.  A scalar window *can* be resumed vectorized -- a tier's
+simulator state at any event position equals the real component's.  Drivers
+use one strategy per chain, so this never arises in practice.  The scalar
+hooks (``CounterTreeComponent._walk``, ``EpcPagingComponent._touch``, ...)
+stay the oracle the tiers are pinned against, and the loop for windowed
+event slices and numpy-free installs.
 
 Everything degrades gracefully: without numpy (:data:`HAVE_NUMPY` False) or
 with an unknown component type in the stack, :func:`vectorizable` returns
@@ -46,13 +65,31 @@ from __future__ import annotations
 
 import base64
 import heapq
+import sys
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
+from itertools import count
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
-from repro.core.config import CACHE_BLOCK_BYTES, MACS_PER_BLOCK, SystemConfig
+from repro.core.config import CACHE_BLOCK_BYTES, MACS_PER_BLOCK, PAGE_BYTES, SystemConfig
 from repro.sim.distill import WB_NONE, MissEventStream, events_key
+from repro.sim.engine import EngineOptions
 from repro.sim.path import (
+    TREE_LEVEL_STRIDE,
+    TREE_METADATA_BASE,
     CounterTreeComponent,
     EncryptionComponent,
     EpcPagingComponent,
@@ -60,10 +97,13 @@ from repro.sim.path import (
     MacIntegrityComponent,
     PathComponent,
     StealthFreshnessComponent,
+    build_components,
 )
+from repro.sim.results import LatencyBreakdown
 from repro.sim.store import ResultStore, content_key, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.configs import ModeParameters
     from repro.sim.engine import EngineState, SimulationEngine
     from repro.sim.path import AccessContext
 
@@ -100,11 +140,98 @@ def _sequential_sum(initial: float, values: "np.ndarray") -> float:
 
 
 # ---------------------------------------------------------------------------
-# MAC-tier distillation (per mode family)
+# Verdict tiers: per-event verdict columns of one stateful component
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MacTier:
+
+class VerdictTier:
+    """The verdicts of one stateful component for every event of one stream.
+
+    A family names its columns: each ``DENSE`` column holds one ``uint8`` per
+    event, and the ``SPARSE`` columns are equal-length ``uint64`` arrays of
+    rare outcomes, keyed by the global access index of the event that
+    produced them.  ``geometry`` is the :class:`TierSimulator` geometry the
+    verdicts were computed under.  Tiers of abutting windows concatenate
+    (:meth:`concat`) to the tier of their union.
+    """
+
+    KIND: ClassVar[str] = ""
+    DENSE: ClassVar[Tuple[str, ...]] = ()
+    SPARSE: ClassVar[Tuple[str, ...]] = ()
+
+    def __init__(
+        self, num_events: int, geometry: Optional[Dict[str, int]] = None, **columns: Any
+    ) -> None:
+        self.num_events = num_events
+        self.geometry = dict(geometry or {})
+        for name in self.DENSE:
+            column = columns.pop(name, None)
+            setattr(self, name, bytearray(num_events) if column is None else column)
+        for name in self.SPARSE:
+            column = columns.pop(name, None)
+            setattr(self, name, array("Q") if column is None else column)
+        if columns:
+            raise TypeError(f"{type(self).__name__} has no columns {sorted(columns)}")
+
+    def validate(self) -> None:
+        dense = {name: len(getattr(self, name)) for name in self.DENSE}
+        if any(length != self.num_events for length in dense.values()):
+            raise ValueError(
+                f"tier arrays disagree with num_events={self.num_events}: {dense}"
+            )
+        if len({len(getattr(self, name)) for name in self.SPARSE}) > 1:
+            raise ValueError(f"sparse columns of {type(self).__name__} disagree on length")
+
+    def view(self, name: str) -> "np.ndarray":
+        """Read-only zero-copy numpy view of one column."""
+        dtype = np.uint8 if name in self.DENSE else np.uint64
+        column = np.frombuffer(getattr(self, name), dtype=dtype)
+        column.flags.writeable = False
+        return column
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.to_payload() == other.to_payload()
+
+    @classmethod
+    def concat(cls, tiers: Sequence["VerdictTier"]) -> "VerdictTier":
+        """The tier of the union of abutting windows, in window order."""
+        if not tiers:
+            raise ValueError("cannot concatenate zero tiers")
+        if any(tier.geometry != tiers[0].geometry for tier in tiers):
+            raise ValueError("cannot concatenate tiers of different geometries")
+        merged = cls(0, tiers[0].geometry)
+        for tier in tiers:
+            merged.num_events += tier.num_events
+            for name in cls.DENSE + cls.SPARSE:
+                getattr(merged, name).extend(getattr(tier, name))
+        return merged
+
+    def to_payload(self) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"num_events": self.num_events, "geometry": self.geometry}
+        if self.SPARSE:
+            payload["byteorder"] = sys.byteorder
+        for name in self.DENSE + self.SPARSE:
+            payload[name] = base64.b64encode(bytes(getattr(self, name))).decode("ascii")
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "VerdictTier":
+        if cls.SPARSE and payload.get("byteorder") != sys.byteorder:
+            raise ValueError("tier was packed on a different byte order")
+        columns: Dict[str, Any] = {
+            name: bytearray(base64.b64decode(payload[name])) for name in cls.DENSE
+        }
+        for name in cls.SPARSE:
+            columns[name] = array("Q")
+            columns[name].frombytes(base64.b64decode(payload[name]))
+        tier = cls(int(payload["num_events"]), dict(payload["geometry"]), **columns)
+        tier.validate()
+        return tier
+
+
+class MacTier(VerdictTier):
     """The MAC cache's verdict for every event of one stream.
 
     ``read_hits[i]`` / ``wb_hits[i]`` are 1 when event ``i``'s read-path /
@@ -114,47 +241,307 @@ class MacTier:
     serves every mode in the same MAC configuration family.
     """
 
-    num_events: int
+    KIND = "mactier"
+    DENSE = ("read_hits", "wb_hits")
     read_hits: bytearray
     wb_hits: bytearray
-
-    def validate(self) -> None:
-        if len(self.read_hits) != self.num_events or len(self.wb_hits) != self.num_events:
-            raise ValueError(
-                f"tier arrays disagree with num_events={self.num_events}: "
-                f"{len(self.read_hits)} read flags, {len(self.wb_hits)} wb flags"
-            )
 
     @property
     def read_hits_view(self) -> "np.ndarray":
         """Read-only ``uint8`` view of the read-path hit flags."""
-        view = np.frombuffer(self.read_hits, dtype=np.uint8)
-        view.flags.writeable = False
-        return view
+        return self.view("read_hits")
 
     @property
     def wb_hits_view(self) -> "np.ndarray":
         """Read-only ``uint8`` view of the writeback-path hit flags."""
-        view = np.frombuffer(self.wb_hits, dtype=np.uint8)
-        view.flags.writeable = False
-        return view
+        return self.view("wb_hits")
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "num_events": self.num_events,
-            "read_hits": base64.b64encode(bytes(self.read_hits)).decode("ascii"),
-            "wb_hits": base64.b64encode(bytes(self.wb_hits)).decode("ascii"),
-        }
+
+class TreeTier(VerdictTier):
+    """How many counter-tree levels each walk fetched.
+
+    ``read_fetched[i]`` / ``wb_fetched[i]`` count the levels event ``i``'s
+    read-path / writeback-path walk missed in the tree cache, from the leaf
+    up; the walk stopped at the next level (a cached ancestor) or at the
+    root.  The fetched nodes' addresses follow from the event address and the
+    tree shape, so the count is the whole verdict.
+    """
+
+    KIND = "treetier"
+    DENSE = ("read_fetched", "wb_fetched")
+    read_fetched: bytearray
+    wb_fetched: bytearray
+
+
+class EpcTier(VerdictTier):
+    """Which touches faulted in the enclave page cache, and what they evicted.
+
+    ``read_faults[i]`` / ``wb_faults[i]`` are 1 when event ``i``'s read-path
+    / writeback-path touch paged in; ``evict_indices[k]`` is the access
+    index of the event whose fault evicted the dirty page
+    ``evict_pages[k]`` (clean evictions cost nothing and are not recorded).
+    """
+
+    KIND = "epctier"
+    DENSE = ("read_faults", "wb_faults")
+    SPARSE = ("evict_indices", "evict_pages")
+    read_faults: bytearray
+    wb_faults: bytearray
+    evict_indices: array
+    evict_pages: array
+
+
+class TierSimulator:
+    """Computes one tier family's verdicts, window by window.
+
+    Built from the family's ``geometry`` (its constructor keywords, which
+    are also the tier's store-key axis); :meth:`advance` consumes the next
+    abutting window of events and returns that window's tier, carrying the
+    simulated cache state across calls.  The loops replicate their
+    component's hooks exactly in the :class:`~repro.sim.distill.HierarchyDistiller`
+    idiom: flat per-set dicts, move-to-end on hit, evict the first key.
+    """
+
+    TIER: ClassVar[Type[VerdictTier]]
+
+    def __init__(self, **geometry: int) -> None:
+        self.geometry = geometry
+        self.position = 0
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MacTier":
-        tier = cls(
-            num_events=int(payload["num_events"]),
-            read_hits=bytearray(base64.b64decode(payload["read_hits"])),
-            wb_hits=bytearray(base64.b64decode(payload["wb_hits"])),
-        )
-        tier.validate()
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, int]:
+        """The geometry of ``component``'s verdicts (no simulator is built)."""
+        raise NotImplementedError
+
+    def advance(self, events: MissEventStream) -> VerdictTier:
+        if events.start_index != self.position:
+            raise ValueError(
+                f"{type(self).__name__} is at access {self.position}, "
+                f"cannot advance from {events.start_index}"
+            )
+        tier = self.TIER(len(events), self.geometry)
+        self._run(events, tier)
+        self.position = events.stop_index
         return tier
+
+    def _run(self, events: MissEventStream, tier: VerdictTier) -> None:
+        raise NotImplementedError
+
+
+class MacTierSimulator(TierSimulator):
+    """The MAC cache (:class:`~repro.cache.mac_cache.MacCache`) LRU.
+
+    Dirty bits are not tracked: dirtiness only feeds the ``dirty_evictions``
+    statistic, which no lookup verdict -- and no simulation result -- reads.
+    """
+
+    TIER = MacTier
+
+    def __init__(self, cache_bytes: int, cache_ways: int, line_bytes: int, macs_per_block: int):
+        super().__init__(
+            cache_bytes=cache_bytes,
+            cache_ways=cache_ways,
+            line_bytes=line_bytes,
+            macs_per_block=macs_per_block,
+        )
+        lines = max(1, cache_bytes // line_bytes)
+        self.ways = min(cache_ways, lines)
+        self.num_sets = max(1, lines // self.ways)
+        self.sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+        # MacCache.mac_block_address(a) = (a // line // MACS_PER_BLOCK) * line;
+        # SetAssociativeCache then re-divides by line, so the effective block
+        # index is a // line // MACS_PER_BLOCK.
+        self.divisor = line_bytes * macs_per_block
+
+    @classmethod
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, int]:
+        return mac_geometry_fields(config)
+
+    def _run(self, events: MissEventStream, tier: VerdictTier) -> None:
+        first, each = next, iter  # locals: no global lookup per eviction
+        sets, num_sets, ways, divisor = self.sets, self.num_sets, self.ways, self.divisor
+        read_hits, wb_hits = tier.read_hits, tier.wb_hits
+        for pos, (address, wb) in enumerate(zip(events.addresses, events.writeback_addresses)):
+            block = address // divisor
+            blocks = sets[block % num_sets]
+            if blocks.pop(block, False):
+                blocks[block] = True
+                read_hits[pos] = 1
+            else:
+                if len(blocks) >= ways:
+                    del blocks[first(each(blocks))]
+                blocks[block] = True
+            if wb != WB_NONE:
+                block = wb // divisor
+                blocks = sets[block % num_sets]
+                if blocks.pop(block, False):
+                    blocks[block] = True
+                    wb_hits[pos] = 1
+                else:
+                    if len(blocks) >= ways:
+                        del blocks[first(each(blocks))]
+                    blocks[block] = True
+
+
+class TreeTierSimulator(TierSimulator):
+    """The counter-tree walk through its metadata cache
+    (:meth:`CounterTreeComponent._walk`).
+
+    A walk looks its levels up from the leaf, inserting every level that
+    misses, and stops at the first hit.  As for the MAC cache, the dirty bit
+    only feeds eviction statistics no result reports.
+    """
+
+    TIER = TreeTier
+
+    def __init__(self, levels: int, arity: int, leaf_bytes: int, num_sets: int, ways: int):
+        if levels > 255:
+            raise ValueError(f"a {levels}-level tree does not fit the uint8 fetch counts")
+        super().__init__(
+            levels=levels, arity=arity, leaf_bytes=leaf_bytes, num_sets=num_sets, ways=ways
+        )
+        self.sets: List[Dict[int, bool]] = [dict() for _ in range(num_sets)]
+        # Node (level, index) lives at TREE_METADATA_BASE + level * STRIDE +
+        # index * CACHE_BLOCK_BYTES, so its cache block is level_blocks[level]
+        # + index.
+        self.level_blocks = [
+            (TREE_METADATA_BASE + level * TREE_LEVEL_STRIDE) // CACHE_BLOCK_BYTES
+            for level in range(levels)
+        ]
+
+    @classmethod
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, int]:
+        assert isinstance(component, CounterTreeComponent)
+        return {
+            "levels": component.levels,
+            "arity": component.tree.arity,
+            "leaf_bytes": component.tree.leaf.data_bytes_per_entry,
+            "num_sets": component.cache.num_sets,
+            "ways": component.cache.ways,
+        }
+
+    def _run(self, events: MissEventStream, tier: VerdictTier) -> None:
+        # Sets are keyed by block rather than tag (a bijection within one
+        # set), a hit is one pop (every value is True) plus the re-insert,
+        # and the leaf lookup -- the one every walk makes -- is peeled out of
+        # the level loop, so a walk that hits its leaf leaves its
+        # (zero-initialised) count alone.
+        first, each = next, iter  # locals: no global lookup per eviction
+        sets = self.sets
+        leaf_block, *upper_blocks = self.level_blocks
+        num_sets, ways = self.geometry["num_sets"], self.geometry["ways"]
+        arity, leaf_bytes = self.geometry["arity"], self.geometry["leaf_bytes"]
+        read_fetched, wb_fetched = tier.read_fetched, tier.wb_fetched
+        for pos, (address, wb) in enumerate(zip(events.addresses, events.writeback_addresses)):
+            index = address // leaf_bytes
+            block = leaf_block + index
+            blocks = sets[block % num_sets]
+            if blocks.pop(block, False):
+                blocks[block] = True
+            else:
+                if len(blocks) >= ways:
+                    del blocks[first(each(blocks))]
+                blocks[block] = True
+                fetched = 1
+                for base in upper_blocks:
+                    index //= arity
+                    block = base + index
+                    blocks = sets[block % num_sets]
+                    if blocks.pop(block, False):
+                        blocks[block] = True
+                        break
+                    if len(blocks) >= ways:
+                        del blocks[first(each(blocks))]
+                    blocks[block] = True
+                    fetched += 1
+                read_fetched[pos] = fetched
+            if wb != WB_NONE:
+                index = wb // leaf_bytes
+                block = leaf_block + index
+                blocks = sets[block % num_sets]
+                if blocks.pop(block, False):
+                    blocks[block] = True
+                else:
+                    if len(blocks) >= ways:
+                        del blocks[first(each(blocks))]
+                    blocks[block] = True
+                    fetched = 1
+                    for base in upper_blocks:
+                        index //= arity
+                        block = base + index
+                        blocks = sets[block % num_sets]
+                        if blocks.pop(block, False):
+                            blocks[block] = True
+                            break
+                        if len(blocks) >= ways:
+                            del blocks[first(each(blocks))]
+                        blocks[block] = True
+                        fetched += 1
+                    wb_fetched[pos] = fetched
+
+
+class EpcTierSimulator(TierSimulator):
+    """The EPC residency set (:meth:`EpcPagingComponent._touch`).
+
+    An LRU dict of resident pages to dirty bits; a read-path touch never
+    dirties a page, a writeback-path touch always does, and a fault beyond
+    ``epc_pages`` evicts the least recently touched page.
+    """
+
+    TIER = EpcTier
+
+    def __init__(self, epc_pages: int):
+        super().__init__(epc_pages=epc_pages)
+        self.resident: Dict[int, bool] = {}
+
+    @classmethod
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, int]:
+        assert isinstance(component, EpcPagingComponent)
+        return {"epc_pages": component.epc_pages}
+
+    def _run(self, events: MissEventStream, tier: VerdictTier) -> None:
+        resident, capacity = self.resident, self.geometry["epc_pages"]
+        read_faults, wb_faults = tier.read_faults, tier.wb_faults
+        evict_indices, evict_pages = tier.evict_indices, tier.evict_pages
+        window = zip(events.indices, events.addresses, events.writeback_addresses)
+        for pos, (index, address, wb) in enumerate(window):
+            page = address // PAGE_BYTES
+            if page in resident:
+                resident[page] = resident.pop(page)
+            else:
+                read_faults[pos] = 1
+                resident[page] = False
+                if len(resident) > capacity:
+                    evicted = next(iter(resident))
+                    if resident.pop(evicted):
+                        evict_indices.append(index)
+                        evict_pages.append(evicted)
+            if wb != WB_NONE:
+                page = wb // PAGE_BYTES
+                if page in resident:
+                    del resident[page]
+                    resident[page] = True
+                else:
+                    wb_faults[pos] = 1
+                    resident[page] = True
+                    if len(resident) > capacity:
+                        evicted = next(iter(resident))
+                        if resident.pop(evicted):
+                            evict_indices.append(index)
+                            evict_pages.append(evicted)
+
+
+#: Component type -> the simulator of its verdict tier.
+_TIER_SIMULATORS: Dict[type, Type[TierSimulator]] = {
+    MacIntegrityComponent: MacTierSimulator,
+    CounterTreeComponent: TreeTierSimulator,
+    EpcPagingComponent: EpcTierSimulator,
+}
+
+
+# ---------------------------------------------------------------------------
+# Tier keys and the store
+# ---------------------------------------------------------------------------
 
 
 def mac_geometry_fields(config: Optional[SystemConfig] = None) -> Dict[str, int]:
@@ -168,66 +555,64 @@ def mac_geometry_fields(config: Optional[SystemConfig] = None) -> Dict[str, int]
     }
 
 
-def mac_tier_key(events: MissEventStream, config: Optional[SystemConfig] = None) -> str:
-    """Store key of the MAC tier for one full-run stream under one config.
-
-    Folds in the stream's own :func:`~repro.sim.distill.events_key` (trace
-    identity + hierarchy geometry) plus the MAC-cache geometry -- the *mode
-    family* key: every mode sharing a MAC configuration maps here.
-    """
+def _tier_key(
+    kind: str, geometry: Dict[str, int], events: MissEventStream, config: Optional[SystemConfig]
+) -> str:
     return content_key(
-        "mactier",
-        events=events_key(
-            events.name, events.scale, events.seed, events.num_accesses, config
-        ),
-        mac=mac_geometry_fields(config),
+        kind,
+        events=events_key(events.name, events.scale, events.seed, events.num_accesses, config),
+        geometry=geometry,
     )
 
 
-def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = None) -> MacTier:
-    """Simulate the MAC cache over the whole event sequence, once.
+def verdict_tier_key(
+    component: PathComponent, events: MissEventStream, config: Optional[SystemConfig] = None
+) -> str:
+    """Store key of ``component``'s verdict tier over one full-run stream.
 
-    Replicates :class:`~repro.cache.cache.SetAssociativeCache` LRU exactly
-    (the :class:`~repro.sim.distill.HierarchyDistiller` idiom: flat per-set
-    dicts, move-to-end on hit, evict the first key at way capacity).  Dirty
-    bits are not tracked: dirtiness only feeds the ``dirty_evictions``
-    statistic, which no lookup verdict -- and no simulation result -- reads.
+    Folds in the stream's own :func:`~repro.sim.distill.events_key` (trace
+    identity + hierarchy geometry) plus the simulator geometry, which is all
+    a verdict depends on: latencies, fault penalties and engine options never
+    enter it.  Modes sharing a geometry -- every MAC-bearing mode of one
+    config -- share the entry.
     """
     cfg = config if config is not None else SystemConfig()
-    line_bytes = CACHE_BLOCK_BYTES
-    lines = max(1, cfg.mac_cache_bytes // line_bytes)
-    ways = min(cfg.mac_cache_ways, lines)
-    num_sets = max(1, lines // ways)
-    sets: List[Dict[int, bool]] = [dict() for _ in range(num_sets)]
-    read_hits = bytearray(len(events))
-    wb_hits = bytearray(len(events))
-    # MacCache.mac_block_address(a) = (a // line // MACS_PER_BLOCK) * line;
-    # SetAssociativeCache then re-divides by line, so the effective block
-    # index is a // line // MACS_PER_BLOCK.
-    divisor = line_bytes * MACS_PER_BLOCK
-    for pos, (address, wb) in enumerate(zip(events.addresses, events.writeback_addresses)):
-        block = address // divisor
-        tags = sets[block % num_sets]
-        tag = block // num_sets
-        if tag in tags:
-            tags[tag] = tags.pop(tag)
-            read_hits[pos] = 1
-        else:
-            if len(tags) >= ways:
-                del tags[next(iter(tags))]
-            tags[tag] = True
-        if wb != WB_NONE:
-            block = wb // divisor
-            tags = sets[block % num_sets]
-            tag = block // num_sets
-            if tag in tags:
-                tags[tag] = tags.pop(tag)
-                wb_hits[pos] = 1
-            else:
-                if len(tags) >= ways:
-                    del tags[next(iter(tags))]
-                tags[tag] = True
-    return MacTier(num_events=len(events), read_hits=read_hits, wb_hits=wb_hits)
+    simulator = _TIER_SIMULATORS[type(component)]
+    return _tier_key(simulator.TIER.KIND, simulator.geometry_of(component, cfg), events, config)
+
+
+def mac_tier_key(events: MissEventStream, config: Optional[SystemConfig] = None) -> str:
+    """Store key of the MAC tier for one full-run stream under one config."""
+    return _tier_key(MacTier.KIND, mac_geometry_fields(config), events, config)
+
+
+def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = None) -> MacTier:
+    """Simulate the MAC cache over the whole event sequence, once."""
+    tier = MacTierSimulator(**mac_geometry_fields(config)).advance(events)
+    assert isinstance(tier, MacTier)
+    return tier
+
+
+def _served(
+    key: str,
+    kind: Type[VerdictTier],
+    events: MissEventStream,
+    store: Optional[ResultStore],
+    compute: Callable[[], VerdictTier],
+) -> VerdictTier:
+    """A full-run tier from ``store``, computed and put there on a miss."""
+    if events.start_index != 0:
+        raise ValueError(
+            f"the {kind.KIND} tier needs a full-run event stream (start_index 0)"
+        )
+    if store is None:
+        store = default_store()
+    cached = store.get(key, decoder=kind.from_payload)
+    if cached is not None and cached.num_events == len(events):
+        return cached
+    tier = compute()
+    store.put(key, tier, encoder=VerdictTier.to_payload)
+    return tier
 
 
 def distilled_mac_tier(
@@ -236,17 +621,55 @@ def distilled_mac_tier(
     store: Optional[ResultStore] = None,
 ) -> MacTier:
     """The MAC tier for ``events``, served from the store when present."""
-    if events.start_index != 0:
-        raise ValueError("the MAC tier needs a full-run event stream (start_index 0)")
-    if store is None:
-        store = default_store()
     key = mac_tier_key(events, config)
-    cached = store.get(key, decoder=MacTier.from_payload)
-    if cached is not None and cached.num_events == len(events):
-        return cached
-    tier = compute_mac_tier(events, config)
-    store.put(key, tier, encoder=MacTier.to_payload)
+    tier = _served(key, MacTier, events, store, lambda: compute_mac_tier(events, config))
+    assert isinstance(tier, MacTier)
     return tier
+
+
+def distilled_tier(
+    component: PathComponent,
+    events: MissEventStream,
+    config: Optional[SystemConfig] = None,
+    store: Optional[ResultStore] = None,
+) -> VerdictTier:
+    """``component``'s verdict tier for ``events``, served from the store when present.
+
+    The pipeline's first shard of a chain computes and puts it; later shards
+    and every plan sharing the geometry read it back.
+    """
+    simulator = _TIER_SIMULATORS[type(component)]
+    geometry = simulator.geometry_of(component, config if config is not None else SystemConfig())
+    return _served(
+        verdict_tier_key(component, events, config),
+        simulator.TIER,
+        events,
+        store,
+        lambda: simulator(**geometry).advance(events),
+    )
+
+
+def compute_tiers(
+    components: Iterable[PathComponent],
+    events: MissEventStream,
+    config: Optional[SystemConfig] = None,
+) -> List[VerdictTier]:
+    """Every verdict tier a stack's kernels read, computed in-process."""
+    cfg = config if config is not None else SystemConfig()
+    tiers: Dict[Tuple[str, Tuple], VerdictTier] = {}
+    for component in components:
+        simulator = _TIER_SIMULATORS.get(type(component))
+        if simulator is None:
+            continue
+        geometry = simulator.geometry_of(component, cfg)
+        slot = _tier_slot(simulator.TIER.KIND, geometry)
+        if slot not in tiers:
+            tiers[slot] = simulator(**geometry).advance(events)
+    return list(tiers.values())
+
+
+def _tier_slot(kind: str, geometry: Dict[str, int]) -> Tuple[str, Tuple]:
+    return kind, tuple(sorted(geometry.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +717,42 @@ class EventBatch:
         return len(self.wb_addresses)
 
 
-#: A batch kernel applies one component's whole-window contribution.  It must
-#: only touch accumulators that component exclusively owns -- that ownership
-#: is what makes lifting it out of the interleaved per-event loop exact.
+#: A batch kernel applies one component's whole-window contribution: integer
+#: counters directly (they commute), latency addends through
+#: :meth:`BatchReplayEngine.add_latency` (the window folds them in order).
 BatchKernel = Callable[["BatchReplayEngine", PathComponent, "AccessContext", EventBatch], None]
 
 
 def _cxl_mask(addresses: "np.ndarray", page_bytes: int, cxl_period: int) -> "np.ndarray":
     """Which addresses the CXL pool serves (RackMemory.region_of, columnar)."""
     return (addresses // page_bytes) % cxl_period == 0
+
+
+def _tally(
+    ctx: "AccessContext", addresses: "np.ndarray", nbytes: int, is_write: bool
+) -> "np.ndarray":
+    """Charge one ``nbytes`` rack access per address; returns the CXL mask.
+
+    The columnar ``rack.access``: the device counters are integers, so
+    tallying a window at once is exact.
+    """
+    rack = ctx.rack
+    cxl = _cxl_mask(addresses, rack.config.toleo.page_bytes, rack._cxl_period)
+    pool = int(cxl.sum())
+    local = len(addresses) - pool
+    for stats, accesses in ((rack.pool.stats, pool), (rack.local.stats, local)):
+        if is_write:
+            stats.writes += accesses
+            stats.bytes_written += accesses * nbytes
+        else:
+            stats.reads += accesses
+            stats.bytes_read += accesses * nbytes
+    return cxl
+
+
+def _device_latency(ctx: "AccessContext", cxl: "np.ndarray") -> "np.ndarray":
+    """Per-access device latency from a CXL mask."""
+    return np.where(cxl, ctx.rack.pool.latency_ns, ctx.rack.local.latency_ns)
 
 
 def _encryption_kernel(
@@ -313,9 +763,8 @@ def _encryption_kernel(
 ) -> None:
     # One constant AES latency per read miss.  n float adds of c are NOT
     # n * c bit-for-bit, hence the sequential fold.
-    ctx.latency.decryption_ns = _sequential_sum(
-        ctx.latency.decryption_ns,
-        np.full(batch.num_events, component.aes_latency_ns, dtype=np.float64),
+    replay.add_latency(
+        "decryption_ns", np.full(batch.num_events, component.aes_latency_ns, dtype=np.float64)
     )
 
 
@@ -331,8 +780,8 @@ def _invisimem_kernel(
     per_access = batch.num_events + batch.num_writebacks
     ctx.traffic.data_bytes += per_access * component.packet_overhead_bytes
     ctx.traffic.dummy_bytes += per_access * component.dummy_bytes_per_access
-    ctx.latency.side_channel_ns = _sequential_sum(
-        ctx.latency.side_channel_ns,
+    replay.add_latency(
+        "side_channel_ns",
         np.full(batch.num_events, component.added_latency_ns, dtype=np.float64),
     )
 
@@ -346,83 +795,154 @@ def _mac_integrity_kernel(
     # The MAC tier stands in for the cache lookups; everything else is the
     # scalar hooks' arithmetic, batched.  Device classification uses the
     # *data* (or writeback) address, exactly as rack.access(ctx.address) did.
-    tier = replay.mac_tier()
+    tier = replay.verdict_tier(component)
     lo, hi = batch.lo, batch.hi
-    read_hits = tier.read_hits_view[lo:hi] != 0
-    wb_hit_flags = tier.wb_hits_view[lo:hi] != 0
-
-    rack = ctx.rack
-    page_bytes = rack.config.toleo.page_bytes
-    cxl_period = rack._cxl_period
+    read_hits = tier.view("read_hits")[lo:hi] != 0
+    wb_hit_flags = tier.view("wb_hits")[lo:hi] != 0
     fetch_bytes = component.fetch_bytes
 
-    read_miss_addresses = batch.addresses[~read_hits]
-    read_misses = len(read_miss_addresses)
-    if read_misses:
-        miss_cxl = _cxl_mask(read_miss_addresses, page_bytes, cxl_period)
-        mac_latency = (
-            np.where(miss_cxl, rack.pool.latency_ns, rack.local.latency_ns)
-            * ctx.options.integrity_overlap
+    read_misses = np.flatnonzero(~read_hits)
+    if len(read_misses):
+        miss_cxl = _tally(ctx, batch.addresses[read_misses], fetch_bytes, is_write=False)
+        replay.add_latency(
+            "integrity_ns",
+            _device_latency(ctx, miss_cxl) * ctx.options.integrity_overlap,
+            positions=read_misses,
         )
-        ctx.latency.integrity_ns = _sequential_sum(ctx.latency.integrity_ns, mac_latency)
-        ctx.traffic.mac_uv_bytes += read_misses * fetch_bytes
-        cxl_fetches = int(miss_cxl.sum())
-        local_fetches = read_misses - cxl_fetches
-        rack.local.stats.reads += local_fetches
-        rack.local.stats.bytes_read += local_fetches * fetch_bytes
-        rack.pool.stats.reads += cxl_fetches
-        rack.pool.stats.bytes_read += cxl_fetches * fetch_bytes
+        ctx.traffic.mac_uv_bytes += len(read_misses) * fetch_bytes
 
     wb_miss_addresses = batch.writebacks[batch.wb_mask & ~wb_hit_flags]
     wb_misses = len(wb_miss_addresses)
     if wb_misses:
-        miss_cxl = _cxl_mask(wb_miss_addresses, page_bytes, cxl_period)
+        _tally(ctx, wb_miss_addresses, fetch_bytes, is_write=True)
         ctx.traffic.mac_uv_bytes += wb_misses * fetch_bytes
-        cxl_fetches = int(miss_cxl.sum())
-        local_fetches = wb_misses - cxl_fetches
-        rack.local.stats.writes += local_fetches
-        rack.local.stats.bytes_written += local_fetches * fetch_bytes
-        rack.pool.stats.writes += cxl_fetches
-        rack.pool.stats.bytes_written += cxl_fetches * fetch_bytes
 
     # The tier replaced the cache lookups; credit the hit/miss (and the
     # one-insertion-per-miss) counters those lookups would have bumped, so
     # the mode's mac_cache_hit_rate telemetry is unchanged.  Eviction
     # counters stay at zero -- no result or telemetry field reads them.
     stats = component.cache.stats
-    hits = int(read_hits.sum()) + int(wb_hit_flags.sum())
-    misses = (batch.num_events - int(read_hits.sum())) + wb_misses
-    stats.hits += hits
+    misses = len(read_misses) + wb_misses
+    stats.hits += int(read_hits.sum()) + int(wb_hit_flags.sum())
     stats.misses += misses
     stats.insertions += misses
+
+
+def _tree_nodes(
+    addresses: "np.ndarray", fetched: "np.ndarray", leaf_bytes: int, arity: int
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """The node addresses the walks fetched, walk-major and level-minor.
+
+    Returns ``(owners, nodes)``: ``owners[k]`` is the position (in
+    ``addresses``) of the walk that fetched node ``nodes[k]``.  A walk that
+    fetched ``f`` levels fetched levels ``0 .. f-1``, with level ``l``'s
+    index ``(address // leaf_bytes) // arity**l``.
+    """
+    counts = fetched.astype(np.int64)
+    owners = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    levels = np.arange(len(owners)) - np.repeat(starts, counts)
+    # arity**l outgrows uint64 on deep trees; any divisor above the largest
+    # possible index (< 2**58) yields index 0, as the scalar walk's repeated
+    # floor division does.
+    divisors = np.array(
+        [min(arity**level, 1 << 63) for level in range(int(counts.max()))], dtype=np.uint64
+    )
+    index = (addresses[owners] // np.uint64(leaf_bytes)) // divisors[levels]
+    nodes = (
+        np.uint64(TREE_METADATA_BASE)
+        + levels.astype(np.uint64) * np.uint64(TREE_LEVEL_STRIDE)
+        + index * np.uint64(CACHE_BLOCK_BYTES)
+    )
+    return owners, nodes
+
+
+def _counter_tree_kernel(
+    replay: "BatchReplayEngine",
+    component: CounterTreeComponent,
+    ctx: "AccessContext",
+    batch: EventBatch,
+) -> None:
+    # The tree tier says how many levels each walk fetched; the fetched
+    # nodes, their devices and the read path's serialised latencies follow.
+    tier = replay.verdict_tier(component)
+    lo, hi = batch.lo, batch.hi
+    leaf_bytes = component.tree.leaf.data_bytes_per_entry
+    arity = component.tree.arity
+    paths = (
+        (tier.view("read_fetched")[lo:hi], batch.addresses, False),
+        (tier.view("wb_fetched")[lo:hi][batch.wb_mask], batch.wb_addresses, True),
+    )
+    for fetched, addresses, is_write in paths:
+        if not fetched.any():
+            continue
+        owners, nodes = _tree_nodes(addresses, fetched, leaf_bytes, arity)
+        cxl = _tally(ctx, nodes, CACHE_BLOCK_BYTES, is_write)
+        component.node_fetches += len(nodes)
+        ctx.traffic.stealth_bytes += len(nodes) * CACHE_BLOCK_BYTES
+        if not is_write:
+            replay.add_latency("freshness_ns", _device_latency(ctx, cxl), positions=owners)
+
+
+def _epc_paging_kernel(
+    replay: "BatchReplayEngine",
+    component: EpcPagingComponent,
+    ctx: "AccessContext",
+    batch: EventBatch,
+) -> None:
+    # Every fault pages 4 KB in (a read of the faulting page), a read-path
+    # fault also pays the fault on the critical path, and a dirty eviction
+    # pages 4 KB out.
+    tier = replay.verdict_tier(component)
+    lo, hi = batch.lo, batch.hi
+    read_faults = np.flatnonzero(tier.view("read_faults")[lo:hi])
+    wb_fault_pages = batch.writebacks[tier.view("wb_faults")[lo:hi] != 0] // PAGE_BYTES
+    evict_indices = tier.view("evict_indices")
+    first = np.searchsorted(evict_indices, batch.indices[0])
+    last = np.searchsorted(evict_indices, batch.indices[-1], side="right")
+    evicted = tier.view("evict_pages")[first:last]
+
+    read_pages = batch.addresses[read_faults] // PAGE_BYTES
+    read_cxl = _tally(ctx, read_pages * PAGE_BYTES, PAGE_BYTES, is_write=False)
+    _tally(ctx, wb_fault_pages * PAGE_BYTES, PAGE_BYTES, is_write=False)
+    _tally(ctx, evicted * PAGE_BYTES, PAGE_BYTES, is_write=True)
+    if len(read_faults):
+        replay.add_latency(
+            "freshness_ns",
+            _device_latency(ctx, read_cxl) + component.spec.page_fault_penalty_ns,
+            positions=read_faults,
+        )
+    faults = len(read_faults) + len(wb_fault_pages)
+    component.page_faults += faults
+    component.dirty_evictions += len(evicted)
+    ctx.traffic.data_bytes += (faults + len(evicted)) * PAGE_BYTES
 
 
 #: Component types handled natively by a batch kernel.
 _BATCH_KERNELS: Dict[type, BatchKernel] = {
     EncryptionComponent: _encryption_kernel,
     MacIntegrityComponent: _mac_integrity_kernel,
+    CounterTreeComponent: _counter_tree_kernel,
+    EpcPagingComponent: _epc_paging_kernel,
     InvisiMemComponent: _invisimem_kernel,
 }
 
 #: Component types safe to run in the residual scalar loop alongside the
-#: batch kernels.  Safe means: the component never touches an accumulator a
-#: batch kernel owns (dram_ns, decryption_ns, integrity_ns, side_channel_ns,
-#: data_bytes, dummy_bytes, mac_uv_bytes) -- otherwise batching would
-#: reorder the float fold.
-_SCALAR_SAFE_TYPES: Set[type] = {
-    StealthFreshnessComponent,
-    CounterTreeComponent,
-    EpcPagingComponent,
-}
+#: batch kernels.  Safe means the component's float writes are plain ``+=``
+#: of one addend into ``ctx.latency`` fields (captured into the window's
+#: ordered fold whenever a batch kernel writes the same field); integer
+#: counters commute and need no promise.
+_SCALAR_SAFE_TYPES: Set[type] = {StealthFreshnessComponent}
 
 
 def declare_scalar_safe(component_type: type) -> None:
     """Register a third-party component as safe for the residual loop.
 
-    The component promises not to write any batch-owned accumulator (see
-    ``_SCALAR_SAFE_TYPES``); its hooks then run per event in the scalar
-    residual loop, interleaved exactly as ``replay_events`` interleaves
-    them.  See ``docs/extending.md``.
+    The component promises that its hooks change float accumulators only by
+    ``ctx.latency.<field> += addend`` and never read them for anything else
+    (see ``_SCALAR_SAFE_TYPES``); its hooks then run per event in the
+    scalar residual loop, interleaved exactly as ``replay_events``
+    interleaves them.  See ``docs/extending.md``.
     """
     if not (isinstance(component_type, type) and issubclass(component_type, PathComponent)):
         raise TypeError(f"{component_type!r} is not a PathComponent subclass")
@@ -452,9 +972,68 @@ def vectorizable(components: Sequence[PathComponent]) -> bool:
     )
 
 
+def residual_components(components: Sequence[PathComponent]) -> List[PathComponent]:
+    """The components the batch replay runs per event: those without a kernel."""
+    return [c for c in components if type(c) not in _BATCH_KERNELS]
+
+
 # ---------------------------------------------------------------------------
 # The batch replay engine
 # ---------------------------------------------------------------------------
+
+
+#: One writer's latency addends: (event positions or None for one per
+#: event, writeback phase, stack order, values in event order).
+_Addends = Tuple[Optional["np.ndarray"], bool, int, "np.ndarray"]
+
+#: Addend slots per event: on_access samplers firing before the event (0),
+#: the read path (1) and the writeback path (2).
+_PHASES = 3
+
+
+def _capturing(
+    latency: LatencyBreakdown, fields: Sequence[str], cursor: List[int]
+) -> Tuple[LatencyBreakdown, Dict[str, Tuple[List[int], List[int], List[float]]]]:
+    """A stand-in for ``latency`` that records what is stored into ``fields``.
+
+    Reading a captured field yields 0.0, so a hook's ``+= addend`` stores
+    exactly ``addend`` (0.0 + x == x), which is recorded with the slot and
+    stack order in ``cursor`` instead of being added; every other field is a
+    plain copy, written back by the caller.  Returns the stand-in and the
+    per-field ``(slots, orders, addends)`` records.
+    """
+    records: Dict[str, Tuple[List[int], List[int], List[float]]] = {
+        name: ([], [], []) for name in fields
+    }
+
+    def recorder(name: str) -> property:
+        slots, orders, addends = records[name]
+
+        def store(self: LatencyBreakdown, addend: float) -> None:
+            slots.append(cursor[0])
+            orders.append(cursor[1])
+            addends.append(addend)
+
+        return property(lambda self: 0.0, store)
+
+    captured = type(
+        "CapturedLatency", (type(latency),), {name: recorder(name) for name in fields}
+    )
+    stand_in = object.__new__(captured)
+    stand_in.__dict__.update(
+        (name, value) for name, value in vars(latency).items() if name not in records
+    )
+    return stand_in, records
+
+
+def _ordered(cursor: List[int], order: int, hook: Callable) -> Callable:
+    """``hook``, announcing its stack order in ``cursor`` before it runs."""
+
+    def run(ctx: "AccessContext") -> None:
+        cursor[1] = order
+        hook(ctx)
+
+    return run
 
 
 class BatchReplayEngine:
@@ -462,8 +1041,10 @@ class BatchReplayEngine:
 
     One instance wraps one ``(engine, events)`` pair; :meth:`replay` has the
     same window contract as :meth:`SimulationEngine.replay_events` and can
-    drive a sharded chain window by window.  The MAC tier is fetched lazily
-    (and only for stacks that carry a :class:`MacIntegrityComponent`).
+    drive a sharded chain window by window.  The verdict tiers the kernels
+    read are fetched lazily, once per instance: from ``tiers`` when supplied
+    (``tier`` is the MAC-only spelling), else from the result store
+    (``store`` or the default store), computed and put there on a miss.
     """
 
     def __init__(
@@ -472,23 +1053,45 @@ class BatchReplayEngine:
         events: MissEventStream,
         store: Optional[ResultStore] = None,
         tier: Optional[MacTier] = None,
+        tiers: Iterable[VerdictTier] = (),
     ) -> None:
         self.engine = engine
         self.events = events
         self.store = store
-        self._tier = tier
+        self._tiers: Dict[Tuple[str, Tuple], VerdictTier] = {
+            _tier_slot(supplied.KIND, supplied.geometry): supplied for supplied in tiers
+        }
+        if tier is not None:
+            self._tiers[_tier_slot(MacTier.KIND, mac_geometry_fields(engine.config))] = tier
+        self._addends: Dict[str, List[_Addends]] = {}
+        self._order = -1
 
-    def mac_tier(self) -> MacTier:
-        """The MAC tier for this engine's event stream.
+    def verdict_tier(self, component: PathComponent) -> VerdictTier:
+        """``component``'s verdict tier over this engine's event stream."""
+        simulator = _TIER_SIMULATORS[type(component)]
+        geometry = simulator.geometry_of(component, self.engine.config)
+        slot = _tier_slot(simulator.TIER.KIND, geometry)
+        tier = self._tiers.get(slot)
+        if tier is None:
+            tier = distilled_tier(component, self.events, self.engine.config, self.store)
+            self._tiers[slot] = tier
+        return tier
 
-        Served from the injected tier when one was supplied (the in-process
-        sharding harness computes it directly), else from the result store
-        (``self.store`` or the default store) -- one tier entry shared by
-        every MAC-bearing mode of the same events/config family.
+    def add_latency(
+        self,
+        field: str,
+        values: "np.ndarray",
+        positions: Optional["np.ndarray"] = None,
+        writeback: bool = False,
+    ) -> None:
+        """Queue the running kernel's addends to ``ctx.latency.<field>``.
+
+        ``values`` are in event order (several addends of one event in the
+        order the scalar hook adds them); ``positions`` are their events'
+        positions in the window, ``None`` meaning one addend per event.  The
+        window folds each field once, after every writer has contributed.
         """
-        if self._tier is None:
-            self._tier = distilled_mac_tier(self.events, self.engine.config, self.store)
-        return self._tier
+        self._addends.setdefault(field, []).append((positions, writeback, self._order, values))
 
     def replay(
         self,
@@ -521,9 +1124,6 @@ class BatchReplayEngine:
             return state
 
         ctx = state.ctx
-        rack = ctx.rack
-        traffic = ctx.traffic
-        latency_sums = ctx.latency
         components = state.components
 
         lo = bisect_left(events.indices, state.position)
@@ -531,46 +1131,27 @@ class BatchReplayEngine:
         batch = EventBatch(events, lo, hi)
         n = batch.num_events
         n_wb = batch.num_writebacks
+        self._addends = {}
 
         # ---- engine data fetch: common to every mode (batched) ------------
         if n:
-            page_bytes = rack.config.toleo.page_bytes
-            cxl_period = rack._cxl_period
-            read_cxl = _cxl_mask(batch.addresses, page_bytes, cxl_period)
-            latency_sums.dram_ns = _sequential_sum(
-                latency_sums.dram_ns,
-                np.where(read_cxl, rack.pool.latency_ns, rack.local.latency_ns),
-            )
-            cxl_reads = int(read_cxl.sum())
-            local_reads = n - cxl_reads
-            wb_cxl = _cxl_mask(batch.wb_addresses, page_bytes, cxl_period)
-            cxl_writes = int(wb_cxl.sum())
-            local_writes = n_wb - cxl_writes
-            traffic.data_bytes += (n + n_wb) * CACHE_BLOCK_BYTES
+            self._order = -1
+            read_cxl = _tally(ctx, batch.addresses, CACHE_BLOCK_BYTES, is_write=False)
+            self.add_latency("dram_ns", _device_latency(ctx, read_cxl))
+            _tally(ctx, batch.wb_addresses, CACHE_BLOCK_BYTES, is_write=True)
+            ctx.traffic.data_bytes += (n + n_wb) * CACHE_BLOCK_BYTES
             state.llc_read_misses += n
             state.writebacks += n_wb
-            local_stats = rack.local.stats
-            local_stats.reads += local_reads
-            local_stats.writes += local_writes
-            local_stats.bytes_read += local_reads * CACHE_BLOCK_BYTES
-            local_stats.bytes_written += local_writes * CACHE_BLOCK_BYTES
-            pool_stats = rack.pool.stats
-            pool_stats.reads += cxl_reads
-            pool_stats.writes += cxl_writes
-            pool_stats.bytes_read += cxl_reads * CACHE_BLOCK_BYTES
-            pool_stats.bytes_written += cxl_writes * CACHE_BLOCK_BYTES
 
         # ---- protection path: batch kernels, residual hooks scalar --------
-        residual: List[PathComponent] = []
-        for component in components:
+        for order, component in enumerate(components):
             kernel = _BATCH_KERNELS.get(type(component))
-            if kernel is not None:
-                if n:
-                    kernel(self, component, ctx, batch)
-            else:
-                residual.append(component)
+            if kernel is not None and n:
+                self._order = order
+                kernel(self, component, ctx, batch)
 
-        self._replay_residual(state, residual, batch, stop)
+        records = self._replay_residual(state, residual_components(components), batch, stop)
+        self._fold(ctx.latency, records, n)
 
         state.position = stop
         if stop == state.num_accesses:
@@ -587,31 +1168,67 @@ class BatchReplayEngine:
             hierarchy.writebacks += events.hierarchy_writebacks
         return state
 
+    def _fold(
+        self,
+        latency: LatencyBreakdown,
+        records: Dict[str, Tuple[List[int], List[int], List[float]]],
+        n: int,
+    ) -> None:
+        """Fold each latency field's addends in (event, phase, stack order).
+
+        A field with one batch writer and no captured addends is already in
+        event order; otherwise every writer's addends are merged with a
+        stable sort, which keeps one writer's addends to one event in the
+        order it emitted them.
+        """
+        for name, writers in self._addends.items():
+            slots, orders, addends = records.get(name, ((), (), ()))
+            if len(writers) == 1 and not addends:
+                ordered = writers[0][3]
+            else:
+                slot_columns = [np.asarray(slots, dtype=np.int64)]
+                order_columns = [np.asarray(orders, dtype=np.int64)]
+                value_columns = [np.asarray(addends, dtype=np.float64)]
+                for positions, writeback, order, values in writers:
+                    if positions is None:
+                        positions = np.arange(n)
+                    slot_columns.append(positions * _PHASES + (2 if writeback else 1))
+                    order_columns.append(np.full(len(values), order, dtype=np.int64))
+                    value_columns.append(values)
+                permutation = np.lexsort(
+                    (np.concatenate(order_columns), np.concatenate(slot_columns))
+                )
+                ordered = np.concatenate(value_columns)[permutation]
+            setattr(latency, name, _sequential_sum(getattr(latency, name), ordered))
+
     def _replay_residual(
         self,
         state: "EngineState",
         residual: Sequence[PathComponent],
         batch: EventBatch,
         stop: int,
-    ) -> None:
+    ) -> Dict[str, Tuple[List[int], List[int], List[float]]]:
         """Run the stateful components through the scalar per-event loop.
 
         Mirrors ``replay_events``' loop exactly -- same hook dispatch, same
         sampler merge, same ``ctx`` field updates -- restricted to the
         residual components.  Skipped entirely (cheaply) for fully batched
-        stacks with no samplers.
+        stacks with no samplers.  While it runs, the latency fields a batch
+        kernel wrote this window are captured (:func:`_capturing`); returns
+        the captured addends per field.
         """
         ctx = state.ctx
         components = state.components
-        on_read_miss = [
-            c.on_read_miss
-            for c in residual
-            if type(c).on_read_miss is not PathComponent.on_read_miss
+        residual_ids = {id(c) for c in residual}
+        read_hooks = [
+            (order, c.on_read_miss)
+            for order, c in enumerate(components)
+            if id(c) in residual_ids and type(c).on_read_miss is not PathComponent.on_read_miss
         ]
-        on_writeback = [
-            c.on_writeback
-            for c in residual
-            if type(c).on_writeback is not PathComponent.on_writeback
+        writeback_hooks = [
+            (order, c.on_writeback)
+            for order, c in enumerate(components)
+            if id(c) in residual_ids and type(c).on_writeback is not PathComponent.on_writeback
         ]
 
         def index_stream(first: int, period: int, order: int, hook):
@@ -633,68 +1250,116 @@ class BatchReplayEngine:
             streams.append(index_stream(first, period, order, component.on_access))
         pending = heapq.merge(*streams)
         next_sample = next(pending, None)
+        if not (read_hooks or writeback_hooks or next_sample is not None):
+            return {}
 
-        if on_read_miss or on_writeback or next_sample is not None:
-            events = self.events
-            lo, hi = batch.lo, batch.hi
-            # Iterate the builtin arrays, not the numpy views: the residual
-            # components do Python arithmetic on the addresses, and numpy
-            # scalar division would silently promote to float64.
-            window = zip(
-                events.indices[lo:hi],
-                events.addresses[lo:hi],
-                events.writes[lo:hi],
-                events.writeback_addresses[lo:hi],
-            )
-            for index, address, is_write, wb in window:
+        # cursor = [slot, stack order] of the hook running now.  One residual
+        # writer (the shipped stacks) keeps its order in the cursor; several
+        # each set theirs before running.
+        owners = {order for order, _ in read_hooks + writeback_hooks}
+        owner = min(owners) if len(owners) == 1 else -1
+        cursor = [0, owner]
+        latency = ctx.latency
+        records: Dict[str, Tuple[List[int], List[int], List[float]]] = {}
+        on_read_miss = [hook for _, hook in read_hooks]
+        on_writeback = [hook for _, hook in writeback_hooks]
+        if self._addends:
+            ctx.latency, records = _capturing(latency, list(self._addends), cursor)
+            if len(owners) > 1:
+                on_read_miss = [_ordered(cursor, order, hook) for order, hook in read_hooks]
+                on_writeback = [
+                    _ordered(cursor, order, hook) for order, hook in writeback_hooks
+                ]
+
+        events = self.events
+        lo, hi = batch.lo, batch.hi
+        # Iterate the builtin arrays, not the numpy views: the residual
+        # components do Python arithmetic on the addresses, and numpy
+        # scalar division would silently promote to float64.
+        window = zip(
+            count(),
+            events.indices[lo:hi],
+            events.addresses[lo:hi],
+            events.writes[lo:hi],
+            events.writeback_addresses[lo:hi],
+        )
+        slot = 0
+        try:
+            for pos, index, address, is_write, wb in window:
+                slot = pos * _PHASES
                 while next_sample is not None and next_sample[0] <= index:
+                    cursor[0], cursor[1] = slot, next_sample[1]
                     ctx.index = next_sample[0]
                     next_sample[2](ctx)
                     next_sample = next(pending, None)
+                    cursor[1] = owner
                 if sampling:
                     ctx.index = index
                 ctx.address = address
                 ctx.is_write = bool(is_write)
+                cursor[0] = slot + 1
                 for hook in on_read_miss:
                     hook(ctx)
                 if wb != WB_NONE:
                     ctx.address = wb
                     ctx.is_write = True
+                    cursor[0] = slot + 2
                     for hook in on_writeback:
                         hook(ctx)
 
-        while next_sample is not None:
-            ctx.index = next_sample[0]
-            next_sample[2](ctx)
-            next_sample = next(pending, None)
+            slot = batch.num_events * _PHASES
+            while next_sample is not None:
+                cursor[0], cursor[1] = slot, next_sample[1]
+                ctx.index = next_sample[0]
+                next_sample[2](ctx)
+                next_sample = next(pending, None)
+        finally:
+            if ctx.latency is not latency:
+                for name, value in vars(ctx.latency).items():
+                    setattr(latency, name, value)
+                ctx.latency = latency
+        return records
 
 
-def mode_vector_profile(params) -> str:
+def mode_vector_profile(params: "ModeParameters") -> str:
     """How the vectorized core executes a registered mode's stack.
 
-    ``"batch"``: every component has a batch kernel (no residual loop at
-    all).  ``"hybrid"``: batch kernels plus a scalar residual loop for the
-    stateful components.  ``"scalar"``: numpy unavailable, full fallback.
-    Registered modes always build known component types, so stacks built
-    from :class:`~repro.sim.configs.ModeParameters` never fall back for an
-    unknown type -- only third-party stacks can.
+    Derived from the stack :func:`~repro.sim.path.build_components` builds
+    for the mode and the kernel registry: ``"batch"`` when every component
+    has a batch kernel and none samples ``on_access`` (no residual loop at
+    all), ``"hybrid"`` when a residual loop runs beside the kernels, and
+    ``"scalar"`` when numpy is unavailable or a component type is unknown
+    to both registries (the full scalar fallback).
     """
-    if not HAVE_NUMPY:
+    stack = build_components(params, SystemConfig(), EngineOptions(), footprint_bytes=1 << 20)
+    if not vectorizable(stack):
         return "scalar"
-    return "batch" if params.batch_replay_safe else "hybrid"
+    sampling = any(type(c).on_access is not PathComponent.on_access for c in stack)
+    return "hybrid" if residual_components(stack) or sampling else "batch"
 
 
 __all__ = [
     "HAVE_NUMPY",
     "BatchReplayEngine",
+    "EpcTier",
+    "EpcTierSimulator",
     "EventBatch",
     "MacTier",
+    "MacTierSimulator",
+    "TierSimulator",
+    "TreeTier",
+    "TreeTierSimulator",
+    "VerdictTier",
     "compute_mac_tier",
+    "compute_tiers",
     "declare_scalar_safe",
     "distilled_mac_tier",
+    "distilled_tier",
     "mac_geometry_fields",
     "mac_tier_key",
     "mode_vector_profile",
     "register_batch_kernel",
+    "residual_components",
     "vectorizable",
+    "verdict_tier_key",
 ]

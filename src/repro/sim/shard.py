@@ -181,7 +181,11 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     peak memory is one slice plus the checkpoint.  Each slice takes the loop
     it and the stack allow: the numpy batch kernels when the slice is the
     whole run and the stack is :func:`~repro.sim.replaycore.vectorizable`,
-    else the scalar event replay.  A stack that is not even
+    else the scalar event replay.  The kernels read their verdict tiers from
+    the store; a tier not there yet (a counter tree's or an EPC's, whose
+    geometry is one mode's own) is computed by the first shard that needs it
+    and put there for the chain's later shards and every other plan.  A
+    stack that is not even
     :meth:`~SimulationEngine.distillable` -- a third-party sampler without
     ``access_period`` -- replays the trace (re-derived through the
     per-process ``capture_trace`` memo), which needs the run in one window:
@@ -431,18 +435,18 @@ def run_sharded(
     engine = SimulationEngine(params, config=config, options=options, seed=seed)
     events = HierarchyDistiller(config).distill(trace, total) if distill else None
     replayer = None
-    if vector and events is not None and replaycore.HAVE_NUMPY:
-        # The events were distilled in-process (no store), so the MAC tier
-        # is computed in-process too instead of round-tripping through the
-        # default store.
-        tier = replaycore.compute_mac_tier(events, config) if params.mac_traffic else None
-        replayer = replaycore.BatchReplayEngine(engine, events, tier=tier)
     carry: Optional[bytes] = None
     state: Optional[EngineState] = None
     for _, stop in shard_bounds(total, spec.shard_size):
         state = engine.begin(trace, total) if carry is None else EngineState.deserialize(carry)
         if events is not None and engine.distillable(state.components):
-            if replayer is not None and replaycore.vectorizable(state.components):
+            if vector and replaycore.vectorizable(state.components):
+                if replayer is None:
+                    # The events were distilled in-process (no store), so the
+                    # verdict tiers are computed in-process too instead of
+                    # round-tripping through the default store.
+                    tiers = replaycore.compute_tiers(state.components, events, config)
+                    replayer = replaycore.BatchReplayEngine(engine, events, tiers=tiers)
                 replayer.replay(state, stop=stop)
             else:
                 engine.replay_events(state, events, stop=stop)
@@ -470,7 +474,9 @@ def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
     covers the run, the run's ``events`` entry and -- where a worker can
     batch a MAC-bearing mode -- its MAC tier are loaded into the store's
     memory layer, which forked workers inherit (spawned workers read them
-    back from disk).
+    back from disk).  The MAC tier is the one verdict tier paid here,
+    because every MAC-bearing mode shares it; a counter-tree or EPC tier
+    serves one mode, so that mode's first shard computes it in a worker.
     """
     from repro.sim import replaycore
     from repro.sim.distill import load_slice, stream_event_slices

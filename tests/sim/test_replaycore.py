@@ -23,7 +23,7 @@ from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
 from repro.sim.engine import EngineState, SimulationEngine
 from repro.sim import replaycore
-from repro.sim.path import PathComponent
+from repro.sim.path import PathComponent, StealthFreshnessComponent
 from repro.sim.replaycore import (
     HAVE_NUMPY,
     BatchReplayEngine,
@@ -34,6 +34,7 @@ from repro.sim.replaycore import (
     mac_tier_key,
     mode_vector_profile,
     register_batch_kernel,
+    residual_components,
     vectorizable,
 )
 from repro.sim.shard import ShardSpec, run_sharded
@@ -55,6 +56,21 @@ SMALL_CONFIG = dataclasses.replace(
 )
 
 TRACE_LEN = 260
+
+#: How the vectorized core runs each registered mode: every component
+#: batched, or batch kernels plus a per-event residual loop.
+PROFILES = {
+    "NoProtect": "batch",
+    "C": "batch",
+    "CI": "batch",
+    "Toleo": "hybrid",
+    "InvisiMem": "batch",
+    "CIF-Tree": "batch",
+    "Client-SGX": "batch",
+    "Vault-Tree": "batch",
+    "Scalable-SGX": "batch",
+    "Toleo+Tree": "hybrid",
+}
 
 SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN)
 
@@ -118,7 +134,7 @@ class TestVectorizedReplayIsBitIdentical:
             )
             assert sharded.to_dict() == serial, f"shard_size={shard_size}"
 
-    @pytest.mark.parametrize("mode", ("CI", "Toleo", "Client-SGX"))
+    @pytest.mark.parametrize("mode", ("CI", "Toleo", "Client-SGX", "Toleo+Tree"))
     def test_checkpoint_roundtrip_between_vector_windows(
         self, mode, events, tier, serial_results
     ):
@@ -133,14 +149,15 @@ class TestVectorizedReplayIsBitIdentical:
         result = engine.finish(state, events)
         assert result.to_dict() == serial_results[mode].to_dict()
 
-    @pytest.mark.parametrize("mode", ("Toleo", "InvisiMem"))
+    @pytest.mark.parametrize("mode", ("Toleo", "InvisiMem", "Client-SGX", "Toleo+Tree"))
     def test_scalar_then_vector_handoff(self, mode, events, tier, serial_results):
         # Strategy compatibility is one-way: a scalar prefix leaves every
         # component cache in its true state, so a vectorized continuation
         # (whose tier verdicts equal the true cache state at any position)
-        # stays exact.  The reverse handoff is forbidden by construction --
-        # a chain's loop is fixed by its stack and the worker's numpy, and
-        # checkpoint keys record the latter.
+        # stays exact -- for the MAC, tree and EPC tiers alike.  The reverse
+        # handoff is forbidden by construction -- a chain's loop is fixed by
+        # its stack and the worker's numpy, and checkpoint keys record the
+        # latter.
         engine = SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7)
         state = engine.begin(events, events.num_accesses)
         engine.replay_events(state, events, stop=TRACE_LEN // 2)
@@ -263,29 +280,31 @@ class TestCapabilityRegistry:
         with pytest.raises(ValueError, match="not vectorizable"):
             BatchReplayEngine(engine, events).replay(state)
 
-    @pytest.mark.parametrize(
-        "mode, profile",
-        [
-            ("NoProtect", "batch"),
-            ("C", "batch"),
-            ("CI", "batch"),
-            ("InvisiMem", "batch"),
-            ("Toleo", "hybrid"),
-            ("Client-SGX", "hybrid"),
-        ],
-    )
-    def test_mode_vector_profile(self, mode, profile):
-        assert mode_vector_profile(mode_parameters(mode)) == profile
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_mode_vector_profile(self, mode):
+        assert mode_vector_profile(mode_parameters(mode)) == PROFILES[mode]
 
-    def test_capability_flags_name_the_scalar_components(self):
-        assert mode_parameters("CI").batch_replay_safe
-        assert mode_parameters("CI").scalar_replay_components == ()
-        assert mode_parameters("Toleo").scalar_replay_components == ("stealth-freshness",)
-        assert set(mode_parameters("Client-SGX").scalar_replay_components) >= {
-            "counter-tree",
-            "epc-paging",
-        }
-        assert not mode_parameters("Client-SGX").batch_replay_safe
+    def test_every_registered_mode_has_a_profile(self):
+        # Listing all ten makes a new registration decide its row.
+        assert set(PROFILES) == set(ALL_MODES)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_stealth_freshness_is_the_only_residual(self, mode, events):
+        # The profile is derived from the built stack and the kernel
+        # registry: Toleo's stealth freshness is the one component left on
+        # the per-event loop.
+        engine = SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7)
+        state = engine.begin(events, events.num_accesses)
+        residual = [type(c) for c in residual_components(state.components)]
+        expected = [StealthFreshnessComponent] if PROFILES[mode] == "hybrid" else []
+        assert residual == expected
+
+    def test_unknown_components_profile_scalar(self, monkeypatch):
+        class Opaque3(PathComponent):
+            pass
+
+        monkeypatch.setattr(replaycore, "build_components", lambda *args, **kwargs: [Opaque3()])
+        assert mode_vector_profile(mode_parameters("CI")) == "scalar"
 
 
 # ---------------------------------------------------------------------------
