@@ -40,7 +40,8 @@ contributes its addends as columns tagged with their event and phase, and
 the window folds every accumulator **once**, with the addends sorted by
 (event, phase, stack order) -- the order the scalar loop adds them in.  The
 residual loop's addends to a batch-written accumulator are captured exactly
-(see :func:`_capturing`) and join the same fold.
+(see :func:`_capturing`) and join the same fold; a residual hook that reads
+such an accumulator for anything but ``+=`` makes the window raise.
 
 Windowed replay composes: seeding each window's scan with the running
 accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
@@ -151,8 +152,7 @@ class VerdictTier:
     event, and the ``SPARSE`` columns are equal-length ``uint64`` arrays of
     rare outcomes, keyed by the global access index of the event that
     produced them.  ``geometry`` is the :class:`TierSimulator` geometry the
-    verdicts were computed under.  Tiers of abutting windows concatenate
-    (:meth:`concat`) to the tier of their union.
+    verdicts were computed under.
     """
 
     KIND: ClassVar[str] = ""
@@ -193,20 +193,6 @@ class VerdictTier:
         if type(other) is not type(self):
             return NotImplemented
         return self.to_payload() == other.to_payload()
-
-    @classmethod
-    def concat(cls, tiers: Sequence["VerdictTier"]) -> "VerdictTier":
-        """The tier of the union of abutting windows, in window order."""
-        if not tiers:
-            raise ValueError("cannot concatenate zero tiers")
-        if any(tier.geometry != tiers[0].geometry for tier in tiers):
-            raise ValueError("cannot concatenate tiers of different geometries")
-        merged = cls(0, tiers[0].geometry)
-        for tier in tiers:
-            merged.num_events += tier.num_events
-            for name in cls.DENSE + cls.SPARSE:
-                getattr(merged, name).extend(getattr(tier, name))
-        return merged
 
     def to_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"num_events": self.num_events, "geometry": self.geometry}
@@ -983,57 +969,62 @@ def residual_components(components: Sequence[PathComponent]) -> List[PathCompone
 
 
 #: One writer's latency addends: (event positions or None for one per
-#: event, writeback phase, stack order, values in event order).
-_Addends = Tuple[Optional["np.ndarray"], bool, int, "np.ndarray"]
+#: event, stack order, values in event order).
+_Addends = Tuple[Optional["np.ndarray"], int, "np.ndarray"]
 
 #: Addend slots per event: on_access samplers firing before the event (0),
-#: the read path (1) and the writeback path (2).
+#: the read path (1) and the writeback path (2).  Batch kernels add on the
+#: read path; residual hooks may add in any phase.
 _PHASES = 3
 
 
+class _Capture:
+    """What the residual loop read from and stored into one captured field."""
+
+    __slots__ = ("keys", "addends", "loads")
+
+    def __init__(self) -> None:
+        self.keys: List[Tuple[int, int]] = []  # (slot, stack order) per addend
+        self.addends: List[float] = []
+        self.loads = 0
+
+
 def _capturing(
-    latency: LatencyBreakdown, fields: Sequence[str], cursor: List[int]
-) -> Tuple[LatencyBreakdown, Dict[str, Tuple[List[int], List[int], List[float]]]]:
+    latency: LatencyBreakdown, fields: Sequence[str], locate: Callable[[], Tuple[int, int]]
+) -> Tuple[LatencyBreakdown, Dict[str, _Capture]]:
     """A stand-in for ``latency`` that records what is stored into ``fields``.
 
     Reading a captured field yields 0.0, so a hook's ``+= addend`` stores
-    exactly ``addend`` (0.0 + x == x), which is recorded with the slot and
-    stack order in ``cursor`` instead of being added; every other field is a
-    plain copy, written back by the caller.  Returns the stand-in and the
-    per-field ``(slots, orders, addends)`` records.
+    exactly ``addend`` (0.0 + x == x), which is recorded with the ``(slot,
+    stack order)`` that ``locate()`` returns instead of being added; every
+    other field is a plain copy, written back by the caller.  Reads are
+    counted too: a ``+=`` makes one read per store, so any other count means
+    a hook read the placeholder 0.0 or overwrote the field.  Returns the
+    stand-in and the per-field captures.
     """
-    records: Dict[str, Tuple[List[int], List[int], List[float]]] = {
-        name: ([], [], []) for name in fields
-    }
+    captures = {name: _Capture() for name in fields}
 
-    def recorder(name: str) -> property:
-        slots, orders, addends = records[name]
+    def recorder(capture: _Capture) -> property:
+        def load(self: LatencyBreakdown) -> float:
+            capture.loads += 1
+            return 0.0
 
         def store(self: LatencyBreakdown, addend: float) -> None:
-            slots.append(cursor[0])
-            orders.append(cursor[1])
-            addends.append(addend)
+            capture.keys.append(locate())
+            capture.addends.append(addend)
 
-        return property(lambda self: 0.0, store)
+        return property(load, store)
 
     captured = type(
-        "CapturedLatency", (type(latency),), {name: recorder(name) for name in fields}
+        "CapturedLatency",
+        (type(latency),),
+        {name: recorder(capture) for name, capture in captures.items()},
     )
     stand_in = object.__new__(captured)
     stand_in.__dict__.update(
-        (name, value) for name, value in vars(latency).items() if name not in records
+        (name, value) for name, value in vars(latency).items() if name not in captures
     )
-    return stand_in, records
-
-
-def _ordered(cursor: List[int], order: int, hook: Callable) -> Callable:
-    """``hook``, announcing its stack order in ``cursor`` before it runs."""
-
-    def run(ctx: "AccessContext") -> None:
-        cursor[1] = order
-        hook(ctx)
-
-    return run
+    return stand_in, captures
 
 
 class BatchReplayEngine:
@@ -1078,20 +1069,16 @@ class BatchReplayEngine:
         return tier
 
     def add_latency(
-        self,
-        field: str,
-        values: "np.ndarray",
-        positions: Optional["np.ndarray"] = None,
-        writeback: bool = False,
+        self, field: str, values: "np.ndarray", positions: Optional["np.ndarray"] = None
     ) -> None:
-        """Queue the running kernel's addends to ``ctx.latency.<field>``.
+        """Queue the running kernel's read-path addends to ``ctx.latency.<field>``.
 
         ``values`` are in event order (several addends of one event in the
         order the scalar hook adds them); ``positions`` are their events'
         positions in the window, ``None`` meaning one addend per event.  The
         window folds each field once, after every writer has contributed.
         """
-        self._addends.setdefault(field, []).append((positions, writeback, self._order, values))
+        self._addends.setdefault(field, []).append((positions, self._order, values))
 
     def replay(
         self,
@@ -1150,8 +1137,8 @@ class BatchReplayEngine:
                 self._order = order
                 kernel(self, component, ctx, batch)
 
-        records = self._replay_residual(state, residual_components(components), batch, stop)
-        self._fold(ctx.latency, records, n)
+        captures = self._replay_residual(state, residual_components(components), batch, stop)
+        self._fold(ctx.latency, captures, n)
 
         state.position = stop
         if stop == state.num_accesses:
@@ -1168,12 +1155,7 @@ class BatchReplayEngine:
             hierarchy.writebacks += events.hierarchy_writebacks
         return state
 
-    def _fold(
-        self,
-        latency: LatencyBreakdown,
-        records: Dict[str, Tuple[List[int], List[int], List[float]]],
-        n: int,
-    ) -> None:
+    def _fold(self, latency: LatencyBreakdown, captures: Dict[str, _Capture], n: int) -> None:
         """Fold each latency field's addends in (event, phase, stack order).
 
         A field with one batch writer and no captured addends is already in
@@ -1182,17 +1164,18 @@ class BatchReplayEngine:
         order it emitted them.
         """
         for name, writers in self._addends.items():
-            slots, orders, addends = records.get(name, ((), (), ()))
-            if len(writers) == 1 and not addends:
-                ordered = writers[0][3]
+            capture = captures.get(name, _Capture())
+            if len(writers) == 1 and not capture.addends:
+                ordered = writers[0][2]
             else:
-                slot_columns = [np.asarray(slots, dtype=np.int64)]
-                order_columns = [np.asarray(orders, dtype=np.int64)]
-                value_columns = [np.asarray(addends, dtype=np.float64)]
-                for positions, writeback, order, values in writers:
+                keys = np.array(capture.keys, dtype=np.int64).reshape(-1, 2)
+                slot_columns = [keys[:, 0]]
+                order_columns = [keys[:, 1]]
+                value_columns = [np.array(capture.addends, dtype=np.float64)]
+                for positions, order, values in writers:
                     if positions is None:
                         positions = np.arange(n)
-                    slot_columns.append(positions * _PHASES + (2 if writeback else 1))
+                    slot_columns.append(positions * _PHASES + 1)
                     order_columns.append(np.full(len(values), order, dtype=np.int64))
                     value_columns.append(values)
                 permutation = np.lexsort(
@@ -1207,7 +1190,7 @@ class BatchReplayEngine:
         residual: Sequence[PathComponent],
         batch: EventBatch,
         stop: int,
-    ) -> Dict[str, Tuple[List[int], List[int], List[float]]]:
+    ) -> Dict[str, _Capture]:
         """Run the stateful components through the scalar per-event loop.
 
         Mirrors ``replay_events``' loop exactly -- same hook dispatch, same
@@ -1215,7 +1198,8 @@ class BatchReplayEngine:
         residual components.  Skipped entirely (cheaply) for fully batched
         stacks with no samplers.  While it runs, the latency fields a batch
         kernel wrote this window are captured (:func:`_capturing`); returns
-        the captured addends per field.
+        the captures per field, after checking that every hook only added
+        to them.
         """
         ctx = state.ctx
         components = state.components
@@ -1253,23 +1237,19 @@ class BatchReplayEngine:
         if not (read_hooks or writeback_hooks or next_sample is not None):
             return {}
 
-        # cursor = [slot, stack order] of the hook running now.  One residual
-        # writer (the shipped stacks) keeps its order in the cursor; several
-        # each set theirs before running.
-        owners = {order for order, _ in read_hooks + writeback_hooks}
-        owner = min(owners) if len(owners) == 1 else -1
-        cursor = [0, owner]
+        # The hook running now is the ``order``-th component of the stack,
+        # in ``phase`` of the ``pos``-th event: the loop keeps the three in
+        # closure cells, so only a captured store pays to read them.
+        pos = order = 0
+        phase = 1
+
+        def locate() -> Tuple[int, int]:
+            return pos * _PHASES + phase, order
+
         latency = ctx.latency
-        records: Dict[str, Tuple[List[int], List[int], List[float]]] = {}
-        on_read_miss = [hook for _, hook in read_hooks]
-        on_writeback = [hook for _, hook in writeback_hooks]
+        captures: Dict[str, _Capture] = {}
         if self._addends:
-            ctx.latency, records = _capturing(latency, list(self._addends), cursor)
-            if len(owners) > 1:
-                on_read_miss = [_ordered(cursor, order, hook) for order, hook in read_hooks]
-                on_writeback = [
-                    _ordered(cursor, order, hook) for order, hook in writeback_hooks
-                ]
+            ctx.latency, captures = _capturing(latency, list(self._addends), locate)
 
         events = self.events
         lo, hi = batch.lo, batch.hi
@@ -1283,42 +1263,47 @@ class BatchReplayEngine:
             events.writes[lo:hi],
             events.writeback_addresses[lo:hi],
         )
-        slot = 0
         try:
             for pos, index, address, is_write, wb in window:
-                slot = pos * _PHASES
                 while next_sample is not None and next_sample[0] <= index:
-                    cursor[0], cursor[1] = slot, next_sample[1]
-                    ctx.index = next_sample[0]
-                    next_sample[2](ctx)
+                    ctx.index, order, hook = next_sample
+                    phase = 0
+                    hook(ctx)
+                    phase = 1
                     next_sample = next(pending, None)
-                    cursor[1] = owner
                 if sampling:
                     ctx.index = index
                 ctx.address = address
                 ctx.is_write = bool(is_write)
-                cursor[0] = slot + 1
-                for hook in on_read_miss:
+                for order, hook in read_hooks:
                     hook(ctx)
                 if wb != WB_NONE:
                     ctx.address = wb
                     ctx.is_write = True
-                    cursor[0] = slot + 2
-                    for hook in on_writeback:
+                    phase = 2
+                    for order, hook in writeback_hooks:
                         hook(ctx)
+                    phase = 1
 
-            slot = batch.num_events * _PHASES
+            pos, phase = batch.num_events, 0
             while next_sample is not None:
-                cursor[0], cursor[1] = slot, next_sample[1]
-                ctx.index = next_sample[0]
-                next_sample[2](ctx)
+                ctx.index, order, hook = next_sample
+                hook(ctx)
                 next_sample = next(pending, None)
         finally:
             if ctx.latency is not latency:
                 for name, value in vars(ctx.latency).items():
                     setattr(latency, name, value)
                 ctx.latency = latency
-        return records
+        for name, capture in captures.items():
+            if capture.loads != len(capture.addends):
+                raise ValueError(
+                    f"a residual hook read ctx.latency.{name} {capture.loads} times but "
+                    f"stored it {len(capture.addends)} times; a batch kernel writes "
+                    "that field too, so a scalar-safe component may change it only "
+                    "by `+=` and never read it otherwise (see docs/extending.md)"
+                )
+        return captures
 
 
 def mode_vector_profile(params: "ModeParameters") -> str:

@@ -126,6 +126,21 @@ def events(trace):
     return HierarchyDistiller(SMALL_CONFIG).distill(trace)
 
 
+@pytest.fixture(scope="module")
+def quiet_tail_events(trace):
+    """The fixture trace followed by a replay of its last 40 accesses.
+
+    The replay hits in L1, so the stream ends in a run of accesses with no
+    miss event, and samplers there fire after the window's last event.
+    """
+    tail = dataclasses.replace(
+        trace,
+        addresses=trace.addresses + trace.addresses[-40:],
+        writes=trace.writes + trace.writes[-40:],
+    )
+    return HierarchyDistiller(SMALL_CONFIG).distill(tail)
+
+
 def begin(mode, events):
     engine = SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7)
     return engine, engine.begin(events, events.num_accesses)
@@ -319,6 +334,17 @@ def synthetic_trace(accesses) -> Trace:
     )
 
 
+def concatenated(tiers):
+    """The tier of abutting windows' union: each column, window after window."""
+    merged = type(tiers[0])(0, tiers[0].geometry)
+    for tier in tiers:
+        assert tier.geometry == merged.geometry
+        merged.num_events += tier.num_events
+        for name in merged.DENSE + merged.SPARSE:
+            getattr(merged, name).extend(getattr(tier, name))
+    return merged
+
+
 def windowed(trace, window):
     distiller = HierarchyDistiller(TINY_HIERARCHY)
     return [
@@ -342,7 +368,7 @@ class TestWindowedAdvance:
         slices = windowed(trace, window)
         one_shot = SIMULATORS[family]().advance(MissEventStream.concat(slices))
         simulator = SIMULATORS[family]()
-        tier = type(one_shot).concat([simulator.advance(window) for window in slices])
+        tier = concatenated([simulator.advance(window) for window in slices])
         assert tier == one_shot
         assert tier.num_events == sum(len(window) for window in slices)
 
@@ -527,8 +553,9 @@ class TestTierProvenance:
 class Jitter(PathComponent):
     """A residual (declared scalar-safe) freshness writer and sampler.
 
-    Its addends are not integers, so where they land among the other
-    writers' addends changes the fold's bits.
+    It adds in all three phases of an event -- sampler, read path and
+    writeback path -- and its addends are not integers, so where they land
+    among the other writers' addends changes the fold's bits.
     """
 
     access_period = 13
@@ -544,6 +571,9 @@ class Jitter(PathComponent):
         self.calls += 1
         ctx.latency.freshness_ns += 1.0 / (self.calls + 3)
 
+    def on_writeback(self, ctx) -> None:
+        ctx.latency.freshness_ns += 1.0 / (self.calls + 7)
+
 
 class Skew(PathComponent):
     """A batch-kernel freshness writer with non-integer addends."""
@@ -556,7 +586,26 @@ def _skew_kernel(replay, component, ctx, batch) -> None:
     replay.add_latency("freshness_ns", 1.0 / (3 + batch.addresses % 97))
 
 
+class Peek(PathComponent):
+    """A residual component that breaks the promise: it reads freshness_ns."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def on_read_miss(self, ctx) -> None:
+        self.seen.append(ctx.latency.freshness_ns)
+
+
+class Reset(PathComponent):
+    """A residual component that breaks the promise: it assigns freshness_ns."""
+
+    def on_read_miss(self, ctx) -> None:
+        ctx.latency.freshness_ns = 0.0
+
+
 declare_scalar_safe(Jitter)
+declare_scalar_safe(Peek)
+declare_scalar_safe(Reset)
 register_batch_kernel(Skew, _skew_kernel)
 
 
@@ -598,13 +647,15 @@ class TestLatencyFold:
         assert batched.ctx.rack.local.stats == scalar.ctx.rack.local.stats
         assert batched.ctx.rack.pool.stats == scalar.ctx.rack.pool.stats
 
+    @pytest.mark.parametrize("stream", ("events", "quiet_tail_events"))
     @pytest.mark.parametrize("place", ("after-stealth", "last"))
     def test_the_fold_adds_the_loops_addends_in_the_loops_order(
-        self, events, place, monkeypatch
+        self, request, stream, place, monkeypatch
     ):
         # Bit-identity alone is a weak witness: once the accumulator is
         # large, small addends round to its grid one by one and commute.
         # So compare the sequences themselves.
+        events = request.getfixturevalue(stream)
         engine, scalar = jittered_stack(events, place)
         scalar.ctx.latency = recording = RecordingLatency()
         recording.addends.clear()
@@ -622,3 +673,29 @@ class TestLatencyFold:
         BatchReplayEngine(engine, events, tiers=tiers).replay(batched)
         assert len(recording.addends) > 2 * TRACE_LEN
         assert recording.addends in folds
+
+    @pytest.mark.parametrize("culprit", (Peek, Reset))
+    def test_a_hook_that_reads_or_assigns_a_batch_written_field_raises(
+        self, events, culprit
+    ):
+        # In Toleo+Tree the tree kernel writes freshness_ns, so the residual
+        # loop reads it as the 0.0 placeholder: anything but `+=` is wrong.
+        engine, state = begin("Toleo+Tree", events)
+        state.components = [*state.components, culprit()]
+        tiers = compute_tiers(state.components, events, SMALL_CONFIG)
+        with pytest.raises(ValueError, match=r"ctx\.latency\.freshness_ns"):
+            BatchReplayEngine(engine, events, tiers=tiers).replay(state)
+
+    def test_a_field_no_kernel_writes_reads_its_running_value(self, events):
+        # In Toleo only the residual stealth versions write freshness_ns, so
+        # it is not captured and a reader sees what the scalar loop sees.
+        engine, scalar = begin("Toleo", events)
+        scalar.components = [*scalar.components, Peek()]
+        engine.replay_events(scalar, events)
+        _, batched = begin("Toleo", events)
+        batched.components = [*batched.components, Peek()]
+        tiers = compute_tiers(batched.components, events, SMALL_CONFIG)
+        BatchReplayEngine(engine, events, tiers=tiers).replay(batched)
+        assert batched.components[-1].seen == scalar.components[-1].seen
+        assert any(batched.components[-1].seen)
+        assert vars(batched.ctx.latency) == vars(scalar.ctx.latency)
