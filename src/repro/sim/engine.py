@@ -22,10 +22,11 @@ memory-level-parallelism factor) and a bandwidth-saturation term, which is
 what makes bandwidth-hungry workloads (pr, bfs, llama2-gen) pay more for the
 CI metadata traffic than compute-bound ones -- the shape of Figure 6.
 
-The engine has three replay loops over one resumable state: the per-access
-:meth:`SimulationEngine.replay`, the distilled
-:meth:`SimulationEngine.replay_events` and the batch replay of
-:mod:`repro.sim.replaycore`.  The convenience drivers :func:`compare_modes`
+The engine has two replay loops over one resumable state: the per-access
+:meth:`SimulationEngine.replay` and the distilled :func:`event_loop`, which
+:meth:`SimulationEngine.replay_events` runs alone and the batch replay of
+:mod:`repro.sim.replaycore` runs beside its numpy kernels, for the
+components that have none.  The convenience drivers :func:`compare_modes`
 and :func:`run_suite` run only the first: they are the undistilled serial
 oracle every other path is pinned against.
 """
@@ -36,7 +37,7 @@ import heapq
 import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CACHE_BLOCK_BYTES, SystemConfig
@@ -328,200 +329,24 @@ class SimulationEngine:
         full per-access loop makes -- in the same order, so even float
         accumulation is bit-identical -- while every cache hit costs nothing.
         Index-periodic ``on_access`` telemetry fires at its recorded global
-        indices between events.
+        indices between events.  This is :func:`event_loop` with no batch
+        kernel: the loop the vectorized core falls back to when numpy is
+        absent or a component type is unknown.
 
         When the replay completes the stream's window (``stop ==
         events.stop_index``) the stream's per-window hierarchy counter deltas
         are folded into the state's hierarchy -- once per slice, in window
-        order -- so after the final slice :meth:`finish` reads the same
-        statistics a full replay leaves behind.
+        order (:func:`fold_statistics`) -- so after the final slice
+        :meth:`finish` reads the same statistics a full replay leaves behind.
         """
-        stop = min(state.num_accesses, events.stop_index) if stop is None else stop
-        if not state.position <= stop <= state.num_accesses:
-            raise ValueError(
-                f"cannot replay window [{state.position}, {stop}) of a "
-                f"{state.num_accesses}-access run"
-            )
-        if not (events.start_index <= state.position and stop <= events.stop_index):
-            raise ValueError(
-                f"event stream covers [{events.start_index}, {events.stop_index}) "
-                f"but the replay needs [{state.position}, {stop})"
-            )
+        stop, lo, hi = event_window(state, events, stop)
         if state.position == stop:
             return state
-
-        ctx = state.ctx
-        rack = ctx.rack
-        traffic = ctx.traffic
-        latency_sums = ctx.latency
-        components = state.components
-        on_read_miss = [
-            c.on_read_miss
-            for c in components
-            if type(c).on_read_miss is not PathComponent.on_read_miss
-        ]
-        on_writeback = [
-            c.on_writeback
-            for c in components
-            if type(c).on_writeback is not PathComponent.on_writeback
-        ]
-
-        # Periodic on_access telemetry: one lazy index stream per sampling
-        # component, merged in (index, stack order) -- the order the full
-        # replay fires them in.
-        def index_stream(first: int, period: int, order: int, hook):
-            return ((index, order, hook) for index in range(first, stop, period))
-
-        sampling = False
-        streams = []
-        for order, component in enumerate(components):
-            if type(component).on_access is PathComponent.on_access:
-                continue
-            period = getattr(component, "access_period", None)
-            if not period:
-                raise ValueError(
-                    f"{type(component).__name__} overrides on_access without "
-                    "declaring access_period; use the full replay instead"
-                )
-            sampling = True
-            first = -(-state.position // period) * period
-            streams.append(index_stream(first, period, order, component.on_access))
-        pending = heapq.merge(*streams)
-        next_sample = next(pending, None)
-
-        lo = bisect_left(events.indices, state.position)
-        hi = bisect_left(events.indices, stop)
-        window = zip(
-            events.indices[lo:hi],
-            events.addresses[lo:hi],
-            events.writes[lo:hi],
-            events.writeback_addresses[lo:hi],
-        )
-
-        llc_read_misses = state.llc_read_misses
-        writebacks = state.writebacks
-
-        # The engine's own rack traffic (the 64 B data fetch per miss and per
-        # writeback) is inlined rather than routed through rack.access():
-        # each device's latency is a constant and the page-to-device mapping
-        # is a fixed modulus, so the per-event work collapses to one integer
-        # test and one float add -- in the same order as the full replay, so
-        # the accumulated sums are bit-identical.  Device traffic counters
-        # are tallied in bulk below; components still call rack.access()
-        # themselves for their metadata fetches.
-        page_bytes = rack.config.toleo.page_bytes
-        cxl_period = rack._cxl_period
-        local_latency = rack.local.latency_ns
-        cxl_latency = rack.pool.latency_ns
-        local_reads = cxl_reads = local_writes = cxl_writes = 0
-        dram_ns_sum = latency_sums.dram_ns
-
-        for index, address, is_write, wb in window:
-            while next_sample is not None and next_sample[0] <= index:
-                ctx.index = next_sample[0]
-                next_sample[2](ctx)
-                next_sample = next(pending, None)
-            if sampling:
-                ctx.index = index
-
-            # ---- data fetch: common to every mode ---------------------------
-            ctx.address = address
-            ctx.is_write = bool(is_write)
-            if (address // page_bytes) % cxl_period == 0:
-                cxl_reads += 1
-                dram_ns_sum += cxl_latency
-            else:
-                local_reads += 1
-                dram_ns_sum += local_latency
-            traffic.data_bytes += CACHE_BLOCK_BYTES
-            llc_read_misses += 1
-            latency_sums.dram_ns = dram_ns_sum
-
-            # ---- protection path -------------------------------------------
-            for hook in on_read_miss:
-                hook(ctx)
-            dram_ns_sum = latency_sums.dram_ns
-
-            # ---- dirty writeback -------------------------------------------
-            if wb != WB_NONE:
-                writebacks += 1
-                ctx.address = wb
-                ctx.is_write = True
-                if (wb // page_bytes) % cxl_period == 0:
-                    cxl_writes += 1
-                else:
-                    local_writes += 1
-                traffic.data_bytes += CACHE_BLOCK_BYTES
-                for hook in on_writeback:
-                    hook(ctx)
-                dram_ns_sum = latency_sums.dram_ns
-
-        while next_sample is not None:
-            ctx.index = next_sample[0]
-            next_sample[2](ctx)
-            next_sample = next(pending, None)
-
-        latency_sums.dram_ns = dram_ns_sum
-        local_stats = rack.local.stats
-        local_stats.reads += local_reads
-        local_stats.writes += local_writes
-        local_stats.bytes_read += local_reads * CACHE_BLOCK_BYTES
-        local_stats.bytes_written += local_writes * CACHE_BLOCK_BYTES
-        pool_stats = rack.pool.stats
-        pool_stats.reads += cxl_reads
-        pool_stats.writes += cxl_writes
-        pool_stats.bytes_read += cxl_reads * CACHE_BLOCK_BYTES
-        pool_stats.bytes_written += cxl_writes * CACHE_BLOCK_BYTES
-
-        state.llc_read_misses = llc_read_misses
-        state.writebacks = writebacks
+        event_loop(state, events, lo, hi, stop)
         state.position = stop
-
         if stop == events.stop_index:
-            # This call completed the stream's window: fold its per-window
-            # counter deltas into the state's hierarchy.  Every access hits
-            # L1 exactly once, so a hierarchy that has folded the slices of
-            # [0, start_index) -- and nothing else -- shows exactly
-            # start_index L1 accesses; anything else means a slice was
-            # folded twice, skipped, or mixed with replay() in one run.
-            hierarchy = state.hierarchy
-            l1_accesses = hierarchy.l1.stats.accesses
-            if l1_accesses != events.start_index:
-                raise ValueError(
-                    f"cannot fold the [{events.start_index}, {events.stop_index}) "
-                    f"pre-pass statistics into a hierarchy holding {l1_accesses} "
-                    "replayed accesses; each slice folds exactly once, in "
-                    "window order -- do not mix replay() and replay_events() "
-                    "within one run"
-                )
-            for level, cache in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
-                cache.stats = cache.stats.merge(events.level_stats[level])
-            hierarchy.memory_accesses += events.memory_accesses
-            hierarchy.writebacks += events.hierarchy_writebacks
+            fold_statistics(state, events)
         return state
-
-    def run_events(
-        self,
-        events: MissEventStream,
-        baseline_time_ns: Optional[float] = None,
-    ) -> SimulationResult:
-        """Run one simulation entirely from a distilled event stream.
-
-        The stream stands in for the trace (it carries the workload metadata
-        the engine reads), so a warm event store never regenerates the trace
-        at all.  Raises ``ValueError`` for modes whose component stack is not
-        :meth:`distillable` -- callers fall back to :meth:`run` on a trace.
-        """
-        if events.start_index != 0:
-            raise ValueError("run_events needs a full-run stream (start_index 0)")
-        state = self.begin(events, events.num_accesses)
-        if not self.distillable(state.components):
-            raise ValueError(
-                f"mode {self.params.label!r} has per-access hooks without a "
-                "declared access_period; replay it from the trace instead"
-            )
-        self.replay_events(state, events)
-        return self.finish(state, events, baseline_time_ns=baseline_time_ns)
 
     def finish(
         self,
@@ -597,6 +422,285 @@ class SimulationEngine:
             freshness_ns=sums.freshness_ns / reads,
             side_channel_ns=sums.side_channel_ns / reads,
         )
+
+
+# ---------------------------------------------------------------------------
+# The event loop
+# ---------------------------------------------------------------------------
+
+
+def event_window(
+    state: EngineState, events: MissEventStream, stop: Optional[int]
+) -> Tuple[int, int, int]:
+    """Check one event-replay window; returns ``(stop, lo, hi)``.
+
+    ``stop`` defaults to the end of ``events`` (capped at the run), and the
+    window ``[state.position, stop)`` must lie inside both the run and the
+    stream; ``events[lo:hi]`` are the window's events.
+    """
+    stop = min(state.num_accesses, events.stop_index) if stop is None else stop
+    if not state.position <= stop <= state.num_accesses:
+        raise ValueError(
+            f"cannot replay window [{state.position}, {stop}) of a "
+            f"{state.num_accesses}-access run"
+        )
+    if not (events.start_index <= state.position and stop <= events.stop_index):
+        raise ValueError(
+            f"event stream covers [{events.start_index}, {events.stop_index}) "
+            f"but the replay needs [{state.position}, {stop})"
+        )
+    return stop, bisect_left(events.indices, state.position), bisect_left(events.indices, stop)
+
+
+def fold_statistics(state: EngineState, events: MissEventStream) -> None:
+    """Fold a stream's per-window hierarchy counter deltas into ``state``.
+
+    Called once per slice, when a replay completes the slice's window.
+    Every access hits L1 exactly once, so a hierarchy that has folded the
+    slices of ``[0, start_index)`` -- and nothing else -- shows exactly
+    ``start_index`` L1 accesses; anything else means a slice was folded
+    twice, skipped, or mixed with :meth:`SimulationEngine.replay` in one run.
+    """
+    hierarchy = state.hierarchy
+    l1_accesses = hierarchy.l1.stats.accesses
+    if l1_accesses != events.start_index:
+        raise ValueError(
+            f"cannot fold the [{events.start_index}, {events.stop_index}) "
+            f"pre-pass statistics into a hierarchy holding {l1_accesses} "
+            "replayed accesses; each slice folds exactly once, in "
+            "window order -- do not mix replay() and replay_events() "
+            "within one run"
+        )
+    for level, cache in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
+        cache.stats = cache.stats.merge(events.level_stats[level])
+    hierarchy.memory_accesses += events.memory_accesses
+    hierarchy.writebacks += events.hierarchy_writebacks
+
+
+class _Capture:
+    """What the event loop read from and stored into one captured field."""
+
+    __slots__ = ("keys", "addends", "loads")
+
+    def __init__(self) -> None:
+        self.keys: List[Tuple[int, int, int]] = []  # (index, phase, stack order) per addend
+        self.addends: List[float] = []
+        self.loads = 0
+
+
+def _capturing(
+    latency: LatencyBreakdown, fields: Sequence[str], locate: Callable[[], Tuple[int, int, int]]
+) -> Tuple[LatencyBreakdown, Dict[str, _Capture]]:
+    """A stand-in for ``latency`` that records what is stored into ``fields``.
+
+    Reading a captured field yields 0.0, so a hook's ``+= addend`` stores
+    exactly ``addend`` (0.0 + x == x), which is recorded with the ``(index,
+    phase, stack order)`` that ``locate()`` returns instead of being added;
+    every other field is a plain copy, written back by the caller.  Reads
+    are counted too: a ``+=`` makes one read per store, so any other count
+    means a hook read the placeholder 0.0 or overwrote the field.  Returns
+    the stand-in and the per-field captures.
+    """
+    captures = {name: _Capture() for name in fields}
+
+    def recorder(capture: _Capture) -> property:
+        def load(self: LatencyBreakdown) -> float:
+            capture.loads += 1
+            return 0.0
+
+        def store(self: LatencyBreakdown, addend: float) -> None:
+            capture.keys.append(locate())
+            capture.addends.append(addend)
+
+        return property(load, store)
+
+    captured = type(
+        "CapturedLatency",
+        (type(latency),),
+        {name: recorder(capture) for name, capture in captures.items()},
+    )
+    stand_in = object.__new__(captured)
+    stand_in.__dict__.update(
+        (name, value) for name, value in vars(latency).items() if name not in captures
+    )
+    return stand_in, captures
+
+
+def event_loop(
+    state: EngineState,
+    events: MissEventStream,
+    lo: int,
+    hi: int,
+    stop: int,
+    batched: Optional[Container[int]] = None,
+    captured: Sequence[str] = (),
+) -> Dict[str, _Capture]:
+    """The one per-event replay loop, over ``events[lo:hi]``, ending at ``stop``.
+
+    Every component without a batch kernel runs its ``on_read_miss`` /
+    ``on_writeback`` hooks event by event, and every index-periodic
+    ``on_access`` sampler fires at its global indices below ``stop`` between
+    events, merged in (index, stack order) -- the order the full replay
+    fires them in.
+
+    ``batched`` is ``None`` for the plain event replay: no kernel ran, so
+    the loop also performs the engine's own data fetch inline, in event
+    order, because an unknown component may read any latency field.  Its
+    rack traffic is inlined rather than routed through ``rack.access()``:
+    each device's latency is a constant and the page-to-device mapping a
+    fixed modulus, so the device counters are tallied in bulk at the end.
+
+    Otherwise the batch replay (:mod:`repro.sim.replaycore`) has already
+    applied the data fetch and the kernels of the components at the
+    ``batched`` stack positions, and ``captured`` names the latency fields
+    those kernels wrote.  While the loop runs, ``ctx.latency`` is then a
+    stand-in (:func:`_capturing`) that records each addend a hook stores
+    into those fields with the running hook's (event index, phase, stack
+    order), so the addends can join the window's ordered fold; a phase is
+    0 for samplers firing before the event, 1 for the read path and 2 for
+    the writeback path.  Returns the captures per field, after checking
+    that every hook only added to them.  A fully batched stack with no
+    sampler skips the loop.
+    """
+    ctx = state.ctx
+    components = state.components
+    fetch = batched is None
+    residual = [
+        (order, component)
+        for order, component in enumerate(components)
+        if fetch or order not in batched
+    ]
+    read_hooks = [
+        (order, c.on_read_miss)
+        for order, c in residual
+        if type(c).on_read_miss is not PathComponent.on_read_miss
+    ]
+    writeback_hooks = [
+        (order, c.on_writeback)
+        for order, c in residual
+        if type(c).on_writeback is not PathComponent.on_writeback
+    ]
+
+    # Periodic on_access telemetry: one lazy index stream per sampling
+    # component, merged in (index, stack order).
+    def index_stream(first: int, period: int, order: int, hook):
+        return ((index, order, hook) for index in range(first, stop, period))
+
+    sampling = False
+    streams = []
+    for order, component in enumerate(components):
+        if type(component).on_access is PathComponent.on_access:
+            continue
+        period = getattr(component, "access_period", None)
+        if not period:
+            raise ValueError(
+                f"{type(component).__name__} overrides on_access without "
+                "declaring access_period; use the full replay instead"
+            )
+        sampling = True
+        first = -(-state.position // period) * period
+        streams.append(index_stream(first, period, order, component.on_access))
+    pending = heapq.merge(*streams)
+    next_sample = next(pending, None)
+    if not (fetch or read_hooks or writeback_hooks or next_sample is not None):
+        return {}
+
+    # The hook running now is the ``order``-th component of the stack, in
+    # ``phase`` of the event at global ``index``: the loop keeps the three
+    # in closure cells, so only a captured store pays to read them.
+    index = order = 0
+    phase = 1
+
+    def locate() -> Tuple[int, int, int]:
+        return index, phase, order
+
+    latency = ctx.latency
+    captures: Dict[str, _Capture] = {}
+    if captured:
+        ctx.latency, captures = _capturing(latency, captured, locate)
+
+    traffic = ctx.traffic
+    rack = ctx.rack
+    page_bytes = rack.config.toleo.page_bytes
+    cxl_period = rack._cxl_period
+    local_latency = rack.local.latency_ns
+    cxl_latency = rack.pool.latency_ns
+    local_reads = cxl_reads = local_writes = cxl_writes = 0
+    # Iterate the builtin arrays, not numpy views: components do Python
+    # arithmetic on the addresses, and numpy scalar division would silently
+    # promote to float64.
+    window = zip(
+        events.indices[lo:hi],
+        events.addresses[lo:hi],
+        events.writes[lo:hi],
+        events.writeback_addresses[lo:hi],
+    )
+    try:
+        for index, address, is_write, wb in window:
+            while next_sample is not None and next_sample[0] <= index:
+                ctx.index, order, hook = next_sample
+                phase = 0
+                hook(ctx)
+                phase = 1
+                next_sample = next(pending, None)
+            if sampling:
+                ctx.index = index
+            ctx.address = address
+            ctx.is_write = bool(is_write)
+            if fetch:
+                if (address // page_bytes) % cxl_period == 0:
+                    cxl_reads += 1
+                    latency.dram_ns += cxl_latency
+                else:
+                    local_reads += 1
+                    latency.dram_ns += local_latency
+                traffic.data_bytes += CACHE_BLOCK_BYTES
+            for order, hook in read_hooks:
+                hook(ctx)
+            if wb != WB_NONE:
+                ctx.address = wb
+                ctx.is_write = True
+                if fetch:
+                    if (wb // page_bytes) % cxl_period == 0:
+                        cxl_writes += 1
+                    else:
+                        local_writes += 1
+                    traffic.data_bytes += CACHE_BLOCK_BYTES
+                phase = 2
+                for order, hook in writeback_hooks:
+                    hook(ctx)
+                phase = 1
+
+        index, phase = stop, 0
+        while next_sample is not None:
+            ctx.index, order, hook = next_sample
+            hook(ctx)
+            next_sample = next(pending, None)
+    finally:
+        if ctx.latency is not latency:
+            for name, value in vars(ctx.latency).items():
+                setattr(latency, name, value)
+            ctx.latency = latency
+    for name, capture in captures.items():
+        if capture.loads != len(capture.addends):
+            raise ValueError(
+                f"a residual hook read ctx.latency.{name} {capture.loads} times but "
+                f"stored it {len(capture.addends)} times; a batch kernel writes "
+                "that field too, so a scalar-safe component may change it only "
+                "by `+=` and never read it otherwise (see docs/extending.md)"
+            )
+    if fetch:
+        for stats, reads, writes in (
+            (rack.local.stats, local_reads, local_writes),
+            (rack.pool.stats, cxl_reads, cxl_writes),
+        ):
+            stats.reads += reads
+            stats.writes += writes
+            stats.bytes_read += reads * CACHE_BLOCK_BYTES
+            stats.bytes_written += writes * CACHE_BLOCK_BYTES
+        state.llc_read_misses += local_reads + cxl_reads
+        state.writebacks += local_writes + cxl_writes
+    return captures
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +795,9 @@ __all__ = [
     "EngineState",
     "SimulationEngine",
     "compare_modes",
+    "event_loop",
+    "event_window",
+    "fold_statistics",
     "ordered_modes",
     "run_suite",
 ]

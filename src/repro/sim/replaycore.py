@@ -5,27 +5,33 @@ PR 5 reduced per-mode work to a scalar Python loop over the distilled
 for every protection component whose per-event cost is a function of the
 event columns plus a *verdict* that depends only on the event sequence:
 
-* :class:`BatchReplayEngine` replays a window of events with numpy kernels
-  for the engine's own rack data fetch and device tallies, encryption
-  latency, MAC fetches, counter-tree walks, EPC paging and InvisiMem packet
-  inflation, and runs only the *residual* components -- Toleo's stealth
-  freshness, whose RNG-driven Trip format changes make it truly stateful,
-  and third-party components declared scalar-safe -- through the original
-  per-event hook loop, along with ``access_period`` samplers.
+* :class:`BatchReplayEngine` replays a window of events -- of a full-run
+  stream or of one event slice, at any width -- with numpy kernels for the
+  engine's own rack data fetch and device tallies, encryption latency, MAC
+  fetches, counter-tree walks, EPC paging and InvisiMem packet inflation,
+  and runs only the *residual* components -- Toleo's stealth freshness,
+  whose RNG-driven Trip format changes make it truly stateful, and
+  third-party components declared scalar-safe -- through the engine's one
+  per-event loop (:func:`~repro.sim.engine.event_loop`), along with
+  ``access_period`` samplers.
 
 * A **verdict tier** (:class:`VerdictTier`) is a second distillation tier:
   the per-event verdict columns of one stateful component, computed once per
-  ``(events, component geometry)`` into a content-keyed
-  :class:`~repro.sim.store.ResultStore` entry.  Three families ship: the MAC
-  cache's hit/miss per lookup (:class:`MacTier`, shared by every
-  MAC-bearing mode because ``fetch_bytes`` is not part of the verdict), the
-  number of levels each counter-tree walk fetched (:class:`TreeTier`), and
-  the EPC's page faults and dirty evictions (:class:`EpcTier`).  Each is
-  computed by a stateful :class:`TierSimulator` whose :meth:`advance` carries
-  its cache state across windows, like
-  :meth:`~repro.sim.distill.HierarchyDistiller.advance`; the one-shot tier
-  is ``advance`` over the whole stream.  The kernels rebuild node addresses,
-  device classes and byte counts from the verdicts alone.
+  ``(event slice, component geometry)`` into a content-keyed
+  :class:`~repro.sim.store.ResultStore` entry (:func:`tier_slice_key`; a
+  one-window run's single slice keeps the full-run :func:`verdict_tier_key`).
+  Three families ship: the MAC cache's hit/miss per lookup
+  (:class:`MacTier`, shared by every MAC-bearing mode because
+  ``fetch_bytes`` is not part of the verdict), the number of levels each
+  counter-tree walk fetched (:class:`TreeTier`), and the EPC's page faults
+  and dirty evictions (:class:`EpcTier`).  Each is computed by a stateful
+  :class:`TierSimulator` whose :meth:`advance` carries its cache state
+  across windows, like :meth:`~repro.sim.distill.HierarchyDistiller.advance`:
+  the first kernel that misses a slice's tier advances one simulator over
+  the run's slices in order and puts every slice's tier
+  (:func:`load_tier_slice`), so the slices concatenate to the one-shot tier.
+  The kernels rebuild node addresses, device classes and byte counts from
+  the verdicts alone.
 
 The contract is the repo's differential discipline: the vectorized replay is
 **bit-identical** to :meth:`SimulationEngine.replay_events` (which is itself
@@ -39,37 +45,38 @@ Client-SGX and in Toleo+Tree), so writers never add to it directly: each
 contributes its addends as columns tagged with their event and phase, and
 the window folds every accumulator **once**, with the addends sorted by
 (event, phase, stack order) -- the order the scalar loop adds them in.  The
-residual loop's addends to a batch-written accumulator are captured exactly
-(see :func:`_capturing`) and join the same fold; a residual hook that reads
-such an accumulator for anything but ``+=`` makes the window raise.
+residual hooks' addends to a batch-written accumulator are captured exactly
+(see :func:`~repro.sim.engine.event_loop`) and join the same fold; a
+residual hook that reads such an accumulator for anything but ``+=`` makes
+the window raise.
 
 Windowed replay composes: seeding each window's scan with the running
 accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
-match too.  One caveat: the vectorized path never touches the components'
-own cache objects (the tiers stand in for the MAC-cache, tree-cache and EPC
-lookups), so a checkpoint produced by a vectorized window can only be
-resumed vectorized.  A scalar window *can* be resumed vectorized -- a tier's
-simulator state at any event position equals the real component's.  Drivers
-use one strategy per chain, so this never arises in practice.  The scalar
-hooks (``CounterTreeComponent._walk``, ``EpcPagingComponent._touch``, ...)
-stay the oracle the tiers are pinned against, and the loop for windowed
-event slices and numpy-free installs.
+match too, and each slice's hierarchy statistics fold once, at the slice's
+stop (:func:`~repro.sim.engine.fold_statistics`).  One caveat: the
+vectorized path never touches the components' own cache objects (the tiers
+stand in for the MAC-cache, tree-cache and EPC lookups), so a checkpoint
+produced by a vectorized window can only be resumed vectorized.  A scalar
+window *can* be resumed vectorized -- a tier's simulator state at any event
+position equals the real component's.  Drivers use one strategy per chain,
+so this never arises in practice.  The scalar hooks
+(``CounterTreeComponent._walk``, ``EpcPagingComponent._touch``, ...) stay
+the oracle the tiers are pinned against, and the event loop runs them
+alone on numpy-free installs.
 
 Everything degrades gracefully: without numpy (:data:`HAVE_NUMPY` False) or
 with an unknown component type in the stack, :func:`vectorizable` returns
-False and callers take the scalar path.  Third-party components opt in via
-:func:`declare_scalar_safe` (run in the residual loop) or
+False and callers run the event loop with no kernel
+(:meth:`SimulationEngine.replay_events`).  Third-party components opt in via
+:func:`declare_scalar_safe` (run per event in the event loop) or
 :func:`register_batch_kernel` (handled by a custom batch kernel).
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import sys
 from array import array
-from bisect import bisect_left
-from itertools import count
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -86,8 +93,15 @@ from typing import (
 )
 
 from repro.core.config import CACHE_BLOCK_BYTES, MACS_PER_BLOCK, PAGE_BYTES, SystemConfig
-from repro.sim.distill import WB_NONE, MissEventStream, events_key
-from repro.sim.engine import EngineOptions
+from repro.sim.distill import (
+    WB_NONE,
+    MissEventStream,
+    events_key,
+    events_slice_key,
+    load_slice,
+    slice_bounds,
+)
+from repro.sim.engine import EngineOptions, event_loop, event_window, fold_statistics
 from repro.sim.path import (
     TREE_LEVEL_STRIDE,
     TREE_METADATA_BASE,
@@ -105,7 +119,7 @@ from repro.sim.store import ResultStore, content_key, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.configs import ModeParameters
-    from repro.sim.engine import EngineState, SimulationEngine
+    from repro.sim.engine import EngineState, SimulationEngine, _Capture
     from repro.sim.path import AccessContext
 
 try:  # numpy is deliberately optional: the package never requires it, the
@@ -541,35 +555,61 @@ def mac_geometry_fields(config: Optional[SystemConfig] = None) -> Dict[str, int]
     }
 
 
-def _tier_key(
-    kind: str, geometry: Dict[str, int], events: MissEventStream, config: Optional[SystemConfig]
+def _tier_key(kind: str, geometry: Dict[str, int], events: str) -> str:
+    return content_key(kind, events=events, geometry=geometry)
+
+
+def _tier_geometry(
+    component: PathComponent, config: Optional[SystemConfig]
+) -> Tuple[Type[TierSimulator], Dict[str, int]]:
+    simulator = _TIER_SIMULATORS[type(component)]
+    cfg = config if config is not None else SystemConfig()
+    return simulator, simulator.geometry_of(component, cfg)
+
+
+def tier_slice_key(
+    component: PathComponent,
+    name: str,
+    scale: float,
+    seed: int,
+    num_accesses: int,
+    window: int,
+    index: int,
+    config: Optional[SystemConfig] = None,
 ) -> str:
-    return content_key(
-        kind,
-        events=events_key(events.name, events.scale, events.seed, events.num_accesses, config),
-        geometry=geometry,
+    """Store key of ``component``'s verdict tier over one event slice.
+
+    Folds in the slice's own :func:`~repro.sim.distill.events_slice_key`
+    (trace identity, hierarchy geometry, window and slice index) plus the
+    simulator geometry, which is all a verdict depends on: latencies, fault
+    penalties and engine options never enter it.  Modes sharing a geometry
+    -- every MAC-bearing mode of one config -- share the entry.  A window
+    covering the run has one slice, whose key is :func:`verdict_tier_key`.
+    """
+    simulator, geometry = _tier_geometry(component, config)
+    return _tier_key(
+        simulator.TIER.KIND,
+        geometry,
+        events_slice_key(name, scale, seed, num_accesses, window, index, config),
     )
 
 
 def verdict_tier_key(
     component: PathComponent, events: MissEventStream, config: Optional[SystemConfig] = None
 ) -> str:
-    """Store key of ``component``'s verdict tier over one full-run stream.
-
-    Folds in the stream's own :func:`~repro.sim.distill.events_key` (trace
-    identity + hierarchy geometry) plus the simulator geometry, which is all
-    a verdict depends on: latencies, fault penalties and engine options never
-    enter it.  Modes sharing a geometry -- every MAC-bearing mode of one
-    config -- share the entry.
-    """
-    cfg = config if config is not None else SystemConfig()
-    simulator = _TIER_SIMULATORS[type(component)]
-    return _tier_key(simulator.TIER.KIND, simulator.geometry_of(component, cfg), events, config)
+    """Store key of ``component``'s verdict tier over one full-run stream:
+    the key of a one-window run's single tier slice."""
+    run = events.num_accesses
+    return tier_slice_key(component, events.name, events.scale, events.seed, run, run, 0, config)
 
 
 def mac_tier_key(events: MissEventStream, config: Optional[SystemConfig] = None) -> str:
     """Store key of the MAC tier for one full-run stream under one config."""
-    return _tier_key(MacTier.KIND, mac_geometry_fields(config), events, config)
+    return _tier_key(
+        MacTier.KIND,
+        mac_geometry_fields(config),
+        events_key(events.name, events.scale, events.seed, events.num_accesses, config),
+    )
 
 
 def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = None) -> MacTier:
@@ -579,60 +619,58 @@ def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = N
     return tier
 
 
-def _served(
-    key: str,
-    kind: Type[VerdictTier],
+def load_tier_slice(
+    component: PathComponent,
     events: MissEventStream,
-    store: Optional[ResultStore],
-    compute: Callable[[], VerdictTier],
+    num_accesses: int,
+    window: int,
+    config: Optional[SystemConfig] = None,
+    store: Optional[ResultStore] = None,
 ) -> VerdictTier:
-    """A full-run tier from ``store``, computed and put there on a miss."""
-    if events.start_index != 0:
+    """``component``'s verdict tier over ``events``, one slice of a run, from the store.
+
+    ``events`` is slice ``start_index // window`` of the ``num_accesses``
+    run's ``window``-wide partition (:func:`~repro.sim.distill.load_slice`).
+    Its tier is computed on first need: on a miss, one :class:`TierSimulator`
+    advances over the run's slices in order, and each slice's tier is put
+    under its :func:`tier_slice_key` before this one is served -- so every
+    later shard, and every mode sharing the geometry, reads its slice's
+    tier back.  Two workers that race on one tier put identical bytes.  As
+    for event slices, a one-window run's tier enters the store's memory
+    layer and narrower tier slices never do.
+    """
+    start, stop = events.start_index, events.stop_index
+    if start % window or stop != min(start + window, num_accesses):
         raise ValueError(
-            f"the {kind.KIND} tier needs a full-run event stream (start_index 0)"
+            f"events [{start}, {stop}) are not a slice of the {window}-access "
+            f"partition of a {num_accesses}-access run"
         )
     if store is None:
         store = default_store()
-    cached = store.get(key, decoder=kind.from_payload)
+    simulator, geometry = _tier_geometry(component, config)
+    whole = window >= num_accesses
+    run = (events.name, events.scale, events.seed, num_accesses, window)
+    wanted = start // window
+    cached = store.get(
+        tier_slice_key(component, *run, wanted, config),
+        decoder=simulator.TIER.from_payload,
+        promote=whole,
+    )
     if cached is not None and cached.num_events == len(events):
         return cached
-    tier = compute()
-    store.put(key, tier, encoder=VerdictTier.to_payload)
-    return tier
-
-
-def distilled_mac_tier(
-    events: MissEventStream,
-    config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
-) -> MacTier:
-    """The MAC tier for ``events``, served from the store when present."""
-    key = mac_tier_key(events, config)
-    tier = _served(key, MacTier, events, store, lambda: compute_mac_tier(events, config))
-    assert isinstance(tier, MacTier)
-    return tier
-
-
-def distilled_tier(
-    component: PathComponent,
-    events: MissEventStream,
-    config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
-) -> VerdictTier:
-    """``component``'s verdict tier for ``events``, served from the store when present.
-
-    The pipeline's first shard of a chain computes and puts it; later shards
-    and every plan sharing the geometry read it back.
-    """
-    simulator = _TIER_SIMULATORS[type(component)]
-    geometry = simulator.geometry_of(component, config if config is not None else SystemConfig())
-    return _served(
-        verdict_tier_key(component, events, config),
-        simulator.TIER,
-        events,
-        store,
-        lambda: simulator(**geometry).advance(events),
-    )
+    running = simulator(**geometry)
+    for index in range(len(slice_bounds(num_accesses, window))):
+        piece = events if index == wanted else load_slice(*run, index, config, store)
+        tier = running.advance(piece)
+        store.put(
+            tier_slice_key(component, *run, index, config),
+            tier,
+            encoder=VerdictTier.to_payload,
+            keep_in_memory=whole,
+        )
+        if index == wanted:
+            cached = tier
+    return cached
 
 
 def compute_tiers(
@@ -913,11 +951,11 @@ _BATCH_KERNELS: Dict[type, BatchKernel] = {
     InvisiMemComponent: _invisimem_kernel,
 }
 
-#: Component types safe to run in the residual scalar loop alongside the
-#: batch kernels.  Safe means the component's float writes are plain ``+=``
-#: of one addend into ``ctx.latency`` fields (captured into the window's
-#: ordered fold whenever a batch kernel writes the same field); integer
-#: counters commute and need no promise.
+#: Component types safe to run per event, in the engine's event loop,
+#: alongside the batch kernels.  Safe means the component's float writes
+#: are plain ``+=`` of one addend into ``ctx.latency`` fields (captured into
+#: the window's ordered fold whenever a batch kernel writes the same field);
+#: integer counters commute and need no promise.
 _SCALAR_SAFE_TYPES: Set[type] = {StealthFreshnessComponent}
 
 
@@ -927,8 +965,8 @@ def declare_scalar_safe(component_type: type) -> None:
     The component promises that its hooks change float accumulators only by
     ``ctx.latency.<field> += addend`` and never read them for anything else
     (see ``_SCALAR_SAFE_TYPES``); its hooks then run per event in the
-    scalar residual loop, interleaved exactly as ``replay_events``
-    interleaves them.  See ``docs/extending.md``.
+    engine's event loop beside the batch kernels, interleaved exactly as
+    ``replay_events`` interleaves them.  See ``docs/extending.md``.
     """
     if not (isinstance(component_type, type) and issubclass(component_type, PathComponent)):
         raise TypeError(f"{component_type!r} is not a PathComponent subclass")
@@ -948,8 +986,8 @@ def vectorizable(components: Sequence[PathComponent]) -> bool:
     Mirrors :meth:`SimulationEngine.distillable`'s role for the batch tier:
     True only when numpy is importable and every component is either handled
     by a batch kernel or declared scalar-safe.  Unknown component types make
-    the whole stack fall back to the scalar ``replay_events`` -- exact,
-    just slower.
+    the whole stack fall back to ``replay_events``, the event loop with no
+    kernel -- exact, just slower.
     """
     if not HAVE_NUMPY:
         return False
@@ -978,64 +1016,18 @@ _Addends = Tuple[Optional["np.ndarray"], int, "np.ndarray"]
 _PHASES = 3
 
 
-class _Capture:
-    """What the residual loop read from and stored into one captured field."""
-
-    __slots__ = ("keys", "addends", "loads")
-
-    def __init__(self) -> None:
-        self.keys: List[Tuple[int, int]] = []  # (slot, stack order) per addend
-        self.addends: List[float] = []
-        self.loads = 0
-
-
-def _capturing(
-    latency: LatencyBreakdown, fields: Sequence[str], locate: Callable[[], Tuple[int, int]]
-) -> Tuple[LatencyBreakdown, Dict[str, _Capture]]:
-    """A stand-in for ``latency`` that records what is stored into ``fields``.
-
-    Reading a captured field yields 0.0, so a hook's ``+= addend`` stores
-    exactly ``addend`` (0.0 + x == x), which is recorded with the ``(slot,
-    stack order)`` that ``locate()`` returns instead of being added; every
-    other field is a plain copy, written back by the caller.  Reads are
-    counted too: a ``+=`` makes one read per store, so any other count means
-    a hook read the placeholder 0.0 or overwrote the field.  Returns the
-    stand-in and the per-field captures.
-    """
-    captures = {name: _Capture() for name in fields}
-
-    def recorder(capture: _Capture) -> property:
-        def load(self: LatencyBreakdown) -> float:
-            capture.loads += 1
-            return 0.0
-
-        def store(self: LatencyBreakdown, addend: float) -> None:
-            capture.keys.append(locate())
-            capture.addends.append(addend)
-
-        return property(load, store)
-
-    captured = type(
-        "CapturedLatency",
-        (type(latency),),
-        {name: recorder(capture) for name, capture in captures.items()},
-    )
-    stand_in = object.__new__(captured)
-    stand_in.__dict__.update(
-        (name, value) for name, value in vars(latency).items() if name not in captures
-    )
-    return stand_in, captures
-
-
 class BatchReplayEngine:
     """Replays miss-event windows with numpy kernels, bit-identically.
 
     One instance wraps one ``(engine, events)`` pair; :meth:`replay` has the
     same window contract as :meth:`SimulationEngine.replay_events` and can
-    drive a sharded chain window by window.  The verdict tiers the kernels
-    read are fetched lazily, once per instance: from ``tiers`` when supplied
-    (``tier`` is the MAC-only spelling), else from the result store
-    (``store`` or the default store), computed and put there on a miss.
+    drive a sharded chain window by window.  ``events`` is the full-run
+    stream, or -- given the run's slice width ``window`` -- one slice of the
+    run's partition (:func:`~repro.sim.distill.load_slice`).  The verdict
+    tiers the kernels read are fetched lazily, once per instance: from
+    ``tiers`` when supplied (``tier`` is the MAC-only spelling), else the
+    slice's tier from the result store (``store`` or the default store),
+    computed on first need (:func:`load_tier_slice`).
     """
 
     def __init__(
@@ -1045,10 +1037,12 @@ class BatchReplayEngine:
         store: Optional[ResultStore] = None,
         tier: Optional[MacTier] = None,
         tiers: Iterable[VerdictTier] = (),
+        window: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.events = events
         self.store = store
+        self.window = window
         self._tiers: Dict[Tuple[str, Tuple], VerdictTier] = {
             _tier_slot(supplied.KIND, supplied.geometry): supplied for supplied in tiers
         }
@@ -1056,15 +1050,21 @@ class BatchReplayEngine:
             self._tiers[_tier_slot(MacTier.KIND, mac_geometry_fields(engine.config))] = tier
         self._addends: Dict[str, List[_Addends]] = {}
         self._order = -1
+        # The length of the run ``events`` belongs to; :meth:`replay` takes
+        # it from the state it advances.
+        self._num_accesses = events.stop_index
 
     def verdict_tier(self, component: PathComponent) -> VerdictTier:
         """``component``'s verdict tier over this engine's event stream."""
-        simulator = _TIER_SIMULATORS[type(component)]
-        geometry = simulator.geometry_of(component, self.engine.config)
+        simulator, geometry = _tier_geometry(component, self.engine.config)
         slot = _tier_slot(simulator.TIER.KIND, geometry)
         tier = self._tiers.get(slot)
         if tier is None:
-            tier = distilled_tier(component, self.events, self.engine.config, self.store)
+            run = self._num_accesses
+            window = run if self.window is None else self.window
+            tier = load_tier_slice(
+                component, self.events, run, window, self.engine.config, self.store
+            )
             self._tiers[slot] = tier
         return tier
 
@@ -1088,21 +1088,12 @@ class BatchReplayEngine:
         """Advance ``state`` over ``[state.position, stop)`` in batch form.
 
         Same validation, same window semantics, same counters -- bit for
-        bit -- as :meth:`SimulationEngine.replay_events`; see the module
-        docstring for why the float folds stay identical.
+        bit -- as :meth:`SimulationEngine.replay_events`, including the
+        fold of a slice's hierarchy statistics once, at the slice's stop;
+        see the module docstring for why the float folds stay identical.
         """
         events = self.events
-        stop = state.num_accesses if stop is None else stop
-        if not state.position <= stop <= state.num_accesses:
-            raise ValueError(
-                f"cannot replay window [{state.position}, {stop}) of a "
-                f"{state.num_accesses}-access run"
-            )
-        if events.start_index != 0 or events.num_accesses != state.num_accesses:
-            raise ValueError(
-                f"event stream covers [{events.start_index}, {events.stop_index}) "
-                f"but the run needs [0, {state.num_accesses})"
-            )
+        stop, lo, hi = event_window(state, events, stop)
         if not vectorizable(state.components):
             raise ValueError(
                 "component stack is not vectorizable; use replay_events() instead"
@@ -1111,10 +1102,7 @@ class BatchReplayEngine:
             return state
 
         ctx = state.ctx
-        components = state.components
-
-        lo = bisect_left(events.indices, state.position)
-        hi = bisect_left(events.indices, stop)
+        self._num_accesses = state.num_accesses
         batch = EventBatch(events, lo, hi)
         n = batch.num_events
         n_wb = batch.num_writebacks
@@ -1130,51 +1118,52 @@ class BatchReplayEngine:
             state.llc_read_misses += n
             state.writebacks += n_wb
 
-        # ---- protection path: batch kernels, residual hooks scalar --------
-        for order, component in enumerate(components):
+        # ---- protection path: batch kernels, the rest per event -----------
+        batched = set()
+        for order, component in enumerate(state.components):
             kernel = _BATCH_KERNELS.get(type(component))
-            if kernel is not None and n:
-                self._order = order
-                kernel(self, component, ctx, batch)
+            if kernel is not None:
+                batched.add(order)
+                if n:
+                    self._order = order
+                    kernel(self, component, ctx, batch)
 
-        captures = self._replay_residual(state, residual_components(components), batch, stop)
-        self._fold(ctx.latency, captures, n)
+        captures = event_loop(state, events, lo, hi, stop, batched, tuple(self._addends))
+        self._fold(ctx.latency, captures, batch)
 
         state.position = stop
-        if stop == state.num_accesses:
-            hierarchy = state.hierarchy
-            if hierarchy.l3.stats.accesses or hierarchy.l1.stats.accesses:
-                raise ValueError(
-                    "cannot fold pre-pass statistics into a hierarchy that "
-                    "already replayed accesses; do not mix replay() and "
-                    "replay_events() within one run"
-                )
-            for level, cache in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
-                cache.stats = cache.stats.merge(events.level_stats[level])
-            hierarchy.memory_accesses += events.memory_accesses
-            hierarchy.writebacks += events.hierarchy_writebacks
+        if stop == events.stop_index:
+            fold_statistics(state, events)
         return state
 
-    def _fold(self, latency: LatencyBreakdown, captures: Dict[str, _Capture], n: int) -> None:
+    def _fold(
+        self, latency: LatencyBreakdown, captures: Dict[str, "_Capture"], batch: EventBatch
+    ) -> None:
         """Fold each latency field's addends in (event, phase, stack order).
 
         A field with one batch writer and no captured addends is already in
         event order; otherwise every writer's addends are merged with a
         stable sort, which keeps one writer's addends to one event in the
-        order it emitted them.
+        order it emitted them.  A captured addend's event is located by its
+        global index; samplers after the window's last event sort last.
         """
         for name, writers in self._addends.items():
-            capture = captures.get(name, _Capture())
-            if len(writers) == 1 and not capture.addends:
+            capture = captures.get(name)
+            if len(writers) == 1 and not (capture and capture.addends):
                 ordered = writers[0][2]
             else:
-                keys = np.array(capture.keys, dtype=np.int64).reshape(-1, 2)
-                slot_columns = [keys[:, 0]]
-                order_columns = [keys[:, 1]]
-                value_columns = [np.array(capture.addends, dtype=np.float64)]
+                slot_columns = []
+                order_columns = []
+                value_columns = []
+                if capture:
+                    keys = np.array(capture.keys, dtype=np.int64).reshape(-1, 3)
+                    at = np.searchsorted(batch.indices, keys[:, 0].astype(np.uint64))
+                    slot_columns.append(at * _PHASES + keys[:, 1])
+                    order_columns.append(keys[:, 2])
+                    value_columns.append(np.array(capture.addends, dtype=np.float64))
                 for positions, order, values in writers:
                     if positions is None:
-                        positions = np.arange(n)
+                        positions = np.arange(batch.num_events)
                     slot_columns.append(positions * _PHASES + 1)
                     order_columns.append(np.full(len(values), order, dtype=np.int64))
                     value_columns.append(values)
@@ -1183,127 +1172,6 @@ class BatchReplayEngine:
                 )
                 ordered = np.concatenate(value_columns)[permutation]
             setattr(latency, name, _sequential_sum(getattr(latency, name), ordered))
-
-    def _replay_residual(
-        self,
-        state: "EngineState",
-        residual: Sequence[PathComponent],
-        batch: EventBatch,
-        stop: int,
-    ) -> Dict[str, _Capture]:
-        """Run the stateful components through the scalar per-event loop.
-
-        Mirrors ``replay_events``' loop exactly -- same hook dispatch, same
-        sampler merge, same ``ctx`` field updates -- restricted to the
-        residual components.  Skipped entirely (cheaply) for fully batched
-        stacks with no samplers.  While it runs, the latency fields a batch
-        kernel wrote this window are captured (:func:`_capturing`); returns
-        the captures per field, after checking that every hook only added
-        to them.
-        """
-        ctx = state.ctx
-        components = state.components
-        residual_ids = {id(c) for c in residual}
-        read_hooks = [
-            (order, c.on_read_miss)
-            for order, c in enumerate(components)
-            if id(c) in residual_ids and type(c).on_read_miss is not PathComponent.on_read_miss
-        ]
-        writeback_hooks = [
-            (order, c.on_writeback)
-            for order, c in enumerate(components)
-            if id(c) in residual_ids and type(c).on_writeback is not PathComponent.on_writeback
-        ]
-
-        def index_stream(first: int, period: int, order: int, hook):
-            return ((index, order, hook) for index in range(first, stop, period))
-
-        sampling = False
-        streams = []
-        for order, component in enumerate(components):
-            if type(component).on_access is PathComponent.on_access:
-                continue
-            period = getattr(component, "access_period", None)
-            if not period:
-                raise ValueError(
-                    f"{type(component).__name__} overrides on_access without "
-                    "declaring access_period; use the full replay instead"
-                )
-            sampling = True
-            first = -(-state.position // period) * period
-            streams.append(index_stream(first, period, order, component.on_access))
-        pending = heapq.merge(*streams)
-        next_sample = next(pending, None)
-        if not (read_hooks or writeback_hooks or next_sample is not None):
-            return {}
-
-        # The hook running now is the ``order``-th component of the stack,
-        # in ``phase`` of the ``pos``-th event: the loop keeps the three in
-        # closure cells, so only a captured store pays to read them.
-        pos = order = 0
-        phase = 1
-
-        def locate() -> Tuple[int, int]:
-            return pos * _PHASES + phase, order
-
-        latency = ctx.latency
-        captures: Dict[str, _Capture] = {}
-        if self._addends:
-            ctx.latency, captures = _capturing(latency, list(self._addends), locate)
-
-        events = self.events
-        lo, hi = batch.lo, batch.hi
-        # Iterate the builtin arrays, not the numpy views: the residual
-        # components do Python arithmetic on the addresses, and numpy
-        # scalar division would silently promote to float64.
-        window = zip(
-            count(),
-            events.indices[lo:hi],
-            events.addresses[lo:hi],
-            events.writes[lo:hi],
-            events.writeback_addresses[lo:hi],
-        )
-        try:
-            for pos, index, address, is_write, wb in window:
-                while next_sample is not None and next_sample[0] <= index:
-                    ctx.index, order, hook = next_sample
-                    phase = 0
-                    hook(ctx)
-                    phase = 1
-                    next_sample = next(pending, None)
-                if sampling:
-                    ctx.index = index
-                ctx.address = address
-                ctx.is_write = bool(is_write)
-                for order, hook in read_hooks:
-                    hook(ctx)
-                if wb != WB_NONE:
-                    ctx.address = wb
-                    ctx.is_write = True
-                    phase = 2
-                    for order, hook in writeback_hooks:
-                        hook(ctx)
-                    phase = 1
-
-            pos, phase = batch.num_events, 0
-            while next_sample is not None:
-                ctx.index, order, hook = next_sample
-                hook(ctx)
-                next_sample = next(pending, None)
-        finally:
-            if ctx.latency is not latency:
-                for name, value in vars(ctx.latency).items():
-                    setattr(latency, name, value)
-                ctx.latency = latency
-        for name, capture in captures.items():
-            if capture.loads != len(capture.addends):
-                raise ValueError(
-                    f"a residual hook read ctx.latency.{name} {capture.loads} times but "
-                    f"stored it {len(capture.addends)} times; a batch kernel writes "
-                    "that field too, so a scalar-safe component may change it only "
-                    "by `+=` and never read it otherwise (see docs/extending.md)"
-                )
-        return captures
 
 
 def mode_vector_profile(params: "ModeParameters") -> str:
@@ -1338,13 +1206,13 @@ __all__ = [
     "compute_mac_tier",
     "compute_tiers",
     "declare_scalar_safe",
-    "distilled_mac_tier",
-    "distilled_tier",
+    "load_tier_slice",
     "mac_geometry_fields",
     "mac_tier_key",
     "mode_vector_profile",
     "register_batch_kernel",
     "residual_components",
+    "tier_slice_key",
     "vectorizable",
     "verdict_tier_key",
 ]

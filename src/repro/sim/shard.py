@@ -178,23 +178,23 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
 
     The window replays slice by slice (:func:`~repro.sim.distill.load_slice`;
     one hierarchy pre-pass per benchmark serves every mode and shard), so
-    peak memory is one slice plus the checkpoint.  Each slice takes the loop
-    it and the stack allow: the numpy batch kernels when the slice is the
-    whole run and the stack is :func:`~repro.sim.replaycore.vectorizable`,
-    else the scalar event replay.  The kernels read their verdict tiers from
-    the store; a tier not there yet (a counter tree's or an EPC's, whose
-    geometry is one mode's own) is computed by the first shard that needs it
-    and put there for the chain's later shards and every other plan.  A
-    stack that is not even
-    :meth:`~SimulationEngine.distillable` -- a third-party sampler without
-    ``access_period`` -- replays the trace (re-derived through the
-    per-process ``capture_trace`` memo), which needs the run in one window:
-    a windowed chain of such a stack raises ``ValueError``.  The loop
-    depends only on the window, the stack and the worker's numpy, all
-    constant along a chain, so a chain replays with one loop end to end (a
-    vectorized checkpoint leaves component caches untouched and must not be
-    resumed by the scalar replay; :func:`checkpoint_key` keeps resumed
-    chains on their loop too).
+    peak memory is one slice plus the checkpoint.  Every slice, at any
+    width, replays through the one event loop
+    (:func:`~repro.sim.engine.event_loop`): beside the numpy batch kernels
+    when the stack is :func:`~repro.sim.replaycore.vectorizable`, alone
+    otherwise.  The kernels read each slice's verdict tiers from the store;
+    a tier not there yet is computed by the first shard that needs it, for
+    every slice of the run at once (:func:`~repro.sim.replaycore.load_tier_slice`),
+    and read back by the chain's later shards and every other plan.  A
+    stack that is not even :meth:`~SimulationEngine.distillable` -- a
+    third-party sampler without ``access_period`` -- replays the trace
+    (re-derived through the per-process ``capture_trace`` memo), which needs
+    the run in one window: a windowed chain of such a stack raises
+    ``ValueError``.  The choice depends only on the stack and the worker's
+    numpy, both constant along a chain, so a chain replays one way end to
+    end (a vectorized checkpoint leaves component caches untouched and must
+    not be resumed without the kernels; :func:`checkpoint_key` keeps
+    resumed chains on their loop too).
     """
     from repro.sim import replaycore
     from repro.sim.distill import load_slice
@@ -214,9 +214,8 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
                 f"checkpoint resumes at access {state.position}, "
                 f"but this shard's window starts at {position}"
             )
-        whole = events.num_accesses == num_accesses
         if not engine.distillable(state.components):
-            if not whole:
+            if window < num_accesses:
                 raise ValueError(
                     f"mode {params.label!r} has components that cannot be "
                     "event-driven, so it replays the trace and needs the whole "
@@ -225,8 +224,9 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
                 )
             trace = capture_trace(name, scale=scale, seed=seed, num_accesses=num_accesses)
             engine.replay(state, trace, stop=stop)
-        elif whole and replaycore.vectorizable(state.components):
-            replaycore.BatchReplayEngine(engine, events).replay(state, stop=stop)
+        elif replaycore.vectorizable(state.components):
+            replayer = replaycore.BatchReplayEngine(engine, events, window=window)
+            replayer.replay(state, stop=min(stop, events.stop_index))
         else:
             engine.replay_events(state, events, stop=min(stop, events.stop_index))
         position = state.position
@@ -245,16 +245,18 @@ def checkpoint_key(task: ShardTask) -> str:
 
     The key carries the *full* identity of the prefix the checkpoint
     represents -- benchmark, resolved mode parameters, scale, run length,
-    seed, config/options, the window's ``stop`` -- plus what picks the replay
-    loop that produced it.  The loop matters here even though it never
-    enters a *result* key: a vectorized checkpoint leaves component caches
-    untouched and must not seed a scalar replay (and vice versa).  It
-    follows from the chain's slice width and from whether numpy is
-    importable (``replaycore.HAVE_NUMPY``), so both are keyed: a checkpoint
-    written with numpy is never resumed without it, nor by a chain slicing
-    the run differently.  The code fingerprint rides in through
-    :func:`content_key` as always, so a source edit strands stale
-    checkpoints exactly like every other entry.
+    seed, config/options, the window's ``stop`` -- plus the two strategy
+    axes the state at that stop depends on, even though neither enters a
+    *result* key.  One is the chain's slice width: every slice folds its
+    hierarchy statistics once, at its own stop, so a shard stop inside a
+    slice has folded only the earlier slices' statistics, and how many
+    depends on the width.  The other is whether numpy is importable
+    (``replaycore.HAVE_NUMPY``): a vectorized checkpoint leaves component
+    caches untouched and must not seed a replay without the kernels (and
+    vice versa), so a checkpoint written with numpy is never resumed
+    without it.  The code fingerprint rides in through :func:`content_key`
+    as always, so a source edit strands stale checkpoints exactly like
+    every other entry.
     """
     from repro.sim import replaycore
 
@@ -461,24 +463,23 @@ def run_sharded(
 
 
 def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
-    """One plan's (benchmark, mode) chains, with their inputs precomputed.
+    """One plan's (benchmark, mode) chains, with their event slices precomputed.
 
     Chains come benchmark-major, mode-minor -- the serial order -- with
     ``NOPROTECT`` always included first, since it provides the baseline
     time :func:`~repro.sim.parallel.stitch_suite` stitches into every
     result.  Before returning, the parent pays each benchmark's
-    mode-independent pre-pass once (a no-op when the store already holds
-    it), so the workers' loads are warm store hits instead of one redundant
-    distillation per worker: the event slices
+    mode-independent hierarchy pre-pass once (a no-op when the store
+    already holds it), so the workers' loads are warm store hits instead of
+    one redundant distillation per worker: the event slices
     (:func:`~repro.sim.distill.stream_event_slices`), and when one window
-    covers the run, the run's ``events`` entry and -- where a worker can
-    batch a MAC-bearing mode -- its MAC tier are loaded into the store's
-    memory layer, which forked workers inherit (spawned workers read them
-    back from disk).  The MAC tier is the one verdict tier paid here,
-    because every MAC-bearing mode shares it; a counter-tree or EPC tier
-    serves one mode, so that mode's first shard computes it in a worker.
+    covers the run, the run's ``events`` entry is loaded into the store's
+    memory layer, which forked workers inherit (spawned workers read it
+    back from disk).  No verdict tier is paid here: the first worker whose
+    kernel needs one computes it for every slice of the run and puts it in
+    the store (:func:`~repro.sim.replaycore.load_tier_slice`), so the
+    parent never holds a tier simulator while it ingests.
     """
-    from repro.sim import replaycore
     from repro.sim.distill import load_slice, stream_event_slices
 
     scale, num_accesses, seed, config = plan.scale, plan.num_accesses, plan.seed, plan.config
@@ -490,13 +491,10 @@ def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
         for name in plan.benchmarks
         for mode in modes
     ]
-    tiered = replaycore.HAVE_NUMPY and any(mode_parameters(mode).mac_traffic for mode in modes)
     for name in plan.benchmarks:
         stream_event_slices(name, scale, seed, num_accesses, window, config)
         if window == num_accesses:
-            events = load_slice(name, scale, seed, num_accesses, window, 0, config)
-            if tiered:
-                replaycore.distilled_mac_tier(events, config)
+            load_slice(name, scale, seed, num_accesses, window, 0, config)
     return chains
 
 

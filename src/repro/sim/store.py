@@ -202,6 +202,12 @@ def export_code_fingerprint() -> str:
     return fingerprint
 
 
+#: Exact types :func:`_canonical` returns as they are.  Checked first, by
+#: exact type: most leaves of a key are plain scalars, and an enum subclass
+#: of one (an ``IntEnum``) still falls through to its enum branch.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _canonical(value: Any) -> Any:
     """Convert a run parameter into a canonical JSON-serialisable form.
 
@@ -209,6 +215,8 @@ def _canonical(value: Any) -> Any:
     configuration types with coincidentally equal fields hash differently;
     enums collapse to their value; tuples/sets become lists.
     """
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {
             f.name: _canonical(getattr(value, f.name))

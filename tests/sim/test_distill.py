@@ -74,6 +74,14 @@ def serial_results(trace):
     }
 
 
+def event_run(mode, events, config=SMALL_CONFIG, seed=7):
+    """One simulation entirely from a full-run event stream (no kernels)."""
+    engine = SimulationEngine.from_mode(mode, config=config, seed=seed)
+    state = engine.begin(events, events.num_accesses)
+    engine.replay_events(state, events)
+    return engine.finish(state, events)
+
+
 def synthetic_trace(addresses, writes) -> Trace:
     return Trace(
         name="synthetic",
@@ -103,9 +111,7 @@ class TestDistilledReplayIsBitIdentical:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_unsharded_event_replay_matches_serial(self, mode, events, serial_results):
-        distilled = SimulationEngine.from_mode(
-            mode, config=SMALL_CONFIG, seed=7
-        ).run_events(events)
+        distilled = event_run(mode, events)
         assert distilled.to_dict() == serial_results[mode].to_dict()
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -128,7 +134,7 @@ class TestDistilledReplayIsBitIdentical:
         trace = get_workload("bsw", scale=0.002, seed=3).capture(2000)
         serial = SimulationEngine.from_mode("Toleo", seed=3).run(trace, num_accesses=2000)
         events = HierarchyDistiller(None).distill(trace)
-        distilled = SimulationEngine.from_mode("Toleo", seed=3).run_events(events)
+        distilled = event_run("Toleo", events, config=None, seed=3)
         assert distilled.to_dict() == serial.to_dict()
 
     def test_suite_pipelines_distilled_through_the_pool(self):
@@ -383,7 +389,7 @@ class TestFallbackForUndeclaredSamplers:
         stealthy.access_period = 50
         assert SimulationEngine.distillable([stealthy]) is True
 
-    def test_run_events_refuses_undistillable_mode(self, events, monkeypatch):
+    def test_replay_events_refuses_undistillable_mode(self, events, monkeypatch):
         monkeypatch.setattr(StealthFreshnessComponent, "access_period", None)
         original = StealthFreshnessComponent.__init__
 
@@ -392,9 +398,8 @@ class TestFallbackForUndeclaredSamplers:
             del self.access_period
 
         monkeypatch.setattr(StealthFreshnessComponent, "__init__", init)
-        engine = SimulationEngine.from_mode("Toleo", config=SMALL_CONFIG, seed=7)
         with pytest.raises(ValueError, match="access_period"):
-            engine.run_events(events)
+            event_run("Toleo", events)
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_pipeline_falls_back_bit_identically(self, jobs, monkeypatch):

@@ -30,22 +30,11 @@ from repro.sim.shard import (
     shard_chain,
     stitch_chains,
 )
-from repro.sim.store import ResultStore, default_store, set_default_store
+from repro.sim.store import ResultStore
 from repro.workloads.registry import capture_trace, get_workload
 
 TRACE_LEN = 260
 ACCESSES = 1000
-
-
-@pytest.fixture
-def fresh_default_store(tmp_path):
-    """An isolated default store, so entry counts see only this test's
-    entries (forked workers inherit the object)."""
-    previous = default_store()
-    store = ResultStore(tmp_path / "cache")
-    set_default_store(store)
-    yield store
-    set_default_store(previous)
 
 
 def _plan(benchmarks, modes, shard_size, stream=None):
@@ -126,8 +115,8 @@ class TestSuitePlanning:
             ("fmi", "CI", 3),
         ]
         assert len(fresh_default_store.query(kind="events")) == 2
-        tiers = 2 if replaycore.HAVE_NUMPY else 0
-        assert len(fresh_default_store.query(kind="mactier")) == tiers
+        # Verdict tiers are the workers' to compute, on first need.
+        assert fresh_default_store.query(kind="mactier") == []
 
     def test_streamed_suite_persists_slices_not_the_stream(self, fresh_default_store):
         chains = prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
@@ -137,8 +126,8 @@ class TestSuitePlanning:
 
 
 class TestParentPrePass:
-    """:func:`prepare_suite`'s pre-pass: every benchmark's events, and the
-    MAC tier only where a worker can use it."""
+    """:func:`prepare_suite`'s pre-pass: every benchmark's events, and no
+    verdict tier -- the first worker whose kernel needs one computes it."""
 
     @pytest.mark.parametrize(
         "modes, have_numpy, tiered",
@@ -149,8 +138,10 @@ class TestParentPrePass:
         self, modes, have_numpy, tiered, monkeypatch, fresh_default_store
     ):
         monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
-        prepare_suite(_plan(("bsw", "fmi"), modes, ACCESSES))
+        chains = prepare_suite(_plan(("bsw", "fmi"), modes, ACCESSES))
         assert len(fresh_default_store.query(kind="events")) == 2
+        assert fresh_default_store.query(kind="mactier") == []
+        shard.run_chains(chains, jobs=1, resume=False)
         assert len(fresh_default_store.query(kind="mactier")) == (2 if tiered else 0)
 
     def test_pre_pass_pins_no_trace(self, fresh_default_store):
@@ -165,21 +156,18 @@ class TestParentPrePass:
         self, fresh_default_store
     ):
         # A warm disk store skips the distillation, but the one-window run's
-        # events entry and MAC tier must still land in the parent's memory
-        # layer, where forked workers inherit them; a windowed slice never
-        # enters it.
-        prepare_suite(_plan(("bsw",), ("CI",), 500))
-        prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
+        # events entry must still land in the parent's memory layer, where
+        # forked workers inherit it; a windowed slice never enters it, and
+        # the pre-pass loads no verdict tier, even once a worker has put one.
+        for stream in (None, 250):
+            chains = prepare_suite(_plan(("bsw",), ("CI",), 500, stream=stream))
+            shard.run_chains(chains, jobs=1, resume=False)
+        assert fresh_default_store.query(kind="mactier")
         fresh_default_store.clear_memory()
         prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
         assert fresh_default_store._memory == {}
         prepare_suite(_plan(("bsw",), ("CI",), 500))
-        key = events_key("bsw", 0.002, 1, ACCESSES)
-        events = fresh_default_store._memory[key]
-        expected = {key}
-        if replaycore.HAVE_NUMPY:
-            expected.add(replaycore.mac_tier_key(events))
-        assert set(fresh_default_store._memory) == expected
+        assert set(fresh_default_store._memory) == {events_key("bsw", 0.002, 1, ACCESSES)}
 
 
 class TestReplayLoopSelection:
@@ -235,7 +223,7 @@ class TestReplayLoopSelection:
         assert run_shard_step(task, None).to_dict() == serial.to_dict()
         assert ran == [expected]
 
-    def test_windowed_slices_replay_events_even_when_vectorizable(self, monkeypatch):
+    def test_windowed_slices_take_the_batch_loop(self, monkeypatch):
         serial = self._serial("CI")
         ran = self._record_loops(monkeypatch)
         chain = shard_chain(
@@ -243,7 +231,7 @@ class TestReplayLoopSelection:
         )
         assert self._run_chain(chain).to_dict() == serial.to_dict()
         # Shards [0,100) [100,200) [200,260) over slices of 64 accesses.
-        assert ran == ["events"] * 7
+        assert ran == ["batch" if replaycore.HAVE_NUMPY else "events"] * 7
 
     def test_a_stream_covering_the_run_takes_the_batch_loop(self, monkeypatch):
         serial = self._serial("CI")

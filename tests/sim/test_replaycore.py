@@ -21,16 +21,21 @@ from repro.cache.mac_cache import MacCache
 from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
-from repro.sim.engine import EngineState, SimulationEngine
+from repro.sim.engine import EngineOptions, EngineState, SimulationEngine
 from repro.sim import replaycore
-from repro.sim.path import PathComponent, StealthFreshnessComponent
+from repro.sim.path import (
+    MacIntegrityComponent,
+    PathComponent,
+    StealthFreshnessComponent,
+    build_components,
+)
 from repro.sim.replaycore import (
     HAVE_NUMPY,
     BatchReplayEngine,
     MacTier,
     compute_mac_tier,
     declare_scalar_safe,
-    distilled_mac_tier,
+    load_tier_slice,
     mac_tier_key,
     mode_vector_profile,
     register_batch_kernel,
@@ -215,27 +220,43 @@ class TestMacTier:
         fewer_ways = dataclasses.replace(SMALL_CONFIG, mac_cache_ways=2)
         assert mac_tier_key(events, fewer_ways) != base_key
 
-    def test_distilled_tier_persists_and_reloads(self, events, tier, tmp_path, monkeypatch):
+    @staticmethod
+    def _mac(events):
+        stack = build_components(
+            mode_parameters("CI"), SMALL_CONFIG, EngineOptions(), events.footprint_bytes
+        )
+        (mac,) = [c for c in stack if isinstance(c, MacIntegrityComponent)]
+        return mac
+
+    def test_stored_tier_persists_and_reloads(self, events, tier, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
-        first = distilled_mac_tier(events, SMALL_CONFIG, store=store)
-        assert first.to_payload() == tier.to_payload()
-        assert any(key.startswith("mactier-") for key in store.disk_keys())
+        mac = self._mac(events)
+        first = load_tier_slice(mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG, store=store)
+        assert first == tier
+        # A one-window run's tier keeps the full-run key.
+        assert mac_tier_key(events, SMALL_CONFIG) in store.disk_keys()
 
         # A fresh store over the same directory serves the tier from disk,
         # not recomputed.
         def recompute(*args):
             raise AssertionError("MAC tier recomputed instead of served from disk")
 
-        monkeypatch.setattr(replaycore, "compute_mac_tier", recompute)
-        reloaded = distilled_mac_tier(events, SMALL_CONFIG, store=ResultStore(tmp_path))
-        assert reloaded.to_payload() == first.to_payload()
+        monkeypatch.setattr(replaycore.MacTierSimulator, "advance", recompute)
+        reloaded = load_tier_slice(
+            mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG, store=ResultStore(tmp_path)
+        )
+        assert reloaded == first
 
-    def test_tier_rejects_windowed_streams(self, trace, tmp_path):
+    def test_tier_slice_must_belong_to_its_partition(self, trace, events, tmp_path):
         distiller = HierarchyDistiller(SMALL_CONFIG)
         distiller.advance(trace, 0, 10)
         window = distiller.advance(trace, 10, 20)
-        with pytest.raises(ValueError, match="start_index 0"):
-            distilled_mac_tier(window, SMALL_CONFIG, store=ResultStore(tmp_path))
+        store = ResultStore(tmp_path)
+        mac = self._mac(events)
+        for stream, width in ((window, 7), (window, 20), (events, 64)):
+            with pytest.raises(ValueError, match="not a slice"):
+                load_tier_slice(mac, stream, TRACE_LEN, width, SMALL_CONFIG, store=store)
+        assert list(store.disk_keys()) == []
 
 
 class TestCapabilityRegistry:

@@ -8,13 +8,15 @@ tier against ``EpcPagingComponent._touch`` (fault for fault, dirty eviction
 for dirty eviction).  The shipped geometries rarely evict on a short trace,
 so two runtime-registered tiny-geometry modes make tree-cache evictions,
 partial walks and dirty EPC evictions happen -- and run through the same
-bit-identity matrix as the shipped modes.  A hypothesis property pins the
-windowed ``advance`` against the one-shot tier, and the store-key test walks
-every config field to check each tier key moves exactly with the fields
-that can change a verdict.
+bit-identity matrix as the shipped modes, in one window and in windowed
+chains.  A hypothesis property pins the windowed ``advance`` against the
+one-shot tier, the store-served tier slices are pinned against it too, and
+the store-key tests walk every config field to check each tier key -- full
+run or slice -- moves exactly with the fields that can change a verdict.
 """
 
 import dataclasses
+import inspect
 from array import array
 
 import pytest
@@ -32,7 +34,14 @@ from repro.sim.configs import (
     unregister_mode,
 )
 from repro.sim import replaycore
-from repro.sim.distill import HierarchyDistiller, MissEventStream
+from repro.sim.distill import (
+    HierarchyDistiller,
+    MissEventStream,
+    events_slice_key,
+    load_slice,
+    slice_bounds,
+    stream_event_slices,
+)
 from repro.sim.engine import EngineOptions, EngineState, SimulationEngine
 from repro.sim.path import (
     CounterTreeComponent,
@@ -52,7 +61,10 @@ from repro.sim.replaycore import (
     TreeTierSimulator,
     compute_tiers,
     declare_scalar_safe,
+    load_tier_slice,
+    mac_tier_key,
     register_batch_kernel,
+    tier_slice_key,
     verdict_tier_key,
 )
 from repro.sim.results import LatencyBreakdown
@@ -75,6 +87,9 @@ SMALL_CONFIG = dataclasses.replace(
 TRACE_LEN = 260
 
 SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN)
+
+#: Event-slice widths of the windowed chains (see test_streaming).
+WINDOWS = (1, 7, TRACE_LEN // 3, TRACE_LEN)
 
 #: A 32-line, 2-way tree cache: evicts constantly on the fixture trace.
 TINY_TREE = CounterTreeSpec(cache_bytes=2 * KIB, cache_ways=2)
@@ -149,6 +164,13 @@ def begin(mode, events):
 def only(components, kind):
     (component,) = [c for c in components if isinstance(c, kind)]
     return component
+
+
+def run_chain(chain):
+    carry = None
+    for task in chain:
+        carry = run_shard_step(task, carry)
+    return carry
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +308,19 @@ class TestTinyModesAreBitIdentical:
         BatchReplayEngine(engine, events, tiers=tiers).replay(state)
         assert engine.finish(state, events).to_dict() == serial[mode]
 
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
+    def test_windowed_chains_match_serial(self, mode, window, serial, fresh_default_store):
+        # Each slice reads its own tier slices, so tier slices cross
+        # tree-cache evictions, EPC dirty evictions and mid-slice shard stops
+        # (test_streaming runs the shipped modes at every shard width).
+        for shard_size in (7, TRACE_LEN // 2):
+            chain = shard_chain(
+                "memcached", mode, ShardSpec(shard_size), 0.002, TRACE_LEN, 7,
+                SMALL_CONFIG, window=window,
+            )
+            assert run_chain(chain).to_dict() == serial[mode], f"shard_size={shard_size}"
+
     @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
     def test_scalar_then_vector_handoff(self, mode, events, serial):
         engine, state = begin(mode, events)
@@ -395,6 +430,54 @@ class TestWindowedAdvance:
             TreeTier.from_payload(payload)
 
 
+class TestTierSlices:
+    """A run's tier slices, served from the store, are the one-shot tier cut
+    at the slice boundaries."""
+
+    RUN = ("memcached", 0.002, 7, TRACE_LEN)
+
+    @pytest.mark.parametrize("window", (7, TRACE_LEN // 3))
+    def test_served_slices_concatenate_to_the_one_shot_tier(
+        self, window, events, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
+        slices = [
+            load_slice(*self.RUN, window, index, SMALL_CONFIG, store)
+            for index in range(len(slice_bounds(TRACE_LEN, window)))
+        ]
+        engine, state = begin("Tiny-SGX", events)
+        one_shot = compute_tiers(state.components, events, SMALL_CONFIG)
+        advances = []
+        for simulator in (MacTierSimulator, TreeTierSimulator, EpcTierSimulator):
+            original = simulator.advance
+
+            def counting(self, events, _original=original):
+                advances.append(type(self))
+                return _original(self, events)
+
+            monkeypatch.setattr(simulator, "advance", counting)
+        middle = len(slices) // 2
+        for component in state.components:
+            if type(component) not in KINDS:
+                continue
+            # The first need -- a middle slice -- computes every slice at once.
+            advances.clear()
+            load_tier_slice(component, slices[middle], TRACE_LEN, window, SMALL_CONFIG, store)
+            assert len(advances) == len(slices)
+            advances.clear()
+            served = [
+                load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG,
+                                ResultStore(tmp_path))
+                for piece in slices
+            ]
+            assert advances == []
+            (expected,) = [tier for tier in one_shot if tier.KIND == KINDS[type(component)]]
+            assert concatenated(served) == expected
+        # Narrow tier slices, like narrow event slices, skip the memory layer.
+        assert store._memory == {}
+
+
 # ---------------------------------------------------------------------------
 # Store keys move exactly with the fields that can change a verdict
 # ---------------------------------------------------------------------------
@@ -460,20 +543,42 @@ def perturbed(path, value):
     raise TypeError(f"no perturbation for {path} = {value!r}")
 
 
-def tier_keys(events, tree, epc, config, options):
+#: Slice 1 of the fixture run's 64-access partition, as ``tier_slice_key``'s
+#: slice axes: benchmark, scale, seed, run length, window, slice index.
+SLICE = ("memcached", 0.002, 7, TRACE_LEN, 64, 1)
+
+#: Which key each key test checks: the full-run tier or one tier slice.
+KEYINGS = pytest.mark.parametrize("keyed_by", (None, SLICE), ids=("full-run", "slice"))
+
+
+def tier_keys(events, tree, epc, config, options, keyed_by=None):
+    """Each tier kind's key for a Client-SGX stack: the full-run key, or
+    the key of the tier slice ``keyed_by`` names."""
     params = dataclasses.replace(mode_parameters("Client-SGX"), counter_tree=tree, epc_paging=epc)
     stack = build_components(params, config, options, footprint_bytes=events.footprint_bytes)
     return {
-        KINDS[type(component)]: verdict_tier_key(component, events, config)
+        KINDS[type(component)]: (
+            verdict_tier_key(component, events, config)
+            if keyed_by is None
+            else tier_slice_key(component, *keyed_by, config)
+        )
         for component in stack
         if type(component) in KINDS
     }
 
 
+def client_sgx_keys(events, keyed_by):
+    base = mode_parameters("Client-SGX")
+    return tier_keys(
+        events, base.counter_tree, base.epc_paging, SMALL_CONFIG, EngineOptions(), keyed_by
+    )
+
+
 class TestTierKeys:
     """Store-key completeness by introspection, scoped to the tier keys."""
 
-    def test_every_field_moves_exactly_the_keys_it_can_change(self, events):
+    @KEYINGS
+    def test_every_field_moves_exactly_the_keys_it_can_change(self, events, keyed_by):
         base = mode_parameters("Client-SGX")
         roots = {
             "tree": base.counter_tree,
@@ -481,7 +586,7 @@ class TestTierKeys:
             "config": SMALL_CONFIG,
             "options": EngineOptions(),
         }
-        reference = tier_keys(events, *roots.values())
+        reference = tier_keys(events, *roots.values(), keyed_by)
         assert set(reference) == {"mactier", "treetier", "epctier"}
         seen = set()
         for root, value in roots.items():
@@ -489,23 +594,45 @@ class TestTierKeys:
                 seen.add(path)
                 variant = dict(roots)
                 variant[root] = replaced(value, path.partition(".")[2], perturbed(path, leaf))
-                keys = tier_keys(events, *variant.values())
+                keys = tier_keys(events, *variant.values(), keyed_by)
                 changed = {kind for kind in reference if keys[kind] != reference[kind]}
                 assert changed == MUST_CHANGE.get(path, set()), path
         # The table names only real fields, so a rename cannot hide a gap.
         assert set(MUST_CHANGE) <= seen
 
-    def test_cost_parameters_share_the_tiers(self, events):
+    @KEYINGS
+    def test_cost_parameters_share_the_tiers(self, events, keyed_by):
         # The cost parameters most easily mistaken for geometry, spelled out.
         base = mode_parameters("Client-SGX")
-        reference = tier_keys(events, base.counter_tree, base.epc_paging, SMALL_CONFIG,
-                              EngineOptions())
         slower = dataclasses.replace(
             SMALL_CONFIG, local_dram_latency_ns=99.0, cxl_link_latency_ns=300.0
         )
         penalty = dataclasses.replace(base.epc_paging, page_fault_penalty_ns=1.0)
         overlap = EngineOptions(integrity_overlap=1.0)
-        assert tier_keys(events, base.counter_tree, penalty, slower, overlap) == reference
+        assert tier_keys(
+            events, base.counter_tree, penalty, slower, overlap, keyed_by
+        ) == client_sgx_keys(events, keyed_by)
+
+    def test_a_tier_slice_key_moves_with_every_slice_axis(self, events):
+        # The slice axes are events_slice_key's, checked by name so an axis
+        # added there cannot be missed here; the hierarchy geometry rides in
+        # through the config (test_every_field_moves_exactly_the_keys_it_can_change).
+        axes = list(inspect.signature(events_slice_key).parameters)
+        assert axes == ["name", "scale", "seed", "num_accesses", "window", "index", "config"]
+        moved = ("bsw", 0.004, 8, 2 * TRACE_LEN, 65, 2)
+        reference = client_sgx_keys(events, SLICE)
+        for position, axis in enumerate(axes[:-1]):
+            keyed_by = SLICE[:position] + (moved[position],) + SLICE[position + 1 :]
+            keys = client_sgx_keys(events, keyed_by)
+            assert all(keys[kind] != reference[kind] for kind in reference), axis
+
+    @pytest.mark.parametrize("window", (TRACE_LEN, TRACE_LEN + 13))
+    def test_a_one_window_tier_key_is_the_full_run_key(self, events, window):
+        one_window = ("memcached", 0.002, 7, TRACE_LEN, window, 0)
+        assert client_sgx_keys(events, one_window) == client_sgx_keys(events, None)
+        assert client_sgx_keys(events, one_window)["mactier"] == mac_tier_key(
+            events, SMALL_CONFIG
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +641,29 @@ class TestTierKeys:
 
 
 class TestTierProvenance:
-    """A chain's first shard computes its tiers; later shards reuse them."""
+    """The first shard that needs a tier computes it for every slice of the
+    run; later shards, and later slices, read it back."""
 
-    def test_later_shards_reuse_the_first_shards_tiers(self, tmp_path, monkeypatch, trace):
+    @pytest.mark.parametrize("window", (TRACE_LEN, 64))
+    def test_later_shards_reuse_the_first_shards_tiers(
+        self, window, tmp_path, monkeypatch, trace
+    ):
         previous = default_store()
         runs = []
         for simulator in (TreeTierSimulator, EpcTierSimulator):
-            original = simulator.advance
+            original = simulator.__init__
 
-            def counting(self, events, _original=original):
+            def counting(self, *args, _original=original, **kwargs):
                 runs.append(type(self).__name__)
-                return _original(self, events)
+                _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(simulator, "advance", counting)
+            monkeypatch.setattr(simulator, "__init__", counting)
         serial = SimulationEngine.from_mode("Client-SGX", seed=7).run(
             trace, num_accesses=TRACE_LEN
         )
-        chain = shard_chain("memcached", "Client-SGX", ShardSpec(100), 0.002, TRACE_LEN, 7)
+        chain = shard_chain(
+            "memcached", "Client-SGX", ShardSpec(100), 0.002, TRACE_LEN, 7, window=window
+        )
         try:
             carry = None
             for task in chain:
@@ -541,8 +674,11 @@ class TestTierProvenance:
             set_default_store(previous)
         assert carry.to_dict() == serial.to_dict()
         assert sorted(runs) == ["EpcTierSimulator", "TreeTierSimulator"]
-        kinds = {key.rsplit("-", 1)[0] for key in ResultStore(tmp_path / "cache").disk_keys()}
-        assert {"treetier", "epctier", "mactier"} <= kinds
+        kinds = [key.rsplit("-", 1)[0] for key in ResultStore(tmp_path / "cache").disk_keys()]
+        slices = len(slice_bounds(TRACE_LEN, window))
+        assert {kind: kinds.count(kind) for kind in KINDS.values()} == dict.fromkeys(
+            KINDS.values(), slices
+        )
 
 
 # ---------------------------------------------------------------------------
