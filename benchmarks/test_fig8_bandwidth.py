@@ -1,18 +1,17 @@
 """Figure 8: memory bandwidth overhead (bytes fetched per instruction)."""
 
 from repro.experiments import fig8
-from repro.sim.configs import ProtectionMode
 
 
 def test_fig8_bytes_per_instruction(benchmark, perf_suite):
     rows = benchmark.pedantic(fig8.compute, args=(perf_suite,), rounds=1, iterations=1)
 
-    toleo_rows = {r["bench"]: r for r in rows if r["mode"] == ProtectionMode.TOLEO.value}
+    toleo_rows = {r["bench"]: r for r in rows if r["mode"] == "Toleo"}
     noprotect_rows = {
-        r["bench"]: r for r in rows if r["mode"] == ProtectionMode.NOPROTECT.value
+        r["bench"]: r for r in rows if r["mode"] == "NoProtect"
     }
     invisimem_rows = {
-        r["bench"]: r for r in rows if r["mode"] == ProtectionMode.INVISIMEM.value
+        r["bench"]: r for r in rows if r["mode"] == "InvisiMem"
     }
 
     for bench, row in toleo_rows.items():

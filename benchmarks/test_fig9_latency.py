@@ -1,7 +1,6 @@
 """Figure 9: average memory read-latency breakdown."""
 
 from repro.experiments import fig9
-from repro.sim.configs import ProtectionMode
 
 
 def test_fig9_read_latency_breakdown(benchmark, latency_suite):
@@ -9,11 +8,11 @@ def test_fig9_read_latency_breakdown(benchmark, latency_suite):
     by_key = {(r["bench"], r["mode"]): r for r in rows}
 
     for bench in ("bsw", "memcached", "pr"):
-        base = by_key[(bench, ProtectionMode.NOPROTECT.value)]
-        c = by_key[(bench, ProtectionMode.C.value)]
-        ci = by_key[(bench, ProtectionMode.CI.value)]
-        toleo = by_key[(bench, ProtectionMode.TOLEO.value)]
-        invisimem = by_key[(bench, ProtectionMode.INVISIMEM.value)]
+        base = by_key[(bench, "NoProtect")]
+        c = by_key[(bench, "C")]
+        ci = by_key[(bench, "CI")]
+        toleo = by_key[(bench, "Toleo")]
+        invisimem = by_key[(bench, "InvisiMem")]
 
         # Each added guarantee adds (or keeps) latency.
         assert c["total_ns"] >= base["total_ns"]
@@ -31,7 +30,7 @@ def test_fig9_read_latency_breakdown(benchmark, latency_suite):
     assert fractions["memcached"] > fractions["bsw"]
 
     benchmark.extra_info["toleo_total_latency_ns"] = {
-        bench: by_key[(bench, ProtectionMode.TOLEO.value)]["total_ns"]
+        bench: by_key[(bench, "Toleo")]["total_ns"]
         for bench in ("bsw", "memcached", "pr")
     }
     benchmark.extra_info["freshness_fraction"] = {

@@ -15,7 +15,6 @@ Run with:  python examples/genomics_pipeline.py [--accesses N] [--scale S]
 import argparse
 
 from repro.experiments.report import format_percentage, format_table
-from repro.sim.configs import ProtectionMode
 from repro.sim.engine import compare_modes
 from repro.workloads.registry import get_workload
 
@@ -36,9 +35,9 @@ def main() -> None:
             lambda k=kernel: get_workload(k, scale=args.scale),
             num_accesses=args.accesses,
         )
-        ci = results[ProtectionMode.CI]
-        toleo = results[ProtectionMode.TOLEO]
-        invisimem = results[ProtectionMode.INVISIMEM]
+        ci = results["CI"]
+        toleo = results["Toleo"]
+        invisimem = results["InvisiMem"]
         rows.append(
             {
                 "kernel": kernel,

@@ -266,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the persistent result store (.repro_cache/)",
     )
     parser.add_argument(
-        "--seed", type=int, default=1234, help="trace RNG seed (bench/sweep only)"
+        "--seed",
+        type=int,
+        default=1234,
+        help="trace RNG seed (bench, sweep and reproduce-all)",
     )
     parser.add_argument(
         "--shard-size",
@@ -630,8 +633,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--shard-size must be positive, got {args.shard_size}")
     if args.stream is not None and args.stream <= 0:
         parser.error(f"--stream must be positive, got {args.stream}")
-    if args.stream is not None and args.experiment not in ("bench", "sweep"):
-        parser.error("--stream only applies to bench and sweep")
+    for flag, value in (
+        ("--stream", args.stream),
+        ("--shard-size", args.shard_size),
+        ("--modes", args.modes),
+    ):
+        if value is not None and args.experiment not in ("bench", "sweep"):
+            parser.error(f"{flag} only applies to bench and sweep")
+    if args.param is not None and args.experiment != "sweep":
+        parser.error("--param only applies to sweep")
     if args.task_deadline is not None and args.task_deadline <= 0:
         parser.error(f"--task-deadline must be positive, got {args.task_deadline}")
     if args.task_retries is not None and args.task_retries < 0:

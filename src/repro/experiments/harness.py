@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
-from repro.sim.configs import EVALUATED_MODES, ModeLike
+from repro.sim.configs import EVALUATED_MODES
 from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy
 from repro.sim.parallel import parallel_map, resolve_supervision
@@ -79,7 +79,7 @@ def execution_defaults() -> Dict[str, Any]:
 
 def run_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
-    modes: Sequence[ModeLike] = EVALUATED_MODES,
+    modes: Sequence[str] = EVALUATED_MODES,
     scale: float = 0.002,
     num_accesses: int = 60_000,
     seed: int = 1234,

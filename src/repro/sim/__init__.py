@@ -3,9 +3,7 @@
 from repro.sim.configs import (
     BASELINE_MODE,
     MODE_PARAMETERS,
-    ModeLike,
     ModeParameters,
-    ProtectionMode,
     UnknownModeError,
     mode_label,
     mode_parameters,
@@ -22,13 +20,11 @@ from repro.sim.distill import (
 from repro.sim.engine import EngineState, SimulationEngine, compare_modes, run_suite
 from repro.sim.path import AccessContext, PathComponent, build_components
 from repro.sim.results import LatencyBreakdown, SimulationResult, TrafficBreakdown
-from repro.sim.shard import RunPlan, ShardSpec, run_plans, run_sharded
+from repro.sim.shard import RunPlan, ShardSpec, run_plans
 from repro.sim.sweep import SweepAxis, SweepResult, run_sweep
 from repro.sim.variants import VARIANT_MODES
 
 __all__ = [
-    "ProtectionMode",
-    "ModeLike",
     "ModeParameters",
     "MODE_PARAMETERS",
     "BASELINE_MODE",
@@ -50,7 +46,6 @@ __all__ = [
     "RunPlan",
     "ShardSpec",
     "run_plans",
-    "run_sharded",
     "HierarchyDistiller",
     "MissEventStream",
     "events_key",

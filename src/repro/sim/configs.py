@@ -29,94 +29,36 @@ protection-path component stack from the parameters
 (:func:`repro.sim.path.build_components`).  The registry is fully open:
 ``register_mode`` a new ``ModeParameters`` under a fresh label and the
 engine, harness, persistent store, sweep runner and CLI all pick the mode up
-without modification -- no enum edit, no engine edit (the shipped variant
+without modification -- no engine edit (the shipped variant
 modes in :mod:`repro.sim.variants` are registered exactly this way).
 Capability flags (``has_integrity``, ``has_freshness``, ...) are *derived*
 from the parameters rather than maintained as per-mode lists, so they can
 never drift from what the component stack actually does.
-
-:class:`ProtectionMode` survives only as a deprecated alias for the seven
-seed labels: it subclasses :class:`str`, so ``ProtectionMode.TOLEO`` compares
-and hashes equal to the label ``"Toleo"`` and keeps working everywhere a
-label is expected (registry lookups, suite dictionaries, cached results).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.baselines.invisimem import InvisiMemModel
 from repro.baselines.sgx import ClientSgxModel
 from repro.core.config import GIB, KIB
 
 
-class ProtectionMode(str, enum.Enum):
-    """Deprecated alias for the seed protection-mode labels.
-
-    The registry is keyed by string label; this enum remains so pre-existing
-    call sites (``ProtectionMode.TOLEO``) and cached results keep resolving.
-    Because it subclasses :class:`str`, a member *is* its label: it hashes
-    and compares equal to the plain string, so enum-keyed lookups into
-    label-keyed dictionaries work unchanged.  New schemes get a label and a
-    registration, never a new enum member.
-    """
-
-    NOPROTECT = "NoProtect"
-    C = "C"
-    CI = "CI"
-    TOLEO = "Toleo"
-    INVISIMEM = "InvisiMem"
-    CIF_TREE = "CIF-Tree"
-    CLIENT_SGX = "Client-SGX"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-    # Capability flags delegate to the registered parameters, so the enum
-    # carries no hand-maintained mode lists of its own.
-    @property
-    def encrypts(self) -> bool:
-        return mode_parameters(self.value).encrypts
-
-    @property
-    def has_integrity(self) -> bool:
-        return mode_parameters(self.value).has_integrity
-
-    @property
-    def has_freshness(self) -> bool:
-        return mode_parameters(self.value).has_freshness
-
-    @property
-    def uses_toleo_device(self) -> bool:
-        return mode_parameters(self.value).uses_toleo_device
-
-    @property
-    def is_invisimem(self) -> bool:
-        return mode_parameters(self.value).is_invisimem
-
-
-#: Acceptable mode designators: a registry label or the deprecated enum.
-ModeLike = Union[str, ProtectionMode]
-
 #: Label of the unprotected configuration every slowdown is reported against.
 #: The engine always runs it first; the suite key always folds it in.
 BASELINE_MODE = "NoProtect"
 
 
-def mode_label(mode: ModeLike) -> str:
-    """Normalise a mode designator (label string or enum member) to its label.
+def mode_label(mode: str) -> str:
+    """Check that a mode designator is a label string, and return it.
 
-    Accepts any enum with a string value so callers' own mode enums work too;
-    does *not* touch the registry, so it is safe on unregistered labels.
+    Does *not* touch the registry, so it is safe on unregistered labels.
     """
-    if isinstance(mode, enum.Enum):
-        return str(mode.value)
     if isinstance(mode, str):
         return mode
-    raise TypeError(f"expected a mode label or ProtectionMode, got {type(mode).__name__}")
+    raise TypeError(f"expected a mode label, got {type(mode).__name__}")
 
 
 class UnknownModeError(KeyError):
@@ -181,10 +123,9 @@ class EpcPagingSpec:
 class ModeParameters:
     """Declarative description of one protection mode's component stack.
 
-    ``label`` is the registry key and the paper-style display name; it is a
-    plain string (a deprecated :class:`ProtectionMode` member passed here is
-    normalised to its label).  The capability properties are *derived* from
-    the component-stack fields -- there is no separate flag to keep in sync.
+    ``label`` is the registry key and the paper-style display name, a plain
+    string.  The capability properties are *derived* from the component-stack
+    fields -- there is no separate flag to keep in sync.
     """
 
     label: str
@@ -197,8 +138,7 @@ class ModeParameters:
     description: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", mode_label(self.label))
-        if not self.label:
+        if not mode_label(self.label):
             raise ValueError("mode label must be a non-empty string")
 
     # -- derived capabilities ----------------------------------------------
@@ -230,15 +170,6 @@ class ModeParameters:
     @property
     def is_invisimem(self) -> bool:
         return self.invisimem is not None
-
-    @property
-    def mode(self) -> ModeLike:
-        """Deprecated: the matching :class:`ProtectionMode` member for seed
-        labels, or the plain label for registry-only modes."""
-        try:
-            return ProtectionMode(self.label)
-        except ValueError:
-            return self.label
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +207,21 @@ def register_mode(params: ModeParameters, replace: bool = False) -> ModeParamete
     return params
 
 
-def unregister_mode(mode: ModeLike) -> None:
+def unregister_mode(mode: str) -> None:
     """Remove a registered mode (tests and ad-hoc experiments clean up).
 
-    The seven seed labels are load-bearing -- the baseline runs in every
-    suite and the deprecated enum delegates its capability flags to their
-    registrations -- so they can be replaced but never removed.
+    The seven seed labels this module registers are load-bearing -- the
+    baseline runs in every suite and the paper's mode groups name them -- so
+    they can be replaced but never removed.
     """
     label = mode_label(mode)
-    if any(label == member.value for member in ProtectionMode):
+    if label in _SEED_MODES:
         raise ValueError(f"seed mode {label!r} cannot be unregistered (replace it instead)")
     MODE_PARAMETERS.pop(label, None)
 
 
-def mode_parameters(mode: ModeLike) -> ModeParameters:
-    """Look up a registered mode's parameters by label (or deprecated enum)."""
+def mode_parameters(mode: str) -> ModeParameters:
+    """Look up a registered mode's parameters by label."""
     label = mode_label(mode)
     try:
         return MODE_PARAMETERS[label]
@@ -313,11 +244,11 @@ def _fold(name: str) -> str:
     return folded
 
 
-def resolve_mode(name: ModeLike) -> str:
+def resolve_mode(name: str) -> str:
     """Resolve a user-supplied mode name to its canonical registered label.
 
     Matching is case-insensitive and ignores ``-``/``_``/space differences
-    (covering the old enum-name spellings like ``CLIENT_SGX``).  Raises
+    (covering spellings like ``CLIENT_SGX``).  Raises
     :class:`UnknownModeError` for names outside the registry, so CLIs can
     report a clean error instead of a traceback.
     """
@@ -391,6 +322,8 @@ register_mode(
     )
 )
 
+#: The seed labels registered above, which :func:`unregister_mode` refuses.
+_SEED_MODES: Tuple[str, ...] = registered_modes()
 
 #: The configurations compared in Figure 6 and Figure 8.
 EVALUATED_MODES: Tuple[str, ...] = ("NoProtect", "CI", "Toleo", "InvisiMem")
@@ -402,8 +335,6 @@ LATENCY_MODES: Tuple[str, ...] = ("NoProtect", "C", "CI", "Toleo", "InvisiMem")
 FRESHNESS_MODES: Tuple[str, ...] = ("NoProtect", "Toleo", "CIF-Tree", "Client-SGX")
 
 __all__ = [
-    "ProtectionMode",
-    "ModeLike",
     "BASELINE_MODE",
     "ModeParameters",
     "CounterTreeSpec",

@@ -45,7 +45,6 @@ from repro.memory.devices import RackMemory
 from repro.sim.configs import (
     BASELINE_MODE,
     EVALUATED_MODES,
-    ModeLike,
     ModeParameters,
     mode_label,
     mode_parameters,
@@ -137,12 +136,12 @@ class SimulationEngine:
     @classmethod
     def from_mode(
         cls,
-        mode: ModeLike,
+        mode: str,
         config: Optional[SystemConfig] = None,
         options: Optional[EngineOptions] = None,
         seed: int = 0,
     ) -> "SimulationEngine":
-        """Build an engine for a registered mode label (or deprecated enum)."""
+        """Build an engine for a registered mode label."""
         return cls(mode_parameters(mode), config=config, options=options, seed=seed)
 
     # ------------------------------------------------------------------
@@ -707,7 +706,7 @@ def event_loop(
 # Convenience drivers
 # ---------------------------------------------------------------------------
 
-def ordered_modes(modes: Sequence[ModeLike]) -> List[str]:
+def ordered_modes(modes: Sequence[str]) -> List[str]:
     """The mode execution order: NoProtect first (it provides the baseline)."""
     ordered = [mode_label(mode) for mode in modes]
     if BASELINE_MODE not in ordered:
@@ -717,7 +716,7 @@ def ordered_modes(modes: Sequence[ModeLike]) -> List[str]:
 
 def compare_modes(
     workload_factory,
-    modes: Sequence[ModeLike] = EVALUATED_MODES,
+    modes: Sequence[str] = EVALUATED_MODES,
     num_accesses: int = 100_000,
     config: Optional[SystemConfig] = None,
     options: Optional[EngineOptions] = None,
@@ -763,7 +762,7 @@ def compare_modes(
 
 def run_suite(
     benchmark_names: Iterable[str],
-    modes: Sequence[ModeLike] = EVALUATED_MODES,
+    modes: Sequence[str] = EVALUATED_MODES,
     scale: float = 0.002,
     num_accesses: int = 100_000,
     seed: int = 1234,

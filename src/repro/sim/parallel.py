@@ -67,7 +67,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Seque
 from repro.core.config import SystemConfig
 from repro.sim.configs import (
     BASELINE_MODE,
-    ModeLike,
     ModeParameters,
     mode_label,
 )
@@ -723,7 +722,7 @@ def pipelined_map(
 
 def suite_tasks(
     names: Sequence[str],
-    modes: Sequence[ModeLike],
+    modes: Sequence[str],
     scale: float,
     num_accesses: int,
     seed: int,
@@ -751,7 +750,7 @@ def suite_tasks(
 
 def stitch_suite(
     cells: Iterable[Tuple[str, str, Any]],
-    requested_modes: Sequence[ModeLike],
+    requested_modes: Sequence[str],
 ) -> SuiteResults:
     """Nest ``(benchmark, mode label, result)`` cells into the suite shape.
 

@@ -19,7 +19,7 @@ event columns plus a *verdict* that depends only on the event sequence:
   the per-event verdict columns of one stateful component, computed once per
   ``(event slice, component geometry)`` into a content-keyed
   :class:`~repro.sim.store.ResultStore` entry (:func:`tier_slice_key`; a
-  one-window run's single slice keeps the full-run :func:`verdict_tier_key`).
+  one-window run's single slice is keyed as the full-run tier).
   Three families ship: the MAC cache's hit/miss per lookup
   (:class:`MacTier`, shared by every MAC-bearing mode because
   ``fetch_bytes`` is not part of the verdict), the number of levels each
@@ -245,16 +245,6 @@ class MacTier(VerdictTier):
     DENSE = ("read_hits", "wb_hits")
     read_hits: bytearray
     wb_hits: bytearray
-
-    @property
-    def read_hits_view(self) -> "np.ndarray":
-        """Read-only ``uint8`` view of the read-path hit flags."""
-        return self.view("read_hits")
-
-    @property
-    def wb_hits_view(self) -> "np.ndarray":
-        """Read-only ``uint8`` view of the writeback-path hit flags."""
-        return self.view("wb_hits")
 
 
 class TreeTier(VerdictTier):
@@ -584,7 +574,8 @@ def tier_slice_key(
     simulator geometry, which is all a verdict depends on: latencies, fault
     penalties and engine options never enter it.  Modes sharing a geometry
     -- every MAC-bearing mode of one config -- share the entry.  A window
-    covering the run has one slice, whose key is :func:`verdict_tier_key`.
+    covering the run has one slice, so ``index`` 0 of a ``window`` of
+    ``num_accesses`` keys the full-run tier.
     """
     simulator, geometry = _tier_geometry(component, config)
     return _tier_key(
@@ -592,15 +583,6 @@ def tier_slice_key(
         geometry,
         events_slice_key(name, scale, seed, num_accesses, window, index, config),
     )
-
-
-def verdict_tier_key(
-    component: PathComponent, events: MissEventStream, config: Optional[SystemConfig] = None
-) -> str:
-    """Store key of ``component``'s verdict tier over one full-run stream:
-    the key of a one-window run's single tier slice."""
-    run = events.num_accesses
-    return tier_slice_key(component, events.name, events.scale, events.seed, run, run, 0, config)
 
 
 def mac_tier_key(events: MissEventStream, config: Optional[SystemConfig] = None) -> str:
@@ -671,25 +653,6 @@ def load_tier_slice(
         if index == wanted:
             cached = tier
     return cached
-
-
-def compute_tiers(
-    components: Iterable[PathComponent],
-    events: MissEventStream,
-    config: Optional[SystemConfig] = None,
-) -> List[VerdictTier]:
-    """Every verdict tier a stack's kernels read, computed in-process."""
-    cfg = config if config is not None else SystemConfig()
-    tiers: Dict[Tuple[str, Tuple], VerdictTier] = {}
-    for component in components:
-        simulator = _TIER_SIMULATORS.get(type(component))
-        if simulator is None:
-            continue
-        geometry = simulator.geometry_of(component, cfg)
-        slot = _tier_slot(simulator.TIER.KIND, geometry)
-        if slot not in tiers:
-            tiers[slot] = simulator(**geometry).advance(events)
-    return list(tiers.values())
 
 
 def _tier_slot(kind: str, geometry: Dict[str, int]) -> Tuple[str, Tuple]:
@@ -1204,7 +1167,6 @@ __all__ = [
     "TreeTierSimulator",
     "VerdictTier",
     "compute_mac_tier",
-    "compute_tiers",
     "declare_scalar_safe",
     "load_tier_slice",
     "mac_geometry_fields",
@@ -1214,5 +1176,4 @@ __all__ = [
     "residual_components",
     "tier_slice_key",
     "vectorizable",
-    "verdict_tier_key",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.trip import TripFormat
-from repro.sim.configs import BASELINE_MODE, ModeLike, mode_label
+from repro.sim.configs import BASELINE_MODE, mode_label
 
 
 @dataclass
@@ -120,10 +120,6 @@ class SimulationResult:
     toleo_usage_timeline: List[Dict[str, int]] = field(default_factory=list)
     baseline_time_ns: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        # Accept the deprecated ProtectionMode enum; store the plain label.
-        self.mode = mode_label(self.mode)
-
     # -- derived metrics --------------------------------------------------------
 
     @property
@@ -223,10 +219,7 @@ class SimulationResult:
 # Suite-shaped helpers (shared by the experiment harness and the sweep runner)
 # ---------------------------------------------------------------------------
 
-#: A full run's results: benchmark name -> mode label -> result.  Pre-PR3
-#: code keyed the inner dict by the ProtectionMode enum; because the enum
-#: subclasses str, enum-keyed lookups into these label-keyed dicts (and the
-#: other way round) still resolve.
+#: A full run's results: benchmark name -> mode label -> result.
 SuiteResults = Dict[str, Dict[str, SimulationResult]]
 
 
@@ -237,7 +230,7 @@ def encode_suite(suite: SuiteResults) -> Dict[str, Dict[str, Any]]:
     always written as their paper strings, so pre-PR3 entries decode as-is.
     """
     return {
-        name: {mode_label(mode): result.to_dict() for mode, result in per_mode.items()}
+        name: {mode: result.to_dict() for mode, result in per_mode.items()}
         for name, per_mode in suite.items()
     }
 
@@ -255,7 +248,7 @@ def decode_suite(payload: Dict[str, Dict[str, Any]]) -> SuiteResults:
 
 def suite_key(
     names: Sequence[str],
-    modes: Sequence[ModeLike],
+    modes: Sequence[str],
     scale: float,
     num_accesses: int,
     seed: int,

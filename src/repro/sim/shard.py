@@ -26,8 +26,8 @@ carry only the slice width; workers fetch the slices from the store.
 **Exactness contract.**  Sharding is an execution strategy, not a model
 change: for every registered mode, at every shard width, the merged result
 is *bit-identical* -- every counter, floats included -- to the serial
-unsharded engine (pinned by ``tests/sim/test_sharding.py`` and the committed
-golden fixtures).  Because the results are identical, sharded and unsharded
+unsharded engine (pinned by the strategy property in
+``tests/sim/test_strategy_property.py`` and the committed golden fixtures).  Because the results are identical, sharded and unsharded
 runs **share persistent-store keys**: the shard width never appears in a
 result's key, a cached unsharded suite serves a sharded request and vice
 versa, and ``repro reproduce-all`` provenance stamps are
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
-from repro.sim.configs import ModeLike, ModeParameters, mode_parameters
+from repro.sim.configs import ModeParameters, mode_parameters
 from repro.sim.engine import (
     EngineOptions,
     EngineState,
@@ -51,7 +51,6 @@ from repro.sim.engine import (
 from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
 from repro.sim.parallel import pipelined_map, stitch_suite
 from repro.sim.results import (
-    SimulationResult,
     SuiteResults,
     decode_suite,
     encode_suite,
@@ -102,7 +101,7 @@ class RunPlan:
     """
 
     benchmarks: Tuple[str, ...]
-    modes: Tuple[ModeLike, ...]
+    modes: Tuple[str, ...]
     scale: float
     num_accesses: int
     seed: int
@@ -353,12 +352,12 @@ class _CheckpointJournal:
 
 
 # ---------------------------------------------------------------------------
-# Single-run and suite-level drivers
+# Chain planning and the suite-level drivers
 # ---------------------------------------------------------------------------
 
 def shard_chain(
     name: str,
-    mode: ModeLike,
+    mode: str,
     spec: ShardSpec,
     scale: float,
     num_accesses: int,
@@ -392,7 +391,7 @@ def _slice_width(num_accesses: int, stream: Optional[int]) -> int:
 
 def stream_shard_chain(
     name: str,
-    mode: ModeLike,
+    mode: str,
     spec: ShardSpec,
     scale: float,
     num_accesses: int,
@@ -403,63 +402,6 @@ def stream_shard_chain(
 ) -> List[ShardTask]:
     """One (benchmark, mode) pair's shard tasks over ``window``-wide slices."""
     return shard_chain(name, mode, spec, scale, num_accesses, seed, config, options, window)
-
-
-def run_sharded(
-    mode: ModeLike,
-    trace: Trace,
-    spec: ShardSpec,
-    num_accesses: Optional[int] = None,
-    config: Optional[SystemConfig] = None,
-    options: Optional[EngineOptions] = None,
-    seed: int = 0,
-    baseline_time_ns: Optional[float] = None,
-    distill: bool = False,
-    vector: bool = False,
-) -> SimulationResult:
-    """Run one captured trace under one mode, shard by shard, in-process.
-
-    This is the single-pair core the differential tests pin: every handoff
-    round-trips through ``serialize``/``deserialize`` (so the in-process run
-    exercises the same checkpoint machinery the pool path ships between
-    processes) and the result is bit-identical to ``SimulationEngine.run``
-    on the same trace.  ``distill`` additionally routes every distillable
-    window through the event-replay path -- same checkpoints, same result,
-    one hierarchy pass total.  ``vector`` batches each distilled window
-    through the numpy kernels on top of that (again bit-identical; silently
-    scalar when the stack does not support it).
-    """
-    from repro.sim import replaycore
-    from repro.sim.distill import HierarchyDistiller
-
-    params = mode_parameters(mode)
-    total = len(trace) if num_accesses is None else num_accesses
-    engine = SimulationEngine(params, config=config, options=options, seed=seed)
-    events = HierarchyDistiller(config).distill(trace, total) if distill else None
-    replayer = None
-    carry: Optional[bytes] = None
-    state: Optional[EngineState] = None
-    for _, stop in shard_bounds(total, spec.shard_size):
-        state = engine.begin(trace, total) if carry is None else EngineState.deserialize(carry)
-        if events is not None and engine.distillable(state.components):
-            if vector and replaycore.vectorizable(state.components):
-                if replayer is None:
-                    # The events were distilled in-process (no store), so the
-                    # verdict tiers are computed in-process too instead of
-                    # round-tripping through the default store.
-                    tiers = replaycore.compute_tiers(state.components, events, config)
-                    replayer = replaycore.BatchReplayEngine(engine, events, tiers=tiers)
-                replayer.replay(state, stop=stop)
-            else:
-                engine.replay_events(state, events, stop=stop)
-        else:
-            engine.replay(state, trace, stop=stop)
-        if stop < total:
-            # n shards, n-1 handoffs: the final state finishes live, it is
-            # never shipped, so serializing it would be pure waste.
-            carry = state.serialize()
-    assert state is not None
-    return engine.finish(state, trace, baseline_time_ns=baseline_time_ns)
 
 
 def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
@@ -529,7 +471,7 @@ def run_chains(
 
 
 def stitch_chains(
-    chains: Sequence[Sequence[ShardTask]], finals: Sequence[Any], modes: Sequence[ModeLike]
+    chains: Sequence[Sequence[ShardTask]], finals: Sequence[Any], modes: Sequence[str]
 ) -> SuiteResults:
     """Merge one suite's chain finals into the serial driver's suite shape."""
     return stitch_suite(
@@ -625,7 +567,6 @@ __all__ = [
     "run_chains",
     "run_plans",
     "run_shard_step",
-    "run_sharded",
     "shard_bounds",
     "shard_chain",
     "stitch_chains",

@@ -2,7 +2,7 @@
 
 This module is the proof that the mode registry is genuinely open: every
 scheme below is a plain :func:`repro.sim.configs.register_mode` call -- no
-``ProtectionMode`` enum member, no engine branch, no new path component.
+engine branch, no new path component.
 Each one recombines the existing :mod:`repro.sim.path` components under a
 fresh string label, and from that single registration it is simulatable by
 ``SimulationEngine``, run by ``run_plans`` (``repro bench``), swept by

@@ -54,6 +54,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["reproduce-all", "--quick", "--full"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (
+                ["bench", "--accesses", "500", "--param", "options.memory_level_parallelism=1,8"],
+                "--param only applies to sweep",
+            ),
+            (["table3", "--shard-size", "100"], "--shard-size only applies to bench and sweep"),
+            (["table3", "--modes", "CI"], "--modes only applies to bench and sweep"),
+        ),
+        ids=("param", "shard-size", "modes"),
+    )
+    def test_a_flag_outside_its_commands_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBenchmarkResolution:
     def test_explicit_benchmarks_win(self):

@@ -10,7 +10,6 @@ from repro.experiments.harness import (
     run_benchmarks,
     run_space_study,
 )
-from repro.sim.configs import ProtectionMode
 
 
 class TestBenchmarkSets:
@@ -27,9 +26,9 @@ class TestRunBenchmarks:
         suite = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000)
         assert set(suite) == {"hyrise"}
         results = suite["hyrise"]
-        assert ProtectionMode.NOPROTECT in results
-        assert ProtectionMode.TOLEO in results
-        assert results[ProtectionMode.TOLEO].baseline_time_ns is not None
+        assert "NoProtect" in results
+        assert "Toleo" in results
+        assert results["Toleo"].baseline_time_ns is not None
 
     def test_cache_keyed_by_parameters(self):
         a = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000)
@@ -89,8 +88,8 @@ class TestConfigAwareCaching:
             config=dataclasses.replace(SystemConfig(), aes_latency_cycles=400),
         )
         assert default is not slow_aes
-        a = default["hyrise"][ProtectionMode.TOLEO]
-        b = slow_aes["hyrise"][ProtectionMode.TOLEO]
+        a = default["hyrise"]["Toleo"]
+        b = slow_aes["hyrise"]["Toleo"]
         assert a.latency.decryption_ns != b.latency.decryption_ns
 
     def test_different_options_not_served_same_entry(self):
@@ -104,6 +103,6 @@ class TestConfigAwareCaching:
             options=EngineOptions(base_cpi=1.2),
         )
         assert default is not tuned
-        a = default["hyrise"][ProtectionMode.NOPROTECT]
-        b = tuned["hyrise"][ProtectionMode.NOPROTECT]
+        a = default["hyrise"]["NoProtect"]
+        b = tuned["hyrise"]["NoProtect"]
         assert a.execution_time_ns != b.execution_time_ns

@@ -1,11 +1,10 @@
 """Backwards compatibility of the string-keyed registry with pre-PR3 code.
 
 Before the registry was re-keyed by label, suites were enum-keyed in memory
-(``Dict[ProtectionMode, SimulationResult]``) and the persistent store wrote
+(by a mode enum since removed) and the persistent store wrote
 the enum's ``.value`` -- the paper label -- to disk.  These tests pin that a
 pre-PR3 on-disk suite (a committed fixture generated by the enum-era code)
-still decodes, still round-trips and still reproduces bit-for-bit, and that
-``ProtectionMode.X`` call sites remain first-class citizens of every API.
+still decodes, still round-trips and still reproduces bit-for-bit.
 """
 
 import json
@@ -13,15 +12,8 @@ import os
 
 import pytest
 
-from repro.sim.configs import (
-    ModeParameters,
-    ProtectionMode,
-    mode_parameters,
-    resolve_mode,
-)
-from repro.sim.engine import SimulationEngine, compare_modes, run_suite
-from repro.sim.results import SimulationResult, decode_suite, encode_suite, suite_key
-from repro.workloads.registry import get_workload
+from repro.sim.engine import run_suite
+from repro.sim.results import SimulationResult, decode_suite, encode_suite
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "pre_pr3_suite.json"
@@ -49,14 +41,6 @@ class TestPrePr3SuiteFixture:
     def test_round_trips_losslessly(self, fixture):
         assert encode_suite(decode_suite(fixture["suite"])) == fixture["suite"]
 
-    def test_enum_lookups_into_decoded_suite(self, fixture):
-        # Old call sites index suites with enum members; the str-subclassing
-        # alias must keep those lookups resolving against label keys.
-        suite = decode_suite(fixture["suite"])
-        toleo = suite["bsw"][ProtectionMode.TOLEO]
-        assert toleo is suite["bsw"]["Toleo"]
-        assert toleo.slowdown > 1.0
-
     def test_todays_engine_reproduces_the_enum_era_numbers(self, fixture):
         # The re-keying is bookkeeping only: replaying the fixture's settings
         # through the refactored stack must be bit-identical to what the
@@ -70,36 +54,3 @@ class TestPrePr3SuiteFixture:
             seed=settings["seed"],
         )
         assert encode_suite(suite) == fixture["suite"]
-
-
-class TestEnumCallSites:
-    def test_enum_resolves_to_the_same_registration(self):
-        for member in ProtectionMode:
-            assert mode_parameters(member) is mode_parameters(member.value)
-            assert resolve_mode(member) == member.value
-
-    def test_enum_first_engine_construction(self):
-        engine = SimulationEngine.from_mode(ProtectionMode.CI)
-        assert engine.params is mode_parameters("CI")
-
-    def test_enum_mode_sequences_produce_label_keyed_suites(self):
-        results = compare_modes(
-            lambda: get_workload("bsw", scale=0.002, seed=1),
-            modes=(ProtectionMode.CI,),
-            num_accesses=2000,
-        )
-        assert list(results) == ["CI"]
-        assert results[ProtectionMode.CI] is results["CI"]
-
-    def test_enum_and_label_mode_lists_share_store_keys(self):
-        # Cached entries written by enum-era call sites must be served to
-        # label-era callers (and vice versa): the key normalises both.
-        args = (("bsw",), 0.002, 4000, 1234, None, None)
-        by_enum = suite_key(args[0], (ProtectionMode.CI, ProtectionMode.TOLEO), *args[1:])
-        by_label = suite_key(args[0], ("CI", "Toleo"), *args[1:])
-        assert by_enum == by_label
-
-    def test_mode_parameters_accepts_enum_for_construction(self):
-        params = ModeParameters(ProtectionMode.TOLEO, aes_on_read=True)
-        assert params.label == "Toleo"
-        assert params.mode is ProtectionMode.TOLEO

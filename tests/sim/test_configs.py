@@ -1,9 +1,7 @@
 """Tests for the protection-mode configuration objects and the registry.
 
 The registry is keyed by string label and capability flags are *derived*
-from ``ModeParameters``; ``ProtectionMode`` survives only as a deprecated,
-str-subclassing alias for the seven seed labels.  These tests pin both the
-open-registry semantics and the alias's backwards compatibility.
+from ``ModeParameters``.  These tests pin the open-registry semantics.
 """
 
 import pytest
@@ -17,7 +15,6 @@ from repro.sim.configs import (
     MODE_PARAMETERS,
     CounterTreeSpec,
     ModeParameters,
-    ProtectionMode,
     UnknownModeError,
     mode_label,
     mode_parameters,
@@ -31,48 +28,6 @@ from repro.sim.variants import VARIANT_MODES
 SEED_LABELS = (
     "NoProtect", "C", "CI", "Toleo", "InvisiMem", "CIF-Tree", "Client-SGX",
 )
-
-
-class TestProtectionModeAlias:
-    """The deprecated enum must stay interchangeable with its label."""
-
-    def test_members_are_their_labels(self):
-        for member in ProtectionMode:
-            assert member == member.value
-            assert hash(member) == hash(member.value)
-            assert member.label == member.value
-
-    def test_enum_keys_hit_label_keyed_dicts(self):
-        assert MODE_PARAMETERS[ProtectionMode.TOLEO] is MODE_PARAMETERS["Toleo"]
-        assert ProtectionMode.CIF_TREE in MODE_PARAMETERS
-
-    def test_capability_flags_delegate_to_registered_parameters(self):
-        assert not ProtectionMode.NOPROTECT.encrypts
-        assert ProtectionMode.C.encrypts and not ProtectionMode.C.has_integrity
-        assert ProtectionMode.CI.has_integrity and not ProtectionMode.CI.has_freshness
-        assert ProtectionMode.TOLEO.has_freshness and ProtectionMode.TOLEO.uses_toleo_device
-        assert ProtectionMode.INVISIMEM.has_freshness
-        assert not ProtectionMode.INVISIMEM.uses_toleo_device
-        assert ProtectionMode.INVISIMEM.is_invisimem
-
-    def test_simulated_baseline_flags(self):
-        for mode in (ProtectionMode.CIF_TREE, ProtectionMode.CLIENT_SGX):
-            assert mode.encrypts and mode.has_integrity and mode.has_freshness
-            assert not mode.uses_toleo_device and not mode.is_invisimem
-
-    def test_labels_match_paper_names(self):
-        assert ProtectionMode.NOPROTECT.value == "NoProtect"
-        assert ProtectionMode.CI.value == "CI"
-        assert ProtectionMode.TOLEO.value == "Toleo"
-        assert ProtectionMode.INVISIMEM.value == "InvisiMem"
-        assert ProtectionMode.CIF_TREE.value == "CIF-Tree"
-        assert ProtectionMode.CLIENT_SGX.value == "Client-SGX"
-
-    def test_mode_label_normalises(self):
-        assert mode_label(ProtectionMode.TOLEO) == "Toleo"
-        assert mode_label("Toleo") == "Toleo"
-        with pytest.raises(TypeError):
-            mode_label(42)
 
 
 class TestDerivedCapabilities:
@@ -97,6 +52,19 @@ class TestDerivedCapabilities:
         assert ModeParameters("x-st", stealth_traffic=True).uses_toleo_device
         assert not ModeParameters("x-tree", counter_tree=CounterTreeSpec()).uses_toleo_device
 
+    def test_seed_mode_capabilities(self):
+        assert not mode_parameters("NoProtect").encrypts
+        assert mode_parameters("C").encrypts and not mode_parameters("C").has_integrity
+        assert mode_parameters("CI").has_integrity and not mode_parameters("CI").has_freshness
+        toleo, invisimem = mode_parameters("Toleo"), mode_parameters("InvisiMem")
+        assert toleo.has_freshness and toleo.uses_toleo_device
+        assert invisimem.has_freshness and invisimem.is_invisimem
+        assert not invisimem.uses_toleo_device
+        for label in ("CIF-Tree", "Client-SGX"):
+            params = mode_parameters(label)
+            assert params.encrypts and params.has_integrity and params.has_freshness
+            assert not params.uses_toleo_device and not params.is_invisimem
+
     def test_registered_modes_flags_are_consistent(self):
         for label, params in MODE_PARAMETERS.items():
             assert params.label == label
@@ -114,37 +82,30 @@ class TestDerivedCapabilities:
 class TestModeRegistry:
     def test_every_seed_label_is_registered(self):
         assert set(SEED_LABELS) <= set(registered_modes())
-        assert set(ProtectionMode) <= set(registered_modes())
 
-    def test_variant_modes_are_registered_without_enum_members(self):
-        enum_labels = {member.value for member in ProtectionMode}
+    def test_variant_modes_are_registered(self):
         for label in VARIANT_MODES:
             assert label in registered_modes()
-            assert label not in enum_labels
+            assert label not in SEED_LABELS
 
     def test_registration_order_is_preserved(self):
         assert registered_modes()[: len(SEED_LABELS)] == SEED_LABELS
 
-    def test_mode_parameters_lookup_by_label_and_enum(self):
+    def test_mode_parameters_lookup_by_label(self):
         params = mode_parameters("Toleo")
-        assert params is mode_parameters(ProtectionMode.TOLEO)
         assert params.label == "Toleo"
-        assert params.mode is ProtectionMode.TOLEO  # deprecated accessor
         assert params.stealth_traffic
-
-    def test_registry_only_mode_has_no_enum_member(self):
-        params = mode_parameters("Vault-Tree")
-        assert params.mode == "Vault-Tree"  # plain label, no enum slot
-        assert not isinstance(params.mode, ProtectionMode)
-
-    def test_enum_first_positional_argument_still_accepted(self):
-        params = ModeParameters(ProtectionMode.CI, aes_on_read=True)
-        assert params.label == "CI"
-        assert isinstance(params.label, str) and not isinstance(params.label, ProtectionMode)
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             ModeParameters("")
+
+    def test_a_label_must_be_a_string(self):
+        assert mode_label("Toleo") == "Toleo"
+        with pytest.raises(TypeError, match="expected a mode label"):
+            mode_label(42)
+        with pytest.raises(TypeError, match="expected a mode label"):
+            ModeParameters(42)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -185,15 +146,14 @@ class TestModeRegistry:
         assert resolve_mode("CLIENT_SGX") == "Client-SGX"  # old enum-name spelling
         assert resolve_mode("vault_tree") == "Vault-Tree"
         assert resolve_mode("toleo-tree") == "Toleo+Tree"  # '+' folds like -/_
-        assert resolve_mode(ProtectionMode.TOLEO) == "Toleo"
 
     def test_seed_modes_cannot_be_unregistered(self):
-        # The baseline runs in every suite and the deprecated enum delegates
-        # its capability flags here; removal would break both.
-        for label in (BASELINE_MODE, "Toleo", ProtectionMode.CI):
+        # The baseline runs in every suite and the paper's mode groups name
+        # the seed labels; removing one would break both.
+        for label in SEED_LABELS:
             with pytest.raises(ValueError, match="cannot be unregistered"):
                 unregister_mode(label)
-            assert mode_label(label) in registered_modes()
+            assert label in registered_modes()
 
     def test_resolve_unknown_mode_is_a_clean_error(self):
         with pytest.raises(UnknownModeError, match="unknown protection mode"):
@@ -234,13 +194,6 @@ class TestModeGroups:
 
     def test_evaluated_modes_match_figure6(self):
         assert EVALUATED_MODES == ("NoProtect", "CI", "Toleo", "InvisiMem")
-        # The deprecated enum members still compare equal to the labels.
-        assert EVALUATED_MODES == (
-            ProtectionMode.NOPROTECT,
-            ProtectionMode.CI,
-            ProtectionMode.TOLEO,
-            ProtectionMode.INVISIMEM,
-        )
 
     def test_latency_modes_include_c(self):
         assert "C" in LATENCY_MODES

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES, ProtectionMode
+from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES
 from repro.sim.engine import run_suite
 from repro.sim.faults import (
     FAULT_PLAN_ENV,
@@ -104,23 +104,23 @@ class TestParallelEqualsSerial:
     def test_baseline_stitched_but_not_returned_when_missing(self):
         # NoProtect runs for the baseline time but stays out of the result,
         # mirroring the serial compare_modes contract.
-        suite = _pipeline(("bsw",), jobs=2, modes=(ProtectionMode.CI,))
+        suite = _pipeline(("bsw",), jobs=2, modes=("CI",))
         per_mode = suite["bsw"]
-        assert set(per_mode) == {ProtectionMode.CI}
-        ci = per_mode[ProtectionMode.CI]
+        assert set(per_mode) == {"CI"}
+        ci = per_mode["CI"]
         assert ci.baseline_time_ns is not None
         assert ci.slowdown > 1.0
 
     def test_filtered_modes_bit_identical_to_serial(self):
         serial = run_suite(
             BENCHES,
-            modes=(ProtectionMode.CI, ProtectionMode.TOLEO),
+            modes=("CI", "Toleo"),
             scale=SCALE,
             num_accesses=ACCESSES,
             seed=SEED,
         )
         parallel = _pipeline(
-            BENCHES, jobs=2, modes=(ProtectionMode.CI, ProtectionMode.TOLEO)
+            BENCHES, jobs=2, modes=("CI", "Toleo")
         )
         assert _flatten(serial) == _flatten(parallel)
 

@@ -20,7 +20,6 @@ from repro.sim.configs import (
     CounterTreeSpec,
     EpcPagingSpec,
     ModeParameters,
-    ProtectionMode,
     mode_parameters,
 )
 from repro.sim.engine import EngineOptions, SimulationEngine, compare_modes, run_suite
@@ -37,7 +36,7 @@ from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_quick_suite.json")
 
-NEW_MODES = (ProtectionMode.CIF_TREE, ProtectionMode.CLIENT_SGX)
+NEW_MODES = ("CIF-Tree", "Client-SGX")
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ class TestGoldenEquivalence:
 class TestTraceReplayNewModes:
     """Trace replay must match fresh-workload runs for the simulated baselines."""
 
-    @pytest.mark.parametrize("mode", NEW_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", NEW_MODES)
     def test_trace_matches_fresh_workload(self, mode):
         fresh = SimulationEngine.from_mode(mode, seed=7).run(
             get_workload("memcached", scale=0.002, seed=7), num_accesses=4000
@@ -100,7 +99,7 @@ class TestTraceReplayNewModes:
         assert fresh.latency.to_dict() == replay.latency.to_dict()
         assert fresh.llc_misses == replay.llc_misses
 
-    @pytest.mark.parametrize("mode", NEW_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", NEW_MODES)
     def test_same_seed_is_deterministic(self, mode):
         a = SimulationEngine.from_mode(mode, seed=3).run(
             get_workload("hyrise", scale=0.002, seed=2), num_accesses=3000
@@ -116,25 +115,25 @@ class TestComponentAssembly:
     """build_components mirrors each registered mode's declared stack."""
 
     CASES = {
-        ProtectionMode.NOPROTECT: (),
-        ProtectionMode.C: (EncryptionComponent,),
-        ProtectionMode.CI: (EncryptionComponent, MacIntegrityComponent),
-        ProtectionMode.TOLEO: (
+        "NoProtect": (),
+        "C": (EncryptionComponent,),
+        "CI": (EncryptionComponent, MacIntegrityComponent),
+        "Toleo": (
             EncryptionComponent,
             MacIntegrityComponent,
             StealthFreshnessComponent,
         ),
-        ProtectionMode.INVISIMEM: (
+        "InvisiMem": (
             EncryptionComponent,
             MacIntegrityComponent,
             InvisiMemComponent,
         ),
-        ProtectionMode.CIF_TREE: (
+        "CIF-Tree": (
             EncryptionComponent,
             MacIntegrityComponent,
             CounterTreeComponent,
         ),
-        ProtectionMode.CLIENT_SGX: (
+        "Client-SGX": (
             EncryptionComponent,
             MacIntegrityComponent,
             CounterTreeComponent,
@@ -142,7 +141,7 @@ class TestComponentAssembly:
         ),
     }
 
-    @pytest.mark.parametrize("mode", list(CASES), ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", list(CASES))
     def test_stack_composition(self, mode):
         components = build_components(
             mode_parameters(mode),
@@ -157,7 +156,7 @@ class TestComponentAssembly:
     def test_invisimem_mac_fetch_is_batched(self):
         model = InvisiMemModel()
         components = build_components(
-            mode_parameters(ProtectionMode.INVISIMEM),
+            mode_parameters("InvisiMem"),
             SystemConfig(),
             EngineOptions(),
             footprint_bytes=32 * MIB,
@@ -168,7 +167,7 @@ class TestComponentAssembly:
 
     def test_client_sgx_tree_spans_only_the_epc(self):
         components = build_components(
-            mode_parameters(ProtectionMode.CLIENT_SGX),
+            mode_parameters("Client-SGX"),
             SystemConfig(),
             EngineOptions(),
             footprint_bytes=64 * MIB,
@@ -195,7 +194,7 @@ class TestCounterTreeScaling:
         for scale in self.SCALES:
             out[scale] = compare_modes(
                 lambda scale=scale: get_workload("pr", scale=scale, seed=1),
-                modes=(ProtectionMode.TOLEO, ProtectionMode.CIF_TREE),
+                modes=("Toleo", "CIF-Tree"),
                 num_accesses=5000,
             )
         return out
@@ -203,7 +202,7 @@ class TestCounterTreeScaling:
     def test_tree_levels_grow_with_footprint(self):
         components = {
             scale: build_components(
-                mode_parameters(ProtectionMode.CIF_TREE),
+                mode_parameters("CIF-Tree"),
                 SystemConfig(),
                 EngineOptions(),
                 footprint_bytes=get_workload("pr", scale=scale).footprint_bytes,
@@ -220,7 +219,7 @@ class TestCounterTreeScaling:
 
     def test_tree_slowdown_grows_with_footprint(self, per_scale):
         slowdowns = [
-            per_scale[scale][ProtectionMode.CIF_TREE].slowdown for scale in self.SCALES
+            per_scale[scale]["CIF-Tree"].slowdown for scale in self.SCALES
         ]
         assert slowdowns == sorted(slowdowns)
         assert slowdowns[-1] > slowdowns[0]
@@ -232,13 +231,13 @@ class TestCounterTreeScaling:
                 - per_scale[self.SCALES[0]][mode].slowdown
             )
 
-        assert growth(ProtectionMode.CIF_TREE) > growth(ProtectionMode.TOLEO)
+        assert growth("CIF-Tree") > growth("Toleo")
 
     def test_tree_costs_more_than_toleo(self, per_scale):
         for scale in self.SCALES:
             assert (
-                per_scale[scale][ProtectionMode.CIF_TREE].slowdown
-                > per_scale[scale][ProtectionMode.TOLEO].slowdown
+                per_scale[scale]["CIF-Tree"].slowdown
+                > per_scale[scale]["Toleo"].slowdown
             )
 
 
@@ -246,14 +245,14 @@ class TestClientSgxMode:
     def test_paging_dominates_once_working_set_spills(self):
         results = compare_modes(
             lambda: get_workload("pr", scale=0.002, seed=1),
-            modes=(ProtectionMode.CI, ProtectionMode.CLIENT_SGX),
+            modes=("CI", "Client-SGX"),
             num_accesses=5000,
         )
-        sgx = results[ProtectionMode.CLIENT_SGX]
+        sgx = results["Client-SGX"]
         assert sgx.slowdown > 2.0
-        assert sgx.slowdown > results[ProtectionMode.CI].slowdown
+        assert sgx.slowdown > results["CI"].slowdown
         # Page-in traffic inflates the data byte count well past CI's.
-        assert sgx.traffic.data_bytes > results[ProtectionMode.CI].traffic.data_bytes
+        assert sgx.traffic.data_bytes > results["CI"].traffic.data_bytes
 
     def test_no_paging_when_working_set_fits(self):
         spec = EpcPagingSpec(epc_fraction=2.0)  # EPC larger than the footprint
@@ -261,7 +260,7 @@ class TestClientSgxMode:
         assert component.epc_bytes >= 8 * MIB
 
     def test_fault_counters_exposed(self):
-        engine = SimulationEngine.from_mode(ProtectionMode.CLIENT_SGX, seed=1)
+        engine = SimulationEngine.from_mode("Client-SGX", seed=1)
         components = build_components(
             engine.params,
             engine.config,
@@ -280,11 +279,11 @@ class TestOpenRegistry:
         from repro.sim.configs import register_mode
         from repro.sim.results import suite_key
 
-        args = (("bsw",), (ProtectionMode.CI,), 0.002, 4000, 1234, None, None)
+        args = (("bsw",), ("CI",), 0.002, 4000, 1234, None, None)
         before = suite_key(*args)
-        original = mode_parameters(ProtectionMode.CI)
+        original = mode_parameters("CI")
         try:
-            register_mode(ModeParameters(ProtectionMode.CI), replace=True)
+            register_mode(ModeParameters("CI"), replace=True)
             assert suite_key(*args) != before
         finally:
             register_mode(original, replace=True)
@@ -296,12 +295,12 @@ class TestOpenRegistry:
         from repro.sim.configs import register_mode
         from repro.sim.results import suite_key
 
-        args = (("bsw",), (ProtectionMode.CI,), 0.002, 4000, 1234, None, None)
+        args = (("bsw",), ("CI",), 0.002, 4000, 1234, None, None)
         before = suite_key(*args)
-        original = mode_parameters(ProtectionMode.NOPROTECT)
+        original = mode_parameters("NoProtect")
         try:
             register_mode(
-                ModeParameters(ProtectionMode.NOPROTECT, aes_on_read=True),
+                ModeParameters("NoProtect", aes_on_read=True),
                 replace=True,
             )
             assert suite_key(*args) != before
@@ -313,11 +312,8 @@ class TestOpenRegistry:
         # (under spawn they would see the defaults, not runtime overrides).
         from repro.sim.parallel import suite_tasks
 
-        tasks = suite_tasks(("bsw",), (ProtectionMode.CI,), 0.002, 1000, 1)
-        assert [task[1].mode for task in tasks] == [
-            ProtectionMode.NOPROTECT,
-            ProtectionMode.CI,
-        ]
+        tasks = suite_tasks(("bsw",), ("CI",), 0.002, 1000, 1)
+        assert [task[1].label for task in tasks] == ["NoProtect", "CI"]
         assert all(isinstance(task[1], ModeParameters) for task in tasks)
 
     def test_custom_mode_runs_through_the_engine(self):

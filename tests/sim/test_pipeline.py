@@ -6,8 +6,10 @@ them over one pool (:func:`run_chains`) and stitches the finals into the
 serial driver's suite shape (:func:`stitch_chains`).  Each worker step picks
 its replay loop from the event slice and component stack it observes, never
 from a flag.
-These tests pin each stage on its own; the end-to-end bit-identity of the
-whole pipeline is pinned by ``test_parallel.py`` and ``test_sharding.py``.
+These tests pin each stage on its own, and check by introspection that
+every store key moves exactly with the fields that can change what it
+stores; the end-to-end bit-identity of the whole pipeline is pinned by the
+strategy property in ``test_strategy_property.py``.
 """
 
 import dataclasses
@@ -15,16 +17,27 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.invisimem import InvisiMemModel
 from repro.core.config import SystemConfig
 from repro.sim import replaycore, shard
-from repro.sim.distill import events_key
+from repro.sim.configs import (
+    CounterTreeSpec,
+    EpcPagingSpec,
+    ModeParameters,
+    mode_parameters,
+    register_mode,
+    unregister_mode,
+)
+from repro.sim.distill import events_key, events_slice_key
 from repro.sim.engine import EngineOptions, SimulationEngine
 from repro.sim.faults import FAULT_PLAN_ENV, TaskFailedError
 from repro.sim.parallel import suite_tasks
+from repro.sim.results import suite_key
 from repro.sim.shard import (
     RunPlan,
     ShardSpec,
     ShardTask,
+    checkpoint_key,
     prepare_suite,
     run_shard_step,
     shard_chain,
@@ -86,6 +99,123 @@ class TestRunPlan:
     def test_a_nonpositive_width_is_rejected_when_built(self, field):
         with pytest.raises(ValueError, match="must be positive"):
             dataclasses.replace(self.BASE, **{field: 0})
+
+
+#: The cache-geometry leaves of a ``SystemConfig``: all a distilled event
+#: stream depends on.
+HIERARCHY_GEOMETRY = {
+    f"config.{level}_config.{field}"
+    for level in ("l1", "l2", "l3")
+    for field in ("size_bytes", "ways", "line_bytes")
+}
+
+#: A mode with every optional spec set, so a walk over its parameters
+#: reaches every field of ``ModeParameters`` and of each nested spec.
+PROBE = ModeParameters(
+    "Key-Probe",
+    aes_on_read=True,
+    mac_traffic=True,
+    stealth_traffic=True,
+    invisimem=InvisiMemModel(),
+    counter_tree=CounterTreeSpec(),
+    epc_paging=EpcPagingSpec(),
+    description="every field set",
+)
+
+
+class TestStoreKeyCompleteness:
+    """Perturb every field of a run description, one case per field: each
+    store key must move exactly when the field can change what the key
+    stores.  A field added later gets a case too, and one of a type the
+    perturbation has no rule for fails its case until it is classified."""
+
+    #: The run description a suite and its checkpoints are keyed by.
+    ROOTS = {"mode": PROBE, "config": SystemConfig(), "options": EngineOptions()}
+
+    @staticmethod
+    def event_keys(config):
+        """The run's ``events`` key and the key of its second 64-access slice."""
+        run = ("memcached", 0.002, 7, TRACE_LEN)
+        return events_key(*run, config), events_slice_key(*run, 64, 1, config)
+
+    @staticmethod
+    def run_keys(params, config, options):
+        """The suite key of a one-mode run of ``params``, and the key of its
+        checkpoint at access 130."""
+        register_mode(params)
+        try:
+            suite = suite_key(("memcached",), (params.label,), 0.002, TRACE_LEN, 7, config, options)
+        finally:
+            unregister_mode(params.label)
+        task = ShardTask("memcached", params, 0.002, TRACE_LEN, 7, config, options, 0, 130, 64)
+        return suite, checkpoint_key(task)
+
+    def test_the_geometry_table_names_real_leaves(self, leaves):
+        # A renamed cache field cannot drop out of the table unnoticed.
+        assert HIERARCHY_GEOMETRY <= {path for path, _ in leaves(SystemConfig(), "config")}
+
+    @pytest.mark.leaves_of(config=SystemConfig())
+    def test_only_the_hierarchy_geometry_moves_the_event_keys(self, leaf, replaced, perturbed):
+        path, value = leaf
+        base = SystemConfig()
+        keys = self.event_keys(replaced(base, path.partition(".")[2], perturbed(path, value)))
+        moved = [key != ref for key, ref in zip(keys, self.event_keys(base))]
+        assert moved == [path in HIERARCHY_GEOMETRY] * 2
+
+    def test_the_walk_reaches_every_nested_spec(self, leaves):
+        seen = {path for root, value in self.ROOTS.items() for path, _ in leaves(value, root)}
+        assert {
+            "mode.label",
+            "mode.invisimem.packet_header_bytes",
+            "mode.counter_tree.scheme",
+            "mode.epc_paging.min_epc_pages",
+            "config.l3_config.ways",
+            "config.toleo.page_bytes",
+            "options.timeline_samples",
+        } <= seen
+
+    @pytest.mark.leaves_of(**ROOTS)
+    def test_every_leaf_moves_the_suite_and_checkpoint_keys(self, leaf, replaced, perturbed):
+        path, value = leaf
+        root, _, below = path.partition(".")
+        variant = dict(self.ROOTS)
+        variant[root] = replaced(variant[root], below, perturbed(path, value))
+        suite, checkpoint = self.run_keys(*variant.values())
+        reference = self.run_keys(*self.ROOTS.values())
+        assert suite != reference[0]
+        assert checkpoint != reference[1]
+
+    TASK = ShardTask(
+        "memcached", PROBE, 0.002, TRACE_LEN, 7, SystemConfig(), EngineOptions(), 0, 130, 64
+    )
+
+    #: A value other than ``TASK``'s for every ``ShardTask`` field but
+    #: ``start``: the state at a stop does not depend on where the shard
+    #: that reached it began, so chains of different widths share their
+    #: checkpoints.
+    TASK_FIELDS = {
+        "name": "bsw",
+        "params": mode_parameters("CI"),
+        "scale": 0.004,
+        "num_accesses": 2 * TRACE_LEN,
+        "seed": 8,
+        "config": SystemConfig(aes_latency_cycles=400),
+        "options": EngineOptions(memory_level_parallelism=8.0),
+        "stop": 131,
+        "window": 65,
+    }
+
+    def test_every_task_field_is_classified(self):
+        # A field added later must join the table, or be ``start``.
+        assert set(ShardTask._fields) == self.TASK_FIELDS.keys() | {"start"}
+
+    @pytest.mark.parametrize("field", sorted(TASK_FIELDS))
+    def test_a_task_field_moves_the_checkpoint_key(self, field):
+        changed = self.TASK._replace(**{field: self.TASK_FIELDS[field]})
+        assert checkpoint_key(changed) != checkpoint_key(self.TASK)
+
+    def test_start_leaves_the_checkpoint_key(self):
+        assert checkpoint_key(self.TASK._replace(start=7)) == checkpoint_key(self.TASK)
 
 
 class TestSuitePlanning:

@@ -1,9 +1,11 @@
 """Differential and property tests for the vectorized replay core.
 
-The contract of :mod:`repro.sim.replaycore` is the same one the distillation
-and sharding PRs established: a faster execution strategy must be
-*bit-identical* to the serial engine -- every counter, floats included, no
-tolerance -- for every registered mode, unsharded and at every shard width.
+The contract of :mod:`repro.sim.replaycore` is the one every execution
+strategy keeps: *bit-identical* to the serial engine -- every counter,
+floats included, no tolerance.  These tests pin one batch replay loop per
+mode, unsharded and across checkpoint round-trips; the strategy property in
+``test_strategy_property.py`` runs the kernels through the whole pipeline
+at every shard width and slice window.
 The MAC tier is additionally pinned against the real
 :class:`~repro.cache.mac_cache.MacCache`, hit for hit, and the packed numpy
 column views are pinned against ``MissEventStream.events()`` with Hypothesis.
@@ -42,7 +44,6 @@ from repro.sim.replaycore import (
     residual_components,
     vectorizable,
 )
-from repro.sim.shard import ShardSpec, run_sharded
 from repro.sim.store import ResultStore
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
@@ -76,8 +77,6 @@ PROFILES = {
     "Scalable-SGX": "batch",
     "Toleo+Tree": "hybrid",
 }
-
-SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN)
 
 ALL_MODES = registered_modes()
 
@@ -117,27 +116,12 @@ def vectorized_run(mode, events, tier):
 
 
 class TestVectorizedReplayIsBitIdentical:
-    """Batch replay == full replay, for every mode, at every shard width."""
+    """Batch replay == full replay, for every mode."""
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_unsharded_batch_replay_matches_serial(self, mode, events, tier, serial_results):
         result = vectorized_run(mode, events, tier)
         assert result.to_dict() == serial_results[mode].to_dict()
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_every_shard_width_matches_serial(self, mode, trace, serial_results):
-        serial = serial_results[mode].to_dict()
-        for shard_size in SHARD_SIZES:
-            sharded = run_sharded(
-                mode,
-                trace,
-                ShardSpec(shard_size),
-                config=SMALL_CONFIG,
-                seed=7,
-                distill=True,
-                vector=True,
-            )
-            assert sharded.to_dict() == serial, f"shard_size={shard_size}"
 
     @pytest.mark.parametrize("mode", ("CI", "Toleo", "Client-SGX", "Toleo+Tree"))
     def test_checkpoint_roundtrip_between_vector_windows(
@@ -191,14 +175,14 @@ class TestMacTier:
             assert tier.read_hits[pos] == int(cache.access(address)), pos
             if wb is not None:
                 assert tier.wb_hits[pos] == int(cache.access(wb, is_write=True)), pos
-        assert int(np.sum(tier.read_hits_view)) + int(np.sum(tier.wb_hits_view)) == (
+        assert int(np.sum(tier.view("read_hits"))) + int(np.sum(tier.view("wb_hits"))) == (
             cache.stats.hits
         )
 
     def test_tier_covers_both_verdicts(self, tier):
         # The fixture geometry must exercise hits *and* misses, or the
         # differential above proves nothing.
-        hits = int(np.sum(tier.read_hits_view))
+        hits = int(np.sum(tier.view("read_hits")))
         assert 0 < hits < tier.num_events
 
     def test_payload_round_trips(self, tier):

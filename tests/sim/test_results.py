@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core.trip import TripFormat
-from repro.sim.configs import ProtectionMode
 from repro.sim.results import LatencyBreakdown, SimulationResult, TrafficBreakdown
 
 
 def make_result(**overrides):
     defaults = dict(
         workload="unit",
-        mode=ProtectionMode.TOLEO,
+        mode="Toleo",
         instructions=1_000_000,
         accesses=10_000,
         llc_misses=2_000,

@@ -3,16 +3,17 @@
 The exact sharded path hands a serialized engine state from shard to shard;
 PR 10 persists that carry as a content-keyed ``checkpoint-*`` store entry as
 each shard completes.  These tests pin the whole contract: a completed run
-leaves no checkpoint residue, an aborted run leaves resumable checkpoints, a
-resumed run produces byte-for-byte the suite an uninterrupted run would, and
-a fault-riddled chaos run is indistinguishable from a clean serial one.
+leaves no checkpoint residue, an aborted run leaves resumable checkpoints,
+and a resumed run produces byte-for-byte the suite an uninterrupted run
+would.  That a run with injected faults and retries is indistinguishable
+from a clean serial one is part of the strategy property in
+``test_strategy_property.py``.
 """
 
 import pytest
 
 from repro.experiments.harness import run_benchmarks
 from repro.sim import store as store_module
-from repro.sim.configs import registered_modes
 from repro.sim.engine import run_suite
 from repro.sim.faults import (
     FAULT_PLAN_ENV,
@@ -27,7 +28,6 @@ from repro.sim.faults import (
 BENCH = ("memcached",)
 ACCESSES = 4000
 SHARD = 800  # 5 shards per (benchmark, mode) chain
-FAST = SupervisionPolicy(deadline=30.0, retries=3, backoff=0.01)
 
 
 def _flatten(suite):
@@ -145,42 +145,6 @@ class TestCheckpointLifecycle:
         monkeypatch.delenv(FAULT_PLAN_ENV)
         healed = _sharded()
         assert _flatten(healed) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
-        assert _checkpoints(fresh_store) == []
-
-
-class TestChaosDifferential:
-    """Fault-injected runs must be bit-identical to clean serial runs."""
-
-    def test_captured_path_survives_generated_plan(self, fresh_store, monkeypatch):
-        plan = FaultPlan.generate(
-            seed=3, num_tasks=20, crashes=2, corrupts=1, errors=1
-        )
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        manifest = FailureManifest()
-        chaotic = _sharded(policy=FAST, manifest=manifest)
-        assert manifest.retries >= 1 and manifest.quarantined == 0
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert _flatten(chaotic) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
-        assert _checkpoints(fresh_store) == []
-
-    def test_every_registered_mode_survives_faults(self, fresh_store, monkeypatch):
-        # The acceptance gate is universal: no mode's counters may shift
-        # under injected faults, including registry-only hybrids.
-        modes = registered_modes()
-        plan = FaultPlan.generate(seed=5, num_tasks=12, crashes=2, corrupts=1, errors=1)
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        chaotic = _sharded(shard_size=1000, num_accesses=2000, modes=modes, policy=FAST)
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        serial = run_suite(BENCH, modes=modes, num_accesses=2000)
-        assert _flatten(chaotic) == _flatten(serial)
-        assert _checkpoints(fresh_store) == []
-
-    def test_streamed_path_survives_generated_plan(self, fresh_store, monkeypatch):
-        plan = FaultPlan.generate(seed=11, num_tasks=20, crashes=1, corrupts=1)
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        chaotic = _sharded(policy=FAST, stream=SHARD)
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert _flatten(chaotic) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
         assert _checkpoints(fresh_store) == []
 
 

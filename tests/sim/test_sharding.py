@@ -1,22 +1,19 @@
-"""Differential tests for sharded trace execution (`repro.sim.shard`).
+"""Tests for sharded trace execution (`repro.sim.shard`).
 
 The design center of the sharding subsystem is *exactness*: the
 checkpoint-handoff discipline must be bit-identical to the serial engine for
-every registered mode (seed modes and registry-only variants alike) at any
-shard width.  These tests are the pin: every field of every result is
-compared through ``SimulationResult.to_dict()`` -- floats included, no
-tolerance.
+every registered mode at any shard width.  The strategy property in
+``test_strategy_property.py`` pins that across the whole strategy space;
+these tests pin the pieces it is built from -- the shard-step worker
+contract, checkpoint keys and the journal, shard planning and the store and
+CLI surface -- comparing results through ``SimulationResult.to_dict()``,
+floats included, no tolerance.
 """
-
-import dataclasses
 
 import pytest
 
-import repro.sim  # noqa: F401  -- registers the variant modes
-from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.experiments.harness import run_benchmarks
 from repro.sim import replaycore
-from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
 from repro.sim.shard import (
     RunPlan,
@@ -24,69 +21,18 @@ from repro.sim.shard import (
     _CheckpointJournal,
     checkpoint_key,
     run_shard_step,
-    run_sharded,
     shard_bounds,
     shard_chain,
-    stream_shard_chain,
 )
 from repro.sim.store import ResultStore, default_store
 from repro.workloads.registry import get_workload
 
-#: A down-scaled cache geometry for the exhaustive mode x shard-width matrix:
-#: the identity property is geometry-independent, and small caches keep the
-#: several hundred checkpoint handoffs of the shard_size=1 case cheap.
-SMALL_CONFIG = dataclasses.replace(
-    SystemConfig(),
-    l1_config=CacheConfig("L1", 8 * KIB, 4, latency_cycles=4),
-    l2_config=CacheConfig("L2", 64 * KIB, 8, latency_cycles=14),
-    l3_config=CacheConfig("L3", 256 * KIB, 8, latency_cycles=49),
-    mac_cache_bytes=64 * KIB,
-)
-
 TRACE_LEN = 260
-
-#: The issue's shard widths: degenerate (1), prime-and-tiny (7), a clean
-#: halving, exactly the trace length, and beyond it (single padded shard).
-SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN, TRACE_LEN + 13)
-
-ALL_MODES = registered_modes()
 
 
 @pytest.fixture(scope="module")
 def trace():
     return get_workload("memcached", scale=0.002, seed=7).capture(TRACE_LEN)
-
-
-@pytest.fixture(scope="module")
-def serial_results(trace):
-    """The serial engine's result per registered mode (the ground truth)."""
-    return {
-        mode: SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7).run(
-            trace, num_accesses=TRACE_LEN
-        )
-        for mode in ALL_MODES
-    }
-
-
-class TestExactShardingIsBitIdentical:
-    """Checkpoint handoff == serial engine, for every mode and shard width."""
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_every_shard_width_matches_serial(self, mode, trace, serial_results):
-        serial = serial_results[mode].to_dict()
-        for shard_size in SHARD_SIZES:
-            sharded = run_sharded(
-                mode, trace, ShardSpec(shard_size), config=SMALL_CONFIG, seed=7
-            )
-            assert sharded.to_dict() == serial, f"shard_size={shard_size}"
-
-    def test_default_config_matches_serial(self):
-        # One mode at the real (Table 3) geometry, so the matrix's scaled
-        # config cannot mask a geometry-dependent divergence.
-        trace = get_workload("bsw", scale=0.002, seed=3).capture(2000)
-        serial = SimulationEngine.from_mode("Toleo", seed=3).run(trace, num_accesses=2000)
-        sharded = run_sharded("Toleo", trace, ShardSpec(700), seed=3)
-        assert sharded.to_dict() == serial.to_dict()
 
 
 class TestSuiteShardedExecution:
@@ -116,17 +62,6 @@ class TestSuiteShardedExecution:
         # A completed run spends every checkpoint it wrote.
         assert default_store().query(kind="checkpoint") == checkpoints_before
 
-    def test_baseline_stitched_like_serial(self, serial_suite):
-        sharded = run_benchmarks(
-            self.NAMES, modes=self.MODES, num_accesses=2000, jobs=2, shard_size=600,
-            use_cache=False,
-        )
-        for bench in self.NAMES:
-            for mode in self.MODES:
-                assert (
-                    sharded[bench][mode].slowdown == serial_suite[bench][mode].slowdown
-                )
-
 
 class TestCheckpointHandoff:
     """The shard-step worker contract the pipelined scheduler relies on."""
@@ -143,6 +78,18 @@ class TestCheckpointHandoff:
             num_accesses=TRACE_LEN,
         )
         assert final.to_dict() == serial.to_dict()
+
+    def test_default_config_matches_serial(self):
+        # One mode at the real (Table 3) geometry, so the strategy
+        # property's small caches cannot mask a geometry-dependent divergence.
+        chain = shard_chain("bsw", "Toleo", ShardSpec(700), 0.002, 2000, 3)
+        assert len(chain) == 3
+        carry = None
+        for task in chain:
+            carry = run_shard_step(task, carry)
+        trace = get_workload("bsw", scale=0.002, seed=3).capture(2000)
+        serial = SimulationEngine.from_mode("Toleo", seed=3).run(trace, num_accesses=2000)
+        assert carry.to_dict() == serial.to_dict()
 
     def test_misaligned_checkpoint_rejected(self, trace):
         chain = shard_chain("memcached", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)
@@ -163,7 +110,7 @@ class TestCheckpointHandoff:
         # another (a vectorized checkpoint leaves component caches untouched).
         spec = ShardSpec(90)
         captured = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7)[0]
-        streamed = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)[0]
+        streamed = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, window=50)[0]
         assert (captured.name, captured.params, captured.stop) == (
             streamed.name,
             streamed.params,
@@ -191,11 +138,11 @@ class TestCheckpointHandoff:
 
     def test_checkpoint_key_tracks_stop_and_stream_window(self):
         spec = ShardSpec(90)
-        narrow = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)
-        wide = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 60)
+        narrow = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, window=50)
+        wide = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, window=60)
         keys = {checkpoint_key(task) for task in narrow + wide}
         assert len(keys) == len(narrow) + len(wide)
-        rebuilt = stream_shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, 50)
+        rebuilt = shard_chain("bsw", "CI", spec, 0.002, TRACE_LEN, 7, window=50)
         assert [checkpoint_key(t) for t in rebuilt] == [checkpoint_key(t) for t in narrow]
 
 

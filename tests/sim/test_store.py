@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.experiments.harness import run_benchmarks, suite_key
-from repro.sim.configs import EVALUATED_MODES, ProtectionMode
+from repro.sim.configs import EVALUATED_MODES
 from repro.sim.engine import EngineOptions, run_suite
 from repro.sim.results import SimulationResult
 from repro.sim.store import (
@@ -357,8 +357,8 @@ class TestSuitePersistence:
         a = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
         b = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4004, store=store)
         assert a is not b
-        assert a["hyrise"][ProtectionMode.NOPROTECT].accesses == 4000
-        assert b["hyrise"][ProtectionMode.NOPROTECT].accesses == 4004
+        assert a["hyrise"]["NoProtect"].accesses == 4000
+        assert b["hyrise"]["NoProtect"].accesses == 4004
 
     def test_no_cache_bypasses_store(self, tmp_path):
         store = ResultStore(tmp_path)

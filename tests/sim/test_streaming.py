@@ -1,12 +1,14 @@
-"""Differential tests for streamed trace ingestion (PR 9).
+"""Tests for streamed trace ingestion.
 
 The streamed path -- bounded-memory capture windows, windowed distillation
 into ``events-slice`` store entries, shard tasks replaying from slice store
 keys -- is an *execution strategy*, never a model change: for every
 registered mode, at every shard width, under every window size, it must be
-bit-identical to the captured serial engine and share its persistent store
-entries.  These tests are the pin, in the same no-tolerance
-``SimulationResult.to_dict()`` discipline as ``test_sharding.py``.
+bit-identical to the captured serial engine (pinned by the strategy property
+in ``test_strategy_property.py``) and share its persistent store entries.
+These tests pin the slices themselves, their keys and store handling, and
+the CLI surface, in the same no-tolerance ``SimulationResult.to_dict()``
+discipline.
 """
 
 import dataclasses
@@ -16,8 +18,6 @@ import pytest
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
-from repro.experiments.harness import run_benchmarks
-from repro.sim.configs import registered_modes
 from repro.sim.distill import (
     HierarchyDistiller,
     MissEventStream,
@@ -27,12 +27,8 @@ from repro.sim.distill import (
     slice_bounds,
     stream_event_slices,
 )
-from repro.sim.engine import SimulationEngine, run_suite
-from repro.sim.shard import (
-    ShardSpec,
-    run_shard_step,
-    stream_shard_chain,
-)
+from repro.sim.engine import SimulationEngine
+from repro.sim.shard import ShardSpec, run_shard_step, shard_chain
 from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.registry import get_workload
 
@@ -46,75 +42,12 @@ SMALL_CONFIG = dataclasses.replace(
 
 TRACE_LEN = 260
 
-#: Shard widths crossing the slice windows at every alignment: degenerate,
-#: prime, slice-misaligned halving and exactly the run.
-SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN)
-
-#: Slice windows: one access per slice, a prime that divides nothing evenly
-#: (shard and slice boundaries interleave), a third of the run (plus a
-#: 2-access remainder slice) and one window covering the whole run.
-WINDOWS = (1, 7, TRACE_LEN // 3, TRACE_LEN)
-
-ALL_MODES = registered_modes()
-
-
-@pytest.fixture(scope="module")
-def serial_suite():
-    """The captured serial suite per registered mode (the ground truth)."""
-    return run_suite(
-        ["memcached"],
-        modes=ALL_MODES,
-        scale=0.002,
-        num_accesses=TRACE_LEN,
-        seed=7,
-        config=SMALL_CONFIG,
-    )["memcached"]
-
 
 class TestStreamedExecutionIsBitIdentical:
-    """Streamed replay == captured serial, all modes x widths x windows.
-
-    Every slice takes the batch kernels where numpy is importable, each
-    with its own verdict tier slices, so the matrix pins the per-slice
-    tiers and the once-per-slice statistics fold at every alignment of
-    shard stops and slice boundaries.
-    """
-
-    @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("shard_size", SHARD_SIZES)
-    def test_matrix_matches_serial(self, shard_size, window, serial_suite):
-        # resume=False: checkpoint persistence never changes a result and is
-        # pinned by test_resume.py; journaling every one of a width-1 cell's
-        # 2,600 shard checkpoints would add over half to the cell's time.
-        streamed = run_benchmarks(
-            ["memcached"],
-            modes=ALL_MODES,
-            scale=0.002,
-            num_accesses=TRACE_LEN,
-            seed=7,
-            config=SMALL_CONFIG,
-            jobs=1,
-            shard_size=shard_size,
-            stream=window,
-            use_cache=False,
-            resume=False,
-        )["memcached"]
-        for mode in ALL_MODES:
-            assert streamed[mode].to_dict() == serial_suite[mode].to_dict(), (
-                f"mode={mode} shard_size={shard_size} window={window}"
-            )
-
     def test_chain_checkpoints_round_trip(self):
-        """Driving the chain step by step (the pool's view) also matches."""
-        chain = stream_shard_chain(
-            "memcached",
-            "Toleo",
-            ShardSpec(7),
-            0.002,
-            TRACE_LEN,
-            7,
-            64,
-            SMALL_CONFIG,
+        """Driving a windowed chain step by step (the pool's view) matches."""
+        chain = shard_chain(
+            "memcached", "Toleo", ShardSpec(7), 0.002, TRACE_LEN, 7, SMALL_CONFIG, window=64
         )
         carry = None
         for task in chain[:-1]:
@@ -192,15 +125,8 @@ class TestEventSlices:
         keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
         for key in keys:
             store.invalidate(key)
-        chain = stream_shard_chain(
-            "memcached",
-            "CI",
-            ShardSpec(TRACE_LEN),
-            0.002,
-            TRACE_LEN,
-            7,
-            64,
-            SMALL_CONFIG,
+        chain = shard_chain(
+            "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, SMALL_CONFIG, window=64
         )
         result = run_shard_step(chain[0], None)
         assert result.llc_misses > 0
@@ -247,8 +173,9 @@ class TestEventSlices:
                     path.write_bytes(path.read_bytes()[:100])
             assert keys[1] in store
             assert store.get(keys[1], decoder=MissEventStream.from_payload) is None
-            chain = stream_shard_chain(
-                "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, 64, SMALL_CONFIG
+            chain = shard_chain(
+                "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, SMALL_CONFIG,
+                window=64,
             )
             result = run_shard_step(chain[0], None)
             assert store.get(keys[1], decoder=MissEventStream.from_payload) is not None
@@ -335,7 +262,7 @@ class TestStreamedStoreKeySemantics:
 class TestStreamValidation:
     def test_chain_rejects_bad_window(self):
         with pytest.raises(ValueError, match="window must be positive"):
-            stream_shard_chain("bsw", "CI", ShardSpec(100), 0.002, 200, 7, 0)
+            shard_chain("bsw", "CI", ShardSpec(100), 0.002, 200, 7, window=0)
 
     def test_harness_rejects_bad_stream(self):
         from repro.experiments.harness import run_benchmarks

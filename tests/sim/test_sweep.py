@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.experiments.harness import run_benchmarks
 from repro.sim import shard
-from repro.sim.configs import ProtectionMode
 from repro.sim.faults import TaskFailure, TaskFailureRecord
 from repro.sim.shard import RunPlan
 from repro.sim.store import ResultStore
@@ -19,7 +18,7 @@ from repro.sim.sweep import (
 )
 
 BENCHES = ("bsw",)
-MODES = (ProtectionMode.CI, ProtectionMode.TOLEO)
+MODES = ("CI", "Toleo")
 ACCESSES = 3000
 
 
@@ -216,11 +215,11 @@ class TestRunSweep:
     def test_point_results_differ_across_the_axis(self, tmp_path):
         result = run_sweep(
             [SweepAxis("options.memory_level_parallelism", (1.0, 8.0))],
-            _plan(modes=(ProtectionMode.CI,)),
+            _plan(modes=("CI",)),
             store=ResultStore(tmp_path / "cache"),
         )
-        slow = result.suites[0]["bsw"][ProtectionMode.CI]
-        fast = result.suites[1]["bsw"][ProtectionMode.CI]
+        slow = result.suites[0]["bsw"]["CI"]
+        fast = result.suites[1]["bsw"]["CI"]
         assert fast.execution_time_ns < slow.execution_time_ns
 
     def test_a_bench_run_is_a_one_point_sweep(self, tmp_path):
@@ -250,7 +249,7 @@ class TestRunSweep:
         monkeypatch.setattr(parallel, "SupervisedExecutor", CountingExecutor)
         result = run_sweep(
             [SweepAxis("scale", (0.001, 0.002))],
-            _plan(modes=(ProtectionMode.CI,), shard_size=1000),
+            _plan(modes=("CI",), shard_size=1000),
             jobs=2,
             store=ResultStore(tmp_path / "cache"),
         )
@@ -260,11 +259,11 @@ class TestRunSweep:
     def test_sweep_covers_new_modes(self, tmp_path):
         result = run_sweep(
             [SweepAxis("scale", (0.001,))],
-            _plan(modes=(ProtectionMode.TOLEO, ProtectionMode.CIF_TREE)),
+            _plan(modes=("Toleo", "CIF-Tree")),
             store=ResultStore(tmp_path / "cache"),
         )
         per_mode = result.suites[0]["bsw"]
-        assert per_mode[ProtectionMode.CIF_TREE].slowdown > 1.0
+        assert per_mode["CIF-Tree"].slowdown > 1.0
 
     def test_degraded_point_is_returned_but_not_cached(self, tmp_path, monkeypatch):
         # A point is degraded when any of its chains ended in a TaskFailure:
@@ -272,17 +271,17 @@ class TestRunSweep:
         # while the clean point is cached as usual.
         run_chains = shard.run_chains
         axes = [SweepAxis("scale", (0.001, 0.002))]
-        plan = _plan(modes=(ProtectionMode.CI,))
+        plan = _plan(modes=("CI",))
         run = dict(jobs=1, store=ResultStore(tmp_path / "cache"))
         monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
         degraded = run_sweep(axes, plan, **run)
-        assert ProtectionMode.CI in degraded.suites[0]["bsw"]
+        assert "CI" in degraded.suites[0]["bsw"]
         assert degraded.suites[1] == {"bsw": {}}
 
         monkeypatch.setattr(shard, "run_chains", run_chains)
         rerun = run_sweep(axes, plan, **run)
         assert rerun.served_from_store == [True, False]
-        assert ProtectionMode.CI in rerun.suites[1]["bsw"]
+        assert "CI" in rerun.suites[1]["bsw"]
 
     def test_twin_of_a_degraded_point_is_not_served(self, tmp_path, monkeypatch):
         # Both shard widths share one suite key, so only the first point
@@ -292,7 +291,7 @@ class TestRunSweep:
         run_chains = shard.run_chains
         store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("shard_size", (300, 1000))]
-        plan = _plan(modes=(ProtectionMode.CI,))
+        plan = _plan(modes=("CI",))
         monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
         degraded = run_sweep(axes, plan, jobs=1, store=store)
         assert degraded.suites == [{"bsw": {}}, {"bsw": {}}]
@@ -304,4 +303,4 @@ class TestRunSweep:
         rerun = run_sweep(axes, plan, jobs=1, store=store)
         assert rerun.served_from_store == [False, True]
         assert rerun.suites[1] is rerun.suites[0]
-        assert ProtectionMode.CI in rerun.suites[1]["bsw"]
+        assert "CI" in rerun.suites[1]["bsw"]

@@ -7,9 +7,9 @@ tier against ``CounterTreeComponent._walk`` (fetch for fetch) and the EPC
 tier against ``EpcPagingComponent._touch`` (fault for fault, dirty eviction
 for dirty eviction).  The shipped geometries rarely evict on a short trace,
 so two runtime-registered tiny-geometry modes make tree-cache evictions,
-partial walks and dirty EPC evictions happen -- and run through the same
-bit-identity matrix as the shipped modes, in one window and in windowed
-chains.  A hypothesis property pins the windowed ``advance`` against the
+partial walks and dirty EPC evictions happen (the strategy property in
+``test_strategy_property.py`` draws the same geometries through the whole
+pipeline).  A hypothesis property pins the windowed ``advance`` against the
 one-shot tier, the store-served tier slices are pinned against it too, and
 the store-key tests walk every config field to check each tier key -- full
 run or slice -- moves exactly with the fields that can change a verdict.
@@ -59,16 +59,14 @@ from repro.sim.replaycore import (
     MacTierSimulator,
     TreeTier,
     TreeTierSimulator,
-    compute_tiers,
     declare_scalar_safe,
     load_tier_slice,
     mac_tier_key,
     register_batch_kernel,
     tier_slice_key,
-    verdict_tier_key,
 )
 from repro.sim.results import LatencyBreakdown
-from repro.sim.shard import ShardSpec, run_shard_step, run_sharded, shard_chain
+from repro.sim.shard import ShardSpec, run_shard_step, shard_chain
 from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
@@ -85,11 +83,6 @@ SMALL_CONFIG = dataclasses.replace(
 )
 
 TRACE_LEN = 260
-
-SHARD_SIZES = (1, 7, TRACE_LEN // 2, TRACE_LEN)
-
-#: Event-slice widths of the windowed chains (see test_streaming).
-WINDOWS = (1, 7, TRACE_LEN // 3, TRACE_LEN)
 
 #: A 32-line, 2-way tree cache: evicts constantly on the fixture trace.
 TINY_TREE = CounterTreeSpec(cache_bytes=2 * KIB, cache_ways=2)
@@ -166,13 +159,6 @@ def only(components, kind):
     return component
 
 
-def run_chain(chain):
-    carry = None
-    for task in chain:
-        carry = run_shard_step(task, carry)
-    return carry
-
-
 # ---------------------------------------------------------------------------
 # Oracles: the real hooks, one verdict per lookup
 # ---------------------------------------------------------------------------
@@ -228,7 +214,7 @@ class TestTreeTier:
     """The tree tier equals the real counter-tree walk, fetch for fetch."""
 
     @pytest.mark.parametrize("mode", TREE_MODES)
-    def test_tier_matches_the_walk(self, mode, events):
+    def test_tier_matches_the_walk(self, mode, events, compute_tiers):
         engine, state = begin(mode, events)
         tree = only(state.components, CounterTreeComponent)
         (tier,) = [t for t in compute_tiers(state.components, events, SMALL_CONFIG)
@@ -238,7 +224,7 @@ class TestTreeTier:
         assert bytes(tier.wb_fetched) == bytes(writeback)
 
     @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
-    def test_tiny_geometry_evicts_and_stops_part_way(self, mode, events):
+    def test_tiny_geometry_evicts_and_stops_part_way(self, mode, events, compute_tiers):
         # The differential above only proves something if the cache state
         # actually matters: evictions happen, and walks stop at a cached
         # ancestor above the leaf as well as at the leaf or the root.
@@ -258,7 +244,7 @@ class TestEpcTier:
     """The EPC tier equals the real residency set, fault for fault."""
 
     @pytest.mark.parametrize("mode", EPC_MODES)
-    def test_tier_matches_the_touches(self, mode, events):
+    def test_tier_matches_the_touches(self, mode, events, compute_tiers):
         engine, state = begin(mode, events)
         epc = only(state.components, EpcPagingComponent)
         (tier,) = [t for t in compute_tiers(state.components, events, SMALL_CONFIG)
@@ -269,7 +255,7 @@ class TestEpcTier:
         assert list(zip(tier.evict_indices, tier.evict_pages)) == evictions
         assert epc.dirty_evictions == len(evictions)
 
-    def test_tiny_epc_evicts_dirty_pages(self, events):
+    def test_tiny_epc_evicts_dirty_pages(self, events, compute_tiers):
         engine, state = begin("Tiny-SGX", events)
         (tier,) = [t for t in compute_tiers(state.components, events, SMALL_CONFIG)
                    if isinstance(t, EpcTier)]
@@ -278,7 +264,7 @@ class TestEpcTier:
 
 
 class TestTinyModesAreBitIdentical:
-    """The tiny geometries run through the replay-core matrix too."""
+    """The tiny geometries through one batch replay loop, against serial."""
 
     @pytest.fixture(scope="class")
     def serial(self, trace):
@@ -290,16 +276,9 @@ class TestTinyModesAreBitIdentical:
         }
 
     @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
-    def test_every_shard_width_matches_serial(self, mode, trace, serial):
-        for shard_size in SHARD_SIZES:
-            sharded = run_sharded(
-                mode, trace, ShardSpec(shard_size), config=SMALL_CONFIG, seed=7,
-                distill=True, vector=True,
-            )
-            assert sharded.to_dict() == serial[mode], f"shard_size={shard_size}"
-
-    @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
-    def test_checkpoint_roundtrip_between_vector_windows(self, mode, events, serial):
+    def test_checkpoint_roundtrip_between_vector_windows(
+        self, mode, events, serial, compute_tiers
+    ):
         engine, state = begin(mode, events)
         tiers = compute_tiers(state.components, events, SMALL_CONFIG)
         for stop in range(7, TRACE_LEN, 7):
@@ -308,21 +287,8 @@ class TestTinyModesAreBitIdentical:
         BatchReplayEngine(engine, events, tiers=tiers).replay(state)
         assert engine.finish(state, events).to_dict() == serial[mode]
 
-    @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
-    def test_windowed_chains_match_serial(self, mode, window, serial, fresh_default_store):
-        # Each slice reads its own tier slices, so tier slices cross
-        # tree-cache evictions, EPC dirty evictions and mid-slice shard stops
-        # (test_streaming runs the shipped modes at every shard width).
-        for shard_size in (7, TRACE_LEN // 2):
-            chain = shard_chain(
-                "memcached", mode, ShardSpec(shard_size), 0.002, TRACE_LEN, 7,
-                SMALL_CONFIG, window=window,
-            )
-            assert run_chain(chain).to_dict() == serial[mode], f"shard_size={shard_size}"
-
-    @pytest.mark.parametrize("mode", ("Tiny-SGX", "Tiny-Tree"))
-    def test_scalar_then_vector_handoff(self, mode, events, serial):
+    def test_scalar_then_vector_handoff(self, mode, events, serial, compute_tiers):
         engine, state = begin(mode, events)
         engine.replay_events(state, events, stop=TRACE_LEN // 2)
         tiers = compute_tiers(state.components, events, SMALL_CONFIG)
@@ -438,7 +404,7 @@ class TestTierSlices:
 
     @pytest.mark.parametrize("window", (7, TRACE_LEN // 3))
     def test_served_slices_concatenate_to_the_one_shot_tier(
-        self, window, events, tmp_path, monkeypatch
+        self, window, events, tmp_path, monkeypatch, compute_tiers
     ):
         store = ResultStore(tmp_path)
         stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
@@ -507,42 +473,6 @@ MUST_CHANGE = {
 KINDS = {MacIntegrityComponent: "mactier", CounterTreeComponent: "treetier",
          EpcPagingComponent: "epctier"}
 
-SCHEMES = ("client_sgx", "vault", "morphctr")
-
-
-def leaves(value, prefix):
-    """``(path, value)`` of every scalar field, recursing into dataclasses."""
-    for field in dataclasses.fields(value):
-        inner = getattr(value, field.name)
-        path = f"{prefix}.{field.name}"
-        if dataclasses.is_dataclass(inner):
-            yield from leaves(inner, path)
-        else:
-            yield path, inner
-
-
-def replaced(value, path, new):
-    head, _, rest = path.partition(".")
-    if not rest:
-        return dataclasses.replace(value, **{head: new})
-    return dataclasses.replace(value, **{head: replaced(getattr(value, head), rest, new)})
-
-
-def perturbed(path, value):
-    """A value far enough from ``value`` to move any geometry it feeds."""
-    if path.endswith("scheme"):
-        return SCHEMES[(SCHEMES.index(value) + 1) % len(SCHEMES)]
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, int):
-        return value * 64 + 1000
-    if isinstance(value, float):
-        return value * 64 + 0.5
-    if isinstance(value, str):
-        return value + "-perturbed"
-    raise TypeError(f"no perturbation for {path} = {value!r}")
-
-
 #: Slice 1 of the fixture run's 64-access partition, as ``tier_slice_key``'s
 #: slice axes: benchmark, scale, seed, run length, window, slice index.
 SLICE = ("memcached", 0.002, 7, TRACE_LEN, 64, 1)
@@ -551,16 +481,20 @@ SLICE = ("memcached", 0.002, 7, TRACE_LEN, 64, 1)
 KEYINGS = pytest.mark.parametrize("keyed_by", (None, SLICE), ids=("full-run", "slice"))
 
 
+def full_run(events):
+    """``tier_slice_key``'s slice axes for the one slice of a one-window run."""
+    run = events.num_accesses
+    return events.name, events.scale, events.seed, run, run, 0
+
+
 def tier_keys(events, tree, epc, config, options, keyed_by=None):
     """Each tier kind's key for a Client-SGX stack: the full-run key, or
     the key of the tier slice ``keyed_by`` names."""
     params = dataclasses.replace(mode_parameters("Client-SGX"), counter_tree=tree, epc_paging=epc)
     stack = build_components(params, config, options, footprint_bytes=events.footprint_bytes)
     return {
-        KINDS[type(component)]: (
-            verdict_tier_key(component, events, config)
-            if keyed_by is None
-            else tier_slice_key(component, *keyed_by, config)
+        KINDS[type(component)]: tier_slice_key(
+            component, *(keyed_by or full_run(events)), config
         )
         for component in stack
         if type(component) in KINDS
@@ -578,7 +512,9 @@ class TestTierKeys:
     """Store-key completeness by introspection, scoped to the tier keys."""
 
     @KEYINGS
-    def test_every_field_moves_exactly_the_keys_it_can_change(self, events, keyed_by):
+    def test_every_field_moves_exactly_the_keys_it_can_change(
+        self, events, keyed_by, leaves, replaced, perturbed
+    ):
         base = mode_parameters("Client-SGX")
         roots = {
             "tree": base.counter_tree,
@@ -771,7 +707,9 @@ class TestLatencyFold:
 
     @pytest.mark.parametrize("stop", (TRACE_LEN // 3, TRACE_LEN))
     @pytest.mark.parametrize("place", ("after-stealth", "last"))
-    def test_residual_and_batch_writers_fold_in_stack_order(self, events, stop, place):
+    def test_residual_and_batch_writers_fold_in_stack_order(
+        self, events, stop, place, compute_tiers
+    ):
         engine, scalar = jittered_stack(events, place)
         engine.replay_events(scalar, events, stop=stop)
         _, batched = jittered_stack(events, place)
@@ -786,7 +724,7 @@ class TestLatencyFold:
     @pytest.mark.parametrize("stream", ("events", "quiet_tail_events"))
     @pytest.mark.parametrize("place", ("after-stealth", "last"))
     def test_the_fold_adds_the_loops_addends_in_the_loops_order(
-        self, request, stream, place, monkeypatch
+        self, request, stream, place, monkeypatch, compute_tiers
     ):
         # Bit-identity alone is a weak witness: once the accumulator is
         # large, small addends round to its grid one by one and commute.
@@ -812,7 +750,7 @@ class TestLatencyFold:
 
     @pytest.mark.parametrize("culprit", (Peek, Reset))
     def test_a_hook_that_reads_or_assigns_a_batch_written_field_raises(
-        self, events, culprit
+        self, events, culprit, compute_tiers
     ):
         # In Toleo+Tree the tree kernel writes freshness_ns, so the residual
         # loop reads it as the 0.0 placeholder: anything but `+=` is wrong.
@@ -822,7 +760,7 @@ class TestLatencyFold:
         with pytest.raises(ValueError, match=r"ctx\.latency\.freshness_ns"):
             BatchReplayEngine(engine, events, tiers=tiers).replay(state)
 
-    def test_a_field_no_kernel_writes_reads_its_running_value(self, events):
+    def test_a_field_no_kernel_writes_reads_its_running_value(self, events, compute_tiers):
         # In Toleo only the residual stealth versions write freshness_ns, so
         # it is not captured and a reader sees what the scalar loop sees.
         engine, scalar = begin("Toleo", events)

@@ -12,7 +12,6 @@ from repro.core.toleo import ToleoDevice
 from repro.crypto.rng import DRangeRng
 from repro.memory.cxl_ide import CxlIdeChannel
 from repro.security.adversary import ReplayAttacker
-from repro.sim.configs import ProtectionMode
 from repro.sim.engine import compare_modes
 from repro.workloads.registry import get_workload
 
@@ -99,7 +98,7 @@ class TestSimulationConsistency:
         sim = {
             name: compare_modes(
                 lambda n=name: get_workload(n, scale=0.002, seed=3), num_accesses=6000
-            )[ProtectionMode.TOLEO].stealth_cache_hit_rate
+            )["Toleo"].stealth_cache_hit_rate
             for name in ("bsw", "memcached")
         }
         assert sim["bsw"] > sim["memcached"]
