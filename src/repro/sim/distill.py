@@ -46,7 +46,7 @@ import base64
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import CacheStats
 from repro.core.config import CacheConfig, SystemConfig
@@ -666,6 +666,7 @@ def stream_event_slices(
     window: int,
     config: Optional[SystemConfig] = None,
     store: Optional[ResultStore] = None,
+    progress: Optional[Callable[[int], None]] = None,
 ) -> List[str]:
     """Distill a run into windowed event-slice store entries, bounded-memory.
 
@@ -675,10 +676,16 @@ def stream_event_slices(
     :func:`events_slice_key`.  Returns the ordered slice keys.  Below one
     window per run, at no point is the full trace or the full event stream
     in memory: each window's trace and slice are dropped as soon as the
-    slice is persisted (``keep_in_memory=False`` keeps the store's memory
-    layer from re-accumulating them).  A one-window run's single slice is
-    its ``events`` entry and stays in the memory layer, where every mode of
-    the suite -- and every forked worker -- reads it.
+    slice is persisted.  No slice enters the store's memory layer here
+    (``keep_in_memory=False``), not even a one-window run's single slice --
+    its ``events`` entry: the process that ingests a run is rarely the one
+    that replays it, and a run of several benchmarks would otherwise hold
+    every benchmark's events until its replay.  Readers promote a
+    one-window slice on first load (:func:`load_slice`).
+    ``progress(stop)`` is called as each slice is stored, with the slice's
+    stop (the pipeline's ingest task reports it to the steps waiting on
+    the slice), and once with the run length when every slice was stored
+    already.
 
     If every slice is already stored the generation is skipped entirely; a
     partial cold store regenerates from access 0 (the distiller is stateful,
@@ -695,8 +702,9 @@ def stream_event_slices(
         for i in range(len(bounds))
     ]
     if all(key in store for key in keys):
+        if progress is not None:
+            progress(num_accesses)
         return keys
-    whole = window >= num_accesses
     workload = get_workload(name, scale=scale, seed=seed)
     distiller = HierarchyDistiller(config)
     count = 0
@@ -711,7 +719,9 @@ def stream_event_slices(
             )
         stream = distiller.advance(trace_window, start, stop)
         if key not in store:
-            store.put(key, stream, encoder=MissEventStream.to_payload, keep_in_memory=whole)
+            store.put(key, stream, encoder=MissEventStream.to_payload, keep_in_memory=False)
+        if progress is not None:
+            progress(stop)
         count += 1
     if count != len(bounds):
         raise RuntimeError(

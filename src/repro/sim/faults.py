@@ -13,9 +13,10 @@ here and consumed by :mod:`repro.sim.parallel`:
 * :class:`FaultPlan` -- a seeded, content-addressed list of
   :class:`FaultSpec` injections (``crash`` the worker process, ``hang`` it
   past the watchdog deadline, ``corrupt`` the pickled result bytes, or raise
-  an injected ``error``), matched by *(task submission index, attempt
-  number)*.  Faults default to attempt 1, so a retried attempt runs clean and
-  the supervised run converges to the fault-free result -- which is exactly
+  an injected ``error``), matched by *(task slot, attempt number)* -- a
+  pipelined step's slot is its chain-major rank.  Faults default to
+  attempt 1, so a retried attempt runs clean and the supervised run
+  converges to the fault-free result -- which is exactly
   what the chaos differential gate in CI asserts: byte-identical counters and
   shared store keys with an uninjected run.  The plan crosses the
   ``spawn``/``fork`` boundary through the :data:`FAULT_PLAN_ENV` environment
@@ -72,10 +73,12 @@ class TaskFailedError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault, matched by (submission index, attempt number).
+    """One injected fault, matched by (task slot, attempt number).
 
-    ``task_index`` counts task *submissions* in order (retries of a task keep
-    its original index); ``attempt`` is 1-based, so the default of 1 faults
+    ``task_index`` is the task's slot: a step's chain-major rank under
+    :func:`~repro.sim.parallel.pipelined_map` -- the steps of every earlier
+    chain, then its position in its own -- at every ``jobs`` (retries of a
+    task keep its slot); ``attempt`` is 1-based, so the default of 1 faults
     the first try and lets every retry run clean.  ``seconds`` is the hang
     duration -- pick it past the supervision deadline to exercise the
     watchdog, or below it to model a slow-but-successful task.
@@ -149,7 +152,7 @@ class FaultPlan:
         return self.faults == other.faults and self.seed == other.seed
 
     def lookup(self, task_index: int, attempt: int) -> Optional[FaultSpec]:
-        """The fault armed for this (submission index, attempt), if any."""
+        """The fault armed for this (task slot, attempt), if any."""
         return self._by_slot.get((task_index, attempt))
 
     # -- serialisation -------------------------------------------------------
@@ -240,7 +243,7 @@ class FaultPlan:
         errors: int = 0,
         hang_seconds: float = 30.0,
     ) -> "FaultPlan":
-        """Deterministically draw a plan over ``num_tasks`` submission slots.
+        """Deterministically draw a plan over the first ``num_tasks`` task slots.
 
         The same ``(seed, num_tasks, counts)`` always yields the same plan
         (``random.Random(seed)``, targets drawn without replacement), which

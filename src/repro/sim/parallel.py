@@ -6,8 +6,10 @@ run seed, and the only cross-mode coupling -- the NoProtect baseline time
 stitched into each result -- is a pure post-processing step.  That makes the
 suite embarrassingly parallel.  The suite pipeline itself lives in
 :mod:`repro.sim.shard`: every pair is a chain of shard tasks (one
-full-length shard when unsharded) run through :func:`pipelined_map`, and
-merged deterministically by :func:`stitch_suite`:
+full-length shard when unsharded) run through :func:`pipelined_map` beside
+the ingest and tier chains that feed it -- its steps wait on their
+progress (``waits``, :func:`report_progress`) -- and merged
+deterministically by :func:`stitch_suite`:
 
 * chains are enumerated benchmark-major, mode-minor (the serial order), and
   results are reassembled into the same nested dict shape regardless of
@@ -51,6 +53,7 @@ or plan ever enters a persistent-store key.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -62,14 +65,22 @@ import pickle
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import SystemConfig
-from repro.sim.configs import (
-    BASELINE_MODE,
-    ModeParameters,
-    mode_label,
-)
+from repro.sim.configs import BASELINE_MODE, mode_label
 from repro.sim.engine import EngineOptions, ordered_modes
 from repro.sim.faults import (
     FailureManifest,
@@ -102,14 +113,11 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 def _task_label(task: Any) -> str:
-    """A human-readable name for a task in manifests and error messages."""
-    try:
-        name, params = task[0], task[1]
-        if isinstance(name, str) and isinstance(params, ModeParameters):
-            return f"{name}/{params.label}"
-    except (TypeError, IndexError, KeyError):
-        pass
-    return type(task).__name__
+    """A human-readable name for a task in manifests and error messages:
+    its ``label`` when it has one (every pipeline task type does), else its
+    type's name."""
+    label = getattr(task, "label", None)
+    return label if isinstance(label, str) else type(task).__name__
 
 
 #: The policy of a run that asked for no supervision: the plain ``Pool.map``
@@ -137,6 +145,39 @@ def resolve_supervision(
 
 
 # ---------------------------------------------------------------------------
+# Progress reports
+# ---------------------------------------------------------------------------
+
+#: Where :func:`report_progress` sends a value: the running worker's pipe,
+#: the inline path's gate, or nowhere outside a mapped task.
+_progress_sink: Optional[Callable[[Any], None]] = None
+
+
+def report_progress(value: Any) -> None:
+    """Tell the parent how far the running task has got.
+
+    A long task -- a streamed ingest -- calls this after each unit of work
+    (the stop of each event slice it stored).  In a worker the value rides
+    the task's pipe to the parent, which re-arms the attempt's deadline and
+    releases the steps of other chains that wait on it (``pipelined_map``'s
+    ``waits``); inline it feeds the same gate; outside a mapped task it is a
+    no-op.  Values a chain reports must grow.
+    """
+    if _progress_sink is not None:
+        _progress_sink(value)
+
+
+@contextlib.contextmanager
+def _reporting_to(sink: Callable[[Any], None]) -> Iterator[None]:
+    global _progress_sink
+    previous, _progress_sink = _progress_sink, sink
+    try:
+        yield
+    finally:
+        _progress_sink = previous
+
+
+# ---------------------------------------------------------------------------
 # Supervised execution
 # ---------------------------------------------------------------------------
 
@@ -148,7 +189,9 @@ def _supervised_worker_main(
     """Worker loop of the supervised executor: one process, many tasks.
 
     Messages are ``(task_index, attempt, func, args)``; ``None`` (or a
-    closed pipe) shuts the worker down.  The reply is a checksummed
+    closed pipe) shuts the worker down.  While the task runs, each
+    :func:`report_progress` call sends ``("progress", task_index, attempt,
+    value)``.  The reply is a checksummed
     envelope: the sha256 of the pickled result is computed *before* the
     fault-injection layer gets a chance to damage the payload, so an
     injected (or real) corruption is always detectable in the parent --
@@ -185,7 +228,9 @@ def _supervised_worker_main(
                 raise FaultInjectionError(
                     f"injected error at task {index} attempt {attempt}"
                 )
-            payload = pickle.dumps(func(*args), protocol=pickle.HIGHEST_PROTOCOL)
+            with _reporting_to(lambda value: conn.send(("progress", index, attempt, value))):
+                result = func(*args)
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # noqa: BLE001 -- report, parent decides
             try:
                 conn.send(("error", index, attempt, f"{type(exc).__name__}: {exc}"))
@@ -253,9 +298,15 @@ class SupervisedExecutor:
     raised (:class:`TaskFailedError`) or delivered as a
     :class:`TaskFailure` sentinel, per ``policy.on_failure``.
 
-    Task submission order assigns each task its fault-plan index (retries
-    keep the index of their task), so a :class:`FaultPlan` targets stable
-    slots for any deterministic submission sequence.
+    A task's fault-plan index is the slot its submitter passes -- the
+    pipelined driver passes each step's chain-major rank -- and retries
+    keep the index of their task, so a :class:`FaultPlan` targets the same
+    steps however they are timed.
+
+    A task's :func:`report_progress` values are relayed to the ``progress``
+    callback of :meth:`run`, and each one re-arms the attempt's deadline:
+    the deadline bounds the silence between reports, so a streamed ingest
+    is bounded per window rather than per run.
     """
 
     def __init__(
@@ -270,7 +321,6 @@ class SupervisedExecutor:
         self._ready: deque = deque()
         self._waiting: List[Tuple[float, int, _Job]] = []
         self._seq = 0
-        self._submitted = 0
         self._outstanding = 0
         # Guards worker assignments shared with the watchdog thread.
         self._state_lock = threading.Lock()
@@ -331,19 +381,24 @@ class SupervisedExecutor:
 
     # -- the supervision loop ------------------------------------------------
 
-    def submit(self, key: Any, func: Callable, args: tuple, label: str = "") -> None:
-        """Queue a task; its fault-plan index is its submission rank."""
-        self._ready.append(_Job(key, func, args, label, self._submitted))
-        self._submitted += 1
+    def submit(self, key: Any, func: Callable, args: tuple, index: int, label: str = "") -> None:
+        """Queue a task; ``index`` is its fault-plan slot."""
+        self._ready.append(_Job(key, func, args, label, index))
         self._outstanding += 1
 
-    def run(self, deliver: Callable[[Any, Any], None]) -> None:
+    def run(
+        self,
+        deliver: Callable[[Any, Any], None],
+        progress: Optional[Callable[[Any, Any], None]] = None,
+    ) -> None:
         """Execute until every submitted task is delivered or quarantined.
 
         ``deliver(key, value)`` runs on the calling thread and may call
         :meth:`submit` to extend the run (the pipelined driver submits each
         chain's next step from its predecessor's delivery).  ``value`` is a
         :class:`TaskFailure` for degrade-mode quarantined tasks.
+        ``progress(key, value)`` runs on the calling thread too, once per
+        :func:`report_progress` of a running task, and may also submit.
 
         However the run ends -- done, a raise-mode quarantine, an exception
         out of ``deliver``, or ^C -- every worker is stopped before this
@@ -360,7 +415,7 @@ class SupervisedExecutor:
             while self._outstanding > 0:
                 self._promote_due()
                 self._assign()
-                self._collect(deliver)
+                self._collect(deliver, progress)
         except KeyboardInterrupt:
             # No sqlite handle may be left pinning the store WAL either.
             close_default_connections()
@@ -420,7 +475,11 @@ class SupervisedExecutor:
                 if self.policy.deadline is not None:
                     worker.deadline_at = time.monotonic() + self.policy.deadline
 
-    def _collect(self, deliver: Callable[[Any, Any], None]) -> None:
+    def _collect(
+        self,
+        deliver: Callable[[Any, Any], None],
+        progress: Optional[Callable[[Any, Any], None]],
+    ) -> None:
         busy = [worker for worker in self._workers if worker.job is not None]
         if not busy:
             if not self._ready and self._waiting:
@@ -443,22 +502,34 @@ class SupervisedExecutor:
             if id(worker) in seen:
                 continue
             seen.add(id(worker))
-            self._handle_worker_event(worker, deliver)
+            self._handle_worker_event(worker, deliver, progress)
 
     def _handle_worker_event(
-        self, worker: _SupervisedWorker, deliver: Callable[[Any, Any], None]
+        self,
+        worker: _SupervisedWorker,
+        deliver: Callable[[Any, Any], None],
+        progress: Optional[Callable[[Any, Any], None]],
     ) -> None:
         job = worker.job
         if job is None:
             return
-        message = None
-        if worker.conn.poll():
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                message = None
-        elif worker.process.is_alive():
-            return
+        while True:
+            message = None
+            if worker.conn.poll():
+                try:
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    message = None
+            elif worker.process.is_alive():
+                return
+            if message is None or message[0] != "progress":
+                break
+            # A report re-arms the attempt's deadline; the task runs on.
+            if self.policy.deadline is not None:
+                with self._state_lock:
+                    worker.deadline_at = time.monotonic() + self.policy.deadline
+            if progress is not None:
+                progress(job.key, message[3])
         if message is None:
             # Death mid-task: pipe EOF (crash) or watchdog kill (deadline).
             reason = "deadline-exceeded" if worker.timed_out else "worker-died"
@@ -611,6 +682,62 @@ def _ignore_carry(func: Callable, task: Any, carry: None) -> Any:
     return func(task)
 
 
+#: What ``waits`` maps a chain to: the chain whose progress it waits on,
+#: and the progress each of its steps needs.
+Wait = Tuple[int, Sequence[Any]]
+
+
+class _Gates:
+    """The progress every chain has reported, and the steps held on it.
+
+    A step of a chain in ``waits`` may run once its producer has reported
+    the step's threshold or has ended; when the producer ended in a
+    :class:`TaskFailure` short of the threshold, the step never runs and
+    its chain ends with that same failure.
+    """
+
+    HOLD = object()
+
+    def __init__(self, chains: Sequence[Sequence[Any]], waits: Mapping[int, Wait]) -> None:
+        for chain, (producer, thresholds) in waits.items():
+            if not 0 <= producer < chain < len(chains):
+                raise ValueError(
+                    f"chain {chain} waits on chain {producer}: a chain can only "
+                    "wait on an earlier one"
+                )
+            if len(thresholds) != len(chains[chain]):
+                raise ValueError(
+                    f"chain {chain} has {len(chains[chain])} steps but "
+                    f"{len(thresholds)} thresholds"
+                )
+        self.waits = waits
+        self.reached: List[Any] = [None] * len(chains)
+        self.ended = [False] * len(chains)
+        self.failures: List[Optional[TaskFailure]] = [None] * len(chains)
+
+    def report(self, chain: int, value: Any) -> None:
+        if self.reached[chain] is None or value > self.reached[chain]:
+            self.reached[chain] = value
+
+    def end(self, chain: int, outcome: Any) -> None:
+        self.ended[chain] = True
+        if isinstance(outcome, TaskFailure):
+            self.failures[chain] = outcome
+
+    def verdict(self, chain: int, step: int) -> Any:
+        """``None`` when the step may run, :attr:`HOLD` while its producer
+        has yet to get there, or the producer's :class:`TaskFailure`."""
+        if chain not in self.waits:
+            return None
+        producer, thresholds = self.waits[chain]
+        reached = self.reached[producer]
+        if reached is not None and reached >= thresholds[step]:
+            return None
+        if not self.ended[producer]:
+            return self.HOLD
+        return self.failures[producer]
+
+
 def pipelined_map(
     func: Callable[[Any, Any], Any],
     chains: Sequence[Sequence[Any]],
@@ -619,22 +746,35 @@ def pipelined_map(
     manifest: Optional[FailureManifest] = None,
     initials: Optional[Sequence[Any]] = None,
     on_carry: Optional[Callable[[int, int, Any], None]] = None,
+    waits: Optional[Mapping[int, Wait]] = None,
 ) -> List[Any]:
     """Run several sequential task chains concurrently over one worker pool.
 
     Each chain is a list of tasks with a data dependency between consecutive
     steps: ``func(task, carry)`` receives the previous step's return value as
     ``carry`` (``None`` for the first step) and its return value is handed to
-    the next step.  Chains are independent of each other, so while step k of
-    one chain runs, other chains' steps run in parallel -- the pipelined shard
-    handoff: shard k of a (benchmark, mode) pair needs shard k-1's checkpoint,
-    but every *pair's* current shard occupies a worker simultaneously.
+    the next step.  While step k of one chain runs, other chains' steps run
+    in parallel -- the pipelined shard handoff: shard k of a (benchmark,
+    mode) pair needs shard k-1's checkpoint, but every *pair's* current
+    shard occupies a worker simultaneously.
+
+    ``waits[c] = (producer, thresholds)`` makes chain ``c`` consume another
+    chain's output as it appears: step ``s`` of chain ``c`` is held until
+    chain ``producer`` -- an earlier chain -- has reported
+    ``thresholds[s]`` through :func:`report_progress`, or has ended.  A
+    producer quarantined in degrade mode short of a threshold ends every
+    chain held on it with the producer's own :class:`TaskFailure` (and no
+    manifest entry of their own), and their waiters after them.
 
     The parent schedules chain steps itself: the delivery of step k submits
-    step k+1 to the executor, so no barrier ever holds a finished chain
-    hostage to a slower one, and worker death, retries and quarantine all
-    happen *per step*.  Returns the final carry of each chain, in chain
-    order; one job or a single step runs in-process.
+    step k+1 to the executor, and a progress report submits the steps it
+    releases, so no barrier ever holds a finished chain hostage to a slower
+    one, and worker death, retries and quarantine all happen *per step*.
+    Every step's fault-plan index is its chain-major rank -- the steps of
+    all earlier chains, plus its own position -- at every ``jobs``.
+    Returns the final carry of each chain, in chain order.  One job or a
+    single step runs in-process, chain by chain in list order, so every
+    producer has ended before its waiters start.
 
     ``initials`` seeds each chain's first ``carry`` (resume support: a chain
     trimmed to its unfinished suffix starts from a restored checkpoint
@@ -655,7 +795,12 @@ def pipelined_map(
         raise ValueError(
             f"initials has {len(starts)} entries for {len(chains)} chains"
         )
-    total = sum(len(chain) for chain in chains)
+    gates = _Gates(chains, dict(waits or {}))
+    ranks: List[int] = []
+    total = 0
+    for chain in chains:
+        ranks.append(total)
+        total += len(chain)
     jobs = min(resolve_jobs(jobs), max(1, len(chains)))
     policy = resolve_supervision(policy)
     if manifest is None:
@@ -663,55 +808,83 @@ def pipelined_map(
 
     if jobs <= 1 or total <= 1:
         finals: List[Any] = []
-        index = 0
         for chain_index, chain in enumerate(chains):
             carry: Any = starts[chain_index]
             outcome: Any = None
             for step_index, task in enumerate(chain):
-                carry = _call_supervised_inline(
-                    lambda t=task, c=carry: func(t, c),
-                    policy,
-                    manifest,
-                    index,
-                    _task_label(task),
-                )
-                index += 1
+                outcome = gates.verdict(chain_index, step_index)
+                if outcome is not None:
+                    break
+                with _reporting_to(functools.partial(gates.report, chain_index)):
+                    carry = _call_supervised_inline(
+                        lambda t=task, c=carry: func(t, c),
+                        policy,
+                        manifest,
+                        ranks[chain_index] + step_index,
+                        _task_label(task),
+                    )
                 outcome = carry
                 if isinstance(carry, TaskFailure):
                     break
                 if on_carry is not None:
                     on_carry(chain_index, step_index, carry)
+            gates.end(chain_index, outcome)
             finals.append(outcome)
         return finals
 
     executor = SupervisedExecutor(jobs, policy, manifest)
     finals = [None] * len(chains)
+    held: Dict[int, List[Tuple[int, int, Any]]] = {}
 
-    def submit_step(chain_index: int, step_index: int, carry: Any) -> None:
-        task = chains[chain_index][step_index]
-        executor.submit(
-            (chain_index, step_index),
-            func,
-            (task, carry),
-            label=_task_label(task),
-        )
+    def advance(chain_index: int, step_index: int, carry: Any) -> None:
+        """Submit a chain's next step, hold it at its gate, or end the chain."""
+        if step_index == len(chains[chain_index]):
+            finish(chain_index, carry)
+            return
+        verdict = gates.verdict(chain_index, step_index)
+        if verdict is _Gates.HOLD:
+            producer = gates.waits[chain_index][0]
+            held.setdefault(producer, []).append((chain_index, step_index, carry))
+        elif verdict is not None:
+            finish(chain_index, verdict)
+        else:
+            task = chains[chain_index][step_index]
+            executor.submit(
+                (chain_index, step_index),
+                func,
+                (task, carry),
+                ranks[chain_index] + step_index,
+                label=_task_label(task),
+            )
+
+    def release(producer: int) -> None:
+        for waiter in held.pop(producer, ()):
+            advance(*waiter)
+
+    def finish(chain_index: int, outcome: Any) -> None:
+        finals[chain_index] = outcome
+        gates.end(chain_index, outcome)
+        release(chain_index)
 
     def deliver(key: Any, value: Any) -> None:
         chain_index, step_index = key
         if isinstance(value, TaskFailure):
-            finals[chain_index] = value
+            finish(chain_index, value)
             return
         if on_carry is not None:
             on_carry(chain_index, step_index, value)
-        if step_index + 1 < len(chains[chain_index]):
-            submit_step(chain_index, step_index + 1, value)
-        else:
-            finals[chain_index] = value
+        advance(chain_index, step_index + 1, value)
+
+    def progress(key: Any, value: Any) -> None:
+        gates.report(key[0], value)
+        release(key[0])
 
     for chain_index, chain in enumerate(chains):
         if chain:
-            submit_step(chain_index, 0, starts[chain_index])
-    executor.run(deliver)
+            advance(chain_index, 0, starts[chain_index])
+        else:
+            finish(chain_index, None)
+    executor.run(deliver, progress)
     return finals
 
 
@@ -792,6 +965,7 @@ __all__ = [
     "SupervisedExecutor",
     "parallel_map",
     "pipelined_map",
+    "report_progress",
     "resolve_jobs",
     "resolve_supervision",
     "stitch_suite",

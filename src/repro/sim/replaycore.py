@@ -26,12 +26,15 @@ event columns plus a *verdict* that depends only on the event sequence:
   counter-tree walk fetched (:class:`TreeTier`), and the EPC's page faults
   and dirty evictions (:class:`EpcTier`).  Each is computed by a stateful
   :class:`TierSimulator` whose :meth:`advance` carries its cache state
-  across windows, like :meth:`~repro.sim.distill.HierarchyDistiller.advance`:
-  the first kernel that misses a slice's tier advances one simulator over
-  the run's slices in order and puts every slice's tier
-  (:func:`load_tier_slice`), so the slices concatenate to the one-shot tier.
-  The kernels rebuild node addresses, device classes and byte counts from
-  the verdicts alone.
+  across windows, like :meth:`~repro.sim.distill.HierarchyDistiller.advance`,
+  so the slices concatenate to the one-shot tier.  The suite pipeline's
+  tier chain (:func:`repro.sim.shard.run_tier_step`) advances one simulator
+  per tier a run's stacks read (:func:`stack_tiers`) over the run's slices
+  in order, as ingestion stores them, and puts each slice's tiers
+  (:func:`put_tier_slices`) before the replay steps reading them start; a
+  kernel that still misses a slice's tier computes the slices up to it
+  from stored events (:func:`load_tier_slice`).  The kernels rebuild node
+  addresses, device classes and byte counts from the verdicts alone.
 
 The contract is the repo's differential discipline: the vectorized replay is
 **bit-identical** to :meth:`SimulationEngine.replay_events` (which is itself
@@ -101,7 +104,13 @@ from repro.sim.distill import (
     load_slice,
     slice_bounds,
 )
-from repro.sim.engine import EngineOptions, event_loop, event_window, fold_statistics
+from repro.sim.engine import (
+    EngineOptions,
+    SimulationEngine,
+    event_loop,
+    event_window,
+    fold_statistics,
+)
 from repro.sim.path import (
     TREE_LEVEL_STRIDE,
     TREE_METADATA_BASE,
@@ -119,7 +128,7 @@ from repro.sim.store import ResultStore, content_key, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.configs import ModeParameters
-    from repro.sim.engine import EngineState, SimulationEngine, _Capture
+    from repro.sim.engine import EngineState, _Capture
     from repro.sim.path import AccessContext
 
 try:  # numpy is deliberately optional: the package never requires it, the
@@ -557,6 +566,45 @@ def _tier_geometry(
     return simulator, simulator.geometry_of(component, cfg)
 
 
+def stack_tiers(
+    components: Sequence[PathComponent], config: Optional[SystemConfig] = None
+) -> List[Tuple[Type[TierSimulator], Dict[str, int]]]:
+    """The verdict tiers the batch kernels read when replaying this stack.
+
+    One ``(simulator, geometry)`` per component with a tier family, or none
+    at all when the stack replays without the kernels (it is not
+    :meth:`~SimulationEngine.distillable` or not :func:`vectorizable`, which
+    includes every numpy-free install).  Only the components are needed,
+    as :func:`~repro.sim.path.build_components` builds them -- no engine
+    state.
+    """
+    if not (SimulationEngine.distillable(components) and vectorizable(components)):
+        return []
+    return [
+        _tier_geometry(component, config)
+        for component in components
+        if type(component) in _TIER_SIMULATORS
+    ]
+
+
+def _slice_tier_key(
+    simulator: Type[TierSimulator],
+    geometry: Dict[str, int],
+    name: str,
+    scale: float,
+    seed: int,
+    num_accesses: int,
+    window: int,
+    index: int,
+    config: Optional[SystemConfig],
+) -> str:
+    return _tier_key(
+        simulator.TIER.KIND,
+        geometry,
+        events_slice_key(name, scale, seed, num_accesses, window, index, config),
+    )
+
+
 def tier_slice_key(
     component: PathComponent,
     name: str,
@@ -577,12 +625,27 @@ def tier_slice_key(
     covering the run has one slice, so ``index`` 0 of a ``window`` of
     ``num_accesses`` keys the full-run tier.
     """
-    simulator, geometry = _tier_geometry(component, config)
-    return _tier_key(
-        simulator.TIER.KIND,
-        geometry,
-        events_slice_key(name, scale, seed, num_accesses, window, index, config),
+    return _slice_tier_key(
+        *_tier_geometry(component, config), name, scale, seed, num_accesses, window, index, config
     )
+
+
+def tier_slice_keys(
+    simulator: Type[TierSimulator],
+    geometry: Dict[str, int],
+    name: str,
+    scale: float,
+    seed: int,
+    num_accesses: int,
+    window: int,
+    config: Optional[SystemConfig] = None,
+) -> List[str]:
+    """The store keys of one tier family's slices over a whole run, in order."""
+    run = (name, scale, seed, num_accesses, window)
+    return [
+        _slice_tier_key(simulator, geometry, *run, index, config)
+        for index in range(len(slice_bounds(num_accesses, window)))
+    ]
 
 
 def mac_tier_key(events: MissEventStream, config: Optional[SystemConfig] = None) -> str:
@@ -601,6 +664,38 @@ def compute_mac_tier(events: MissEventStream, config: Optional[SystemConfig] = N
     return tier
 
 
+def put_tier_slices(
+    simulators: Sequence[TierSimulator],
+    events: MissEventStream,
+    num_accesses: int,
+    window: int,
+    config: Optional[SystemConfig] = None,
+    store: Optional[ResultStore] = None,
+) -> List[VerdictTier]:
+    """Advance each simulator over ``events``, the run's next slice, and put
+    each slice tier under its :func:`tier_slice_key`.
+
+    Returns the tiers in simulator order.  Like ingested event slices, the
+    tiers are written to disk only; a reader promotes a one-window run's
+    tier into its memory layer (:func:`load_tier_slice`).
+    """
+    if store is None:
+        store = default_store()
+    run = (events.name, events.scale, events.seed, num_accesses, window)
+    index = events.start_index // window
+    tiers = []
+    for running in simulators:
+        tier = running.advance(events)
+        store.put(
+            _slice_tier_key(type(running), running.geometry, *run, index, config),
+            tier,
+            encoder=VerdictTier.to_payload,
+            keep_in_memory=False,
+        )
+        tiers.append(tier)
+    return tiers
+
+
 def load_tier_slice(
     component: PathComponent,
     events: MissEventStream,
@@ -613,13 +708,12 @@ def load_tier_slice(
 
     ``events`` is slice ``start_index // window`` of the ``num_accesses``
     run's ``window``-wide partition (:func:`~repro.sim.distill.load_slice`).
-    Its tier is computed on first need: on a miss, one :class:`TierSimulator`
-    advances over the run's slices in order, and each slice's tier is put
-    under its :func:`tier_slice_key` before this one is served -- so every
-    later shard, and every mode sharing the geometry, reads its slice's
-    tier back.  Two workers that race on one tier put identical bytes.  As
-    for event slices, a one-window run's tier enters the store's memory
-    layer and narrower tier slices never do.
+    The pipeline's tier chain has normally put it already; on a miss, one
+    :class:`TierSimulator` advances over the run's slices from the first up
+    to this one, and puts each slice's tier (:func:`put_tier_slices`) --
+    so later shards, and every mode sharing the geometry, read theirs back
+    -- while slices past this one stay the tier chain's to compute.  Two
+    workers that race on one tier put identical bytes.
     """
     start, stop = events.start_index, events.stop_index
     if start % window or stop != min(start + window, num_accesses):
@@ -641,18 +735,10 @@ def load_tier_slice(
     if cached is not None and cached.num_events == len(events):
         return cached
     running = simulator(**geometry)
-    for index in range(len(slice_bounds(num_accesses, window))):
+    for index in range(wanted + 1):
         piece = events if index == wanted else load_slice(*run, index, config, store)
-        tier = running.advance(piece)
-        store.put(
-            tier_slice_key(component, *run, index, config),
-            tier,
-            encoder=VerdictTier.to_payload,
-            keep_in_memory=whole,
-        )
-        if index == wanted:
-            cached = tier
-    return cached
+        (tier,) = put_tier_slices([running], piece, num_accesses, window, config, store)
+    return tier
 
 
 def _tier_slot(kind: str, geometry: Dict[str, int]) -> Tuple[str, Tuple]:
@@ -990,7 +1076,8 @@ class BatchReplayEngine:
     tiers the kernels read are fetched lazily, once per instance: from
     ``tiers`` when supplied (``tier`` is the MAC-only spelling), else the
     slice's tier from the result store (``store`` or the default store),
-    computed on first need (:func:`load_tier_slice`).
+    where the run's tier chain put it (:func:`load_tier_slice` computes a
+    missing one).
     """
 
     def __init__(
@@ -1172,8 +1259,11 @@ __all__ = [
     "mac_geometry_fields",
     "mac_tier_key",
     "mode_vector_profile",
+    "put_tier_slices",
     "register_batch_kernel",
     "residual_components",
+    "stack_tiers",
     "tier_slice_key",
+    "tier_slice_keys",
     "vectorizable",
 ]

@@ -12,6 +12,19 @@ by :func:`run_shard_step` from the run's distilled event slices -- one
 slice covering the whole run unless a stream window narrows them -- and the
 replay loop is picked from what the worker observes, never from a flag.
 
+The slices and their verdict tiers are produced on the same pool, by two
+more chains per *run* -- the identity every slice shares: benchmark, scale,
+seed, length, slice width and hierarchy geometry.  :func:`run_chains`
+derives them from the replay chains (:func:`producer_chains`): an ingest
+chain of one :class:`IngestTask`, which distills the run slice by slice and
+reports each slice's stop as it is stored, and a tier chain of one
+:class:`TierTask` per slice, which advances the run's tier simulators over
+that slice and puts its tiers.  Tier step k waits for ingest progress past
+slice k, and replay step j for tier progress (or, for a stack that reads no
+tier, ingest progress) past its stop, so replay overlaps ingestion and the
+parent never holds an event.  So three task types run on one pool, and
+planning (:func:`prepare_suite`) computes nothing.
+
 Exactness is the design center, and there is one discipline: **checkpointed
 handoff**.  Shard k starts from the serialized :class:`EngineState` produced
 by shard k-1's tail, so by induction the state after shard k equals the
@@ -27,8 +40,9 @@ carry only the slice width; workers fetch the slices from the store.
 change: for every registered mode, at every shard width, the merged result
 is *bit-identical* -- every counter, floats included -- to the serial
 unsharded engine (pinned by the strategy property in
-``tests/sim/test_strategy_property.py`` and the committed golden fixtures).  Because the results are identical, sharded and unsharded
-runs **share persistent-store keys**: the shard width never appears in a
+``tests/sim/test_strategy_property.py`` and the committed golden
+fixtures).  Because the results are identical, sharded and unsharded runs
+**share persistent-store keys**: the shard width never appears in a
 result's key, a cached unsharded suite serves a sharded request and vice
 versa, and ``repro reproduce-all`` provenance stamps are
 strategy-independent.
@@ -38,7 +52,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.core.config import SystemConfig
 from repro.sim.configs import ModeParameters, mode_parameters
@@ -49,7 +63,7 @@ from repro.sim.engine import (
     ordered_modes,
 )
 from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
-from repro.sim.parallel import pipelined_map, stitch_suite
+from repro.sim.parallel import Wait, pipelined_map, report_progress, stitch_suite
 from repro.sim.results import (
     SuiteResults,
     decode_suite,
@@ -143,7 +157,7 @@ class RunPlan:
 
 
 class ShardTask(NamedTuple):
-    """One shard of one (benchmark, mode) pair: the pipeline's one task type.
+    """One shard of one (benchmark, mode) pair: a replay chain's step.
 
     The resolved ModeParameters travel in the task (not just the label) so
     runtime registry customisations in the parent process reach workers
@@ -165,6 +179,96 @@ class ShardTask(NamedTuple):
     stop: int
     window: int
 
+    @property
+    def label(self) -> str:
+        return f"{self.name}/{self.params.label}"
+
+
+class IngestTask(NamedTuple):
+    """One run's ingestion: the one step of its ingest chain.
+
+    A run is what every event slice shares: benchmark, scale, seed, length,
+    slice width and hierarchy geometry -- ``config`` is any config of the
+    run, since only its cache geometry shapes the slices.
+    """
+
+    name: str
+    scale: float
+    seed: int
+    num_accesses: int
+    window: int
+    config: Optional[SystemConfig]
+
+    @property
+    def label(self) -> str:
+        return f"{self.name}/ingest"
+
+
+class TierTask(NamedTuple):
+    """One event slice of one run's verdict tiers: a tier chain's step.
+
+    ``tiers`` holds a ``(simulator class, geometry items)`` pair per tier
+    family the chain computes; step ``index`` advances them over slice
+    ``index`` of the run's ``window``-wide partition.
+    """
+
+    name: str
+    scale: float
+    seed: int
+    num_accesses: int
+    window: int
+    config: Optional[SystemConfig]
+    index: int
+    tiers: Tuple[Tuple[Type[Any], Tuple[Tuple[str, int], ...]], ...]
+
+    @property
+    def label(self) -> str:
+        return f"{self.name}/tiers"
+
+
+def run_ingest(task: IngestTask) -> None:
+    """Pipeline worker: distill one run into its stored event slices.
+
+    Reports each slice's stop as the slice is stored
+    (:func:`~repro.sim.parallel.report_progress`), which releases the tier
+    and replay steps waiting on it and re-arms the task's deadline, so
+    supervision bounds one window rather than the whole run.
+    """
+    from repro.sim.distill import stream_event_slices
+
+    name, scale, seed, num_accesses, window, config = task
+    stream_event_slices(name, scale, seed, num_accesses, window, config, progress=report_progress)
+
+
+def run_tier_step(task: TierTask, carry: Optional[List[Any]]) -> Optional[List[Any]]:
+    """Pipeline worker: advance one run's tier simulators over one slice.
+
+    ``carry`` is the previous step's :class:`~repro.sim.replaycore.TierSimulator`
+    list (``None`` at slice 0, which builds them cold).  The step puts each
+    simulator's tier of its slice, reports the slice's stop and hands the
+    simulators -- and nothing else -- to the next step; the last step
+    returns ``None``, since nothing would read them.
+    """
+    from repro.sim import replaycore
+    from repro.sim.distill import load_slice
+
+    if carry is None:
+        carry = [simulator(**dict(geometry)) for simulator, geometry in task.tiers]
+    run = (task.name, task.scale, task.seed, task.num_accesses, task.window)
+    events = load_slice(*run, task.index, task.config)
+    replaycore.put_tier_slices(carry, events, task.num_accesses, task.window, task.config)
+    report_progress(events.stop_index)
+    return carry if events.stop_index < task.num_accesses else None
+
+
+def run_pipeline_step(task: Any, carry: Any) -> Any:
+    """The body :func:`run_chains` maps: each task type to its worker."""
+    if isinstance(task, IngestTask):
+        return run_ingest(task)
+    if isinstance(task, TierTask):
+        return run_tier_step(task, carry)
+    return run_shard_step(task, carry)
+
 
 def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     """Pipeline worker: advance one pair's chain over one shard window.
@@ -176,15 +280,16 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     produced, because the state never diverged from it.
 
     The window replays slice by slice (:func:`~repro.sim.distill.load_slice`;
-    one hierarchy pre-pass per benchmark serves every mode and shard), so
+    the run's ingest task distilled them once for every mode and shard, and
+    the step was held until it had stored the slices up to ``stop``), so
     peak memory is one slice plus the checkpoint.  Every slice, at any
     width, replays through the one event loop
     (:func:`~repro.sim.engine.event_loop`): beside the numpy batch kernels
     when the stack is :func:`~repro.sim.replaycore.vectorizable`, alone
-    otherwise.  The kernels read each slice's verdict tiers from the store;
-    a tier not there yet is computed by the first shard that needs it, for
-    every slice of the run at once (:func:`~repro.sim.replaycore.load_tier_slice`),
-    and read back by the chain's later shards and every other plan.  A
+    otherwise.  The kernels read each slice's verdict tiers from the store,
+    where the run's tier chain put them before the step was released; a
+    tier still missing is computed from the run's first slice up to this
+    one (:func:`~repro.sim.replaycore.load_tier_slice`).  A
     stack that is not even :meth:`~SimulationEngine.distillable` -- a
     third-party sampler without ``access_period`` -- replays the trace
     (re-derived through the per-process ``capture_trace`` memo), which needs
@@ -405,39 +510,118 @@ def stream_shard_chain(
 
 
 def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
-    """One plan's (benchmark, mode) chains, with their event slices precomputed.
+    """One plan's (benchmark, mode) chains, in the serial order.
 
-    Chains come benchmark-major, mode-minor -- the serial order -- with
-    ``NOPROTECT`` always included first, since it provides the baseline
-    time :func:`~repro.sim.parallel.stitch_suite` stitches into every
-    result.  Before returning, the parent pays each benchmark's
-    mode-independent hierarchy pre-pass once (a no-op when the store
-    already holds it), so the workers' loads are warm store hits instead of
-    one redundant distillation per worker: the event slices
-    (:func:`~repro.sim.distill.stream_event_slices`), and when one window
-    covers the run, the run's ``events`` entry is loaded into the store's
-    memory layer, which forked workers inherit (spawned workers read it
-    back from disk).  No verdict tier is paid here: the first worker whose
-    kernel needs one computes it for every slice of the run and puts it in
-    the store (:func:`~repro.sim.replaycore.load_tier_slice`), so the
-    parent never holds a tier simulator while it ingests.
+    Chains come benchmark-major, mode-minor, with ``NOPROTECT`` always
+    included first, since it provides the baseline time
+    :func:`~repro.sim.parallel.stitch_suite` stitches into every result.
+    Planning only: nothing is distilled, loaded or stored here.  The event
+    slices and verdict tiers the chains read are produced on the pool, by
+    the ingest and tier chains :func:`run_chains` adds, so the parent never
+    holds an event -- and forked workers inherit none.
     """
-    from repro.sim.distill import load_slice, stream_event_slices
-
     scale, num_accesses, seed, config = plan.scale, plan.num_accesses, plan.seed, plan.config
     spec = ShardSpec(plan.shard_size or num_accesses)
     window = _slice_width(num_accesses, plan.stream)
-    modes = ordered_modes(plan.modes)
-    chains = [
+    return [
         shard_chain(name, mode, spec, scale, num_accesses, seed, config, plan.options, window)
         for name in plan.benchmarks
-        for mode in modes
+        for mode in ordered_modes(plan.modes)
     ]
-    for name in plan.benchmarks:
-        stream_event_slices(name, scale, seed, num_accesses, window, config)
-        if window == num_accesses:
-            load_slice(name, scale, seed, num_accesses, window, 0, config)
-    return chains
+
+
+def _stack_tiers(task: ShardTask, footprint_bytes: int) -> List[Tuple[Type[Any], Dict[str, int]]]:
+    """The verdict tiers a replay chain's kernels read, from its bare stack."""
+    from repro.sim import replaycore
+    from repro.sim.path import build_components
+
+    components = build_components(
+        task.params,
+        task.config if task.config is not None else SystemConfig(),
+        task.options if task.options is not None else EngineOptions(),
+        footprint_bytes=footprint_bytes,
+        seed=task.seed,
+        num_accesses=task.num_accesses,
+    )
+    return replaycore.stack_tiers(components, task.config)
+
+
+def producer_chains(
+    chains: Sequence[Sequence[ShardTask]], store: Optional[ResultStore] = None
+) -> Tuple[List[List[Any]], Dict[int, Wait]]:
+    """The ingest and tier chains that feed replay ``chains``, and their gates.
+
+    Returns ``(producers, waits)`` for ``pipelined_map(...,
+    producers + chains, waits=waits)``: every run's ingest chain, then every
+    run's tier chain, each in the order the runs first appear in
+    ``chains`` (benchmark order).  A run's tier chain computes the union of
+    the tiers its replay chains read -- over every mode, config and options
+    on the run, deduplicated by tier key, so a sweep over
+    ``mac_cache_bytes`` finds each point's tiers stored.  Only what
+    ``store`` lacks gets a producer: a run whose slices are all stored has
+    no ingest chain, and a tier family whose slices are all stored is left
+    out of its tier chain.
+
+    Tier step k waits for ingest progress past slice k; replay step j waits
+    for tier progress past its stop when its stack reads a tier the chain
+    computes, else for ingest progress past it.
+    """
+    from repro.sim import replaycore
+    from repro.sim.distill import events_slice_key, slice_bounds
+    from repro.workloads.registry import get_workload
+
+    if store is None:
+        store = default_store()
+    runs: Dict[str, List[int]] = {}
+    for index, chain in enumerate(chains):
+        if chain:
+            head = chain[0]
+            run = (head.name, head.scale, head.seed, head.num_accesses, head.window)
+            runs.setdefault(events_slice_key(*run, 0, head.config), []).append(index)
+
+    ingests: List[List[Any]] = []
+    tier_chains: List[List[Any]] = []
+    feeds = []  # per run: (ingest, tier chain, slice stops, {member: reads a new tier})
+    for members in runs.values():
+        head = chains[members[0]][0]
+        run = (head.name, head.scale, head.seed, head.num_accesses, head.window)
+        stops = [stop for _, stop in slice_bounds(head.num_accesses, head.window)]
+        ingest = None
+        if not all(events_slice_key(*run, i, head.config) in store for i in range(len(stops))):
+            ingest = len(ingests)
+            ingests.append([IngestTask(*run, head.config)])
+        footprint = get_workload(head.name, scale=head.scale, seed=head.seed).footprint_bytes
+        stored: Dict[Any, bool] = {}
+        computed: Dict[Any, None] = {}  # insertion-ordered set of tier slots
+        reads: Dict[int, bool] = {}
+        for member in members:
+            reads[member] = False
+            for simulator, geometry in _stack_tiers(chains[member][0], footprint):
+                slot = (simulator, tuple(sorted(geometry.items())))
+                if slot not in stored:
+                    keys = replaycore.tier_slice_keys(simulator, geometry, *run, head.config)
+                    stored[slot] = all(key in store for key in keys)
+                if not stored[slot]:
+                    computed[slot] = None
+                    reads[member] = True
+        tiers = None
+        if computed:
+            tiers = len(tier_chains)
+            tier_chains.append(
+                [TierTask(*run, head.config, i, tuple(computed)) for i in range(len(stops))]
+            )
+        feeds.append((ingest, tiers, stops, reads))
+
+    offset = len(ingests) + len(tier_chains)
+    waits: Dict[int, Wait] = {}
+    for ingest, tiers, stops, reads in feeds:
+        if tiers is not None and ingest is not None:
+            waits[len(ingests) + tiers] = (ingest, stops)
+        for member, reads_tier in reads.items():
+            producer = len(ingests) + tiers if reads_tier else ingest
+            if producer is not None:
+                waits[offset + member] = (producer, [task.stop for task in chains[member]])
+    return ingests + tier_chains, waits
 
 
 def run_chains(
@@ -447,27 +631,40 @@ def run_chains(
     manifest: Optional[FailureManifest] = None,
     resume: bool = True,
 ) -> List[Any]:
-    """Pipeline shard chains over one worker pool; one final per chain.
+    """Pipeline shard chains, and the chains that feed them, over one pool.
 
     A chain's final is its :class:`SimulationResult`, or a
     :class:`~repro.sim.faults.TaskFailure` when degrade-mode supervision
-    quarantined one of its steps.  ``resume`` persists each chain's
-    in-flight checkpoint through the :class:`_CheckpointJournal` and first
-    resumes any chain a previous (killed) run left a checkpoint for.
+    quarantined one of its steps -- or the ingest or tier step it waited
+    on, whose failure it then carries.  The ingest and tier chains come
+    first (:func:`producer_chains`), so their steps take the lowest
+    fault-plan slots.  ``resume`` persists each replay chain's in-flight
+    checkpoint through the :class:`_CheckpointJournal` and first resumes
+    any chain a previous (killed) run left a checkpoint for.
     """
     journal = _CheckpointJournal(chains) if resume else None
-    initials = None
+    initials: List[Optional[bytes]] = [None] * len(chains)
     if journal is not None:
         chains, initials = journal.restore()
-    return pipelined_map(
-        run_shard_step,
-        chains,
+    producers, waits = producer_chains(chains)
+    offset = len(producers)
+
+    def on_carry(chain_index: int, step_index: int, carry: Any) -> None:
+        # Only replay chains carry checkpoints.
+        if journal is not None and chain_index >= offset:
+            journal.on_carry(chain_index - offset, step_index, carry)
+
+    finals = pipelined_map(
+        run_pipeline_step,
+        producers + list(chains),
         jobs=jobs,
         policy=policy,
         manifest=manifest,
-        initials=initials,
-        on_carry=journal.on_carry if journal is not None else None,
+        initials=[None] * offset + list(initials),
+        on_carry=on_carry,
+        waits=waits,
     )
+    return finals[offset:]
 
 
 def stitch_chains(
@@ -525,8 +722,8 @@ def run_plans(
             served[i] = suites[i] is not None
 
     # One flat chain list across every uncached plan: maximum fan-out
-    # width, one pool startup.  Repeated (trace, geometry) pre-passes across
-    # plans dedupe through the store's memory layer.
+    # width, one pool startup, and one ingest and tier chain per run,
+    # however many plans replay it.
     chains: List[List[ShardTask]] = []
     spans: List[Tuple[int, int, int]] = []  # (plan index, first chain, end)
     simulating: Dict[str, int] = {}  # suite key -> the plan simulating it
@@ -559,14 +756,20 @@ def run_plans(
 
 
 __all__ = [
+    "IngestTask",
     "RunPlan",
     "ShardSpec",
     "ShardTask",
+    "TierTask",
     "checkpoint_key",
     "prepare_suite",
+    "producer_chains",
     "run_chains",
+    "run_ingest",
+    "run_pipeline_step",
     "run_plans",
     "run_shard_step",
+    "run_tier_step",
     "shard_bounds",
     "shard_chain",
     "stitch_chains",

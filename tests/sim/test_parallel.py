@@ -2,11 +2,15 @@
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
+from repro.sim import replaycore
 from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES
 from repro.sim.engine import run_suite
 from repro.sim.faults import (
@@ -23,6 +27,7 @@ from repro.sim.parallel import (
     DEFAULT_POLICY,
     parallel_map,
     pipelined_map,
+    report_progress,
     resolve_jobs,
     resolve_supervision,
     stitch_suite,
@@ -312,6 +317,161 @@ class TestPipelinedMapContract:
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_empty_chain_yields_none(self, jobs):
         assert pipelined_map(_chain_step, [[], [1, 2], [3]], jobs) == [None, 3, 3]
+
+
+def _logged_step(task, carry):
+    """A producer ``(log, stops)`` reports each stop after logging it; a
+    waiter ``(log, step)`` logs its start."""
+    log, what = task
+    if isinstance(what, tuple):
+        for stop in what:
+            time.sleep(0.1)
+            with open(log, "a") as out:
+                out.write(f"report {stop}\n")
+            report_progress(stop)
+        return what[-1]
+    with open(log, "a") as out:
+        out.write(f"start {what}\n")
+    return what
+
+
+def _producer_fails_after_one(task, carry):
+    role, value = task
+    if role == "producer":
+        report_progress(1)
+        raise ValueError("producer failed")
+    return (carry or 0) + value
+
+
+def _nap(task):
+    """Five 0.2 s naps, reporting progress after each one if asked."""
+    naps, reporting = task
+    for nap in range(naps):
+        time.sleep(0.2)
+        if reporting:
+            report_progress(nap)
+    return naps
+
+
+#: Degrade mode with no retry: the first failure quarantines its task.
+ONE_SHOT = SupervisionPolicy(deadline=30.0, retries=0, backoff=0.01, on_failure="degrade")
+
+
+class TestProgressGates:
+    """``waits``: a chain's steps run as another chain's progress allows."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_plan(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_a_waiting_step_never_starts_before_its_producer_reports(self, jobs, tmp_path):
+        log = str(tmp_path / "log.txt")
+        chains = [[(log, (1, 2, 3))], [(log, 0), (log, 1)], [(log, 2)]]
+        # Chain 2 waits for progress the producer never reports: it runs
+        # once the producer has ended.
+        waits = {1: (0, [2, 3]), 2: (0, [99])}
+        assert pipelined_map(_logged_step, chains, jobs, waits=waits) == [3, 1, 2]
+        lines = Path(log).read_text().splitlines()
+        assert lines.index("start 0") > lines.index("report 2")
+        assert lines.index("start 1") > lines.index("report 3")
+        assert lines.index("start 2") > lines.index("report 3")
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_a_quarantined_producer_ends_its_waiters_with_its_failure(self, jobs):
+        manifest = FailureManifest()
+        chains = [
+            [("producer", 0)],
+            [("waiter", 1), ("waiter", 2)],  # step 0 needs the reported 1, step 1 a 2
+            [("waiter", 3)],  # waits on chain 1, so on the producer too
+            [("free", 4)],
+        ]
+        finals = pipelined_map(
+            _producer_fails_after_one,
+            chains,
+            jobs,
+            policy=ONE_SHOT,
+            manifest=manifest,
+            waits={1: (0, [1, 2]), 2: (1, [5])},
+        )
+        assert isinstance(finals[0], TaskFailure)
+        assert finals[1] is finals[0] and finals[2] is finals[0]
+        assert finals[3] == 4
+        assert manifest.quarantined == 1
+
+    @pytest.mark.parametrize("producer", (1, 2))
+    def test_a_wait_on_the_same_or_a_later_chain_is_rejected(self, producer):
+        with pytest.raises(ValueError, match="can only wait on an earlier one"):
+            pipelined_map(_chain_step, [[1], [2], [3]], 2, waits={1: (producer, [1])})
+
+    def test_every_step_needs_a_threshold(self):
+        with pytest.raises(ValueError, match="2 steps but 1 thresholds"):
+            pipelined_map(_chain_step, [[1], [2, 3]], 2, waits={1: (0, [1])})
+
+    def test_progress_reports_rearm_the_deadline(self):
+        # Both tasks outlive the 0.5 s deadline; only the silent one is killed.
+        manifest = FailureManifest()
+        policy = SupervisionPolicy(deadline=0.5, retries=0, on_failure="degrade")
+        results = parallel_map(
+            _nap, [(5, True), (5, False)], jobs=2, policy=policy, manifest=manifest
+        )
+        assert results[0] == 5
+        assert isinstance(results[1], TaskFailure)
+        assert results[1].record.reason == "deadline-exceeded"
+
+    @pytest.mark.parametrize("slot, label", ((0, "bsw/ingest"), (1, "bsw/tiers")))
+    def test_a_quarantined_producer_is_named_in_the_manifest(
+        self, slot, label, monkeypatch, fresh_default_store
+    ):
+        # Chain-major slots: the run's ingest task, then its tier step.
+        if label.endswith("tiers") and not replaycore.HAVE_NUMPY:
+            pytest.skip("a numpy-free run reads no verdict tier")
+        plan = FaultPlan(faults=(FaultSpec(task_index=slot, kind="crash"),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        manifest = FailureManifest()
+        suite = _pipeline(
+            ("bsw",), jobs=2, modes=("CI",), policy=ONE_SHOT, manifest=manifest
+        )
+        assert [record.label for record in manifest.records] == [label]
+        assert "CI" not in suite.get("bsw", {})
+
+
+class _Step(NamedTuple):
+    label: str
+    slow: bool
+
+
+def _timed_step(task, carry):
+    if task.slow:
+        time.sleep(0.1)
+    return (carry or 0) + 1
+
+
+class TestFaultSlots:
+    """A fault-plan slot names one (chain, step) at every ``jobs``."""
+
+    #: Chain 0's steps are slow, so at jobs=2 the other chains' later steps
+    #: are submitted before its second one.
+    CHAINS = [
+        [_Step(f"chain{chain}/step{step}", chain == 0) for step in range(length)]
+        for chain, length in enumerate((2, 3, 2, 3))
+    ]
+    SLOT = 2 + 3 + 1  # (chain 2, step 1)
+
+    @pytest.mark.parametrize("jobs, kind, runs", ((2, "crash", 3), (1, "error", 1)))
+    def test_a_slot_quarantines_the_same_step(self, jobs, kind, runs, monkeypatch):
+        plan = FaultPlan(faults=(FaultSpec(task_index=self.SLOT, kind=kind),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        for _ in range(runs):
+            manifest = FailureManifest()
+            finals = pipelined_map(
+                _timed_step, self.CHAINS, jobs, policy=ONE_SHOT, manifest=manifest
+            )
+            assert [(r.index, r.label) for r in manifest.records] == [
+                (self.SLOT, "chain2/step1")
+            ]
+            assert finals[:2] + finals[3:] == [2, 3, 3]
+            assert isinstance(finals[2], TaskFailure)
 
 
 def _cell(time_ns):

@@ -1,11 +1,11 @@
 """The one suite pipeline, stage by stage.
 
 Every suite run -- unsharded, sharded or streamed -- plans its (benchmark,
-mode) chains and pays the parent pre-pass (:func:`prepare_suite`), pipelines
-them over one pool (:func:`run_chains`) and stitches the finals into the
-serial driver's suite shape (:func:`stitch_chains`).  Each worker step picks
-its replay loop from the event slice and component stack it observes, never
-from a flag.
+mode) chains (:func:`prepare_suite`, which computes nothing), pipelines them
+over one pool beside the ingest and tier chains that feed them
+(:func:`run_chains`) and stitches the finals into the serial driver's suite
+shape (:func:`stitch_chains`).  Each worker step picks its replay loop from
+the event slice and component stack it observes, never from a flag.
 These tests pin each stage on its own, and check by introspection that
 every store key moves exactly with the fields that can change what it
 stores; the end-to-end bit-identity of the whole pipeline is pinned by the
@@ -34,16 +34,19 @@ from repro.sim.faults import FAULT_PLAN_ENV, TaskFailedError
 from repro.sim.parallel import suite_tasks
 from repro.sim.results import suite_key
 from repro.sim.shard import (
+    IngestTask,
     RunPlan,
     ShardSpec,
     ShardTask,
     checkpoint_key,
     prepare_suite,
+    producer_chains,
+    run_ingest,
     run_shard_step,
     shard_chain,
     stitch_chains,
 )
-from repro.sim.store import ResultStore
+from repro.sim.store import ResultStore, _kind_of
 from repro.workloads.registry import capture_trace, get_workload
 
 TRACE_LEN = 260
@@ -236,7 +239,7 @@ class TestSuitePlanning:
         (task,) = shard_chain("bsw", "CI", ShardSpec(ACCESSES), 0.002, ACCESSES, 1, window=stream)
         assert task.window == ACCESSES
 
-    def test_prepare_suite_pays_each_pre_pass_once(self, fresh_default_store):
+    def test_planning_stores_nothing(self, fresh_default_store):
         chains = prepare_suite(_plan(("bsw", "fmi"), ("CI",), 400))
         assert [(chain[0].name, chain[0].params.label, len(chain)) for chain in chains] == [
             ("bsw", "NoProtect", 3),
@@ -244,60 +247,123 @@ class TestSuitePlanning:
             ("fmi", "NoProtect", 3),
             ("fmi", "CI", 3),
         ]
-        assert len(fresh_default_store.query(kind="events")) == 2
-        # Verdict tiers are the workers' to compute, on first need.
-        assert fresh_default_store.query(kind="mactier") == []
+        # Ingestion and the verdict tiers are the pool's.
+        assert len(fresh_default_store) == 0
 
-    def test_streamed_suite_persists_slices_not_the_stream(self, fresh_default_store):
+    def test_planning_a_streamed_suite_stores_nothing(self, fresh_default_store):
         chains = prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
         assert {task.window for chain in chains for task in chain} == {250}
-        assert len(fresh_default_store.query(kind="events-slice")) == 4
-        assert fresh_default_store.query(kind="events") == []
+        assert len(fresh_default_store) == 0
 
 
-class TestParentPrePass:
-    """:func:`prepare_suite`'s pre-pass: every benchmark's events, and no
-    verdict tier -- the first worker whose kernel needs one computes it."""
+#: The kinds of store entry ingestion and the tier chains produce.
+PRODUCED = ("events", "events-slice", "mactier", "treetier", "epctier")
+
+
+def _record_puts(monkeypatch, log):
+    """Append every store key put, in any process, to the file ``log``."""
+    put = ResultStore.put
+
+    def spy(self, key, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(key + "\n")
+        return put(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(ResultStore, "put", spy)
+
+
+class TestProducerChains:
+    """The ingest and tier chains :func:`run_chains` adds, on the pool: every
+    run's events and verdict tiers are produced once, by workers, and the
+    parent holds none of them."""
 
     @pytest.mark.parametrize(
         "modes, have_numpy, tiered",
         ((("CI",), True, True), (("C",), True, False), (("CI",), False, False)),
         ids=("mac-mode-with-numpy", "no-mac-mode", "without-numpy"),
     )
-    def test_mac_tier_needs_numpy_and_mac_traffic(
+    def test_tiers_need_numpy_and_a_tiered_stack(
         self, modes, have_numpy, tiered, monkeypatch, fresh_default_store
     ):
         monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
         chains = prepare_suite(_plan(("bsw", "fmi"), modes, ACCESSES))
-        assert len(fresh_default_store.query(kind="events")) == 2
-        assert fresh_default_store.query(kind="mactier") == []
+        producers, _ = producer_chains(chains)
+        assert [chain[0].label for chain in producers] == ["bsw/ingest", "fmi/ingest"] + (
+            ["bsw/tiers", "fmi/tiers"] if tiered else []
+        )
         shard.run_chains(chains, jobs=1, resume=False)
+        assert len(fresh_default_store.query(kind="events")) == 2
         assert len(fresh_default_store.query(kind="mactier")) == (2 if tiered else 0)
 
-    def test_pre_pass_pins_no_trace(self, fresh_default_store):
-        # The trace is only the pre-pass's input; once its stream is stored,
-        # no per-process memo may keep the whole trace alive.
-        capture_trace.cache_clear()
-        prepare_suite(_plan(("bsw", "fmi"), ("CI",), ACCESSES))
-        assert len(fresh_default_store.query(kind="events")) == 2
-        assert capture_trace.cache_info().currsize == 0
+    def test_steps_wait_on_what_they_read(self, monkeypatch, fresh_default_store):
+        # Planning only builds the stacks, so it needs no numpy to see tiers.
+        monkeypatch.setattr(replaycore, "HAVE_NUMPY", True)
+        chains = prepare_suite(_plan(("bsw",), ("C", "CI"), 500, stream=250))
+        producers, waits = producer_chains(chains)
+        ingest, tiers = producers
+        assert [task.label for task in ingest] == ["bsw/ingest"]
+        assert [(task.label, task.index) for task in tiers] == [("bsw/tiers", i) for i in range(4)]
+        # Chains 2-4 replay NoProtect, C and CI; only CI's MAC kernel reads a tier.
+        assert {chain: (producer, list(stops)) for chain, (producer, stops) in waits.items()} == {
+            1: (0, [250, 500, 750, 1000]),
+            2: (0, [500, 1000]),
+            3: (0, [500, 1000]),
+            4: (1, [500, 1000]),
+        }
 
-    def test_warm_disk_pre_pass_fills_the_memory_layer_forks_inherit(
-        self, fresh_default_store
+    def test_a_warm_store_needs_no_producer(self, fresh_default_store):
+        chains = prepare_suite(_plan(("bsw",), ("CI", "Client-SGX"), 500, stream=250))
+        shard.run_chains(chains, jobs=1, resume=False)
+        assert producer_chains(chains) == ([], {})
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_each_slice_and_tier_is_stored_once(
+        self, jobs, monkeypatch, fresh_default_store, tmp_path
     ):
-        # A warm disk store skips the distillation, but the one-window run's
-        # events entry must still land in the parent's memory layer, where
-        # forked workers inherit it; a windowed slice never enters it, and
-        # the pre-pass loads no verdict tier, even once a worker has put one.
+        log = tmp_path / "puts.txt"
+        _record_puts(monkeypatch, log)
+        plans = (
+            _plan(("bsw", "fmi"), ("CI", "Client-SGX"), 500, stream=250),
+            _plan(("bsw",), ("CI",), None),
+        )
+        chains = [chain for plan in plans for chain in prepare_suite(plan)]
+        shard.run_chains(chains, jobs=jobs, resume=False)
+        puts = [key for key in log.read_text().split() if _kind_of(key) in PRODUCED]
+        assert len(puts) == len(set(puts))
+        tiers = 1 if replaycore.HAVE_NUMPY else 0
+        # Two streamed runs of four slices, one unstreamed run of one.
+        counts = {kind: len(fresh_default_store.query(kind=kind)) for kind in PRODUCED}
+        assert counts == {
+            "events": 1,
+            "events-slice": 8,
+            "mactier": 9 * tiers,
+            "treetier": 8 * tiers,
+            "epctier": 8 * tiers,
+        }
+        assert sorted(puts) == sorted(
+            entry.key for kind in PRODUCED for entry in fresh_default_store.query(kind=kind)
+        )
+
+    def test_the_parent_holds_no_events_or_tiers(self, fresh_default_store):
+        # Workers ingest and compute tiers; nothing they produce is in the
+        # parent's memory layer, whatever the slice width.
         for stream in (None, 250):
-            chains = prepare_suite(_plan(("bsw",), ("CI",), 500, stream=stream))
-            shard.run_chains(chains, jobs=1, resume=False)
-        assert fresh_default_store.query(kind="mactier")
-        fresh_default_store.clear_memory()
-        prepare_suite(_plan(("bsw",), ("CI",), 500, stream=250))
-        assert fresh_default_store._memory == {}
-        prepare_suite(_plan(("bsw",), ("CI",), 500))
-        assert set(fresh_default_store._memory) == {events_key("bsw", 0.002, 1, ACCESSES)}
+            chains = prepare_suite(_plan(("bsw",), ("CI", "Client-SGX"), 500, stream=stream))
+            finals = shard.run_chains(chains, jobs=2, resume=False)
+            assert all(final.accesses == ACCESSES for final in finals)
+        assert fresh_default_store.query(kind="events")
+        assert fresh_default_store.query(kind="events-slice")
+        assert not [key for key in fresh_default_store._memory if _kind_of(key) in PRODUCED]
+
+    def test_no_trace_memo_survives_the_ingest_step(self, fresh_default_store):
+        # The trace is only ingestion's input; once its slices are stored, no
+        # per-process memo may keep the whole trace alive.
+        capture_trace.cache_clear()
+        for stream in (ACCESSES, 250):
+            run_ingest(IngestTask("bsw", 0.002, 1, ACCESSES, stream, None))
+        assert len(fresh_default_store.query(kind="events")) == 1
+        assert len(fresh_default_store.query(kind="events-slice")) == 4
+        assert capture_trace.cache_info().currsize == 0
 
 
 class TestReplayLoopSelection:

@@ -152,10 +152,10 @@ class TestDegradedSuitesAreNotCached:
     def test_harness_skips_suite_cache_for_degraded_run(
         self, fresh_store, monkeypatch
     ):
-        # Task 0 is the first benchmark's NoProtect run; killing it drops the
-        # whole benchmark in degrade mode.  The partial suite must not be
-        # stored under the full suite key, or later clean runs would be
-        # served the hole forever.
+        # Slot 0 is the first benchmark's ingest task; killing it ends every
+        # chain waiting on its event slices, so degrade mode drops the whole
+        # benchmark.  The partial suite must not be stored under the full
+        # suite key, or later clean runs would be served the hole forever.
         policy = SupervisionPolicy(
             deadline=30.0, retries=0, backoff=0.01, on_failure="degrade"
         )

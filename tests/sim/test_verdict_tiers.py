@@ -33,7 +33,7 @@ from repro.sim.configs import (
     register_mode,
     unregister_mode,
 )
-from repro.sim import replaycore
+from repro.sim import distill, replaycore
 from repro.sim.distill import (
     HierarchyDistiller,
     MissEventStream,
@@ -66,7 +66,7 @@ from repro.sim.replaycore import (
     tier_slice_key,
 )
 from repro.sim.results import LatencyBreakdown
-from repro.sim.shard import ShardSpec, run_shard_step, shard_chain
+from repro.sim.shard import ShardSpec, run_chains, shard_chain
 from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
@@ -427,9 +427,13 @@ class TestTierSlices:
         for component in state.components:
             if type(component) not in KINDS:
                 continue
-            # The first need -- a middle slice -- computes every slice at once.
+            # A first need at a middle slice computes the slices up to it, and
+            # one at the last slice the whole run.
             advances.clear()
             load_tier_slice(component, slices[middle], TRACE_LEN, window, SMALL_CONFIG, store)
+            assert len(advances) == middle + 1
+            advances.clear()
+            load_tier_slice(component, slices[-1], TRACE_LEN, window, SMALL_CONFIG, store)
             assert len(advances) == len(slices)
             advances.clear()
             served = [
@@ -442,6 +446,29 @@ class TestTierSlices:
             assert concatenated(served) == expected
         # Narrow tier slices, like narrow event slices, skip the memory layer.
         assert store._memory == {}
+
+    def test_a_miss_stops_at_its_slice_and_reads_only_stored_events(
+        self, events, tmp_path, monkeypatch
+    ):
+        # Five slices, of which ingestion has stored the first three so far.
+        window = TRACE_LEN // 5
+        store = ResultStore(tmp_path)
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
+        for index in (3, 4):
+            store.invalidate(events_slice_key(*self.RUN, window, index, SMALL_CONFIG))
+        wanted = load_slice(*self.RUN, window, 2, SMALL_CONFIG, store)
+
+        def no_ingestion(*args, **kwargs):
+            raise AssertionError("a tier miss re-ran ingestion")
+
+        monkeypatch.setattr(distill, "stream_event_slices", no_ingestion)
+        _, state = begin("CI", events)
+        (component,) = [c for c in state.components if type(c) is MacIntegrityComponent]
+        load_tier_slice(component, wanted, TRACE_LEN, window, SMALL_CONFIG, store)
+        assert [
+            tier_slice_key(component, *self.RUN, window, index, SMALL_CONFIG) in store
+            for index in range(5)
+        ] == [True, True, True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +604,11 @@ class TestTierKeys:
 
 
 class TestTierProvenance:
-    """The first shard that needs a tier computes it for every slice of the
-    run; later shards, and later slices, read it back."""
+    """The run's tier chain computes each tier family once, slice by slice;
+    every shard reads its slices' tiers back."""
 
     @pytest.mark.parametrize("window", (TRACE_LEN, 64))
-    def test_later_shards_reuse_the_first_shards_tiers(
-        self, window, tmp_path, monkeypatch, trace
-    ):
+    def test_shards_read_the_tier_chains_tiers(self, window, tmp_path, monkeypatch, trace):
         previous = default_store()
         runs = []
         for simulator in (TreeTierSimulator, EpcTierSimulator):
@@ -600,15 +625,12 @@ class TestTierProvenance:
         chain = shard_chain(
             "memcached", "Client-SGX", ShardSpec(100), 0.002, TRACE_LEN, 7, window=window
         )
+        set_default_store(ResultStore(tmp_path / "cache"))
         try:
-            carry = None
-            for task in chain:
-                # A fresh handle per shard, as a fresh worker process has.
-                set_default_store(ResultStore(tmp_path / "cache"))
-                carry = run_shard_step(task, carry)
+            (result,) = run_chains([chain], jobs=1, resume=False)
         finally:
             set_default_store(previous)
-        assert carry.to_dict() == serial.to_dict()
+        assert result.to_dict() == serial.to_dict()
         assert sorted(runs) == ["EpcTierSimulator", "TreeTierSimulator"]
         kinds = [key.rsplit("-", 1)[0] for key in ResultStore(tmp_path / "cache").disk_keys()]
         slices = len(slice_bounds(TRACE_LEN, window))
