@@ -25,9 +25,9 @@ def replay(locality: float) -> TripPageTable:
     workload = SyntheticWorkload(
         version_locality=locality, footprint_bytes=2 << 20, seed=11
     )
-    for access in workload.generate(ACCESSES):
-        if access.is_write:
-            table.update(page_number(access.address), block_index_in_page(access.address))
+    for address, is_write in workload.access_stream(ACCESSES):
+        if is_write:
+            table.update(page_number(address), block_index_in_page(address))
     return table
 
 

@@ -11,6 +11,7 @@ import dataclasses
 from repro.core.config import SystemConfig, UNEVEN_ENTRY_BYTES
 from repro.core.trip import TripFormat
 from repro.core.version_cache import StealthVersionCache
+from repro.memory.address import page_number
 from repro.workloads.registry import get_workload
 
 TLB_SIZES = (64, 256, 1024)
@@ -25,8 +26,8 @@ def hit_rate_with(tlb_entries: int, overflow_kib: int = 28) -> float:
     )
     cache = StealthVersionCache(config=config)
     workload = get_workload("memcached", scale=0.002, seed=9)
-    for access in workload.generate(ACCESSES):
-        cache.access(access.page, TripFormat.FLAT, is_write=access.is_write)
+    for address, is_write in workload.access_stream(ACCESSES):
+        cache.access(page_number(address), TripFormat.FLAT, is_write=is_write)
     return cache.hit_rate
 
 
@@ -56,8 +57,8 @@ def test_ablation_overflow_buffer_sizing(benchmark):
             cache = StealthVersionCache(config=config)
             # Drive uneven-format pages (which live in the overflow buffer).
             workload = get_workload("fmi", scale=0.002, seed=9)
-            for access in workload.generate(ACCESSES):
-                cache.access(access.page, TripFormat.UNEVEN, is_write=access.is_write)
+            for address, is_write in workload.access_stream(ACCESSES):
+                cache.access(page_number(address), TripFormat.UNEVEN, is_write=is_write)
             results[kib] = cache.hit_rate
         return results
 

@@ -94,11 +94,9 @@ def trip_format_rows(num_accesses: int = 25_000) -> List[Dict[str, object]]:
         workload = SyntheticWorkload(
             version_locality=locality, footprint_bytes=2 << 20, seed=11
         )
-        for access in workload.generate(num_accesses):
-            if access.is_write:
-                table.update(
-                    page_number(access.address), block_index_in_page(access.address)
-                )
+        for address, is_write in workload.access_stream(num_accesses):
+            if is_write:
+                table.update(page_number(address), block_index_in_page(address))
         pages = len(table)
         counts = table.format_counts()
         flat_pages = counts[TripFormat.FLAT]
@@ -124,8 +122,8 @@ def version_cache_rows(
         config = dataclasses.replace(SystemConfig(), tlb_stealth_entries=entries)
         cache = StealthVersionCache(config=config)
         workload = get_workload("memcached", scale=scale, seed=9)
-        for access in workload.generate(num_accesses):
-            cache.access(access.page, TripFormat.FLAT, is_write=access.is_write)
+        for address, is_write in workload.access_stream(num_accesses):
+            cache.access(page_number(address), TripFormat.FLAT, is_write=is_write)
         tlb_rows.append(
             {"tlb_entries": entries, "hit_rate": round(cache.hit_rate, 4)}
         )
@@ -136,8 +134,8 @@ def version_cache_rows(
         )
         cache = StealthVersionCache(config=config)
         workload = get_workload("fmi", scale=scale, seed=9)
-        for access in workload.generate(num_accesses):
-            cache.access(access.page, TripFormat.UNEVEN, is_write=access.is_write)
+        for address, is_write in workload.access_stream(num_accesses):
+            cache.access(page_number(address), TripFormat.UNEVEN, is_write=is_write)
         overflow_rows.append(
             {"overflow_kib": kib, "hit_rate": round(cache.hit_rate, 4)}
         )

@@ -45,8 +45,8 @@ def measure(
         info = BENCHMARKS[name]
         workload = get_workload(name, scale=scale, seed=seed)
         hierarchy = CacheHierarchy(SystemConfig())
-        for access in workload.generate(num_accesses):
-            hierarchy.access(access.address, access.is_write)
+        for address, is_write in workload.access_stream(num_accesses):
+            hierarchy.access(address, is_write)
         instructions = workload.instruction_count(num_accesses)
         rows.append(
             {

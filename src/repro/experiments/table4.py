@@ -57,9 +57,9 @@ def measure_toleo_average(
         table = TripPageTable(
             policy=StealthVersionPolicy(rng=DRangeRng(seed=seed))
         )
-        for access in workload.generate(num_accesses):
-            if access.is_write:
-                table.update(page_number(access.address), block_index_in_page(access.address))
+        for address, is_write in workload.access_stream(num_accesses):
+            if is_write:
+                table.update(page_number(address), block_index_in_page(address))
         total_bytes += table.total_bytes()
         total_pages += len(table)
     if total_pages == 0:

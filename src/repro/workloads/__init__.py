@@ -10,7 +10,7 @@ distribution -- at a configurable scale so the trace-driven simulator runs in
 seconds.
 """
 
-from repro.workloads.base import MemoryAccess, MemoryRegion, Workload, WorkloadPhase
+from repro.workloads.base import MemoryRegion, Workload, WorkloadPhase
 from repro.workloads.registry import (
     BenchmarkInfo,
     BENCHMARKS,
@@ -21,7 +21,6 @@ from repro.workloads.registry import (
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
-    "MemoryAccess",
     "MemoryRegion",
     "Workload",
     "WorkloadPhase",

@@ -1,20 +1,21 @@
-"""Workload framework: memory accesses, regions, phases and the base class.
+"""Workload framework: regions, phases, the base class and captured traces.
 
 A workload is a named collection of :class:`MemoryRegion` objects (its data
-structures) plus one or more :class:`WorkloadPhase` generators that emit
-:class:`MemoryAccess` events over those regions.  The trace-driven simulator
-consumes the access stream; the protection engine and Toleo device only ever
-see addresses, so the synthetic traces capture everything the evaluation
-depends on: footprint, read/write mix, spatial locality of writes (version
-locality) and the page-access distribution.
+structures) plus one or more :class:`WorkloadPhase` generators that write
+accesses over those regions straight into packed chunks: an ``array('Q')``
+of addresses and a ``bytearray`` of write flags (:data:`Chunk`).  The
+trace-driven simulator consumes addresses and write flags only, so the
+synthetic traces capture everything the evaluation depends on: footprint,
+read/write mix, spatial locality of writes (version locality) and the
+page-access distribution.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import CACHE_BLOCK_BYTES, GIB, PAGE_BYTES
@@ -48,21 +49,19 @@ def calibrated_instruction_count(
     )
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
-    """One memory reference in a trace."""
+#: A run of consecutive accesses: packed addresses and 0/1 write flags.
+Chunk = Tuple[array, bytearray]
 
-    address: int
-    is_write: bool
-    size: int = CACHE_BLOCK_BYTES
+#: Most accesses in one phase chunk, and the window of ``access_stream``.
+ACCESS_CHUNK = 1 << 16
 
-    @property
-    def page(self) -> int:
-        return self.address // PAGE_BYTES
 
-    @property
-    def block(self) -> int:
-        return self.address // CACHE_BLOCK_BYTES
+def chunk_sizes(count: int, chunk: int) -> Iterator[int]:
+    """Lengths of ``count`` accesses cut into chunks of ``chunk``, the last shorter."""
+    full, rest = divmod(count, chunk)
+    yield from repeat(chunk, full)
+    if rest:
+        yield rest
 
 
 @dataclass(frozen=True)
@@ -91,30 +90,25 @@ class MemoryRegion:
     def pages(self) -> int:
         return max(1, self.size // PAGE_BYTES)
 
-    def block_address(self, block_index: int) -> int:
-        """Block-aligned address of the ``block_index``-th block, wrapping."""
-        return self.base + (block_index % self.blocks) * CACHE_BLOCK_BYTES
-
-    def page_address(self, page_index: int, block_in_page: int = 0) -> int:
-        addr = self.base + (page_index % self.pages) * PAGE_BYTES
-        return addr + (block_in_page % (PAGE_BYTES // CACHE_BLOCK_BYTES)) * CACHE_BLOCK_BYTES
-
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
 
 
 @dataclass
 class WorkloadPhase:
-    """One phase of a workload: a weighted access generator.
+    """One phase of a workload: a weighted, resumable chunk generator.
 
-    ``generator`` is called with (rng, regions, count) and must yield exactly
-    ``count`` accesses.  Weights determine how many of the workload's total
-    accesses each phase contributes.
+    ``generator`` is called with ``(rng, workload, count, chunk)`` and yields
+    exactly ``count`` accesses as :data:`Chunk` pairs of ``chunk`` accesses
+    each, the last one possibly shorter, calling ``rng`` in the same order
+    whatever ``chunk`` is (:mod:`repro.workloads.patterns` states the rule).
+    Weights determine how many of the workload's total accesses each phase
+    contributes.
     """
 
     name: str
     weight: float
-    generator: Callable[[random.Random, "Workload", int], Iterator[MemoryAccess]]
+    generator: Callable[[random.Random, "Workload", int, int], Iterator[Chunk]]
 
 
 @dataclass
@@ -202,94 +196,70 @@ class Workload:
 
     # -- trace generation -------------------------------------------------------------
 
-    def generate(self, num_accesses: int = 200_000) -> Iterator[MemoryAccess]:
-        """Yield ``num_accesses`` memory accesses, interleaving phases.
+    def _chunks(self, num_accesses: int, chunk: int) -> Iterator[Chunk]:
+        """The trace as chunks of at most ``chunk`` accesses, phase by phase.
 
         Phases are executed in order; each phase receives a share of the
         total proportional to its weight.  This matches how the benchmarks
         run: an initialisation/build phase followed by the main kernel.
         """
-        if num_accesses <= 0:
-            raise ValueError("num_accesses must be positive")
         total_weight = sum(p.weight for p in self.phases)
         remaining = num_accesses
         for i, phase in enumerate(self.phases):
             if i == len(self.phases) - 1:
                 count = remaining
             else:
-                count = int(round(num_accesses * phase.weight / total_weight))
-                count = min(count, remaining)
+                count = min(int(round(num_accesses * phase.weight / total_weight)), remaining)
             remaining -= count
-            if count <= 0:
-                continue
-            yield from phase.generator(self.rng, self, count)
-
-    def trace(self, num_accesses: int = 200_000) -> List[MemoryAccess]:
-        """Materialise the trace as a list."""
-        return list(self.generate(num_accesses))
+            if count > 0:
+                yield from phase.generator(self.rng, self, count, chunk)
 
     def access_stream(self, num_accesses: int = 200_000) -> Iterator[Tuple[int, bool]]:
-        """Yield ``(address, is_write)`` pairs -- the simulator's hot loop.
-
-        The engine only ever consumes the address and the write flag, so this
-        avoids committing to :class:`MemoryAccess` object construction in the
-        replay path; :class:`Trace` overrides it to stream straight out of
-        packed arrays.
-        """
-        for access in self.generate(num_accesses):
-            yield access.address, access.is_write
+        """Yield ``(address, is_write)`` pairs, read out of packed windows."""
+        for window in self.stream(num_accesses, ACCESS_CHUNK):
+            yield from zip(window.addresses, map(bool, window.writes))
 
     def capture(self, num_accesses: int = 200_000) -> "Trace":
         """Materialise this workload's trace into a replayable :class:`Trace`.
 
-        The captured trace carries everything the simulation engine reads from
-        a workload (name, footprint, MPKI calibration), so it can stand in for
-        the workload across repeated runs -- one trace generation feeds every
+        The captured trace is :meth:`stream`'s one window of the whole run.
+        It carries everything the simulation engine reads from a workload
+        (name, footprint, MPKI calibration), so it can stand in for the
+        workload across repeated runs -- one trace generation feeds every
         protection mode instead of re-running the phase generators per mode.
         """
-        addresses = array("Q")
-        writes = bytearray()
-        for access in self.generate(num_accesses):
-            addresses.append(access.address)
-            writes.append(1 if access.is_write else 0)
-        return Trace(
-            name=self.name,
-            scale=self.scale,
-            seed=self.seed,
-            footprint_bytes=self.footprint_bytes,
-            llc_mpki=self.characteristics.llc_mpki,
-            instructions_per_access=self.characteristics.instructions_per_access,
-            addresses=addresses,
-            writes=writes,
-        )
+        (trace,) = self.stream(num_accesses, num_accesses)
+        return trace
 
     def stream(self, num_accesses: int = 200_000, window: int = 100_000) -> Iterator["Trace"]:
         """Yield the trace as contiguous :class:`Trace` windows of ``window``
-        accesses (final window may be shorter), never holding more than one
-        window's packed arrays at a time.
+        accesses (final window may be shorter).
 
-        The phase generators are single-pass over one RNG, so streaming is
-        identical to one-shot capture by construction: concatenating the
-        yielded windows reproduces :meth:`capture` exactly, and each window's
-        ``start_index`` records its global position so instruction
-        calibration and timeline sampling stay consistent.  This is the
-        bounded-memory producer for tera-scale runs -- a 10^10-access run
-        touches ``window`` accesses of memory, not the trace.
+        Windows are cut from the phases' chunks of at most ``ACCESS_CHUNK``
+        accesses, so a run holds the window being filled and one chunk,
+        whatever its length: a 10^10-access run touches a window's worth of
+        memory, not the trace.  Chunk size never changes what the phases
+        draw (:mod:`repro.workloads.patterns`), so the windows concatenate
+        to :meth:`capture` exactly, and each window's ``start_index``
+        records its global position so instruction calibration and timeline
+        sampling stay consistent.
         """
+        if num_accesses <= 0:
+            raise ValueError("num_accesses must be positive")
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        accesses = self.generate(num_accesses)
+        addresses, writes = array("Q"), bytearray()
         start = 0
-        while True:
-            addresses = array("Q")
-            writes = bytearray()
-            for access in islice(accesses, window):
-                addresses.append(access.address)
-                writes.append(1 if access.is_write else 0)
-            if not addresses:
-                return
+        for more_addresses, more_writes in self._chunks(num_accesses, min(window, ACCESS_CHUNK)):
+            room = window - len(writes)
+            addresses += more_addresses[:room]
+            writes += more_writes[:room]
+            if len(writes) == window:
+                yield self._window_trace(addresses, writes, start)
+                start += window
+                addresses, writes = more_addresses[room:], more_writes[room:]
+        if writes:
             yield self._window_trace(addresses, writes, start)
-            start += len(addresses)
 
     def _window_trace(self, addresses: array, writes: bytearray, start: int) -> "Trace":
         return Trace(
@@ -446,11 +416,6 @@ class Trace:
         for start in range(0, len(self.addresses), shard_size):
             yield self.slice(start, min(start + shard_size, len(self.addresses)))
 
-    def generate(self, num_accesses: Optional[int] = None) -> Iterator[MemoryAccess]:
-        """Replay the trace as :class:`MemoryAccess` objects (compatibility)."""
-        for address, is_write in self.access_stream(num_accesses):
-            yield MemoryAccess(address=address, is_write=is_write)
-
     def instruction_count(self, num_accesses: int, llc_misses: Optional[int] = None) -> int:
         """Identical calibration to :meth:`Workload.instruction_count`.
 
@@ -469,8 +434,10 @@ class Trace:
 
 
 __all__ = [
+    "ACCESS_CHUNK",
     "calibrated_instruction_count",
-    "MemoryAccess",
+    "Chunk",
+    "chunk_sizes",
     "MemoryRegion",
     "Trace",
     "Workload",

@@ -7,12 +7,6 @@
   blocks within the key's page, so pages still stay overwhelmingly flat.
 * ``hyrise`` runs TPC-C-style transactions: scans and point reads over column
   segments with bursts of commit-time writes, yielding ~4 % uneven pages.
-
-Streaming contract: every phase generator here is a pure, single-pass
-function of ``(scale, seed)`` -- ``Workload.stream`` and ``Workload.capture``
-consume the same ``generate()`` iterator, so streamed windows are
-bit-identical to the capture by construction.  Keep phases free of
-whole-run lookahead or buffering, or the bounded-memory guarantee breaks.
 """
 
 from __future__ import annotations

@@ -11,11 +11,6 @@ Qualitative behaviours reproduced (Section 7 / Table 2 / Figure 10):
 * ``fmi`` (FM-index search) traverses an index with irregular *updates* to
   its tree structure: poor version locality, ~33 % uneven pages -- the
   paper's worst case for Trip.
-
-Streaming contract: each kernel's phases are pure, single-pass functions of
-``(scale, seed)``, so ``Workload.stream`` cuts the exact ``capture()``
-access sequence into bounded-memory windows.  Any phase that needed the
-full run in memory up front would silently void that guarantee.
 """
 
 from __future__ import annotations

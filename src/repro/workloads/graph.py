@@ -6,11 +6,6 @@ follow a power law, so a minority of vertices are written far more often than
 their page neighbours -- which is why 7-15 % of graph pages end up in the
 uneven/full Trip formats (Figure 10) and why pr has by far the highest LLC
 MPKI (Table 2).
-
-Streaming contract: the edge-list and vertex-array phases emit accesses as
-a pure, single-pass function of ``(scale, seed)``; ``Workload.stream``
-relies on that to yield bounded-memory windows bit-identical to
-``Workload.capture``.  Do not add whole-run precomputation to a phase.
 """
 
 from __future__ import annotations

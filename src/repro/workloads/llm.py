@@ -6,12 +6,6 @@ buffers) are rewritten uniformly for every generated token.  That uniform
 rewrite pattern is the paper's canonical example of version locality
 (Section 4.3), so >96 % of llama2-gen's pages remain flat while its LLC MPKI
 is among the highest of the suite (weights do not fit in cache).
-
-Streaming contract: token-generation phases emit accesses as a pure,
-single-pass function of ``(scale, seed)`` -- which is what lets
-``Workload.stream`` window a multi-million-access run (the suite's
-memory-ceiling test streams 5M accesses of this workload) without ever
-packing the full trace.
 """
 
 from __future__ import annotations

@@ -1,7 +1,21 @@
-"""Reusable memory-access pattern generators.
+"""Reusable memory-access patterns, written straight into packed chunks.
 
-Each pattern is a function ``(rng, workload, count) -> Iterator[MemoryAccess]``
+Each factory returns one resumable generator ``(rng, workload, count, chunk)``
 suitable for use as a :class:`~repro.workloads.base.WorkloadPhase` generator.
+It yields its ``count`` accesses as ``(addresses, writes)`` chunks -- an
+``array('Q')`` of block-aligned addresses and a ``bytearray`` of 0/1 write
+flags -- of ``chunk`` accesses each, the last one possibly shorter.  Region
+geometry is read into locals once per phase, never per access.
+
+RNG order: a pattern calls the shared ``random.Random`` exactly as it would
+emitting its accesses one at a time.  It yields a chunk as soon as it is
+full, before any draw for the next access; a draw that follows an access
+(``pointer_chase``'s next hop) runs when the generator is resumed, so the one
+after the last access runs when the phase is run to exhaustion.  Chunk size
+therefore changes neither a trace nor the RNG state a phase leaves behind,
+and no phase buffers the whole run (``SyntheticWorkload`` pulls chunks of one;
+``docs/extending.md`` spells the rule out).
+
 The patterns capture the behaviours the paper's Section 4.3 and 7.2 describe
 as the drivers of version locality:
 
@@ -23,52 +37,46 @@ as the drivers of version locality:
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Iterator, List, Optional
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.config import CACHE_BLOCK_BYTES, PAGE_BYTES
-from repro.workloads.base import MemoryAccess, MemoryRegion, Workload
+from repro.workloads.base import Chunk, Workload, chunk_sizes
 
 BLOCKS_PER_PAGE = PAGE_BYTES // CACHE_BLOCK_BYTES
 
 
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
+def _geometry(workload: Workload, region_name: str) -> Tuple[int, int]:
+    """A region's base address and block count."""
+    region = workload.region(region_name)
+    return region.base, region.blocks
 
-def _zipf_ranks(rng: random.Random, n: int, count: int, exponent: float = 1.1) -> List[int]:
-    """Sample ``count`` ranks in [0, n) from a Zipf-like distribution."""
-    # Inverse-CDF sampling over a truncated zeta distribution.
+
+def _sweep(
+    addresses: array, base: int, blocks: int, block: int, n: int, stride: int = 1
+) -> int:
+    """Append the addresses of ``n`` blocks from ``block`` on, ``stride``
+    apart and wrapping at the region's end; return the block after them
+    (``0 <= block < blocks``)."""
+    step = stride * CACHE_BLOCK_BYTES
+    while n > 0:
+        run = min(n, -(-(blocks - block) // stride))
+        first = base + block * CACHE_BLOCK_BYTES
+        addresses.extend(range(first, first + run * step, step))
+        n -= run
+        block = (block + run * stride) % blocks
+    return block
+
+
+def _zipf_cdf(n: int, exponent: float) -> List[float]:
+    """CDF of a Zipf-like distribution truncated to ``min(n, 4096)`` ranks."""
     weights = [1.0 / (i + 1) ** exponent for i in range(min(n, 4096))]
     total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    ranks = []
-    for _ in range(count):
-        u = rng.random()
-        lo, hi = 0, len(cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        # Spread the coarse rank across the full region deterministically.
-        ranks.append((lo * max(1, n // len(cdf))) % n)
-    return ranks
+    return list(accumulate(w / total for w in weights))
 
-
-def _clamp_block(region: MemoryRegion, block: int) -> int:
-    return region.block_address(block % region.blocks)
-
-
-# ---------------------------------------------------------------------------
-# Pattern factories
-# ---------------------------------------------------------------------------
 
 def sequential_write_sweep(region_name: str, read_fraction: float = 0.0):
     """Uniform block-by-block writes over a region (optionally with reads).
@@ -78,18 +86,18 @@ def sequential_write_sweep(region_name: str, read_fraction: float = 0.0):
     exactly the behaviour that keeps pages in the flat format.
     """
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        emitted = 0
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        draw = rng.random
         block = 0
-        while emitted < count:
-            address = region.block_address(block)
-            if read_fraction > 0.0 and rng.random() < read_fraction:
-                yield MemoryAccess(address=address, is_write=False)
+        for n in chunk_sizes(count, chunk):
+            addresses = array("Q")
+            block = _sweep(addresses, base, blocks, block, n)
+            if read_fraction > 0.0:
+                writes = bytearray([draw() >= read_fraction for _ in range(n)])
             else:
-                yield MemoryAccess(address=address, is_write=True)
-            emitted += 1
-            block += 1
+                writes = bytearray(b"\x01") * n
+            yield addresses, writes
 
     return generate
 
@@ -97,22 +105,26 @@ def sequential_write_sweep(region_name: str, read_fraction: float = 0.0):
 def stencil_sweep(write_region: str, read_region: Optional[str] = None, reads_per_write: int = 2):
     """Dynamic-programming stencil: read neighbouring cells, write the current one."""
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        wr = workload.region(write_region)
-        rr = workload.region(read_region) if read_region else wr
-        emitted = 0
-        block = 0
-        while emitted < count:
-            for _ in range(reads_per_write):
-                if emitted >= count:
-                    return
-                yield MemoryAccess(address=_clamp_block(rr, block + rng.randint(0, 2)), is_write=False)
-                emitted += 1
-            if emitted >= count:
-                return
-            yield MemoryAccess(address=wr.block_address(block), is_write=True)
-            emitted += 1
-            block += 1
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        write_base, write_blocks = _geometry(workload, write_region)
+        read_base, read_blocks = _geometry(workload, read_region or write_region)
+        randint = rng.randint
+        block = 0  # the cell being computed
+        reads = 0  # neighbour reads emitted for it so far
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            add, flag = addresses.append, writes.append
+            for _ in range(n):
+                if reads < reads_per_write:
+                    add(read_base + (block + randint(0, 2)) % read_blocks * CACHE_BLOCK_BYTES)
+                    flag(0)
+                    reads += 1
+                else:
+                    add(write_base + block % write_blocks * CACHE_BLOCK_BYTES)
+                    flag(1)
+                    block += 1
+                    reads = 0
+            yield addresses, writes
 
     return generate
 
@@ -120,15 +132,17 @@ def stencil_sweep(write_region: str, read_region: Optional[str] = None, reads_pe
 def random_reads(region_name: str, hot_fraction: float = 0.0, hot_weight: float = 0.0):
     """Uniform (or hot/cold) random read-only lookups over a region."""
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        hot_blocks = max(1, int(region.blocks * hot_fraction)) if hot_fraction > 0 else 0
-        for _ in range(count):
-            if hot_blocks and rng.random() < hot_weight:
-                block = rng.randrange(hot_blocks)
-            else:
-                block = rng.randrange(region.blocks)
-            yield MemoryAccess(address=region.block_address(block), is_write=False)
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        hot_blocks = max(1, int(blocks * hot_fraction)) if hot_fraction > 0 else 0
+        draw, randrange = rng.random, rng.randrange
+        for n in chunk_sizes(count, chunk):
+            addresses = array("Q")
+            add = addresses.append
+            for _ in range(n):
+                hot = hot_blocks and draw() < hot_weight
+                add(base + (randrange(hot_blocks) if hot else randrange(blocks)) % blocks * CACHE_BLOCK_BYTES)
+            yield addresses, bytearray(n)
 
     return generate
 
@@ -141,25 +155,47 @@ def random_block_writes(region_name: str, write_fraction: float = 0.5):
     format -- the behaviour Figure 10 shows for fmi and the graph kernels.
     """
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        for _ in range(count):
-            block = rng.randrange(region.blocks)
-            is_write = rng.random() < write_fraction
-            yield MemoryAccess(address=region.block_address(block), is_write=is_write)
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        draw, randrange = rng.random, rng.randrange
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            add, flag = addresses.append, writes.append
+            for _ in range(n):
+                add(base + randrange(blocks) * CACHE_BLOCK_BYTES)
+                flag(draw() < write_fraction)
+            yield addresses, writes
 
     return generate
 
 
 def zipf_writes(region_name: str, write_fraction: float = 0.6, exponent: float = 1.2):
-    """Power-law-skewed writes: a few blocks become very hot (full pages)."""
+    """Power-law-skewed writes: a few blocks become very hot (full pages).
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        ranks = _zipf_ranks(rng, region.blocks, count, exponent)
-        for rank in ranks:
-            is_write = rng.random() < write_fraction
-            yield MemoryAccess(address=region.block_address(rank), is_write=is_write)
+    A phase's ``count`` rank draws come first in the shared RNG's sequence,
+    then one write draw per access.  The ranks are read, chunk by chunk, from
+    a clone of the shared RNG taken at the phase's start, and the shared RNG
+    skips past them once, so the phase holds one chunk, not ``count`` ranks.
+    """
+
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        cdf = _zipf_cdf(blocks, exponent)
+        last = len(cdf) - 1
+        # Spread the coarse rank across the full region deterministically.
+        spread = max(1, blocks // len(cdf))
+        ranks = random.Random()
+        ranks.setstate(rng.getstate())
+        rank, draw = ranks.random, rng.random
+        for _ in range(count):
+            draw()
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            add, flag = addresses.append, writes.append
+            for _ in range(n):
+                add(base + bisect_left(cdf, rank(), 0, last) * spread % blocks * CACHE_BLOCK_BYTES)
+                flag(draw() < write_fraction)
+            yield addresses, writes
 
     return generate
 
@@ -176,29 +212,33 @@ def gaussian_kv_writes(region_name: str, write_fraction: float = 1.0, sigma_frac
     (Figure 10) despite their random page-access pattern.
     """
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
         region = workload.region(region_name)
-        pages = region.pages
+        base, pages = region.base, region.pages
         mean = pages / 2.0
         sigma = max(1.0, pages * sigma_fraction)
+        gauss, draw, randint = rng.gauss, rng.random, rng.randint
         cursors: dict[int, int] = {}
-        emitted = 0
-        while emitted < count:
-            page = int(rng.gauss(mean, sigma)) % pages
-            is_write = rng.random() < write_fraction
-            # A request touches a small run of blocks; runs advance around the
-            # page so coverage stays uniform (adjacent keys, similar rates).
-            run = rng.randint(1, 4)
-            start_block = cursors.get(page, 0)
-            cursors[page] = (start_block + run) % BLOCKS_PER_PAGE
-            for i in range(run):
-                if emitted >= count:
-                    return
-                yield MemoryAccess(
-                    address=region.page_address(page, start_block + i),
-                    is_write=is_write,
-                )
-                emitted += 1
+        left = 0  # accesses left in the current request's run
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            add, flag = addresses.append, writes.append
+            for _ in range(n):
+                if not left:
+                    page = int(gauss(mean, sigma)) % pages
+                    is_write = draw() < write_fraction
+                    # A request touches a small run of blocks; runs advance
+                    # around the page so coverage stays uniform (adjacent
+                    # keys, similar rates).
+                    left = randint(1, 4)
+                    slot = cursors.get(page, 0)
+                    cursors[page] = (slot + left) % BLOCKS_PER_PAGE
+                    page_base = base + page * PAGE_BYTES
+                add(page_base + slot % BLOCKS_PER_PAGE * CACHE_BLOCK_BYTES)
+                flag(is_write)
+                slot += 1
+                left -= 1
+            yield addresses, writes
 
     return generate
 
@@ -218,24 +258,30 @@ def pointer_chase(
     ``hot_weight`` is the probability a hop lands in it.
     """
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        hot_blocks = max(1, int(region.blocks * hot_fraction))
-        emitted = 0
-        current = rng.randrange(region.blocks)
-        while emitted < count:
-            for _ in range(chain_length):
-                if emitted >= count:
-                    return
-                yield MemoryAccess(address=region.block_address(current), is_write=False)
-                emitted += 1
-                if rng.random() < hot_weight:
-                    current = rng.randrange(hot_blocks)
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        hot_blocks = max(1, int(blocks * hot_fraction))
+        draw, randrange = rng.random, rng.randrange
+        current = randrange(blocks)
+        hops = 0  # hops taken in the current chain
+        for n in chunk_sizes(count, chunk):
+            addresses = array("Q")
+            add = addresses.append
+            for left in range(n - 1, -1, -1):
+                add(base + current % blocks * CACHE_BLOCK_BYTES)
+                if not left:
+                    # Hand the full chunk over before drawing the next hop.
+                    yield addresses, bytearray(n)
+                if draw() < hot_weight:
+                    current = randrange(hot_blocks)
                 else:
                     # Deterministic hash-style next pointer keeps the cold
                     # part of the chase irregular.
-                    current = (current * 1103515245 + 12345) % region.blocks
-            current = rng.randrange(region.blocks)
+                    current = (current * 1103515245 + 12345) % blocks
+                hops += 1
+                if hops == chain_length:
+                    current = randrange(blocks)
+                    hops = 0
 
     return generate
 
@@ -243,12 +289,13 @@ def pointer_chase(
 def streaming_reads(region_name: str, stride_blocks: int = 1):
     """Sequential streaming reads (edge-list scans, table scans)."""
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
         block = 0
-        for _ in range(count):
-            yield MemoryAccess(address=region.block_address(block), is_write=False)
-            block += stride_blocks
+        for n in chunk_sizes(count, chunk):
+            addresses = array("Q")
+            block = _sweep(addresses, base, blocks, block, n, stride_blocks)
+            yield addresses, bytearray(n)
 
     return generate
 
@@ -261,20 +308,25 @@ def page_sequential_writes(region_name: str, rewrites: int = 2):
     remain flat while versions climb.
     """
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
         region = workload.region(region_name)
-        emitted = 0
-        page = 0
-        while emitted < count:
-            for _ in range(max(1, rewrites)):
-                for block in range(BLOCKS_PER_PAGE):
-                    if emitted >= count:
-                        return
-                    yield MemoryAccess(
-                        address=region.page_address(page, block), is_write=True
-                    )
-                    emitted += 1
-            page += 1
+        base, pages = region.base, region.pages
+        per_page = max(1, rewrites) * BLOCKS_PER_PAGE
+        page = 0  # the page being rewritten
+        done = 0  # accesses of its passes emitted so far
+        for n in chunk_sizes(count, chunk):
+            addresses = array("Q")
+            left = n
+            while left:
+                block = done % BLOCKS_PER_PAGE
+                run = min(BLOCKS_PER_PAGE - block, left)
+                _sweep(addresses, base + page * PAGE_BYTES, BLOCKS_PER_PAGE, block, run)
+                done += run
+                left -= run
+                if done == per_page:
+                    page = (page + 1) % pages
+                    done = 0
+            yield addresses, bytearray(b"\x01") * n
 
     return generate
 
@@ -282,25 +334,33 @@ def page_sequential_writes(region_name: str, rewrites: int = 2):
 def transactional_writes(region_name: str, txn_span_blocks: int = 8, write_fraction: float = 0.4):
     """OLTP-style transactions: read a few rows, then commit writes to them."""
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        region = workload.region(region_name)
-        emitted = 0
-        while emitted < count:
-            start = rng.randrange(region.blocks)
-            span = [start + i for i in range(txn_span_blocks)]
-            # Read phase
-            for block in span:
-                if emitted >= count:
-                    return
-                yield MemoryAccess(address=_clamp_block(region, block), is_write=False)
-                emitted += 1
-            # Commit phase
-            for block in span:
-                if emitted >= count:
-                    return
-                if rng.random() < write_fraction:
-                    yield MemoryAccess(address=_clamp_block(region, block), is_write=True)
-                    emitted += 1
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        base, blocks = _geometry(workload, region_name)
+        draw, randrange = rng.random, rng.randrange
+        span = txn_span_blocks
+        # Position in the current transaction: its span's reads, then one
+        # commit candidate per row; a new transaction starts at 2 * span.
+        step = 2 * span
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            left = n
+            while left:
+                if step == 2 * span:
+                    start = randrange(blocks)
+                    step = 0
+                if step < span:
+                    run = min(span - step, left)
+                    _sweep(addresses, base, blocks, (start + step) % blocks, run)
+                    writes += bytes(run)
+                    step += run
+                    left -= run
+                    continue
+                step += 1
+                if draw() < write_fraction:
+                    addresses.append(base + (start + step - span - 1) % blocks * CACHE_BLOCK_BYTES)
+                    writes.append(1)
+                    left -= 1
+            yield addresses, writes
 
     return generate
 
@@ -308,26 +368,30 @@ def transactional_writes(region_name: str, txn_span_blocks: int = 8, write_fract
 def matrix_multiply(read_region: str, write_region: str, tile_blocks: int = 32):
     """GEMM-like pattern: stream reads of weights, uniform writes of outputs."""
 
-    def generate(rng: random.Random, workload: Workload, count: int) -> Iterator[MemoryAccess]:
-        weights = workload.region(read_region)
-        output = workload.region(write_region)
-        emitted = 0
-        out_block = 0
-        w_block = 0
-        while emitted < count:
-            # Read a tile of weights...
-            for _ in range(tile_blocks):
-                if emitted >= count:
-                    return
-                yield MemoryAccess(address=weights.block_address(w_block), is_write=False)
-                emitted += 1
-                w_block += 1
-            # ...then write one output block.
-            if emitted >= count:
-                return
-            yield MemoryAccess(address=output.block_address(out_block), is_write=True)
-            emitted += 1
-            out_block += 1
+    def generate(rng: random.Random, workload: Workload, count: int, chunk: int) -> Iterator[Chunk]:
+        weight_base, weight_blocks = _geometry(workload, read_region)
+        output_base, output_blocks = _geometry(workload, write_region)
+        weight = 0  # the next weight block to read
+        output = 0  # the next output block to write
+        tile = 0  # weight reads in the current tile
+        for n in chunk_sizes(count, chunk):
+            addresses, writes = array("Q"), bytearray()
+            left = n
+            while left:
+                # Read a tile of weights, then write one output block.
+                if tile < tile_blocks:
+                    run = min(tile_blocks - tile, left)
+                    weight = _sweep(addresses, weight_base, weight_blocks, weight, run)
+                    writes += bytes(run)
+                    tile += run
+                    left -= run
+                else:
+                    addresses.append(output_base + output * CACHE_BLOCK_BYTES)
+                    writes.append(1)
+                    output = (output + 1) % output_blocks
+                    tile = 0
+                    left -= 1
+            yield addresses, writes
 
     return generate
 

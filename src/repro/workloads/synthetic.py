@@ -5,25 +5,17 @@ are all sensitive to *version locality* -- the degree to which writes within
 a page happen uniformly.  :class:`SyntheticWorkload` exposes that locality as
 a single knob so the ablation benchmarks can sweep it from perfectly uniform
 (all pages flat) to fully random (pages forced to uneven/full).
-
-Streaming contract: the access generator is seeded once and consumed in a
-single pass, so ``Workload.stream`` windows are bit-identical to a
-``capture()`` of the same length.  Keep the RNG draws strictly in emission
-order when extending this module.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import accumulate
 from typing import Iterator, List
 
-from repro.core.config import GIB, MIB
-from repro.workloads.base import (
-    MemoryAccess,
-    Workload,
-    WorkloadCharacteristics,
-    WorkloadPhase,
-)
+from repro.core.config import MIB
+from repro.workloads.base import Chunk, Workload, WorkloadCharacteristics, WorkloadPhase, chunk_sizes
 from repro.workloads.patterns import (
     random_block_writes,
     sequential_write_sweep,
@@ -105,30 +97,30 @@ class SyntheticWorkload(Workload):
             )
         return phases
 
-    def generate(self, num_accesses: int = 200_000) -> Iterator[MemoryAccess]:
+    def _chunks(self, num_accesses: int, chunk: int) -> Iterator[Chunk]:
         """Interleave phases access-by-access instead of running them serially.
 
         For the ablation studies the interesting quantity is the steady-state
         mixture, so uniform and scattered accesses are interleaved according
-        to their weights rather than executed as separate program phases.
+        to their weights rather than executed as separate program phases:
+        a second RNG picks each access's phase, whose generator (run for the
+        whole trace on the shared RNG) yields it as a chunk of one.  The
+        patterns' draws do not depend on chunk size, so the windows of
+        ``stream`` are bit-identical to ``capture``.
         """
-        if num_accesses <= 0:
-            raise ValueError("num_accesses must be positive")
-        rng = random.Random(self.seed + 1)
-        weights = [p.weight for p in self.phases]
-        generators = [
-            iter(p.generator(self.rng, self, num_accesses)) for p in self.phases
-        ]
-        emitted = 0
-        while emitted < num_accesses:
-            idx = rng.choices(range(len(generators)), weights=weights, k=1)[0]
-            try:
-                yield next(generators[idx])
-                emitted += 1
-            except StopIteration:
-                generators[idx] = iter(
-                    self.phases[idx].generator(self.rng, self, num_accesses)
+        choices = random.Random(self.seed + 1).choices
+        population = range(len(self.phases))
+        cum_weights = list(accumulate(p.weight for p in self.phases))
+        pulls = [p.generator(self.rng, self, num_accesses, 1) for p in self.phases]
+        for n in chunk_sizes(num_accesses, chunk):
+            addresses, writes = array("Q"), bytearray()
+            for _ in range(n):
+                more_addresses, more_writes = next(
+                    pulls[choices(population, cum_weights=cum_weights)[0]]
                 )
+                addresses += more_addresses
+                writes += more_writes
+            yield addresses, writes
 
 
 __all__ = ["SyntheticWorkload"]

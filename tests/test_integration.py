@@ -27,9 +27,9 @@ class TestWorkloadThroughProtectionEngine:
         engine = MemoryProtectionEngine(level=ProtectionLevel.CIF)
         workload = get_workload("hyrise", scale=0.0003, seed=4)
         shadow = {}
-        for i, access in enumerate(workload.generate(1500)):
-            addr = access.address - (access.address % 64)
-            if access.is_write:
+        for i, (address, is_write) in enumerate(workload.access_stream(1500)):
+            addr = address - (address % 64)
+            if is_write:
                 data = block(i.to_bytes(4, "little"))
                 engine.write_block(addr, data)
                 shadow[addr] = data
@@ -47,9 +47,9 @@ class TestWorkloadThroughProtectionEngine:
         attacker.snapshot(target)
         # Unrelated workload traffic plus an update of the target block.
         workload = get_workload("dbg", scale=0.0003, seed=5)
-        for access in workload.generate(500):
-            if access.is_write:
-                engine.write_block(access.address - access.address % 64, block(b"w"))
+        for address, is_write in workload.access_stream(500):
+            if is_write:
+                engine.write_block(address - address % 64, block(b"w"))
         engine.write_block(target, block(b"updated"))
         result = attacker.replay(target, expected_plaintext=block(b"initial"))
         assert result.detected and not result.succeeded

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import CACHE_BLOCK_BYTES, PAGE_BYTES
 from repro.workloads.base import (
-    MemoryAccess,
     MemoryRegion,
     Workload,
     WorkloadCharacteristics,
@@ -31,25 +30,12 @@ class TwoPhaseWorkload(Workload):
         ]
 
 
-class TestMemoryAccess:
-    def test_page_and_block_derivation(self):
-        access = MemoryAccess(address=2 * PAGE_BYTES + 3 * CACHE_BLOCK_BYTES, is_write=True)
-        assert access.page == 2
-        assert access.block == 2 * (PAGE_BYTES // CACHE_BLOCK_BYTES) + 3
-
-
 class TestMemoryRegion:
     def test_geometry(self):
         region = MemoryRegion("r", base=PAGE_BYTES, size=4 * PAGE_BYTES)
         assert region.end == 5 * PAGE_BYTES
         assert region.pages == 4
         assert region.blocks == 4 * 64
-
-    def test_block_address_wraps(self):
-        region = MemoryRegion("r", base=0, size=PAGE_BYTES)
-        assert region.block_address(0) == 0
-        assert region.block_address(64) == 0  # wraps
-        assert region.block_address(1) == CACHE_BLOCK_BYTES
 
     def test_contains(self):
         region = MemoryRegion("r", base=PAGE_BYTES, size=PAGE_BYTES)
@@ -88,34 +74,41 @@ class TestWorkloadLayout:
 class TestTraceGeneration:
     def test_trace_length(self):
         workload = TwoPhaseWorkload()
-        assert len(workload.trace(1000)) == 1000
+        assert len(workload.capture(1000)) == 1000
 
     def test_accesses_fall_within_regions(self):
         workload = TwoPhaseWorkload()
-        for access in workload.generate(2000):
-            assert any(r.contains(access.address) for r in workload.regions)
+        for address, _ in workload.access_stream(2000):
+            assert any(r.contains(address) for r in workload.regions)
 
     def test_reproducible_with_same_seed(self):
-        a = TwoPhaseWorkload(seed=3).trace(500)
-        b = TwoPhaseWorkload(seed=3).trace(500)
-        assert a == b
+        a = TwoPhaseWorkload(seed=3).capture(500)
+        b = TwoPhaseWorkload(seed=3).capture(500)
+        assert (a.addresses, a.writes) == (b.addresses, b.writes)
 
     def test_different_seeds_differ(self):
-        a = TwoPhaseWorkload(seed=3).trace(500)
-        b = TwoPhaseWorkload(seed=4).trace(500)
-        assert a != b
+        a = TwoPhaseWorkload(seed=3).capture(500)
+        b = TwoPhaseWorkload(seed=4).capture(500)
+        assert a.addresses != b.addresses
 
     def test_phase_weights_respected(self):
         workload = TwoPhaseWorkload()
-        trace = workload.trace(1000)
-        writes = sum(1 for a in trace if a.is_write)
+        trace = workload.capture(1000)
+        writes = sum(trace.writes)
         # The init phase (30% of accesses) is all writes; the work phase is
         # all reads, so roughly 30% of the trace should be writes.
         assert writes == pytest.approx(300, abs=20)
 
+    def test_access_stream_reads_the_captured_trace(self):
+        trace = TwoPhaseWorkload(seed=5).capture(1500)
+        assert list(TwoPhaseWorkload(seed=5).access_stream(1500)) == list(trace.access_stream())
+
     def test_invalid_access_count(self):
-        with pytest.raises(ValueError):
-            list(TwoPhaseWorkload().generate(0))
+        workload = TwoPhaseWorkload()
+        with pytest.raises(ValueError, match="num_accesses"):
+            workload.capture(0)
+        with pytest.raises(ValueError, match="num_accesses"):
+            list(workload.access_stream(0))
 
 
 class TestInstructionCalibration:

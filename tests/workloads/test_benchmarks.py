@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import GIB
+from repro.core.config import CACHE_BLOCK_BYTES, GIB, PAGE_BYTES
 from repro.workloads.base import Workload
 from repro.workloads.registry import (
     BENCHMARKS,
@@ -70,19 +70,19 @@ class TestEachBenchmark:
 
     def test_trace_addresses_in_regions(self, name):
         workload = get_workload(name, scale=0.001)
-        for access in workload.generate(3000):
-            assert any(r.contains(access.address) for r in workload.regions)
+        for address, _ in workload.access_stream(3000):
+            assert any(r.contains(address) for r in workload.regions)
 
     def test_trace_contains_reads_and_writes(self, name):
         workload = get_workload(name, scale=0.001)
-        trace = workload.trace(5000)
-        writes = sum(1 for a in trace if a.is_write)
+        trace = workload.capture(5000)
+        writes = sum(trace.writes)
         assert 0 < writes < len(trace)
 
     def test_reproducibility(self, name):
-        a = get_workload(name, scale=0.001, seed=9).trace(1000)
-        b = get_workload(name, scale=0.001, seed=9).trace(1000)
-        assert a == b
+        a = get_workload(name, scale=0.001, seed=9).capture(1000)
+        b = get_workload(name, scale=0.001, seed=9).capture(1000)
+        assert (a.addresses, a.writes) == (b.addresses, b.writes)
 
 
 class TestQualitativeBehaviour:
@@ -94,10 +94,10 @@ class TestQualitativeBehaviour:
         workload = get_workload(name, scale=0.001)
         pages = set()
         writes = 0
-        for access in workload.generate(accesses):
-            if access.is_write:
+        for address, is_write in workload.access_stream(accesses):
+            if is_write:
                 writes += 1
-                pages.add(access.page)
+                pages.add(address // PAGE_BYTES)
         return len(pages) / max(1, writes)
 
     def test_dp_kernels_write_uniformly(self):
@@ -112,15 +112,16 @@ class TestQualitativeBehaviour:
         def max_block_write_count(name):
             workload = get_workload(name, scale=0.001)
             counts = {}
-            for access in workload.generate(20_000):
-                if access.is_write:
-                    counts[access.block] = counts.get(access.block, 0) + 1
+            for address, is_write in workload.access_stream(20_000):
+                if is_write:
+                    block = address // CACHE_BLOCK_BYTES
+                    counts[block] = counts.get(block, 0) + 1
             return max(counts.values())
 
         assert max_block_write_count("pr") > max_block_write_count("llama2-gen")
 
     def test_llm_is_read_dominated(self):
         workload = get_workload("llama2-gen", scale=0.001)
-        trace = workload.trace(10_000)
-        reads = sum(1 for a in trace if not a.is_write)
+        trace = workload.capture(10_000)
+        reads = len(trace) - sum(trace.writes)
         assert reads / len(trace) > 0.6
