@@ -55,9 +55,7 @@ def _geometry(workload: Workload, region_name: str) -> Tuple[int, int]:
     return region.base, region.blocks
 
 
-def _sweep(
-    addresses: array, base: int, blocks: int, block: int, n: int, stride: int = 1
-) -> int:
+def _sweep(addresses: array, base: int, blocks: int, block: int, n: int, stride: int = 1) -> int:
     """Append the addresses of ``n`` blocks from ``block`` on, ``stride``
     apart and wrapping at the region's end; return the block after them
     (``0 <= block < blocks``)."""
@@ -141,7 +139,8 @@ def random_reads(region_name: str, hot_fraction: float = 0.0, hot_weight: float 
             add = addresses.append
             for _ in range(n):
                 hot = hot_blocks and draw() < hot_weight
-                add(base + (randrange(hot_blocks) if hot else randrange(blocks)) % blocks * CACHE_BLOCK_BYTES)
+                block = randrange(hot_blocks) if hot else randrange(blocks)
+                add(base + block % blocks * CACHE_BLOCK_BYTES)
             yield addresses, bytearray(n)
 
     return generate

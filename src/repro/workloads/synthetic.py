@@ -15,7 +15,9 @@ from itertools import accumulate
 from typing import Iterator, List
 
 from repro.core.config import MIB
-from repro.workloads.base import Chunk, Workload, WorkloadCharacteristics, WorkloadPhase, chunk_sizes
+from repro.workloads.base import (
+    Chunk, Workload, WorkloadCharacteristics, WorkloadPhase, chunk_sizes,
+)
 from repro.workloads.patterns import (
     random_block_writes,
     sequential_write_sweep,
@@ -115,9 +117,8 @@ class SyntheticWorkload(Workload):
         for n in chunk_sizes(num_accesses, chunk):
             addresses, writes = array("Q"), bytearray()
             for _ in range(n):
-                more_addresses, more_writes = next(
-                    pulls[choices(population, cum_weights=cum_weights)[0]]
-                )
+                pull = pulls[choices(population, cum_weights=cum_weights)[0]]
+                more_addresses, more_writes = next(pull)
                 addresses += more_addresses
                 writes += more_writes
             yield addresses, writes

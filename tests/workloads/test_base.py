@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CACHE_BLOCK_BYTES, PAGE_BYTES
+from repro.core.config import PAGE_BYTES
 from repro.workloads.base import (
     MemoryRegion,
     Workload,
