@@ -23,12 +23,12 @@ what makes bandwidth-hungry workloads (pr, bfs, llama2-gen) pay more for the
 CI metadata traffic than compute-bound ones -- the shape of Figure 6.
 
 The engine has two replay loops over one resumable state: the per-access
-:meth:`SimulationEngine.replay` and the distilled :func:`event_loop`, which
-:meth:`SimulationEngine.replay_events` runs alone and the batch replay of
-:mod:`repro.sim.replaycore` runs beside its numpy kernels, for the
-components that have none.  The convenience drivers :func:`compare_modes`
-and :func:`run_suite` run only the first: they are the undistilled serial
-oracle every other path is pinned against.
+:meth:`SimulationEngine.replay` and the distilled :func:`event_loop`
+(:meth:`SimulationEngine.replay_events`), which runs every hook per event.
+The batch replay of :mod:`repro.sim.replaycore` stands in for the second
+when every component of the stack has a batch kernel.  The convenience
+drivers :func:`compare_modes` and :func:`run_suite` run only the first:
+they are the undistilled serial oracle every other path is pinned against.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import heapq
 import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CACHE_BLOCK_BYTES, SystemConfig
@@ -328,9 +328,9 @@ class SimulationEngine:
         full per-access loop makes -- in the same order, so even float
         accumulation is bit-identical -- while every cache hit costs nothing.
         Index-periodic ``on_access`` telemetry fires at its recorded global
-        indices between events.  This is :func:`event_loop` with no batch
-        kernel: the loop the vectorized core falls back to when numpy is
-        absent or a component type is unknown.
+        indices between events.  This is :func:`event_loop`: what a stack
+        replays through when numpy is absent or a component has no batch
+        kernel.
 
         When the replay completes the stream's window (``stop ==
         events.stop_index``) the stream's per-window hierarchy counter deltas
@@ -476,107 +476,30 @@ def fold_statistics(state: EngineState, events: MissEventStream) -> None:
     hierarchy.writebacks += events.hierarchy_writebacks
 
 
-class _Capture:
-    """What the event loop read from and stored into one captured field."""
-
-    __slots__ = ("keys", "addends", "loads")
-
-    def __init__(self) -> None:
-        self.keys: List[Tuple[int, int, int]] = []  # (index, phase, stack order) per addend
-        self.addends: List[float] = []
-        self.loads = 0
-
-
-def _capturing(
-    latency: LatencyBreakdown, fields: Sequence[str], locate: Callable[[], Tuple[int, int, int]]
-) -> Tuple[LatencyBreakdown, Dict[str, _Capture]]:
-    """A stand-in for ``latency`` that records what is stored into ``fields``.
-
-    Reading a captured field yields 0.0, so a hook's ``+= addend`` stores
-    exactly ``addend`` (0.0 + x == x), which is recorded with the ``(index,
-    phase, stack order)`` that ``locate()`` returns instead of being added;
-    every other field is a plain copy, written back by the caller.  Reads
-    are counted too: a ``+=`` makes one read per store, so any other count
-    means a hook read the placeholder 0.0 or overwrote the field.  Returns
-    the stand-in and the per-field captures.
-    """
-    captures = {name: _Capture() for name in fields}
-
-    def recorder(capture: _Capture) -> property:
-        def load(self: LatencyBreakdown) -> float:
-            capture.loads += 1
-            return 0.0
-
-        def store(self: LatencyBreakdown, addend: float) -> None:
-            capture.keys.append(locate())
-            capture.addends.append(addend)
-
-        return property(load, store)
-
-    captured = type(
-        "CapturedLatency",
-        (type(latency),),
-        {name: recorder(capture) for name, capture in captures.items()},
-    )
-    stand_in = object.__new__(captured)
-    stand_in.__dict__.update(
-        (name, value) for name, value in vars(latency).items() if name not in captures
-    )
-    return stand_in, captures
-
-
 def event_loop(
-    state: EngineState,
-    events: MissEventStream,
-    lo: int,
-    hi: int,
-    stop: int,
-    batched: Optional[Container[int]] = None,
-    captured: Sequence[str] = (),
-) -> Dict[str, _Capture]:
-    """The one per-event replay loop, over ``events[lo:hi]``, ending at ``stop``.
+    state: EngineState, events: MissEventStream, lo: int, hi: int, stop: int
+) -> None:
+    """The per-event replay loop, over ``events[lo:hi]``, ending at ``stop``.
 
-    Every component without a batch kernel runs its ``on_read_miss`` /
-    ``on_writeback`` hooks event by event, and every index-periodic
-    ``on_access`` sampler fires at its global indices below ``stop`` between
-    events, merged in (index, stack order) -- the order the full replay
-    fires them in.
-
-    ``batched`` is ``None`` for the plain event replay: no kernel ran, so
-    the loop also performs the engine's own data fetch inline, in event
-    order, because an unknown component may read any latency field.  Its
-    rack traffic is inlined rather than routed through ``rack.access()``:
-    each device's latency is a constant and the page-to-device mapping a
-    fixed modulus, so the device counters are tallied in bulk at the end.
-
-    Otherwise the batch replay (:mod:`repro.sim.replaycore`) has already
-    applied the data fetch and the kernels of the components at the
-    ``batched`` stack positions, and ``captured`` names the latency fields
-    those kernels wrote.  While the loop runs, ``ctx.latency`` is then a
-    stand-in (:func:`_capturing`) that records each addend a hook stores
-    into those fields with the running hook's (event index, phase, stack
-    order), so the addends can join the window's ordered fold; a phase is
-    0 for samplers firing before the event, 1 for the read path and 2 for
-    the writeback path.  Returns the captures per field, after checking
-    that every hook only added to them.  A fully batched stack with no
-    sampler skips the loop.
+    Performs the engine's data fetch and runs every component's
+    ``on_read_miss`` / ``on_writeback`` hooks event by event, and fires
+    every index-periodic ``on_access`` sampler at its global indices below
+    ``stop`` between events, merged in (index, stack order) -- the order
+    the full replay fires them in.  The data fetch's rack traffic is
+    inlined rather than routed through ``rack.access()``: each device's
+    latency is a constant and the page-to-device mapping a fixed modulus,
+    so the device counters are tallied in bulk at the end.
     """
     ctx = state.ctx
     components = state.components
-    fetch = batched is None
-    residual = [
-        (order, component)
-        for order, component in enumerate(components)
-        if fetch or order not in batched
-    ]
     read_hooks = [
-        (order, c.on_read_miss)
-        for order, c in residual
+        c.on_read_miss
+        for c in components
         if type(c).on_read_miss is not PathComponent.on_read_miss
     ]
     writeback_hooks = [
-        (order, c.on_writeback)
-        for order, c in residual
+        c.on_writeback
+        for c in components
         if type(c).on_writeback is not PathComponent.on_writeback
     ]
 
@@ -601,23 +524,8 @@ def event_loop(
         streams.append(index_stream(first, period, order, component.on_access))
     pending = heapq.merge(*streams)
     next_sample = next(pending, None)
-    if not (fetch or read_hooks or writeback_hooks or next_sample is not None):
-        return {}
-
-    # The hook running now is the ``order``-th component of the stack, in
-    # ``phase`` of the event at global ``index``: the loop keeps the three
-    # in closure cells, so only a captured store pays to read them.
-    index = order = 0
-    phase = 1
-
-    def locate() -> Tuple[int, int, int]:
-        return index, phase, order
 
     latency = ctx.latency
-    captures: Dict[str, _Capture] = {}
-    if captured:
-        ctx.latency, captures = _capturing(latency, captured, locate)
-
     traffic = ctx.traffic
     rack = ctx.rack
     page_bytes = rack.config.toleo.page_bytes
@@ -634,72 +542,49 @@ def event_loop(
         events.writes[lo:hi],
         events.writeback_addresses[lo:hi],
     )
-    try:
-        for index, address, is_write, wb in window:
-            while next_sample is not None and next_sample[0] <= index:
-                ctx.index, order, hook = next_sample
-                phase = 0
-                hook(ctx)
-                phase = 1
-                next_sample = next(pending, None)
-            if sampling:
-                ctx.index = index
-            ctx.address = address
-            ctx.is_write = bool(is_write)
-            if fetch:
-                if (address // page_bytes) % cxl_period == 0:
-                    cxl_reads += 1
-                    latency.dram_ns += cxl_latency
-                else:
-                    local_reads += 1
-                    latency.dram_ns += local_latency
-                traffic.data_bytes += CACHE_BLOCK_BYTES
-            for order, hook in read_hooks:
-                hook(ctx)
-            if wb != WB_NONE:
-                ctx.address = wb
-                ctx.is_write = True
-                if fetch:
-                    if (wb // page_bytes) % cxl_period == 0:
-                        cxl_writes += 1
-                    else:
-                        local_writes += 1
-                    traffic.data_bytes += CACHE_BLOCK_BYTES
-                phase = 2
-                for order, hook in writeback_hooks:
-                    hook(ctx)
-                phase = 1
-
-        index, phase = stop, 0
-        while next_sample is not None:
-            ctx.index, order, hook = next_sample
+    for index, address, is_write, wb in window:
+        while next_sample is not None and next_sample[0] <= index:
+            ctx.index, _, hook = next_sample
             hook(ctx)
             next_sample = next(pending, None)
-    finally:
-        if ctx.latency is not latency:
-            for name, value in vars(ctx.latency).items():
-                setattr(latency, name, value)
-            ctx.latency = latency
-    for name, capture in captures.items():
-        if capture.loads != len(capture.addends):
-            raise ValueError(
-                f"a residual hook read ctx.latency.{name} {capture.loads} times but "
-                f"stored it {len(capture.addends)} times; a batch kernel writes "
-                "that field too, so a scalar-safe component may change it only "
-                "by `+=` and never read it otherwise (see docs/extending.md)"
-            )
-    if fetch:
-        for stats, reads, writes in (
-            (rack.local.stats, local_reads, local_writes),
-            (rack.pool.stats, cxl_reads, cxl_writes),
-        ):
-            stats.reads += reads
-            stats.writes += writes
-            stats.bytes_read += reads * CACHE_BLOCK_BYTES
-            stats.bytes_written += writes * CACHE_BLOCK_BYTES
-        state.llc_read_misses += local_reads + cxl_reads
-        state.writebacks += local_writes + cxl_writes
-    return captures
+        if sampling:
+            ctx.index = index
+        ctx.address = address
+        ctx.is_write = bool(is_write)
+        if (address // page_bytes) % cxl_period == 0:
+            cxl_reads += 1
+            latency.dram_ns += cxl_latency
+        else:
+            local_reads += 1
+            latency.dram_ns += local_latency
+        traffic.data_bytes += CACHE_BLOCK_BYTES
+        for hook in read_hooks:
+            hook(ctx)
+        if wb != WB_NONE:
+            ctx.address = wb
+            ctx.is_write = True
+            if (wb // page_bytes) % cxl_period == 0:
+                cxl_writes += 1
+            else:
+                local_writes += 1
+            traffic.data_bytes += CACHE_BLOCK_BYTES
+            for hook in writeback_hooks:
+                hook(ctx)
+    while next_sample is not None:
+        ctx.index, _, hook = next_sample
+        hook(ctx)
+        next_sample = next(pending, None)
+
+    for stats, reads, writes in (
+        (rack.local.stats, local_reads, local_writes),
+        (rack.pool.stats, cxl_reads, cxl_writes),
+    ):
+        stats.reads += reads
+        stats.writes += writes
+        stats.bytes_read += reads * CACHE_BLOCK_BYTES
+        stats.bytes_written += writes * CACHE_BLOCK_BYTES
+    state.llc_read_misses += local_reads + cxl_reads
+    state.writebacks += local_writes + cxl_writes
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ class PathComponent:
     #: at global access indices that are multiples of ``access_period``.
     #: The distilled event-replay path uses the declared period to re-fire
     #: the hook at exactly those indices between miss events; a component
-    #: that overrides ``on_access`` without declaring a period forces its
-    #: mode back onto the full per-access replay (exact, just slower).
+    #: that overrides ``on_access`` without declaring a period cannot replay
+    #: from events, so the suite pipeline rejects its mode at planning and
+    #: only the serial oracle's full per-access replay runs it.
     access_period: Optional[int] = None
 
     def on_access(self, ctx: AccessContext) -> None:
@@ -183,15 +184,24 @@ class StealthFreshnessComponent(PathComponent):
         if ctx.index % self.sample_every == 0:
             self.timeline.append(self.toleo.snapshot_usage())
 
-    def on_read_miss(self, ctx: AccessContext) -> None:
-        page = page_number(ctx.address)
-        block = block_index_in_page(ctx.address)
+    def read_version(self, traffic: TrafficBreakdown, address: int) -> Optional[float]:
+        """Look up a read miss's stealth version: ``None`` on a stealth-cache
+        hit, else the fetch's freshness latency (its bytes go to ``traffic``).
+
+        :meth:`on_read_miss` and the batch replay's kernel both call it.
+        """
+        page = page_number(address)
         fmt = self.toleo.table.format_of(page)
-        cache_access = self.stealth_cache.access(page, fmt, is_write=False)
-        if not cache_access.hit:
-            response = self.toleo.read(page, block)
-            ctx.traffic.stealth_bytes += response.bytes_transferred
-            ctx.latency.freshness_ns += response.latency_ns
+        if self.stealth_cache.access(page, fmt, is_write=False).hit:
+            return None
+        response = self.toleo.read(page, block_index_in_page(address))
+        traffic.stealth_bytes += response.bytes_transferred
+        return response.latency_ns
+
+    def on_read_miss(self, ctx: AccessContext) -> None:
+        latency_ns = self.read_version(ctx.traffic, ctx.address)
+        if latency_ns is not None:
+            ctx.latency.freshness_ns += latency_ns
 
     def on_writeback(self, ctx: AccessContext) -> None:
         page = page_number(ctx.address)

@@ -1,19 +1,18 @@
-"""Vectorized event-replay core: numpy batch kernels over miss-event columns.
+"""Vectorized event-replay core: batch kernels over miss-event columns.
 
-PR 5 reduced per-mode work to a scalar Python loop over the distilled
-:class:`~repro.sim.distill.MissEventStream`.  This module removes the loop
-for every protection component whose per-event cost is a function of the
-event columns plus a *verdict* that depends only on the event sequence:
+Distillation reduces per-mode work to a scalar Python loop over the
+:class:`~repro.sim.distill.MissEventStream`
+(:func:`~repro.sim.engine.event_loop`).  This module replaces that loop with
+one batch kernel per protection component:
 
 * :class:`BatchReplayEngine` replays a window of events -- of a full-run
   stream or of one event slice, at any width -- with numpy kernels for the
   engine's own rack data fetch and device tallies, encryption latency, MAC
-  fetches, counter-tree walks, EPC paging and InvisiMem packet inflation,
-  and runs only the *residual* components -- Toleo's stealth freshness,
-  whose RNG-driven Trip format changes make it truly stateful, and
-  third-party components declared scalar-safe -- through the engine's one
-  per-event loop (:func:`~repro.sim.engine.event_loop`), along with
-  ``access_period`` samplers.
+  fetches, counter-tree walks, EPC paging and InvisiMem packet inflation.
+  Toleo's stealth freshness, whose RNG-driven Trip format changes make it
+  truly stateful, has a kernel too: it runs the component's own hooks event
+  by event, fires its timeline sampler at its access indices between them,
+  and hands its freshness addends to the window's fold like any kernel.
 
 * A **verdict tier** (:class:`VerdictTier`) is a second distillation tier:
   the per-event verdict columns of one stateful component, computed once per
@@ -45,13 +44,9 @@ float accumulator is advanced with :func:`_sequential_sum` -- a seeded
 ``np.add.accumulate`` scan, the same left fold the loop performs.  A latency
 accumulator may have several writers (``freshness_ns`` has two in
 Client-SGX and in Toleo+Tree), so writers never add to it directly: each
-contributes its addends as columns tagged with their event and phase, and
+contributes its read-path addends as columns tagged with their event, and
 the window folds every accumulator **once**, with the addends sorted by
-(event, phase, stack order) -- the order the scalar loop adds them in.  The
-residual hooks' addends to a batch-written accumulator are captured exactly
-(see :func:`~repro.sim.engine.event_loop`) and join the same fold; a
-residual hook that reads such an accumulator for anything but ``+=`` makes
-the window raise.
+(event, stack order) -- the order the scalar loop adds them in.
 
 Windowed replay composes: seeding each window's scan with the running
 accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
@@ -67,12 +62,12 @@ so this never arises in practice.  The scalar hooks
 the oracle the tiers are pinned against, and the event loop runs them
 alone on numpy-free installs.
 
-Everything degrades gracefully: without numpy (:data:`HAVE_NUMPY` False) or
-with an unknown component type in the stack, :func:`vectorizable` returns
-False and callers run the event loop with no kernel
-(:meth:`SimulationEngine.replay_events`).  Third-party components opt in via
-:func:`declare_scalar_safe` (run per event in the event loop) or
-:func:`register_batch_kernel` (handled by a custom batch kernel).
+A stack replays through the kernels alone or without them: without numpy
+(:data:`HAVE_NUMPY` False) or with a component that has no kernel in the
+stack, :func:`vectorizable` returns False and callers run the event loop
+with no kernel (:meth:`SimulationEngine.replay_events`).  Third-party
+components opt in via :func:`register_batch_kernel`; a kernel replaces every
+hook of its component, ``on_access`` included.
 """
 
 from __future__ import annotations
@@ -90,7 +85,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Type,
 )
@@ -104,13 +98,7 @@ from repro.sim.distill import (
     load_slice,
     slice_bounds,
 )
-from repro.sim.engine import (
-    EngineOptions,
-    SimulationEngine,
-    event_loop,
-    event_window,
-    fold_statistics,
-)
+from repro.sim.engine import EngineOptions, event_window, fold_statistics
 from repro.sim.path import (
     TREE_LEVEL_STRIDE,
     TREE_METADATA_BASE,
@@ -128,7 +116,7 @@ from repro.sim.store import ResultStore, content_key, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.configs import ModeParameters
-    from repro.sim.engine import EngineState, _Capture
+    from repro.sim.engine import EngineState, SimulationEngine
     from repro.sim.path import AccessContext
 
 try:  # numpy is deliberately optional: the package never requires it, the
@@ -573,12 +561,11 @@ def stack_tiers(
 
     One ``(simulator, geometry)`` per component with a tier family, or none
     at all when the stack replays without the kernels (it is not
-    :meth:`~SimulationEngine.distillable` or not :func:`vectorizable`, which
-    includes every numpy-free install).  Only the components are needed,
-    as :func:`~repro.sim.path.build_components` builds them -- no engine
-    state.
+    :func:`vectorizable`, which includes every numpy-free install).  Only
+    the components are needed, as :func:`~repro.sim.path.build_components`
+    builds them -- no engine state.
     """
-    if not (SimulationEngine.distillable(components) and vectorizable(components)):
+    if not vectorizable(components):
         return []
     return [
         _tier_geometry(component, config)
@@ -754,8 +741,9 @@ class EventBatch:
     """One replay window's events in packed numpy column form.
 
     Built once per :meth:`BatchReplayEngine.replay` call and shared by every
-    batch kernel: ``indices`` / ``addresses`` / ``writes`` / ``writebacks``
-    are read-only column slices over ``[lo, hi)`` of the stream; ``wb_mask``
+    batch kernel: the window covers accesses ``[start, stop)``, whose events
+    are ``[lo, hi)`` of the stream; ``indices`` / ``addresses`` / ``writes``
+    / ``writebacks`` are read-only column slices over them; ``wb_mask``
     selects the events with a dirty eviction and ``wb_addresses`` their
     (compacted) writeback addresses, in event order.
     """
@@ -763,6 +751,8 @@ class EventBatch:
     __slots__ = (
         "lo",
         "hi",
+        "start",
+        "stop",
         "indices",
         "addresses",
         "writes",
@@ -771,9 +761,13 @@ class EventBatch:
         "wb_addresses",
     )
 
-    def __init__(self, events: MissEventStream, lo: int, hi: int) -> None:
+    def __init__(
+        self, events: MissEventStream, lo: int, hi: int, start: int, stop: int
+    ) -> None:
         self.lo = lo
         self.hi = hi
+        self.start = start
+        self.stop = stop
         self.indices = events.index_view[lo:hi]
         self.addresses = events.address_view[lo:hi]
         self.writes = events.write_view[lo:hi]
@@ -991,39 +985,74 @@ def _epc_paging_kernel(
     ctx.traffic.data_bytes += (faults + len(evicted)) * PAGE_BYTES
 
 
-#: Component types handled natively by a batch kernel.
+def _stealth_freshness_kernel(
+    replay: "BatchReplayEngine",
+    component: StealthFreshnessComponent,
+    ctx: "AccessContext",
+    batch: EventBatch,
+) -> None:
+    # RNG-driven Trip format changes give the stealth versions no columnar
+    # form, so the component's own code runs event by event (the read path
+    # through read_version, which on_read_miss calls too), and the timeline
+    # sampler fires at its access indices between events -- after the
+    # window's last event and in a window with no event too.  Only a
+    # stealth-cache miss adds to freshness_ns; its addend joins the fold at
+    # its event's position.
+    period = component.access_period
+    sample = -(-batch.start // period) * period
+    read_version, on_writeback, on_access = (
+        component.read_version,
+        component.on_writeback,
+        component.on_access,
+    )
+    traffic = ctx.traffic
+    positions: List[int] = []
+    addends: List[float] = []
+    events, lo, hi = replay.events, batch.lo, batch.hi
+    # The builtin arrays, as in the event loop: the hooks do Python
+    # arithmetic on the addresses.
+    window = zip(events.indices[lo:hi], events.addresses[lo:hi], events.writeback_addresses[lo:hi])
+    for pos, (index, address, wb) in enumerate(window):
+        while sample <= index:
+            ctx.index = sample
+            on_access(ctx)
+            sample += period
+        latency_ns = read_version(traffic, address)
+        if latency_ns is not None:
+            positions.append(pos)
+            addends.append(latency_ns)
+        if wb != WB_NONE:
+            ctx.address = wb
+            on_writeback(ctx)
+    while sample < batch.stop:
+        ctx.index = sample
+        on_access(ctx)
+        sample += period
+    if positions:
+        replay.add_latency(
+            "freshness_ns",
+            np.array(addends, dtype=np.float64),
+            positions=np.array(positions, dtype=np.int64),
+        )
+
+
+#: Component type -> its batch kernel.
 _BATCH_KERNELS: Dict[type, BatchKernel] = {
     EncryptionComponent: _encryption_kernel,
     MacIntegrityComponent: _mac_integrity_kernel,
+    StealthFreshnessComponent: _stealth_freshness_kernel,
     CounterTreeComponent: _counter_tree_kernel,
     EpcPagingComponent: _epc_paging_kernel,
     InvisiMemComponent: _invisimem_kernel,
 }
 
-#: Component types safe to run per event, in the engine's event loop,
-#: alongside the batch kernels.  Safe means the component's float writes
-#: are plain ``+=`` of one addend into ``ctx.latency`` fields (captured into
-#: the window's ordered fold whenever a batch kernel writes the same field);
-#: integer counters commute and need no promise.
-_SCALAR_SAFE_TYPES: Set[type] = {StealthFreshnessComponent}
-
-
-def declare_scalar_safe(component_type: type) -> None:
-    """Register a third-party component as safe for the residual loop.
-
-    The component promises that its hooks change float accumulators only by
-    ``ctx.latency.<field> += addend`` and never read them for anything else
-    (see ``_SCALAR_SAFE_TYPES``); its hooks then run per event in the
-    engine's event loop beside the batch kernels, interleaved exactly as
-    ``replay_events`` interleaves them.  See ``docs/extending.md``.
-    """
-    if not (isinstance(component_type, type) and issubclass(component_type, PathComponent)):
-        raise TypeError(f"{component_type!r} is not a PathComponent subclass")
-    _SCALAR_SAFE_TYPES.add(component_type)
-
 
 def register_batch_kernel(component_type: type, kernel: BatchKernel) -> None:
-    """Register a custom batch kernel for a third-party component type."""
+    """Register a custom batch kernel for a third-party component type.
+
+    The kernel replaces every hook of the component, ``on_access``
+    included; see ``docs/extending.md``.
+    """
     if not (isinstance(component_type, type) and issubclass(component_type, PathComponent)):
         raise TypeError(f"{component_type!r} is not a PathComponent subclass")
     _BATCH_KERNELS[component_type] = kernel
@@ -1032,22 +1061,11 @@ def register_batch_kernel(component_type: type, kernel: BatchKernel) -> None:
 def vectorizable(components: Sequence[PathComponent]) -> bool:
     """Whether a component stack can take the vectorized replay path.
 
-    Mirrors :meth:`SimulationEngine.distillable`'s role for the batch tier:
-    True only when numpy is importable and every component is either handled
-    by a batch kernel or declared scalar-safe.  Unknown component types make
-    the whole stack fall back to ``replay_events``, the event loop with no
-    kernel -- exact, just slower.
+    True only when numpy is importable and every component has a batch
+    kernel.  Any other stack replays through ``replay_events``, the event
+    loop with no kernel -- exact, just slower.
     """
-    if not HAVE_NUMPY:
-        return False
-    return all(
-        type(c) in _BATCH_KERNELS or type(c) in _SCALAR_SAFE_TYPES for c in components
-    )
-
-
-def residual_components(components: Sequence[PathComponent]) -> List[PathComponent]:
-    """The components the batch replay runs per event: those without a kernel."""
-    return [c for c in components if type(c) not in _BATCH_KERNELS]
+    return HAVE_NUMPY and all(type(c) in _BATCH_KERNELS for c in components)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,13 +1074,8 @@ def residual_components(components: Sequence[PathComponent]) -> List[PathCompone
 
 
 #: One writer's latency addends: (event positions or None for one per
-#: event, stack order, values in event order).
-_Addends = Tuple[Optional["np.ndarray"], int, "np.ndarray"]
-
-#: Addend slots per event: on_access samplers firing before the event (0),
-#: the read path (1) and the writeback path (2).  Batch kernels add on the
-#: read path; residual hooks may add in any phase.
-_PHASES = 3
+#: event, values in event order).
+_Addends = Tuple[Optional["np.ndarray"], "np.ndarray"]
 
 
 class BatchReplayEngine:
@@ -1099,7 +1112,6 @@ class BatchReplayEngine:
         if tier is not None:
             self._tiers[_tier_slot(MacTier.KIND, mac_geometry_fields(engine.config))] = tier
         self._addends: Dict[str, List[_Addends]] = {}
-        self._order = -1
         # The length of the run ``events`` belongs to; :meth:`replay` takes
         # it from the state it advances.
         self._num_accesses = events.stop_index
@@ -1128,7 +1140,7 @@ class BatchReplayEngine:
         positions in the window, ``None`` meaning one addend per event.  The
         window folds each field once, after every writer has contributed.
         """
-        self._addends.setdefault(field, []).append((positions, self._order, values))
+        self._addends.setdefault(field, []).append((positions, values))
 
     def replay(
         self,
@@ -1153,14 +1165,13 @@ class BatchReplayEngine:
 
         ctx = state.ctx
         self._num_accesses = state.num_accesses
-        batch = EventBatch(events, lo, hi)
+        batch = EventBatch(events, lo, hi, state.position, stop)
         n = batch.num_events
         n_wb = batch.num_writebacks
         self._addends = {}
 
         # ---- engine data fetch: common to every mode (batched) ------------
         if n:
-            self._order = -1
             read_cxl = _tally(ctx, batch.addresses, CACHE_BLOCK_BYTES, is_write=False)
             self.add_latency("dram_ns", _device_latency(ctx, read_cxl))
             _tally(ctx, batch.wb_addresses, CACHE_BLOCK_BYTES, is_write=True)
@@ -1168,59 +1179,37 @@ class BatchReplayEngine:
             state.llc_read_misses += n
             state.writebacks += n_wb
 
-        # ---- protection path: batch kernels, the rest per event -----------
-        batched = set()
-        for order, component in enumerate(state.components):
-            kernel = _BATCH_KERNELS.get(type(component))
-            if kernel is not None:
-                batched.add(order)
-                if n:
-                    self._order = order
-                    kernel(self, component, ctx, batch)
-
-        captures = event_loop(state, events, lo, hi, stop, batched, tuple(self._addends))
-        self._fold(ctx.latency, captures, batch)
+        # ---- protection path: one kernel per component -------------------
+        # A sampling component's kernel runs on a window with no event too:
+        # its samples are due by access index.
+        for component in state.components:
+            if n or type(component).on_access is not PathComponent.on_access:
+                _BATCH_KERNELS[type(component)](self, component, ctx, batch)
+        self._fold(ctx.latency, batch)
 
         state.position = stop
         if stop == events.stop_index:
             fold_statistics(state, events)
         return state
 
-    def _fold(
-        self, latency: LatencyBreakdown, captures: Dict[str, "_Capture"], batch: EventBatch
-    ) -> None:
-        """Fold each latency field's addends in (event, phase, stack order).
+    def _fold(self, latency: LatencyBreakdown, batch: EventBatch) -> None:
+        """Fold each latency field's addends in (event, stack order).
 
-        A field with one batch writer and no captured addends is already in
-        event order; otherwise every writer's addends are merged with a
-        stable sort, which keeps one writer's addends to one event in the
-        order it emitted them.  A captured addend's event is located by its
-        global index; samplers after the window's last event sort last.
+        A field with one writer is already in event order.  Otherwise the
+        writers' addends are merged with a stable sort by event: the writers
+        queued them in stack order (the data fetch first, then the kernels),
+        and a stable sort keeps that order among one event's addends, and
+        each writer's own order too.
         """
         for name, writers in self._addends.items():
-            capture = captures.get(name)
-            if len(writers) == 1 and not (capture and capture.addends):
-                ordered = writers[0][2]
+            if len(writers) == 1:
+                ordered = writers[0][1]
             else:
-                slot_columns = []
-                order_columns = []
-                value_columns = []
-                if capture:
-                    keys = np.array(capture.keys, dtype=np.int64).reshape(-1, 3)
-                    at = np.searchsorted(batch.indices, keys[:, 0].astype(np.uint64))
-                    slot_columns.append(at * _PHASES + keys[:, 1])
-                    order_columns.append(keys[:, 2])
-                    value_columns.append(np.array(capture.addends, dtype=np.float64))
-                for positions, order, values in writers:
-                    if positions is None:
-                        positions = np.arange(batch.num_events)
-                    slot_columns.append(positions * _PHASES + 1)
-                    order_columns.append(np.full(len(values), order, dtype=np.int64))
-                    value_columns.append(values)
-                permutation = np.lexsort(
-                    (np.concatenate(order_columns), np.concatenate(slot_columns))
+                positions = np.concatenate(
+                    [np.arange(batch.num_events) if at is None else at for at, _ in writers]
                 )
-                ordered = np.concatenate(value_columns)[permutation]
+                values = np.concatenate([values for _, values in writers])
+                ordered = values[np.argsort(positions, kind="stable")]
             setattr(latency, name, _sequential_sum(getattr(latency, name), ordered))
 
 
@@ -1228,17 +1217,11 @@ def mode_vector_profile(params: "ModeParameters") -> str:
     """How the vectorized core executes a registered mode's stack.
 
     Derived from the stack :func:`~repro.sim.path.build_components` builds
-    for the mode and the kernel registry: ``"batch"`` when every component
-    has a batch kernel and none samples ``on_access`` (no residual loop at
-    all), ``"hybrid"`` when a residual loop runs beside the kernels, and
-    ``"scalar"`` when numpy is unavailable or a component type is unknown
-    to both registries (the full scalar fallback).
+    for the mode and the kernel registry: ``"batch"`` when it is
+    :func:`vectorizable`, else ``"scalar"`` (the event loop with no kernel).
     """
     stack = build_components(params, SystemConfig(), EngineOptions(), footprint_bytes=1 << 20)
-    if not vectorizable(stack):
-        return "scalar"
-    sampling = any(type(c).on_access is not PathComponent.on_access for c in stack)
-    return "hybrid" if residual_components(stack) or sampling else "batch"
+    return "batch" if vectorizable(stack) else "scalar"
 
 
 __all__ = [
@@ -1254,14 +1237,12 @@ __all__ = [
     "TreeTierSimulator",
     "VerdictTier",
     "compute_mac_tier",
-    "declare_scalar_safe",
     "load_tier_slice",
     "mac_geometry_fields",
     "mac_tier_key",
     "mode_vector_profile",
     "put_tier_slices",
     "register_batch_kernel",
-    "residual_components",
     "stack_tiers",
     "tier_slice_key",
     "tier_slice_keys",

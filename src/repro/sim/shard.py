@@ -10,7 +10,8 @@ instead of monopolising one worker; an unsharded run is simply a chain of
 one full-length shard.  Every chain step is a :class:`ShardTask` replayed
 by :func:`run_shard_step` from the run's distilled event slices -- one
 slice covering the whole run unless a stream window narrows them -- and the
-replay loop is picked from what the worker observes, never from a flag.
+replay loop is picked from what the worker observes, never from a flag; a
+stack no event stream can drive is rejected at planning.
 
 The slices and their verdict tiers are produced on the same pool, by two
 more chains per *run* -- the identity every slice shares: benchmark, scale,
@@ -71,7 +72,6 @@ from repro.sim.results import (
     suite_key,
 )
 from repro.sim.store import ResultStore, content_key, default_store
-from repro.workloads.base import Trace
 
 
 @dataclass(frozen=True)
@@ -283,31 +283,26 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
     the run's ingest task distilled them once for every mode and shard, and
     the step was held until it had stored the slices up to ``stop``), so
     peak memory is one slice plus the checkpoint.  Every slice, at any
-    width, replays through the one event loop
-    (:func:`~repro.sim.engine.event_loop`): beside the numpy batch kernels
-    when the stack is :func:`~repro.sim.replaycore.vectorizable`, alone
-    otherwise.  The kernels read each slice's verdict tiers from the store,
-    where the run's tier chain put them before the step was released; a
-    tier still missing is computed from the run's first slice up to this
-    one (:func:`~repro.sim.replaycore.load_tier_slice`).  A
-    stack that is not even :meth:`~SimulationEngine.distillable` -- a
-    third-party sampler without ``access_period`` -- replays the trace
-    (re-derived through the per-process ``capture_trace`` memo), which needs
-    the run in one window: a windowed chain of such a stack raises
-    ``ValueError``.  The choice depends only on the stack and the worker's
-    numpy, both constant along a chain, so a chain replays one way end to
-    end (a vectorized checkpoint leaves component caches untouched and must
-    not be resumed without the kernels; :func:`checkpoint_key` keeps
-    resumed chains on their loop too).
+    width, replays through the numpy batch kernels when the stack is
+    :func:`~repro.sim.replaycore.vectorizable`, and through the event loop
+    with no kernel (:meth:`~SimulationEngine.replay_events`) otherwise.  The
+    kernels read each slice's verdict tiers from the store, where the run's
+    tier chain put them before the step was released; a tier still missing
+    is computed from the run's first slice up to this one
+    (:func:`~repro.sim.replaycore.load_tier_slice`).  Planning has already
+    rejected a stack the events cannot drive (:func:`producer_chains`).  The
+    choice depends only on the stack and the worker's numpy, both constant
+    along a chain, so a chain replays one way end to end (a vectorized
+    checkpoint leaves component caches untouched and must not be resumed
+    without the kernels; :func:`checkpoint_key` keeps resumed chains on
+    their loop too).
     """
     from repro.sim import replaycore
     from repro.sim.distill import load_slice
-    from repro.workloads.registry import capture_trace
 
     name, params, scale, num_accesses, seed, config, options, start, stop, window = task
     engine = SimulationEngine(params, config=config, options=options, seed=seed)
     state = None if carry is None else EngineState.deserialize(carry)
-    trace: Optional[Trace] = None
     position = start
     while position < stop:
         events = load_slice(name, scale, seed, num_accesses, window, position // window, config)
@@ -318,17 +313,7 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
                 f"checkpoint resumes at access {state.position}, "
                 f"but this shard's window starts at {position}"
             )
-        if not engine.distillable(state.components):
-            if window < num_accesses:
-                raise ValueError(
-                    f"mode {params.label!r} has components that cannot be "
-                    "event-driven, so it replays the trace and needs the whole "
-                    f"run in one window (stream window {window} < {num_accesses} "
-                    "accesses); declare access_period or drop the stream window"
-                )
-            trace = capture_trace(name, scale=scale, seed=seed, num_accesses=num_accesses)
-            engine.replay(state, trace, stop=stop)
-        elif replaycore.vectorizable(state.components):
+        if replaycore.vectorizable(state.components):
             replayer = replaycore.BatchReplayEngine(engine, events, window=window)
             replayer.replay(state, stop=min(stop, events.stop_index))
         else:
@@ -336,7 +321,7 @@ def run_shard_step(task: ShardTask, carry: Optional[bytes]) -> Any:
         position = state.position
     if stop < num_accesses:
         return state.serialize()
-    return engine.finish(state, trace if trace is not None else events.run_meta(num_accesses))
+    return engine.finish(state, events.run_meta(num_accesses))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +516,11 @@ def prepare_suite(plan: RunPlan) -> List[List[ShardTask]]:
 
 
 def _stack_tiers(task: ShardTask, footprint_bytes: int) -> List[Tuple[Type[Any], Dict[str, int]]]:
-    """The verdict tiers a replay chain's kernels read, from its bare stack."""
+    """The verdict tiers a replay chain's kernels read, from its bare stack.
+
+    Raises ``ValueError`` for a sampler without ``access_period``, which no
+    event stream can drive (:func:`~repro.sim.engine.run_suite` can).
+    """
     from repro.sim import replaycore
     from repro.sim.path import build_components
 
@@ -543,6 +532,13 @@ def _stack_tiers(task: ShardTask, footprint_bytes: int) -> List[Tuple[Type[Any],
         seed=task.seed,
         num_accesses=task.num_accesses,
     )
+    undeclared = [type(c).__name__ for c in components if not SimulationEngine.distillable([c])]
+    if undeclared:
+        raise ValueError(
+            f"mode {task.params.label!r} cannot replay from miss events: "
+            f"{', '.join(undeclared)} overrides on_access without declaring "
+            "access_period; declare it, or replay the mode with run_suite"
+        )
     return replaycore.stack_tiers(components, task.config)
 
 
@@ -564,7 +560,8 @@ def producer_chains(
 
     Tier step k waits for ingest progress past slice k; replay step j waits
     for tier progress past its stop when its stack reads a tier the chain
-    computes, else for ingest progress past it.
+    computes, else for ingest progress past it.  A stack no event stream
+    can drive raises ``ValueError`` here, before any task runs.
     """
     from repro.sim import replaycore
     from repro.sim.distill import events_slice_key, slice_bounds

@@ -343,8 +343,9 @@ class TestSuiteStoreSharing:
 
 
 class TestFallbackForUndeclaredSamplers:
-    """Components with per-access hooks but no declared period stay exact by
-    falling back to the full replay."""
+    """Components with per-access hooks but no declared period replay only
+    through the full per-access replay of the serial oracle; the pipeline
+    rejects them at planning."""
 
     def test_distillable_requires_declared_period(self):
         class Opaque(PathComponent):
@@ -371,9 +372,9 @@ class TestFallbackForUndeclaredSamplers:
 
     @pytest.mark.parametrize("shard_size", (None, 7))
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_pipeline_falls_back_bit_identically(self, jobs, shard_size, monkeypatch):
-        # At width 7 the trace replay hands its state through 37
-        # checkpoints, as a sharded chain of any undistillable stack does.
+    def test_pipeline_rejects_the_stack_at_planning(
+        self, jobs, shard_size, monkeypatch, fresh_default_store
+    ):
         run = dict(
             modes=("Toleo",), scale=0.002, num_accesses=TRACE_LEN, seed=7,
             config=SMALL_CONFIG,
@@ -387,10 +388,16 @@ class TestFallbackForUndeclaredSamplers:
             del self.access_period
 
         monkeypatch.setattr(StealthFreshnessComponent, "__init__", init)
-        fallback = run_benchmarks(
-            ("memcached",), jobs=jobs, shard_size=shard_size, use_cache=False, **run
-        )["memcached"]["Toleo"]
-        assert fallback.to_dict() == reference.to_dict()
+        # The serial oracle still replays the stack, from the trace.
+        oracle = run_suite(("memcached",), **run)["memcached"]["Toleo"]
+        assert oracle.to_dict() == reference.to_dict()
+        with pytest.raises(ValueError, match="StealthFreshnessComponent .*access_period"):
+            run_benchmarks(
+                ("memcached",), jobs=jobs, shard_size=shard_size, use_cache=False,
+                store=fresh_default_store, **run
+            )
+        # Raised in the parent, before any task ran: nothing was ingested.
+        assert list(fresh_default_store.disk_keys()) == []
 
 
 class TestReplayEventsContract:

@@ -340,7 +340,7 @@ class TestPipelinedSupervision:
 
 _SIGINT_SCRIPT = textwrap.dedent(
     """
-    import os, sys, time
+    import os, signal, sys, time
 
     def work(i):
         marker = os.path.join(sys.argv[1], f"pid-{os.getpid()}-{i}")
@@ -350,6 +350,10 @@ _SIGINT_SCRIPT = textwrap.dedent(
 
     if __name__ == "__main__":
         from repro.sim.parallel import parallel_map
+        # A shell that ignores SIGINT (a detached or background one) passes
+        # that on, and Python then installs no KeyboardInterrupt handler:
+        # restore it, so ^C reaches the map as it does from a terminal.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             parallel_map(work, [0, 1], jobs=2)
         except KeyboardInterrupt:

@@ -31,6 +31,7 @@ from repro.sim.configs import (
 from repro.sim.distill import events_key, events_slice_key
 from repro.sim.engine import EngineOptions, SimulationEngine
 from repro.sim.faults import FAULT_PLAN_ENV, TaskFailedError
+from repro.sim.path import StealthFreshnessComponent
 from repro.sim.parallel import suite_tasks
 from repro.sim.results import suite_key
 from repro.sim.shard import (
@@ -400,7 +401,19 @@ class TestReplayLoopSelection:
             carry = run_shard_step(task, carry)
         return carry
 
-    @pytest.mark.parametrize("stack", ("vectorizable", "distillable", "opaque"))
+    @staticmethod
+    def _undeclare_the_sampler(monkeypatch):
+        """Make Toleo's timeline sampler what a third-party sampler without
+        ``access_period`` looks like."""
+        original = StealthFreshnessComponent.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            del self.access_period
+
+        monkeypatch.setattr(StealthFreshnessComponent, "__init__", init)
+
+    @pytest.mark.parametrize("stack", ("vectorizable", "distillable"))
     def test_step_replays_through_the_loop_its_stack_allows(self, stack, monkeypatch):
         serial = self._serial("CI")
         # Without numpy no stack is vectorizable, so the scalar replay runs.
@@ -408,12 +421,6 @@ class TestReplayLoopSelection:
         if stack == "distillable":
             monkeypatch.setattr(replaycore, "vectorizable", lambda components: False)
             expected = "events"
-        elif stack == "opaque":
-            # What a third-party sampler without ``access_period`` looks like.
-            monkeypatch.setattr(
-                SimulationEngine, "distillable", staticmethod(lambda components: False)
-            )
-            expected = "trace"
         ran = self._record_loops(monkeypatch)
         (task,) = shard_chain("memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7)
         assert run_shard_step(task, None).to_dict() == serial.to_dict()
@@ -438,27 +445,33 @@ class TestReplayLoopSelection:
         assert self._run_chain(chain).to_dict() == serial.to_dict()
         assert ran == ["batch" if replaycore.HAVE_NUMPY else "events"] * 3
 
-    def test_a_windowed_opaque_stack_is_rejected_by_name(self, monkeypatch):
-        monkeypatch.setattr(
-            SimulationEngine, "distillable", staticmethod(lambda components: False)
-        )
-        (task,) = shard_chain(
-            "memcached", "Toleo", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, window=64
-        )
-        with pytest.raises(ValueError, match="mode 'Toleo' .* one window"):
-            run_shard_step(task, None)
-
-    def test_a_one_window_opaque_stack_replays_the_trace(self, monkeypatch):
-        serial = self._serial("Toleo")
-        monkeypatch.setattr(
-            SimulationEngine, "distillable", staticmethod(lambda components: False)
-        )
+    @pytest.mark.parametrize("window", (TRACE_LEN, 64))
+    @pytest.mark.parametrize("shard_size", (TRACE_LEN, 100))
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_an_opaque_stack_is_rejected_by_name_at_planning(
+        self, jobs, shard_size, window, monkeypatch, fresh_default_store
+    ):
+        self._undeclare_the_sampler(monkeypatch)
         ran = self._record_loops(monkeypatch)
-        chain = shard_chain(
-            "memcached", "Toleo", ShardSpec(100), 0.002, TRACE_LEN, 7, window=TRACE_LEN
-        )
-        assert self._run_chain(chain).to_dict() == serial.to_dict()
-        assert ran == ["trace"] * 3
+        chains = [
+            shard_chain("memcached", mode, ShardSpec(shard_size), 0.002, TRACE_LEN, 7,
+                        window=window)
+            for mode in ("NoProtect", "Toleo")
+        ]
+        with pytest.raises(
+            ValueError, match="mode 'Toleo' .*StealthFreshnessComponent .*access_period"
+        ):
+            shard.run_chains(chains, jobs=jobs, resume=False)
+        # Raised in the parent before any task ran: no replay, no ingestion.
+        assert ran == []
+        assert list(fresh_default_store.disk_keys()) == []
+
+    def test_run_suite_still_replays_an_opaque_stack(self, monkeypatch):
+        serial = self._serial("Toleo")
+        self._undeclare_the_sampler(monkeypatch)
+        ran = self._record_loops(monkeypatch)
+        assert self._serial("Toleo").to_dict() == serial.to_dict()
+        assert ran == ["trace"]
 
 
 class TestRunAndStitch:

@@ -25,23 +25,16 @@ from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
 from repro.sim.engine import EngineOptions, EngineState, SimulationEngine
 from repro.sim import replaycore
-from repro.sim.path import (
-    MacIntegrityComponent,
-    PathComponent,
-    StealthFreshnessComponent,
-    build_components,
-)
+from repro.sim.path import MacIntegrityComponent, PathComponent, build_components
 from repro.sim.replaycore import (
     HAVE_NUMPY,
     BatchReplayEngine,
     MacTier,
     compute_mac_tier,
-    declare_scalar_safe,
     load_tier_slice,
     mac_tier_key,
     mode_vector_profile,
     register_batch_kernel,
-    residual_components,
     vectorizable,
 )
 from repro.sim.store import ResultStore
@@ -63,20 +56,20 @@ SMALL_CONFIG = dataclasses.replace(
 
 TRACE_LEN = 260
 
-#: How the vectorized core runs each registered mode: every component
-#: batched, or batch kernels plus a per-event residual loop.
-PROFILES = {
-    "NoProtect": "batch",
-    "C": "batch",
-    "CI": "batch",
-    "Toleo": "hybrid",
-    "InvisiMem": "batch",
-    "CIF-Tree": "batch",
-    "Client-SGX": "batch",
-    "Vault-Tree": "batch",
-    "Scalable-SGX": "batch",
-    "Toleo+Tree": "hybrid",
-}
+#: Every shipped mode: each of its components has a batch kernel, so each
+#: profiles ``batch`` with numpy.
+SHIPPED_MODES = (
+    "NoProtect",
+    "C",
+    "CI",
+    "Toleo",
+    "InvisiMem",
+    "CIF-Tree",
+    "Client-SGX",
+    "Vault-Tree",
+    "Scalable-SGX",
+    "Toleo+Tree",
+)
 
 ALL_MODES = registered_modes()
 
@@ -259,18 +252,7 @@ class TestCapabilityRegistry:
 
         assert not vectorizable([Opaque()])
 
-    def test_declare_scalar_safe_admits_new_components(self):
-        class Declared(PathComponent):
-            def on_event(self, ctx):  # pragma: no cover - never dispatched
-                pass
-
-        assert not vectorizable([Declared()])
-        declare_scalar_safe(Declared)
-        assert vectorizable([Declared()])
-
     def test_registration_rejects_non_components(self):
-        with pytest.raises(TypeError):
-            declare_scalar_safe(int)
         with pytest.raises(TypeError):
             register_batch_kernel(int, lambda replay, comp, ctx, batch: None)
 
@@ -285,24 +267,18 @@ class TestCapabilityRegistry:
         with pytest.raises(ValueError, match="not vectorizable"):
             BatchReplayEngine(engine, events).replay(state)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", SHIPPED_MODES)
     def test_mode_vector_profile(self, mode):
-        assert mode_vector_profile(mode_parameters(mode)) == PROFILES[mode]
+        assert mode_vector_profile(mode_parameters(mode)) == "batch"
 
     def test_every_registered_mode_has_a_profile(self):
         # Listing all ten makes a new registration decide its row.
-        assert set(PROFILES) == set(ALL_MODES)
+        assert set(SHIPPED_MODES) == set(ALL_MODES)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_stealth_freshness_is_the_only_residual(self, mode, events):
-        # The profile is derived from the built stack and the kernel
-        # registry: Toleo's stealth freshness is the one component left on
-        # the per-event loop.
-        engine = SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=7)
-        state = engine.begin(events, events.num_accesses)
-        residual = [type(c) for c in residual_components(state.components)]
-        expected = [StealthFreshnessComponent] if PROFILES[mode] == "hybrid" else []
-        assert residual == expected
+    @pytest.mark.parametrize("mode", SHIPPED_MODES)
+    def test_without_numpy_every_mode_profiles_scalar(self, mode, monkeypatch):
+        monkeypatch.setattr(replaycore, "HAVE_NUMPY", False)
+        assert mode_vector_profile(mode_parameters(mode)) == "scalar"
 
     def test_unknown_components_profile_scalar(self, monkeypatch):
         class Opaque3(PathComponent):
