@@ -31,6 +31,7 @@ from repro.sim.configs import (
     ModeParameters,
     mode_parameters,
     register_mode,
+    registered_modes,
     unregister_mode,
 )
 from repro.sim import distill, replaycore
@@ -468,6 +469,61 @@ class TestTierSlices:
             tier_slice_key(component, *self.RUN, window, index, SMALL_CONFIG) in store
             for index in range(5)
         ] == [True, True, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# The stealth versions do not depend on the rest of the stack
+# ---------------------------------------------------------------------------
+
+#: The result fields the stealth-version component alone reports.
+STEALTH_TELEMETRY = (
+    "stealth_cache_hit_rate",
+    "trip_format_counts",
+    "toleo_usage_bytes",
+    "toleo_peak_bytes",
+    "toleo_usage_timeline",
+)
+
+#: A stack of stealth versions and nothing else, registered at runtime.
+STEALTH_ONLY = ModeParameters(
+    "Stealth-Only", stealth_traffic=True, description="test stack: stealth versions alone"
+)
+
+
+class TestStealthTelemetryIsStackIndependent:
+    """Every stack with stealth versions reports the same stealth telemetry,
+    serially and through the pipeline: the premise that lets one stealth
+    tier per run serve Toleo, Toleo+Tree and any other such stack."""
+
+    RUN = ("redis", 0.002, 7, 3000)
+
+    def test_every_stealth_stack_reports_the_same_telemetry(self, fresh_default_store):
+        name, scale, seed, num_accesses = self.RUN
+        register_mode(STEALTH_ONLY)
+        try:
+            modes = [m for m in registered_modes() if mode_parameters(m).stealth_traffic]
+            assert {"Toleo", "Toleo+Tree", "Stealth-Only"} <= set(modes)
+            trace = get_workload(name, scale=scale, seed=seed).capture(num_accesses)
+            serial = [
+                SimulationEngine.from_mode(mode, config=SMALL_CONFIG, seed=seed).run(
+                    trace, num_accesses=num_accesses
+                )
+                for mode in modes
+            ]
+            chains = [
+                shard_chain(name, mode, ShardSpec(1100), scale, num_accesses, seed,
+                            config=SMALL_CONFIG, window=num_accesses // 3)
+                for mode in modes
+            ]
+            piped = run_chains(chains, jobs=1, resume=False)
+        finally:
+            unregister_mode(STEALTH_ONLY.label)
+        reported = [
+            {field: getattr(result, field) for field in STEALTH_TELEMETRY}
+            for result in serial + piped
+        ]
+        assert all(telemetry == reported[0] for telemetry in reported), modes
+        assert serial[0].writebacks > 0 and len(serial[0].toleo_usage_timeline) > 1
 
 
 # ---------------------------------------------------------------------------
