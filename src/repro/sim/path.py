@@ -161,6 +161,10 @@ class StealthFreshnessComponent(PathComponent):
 
     Owns the Toleo device and the on-chip stealth-version cache, and samples
     the device-usage timeline once every ``sample_every`` accesses (Figure 12).
+    The vectorized replay reads each lookup's verdict, the timeline and the
+    rest of the telemetry from a :class:`~repro.sim.replaycore.StealthTier`
+    instead, and leaves the device and the cache cold; the hooks are the
+    oracle that tier is pinned against, and the loop for scalar replays.
     """
 
     def __init__(
@@ -176,32 +180,26 @@ class StealthFreshnessComponent(PathComponent):
             strict_capacity=False,
         )
         self.stealth_cache = StealthVersionCache(config=config)
+        self.seed = seed
         self.sample_every = max(1, sample_every)
         self.access_period = self.sample_every
         self.timeline: List[Dict[str, int]] = []
+        #: The telemetry but the timeline, as the batch kernel restored it
+        #: from the stealth tier at the last slice stop it replayed; ``None``
+        #: while the hooks keep the device and the cache.
+        self.restored: Optional[Dict[str, Any]] = None
 
     def on_access(self, ctx: AccessContext) -> None:
         if ctx.index % self.sample_every == 0:
             self.timeline.append(self.toleo.snapshot_usage())
 
-    def read_version(self, traffic: TrafficBreakdown, address: int) -> Optional[float]:
-        """Look up a read miss's stealth version: ``None`` on a stealth-cache
-        hit, else the fetch's freshness latency (its bytes go to ``traffic``).
-
-        :meth:`on_read_miss` and the batch replay's kernel both call it.
-        """
-        page = page_number(address)
-        fmt = self.toleo.table.format_of(page)
-        if self.stealth_cache.access(page, fmt, is_write=False).hit:
-            return None
-        response = self.toleo.read(page, block_index_in_page(address))
-        traffic.stealth_bytes += response.bytes_transferred
-        return response.latency_ns
-
     def on_read_miss(self, ctx: AccessContext) -> None:
-        latency_ns = self.read_version(ctx.traffic, ctx.address)
-        if latency_ns is not None:
-            ctx.latency.freshness_ns += latency_ns
+        page = page_number(ctx.address)
+        fmt = self.toleo.table.format_of(page)
+        if not self.stealth_cache.access(page, fmt, is_write=False).hit:
+            response = self.toleo.read(page, block_index_in_page(ctx.address))
+            ctx.traffic.stealth_bytes += response.bytes_transferred
+            ctx.latency.freshness_ns += response.latency_ns
 
     def on_writeback(self, ctx: AccessContext) -> None:
         page = page_number(ctx.address)
@@ -217,6 +215,8 @@ class StealthFreshnessComponent(PathComponent):
             self.stealth_cache.invalidate(page)
 
     def telemetry(self) -> Dict[str, Any]:
+        if self.restored is not None:
+            return {**self.restored, "toleo_usage_timeline": self.timeline}
         return {
             "stealth_cache_hit_rate": self.stealth_cache.hit_rate,
             "trip_format_counts": self.toleo.table.format_counts(),

@@ -8,22 +8,22 @@ one batch kernel per protection component:
 * :class:`BatchReplayEngine` replays a window of events -- of a full-run
   stream or of one event slice, at any width -- with numpy kernels for the
   engine's own rack data fetch and device tallies, encryption latency, MAC
-  fetches, counter-tree walks, EPC paging and InvisiMem packet inflation.
-  Toleo's stealth freshness, whose RNG-driven Trip format changes make it
-  truly stateful, has a kernel too: it runs the component's own hooks event
-  by event, fires its timeline sampler at its access indices between them,
-  and hands its freshness addends to the window's fold like any kernel.
+  fetches, Toleo's stealth-version fetches, counter-tree walks, EPC paging
+  and InvisiMem packet inflation.  No kernel runs a component's hooks.
 
 * A **verdict tier** (:class:`VerdictTier`) is a second distillation tier:
   the per-event verdict columns of one stateful component, computed once per
   ``(event slice, component geometry)`` into a content-keyed
   :class:`~repro.sim.store.ResultStore` entry (:func:`tier_slice_key`; a
   one-window run's single slice is keyed as the full-run tier).
-  Three families ship: the MAC cache's hit/miss per lookup
+  Four families ship: the MAC cache's hit/miss per lookup
   (:class:`MacTier`, shared by every MAC-bearing mode because
-  ``fetch_bytes`` is not part of the verdict), the number of levels each
-  counter-tree walk fetched (:class:`TreeTier`), and the EPC's page faults
-  and dirty evictions (:class:`EpcTier`).  Each is computed by a stateful
+  ``fetch_bytes`` is not part of the verdict), the stealth-version cache's
+  hit/miss per lookup together with the Toleo telemetry (:class:`StealthTier`,
+  shared by every stack with stealth versions, since latencies are priced
+  at replay), the number of levels each counter-tree walk fetched
+  (:class:`TreeTier`), and the EPC's page faults and dirty evictions
+  (:class:`EpcTier`).  Each is computed by a stateful
   :class:`TierSimulator` whose :meth:`advance` carries its cache state
   across windows, like :meth:`~repro.sim.distill.HierarchyDistiller.advance`,
   so the slices concatenate to the one-shot tier.  The suite pipeline's
@@ -53,14 +53,17 @@ accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
 match too, and each slice's hierarchy statistics fold once, at the slice's
 stop (:func:`~repro.sim.engine.fold_statistics`).  One caveat: the
 vectorized path never touches the components' own cache objects (the tiers
-stand in for the MAC-cache, tree-cache and EPC lookups), so a checkpoint
-produced by a vectorized window can only be resumed vectorized.  A scalar
-window *can* be resumed vectorized -- a tier's simulator state at any event
-position equals the real component's.  Drivers use one strategy per chain,
-so this never arises in practice.  The scalar hooks
-(``CounterTreeComponent._walk``, ``EpcPagingComponent._touch``, ...) stay
-the oracle the tiers are pinned against, and the event loop runs them
-alone on numpy-free installs.
+stand in for the MAC-cache, stealth-cache and Toleo-device, tree-cache and
+EPC lookups), so a checkpoint produced by a vectorized window can only be
+resumed vectorized.  A scalar window *can* be resumed vectorized -- a
+tier's simulator state at any event position equals the real component's.
+Drivers use one strategy per chain, so this never arises in practice.  The
+stealth kernel takes the component's timeline samples from the tier by
+access index, and restores the rest of its telemetry at each slice's stop.
+The scalar hooks (``CounterTreeComponent._walk``,
+``StealthFreshnessComponent.on_writeback``, ...) stay the oracle the tiers
+are pinned against, and the event loop runs them alone on numpy-free
+installs.
 
 A stack replays through the kernels alone or without them: without numpy
 (:data:`HAVE_NUMPY` False) or with a component that has no kernel in the
@@ -75,6 +78,7 @@ from __future__ import annotations
 import base64
 import sys
 from array import array
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -89,7 +93,21 @@ from typing import (
     Type,
 )
 
-from repro.core.config import CACHE_BLOCK_BYTES, MACS_PER_BLOCK, PAGE_BYTES, SystemConfig
+from repro.cache.cache import CacheStats
+from repro.core.config import (
+    CACHE_BLOCK_BYTES,
+    FLAT_ENTRY_BYTES,
+    FULL_ENTRY_BLOCKS,
+    FULL_ENTRY_BYTES,
+    MACS_PER_BLOCK,
+    PAGE_BYTES,
+    UNEVEN_ENTRY_BYTES,
+    SystemConfig,
+    ToleoConfig,
+)
+from repro.core.toleo import ToleoDevice
+from repro.core.trip import TripFormat
+from repro.crypto.rng import DRangeRng
 from repro.sim.distill import (
     WB_NONE,
     MissEventStream,
@@ -171,7 +189,7 @@ class VerdictTier:
     SPARSE: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(
-        self, num_events: int, geometry: Optional[Dict[str, int]] = None, **columns: Any
+        self, num_events: int, geometry: Optional[Dict[str, Any]] = None, **columns: Any
     ) -> None:
         self.num_events = num_events
         self.geometry = dict(geometry or {})
@@ -278,6 +296,96 @@ class EpcTier(VerdictTier):
     evict_pages: array
 
 
+class StealthTier(VerdictTier):
+    """The stealth-version cache's verdicts, and the Toleo telemetry.
+
+    ``read_hits[i]`` / ``wb_hits[i]`` are 1 when event ``i``'s read-path /
+    writeback-path lookup hit the TLB extension or the overflow buffer; a
+    miss fetches one version from the Toleo device.  The timeline samples
+    taken every ``sample_every`` accesses are keyed by their access index
+    (``sample_indices``, with each sample's flat / uneven / full bytes), so
+    a window that stops inside the slice takes exactly the samples before
+    its stop.  ``at_stop`` holds the rest of the telemetry as it stands at
+    the slice's stop: the TLB and overflow-buffer hit and miss counters, the
+    pages in each Trip format and the peak dynamic bytes.
+    """
+
+    KIND = "stealthtier"
+    DENSE = ("read_hits", "wb_hits")
+    SPARSE = ("sample_indices", "sample_flat", "sample_uneven", "sample_full")
+    AT_STOP = (
+        "tlb_hits",
+        "tlb_misses",
+        "overflow_hits",
+        "overflow_misses",
+        "flat_pages",
+        "uneven_pages",
+        "full_pages",
+        "peak_dynamic_bytes",
+    )
+    read_hits: bytearray
+    wb_hits: bytearray
+    sample_indices: array
+    sample_flat: array
+    sample_uneven: array
+    sample_full: array
+
+    def __init__(
+        self, num_events: int, geometry: Optional[Dict[str, Any]] = None, **columns: Any
+    ) -> None:
+        super().__init__(num_events, geometry, **columns)
+        self.at_stop: Dict[str, int] = dict.fromkeys(self.AT_STOP, 0)
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {**super().to_payload(), "at_stop": self.at_stop}
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "VerdictTier":
+        tier = super().from_payload(payload)
+        assert isinstance(tier, StealthTier)
+        tier.at_stop = {name: int(payload["at_stop"][name]) for name in cls.AT_STOP}
+        return tier
+
+    def samples(self, start: int, stop: int) -> List[Dict[str, int]]:
+        """The timeline samples taken at accesses ``[start, stop)``."""
+        first = bisect_left(self.sample_indices, start)
+        last = bisect_left(self.sample_indices, stop)
+        return [
+            {"flat": flat, "uneven": uneven, "full": full}
+            for flat, uneven, full in zip(
+                self.sample_flat[first:last],
+                self.sample_uneven[first:last],
+                self.sample_full[first:last],
+            )
+        ]
+
+    def telemetry(self) -> Dict[str, Any]:
+        """The component's telemetry at the slice's stop, but the timeline
+        (:meth:`~repro.sim.path.StealthFreshnessComponent.telemetry`)."""
+        counts = self.at_stop
+        flat_bytes = (
+            counts["flat_pages"] + counts["uneven_pages"] + counts["full_pages"]
+        ) * FLAT_ENTRY_BYTES
+        lookups = CacheStats(
+            hits=counts["tlb_hits"] + counts["overflow_hits"],
+            misses=counts["tlb_misses"] + counts["overflow_misses"],
+        )
+        return {
+            "stealth_cache_hit_rate": lookups.hit_rate,
+            "trip_format_counts": {
+                TripFormat.FLAT: counts["flat_pages"],
+                TripFormat.UNEVEN: counts["uneven_pages"],
+                TripFormat.FULL: counts["full_pages"],
+            },
+            "toleo_usage_bytes": {
+                "flat": flat_bytes,
+                "uneven": counts["uneven_pages"] * UNEVEN_ENTRY_BYTES,
+                "full": counts["full_pages"] * FULL_ENTRY_BYTES,
+            },
+            "toleo_peak_bytes": counts["peak_dynamic_bytes"] + flat_bytes,
+        }
+
+
 class TierSimulator:
     """Computes one tier family's verdicts, window by window.
 
@@ -291,12 +399,12 @@ class TierSimulator:
 
     TIER: ClassVar[Type[VerdictTier]]
 
-    def __init__(self, **geometry: int) -> None:
+    def __init__(self, **geometry: Any) -> None:
         self.geometry = geometry
         self.position = 0
 
     @classmethod
-    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, int]:
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, Any]:
         """The geometry of ``component``'s verdicts (no simulator is built)."""
         raise NotImplementedError
 
@@ -518,9 +626,178 @@ class EpcTierSimulator(TierSimulator):
                             evict_pages.append(evicted)
 
 
+class StealthTierSimulator(TierSimulator):
+    """The stealth-version cache in front of the Toleo device
+    (:meth:`StealthFreshnessComponent.on_read_miss`, ``on_writeback`` and
+    ``on_access``).
+
+    The TLB extension is one LRU dict of pages (a flat page hits while its
+    translation is resident), and the overflow buffer per-set LRU dicts of
+    56-byte blocks (an uneven page's entry is one block, a full page's
+    four, and the lookup hits only if all of them do).  The Trip table and
+    its RNG stay a real :class:`~repro.core.toleo.ToleoDevice`, so every
+    RNG draw lands where it does in the hooks: each writeback updates it,
+    and a lookup miss reads it when the read creates the page (drawing its
+    random base).  A read of a tracked page only moves request counters no
+    result reads, so it is skipped, and the device's capacity only feeds a
+    rejection counter, so it is not scaled to the footprint.
+    """
+
+    TIER = StealthTier
+
+    def __init__(
+        self,
+        tlb_entries: int,
+        overflow_bytes: int,
+        overflow_ways: int,
+        stealth_bits: int,
+        reset_probability: float,
+        seed: int,
+        sample_every: int,
+    ):
+        super().__init__(
+            tlb_entries=tlb_entries,
+            overflow_bytes=overflow_bytes,
+            overflow_ways=overflow_ways,
+            stealth_bits=stealth_bits,
+            reset_probability=reset_probability,
+            seed=seed,
+            sample_every=sample_every,
+        )
+        self.toleo = ToleoDevice(
+            config=ToleoConfig(stealth_bits=stealth_bits, reset_probability=reset_probability),
+            rng=DRangeRng(seed=seed),
+            strict_capacity=False,
+        )
+        self.tlb: Dict[int, bool] = {}
+        lines = overflow_bytes // UNEVEN_ENTRY_BYTES
+        self.ways = min(overflow_ways, lines)
+        self.num_sets = max(1, lines // self.ways)
+        self.sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+        self.counts = dict.fromkeys(StealthTier.AT_STOP[:4], 0)
+
+    @classmethod
+    def geometry_of(cls, component: PathComponent, config: SystemConfig) -> Dict[str, Any]:
+        assert isinstance(component, StealthFreshnessComponent)
+        cache = component.stealth_cache
+        return {
+            "tlb_entries": cache.tlb.entries,
+            "overflow_bytes": cache.overflow.size_bytes,
+            "overflow_ways": cache.overflow.ways,
+            "stealth_bits": component.toleo.config.stealth_bits,
+            "reset_probability": component.toleo.config.reset_probability,
+            "seed": component.seed,
+            "sample_every": component.sample_every,
+        }
+
+    def _overflow(self, page: int, blocks: int) -> int:
+        """Look up a page's ``blocks`` overflow-buffer blocks; how many hit."""
+        sets, num_sets, ways = self.sets, self.num_sets, self.ways
+        hits = 0
+        for block in range(page * FULL_ENTRY_BLOCKS, page * FULL_ENTRY_BLOCKS + blocks):
+            lines = sets[block % num_sets]
+            if lines.pop(block, False):
+                hits += 1
+            elif len(lines) >= ways:
+                del lines[next(iter(lines))]
+            lines[block] = True
+        self.counts["overflow_hits"] += hits
+        self.counts["overflow_misses"] += blocks - hits
+        return hits
+
+    def _run(self, events: MissEventStream, tier: VerdictTier) -> None:
+        # A flat page's lookup -- nearly every lookup -- is inlined on both
+        # paths; the overflow buffer's is _overflow.  Only flat pages can be
+        # untracked (format_of reads them as flat), so only a TLB miss may
+        # create one.
+        assert isinstance(tier, StealthTier)
+        first, each = next, iter  # locals: no global lookup per eviction
+        tlb, entries, overflow = self.tlb, self.geometry["tlb_entries"], self._overflow
+        sets, num_sets = self.sets, self.num_sets
+        toleo, table = self.toleo, self.toleo.table
+        format_of, read, update = table.format_of, toleo.read, toleo.update
+        flat, uneven = TripFormat.FLAT, TripFormat.UNEVEN
+        period = self.geometry["sample_every"]
+        sample = -(-events.start_index // period) * period
+        read_hits, wb_hits = tier.read_hits, tier.wb_hits
+        columns = (tier.sample_indices, tier.sample_flat, tier.sample_uneven, tier.sample_full)
+        tlb_hits = tlb_misses = 0
+
+        def take_samples(at: int, stop: int) -> int:
+            # The sampler's on_access at accesses [at, stop); the next one due.
+            while at < stop:
+                usage = toleo.usage_breakdown()
+                for column, value in zip(
+                    columns, (at, usage["flat"], usage["uneven"], usage["full"])
+                ):
+                    column.append(value)
+                at += period
+            return at
+
+        window = zip(events.indices, events.addresses, events.writeback_addresses)
+        for pos, (index, address, wb) in enumerate(window):
+            if sample <= index:
+                sample = take_samples(sample, index + 1)
+            page = address // PAGE_BYTES
+            fmt = format_of(page)
+            if fmt is flat:
+                if tlb.pop(page, False):
+                    tlb[page] = True
+                    tlb_hits += 1
+                    read_hits[pos] = 1
+                else:
+                    tlb_misses += 1
+                    if len(tlb) >= entries:
+                        del tlb[first(each(tlb))]
+                    tlb[page] = True
+                    if page not in table:
+                        read(page, address % PAGE_BYTES // CACHE_BLOCK_BYTES)
+            else:
+                blocks = 1 if fmt is uneven else FULL_ENTRY_BLOCKS
+                if overflow(page, blocks) == blocks:
+                    read_hits[pos] = 1
+            if wb != WB_NONE:
+                page = wb // PAGE_BYTES
+                fmt = format_of(page)
+                if fmt is flat:
+                    if tlb.pop(page, False):
+                        tlb[page] = True
+                        tlb_hits += 1
+                        wb_hits[pos] = 1
+                    else:
+                        tlb_misses += 1
+                        if len(tlb) >= entries:
+                            del tlb[first(each(tlb))]
+                        tlb[page] = True
+                else:
+                    blocks = 1 if fmt is uneven else FULL_ENTRY_BLOCKS
+                    if overflow(page, blocks) == blocks:
+                        wb_hits[pos] = 1
+                update(page, wb % PAGE_BYTES // CACHE_BLOCK_BYTES)
+                if format_of(page) is not fmt:
+                    # The entry changed representation; drop the stale copy.
+                    tlb.pop(page, None)
+                    for block in range(page * FULL_ENTRY_BLOCKS, (page + 1) * FULL_ENTRY_BLOCKS):
+                        sets[block % num_sets].pop(block, None)
+        take_samples(sample, events.stop_index)
+
+        counts = self.counts
+        counts["tlb_hits"] += tlb_hits
+        counts["tlb_misses"] += tlb_misses
+        formats = toleo.table.format_counts()
+        tier.at_stop.update(
+            counts,
+            flat_pages=formats[flat],
+            uneven_pages=formats[uneven],
+            full_pages=formats[TripFormat.FULL],
+            peak_dynamic_bytes=toleo.stats.peak_dynamic_bytes,
+        )
+
+
 #: Component type -> the simulator of its verdict tier.
 _TIER_SIMULATORS: Dict[type, Type[TierSimulator]] = {
     MacIntegrityComponent: MacTierSimulator,
+    StealthFreshnessComponent: StealthTierSimulator,
     CounterTreeComponent: TreeTierSimulator,
     EpcPagingComponent: EpcTierSimulator,
 }
@@ -542,13 +819,13 @@ def mac_geometry_fields(config: Optional[SystemConfig] = None) -> Dict[str, int]
     }
 
 
-def _tier_key(kind: str, geometry: Dict[str, int], events: str) -> str:
+def _tier_key(kind: str, geometry: Dict[str, Any], events: str) -> str:
     return content_key(kind, events=events, geometry=geometry)
 
 
 def _tier_geometry(
     component: PathComponent, config: Optional[SystemConfig]
-) -> Tuple[Type[TierSimulator], Dict[str, int]]:
+) -> Tuple[Type[TierSimulator], Dict[str, Any]]:
     simulator = _TIER_SIMULATORS[type(component)]
     cfg = config if config is not None else SystemConfig()
     return simulator, simulator.geometry_of(component, cfg)
@@ -556,7 +833,7 @@ def _tier_geometry(
 
 def stack_tiers(
     components: Sequence[PathComponent], config: Optional[SystemConfig] = None
-) -> List[Tuple[Type[TierSimulator], Dict[str, int]]]:
+) -> List[Tuple[Type[TierSimulator], Dict[str, Any]]]:
     """The verdict tiers the batch kernels read when replaying this stack.
 
     One ``(simulator, geometry)`` per component with a tier family, or none
@@ -576,7 +853,7 @@ def stack_tiers(
 
 def _slice_tier_key(
     simulator: Type[TierSimulator],
-    geometry: Dict[str, int],
+    geometry: Dict[str, Any],
     name: str,
     scale: float,
     seed: int,
@@ -619,7 +896,7 @@ def tier_slice_key(
 
 def tier_slice_keys(
     simulator: Type[TierSimulator],
-    geometry: Dict[str, int],
+    geometry: Dict[str, Any],
     name: str,
     scale: float,
     seed: int,
@@ -676,7 +953,7 @@ def put_tier_slices(
         store.put(
             _slice_tier_key(type(running), running.geometry, *run, index, config),
             tier,
-            encoder=VerdictTier.to_payload,
+            encoder=type(tier).to_payload,
             keep_in_memory=False,
         )
         tiers.append(tier)
@@ -728,7 +1005,7 @@ def load_tier_slice(
     return tier
 
 
-def _tier_slot(kind: str, geometry: Dict[str, int]) -> Tuple[str, Tuple]:
+def _tier_slot(kind: str, geometry: Dict[str, Any]) -> Tuple[str, Tuple]:
     return kind, tuple(sorted(geometry.items()))
 
 
@@ -991,49 +1268,26 @@ def _stealth_freshness_kernel(
     ctx: "AccessContext",
     batch: EventBatch,
 ) -> None:
-    # RNG-driven Trip format changes give the stealth versions no columnar
-    # form, so the component's own code runs event by event (the read path
-    # through read_version, which on_read_miss calls too), and the timeline
-    # sampler fires at its access indices between events -- after the
-    # window's last event and in a window with no event too.  Only a
-    # stealth-cache miss adds to freshness_ns; its addend joins the fold at
-    # its event's position.
-    period = component.access_period
-    sample = -(-batch.start // period) * period
-    read_version, on_writeback, on_access = (
-        component.read_version,
-        component.on_writeback,
-        component.on_access,
-    )
-    traffic = ctx.traffic
-    positions: List[int] = []
-    addends: List[float] = []
-    events, lo, hi = replay.events, batch.lo, batch.hi
-    # The builtin arrays, as in the event loop: the hooks do Python
-    # arithmetic on the addresses.
-    window = zip(events.indices[lo:hi], events.addresses[lo:hi], events.writeback_addresses[lo:hi])
-    for pos, (index, address, wb) in enumerate(window):
-        while sample <= index:
-            ctx.index = sample
-            on_access(ctx)
-            sample += period
-        latency_ns = read_version(traffic, address)
-        if latency_ns is not None:
-            positions.append(pos)
-            addends.append(latency_ns)
-        if wb != WB_NONE:
-            ctx.address = wb
-            on_writeback(ctx)
-    while sample < batch.stop:
-        ctx.index = sample
-        on_access(ctx)
-        sample += period
-    if positions:
+    # The stealth tier says which lookups missed the stealth-version cache;
+    # each miss moves one version over the link, and a read-path miss waits
+    # for it.  The device and the cache stay cold: the timeline samples due
+    # in the window and, at the slice's stop, the rest of the telemetry come
+    # from the tier.  The kernel runs on windows with no event too.
+    tier = replay.verdict_tier(component)
+    assert isinstance(tier, StealthTier)
+    lo, hi = batch.lo, batch.hi
+    read_misses = np.flatnonzero(tier.view("read_hits")[lo:hi] == 0)
+    wb_misses = int(np.count_nonzero(batch.wb_mask & (tier.view("wb_hits")[lo:hi] == 0)))
+    ctx.traffic.stealth_bytes += (len(read_misses) + wb_misses) * ToleoDevice.TRANSFER_BYTES
+    if len(read_misses):
         replay.add_latency(
             "freshness_ns",
-            np.array(addends, dtype=np.float64),
-            positions=np.array(positions, dtype=np.int64),
+            np.full(len(read_misses), component.toleo.config.access_latency_ns),
+            positions=read_misses,
         )
+    component.timeline.extend(tier.samples(batch.start, batch.stop))
+    if batch.stop == replay.events.stop_index:
+        component.restored = tier.telemetry()
 
 
 #: Component type -> its batch kernel.

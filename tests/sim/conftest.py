@@ -78,6 +78,9 @@ def _perturbed(path, value):
     """
     if path.endswith("scheme"):
         return SCHEMES[(SCHEMES.index(value) + 1) % len(SCHEMES)]
+    if path.endswith("stealth_bits"):
+        # StealthVersionPolicy only takes widths in (0, 64).
+        return value // 2
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):

@@ -3,21 +3,31 @@
 A verdict tier replaces a stateful component's per-event lookups with
 columns computed once per ``(events, geometry)``.  These tests pin each
 family against the real component, verdict for verdict: the counter-tree
-tier against ``CounterTreeComponent._walk`` (fetch for fetch) and the EPC
+tier against ``CounterTreeComponent._walk`` (fetch for fetch), the EPC
 tier against ``EpcPagingComponent._touch`` (fault for fault, dirty eviction
-for dirty eviction).  The shipped geometries rarely evict on a short trace,
-so two runtime-registered tiny-geometry modes make tree-cache evictions,
-partial walks and dirty EPC evictions happen (the strategy property in
-``test_strategy_property.py`` draws the same geometries through the whole
-pipeline).  A hypothesis property pins the windowed ``advance`` against the
-one-shot tier, the store-served tier slices are pinned against it too, and
-the store-key tests walk every config field to check each tier key -- full
-run or slice -- moves exactly with the fields that can change a verdict.
+for dirty eviction) and the stealth tier against the
+``StealthFreshnessComponent`` hooks (hit for hit on both paths, sample for
+sample, and every counter its telemetry reads).  The shipped geometries
+rarely evict on a short trace, so two runtime-registered tiny-geometry
+modes make tree-cache evictions, partial walks and dirty EPC evictions
+happen (the strategy property in ``test_strategy_property.py`` draws the
+same geometries through the whole pipeline); no shipped workload leaves the
+flat Trip format, so the stealth pin builds its own events, which reach the
+uneven and full formats, fire resets and evict from a tiny TLB extension
+and overflow buffer.  A hypothesis property pins the windowed ``advance``
+against the one-shot tier, the store-served tier slices are pinned against
+it too, and the store-key tests walk every config field to check each tier
+key -- full run or slice -- moves exactly with the fields that can change a
+verdict.  Every stack with stealth versions reports the same stealth
+telemetry, which is why one tier serves them all, and Toleo's stealth bytes
+are the stealth tier's misses.
 """
 
 import dataclasses
 import inspect
+import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +35,7 @@ from hypothesis import strategies as st
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, PAGE_BYTES, CacheConfig, SystemConfig
+from repro.core.toleo import ToleoDevice
 from repro.sim.configs import (
     CounterTreeSpec,
     EpcPagingSpec,
@@ -58,6 +69,8 @@ from repro.sim.replaycore import (
     EpcTierSimulator,
     MacTier,
     MacTierSimulator,
+    StealthTier,
+    StealthTierSimulator,
     TreeTier,
     TreeTierSimulator,
     load_tier_slice,
@@ -65,7 +78,7 @@ from repro.sim.replaycore import (
     register_batch_kernel,
     tier_slice_key,
 )
-from repro.sim.results import LatencyBreakdown
+from repro.sim.results import LatencyBreakdown, TrafficBreakdown
 from repro.sim.shard import ShardSpec, run_chains, shard_chain
 from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.base import Trace
@@ -210,6 +223,35 @@ def touched(component, ctx, events):
     return read, writeback, evictions
 
 
+def versioned(component, events):
+    """Hits of the real stealth hooks, per event and path, and the access
+    indices the timeline sampler fired at, in the event loop's order."""
+    read, writeback, sampled = bytearray(len(events)), bytearray(len(events)), []
+    ctx = SimpleNamespace(traffic=TrafficBreakdown(), latency=LatencyBreakdown(), address=0)
+    period = component.access_period
+    ctx.index = -(-events.start_index // period) * period
+
+    def fire(stop):
+        while ctx.index < stop:
+            component.on_access(ctx)
+            sampled.append(ctx.index)
+            ctx.index += period
+
+    for pos, (index, address, _, wb) in enumerate(events.events()):
+        fire(index + 1)
+        fetched = ctx.traffic.stealth_bytes
+        ctx.address = address
+        component.on_read_miss(ctx)
+        read[pos] = ctx.traffic.stealth_bytes == fetched
+        if wb is not None:
+            fetched = ctx.traffic.stealth_bytes
+            ctx.address = wb
+            component.on_writeback(ctx)
+            writeback[pos] = ctx.traffic.stealth_bytes == fetched
+    fire(events.stop_index)
+    return read, writeback, sampled
+
+
 class TestTreeTier:
     """The tree tier equals the real counter-tree walk, fetch for fetch."""
 
@@ -263,6 +305,139 @@ class TestEpcTier:
         assert sum(tier.wb_faults) > 0
 
 
+#: A four-page TLB extension and an eight-block, two-way overflow buffer,
+#: 8-bit stealth versions and a reset on one leading update in 200.
+TINY_STEALTH = dataclasses.replace(
+    SMALL_CONFIG,
+    tlb_stealth_entries=4,
+    stealth_overflow_buffer_bytes=8 * 56,
+    stealth_overflow_ways=2,
+    toleo=dataclasses.replace(SMALL_CONFIG.toleo, stealth_bits=8, reset_probability=0.005),
+)
+
+
+def hot_block_events(num_events=3000, seed=11):
+    """Miss events whose writebacks hammer block 0 of six hot pages.
+
+    No shipped workload leaves the flat format at test size, so the stream
+    is built directly: one writeback in 140 to the same block overflows an
+    uneven entry's 7-bit offsets, so the hot pages climb flat -> uneven ->
+    full, resets drop them back, and 24 pages of reads overflow the tiny
+    TLB extension.  Events sit two accesses apart, so the timeline sampler
+    fires between them.
+    """
+    rng = random.Random(seed)
+    indices, addresses, writebacks = array("Q"), array("Q"), array("Q")
+    for pos in range(num_events):
+        indices.append(2 * pos + 1)
+        addresses.append((rng.randrange(24) << 12) + (rng.randrange(64) << 6))
+        if rng.random() < 0.7:
+            block = 0 if rng.random() < 0.8 else rng.randrange(64)
+            writebacks.append(((24 + rng.randrange(6)) << 12) + (block << 6))
+        else:
+            writebacks.append(distill.WB_NONE)
+    return MissEventStream(
+        name="hot-block",
+        scale=1.0,
+        seed=seed,
+        footprint_bytes=30 * PAGE_BYTES,
+        llc_mpki=1.0,
+        instructions_per_access=3.0,
+        num_accesses=2 * num_events + 5,
+        indices=indices,
+        addresses=addresses,
+        writes=bytearray(num_events),
+        writeback_addresses=writebacks,
+    )
+
+
+def cut(events, width):
+    """``events`` as abutting windows of ``width`` accesses."""
+    windows = []
+    for start in range(events.start_index, events.stop_index, width):
+        stop = min(start + width, events.stop_index)
+        keep = [pos for pos, index in enumerate(events.indices) if start <= index < stop]
+        windows.append(dataclasses.replace(
+            events,
+            start_index=start,
+            num_accesses=stop - start,
+            indices=array("Q", (events.indices[pos] for pos in keep)),
+            addresses=array("Q", (events.addresses[pos] for pos in keep)),
+            writes=bytearray(len(keep)),
+            writeback_addresses=array("Q", (events.writeback_addresses[pos] for pos in keep)),
+        ))
+    return windows
+
+
+class TestStealthTier:
+    """The stealth tier equals the real stealth hooks, verdict for verdict,
+    and its telemetry equals the component's."""
+
+    @pytest.fixture(scope="class")
+    def hot(self):
+        return hot_block_events()
+
+    def component(self, events):
+        return StealthFreshnessComponent(
+            TINY_STEALTH, footprint_bytes=events.footprint_bytes, seed=5, sample_every=97
+        )
+
+    @pytest.mark.parametrize("width", (None, 97, 1000))
+    def test_tier_matches_the_hooks(self, hot, width):
+        component = self.component(hot)
+        geometry = StealthTierSimulator.geometry_of(component, TINY_STEALTH)
+        simulator = StealthTierSimulator(**geometry)
+        windows = [hot] if width is None else cut(hot, width)
+        tiers = [simulator.advance(window) for window in windows]
+        tier = concatenated(tiers)
+        read, writeback, sampled = versioned(component, hot)
+        assert bytes(tier.read_hits) == bytes(read)
+        assert bytes(tier.wb_hits) == bytes(writeback)
+        assert list(tier.sample_indices) == sampled
+        assert tier.samples(0, hot.stop_index) == component.timeline
+        tlb, overflow = component.stealth_cache.tlb_stats, component.stealth_cache.overflow_stats
+        assert [tier.at_stop[name] for name in StealthTier.AT_STOP[:4]] == [
+            tlb.hits, tlb.misses, overflow.hits, overflow.misses
+        ]
+        # The format counts, usage and peak bytes, and the hit rate.
+        hooks = component.telemetry()
+        assert {**tier.telemetry(), "toleo_usage_timeline": hooks["toleo_usage_timeline"]} == hooks
+        # Each window's samples are the ones before its stop.
+        for window, piece in zip(windows, tiers):
+            assert piece.samples(window.start_index, window.stop_index) == tier.samples(
+                window.start_index, window.stop_index
+            )
+
+    def test_the_stream_reaches_every_format_resets_and_evicts(self, hot):
+        # The pin above only proves something if every path runs.
+        component = self.component(hot)
+        versioned(component, hot)
+        table, cache = component.toleo.table, component.stealth_cache
+        assert table.stats.upgrades_to_uneven > 0
+        assert table.stats.upgrades_to_full > 0
+        assert table.stats.resets > 0
+        counts = table.format_counts()
+        assert all(counts[fmt] > 0 for fmt in counts)
+        assert cache.tlb.translation_stats.evictions > 0
+        assert cache.overflow_stats.evictions > 0
+        assert cache.overflow_stats.hits > 0 and cache.overflow_stats.misses > 0
+
+    def test_the_kernel_restores_the_hooks_result(self, hot, compute_tiers):
+        # Through the engine: the batch kernel prices the tier's misses and
+        # restores the telemetry; its device and cache stay cold.
+        engine = SimulationEngine.from_mode("Toleo", config=TINY_STEALTH, seed=5)
+        scalar = engine.begin(hot, hot.num_accesses)
+        engine.replay_events(scalar, hot)
+        batched = engine.begin(hot, hot.num_accesses)
+        tiers = compute_tiers(batched.components, hot, TINY_STEALTH)
+        for stop in (500, 2501, hot.stop_index):
+            BatchReplayEngine(engine, hot, tiers=tiers).replay(batched, stop=stop)
+            batched = EngineState.deserialize(batched.serialize())
+        assert engine.finish(batched, hot).to_dict() == engine.finish(scalar, hot).to_dict()
+        stealth = only(batched.components, StealthFreshnessComponent)
+        assert len(stealth.toleo.table) == 0 and stealth.stealth_cache.tlb.resident == 0
+
+
 class TestTinyModesAreBitIdentical:
     """The tiny geometries through one batch replay loop, against serial."""
 
@@ -313,6 +488,15 @@ SIMULATORS = {
     "mac": lambda: MacTierSimulator(cache_bytes=256, cache_ways=2, line_bytes=64, macs_per_block=8),
     "tree": lambda: TreeTierSimulator(levels=3, arity=8, leaf_bytes=64, num_sets=4, ways=2),
     "epc": lambda: EpcTierSimulator(epc_pages=3),
+    "stealth": lambda: StealthTierSimulator(
+        tlb_entries=2,
+        overflow_bytes=4 * 56,
+        overflow_ways=2,
+        stealth_bits=8,
+        reset_probability=0.05,
+        seed=3,
+        sample_every=7,
+    ),
 }
 
 ACCESS_STRATEGY = st.lists(
@@ -343,6 +527,8 @@ def concatenated(tiers):
         merged.num_events += tier.num_events
         for name in merged.DENSE + merged.SPARSE:
             getattr(merged, name).extend(getattr(tier, name))
+    if isinstance(merged, StealthTier):
+        merged.at_stop = dict(tiers[-1].at_stop)
     return merged
 
 
@@ -380,10 +566,10 @@ class TestWindowedAdvance:
         with pytest.raises(ValueError, match="cannot advance"):
             simulator.advance(slices[2])
 
-    @pytest.mark.parametrize("tier_type", (MacTier, TreeTier, EpcTier))
+    @pytest.mark.parametrize("tier_type", (MacTier, TreeTier, EpcTier, StealthTier))
     def test_payload_round_trips(self, tier_type, events):
-        simulator = {MacTier: "mac", TreeTier: "tree", EpcTier: "epc"}[tier_type]
-        tier = SIMULATORS[simulator]().advance(events)
+        family = {MacTier: "mac", TreeTier: "tree", EpcTier: "epc", StealthTier: "stealth"}
+        tier = SIMULATORS[family[tier_type]]().advance(events)
         assert isinstance(tier, tier_type)
         restored = tier_type.from_payload(tier.to_payload())
         assert restored == tier
@@ -402,9 +588,10 @@ class TestTierSlices:
 
     RUN = ("memcached", 0.002, 7, TRACE_LEN)
 
+    @pytest.mark.parametrize("mode", ("Tiny-SGX", "Toleo+Tree"))
     @pytest.mark.parametrize("window", (7, TRACE_LEN // 3))
     def test_served_slices_concatenate_to_the_one_shot_tier(
-        self, window, events, tmp_path, monkeypatch, compute_tiers
+        self, window, mode, events, tmp_path, monkeypatch, compute_tiers
     ):
         store = ResultStore(tmp_path)
         stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
@@ -412,10 +599,10 @@ class TestTierSlices:
             load_slice(*self.RUN, window, index, SMALL_CONFIG, store)
             for index in range(len(slice_bounds(TRACE_LEN, window)))
         ]
-        engine, state = begin("Tiny-SGX", events)
+        engine, state = begin(mode, events)
         one_shot = compute_tiers(state.components, events, SMALL_CONFIG)
         advances = []
-        for simulator in (MacTierSimulator, TreeTierSimulator, EpcTierSimulator):
+        for simulator in set(replaycore._TIER_SIMULATORS.values()):
             original = simulator.advance
 
             def counting(self, events, _original=original):
@@ -549,11 +736,19 @@ MUST_CHANGE = {
     "epc.min_epc_pages": {"treetier", "epctier"},
     "config.mac_cache_bytes": {"mactier"},
     "config.mac_cache_ways": {"mactier"},
-    **{path: {"mactier", "treetier", "epctier"} for path in HIERARCHY_GEOMETRY},
+    "config.tlb_stealth_entries": {"stealthtier"},
+    "config.stealth_overflow_buffer_bytes": {"stealthtier"},
+    "config.stealth_overflow_ways": {"stealthtier"},
+    # The Trip table's version width and reset rate drive its format changes.
+    "config.toleo.stealth_bits": {"stealthtier"},
+    "config.toleo.reset_probability": {"stealthtier"},
+    # The timeline's sample period.
+    "options.timeline_samples": {"stealthtier"},
+    **{path: {"mactier", "stealthtier", "treetier", "epctier"} for path in HIERARCHY_GEOMETRY},
 }
 
-KINDS = {MacIntegrityComponent: "mactier", CounterTreeComponent: "treetier",
-         EpcPagingComponent: "epctier"}
+KINDS = {MacIntegrityComponent: "mactier", StealthFreshnessComponent: "stealthtier",
+         CounterTreeComponent: "treetier", EpcPagingComponent: "epctier"}
 
 #: Slice 1 of the fixture run's 64-access partition, as ``tier_slice_key``'s
 #: slice axes: benchmark, scale, seed, run length, window, slice index.
@@ -570,9 +765,12 @@ def full_run(events):
 
 
 def tier_keys(events, tree, epc, config, options, keyed_by=None):
-    """Each tier kind's key for a Client-SGX stack: the full-run key, or
-    the key of the tier slice ``keyed_by`` names."""
-    params = dataclasses.replace(mode_parameters("Client-SGX"), counter_tree=tree, epc_paging=epc)
+    """Each tier kind's key for a Client-SGX stack with stealth versions
+    added, so it reads all four tiers: the full-run key, or the key of the
+    tier slice ``keyed_by`` names."""
+    params = dataclasses.replace(
+        mode_parameters("Client-SGX"), counter_tree=tree, epc_paging=epc, stealth_traffic=True
+    )
     stack = build_components(params, config, options, footprint_bytes=events.footprint_bytes)
     return {
         KINDS[type(component)]: tier_slice_key(
@@ -583,7 +781,7 @@ def tier_keys(events, tree, epc, config, options, keyed_by=None):
     }
 
 
-def client_sgx_keys(events, keyed_by):
+def probe_keys(events, keyed_by):
     base = mode_parameters("Client-SGX")
     return tier_keys(
         events, base.counter_tree, base.epc_paging, SMALL_CONFIG, EngineOptions(), keyed_by
@@ -605,7 +803,7 @@ class TestTierKeys:
             "options": EngineOptions(),
         }
         reference = tier_keys(events, *roots.values(), keyed_by)
-        assert set(reference) == {"mactier", "treetier", "epctier"}
+        assert set(reference) == set(KINDS.values())
         seen = set()
         for root, value in roots.items():
             for path, leaf in leaves(value, root):
@@ -623,13 +821,18 @@ class TestTierKeys:
         # The cost parameters most easily mistaken for geometry, spelled out.
         base = mode_parameters("Client-SGX")
         slower = dataclasses.replace(
-            SMALL_CONFIG, local_dram_latency_ns=99.0, cxl_link_latency_ns=300.0
+            SMALL_CONFIG,
+            local_dram_latency_ns=99.0,
+            cxl_link_latency_ns=300.0,
+            toleo=dataclasses.replace(
+                SMALL_CONFIG.toleo, link_latency_ns=300.0, dram_access_latency_ns=40.0
+            ),
         )
         penalty = dataclasses.replace(base.epc_paging, page_fault_penalty_ns=1.0)
         overlap = EngineOptions(integrity_overlap=1.0)
         assert tier_keys(
             events, base.counter_tree, penalty, slower, overlap, keyed_by
-        ) == client_sgx_keys(events, keyed_by)
+        ) == probe_keys(events, keyed_by)
 
     def test_a_tier_slice_key_moves_with_every_slice_axis(self, events):
         # The slice axes are events_slice_key's, checked by name so an axis
@@ -638,17 +841,17 @@ class TestTierKeys:
         axes = list(inspect.signature(events_slice_key).parameters)
         assert axes == ["name", "scale", "seed", "num_accesses", "window", "index", "config"]
         moved = ("bsw", 0.004, 8, 2 * TRACE_LEN, 65, 2)
-        reference = client_sgx_keys(events, SLICE)
+        reference = probe_keys(events, SLICE)
         for position, axis in enumerate(axes[:-1]):
             keyed_by = SLICE[:position] + (moved[position],) + SLICE[position + 1 :]
-            keys = client_sgx_keys(events, keyed_by)
+            keys = probe_keys(events, keyed_by)
             assert all(keys[kind] != reference[kind] for kind in reference), axis
 
     @pytest.mark.parametrize("window", (TRACE_LEN, TRACE_LEN + 13))
     def test_a_one_window_tier_key_is_the_full_run_key(self, events, window):
         one_window = ("memcached", 0.002, 7, TRACE_LEN, window, 0)
-        assert client_sgx_keys(events, one_window) == client_sgx_keys(events, None)
-        assert client_sgx_keys(events, one_window)["mactier"] == mac_tier_key(
+        assert probe_keys(events, one_window) == probe_keys(events, None)
+        assert probe_keys(events, one_window)["mactier"] == mac_tier_key(
             events, SMALL_CONFIG
         )
 
@@ -664,9 +867,11 @@ class TestTierProvenance:
 
     @pytest.mark.parametrize("window", (TRACE_LEN, 64))
     def test_shards_read_the_tier_chains_tiers(self, window, tmp_path, monkeypatch, trace):
+        # A simulator built outside the tier chain means a replay step
+        # missed a stored tier slice -- one that failed to decode, say.
         previous = default_store()
         runs = []
-        for simulator in (TreeTierSimulator, EpcTierSimulator):
+        for simulator in (StealthTierSimulator, TreeTierSimulator, EpcTierSimulator):
             original = simulator.__init__
 
             def counting(self, *args, _original=original, **kwargs):
@@ -674,24 +879,53 @@ class TestTierProvenance:
                 _original(self, *args, **kwargs)
 
             monkeypatch.setattr(simulator, "__init__", counting)
-        serial = SimulationEngine.from_mode("Client-SGX", seed=7).run(
-            trace, num_accesses=TRACE_LEN
-        )
-        chain = shard_chain(
-            "memcached", "Client-SGX", ShardSpec(100), 0.002, TRACE_LEN, 7, window=window
-        )
+        modes = ("Client-SGX", "Toleo")
+        serial = [
+            SimulationEngine.from_mode(mode, seed=7).run(trace, num_accesses=TRACE_LEN)
+            for mode in modes
+        ]
+        chains = [
+            shard_chain("memcached", mode, ShardSpec(100), 0.002, TRACE_LEN, 7, window=window)
+            for mode in modes
+        ]
         set_default_store(ResultStore(tmp_path / "cache"))
         try:
-            (result,) = run_chains([chain], jobs=1, resume=False)
+            results = run_chains(chains, jobs=1, resume=False)
         finally:
             set_default_store(previous)
-        assert result.to_dict() == serial.to_dict()
-        assert sorted(runs) == ["EpcTierSimulator", "TreeTierSimulator"]
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]
+        assert sorted(runs) == ["EpcTierSimulator", "StealthTierSimulator", "TreeTierSimulator"]
         kinds = [key.rsplit("-", 1)[0] for key in ResultStore(tmp_path / "cache").disk_keys()]
         slices = len(slice_bounds(TRACE_LEN, window))
         assert {kind: kinds.count(kind) for kind in KINDS.values()} == dict.fromkeys(
             KINDS.values(), slices
         )
+
+    @pytest.mark.parametrize("window", (TRACE_LEN, 64))
+    def test_stealth_bytes_are_the_stealth_tiers_misses(self, window, fresh_default_store):
+        # Conservation: each stealth-cache miss, on either path, moves one
+        # version over the link, and nothing else in Toleo moves any.
+        run = ("memcached", 0.002, 7, TRACE_LEN)
+        chain = shard_chain(
+            "memcached", "Toleo", ShardSpec(100), 0.002, TRACE_LEN, 7, SMALL_CONFIG, window=window
+        )
+        (result,) = run_chains([chain], jobs=1, resume=False)
+        misses = 0
+        for index in range(len(slice_bounds(TRACE_LEN, window))):
+            piece = load_slice(*run, window, index, SMALL_CONFIG)
+            stack = build_components(
+                mode_parameters("Toleo"), SMALL_CONFIG, EngineOptions(),
+                footprint_bytes=piece.footprint_bytes, seed=7, num_accesses=TRACE_LEN,
+            )
+            key = tier_slice_key(
+                only(stack, StealthFreshnessComponent), *run, window, index, SMALL_CONFIG
+            )
+            tier = fresh_default_store.get(key, decoder=StealthTier.from_payload)
+            writebacks = piece.writeback_view != distill.WB_NONE
+            misses += int(np.count_nonzero(tier.view("read_hits") == 0))
+            misses += int(np.count_nonzero(writebacks & (tier.view("wb_hits") == 0)))
+        assert misses > 0
+        assert result.traffic.stealth_bytes == misses * ToleoDevice.TRANSFER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +1011,12 @@ class TestLatencyFold:
         tiers = compute_tiers(batched.components, events, SMALL_CONFIG)
         BatchReplayEngine(engine, events, tiers=tiers).replay(batched)
         # Skew adds once per event, the stealth kernel once per version
-        # fetch (a stealth-cache read miss), and the tree kernel adds too.
-        fetches = only(batched.components, StealthFreshnessComponent).toleo.stats.reads
+        # fetch (a stealth-cache read miss, counted from the tier: the
+        # batched component's device stays cold), and the tree kernel too.
+        (stealth,) = [tier for tier in tiers if isinstance(tier, StealthTier)]
+        fetches = stealth.num_events - sum(stealth.read_hits)
         assert fetches > 0
+        assert only(batched.components, StealthFreshnessComponent).toleo.stats.reads == 0
         assert len(recording.addends) > len(events) + fetches
         assert recording.addends in folds
 
