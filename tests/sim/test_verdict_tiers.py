@@ -320,9 +320,10 @@ def hot_block_events(num_events=3000, seed=11):
     """Miss events whose writebacks hammer block 0 of six hot pages.
 
     No shipped workload leaves the flat format at test size, so the stream
-    is built directly: one writeback in 140 to the same block overflows an
-    uneven entry's 7-bit offsets, so the hot pages climb flat -> uneven ->
-    full, resets drop them back, and 24 pages of reads overflow the tiny
+    is built directly.  A second write to one block upgrades a flat page to
+    uneven, and some 128 more overflow its 7-bit offsets into full, so the
+    hot pages (about 280 block-0 writebacks each) climb flat -> uneven ->
+    full while resets drop them back; 24 pages of reads overflow the tiny
     TLB extension.  Events sit two accesses apart, so the timeline sampler
     fires between them.
     """
@@ -402,11 +403,6 @@ class TestStealthTier:
         # The format counts, usage and peak bytes, and the hit rate.
         hooks = component.telemetry()
         assert {**tier.telemetry(), "toleo_usage_timeline": hooks["toleo_usage_timeline"]} == hooks
-        # Each window's samples are the ones before its stop.
-        for window, piece in zip(windows, tiers):
-            assert piece.samples(window.start_index, window.stop_index) == tier.samples(
-                window.start_index, window.stop_index
-            )
 
     def test_the_stream_reaches_every_format_resets_and_evicts(self, hot):
         # The pin above only proves something if every path runs.
