@@ -3,31 +3,26 @@
 A verdict tier replaces a stateful component's per-event lookups with
 columns computed once per ``(events, geometry)``.  These tests pin each
 family against the real component, verdict for verdict: the counter-tree
-tier against ``CounterTreeComponent._walk`` (fetch for fetch), the EPC
+tier against ``CounterTreeComponent._walk`` (fetch for fetch) and the EPC
 tier against ``EpcPagingComponent._touch`` (fault for fault, dirty eviction
-for dirty eviction) and the stealth tier against the
-``StealthFreshnessComponent`` hooks (hit for hit on both paths, sample for
-sample, and every counter its telemetry reads).  The shipped geometries
-rarely evict on a short trace, so two runtime-registered tiny-geometry
-modes make tree-cache evictions, partial walks and dirty EPC evictions
-happen (the strategy property in ``test_strategy_property.py`` draws the
-same geometries through the whole pipeline); no shipped workload leaves the
-flat Trip format, so the stealth pin builds its own events, which reach the
-uneven and full formats, fire resets and evict from a tiny TLB extension
-and overflow buffer.  A hypothesis property pins the windowed ``advance``
-against the one-shot tier, the store-served tier slices are pinned against
-it too, and the store-key tests walk every config field to check each tier
-key -- full run or slice -- moves exactly with the fields that can change a
-verdict.  Every stack with stealth versions reports the same stealth
-telemetry, which is why one tier serves them all, and Toleo's stealth bytes
-are the stealth tier's misses.
+for dirty eviction); the stealth tier's pin against the
+``StealthFreshnessComponent`` hooks is ``test_stealth_tier.py``, which runs
+without numpy.  The shipped geometries rarely evict on a short trace, so
+two runtime-registered tiny-geometry modes make tree-cache evictions,
+partial walks and dirty EPC evictions happen (the strategy property in
+``test_strategy_property.py`` draws the same geometries through the whole
+pipeline).  A hypothesis property pins the windowed ``advance`` of every
+family, the stealth one included, against the one-shot tier, the
+store-served tier slices are pinned against it too, and the store-key tests
+walk every config field to check each tier key -- full run or slice --
+moves exactly with the fields that can change a verdict.  Every stack with
+stealth versions reports the same stealth telemetry, which is why one tier
+serves them all, and Toleo's stealth bytes are the stealth tier's misses.
 """
 
 import dataclasses
 import inspect
-import random
 from array import array
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -78,7 +73,7 @@ from repro.sim.replaycore import (
     register_batch_kernel,
     tier_slice_key,
 )
-from repro.sim.results import LatencyBreakdown, TrafficBreakdown
+from repro.sim.results import LatencyBreakdown
 from repro.sim.shard import ShardSpec, run_chains, shard_chain
 from repro.sim.store import ResultStore, default_store, set_default_store
 from repro.workloads.base import Trace
@@ -223,35 +218,6 @@ def touched(component, ctx, events):
     return read, writeback, evictions
 
 
-def versioned(component, events):
-    """Hits of the real stealth hooks, per event and path, and the access
-    indices the timeline sampler fired at, in the event loop's order."""
-    read, writeback, sampled = bytearray(len(events)), bytearray(len(events)), []
-    ctx = SimpleNamespace(traffic=TrafficBreakdown(), latency=LatencyBreakdown(), address=0)
-    period = component.access_period
-    ctx.index = -(-events.start_index // period) * period
-
-    def fire(stop):
-        while ctx.index < stop:
-            component.on_access(ctx)
-            sampled.append(ctx.index)
-            ctx.index += period
-
-    for pos, (index, address, _, wb) in enumerate(events.events()):
-        fire(index + 1)
-        fetched = ctx.traffic.stealth_bytes
-        ctx.address = address
-        component.on_read_miss(ctx)
-        read[pos] = ctx.traffic.stealth_bytes == fetched
-        if wb is not None:
-            fetched = ctx.traffic.stealth_bytes
-            ctx.address = wb
-            component.on_writeback(ctx)
-            writeback[pos] = ctx.traffic.stealth_bytes == fetched
-    fire(events.stop_index)
-    return read, writeback, sampled
-
-
 class TestTreeTier:
     """The tree tier equals the real counter-tree walk, fetch for fetch."""
 
@@ -303,135 +269,6 @@ class TestEpcTier:
                    if isinstance(t, EpcTier)]
         assert len(tier.evict_pages) > 0
         assert sum(tier.wb_faults) > 0
-
-
-#: A four-page TLB extension and an eight-block, two-way overflow buffer,
-#: 8-bit stealth versions and a reset on one leading update in 200.
-TINY_STEALTH = dataclasses.replace(
-    SMALL_CONFIG,
-    tlb_stealth_entries=4,
-    stealth_overflow_buffer_bytes=8 * 56,
-    stealth_overflow_ways=2,
-    toleo=dataclasses.replace(SMALL_CONFIG.toleo, stealth_bits=8, reset_probability=0.005),
-)
-
-
-def hot_block_events(num_events=3000, seed=11):
-    """Miss events whose writebacks hammer block 0 of six hot pages.
-
-    No shipped workload leaves the flat format at test size, so the stream
-    is built directly.  A second write to one block upgrades a flat page to
-    uneven, and some 128 more overflow its 7-bit offsets into full, so the
-    hot pages (about 280 block-0 writebacks each) climb flat -> uneven ->
-    full while resets drop them back; 24 pages of reads overflow the tiny
-    TLB extension.  Events sit two accesses apart, so the timeline sampler
-    fires between them.
-    """
-    rng = random.Random(seed)
-    indices, addresses, writebacks = array("Q"), array("Q"), array("Q")
-    for pos in range(num_events):
-        indices.append(2 * pos + 1)
-        addresses.append((rng.randrange(24) << 12) + (rng.randrange(64) << 6))
-        if rng.random() < 0.7:
-            block = 0 if rng.random() < 0.8 else rng.randrange(64)
-            writebacks.append(((24 + rng.randrange(6)) << 12) + (block << 6))
-        else:
-            writebacks.append(distill.WB_NONE)
-    return MissEventStream(
-        name="hot-block",
-        scale=1.0,
-        seed=seed,
-        footprint_bytes=30 * PAGE_BYTES,
-        llc_mpki=1.0,
-        instructions_per_access=3.0,
-        num_accesses=2 * num_events + 5,
-        indices=indices,
-        addresses=addresses,
-        writes=bytearray(num_events),
-        writeback_addresses=writebacks,
-    )
-
-
-def cut(events, width):
-    """``events`` as abutting windows of ``width`` accesses."""
-    windows = []
-    for start in range(events.start_index, events.stop_index, width):
-        stop = min(start + width, events.stop_index)
-        keep = [pos for pos, index in enumerate(events.indices) if start <= index < stop]
-        windows.append(dataclasses.replace(
-            events,
-            start_index=start,
-            num_accesses=stop - start,
-            indices=array("Q", (events.indices[pos] for pos in keep)),
-            addresses=array("Q", (events.addresses[pos] for pos in keep)),
-            writes=bytearray(len(keep)),
-            writeback_addresses=array("Q", (events.writeback_addresses[pos] for pos in keep)),
-        ))
-    return windows
-
-
-class TestStealthTier:
-    """The stealth tier equals the real stealth hooks, verdict for verdict,
-    and its telemetry equals the component's."""
-
-    @pytest.fixture(scope="class")
-    def hot(self):
-        return hot_block_events()
-
-    def component(self, events):
-        return StealthFreshnessComponent(
-            TINY_STEALTH, footprint_bytes=events.footprint_bytes, seed=5, sample_every=97
-        )
-
-    @pytest.mark.parametrize("width", (None, 97, 1000))
-    def test_tier_matches_the_hooks(self, hot, width):
-        component = self.component(hot)
-        geometry = StealthTierSimulator.geometry_of(component, TINY_STEALTH)
-        simulator = StealthTierSimulator(**geometry)
-        windows = [hot] if width is None else cut(hot, width)
-        tiers = [simulator.advance(window) for window in windows]
-        tier = concatenated(tiers)
-        read, writeback, sampled = versioned(component, hot)
-        assert bytes(tier.read_hits) == bytes(read)
-        assert bytes(tier.wb_hits) == bytes(writeback)
-        assert list(tier.sample_indices) == sampled
-        assert tier.samples(0, hot.stop_index) == component.timeline
-        tlb, overflow = component.stealth_cache.tlb_stats, component.stealth_cache.overflow_stats
-        assert [tier.at_stop[name] for name in StealthTier.AT_STOP[:4]] == [
-            tlb.hits, tlb.misses, overflow.hits, overflow.misses
-        ]
-        # The format counts, usage and peak bytes, and the hit rate.
-        hooks = component.telemetry()
-        assert {**tier.telemetry(), "toleo_usage_timeline": hooks["toleo_usage_timeline"]} == hooks
-
-    def test_the_stream_reaches_every_format_resets_and_evicts(self, hot):
-        # The pin above only proves something if every path runs.
-        component = self.component(hot)
-        versioned(component, hot)
-        table, cache = component.toleo.table, component.stealth_cache
-        assert table.stats.upgrades_to_uneven > 0
-        assert table.stats.upgrades_to_full > 0
-        assert table.stats.resets > 0
-        counts = table.format_counts()
-        assert all(counts[fmt] > 0 for fmt in counts)
-        assert cache.tlb.translation_stats.evictions > 0
-        assert cache.overflow_stats.evictions > 0
-        assert cache.overflow_stats.hits > 0 and cache.overflow_stats.misses > 0
-
-    def test_the_kernel_restores_the_hooks_result(self, hot, compute_tiers):
-        # Through the engine: the batch kernel prices the tier's misses and
-        # restores the telemetry; its device and cache stay cold.
-        engine = SimulationEngine.from_mode("Toleo", config=TINY_STEALTH, seed=5)
-        scalar = engine.begin(hot, hot.num_accesses)
-        engine.replay_events(scalar, hot)
-        batched = engine.begin(hot, hot.num_accesses)
-        tiers = compute_tiers(batched.components, hot, TINY_STEALTH)
-        for stop in (500, 2501, hot.stop_index):
-            BatchReplayEngine(engine, hot, tiers=tiers).replay(batched, stop=stop)
-            batched = EngineState.deserialize(batched.serialize())
-        assert engine.finish(batched, hot).to_dict() == engine.finish(scalar, hot).to_dict()
-        stealth = only(batched.components, StealthFreshnessComponent)
-        assert len(stealth.toleo.table) == 0 and stealth.stealth_cache.tlb.resident == 0
 
 
 class TestTinyModesAreBitIdentical:
