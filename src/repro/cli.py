@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KIND",
         help="store ls only: restrict to one entry kind "
-        "(suite, events, mactier, treetier, epctier, space, ...)",
+        "(suite, events, mactier, stealthtier, treetier, epctier, space, ...)",
     )
     parser.add_argument(
         "--prefix",
