@@ -179,18 +179,25 @@ class TestStealthTier:
         assert cache.overflow_stats.evictions > 0
         assert cache.overflow_stats.hits > 0 and cache.overflow_stats.misses > 0
 
-    def test_the_kernel_restores_the_hooks_result(self, hot, compute_tiers):
+    @pytest.mark.parametrize("hooks_until", (0, 2501), ids=("batched", "hooks-then-batched"))
+    def test_the_kernel_restores_the_hooks_result(self, hot, hooks_until, compute_tiers):
         # Through the engine: the batch kernel prices the tier's misses and
-        # restores the telemetry; its device and cache stay cold.
+        # restores the telemetry, across checkpoints.  A chain may also start
+        # on the hooks and finish on the kernel, whose device stays as the
+        # hooks left it.
         pytest.importorskip("numpy")
         engine = SimulationEngine.from_mode("Toleo", config=TINY_STEALTH, seed=5)
         scalar = engine.begin(hot, hot.num_accesses)
         engine.replay_events(scalar, hot)
         batched = engine.begin(hot, hot.num_accesses)
+        engine.replay_events(batched, hot, stop=hooks_until)
+        (stealth,) = [c for c in batched.components if isinstance(c, StealthFreshnessComponent)]
+        pages = len(stealth.toleo.table)
         tiers = compute_tiers(batched.components, hot, TINY_STEALTH)
-        for stop in (500, 2501, hot.stop_index):
+        for stop in (hooks_until + 500, 4001, hot.stop_index):
             BatchReplayEngine(engine, hot, tiers=tiers).replay(batched, stop=stop)
             batched = EngineState.deserialize(batched.serialize())
         assert engine.finish(batched, hot).to_dict() == engine.finish(scalar, hot).to_dict()
         (stealth,) = [c for c in batched.components if isinstance(c, StealthFreshnessComponent)]
-        assert len(stealth.toleo.table) == 0 and stealth.stealth_cache.tlb.resident == 0
+        assert len(stealth.toleo.table) == pages
+        assert (pages > 0) == (hooks_until > 0)
