@@ -163,7 +163,7 @@ class StealthFreshnessComponent(PathComponent):
     the device-usage timeline once every ``sample_every`` accesses (Figure 12).
     The vectorized replay reads each lookup's verdict, the timeline and the
     rest of the telemetry from a :class:`~repro.sim.replaycore.StealthTier`
-    instead, and leaves the device and the cache cold; the hooks are the
+    instead, and leaves the device and the cache untouched; the hooks are the
     oracle that tier is pinned against, and the loop for scalar replays.
     """
 
@@ -184,9 +184,9 @@ class StealthFreshnessComponent(PathComponent):
         self.sample_every = max(1, sample_every)
         self.access_period = self.sample_every
         self.timeline: List[Dict[str, int]] = []
-        #: The telemetry but the timeline, as the batch kernel restored it
-        #: from the stealth tier at the last slice stop it replayed; ``None``
-        #: while the hooks keep the device and the cache.
+        #: Every telemetry field except the timeline, as the batch kernel
+        #: restored it from the stealth tier at the last slice stop it
+        #: replayed; ``None`` while the hooks keep the device and the cache.
         self.restored: Optional[Dict[str, Any]] = None
 
     def on_access(self, ctx: AccessContext) -> None:

@@ -53,7 +53,7 @@ accumulator keeps a sharded chain one unbroken fold, so checkpointed chains
 match too, and each slice's hierarchy statistics fold once, at the slice's
 stop (:func:`~repro.sim.engine.fold_statistics`).  One caveat: the
 vectorized path never touches the components' own cache objects (the tiers
-stand in for the MAC-cache, stealth-cache and Toleo-device, tree-cache and
+stand in for the MAC-cache, stealth-cache, Toleo-device, tree-cache and
 EPC lookups), so a checkpoint produced by a vectorized window can only be
 resumed vectorized.  A scalar window *can* be resumed vectorized -- a
 tier's simulator state at any event position equals the real component's.
@@ -360,8 +360,8 @@ class StealthTier(VerdictTier):
         ]
 
     def telemetry(self) -> Dict[str, Any]:
-        """The component's telemetry at the slice's stop, but the timeline
-        (:meth:`~repro.sim.path.StealthFreshnessComponent.telemetry`)."""
+        """The component's telemetry at the slice's stop, every field except
+        the timeline (:meth:`~repro.sim.path.StealthFreshnessComponent.telemetry`)."""
         counts = self.at_stop
         flat_bytes = (
             counts["flat_pages"] + counts["uneven_pages"] + counts["full_pages"]
