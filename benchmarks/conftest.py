@@ -24,7 +24,7 @@ if _SRC not in sys.path:
 # shares one temp store.
 os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-test-cache-"))
 
-from repro.experiments.harness import run_benchmarks, run_space_study
+from repro.experiments.harness import clear_cache, run_benchmarks, run_space_study
 from repro.sim.configs import LATENCY_MODES
 
 #: Benchmarks used by the quick performance figures: one representative per
@@ -55,4 +55,11 @@ def latency_suite():
 @pytest.fixture(scope="session")
 def space_study():
     """Write-replay space study shared by Figures 10-12 and Table 4."""
+    return run_space_study(SPACE_BENCHMARKS, scale=SPACE_SCALE, num_accesses=SPACE_ACCESSES)
+
+
+@pytest.fixture
+def served_space_study(space_study):
+    """The same space study again, decoded from its persistent-store entry."""
+    clear_cache()  # drop the memory layer; the disk entry stays
     return run_space_study(SPACE_BENCHMARKS, scale=SPACE_SCALE, num_accesses=SPACE_ACCESSES)

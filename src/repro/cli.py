@@ -5,10 +5,9 @@ Installed as the ``repro`` console script (``toleo-repro`` is an alias)::
     repro reproduce-all                  # every figure/table + results/index.html
     repro reproduce-all --full --jobs 4  # all twelve benchmarks, paper-scale
     repro reproduce-all --from-store     # re-render from precomputed data only
-    repro list                           # experiments, benchmarks and modes
-    repro table1                         # render one experiment
-    repro fig6 --benchmarks bsw pr --accesses 20000
-    repro all --out results/ --jobs 4    # render everything, in parallel
+    repro list                           # artifacts, benchmarks and modes
+    repro table1                         # build and print one artifact
+    repro fig6 --benchmarks bsw pr --accesses 20000 --seed 7
     repro bench --jobs 4                 # run the quick suite, print summary
     repro bench --modes Toleo CIF-Tree   # restrict the simulated modes
     repro bench --no-cache               # force re-simulation
@@ -29,13 +28,17 @@ the declarative registry in :mod:`repro.report`, writes each one to
 mode labels, git describe) and assembles the self-contained
 ``results/index.html`` report; see ``docs/reproducing.md``.
 
-Each experiment name maps to the corresponding module in
-:mod:`repro.experiments`; rendering uses the same code paths as the pytest
-benchmark harness, just with user-selectable benchmark subsets and trace
-lengths.  ``--jobs N`` fans the independent (benchmark, mode) simulations
-over N worker processes (0 = one per CPU); results are bit-identical to a
-serial run.  Completed runs persist in ``.repro_cache/`` and are reused
-across invocations unless ``--no-cache`` is given.  ``sweep`` expands
+Every registered artifact is also a command of its own: ``repro <name>``
+runs the same per-artifact step
+(:func:`repro.report.reproduce.reproduce_artifact`) at the same tier
+budgets, ``--benchmarks``/``--accesses``/``--scale``/``--seed`` overriding
+them alike, and prints exactly the text ``reproduce-all`` writes for that
+artifact, less the provenance trailer.
+
+``--jobs N`` fans the independent (benchmark, mode) simulations over N
+worker processes (0 = one per CPU); results are bit-identical to a serial
+run.  Completed runs persist in ``.repro_cache/`` and are reused across
+invocations unless ``--no-cache`` is given.  ``sweep`` expands
 ``--param key=v1,v2,...`` axes into a cartesian grid and runs every point
 through the same pipeline and persistent store.  ``--shard-size N``
 additionally splits each pair's trace into N-access shards pipelined across
@@ -62,27 +65,12 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    ablations,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    freshness_scaling,
-    harness,
-    security62,
-    table1,
-    table2,
-    table3,
-    table4,
-)
 from repro.experiments.harness import DEFAULT_BENCHMARKS, QUICK_BENCHMARKS
 from repro.experiments.report import format_table
+from repro.report.artifacts import artifact_spec, load_artifact_registry
+from repro.report.reproduce import ReproductionError, reproduce_all, reproduce_artifact
 from repro.sim.configs import (
     BASELINE_MODE,
     EVALUATED_MODES,
@@ -103,55 +91,8 @@ from repro.sim.store import default_store
 from repro.sim.sweep import SweepAxisError, parse_axis, run_sweep
 from repro.workloads.registry import BENCHMARKS, UnknownBenchmarkError
 
-
-def _simple(render: Callable[[], str]) -> Callable[..., str]:
-    """Wrap a render function that takes no benchmark arguments."""
-
-    def run(benchmarks=None, scale=None, num_accesses=None) -> str:
-        return render()
-
-    return run
-
-
-#: Experiment name -> callable(benchmarks, scale, num_accesses) -> text.
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
-    "table1": _simple(table1.render),
-    "table2": lambda benchmarks, scale, num_accesses: table2.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "table3": _simple(table3.render),
-    "table4": lambda benchmarks, scale, num_accesses: table4.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig6": lambda benchmarks, scale, num_accesses: fig6.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig7": lambda benchmarks, scale, num_accesses: fig7.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig8": lambda benchmarks, scale, num_accesses: fig8.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig9": lambda benchmarks, scale, num_accesses: fig9.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig10": lambda benchmarks, scale, num_accesses: fig10.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig11": lambda benchmarks, scale, num_accesses: fig11.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fig12": lambda benchmarks, scale, num_accesses: fig12.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "fresh-scale": lambda benchmarks, scale, num_accesses: freshness_scaling.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-    "sec62": _simple(security62.render),
-    "ablations": lambda benchmarks, scale, num_accesses: ablations.render(
-        benchmarks, scale=scale, num_accesses=num_accesses
-    ),
-}
+#: The commands beside the registered artifacts.
+COMMANDS = ("bench", "sweep", "store", "list", "reproduce-all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,14 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "bench", "sweep", "list", "store", "reproduce-all"],
-        help="experiment to render, 'reproduce-all' for every registered "
-        "artifact plus the provenance-stamped HTML report, 'bench' for a raw "
-        "benchmark-suite run, 'sweep' for a parameter-grid run, 'all' for "
-        "every experiment, 'store' to inspect or compact the persistent "
-        "result store, or 'list' for the available experiments, benchmarks "
-        "and modes",
+        choices=[spec.name for spec in load_artifact_registry()] + list(COMMANDS),
+        help="a registered artifact to build and print, 'reproduce-all' for "
+        "every artifact plus the provenance-stamped HTML report, 'bench' for "
+        "a raw benchmark-suite run, 'sweep' for a parameter-grid run, 'store' "
+        "to inspect or compact the persistent result store, or 'list' for "
+        "the available artifacts, benchmarks and modes",
     )
     parser.add_argument(
         "store_action",
@@ -219,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--full",
         action="store_true",
-        help="run all twelve paper benchmarks (for reproduce-all: the full "
-        "tier, paper-scale trace lengths)",
+        help="the full tier: all twelve paper benchmarks at paper-scale "
+        "trace lengths (for bench/sweep: all twelve benchmarks)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reproduce-all only: the quick tier -- representative "
-        "4-benchmark subset, short traces (this is the default)",
+        help="the quick tier: representative 4-benchmark subset, short "
+        "traces (the default for reproduce-all and the artifacts)",
     )
     parser.add_argument(
         "--from-store",
@@ -235,20 +174,26 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts from the precomputed results/data/*.json files "
         "(byte-identical output, zero simulation)",
     )
-    parser.add_argument("--scale", type=float, default=0.002, help="footprint scale")
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=None,
+        help="footprint scale (default: the tier's and each artifact's "
+        "budget; 0.002 for bench/sweep)",
+    )
     parser.add_argument(
         "--accesses",
         type=int,
         default=None,
         metavar="N",
-        help="trace length per benchmark (default: 20000; for reproduce-all "
-        "the tier budgets decide unless this is given)",
+        help="trace length per benchmark (default: the tier's and each "
+        "artifact's budget; 20000 for bench/sweep)",
     )
     parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
-        help="write rendered text files to DIR "
+        help="write rendered text to DIR: <name>.txt for an artifact "
         "(reproduce-all default: results/)",
     )
     parser.add_argument(
@@ -269,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=1234,
-        help="trace RNG seed (bench, sweep and reproduce-all)",
+        help="trace RNG seed (every command that simulates)",
     )
     parser.add_argument(
         "--shard-size",
@@ -414,9 +359,13 @@ def _replay_rate(plans: Sequence[RunPlan], served: Sequence[bool], elapsed: floa
 
 
 def run_list() -> str:
-    """Everything the CLI can run: experiments, benchmarks and modes."""
-    lines: List[str] = ["experiments:"]
-    for name in sorted(EXPERIMENTS) + ["bench", "sweep", "store", "reproduce-all"]:
+    """Everything the CLI can run: artifacts, commands, benchmarks and modes."""
+    lines: List[str] = ["artifacts (repro <name>, or all of them: repro reproduce-all):"]
+    for spec in load_artifact_registry():
+        lines.append(f"  {spec.name:<12} {spec.title}")
+    lines.append("")
+    lines.append("commands:")
+    for name in COMMANDS:
         lines.append(f"  {name}")
     lines.append("")
     lines.append("benchmarks (--benchmarks):")
@@ -593,36 +542,48 @@ def run_sweep_command(args: argparse.Namespace) -> str:
     return table + footer
 
 
-def run_reproduce_all(args: argparse.Namespace) -> int:
-    """Rebuild every registered artifact and the HTML report."""
-    # The orchestrator imports repro.experiments (whose modules import the
-    # registry); importing it lazily keeps `repro fig6` startup unchanged.
-    from repro.report.reproduce import ReproductionError, reproduce_all
+def _artifact_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """What an artifact command and reproduce-all hand the per-artifact step."""
+    return {
+        "tier": "full" if args.full else "quick",
+        "seed": args.seed,
+        "benchmarks": tuple(args.benchmarks) if args.benchmarks else None,
+        "num_accesses": args.accesses,
+        "scale": args.scale,
+        "jobs": args.jobs,
+        "use_cache": not args.no_cache,
+    }
 
-    tier = "full" if args.full else "quick"
+
+def run_artifact(args: argparse.Namespace) -> None:
+    """Build one registered artifact; print its text or write it to --out."""
+    _, _, text = reproduce_artifact(artifact_spec(args.experiment), **_artifact_kwargs(args))
+    if args.out is None:
+        print(text, end="")
+        return
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{args.experiment}.txt")
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"wrote {path}")
+
+
+def run_reproduce_all(args: argparse.Namespace) -> None:
+    """Rebuild every registered artifact and the HTML report."""
     started = time.perf_counter()
-    try:
-        report = reproduce_all(
-            tier=tier,
-            out_dir=args.out if args.out is not None else "results",
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            from_store=args.from_store,
-            benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
-            num_accesses=args.accesses,
-            seed=args.seed,
-            progress=print,
-        )
-    except ReproductionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    kwargs = _artifact_kwargs(args)
+    report = reproduce_all(
+        out_dir=args.out if args.out is not None else "results",
+        from_store=args.from_store,
+        progress=print,
+        **kwargs,
+    )
     elapsed = time.perf_counter() - started
     print(
-        f"\n{len(report.artifacts)} artifacts ({tier} tier"
+        f"\n{len(report.artifacts)} artifacts ({kwargs['tier']} tier"
         f"{', from store' if args.from_store else ''}) in {elapsed:.1f}s"
         f" -> open {report.index_path}"
     )
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -675,19 +636,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(run_store(args), end="")
         return 0
 
-    if args.experiment == "reproduce-all":
-        return run_reproduce_all(args)
-
-    # Legacy single-experiment/bench/sweep paths keep their historical
-    # default trace length; reproduce-all leaves None for the tier budgets.
-    if args.accesses is None:
-        args.accesses = 20_000
-
     if args.experiment == "list":
         print(run_list())
         return 0
 
     if args.experiment in ("bench", "sweep"):
+        # bench and sweep keep their historical defaults; the artifacts and
+        # reproduce-all leave None for the tier budgets.
+        if args.accesses is None:
+            args.accesses = 20_000
+        if args.scale is None:
+            args.scale = 0.002
         runner = run_bench if args.experiment == "bench" else run_sweep_command
         try:
             print(runner(args))
@@ -701,30 +660,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 3
         return 0
 
-    benchmarks = _resolve_benchmarks(args)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-
-    # The figure renderers call the harness themselves; publish the CLI's
-    # execution flags as the harness defaults for the duration of the run.
-    previous = harness.configure(jobs=args.jobs, use_cache=not args.no_cache)
     try:
-        for name in names:
-            text = EXPERIMENTS[name](benchmarks, args.scale, args.accesses)
-            if args.out:
-                path = os.path.join(args.out, f"{name}.txt")
-                with open(path, "w") as handle:
-                    handle.write(text)
-                print(f"wrote {path}")
-            else:
-                print(text)
+        if args.experiment == "reproduce-all":
+            run_reproduce_all(args)
+        else:
+            run_artifact(args)
+    except ReproductionError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except (UnknownBenchmarkError, UnknownModeError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    finally:
-        harness.configure(**previous)
     return 0
 
 

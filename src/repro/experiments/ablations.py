@@ -147,8 +147,9 @@ def run(
     scale: float = 0.002,
     num_accesses: int = 20_000,
 ) -> Dict[str, object]:
-    """All four sweeps (``benchmarks`` accepted for CLI uniformity; the cache
-    sweep always uses the paper's worst-case memcached/fmi workloads)."""
+    """All four sweeps (``benchmarks`` is accepted with the rest of the
+    context and unused: the cache sweep always uses the paper's worst-case
+    memcached/fmi workloads)."""
     return {
         "reset_probability": reset_probability_rows(),
         "stealth_width": stealth_width_rows(),
@@ -195,14 +196,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     return "\n".join(parts)
 
 
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 20_000,
-) -> str:
-    return render_payload(run(benchmarks, scale=scale, num_accesses=num_accesses))
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     return {
         "payload": run(ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses),
@@ -239,7 +232,6 @@ __all__ = [
     "trip_format_rows",
     "version_cache_rows",
     "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

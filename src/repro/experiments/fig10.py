@@ -10,7 +10,7 @@ representation mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.trip import TripFormat
 from repro.experiments.harness import (
@@ -49,15 +49,6 @@ def averages(rows: List[Dict[str, object]]) -> Dict[str, float]:
     }
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> List[Dict[str, object]]:
-    study = run_space_study(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(study)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     rows = payload["rows"]
     display = [
@@ -81,14 +72,6 @@ def render_payload(payload: Dict[str, object]) -> str:
         }
     )
     return format_table(display, title="Figure 10: Pages classified by Trip format")
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -126,8 +109,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "compute",
     "averages",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -10,7 +10,7 @@ replay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.config import FLAT_ENTRY_BYTES, GIB, PAGE_BYTES, TIB
 from repro.experiments.harness import (
@@ -60,15 +60,6 @@ def protectable_tb(rows: List[Dict[str, object]], toleo_capacity_gb: float = 168
     return toleo_capacity_gb / avg
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> List[Dict[str, object]]:
-    study = run_space_study(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(study)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     rows = payload["rows"]
     table = format_table(
@@ -83,14 +74,6 @@ def render_payload(payload: Dict[str, object]) -> str:
         + f"\nAverage: {avg:.2f} GB per TB protected"
         + f" -> one 168 GB Toleo protects ~{tb:.0f} TB\n"
     )
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -130,8 +113,6 @@ __all__ = [
     "compute",
     "average_gb_per_tb",
     "protectable_tb",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -8,7 +8,7 @@ low-version-locality kernels (fmi, the graph suite, hyrise).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments.harness import (
     SPACE_STUDY_BUDGETS,
@@ -54,29 +54,11 @@ def final_breakdown(timelines: Dict[str, List[Dict[str, int]]]) -> List[Dict[str
     return rows
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> Dict[str, List[Dict[str, int]]]:
-    study = run_space_study(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(study)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     rows = final_breakdown(payload["timelines"])
     return format_table(
         rows, title="Figure 12: Toleo usage over time (final sample per benchmark)"
     )
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.001,
-    num_accesses: int = 150_000,
-) -> str:
-    timelines = run(benchmarks, scale=scale, num_accesses=num_accesses)
-    return render_payload({"timelines": timelines})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -115,8 +97,6 @@ __all__ = [
     "compute",
     "monotonic_flat_growth",
     "final_breakdown",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

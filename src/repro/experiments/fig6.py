@@ -7,7 +7,7 @@ latency-sensitive memcached), and InvisiMem averaging ~29 %.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
 from repro.experiments.report import arithmetic_mean, format_percentage, format_table
@@ -47,15 +47,6 @@ def toleo_increment_over_ci(rows: List[Dict[str, object]]) -> Dict[str, float]:
     return out
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> List[Dict[str, object]]:
-    suite = run_benchmarks(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(suite)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     rows = payload["rows"]
     display_rows = [
@@ -76,14 +67,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     return format_table(
         display_rows, title="Figure 6: Execution time overhead vs NoProtect"
     )
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -119,8 +102,6 @@ __all__ = [
     "compute",
     "averages",
     "toleo_increment_over_ci",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -7,7 +7,7 @@ access), while the much larger MAC cache averages only ~67 %.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
 from repro.experiments.report import arithmetic_mean, format_percentage, format_table
@@ -38,15 +38,6 @@ def averages(rows: List[Dict[str, object]]) -> Dict[str, float]:
     }
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> List[Dict[str, object]]:
-    suite = run_benchmarks(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(suite)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     rows = payload["rows"]
     display = [
@@ -66,14 +57,6 @@ def render_payload(payload: Dict[str, object]) -> str:
         }
     )
     return format_table(display, title="Figure 7: Metadata cache hit rates (Toleo config)")
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -108,8 +91,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "compute",
     "averages",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -9,7 +9,7 @@ overhead for poor-spatial-locality workloads, stealth traffic is negligible
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
 from repro.experiments.report import format_table
@@ -48,29 +48,12 @@ def stealth_traffic_fraction(rows: List[Dict[str, object]]) -> Dict[str, float]:
     return out
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> List[Dict[str, object]]:
-    suite = run_benchmarks(benchmarks, scale=scale, num_accesses=num_accesses)
-    return compute(suite)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     return format_table(
         payload["rows"],
         columns=["bench", "mode", "data", "mac_uv", "stealth", "dummy", "total"],
         title="Figure 8: Bytes fetched per instruction by category",
     )
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -105,8 +88,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "compute",
     "stealth_traffic_fraction",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

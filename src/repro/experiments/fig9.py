@@ -9,7 +9,7 @@ for redis / memcached), InvisiMem ~2.1x overall.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
 from repro.experiments.report import format_table
@@ -55,17 +55,6 @@ def freshness_latency_fraction(rows: List[Dict[str, object]]) -> Dict[str, float
     return out
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> List[Dict[str, object]]:
-    suite = run_benchmarks(
-        benchmarks, modes=LATENCY_MODES, scale=scale, num_accesses=num_accesses
-    )
-    return compute(suite)
-
-
 def render_payload(payload: Dict[str, object]) -> str:
     return format_table(
         payload["rows"],
@@ -81,14 +70,6 @@ def render_payload(payload: Dict[str, object]) -> str:
         ],
         title="Figure 9: Average memory read latency breakdown (ns)",
     )
-
-
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
@@ -128,8 +109,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "compute",
     "freshness_latency_fraction",
-    "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

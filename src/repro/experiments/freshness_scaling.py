@@ -121,14 +121,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     return table + "\n".join(lines) + "\n"
 
 
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-) -> str:
-    return render_payload({"rows": run(benchmarks, scale=scale, num_accesses=num_accesses)})
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     rows = run(
         ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed
@@ -165,7 +157,6 @@ ARTIFACT = register_artifact(
 
 __all__ = [
     "run",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -19,8 +19,8 @@ one entry point, :func:`run_benchmarks`, backed by the persistent
   unsharded) over ``jobs`` worker processes, or in-process at ``jobs=1``,
   with output bit-identical to the serial engine.
 
-The figure modules accept either a precomputed suite or the parameters to
-produce one.
+The figure modules' ``compute`` functions take a precomputed suite or
+study; their data stages produce one from the artifact's context.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ DEFAULT_BENCHMARKS: Tuple[str, ...] = tuple(WORKLOAD_NAMES)
 #: benchmark targets so a full run stays under a few seconds.
 QUICK_BENCHMARKS: Tuple[str, ...] = ("bsw", "pr", "llama2-gen", "memcached")
 
-#: Process-wide execution defaults, adjustable by the CLI (``--jobs`` /
-#: ``--no-cache``) so every experiment render picks them up without each
-#: figure module having to thread the flags through.
+#: Process-wide execution defaults, which
+#: :func:`repro.report.reproduce.reproduce_artifact` sets around each data
+#: stage (``--jobs`` / ``--no-cache``) so every experiment module picks them
+#: up without threading the flags through.
 _EXECUTION_DEFAULTS: Dict[str, Any] = {"jobs": 1, "use_cache": True}
 
 
@@ -181,10 +182,8 @@ class SpaceStudyResult:
     model filtering writes through the data caches.
 
     The measured quantities (format mix, usage breakdown, timeline, operation
-    counters) are stored as plain data so results round-trip through the
-    persistent store; ``device`` additionally carries the live
-    :class:`ToleoDevice` when the study ran serially in this process (it is
-    ``None`` for store-loaded and worker-computed results).
+    counters) are plain data, so a study computed in a worker or served from
+    the persistent store is the same value as one computed in this process.
     """
 
     benchmark: str
@@ -195,7 +194,6 @@ class SpaceStudyResult:
     table_pages: int = 0
     updates: int = 0
     reads: int = 0
-    device: Optional[ToleoDevice] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -230,14 +228,13 @@ def _decode_space(payload: Dict[str, Any]) -> Dict[str, SpaceStudyResult]:
     }
 
 
-def _replay_space_study(
-    name: str, scale: float, num_accesses: int, seed: int, timeline_samples: int
-) -> SpaceStudyResult:
+def _replay_space_study(task: Tuple[str, float, int, int, int]) -> SpaceStudyResult:
     """Replay one benchmark's write stream into a fresh Toleo device."""
     from repro.crypto.rng import DRangeRng
     from repro.memory.address import block_index_in_page, page_number
     from repro.workloads.registry import get_workload
 
+    name, scale, num_accesses, seed, timeline_samples = task
     workload = get_workload(name, scale=scale, seed=seed)
     device = ToleoDevice(config=None, rng=DRangeRng(seed=seed), strict_capacity=False)
     timeline: List[Dict[str, int]] = []
@@ -257,17 +254,7 @@ def _replay_space_study(
         table_pages=len(device.table),
         updates=device.stats.updates,
         reads=device.stats.reads,
-        device=device,
     )
-
-
-def _space_study_task(task: Tuple[str, float, int, int, int]) -> SpaceStudyResult:
-    """Worker body: one benchmark's space study, without the live device
-    (devices are process-local; shipping one across the pool boundary would
-    only pickle dead weight)."""
-    result = _replay_space_study(*task)
-    result.device = None
-    return result
 
 
 #: Per-tier budgets shared by the space-study artifacts (figures 10-12).
@@ -332,15 +319,9 @@ def run_space_study(
         if cached is not None:
             return cached
 
-    if jobs != 1 and len(names) > 1:
-        tasks = [(name, scale, num_accesses, seed, timeline_samples) for name in names]
-        computed = parallel_map(_space_study_task, tasks, jobs=jobs)
-        results = {name: result for name, result in zip(names, computed)}
-    else:
-        results = {
-            name: _replay_space_study(name, scale, num_accesses, seed, timeline_samples)
-            for name in names
-        }
+    tasks = [(name, scale, num_accesses, seed, timeline_samples) for name in names]
+    computed = parallel_map(_replay_space_study, tasks, jobs=jobs)
+    results = {name: result for name, result in zip(names, computed)}
     if use_cache:
         store.put(key, results, encoder=_encode_space)
     return results

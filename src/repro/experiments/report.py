@@ -1,8 +1,9 @@
-"""Plain-text rendering helpers shared by the experiment harnesses.
+"""Plain-text rendering helpers shared by the experiment modules.
 
 The paper's tables and figures are regenerated as aligned text tables (and,
-where useful, CSV strings) so the benchmark harness can print them directly
-and EXPERIMENTS.md can embed them.
+where useful, CSV strings): the artifacts' render stages and the ``bench``
+and ``sweep`` commands print them, and ``reproduce-all`` writes them to
+``results/<name>.txt`` and embeds them in ``results/index.html``.
 """
 
 from __future__ import annotations

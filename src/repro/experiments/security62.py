@@ -86,10 +86,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     )
 
 
-def render() -> str:
-    return render_payload({"rows": comparison_rows()})
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     return {
         "payload": {
@@ -118,7 +114,6 @@ __all__ = [
     "compute",
     "comparison_rows",
     "reduced_parameter_check",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

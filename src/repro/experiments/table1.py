@@ -52,12 +52,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render() -> str:
-    return render_payload(
-        {"rows": compute(), "distinguishable": demonstrate_partial_confidentiality()}
-    )
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     return {
         "payload": {
@@ -85,7 +79,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "compute",
     "demonstrate_partial_confidentiality",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -67,16 +67,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     )
 
 
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 40_000,
-) -> str:
-    return render_payload(
-        {"rows": measure(benchmarks, scale=scale, num_accesses=num_accesses)}
-    )
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     rows = measure(
         ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed
@@ -100,7 +90,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "reference_rows",
     "measure",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

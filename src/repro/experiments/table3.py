@@ -82,10 +82,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     return format_table(payload["rows"], title="Table 3: Simulation Configuration")
 
 
-def render(config: SystemConfig | None = None) -> str:
-    return render_payload({"rows": compute(config)})
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     return {"payload": {"rows": compute()}, "store_keys": [], "modes": []}
 
@@ -103,4 +99,4 @@ ARTIFACT = register_artifact(
 )
 
 
-__all__ = ["compute", "render", "render_payload", "artifact_payload", "ARTIFACT"]
+__all__ = ["compute", "render_payload", "artifact_payload", "ARTIFACT"]

@@ -85,21 +85,6 @@ def render_payload(payload: Dict[str, object]) -> str:
     )
 
 
-def render(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 40_000,
-) -> str:
-    return render_payload(
-        {
-            "reference": reference_rows(),
-            "measured": measure_toleo_average(
-                benchmarks, scale=scale, num_accesses=num_accesses
-            ),
-        }
-    )
-
-
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
     return {
         "payload": {
@@ -132,7 +117,6 @@ ARTIFACT = register_artifact(
 __all__ = [
     "reference_rows",
     "measure_toleo_average",
-    "render",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

@@ -5,7 +5,8 @@ dozen CLI invocations and experiment modules to chain together.  Now every
 ``repro.experiments.*`` module declares its artifact once -- a name, a paper
 section, a **data stage** and a **render stage** -- and registers it here;
 ``repro reproduce-all`` (:mod:`repro.report.reproduce`) is just a fold over
-this registry.
+this registry, and every registered name is a ``repro <name>`` command that
+runs the same per-artifact step.
 
 The two stages enforce the comp-gen discipline of separating data generation
 from presentation:

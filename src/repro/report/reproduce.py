@@ -13,6 +13,10 @@ fallback):
    together with its :class:`~repro.report.provenance.ProvenanceStamp`.
 2. Run its **render stage** over the (JSON-normalised) data alone and write
    ``<out>/<name>.txt`` with the stamp as a plain-text trailer.
+
+   The two stages are :func:`reproduce_artifact`, the one per-artifact
+   step; ``repro <artifact>`` runs it alone and prints the same text,
+   without the trailer.
 3. Assemble everything, plus the committed ``BENCH_*.json`` perf trajectory,
    into the self-contained ``<out>/index.html``, and write
    ``<out>/manifest.json`` listing every artifact and stamp.
@@ -95,14 +99,16 @@ class ReproductionReport:
 
 
 def _normalise(payload: Any) -> Any:
-    """Round-trip a payload through canonical JSON.
+    """Round-trip a payload through JSON.
 
     Both the cold path (fresh in-memory data) and the ``--from-store`` path
-    (data loaded from disk) feed the render stage *this* form, so key order
-    and number formatting can never differ between the two -- the root of the
-    byte-identical guarantee.
+    (data loaded from disk) feed the render stage *this* form, so number
+    formatting can never differ between the two -- the root of the
+    byte-identical guarantee.  Keys keep the order the data stage built them
+    in (deterministic, and what ``format_table`` takes its columns from), and
+    the data file keeps it too, so a re-render reads the same order.
     """
-    return json.loads(json.dumps(payload, sort_keys=True))
+    return json.loads(json.dumps(payload))
 
 
 def _data_envelope(spec: ArtifactSpec, payload: Any, stamp: ProvenanceStamp) -> Dict[str, Any]:
@@ -117,7 +123,13 @@ def _data_envelope(spec: ArtifactSpec, payload: Any, stamp: ProvenanceStamp) -> 
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _tier(tier: str) -> Dict[str, Any]:
+    if tier not in TIERS:
+        raise ReproductionError(f"unknown tier {tier!r}; expected one of {sorted(TIERS)}")
+    return TIERS[tier]
 
 
 def base_context(
@@ -128,13 +140,12 @@ def base_context(
 ) -> ReproContext:
     """Resolve the tier's base context, with optional global overrides.
 
-    ``benchmarks``/``num_accesses`` overrides apply *after* per-artifact
-    budgets (see :func:`reproduce_all`) -- they exist so CI smoke runs and
-    tests can shrink every artifact uniformly.
+    Per-artifact budgets apply on top of it, and :func:`reproduce_artifact`
+    applies its ``benchmarks``/``num_accesses``/``scale`` overrides *after*
+    the budgets -- they exist so CI smoke runs, tests and the single-artifact
+    commands can shrink every artifact uniformly.
     """
-    if tier not in TIERS:
-        raise ReproductionError(f"unknown tier {tier!r}; expected one of {sorted(TIERS)}")
-    base = TIERS[tier]
+    base = _tier(tier)
     return ReproContext(
         tier=tier,
         benchmarks=tuple(benchmarks) if benchmarks is not None else tuple(base["benchmarks"]),
@@ -142,6 +153,68 @@ def base_context(
         num_accesses=num_accesses if num_accesses is not None else base["num_accesses"],
         seed=seed,
     )
+
+
+def _render(spec: ArtifactSpec, payload: Any) -> str:
+    """The artifact's text: its render stage over the normalised payload."""
+    text = spec.render(payload)
+    return text if text.endswith("\n") else text + "\n"
+
+
+def reproduce_artifact(
+    spec: ArtifactSpec,
+    tier: str = "quick",
+    seed: int = 1234,
+    benchmarks: Optional[Sequence[str]] = None,
+    num_accesses: Optional[int] = None,
+    scale: Optional[float] = None,
+    jobs: int = 1,
+    use_cache: bool = True,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Tuple[Any, ProvenanceStamp, str]:
+    """Compute and render one artifact; returns ``(payload, stamp, text)``.
+
+    The context is the tier's base context, then the spec's budgets for the
+    tier, then whichever of ``benchmarks``/``num_accesses``/``scale`` is
+    given.  The data stage runs with ``jobs``/``use_cache`` published as the
+    harness defaults (the figure modules drive the harness themselves), and
+    the text is rendered from the JSON-normalised payload, as a
+    ``--from-store`` re-render does.  ``reproduce-all`` and every
+    ``repro <artifact>`` command run this one step.
+    """
+    overrides = {
+        name: value
+        for name, value in (
+            ("benchmarks", benchmarks),
+            ("num_accesses", num_accesses),
+            ("scale", scale),
+        )
+        if value is not None
+    }
+    ctx = spec.context_for(base_context(tier, seed=seed)).replace(**overrides)
+    if progress is not None:
+        progress(f"{spec.name}: data stage "
+                 f"({len(ctx.benchmarks)} benchmarks, {ctx.num_accesses} accesses)")
+    previous = harness.configure(jobs=jobs, use_cache=use_cache)
+    try:
+        result = spec.run_data(ctx)
+    finally:
+        harness.configure(**previous)
+    stamp = ProvenanceStamp.create(
+        artifact=spec.name,
+        kind=spec.kind,
+        tier=ctx.tier,
+        seed=ctx.seed,
+        modes=result["modes"],
+        store_keys=result["store_keys"],
+        params={
+            "benchmarks": list(ctx.benchmarks),
+            "scale": ctx.scale,
+            "num_accesses": ctx.num_accesses,
+        },
+    )
+    payload = _normalise(result["payload"])
+    return payload, stamp, _render(spec, payload)
 
 
 def reproduce_all(
@@ -152,15 +225,18 @@ def reproduce_all(
     from_store: bool = False,
     benchmarks: Optional[Sequence[str]] = None,
     num_accesses: Optional[int] = None,
+    scale: Optional[float] = None,
     seed: int = 1234,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ReproductionReport:
     """Rebuild every registered artifact and assemble the HTML report.
 
-    ``benchmarks``/``num_accesses`` uniformly override the tier and
-    per-artifact budgets (smoke runs); ``from_store=True`` skips every data
+    Each artifact is one :func:`reproduce_artifact` step;
+    ``benchmarks``/``num_accesses``/``scale`` uniformly override the tier and
+    per-artifact budgets (smoke runs).  ``from_store=True`` skips every data
     stage and re-renders from ``<out>/data/*.json``.
     """
+    _tier(tier)  # an unknown tier fails before anything is written
     specs = load_artifact_registry()
     out = Path(out_dir)
     data_dir = out / "data"
@@ -169,64 +245,43 @@ def reproduce_all(
     report = ReproductionReport(tier=tier, out_dir=out)
     say = progress if progress is not None else lambda _message: None
 
-    base = base_context(tier, seed=seed, benchmarks=benchmarks, num_accesses=num_accesses)
-    # The figure modules drive the harness themselves; publish the execution
-    # flags process-wide for the duration of the run, exactly as the CLI's
-    # per-experiment path does.
-    previous = harness.configure(jobs=jobs, use_cache=use_cache)
-    try:
-        for index, spec in enumerate(specs, start=1):
-            data_path = data_dir / f"{spec.name}.json"
-            text_path = out / f"{spec.name}.txt"
-            if from_store:
-                envelope = _load_envelope(spec, data_path)
-                payload = envelope["payload"]
-                stamp = ProvenanceStamp.from_dict(envelope["provenance"])
-                say(f"[{index}/{len(specs)}] {spec.name}: precomputed data ({data_path})")
-            else:
-                ctx = spec.context_for(base)
-                if benchmarks is not None:
-                    ctx = ctx.replace(benchmarks=tuple(benchmarks))
-                if num_accesses is not None:
-                    ctx = ctx.replace(num_accesses=num_accesses)
-                say(f"[{index}/{len(specs)}] {spec.name}: data stage "
-                    f"({len(ctx.benchmarks)} benchmarks, {ctx.num_accesses} accesses)")
-                result = spec.run_data(ctx)
-                stamp = ProvenanceStamp.create(
-                    artifact=spec.name,
-                    kind=spec.kind,
-                    tier=tier,
-                    seed=ctx.seed,
-                    modes=result["modes"],
-                    store_keys=result["store_keys"],
-                    params={
-                        "benchmarks": list(ctx.benchmarks),
-                        "scale": ctx.scale,
-                        "num_accesses": ctx.num_accesses,
-                    },
-                )
-                payload = _normalise(result["payload"])
-                _write_json(data_path, _data_envelope(spec, payload, stamp))
-
-            text = spec.render(payload)
-            if not text.endswith("\n"):
-                text += "\n"
-            text_path.write_text(text + "\n" + stamp.footer())
-            report.artifacts.append(
-                ArtifactResult(
-                    name=spec.name,
-                    kind=spec.kind,
-                    title=spec.title,
-                    text=text,
-                    payload=payload,
-                    stamp=stamp,
-                    data_path=data_path,
-                    text_path=text_path,
-                    from_store=from_store,
-                )
+    for index, spec in enumerate(specs, start=1):
+        data_path = data_dir / f"{spec.name}.json"
+        text_path = out / f"{spec.name}.txt"
+        step = f"[{index}/{len(specs)}]"
+        if from_store:
+            envelope = _load_envelope(spec, data_path)
+            payload = envelope["payload"]
+            stamp = ProvenanceStamp.from_dict(envelope["provenance"])
+            say(f"{step} {spec.name}: precomputed data ({data_path})")
+            text = _render(spec, payload)
+        else:
+            payload, stamp, text = reproduce_artifact(
+                spec,
+                tier,
+                seed=seed,
+                benchmarks=benchmarks,
+                num_accesses=num_accesses,
+                scale=scale,
+                jobs=jobs,
+                use_cache=use_cache,
+                progress=lambda message: say(f"{step} {message}"),
             )
-    finally:
-        harness.configure(**previous)
+            _write_json(data_path, _data_envelope(spec, payload, stamp))
+        text_path.write_text(text + "\n" + stamp.footer())
+        report.artifacts.append(
+            ArtifactResult(
+                name=spec.name,
+                kind=spec.kind,
+                title=spec.title,
+                text=text,
+                payload=payload,
+                stamp=stamp,
+                data_path=data_path,
+                text_path=text_path,
+                from_store=from_store,
+            )
+        )
 
     entries = [
         {"name": a.name, "kind": a.kind, "title": a.title, "text": a.text, "stamp": a.stamp}
@@ -299,4 +354,5 @@ __all__ = [
     "ReproductionReport",
     "base_context",
     "reproduce_all",
+    "reproduce_artifact",
 ]

@@ -1,10 +1,13 @@
 """Tests for the toleo-repro command-line interface."""
 
-import os
+import json
 
 import pytest
 
 from repro import cli
+from repro.experiments.report import format_table
+from repro.report import artifacts
+from repro.report.artifacts import ArtifactSpec, load_artifact_registry, register_artifact
 
 
 class TestParser:
@@ -15,15 +18,34 @@ class TestParser:
             assert name in out
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["not-an-experiment"])
+        for name in ("not-an-experiment", "all"):  # 'all' is reproduce-all now
+            with pytest.raises(SystemExit):
+                cli.main([name])
 
-    def test_every_registered_experiment_has_a_renderer(self):
-        assert set(cli.EXPERIMENTS) == {
-            "table1", "table2", "table3", "table4",
-            "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-            "fresh-scale", "sec62", "ablations",
-        }
+    def test_every_registered_artifact_is_a_command(self):
+        parser = cli.build_parser()
+        for spec in load_artifact_registry():
+            assert parser.parse_args([spec.name]).experiment == spec.name
+
+    def test_a_runtime_registered_artifact_is_a_command(self, monkeypatch, capsys):
+        # A private copy of the registry, so the throwaway spec leaves with it.
+        monkeypatch.setattr(artifacts, "_REGISTRY", dict(artifacts._REGISTRY))
+        register_artifact(
+            ArtifactSpec(
+                name="throwaway",
+                kind="analysis",
+                title="Throwaway artifact",
+                description="Registered at runtime",
+                data=lambda ctx: {
+                    "payload": {"rows": [{"seed": ctx.seed, "accesses": ctx.num_accesses}]}
+                },
+                render=lambda payload: format_table(payload["rows"], title="Throwaway"),
+            )
+        )
+        assert cli.main(["list"]) == 0
+        assert "throwaway    Throwaway artifact" in capsys.readouterr().out
+        assert cli.main(["throwaway", "--seed", "7", "--accesses", "99"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "99"]
 
     def test_jobs_flag_parsed(self):
         args = cli.build_parser().parse_args(["bench", "--jobs", "4"])
@@ -75,15 +97,15 @@ class TestParser:
 
 class TestBenchmarkResolution:
     def test_explicit_benchmarks_win(self):
-        args = cli.build_parser().parse_args(["fig6", "--benchmarks", "bsw", "pr"])
+        args = cli.build_parser().parse_args(["bench", "--benchmarks", "bsw", "pr"])
         assert cli._resolve_benchmarks(args) == ("bsw", "pr")
 
     def test_full_flag_selects_all_twelve(self):
-        args = cli.build_parser().parse_args(["fig6", "--full"])
+        args = cli.build_parser().parse_args(["bench", "--full"])
         assert len(cli._resolve_benchmarks(args)) == 12
 
     def test_default_is_quick_subset(self):
-        args = cli.build_parser().parse_args(["fig6"])
+        args = cli.build_parser().parse_args(["bench"])
         assert 0 < len(cli._resolve_benchmarks(args)) < 12
 
 
@@ -125,13 +147,16 @@ class TestReproduceAll:
         out = tmp_path / "results"
         assert cli.main(
             ["reproduce-all", "--benchmarks", "bsw", "--accesses", "1200",
-             "--out", str(out)]
+             "--scale", "0.004", "--out", str(out)]
         ) == 0
         stdout = capsys.readouterr().out
         assert "artifacts (quick tier)" in stdout
         assert (out / "index.html").exists()
-        assert (out / "manifest.json").exists()
         assert (out / "data" / "fig6.json").exists()
+        # --scale overrides every artifact's budget, the space figures' too.
+        manifest = json.loads((out / "manifest.json").read_text())
+        scales = {e["name"]: e["provenance"]["params"]["scale"] for e in manifest["artifacts"]}
+        assert set(scales.values()) == {0.004} and "fig10" in scales
 
         # --from-store re-render over the data just written: zero simulation.
         assert cli.main(

@@ -85,6 +85,10 @@ class TestFig6:
         avg = fig6.averages(fig6.compute(suite))
         assert set(avg) == set(fig6.OVERHEAD_MODES)
 
+    def test_render_includes_average_row(self, suite):
+        text = fig6.render_payload({"rows": fig6.compute(suite)})
+        assert "Figure 6" in text and "average" in text
+
 
 class TestFig7:
     def test_hit_rates_in_range(self, suite):
@@ -156,6 +160,10 @@ class TestFig11:
         rows = fig11.compute(space_study)
         assert fig11.protectable_tb(rows) > 28
 
+    def test_render_reports_protectable_capacity(self, space_study):
+        text = fig11.render_payload({"rows": fig11.compute(space_study)})
+        assert "GB per TB protected" in text and "168 GB Toleo" in text
+
 
 class TestFig12:
     def test_timelines_present_and_monotone(self, space_study):
@@ -180,4 +188,8 @@ class TestSecuritySection62:
         assert measured["full_version_collision_probability"] < 1e-18
 
     def test_render(self):
-        assert "Section 6.2" in security62.render()
+        check = security62.reduced_parameter_check()
+        text = security62.render_payload(
+            {"rows": security62.comparison_rows(), "reduced_check": check}
+        )
+        assert "Section 6.2" in text and "Monte-Carlo cross-check" in text

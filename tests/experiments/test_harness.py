@@ -53,12 +53,6 @@ class TestRunSpaceStudy:
         assert sum(result.format_counts.values()) == result.table_pages
         assert set(result.usage_bytes) == {"flat", "uneven", "full"}
 
-    def test_serial_study_keeps_the_live_device(self):
-        study = run_space_study(("bsw",), scale=0.001, num_accesses=10_000)
-        result = study["bsw"]
-        if result.device is not None:  # absent when served from the disk store
-            assert len(result.device.table) == result.table_pages
-
     def test_only_writes_reach_the_device(self):
         study = run_space_study(("bsw",), scale=0.001, num_accesses=10_000)
         result = study["bsw"]

@@ -27,7 +27,8 @@ class TestTable1:
         assert demo["Toleo"] is False
 
     def test_render_contains_table(self):
-        text = table1.render()
+        demo = table1.demonstrate_partial_confidentiality()
+        text = table1.render_payload({"rows": table1.compute(), "distinguishable": demo})
         assert "Table 1" in text
         assert "Toleo" in text
 
@@ -50,7 +51,7 @@ class TestTable2:
             assert row["measured_mpki"] >= 0
 
     def test_render(self):
-        text = table2.render(["bsw"], num_accesses=3000)
+        text = table2.render_payload({"rows": table2.measure(["bsw"], num_accesses=3000)})
         assert "Table 2" in text and "bsw" in text
 
 
@@ -60,7 +61,7 @@ class TestTable3:
         assert {"Processor", "L3 cache", "Toleo", "MAC cache", "Stealth version"} <= components
 
     def test_render_mentions_paper_parameters(self):
-        text = table3.render()
+        text = table3.render_payload({"rows": table3.compute()})
         assert "168 GB" in text
         assert "256 entries" in text
         assert "28 KB" in text
@@ -83,5 +84,6 @@ class TestTable4:
         assert measured["average_entry_bytes"] >= 12.0
 
     def test_render(self):
-        text = table4.render(["bsw"], scale=0.001, num_accesses=5000)
+        measured = table4.measure_toleo_average(["bsw"], scale=0.001, num_accesses=5000)
+        text = table4.render_payload({"reference": table4.reference_rows(), "measured": measured})
         assert "Table 4" in text and "Measured" in text

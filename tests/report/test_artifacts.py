@@ -33,18 +33,22 @@ class TestCompleteness:
     def test_expected_artifact_set(self, registry):
         assert tuple(s.name for s in registry) == EXPECTED_ARTIFACTS
 
-    def test_every_experiment_module_with_a_renderer_registers(self, registry):
-        """No figure/table module can silently drop out of reproduce-all."""
+    def test_every_experiment_module_registers_its_artifact(self, registry):
+        """No figure/table module can silently drop out of reproduce-all (or
+        of the ``repro <name>`` commands, which read the same registry)."""
         import importlib
 
-        registered_modules = {spec.data.__module__ for spec in registry}
+        shared = {"harness", "report"}
         for info in pkgutil.iter_modules(repro.experiments.__path__):
             module = importlib.import_module(f"repro.experiments.{info.name}")
-            if hasattr(module, "render"):
-                assert module.__name__ in registered_modules, (
-                    f"{module.__name__} has a render() but no registered "
-                    "ArtifactSpec -- reproduce-all would skip it"
-                )
+            if info.name in shared:
+                assert not hasattr(module, "ARTIFACT")
+                continue
+            assert hasattr(module, "ARTIFACT"), (
+                f"{module.__name__} declares no ARTIFACT -- reproduce-all would skip it"
+            )
+            assert artifact_spec(module.ARTIFACT.name) is module.ARTIFACT
+            assert not hasattr(module, "render"), "a render() twin beside the registry"
 
     def test_stages_live_in_the_declaring_module(self, registry):
         for spec in registry:

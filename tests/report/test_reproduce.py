@@ -8,6 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
+from repro.experiments.security62 import (
+    PAPER_COLLISION_PROBABILITY,
+    PAPER_PER_INTERVAL_NO_RESET,
+    PAPER_REPLAY_SUCCESS,
+)
 from repro.report.artifacts import load_artifact_registry
 from repro.report.provenance import parse_footer
 from repro.report.reproduce import (
@@ -18,8 +24,14 @@ from repro.report.reproduce import (
 )
 from repro.report.validate import validate_results_dir
 from repro.sim.store import code_fingerprint
+from repro.workloads.registry import BENCHMARKS
 
-TINY = dict(benchmarks=("bsw",), num_accesses=1500)
+#: The tiny cold run every test here shares; the seed is not the default
+#: one, so a path that drops ``--seed`` cannot match it.
+TINY = dict(benchmarks=("bsw",), num_accesses=1500, seed=7)
+
+#: The same run as ``repro <name>`` flags.
+TINY_FLAGS = ["--benchmarks", "bsw", "--accesses", "1500", "--seed", "7"]
 
 
 @contextmanager
@@ -112,6 +124,76 @@ class TestColdRun:
         assert len(keys) == 3
         assert len(set(keys.values())) == 1
         assert all("-" in key for key in keys["fig10"])
+
+    def test_columns_keep_the_data_stages_order(self, cold_run):
+        """Payloads keep the key order their data stage built, so a table
+        whose columns come from its rows is not alphabetised."""
+        _, _, report, _ = cold_run
+        headers = {a.name: a.text.splitlines()[1] for a in report.artifacts}
+        assert headers["table1"].startswith("Scheme")
+        assert headers["sec62"].startswith("quantity")
+
+
+class TestOnePath:
+    """``repro <name>`` is reproduce-all's per-artifact step, run alone."""
+
+    @pytest.mark.parametrize("name", [spec.name for spec in load_artifact_registry()])
+    def test_the_command_prints_the_reproduced_text(self, cold_run, name, capsys):
+        _, out, report, _ = cold_run
+        (artifact,) = [a for a in report.artifacts if a.name == name]
+        assert cli.main([name, *TINY_FLAGS]) == 0
+        printed = capsys.readouterr().out
+        assert printed == artifact.text
+        assert (out / f"{name}.txt").read_text() == printed + "\n" + artifact.stamp.footer()
+
+    def test_the_seed_reaches_the_artifact(self, cold_run, capsys):
+        _, _, report, _ = cold_run
+        (fig9,) = [a for a in report.artifacts if a.name == "fig9"]
+        flags = [flag if flag != "7" else "1234" for flag in TINY_FLAGS]
+        assert cli.main(["fig9", *flags]) == 0
+        assert capsys.readouterr().out != fig9.text
+
+
+class TestPaperConstantsOnTheArtifacts:
+    """The paper's numbers the code cites, pinned on the published payloads
+    (what ``results/data/*.json`` carries), not only on module functions."""
+
+    @staticmethod
+    def payload(cold_run, name):
+        _, _, report, _ = cold_run
+        (artifact,) = [a for a in report.artifacts if a.name == name]
+        return artifact.payload
+
+    def test_sec62_paper_column(self, cold_run):
+        rows = self.payload(cold_run, "sec62")["rows"]
+        paper = [float(row["paper"]) for row in rows]
+        assert paper == pytest.approx(
+            [PAPER_REPLAY_SUCCESS, PAPER_PER_INTERVAL_NO_RESET, PAPER_COLLISION_PROBABILITY],
+            rel=5e-3,
+        )
+        assert (PAPER_REPLAY_SUCCESS, PAPER_PER_INTERVAL_NO_RESET, PAPER_COLLISION_PROBABILITY) == (
+            2.0 ** -27, 1.6e-26, 1.7e-19,
+        )
+
+    def test_table2_paper_columns(self, cold_run):
+        rows = self.payload(cold_run, "table2")["rows"]
+        assert [row["bench"] for row in rows] == ["bsw"]
+        for row in rows:
+            info = BENCHMARKS[row["bench"]]
+            assert (row["paper_rss_gb"], row["paper_mpki"]) == (info.rss_gb, info.llc_mpki)
+        assert (rows[0]["paper_rss_gb"], rows[0]["paper_mpki"]) == (11.7, 1.21)
+        assert BENCHMARKS["pr"].llc_mpki == 133.98
+
+    def test_table4_reference_ratios(self, cold_run):
+        ratios = {
+            row["representation"]: row["data_to_version_ratio"]
+            for row in self.payload(cold_run, "table4")["reference"]
+        }
+        assert ratios["Client SGX (Leaf)"] == pytest.approx(9.14, abs=0.01)
+        assert ratios["VAULT (Leaf)"] == pytest.approx(64.0)
+        assert ratios["MorphCtr-128 (Leaf)"] == pytest.approx(128.0)
+        assert ratios["Toleo Stealth Flat"] == pytest.approx(341.3, abs=0.5)
+        assert ratios["Toleo Stealth Avg."] == pytest.approx(240, abs=1)
 
 
 class TestFromStore:
