@@ -8,10 +8,17 @@ sequence that was already known after the first mode.  This module factors
 that work out:
 
 * :class:`HierarchyDistiller` runs the trace through a rewritten hot-path
-  model of the three-level hierarchy **once** -- flat per-set dicts keyed by
-  tag with insertion-order LRU instead of ``OrderedDict``-of-``_Line``
-  objects, no per-access result allocation -- and is pinned bit-identical in
-  every counter to :class:`repro.cache.hierarchy.CacheHierarchy`;
+  model of the three-level hierarchy **once**, by one of two passes with one
+  oracle.  The dict pass walks the accesses one by one over flat per-set
+  dicts keyed by tag with insertion-order LRU (no ``OrderedDict``-of-
+  ``_Line`` objects, no per-access result allocation); it is pinned
+  bit-identical in every counter to
+  :class:`repro.cache.hierarchy.CacheHierarchy` and runs on numpy-free
+  installs.  Wherever numpy imports the lockstep pass runs instead: a window
+  goes through L1, then L1's misses through L2, then L2's misses through
+  L3, and each level serves every set at once, step by step.  It is exact
+  because each level is a plain LRU cache over its own input, and it is
+  pinned against the dict pass window by window;
 * the result is a :class:`MissEventStream`: packed arrays of (global access
   index, address, is_write, optional writeback address) for every LLC miss,
   plus the final per-level :class:`~repro.cache.cache.CacheStats`;
@@ -55,10 +62,16 @@ from repro.workloads.base import Trace, calibrated_instruction_count
 
 try:  # numpy is optional: without it the column views (and the vectorized
     # replay core built on them) are unavailable and everything falls back
-    # to the scalar event replay -- exact either way.
+    # to the dict pass and the scalar event replay -- exact either way.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only on numpy-free installs
     _np = None
+
+#: Whether numpy imports: the one observation every numpy path reads -- the
+#: distiller's lockstep pass, :meth:`MissEventStream.validate` and the replay
+#: core's batch kernels (:func:`repro.sim.replaycore.vectorizable`).  Tests
+#: patch it here to run either side of all of them at once.
+HAVE_NUMPY = _np is not None
 
 #: Sentinel in ``writeback_addresses`` for events that evicted no dirty line.
 #: Real addresses are far below it (the synthetic address space tops out at
@@ -211,14 +224,32 @@ class MissEventStream:
             )
         if self.memory_accesses != self.level_stats["l3"].misses:
             raise ValueError("memory_accesses must equal L3 misses")
-        previous = self.start_index - 1
-        for index in self.indices:
-            if index <= previous:
-                raise ValueError(f"event indices not strictly increasing at {index}")
-            previous = index
+        unordered = None
+        if HAVE_NUMPY:
+            # The same checks over the column views: every store read
+            # validates its slice, so the per-event loop stays for numpy-free
+            # installs.  No view outlives the block, so the stream can still
+            # grow after a failed check.
+            indices = self.index_view
+            behind = _np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+            if indices.size and indices[0] < self.start_index:
+                unordered = int(indices[0])
+            elif behind.size:
+                unordered = int(indices[behind[0]])
+            del indices
+            wb_count = int(_np.count_nonzero(self.writeback_view != _np.uint64(WB_NONE)))
+        else:
+            previous = self.start_index - 1
+            for index in self.indices:
+                if index <= previous:
+                    unordered = index
+                    break
+                previous = index
+            wb_count = sum(1 for wb in self.writeback_addresses if wb != WB_NONE)
+        if unordered is not None:
+            raise ValueError(f"event indices not strictly increasing at {unordered}")
         if self.indices and self.indices[-1] >= self.stop_index:
             raise ValueError("event index beyond the stream's window")
-        wb_count = sum(1 for wb in self.writeback_addresses if wb != WB_NONE)
         if wb_count != self.hierarchy_writebacks:
             raise ValueError(
                 f"{wb_count} writeback events but {self.hierarchy_writebacks} recorded"
@@ -326,13 +357,44 @@ class MissEventStream:
         return stream
 
 
-class _LevelState:
-    """One cache level of the distiller: geometry plus flat per-set dicts.
+#: Subtracted from a way's key when its tag matches, which puts a hit below
+#: every empty or valid way of its set.  Keys stay below it while the level
+#: has run fewer than ``2**(61 - shift)`` steps.
+_HIT = 1 << 62
 
-    Each set is a plain dict mapping tag -> dirty flag; dict insertion order
-    *is* the LRU order (``d[tag] = d.pop(tag)`` is move-to-end, the first key
-    is the victim), which reproduces :class:`SetAssociativeCache`'s true-LRU
-    behaviour without ``OrderedDict`` overhead or per-line objects.
+#: The tag of an empty way.  Only a level of one set and one-byte lines
+#: could see it as a real tag; the distiller keeps such levels on the
+#: dict pass.
+_EMPTY_TAG = (1 << 64) - 1
+
+#: The most sets one lockstep step serves at once.  A step's sets are
+#: independent, so a wide step (an L3 serves thousands of sets per step) is
+#: cut into slices of this many, which bounds its ``(ways, sets)`` temporaries
+#: to a few hundred KiB.
+_STEP_SETS = 2048
+
+
+def _radix_key(values: "_np.ndarray", bound: int) -> "_np.ndarray":
+    """``values`` (all below ``bound``) as a key numpy stable-sorts by radix."""
+    return values.astype(_np.uint16) if bound <= 1 << 16 else values
+
+
+class _LevelState:
+    """One cache level of the distiller: geometry, counters and its lines.
+
+    The dict pass keeps each set as a plain dict mapping tag -> dirty flag;
+    dict insertion order *is* the LRU order (``d[tag] = d.pop(tag)`` is
+    move-to-end, the first key is the victim), which reproduces
+    :class:`SetAssociativeCache`'s true-LRU behaviour without
+    ``OrderedDict`` overhead or per-line objects.
+
+    The lockstep pass (:meth:`lockstep`) keeps way-major ``(ways, num_sets)``
+    arrays instead: ``tags`` and one int64 ``keys`` word per way,
+    ``(stamp << shift) | slot`` with ``stamp = 2 * step + dirty`` and
+    ``slot = way * num_sets + set`` (the way's flat index).  An empty way
+    holds stamp -2, so the smallest key of a set is its first empty way,
+    else its least recently used one, and a single ``min`` picks the victim
+    and names its slot.
     """
 
     __slots__ = (
@@ -345,6 +407,10 @@ class _LevelState:
         "evictions",
         "dirty_evictions",
         "insertions",
+        "tags",
+        "keys",
+        "shift",
+        "clock",
     )
 
     def __init__(self, cfg: CacheConfig) -> None:
@@ -362,6 +428,108 @@ class _LevelState:
         self.evictions = 0
         self.dirty_evictions = 0
         self.insertions = 0
+
+    def to_lockstep(self) -> None:
+        """Swap the (still empty) dict sets for the lockstep pass's arrays."""
+        slots = self.ways * self.num_sets
+        self.sets = []
+        self.shift = (slots - 1).bit_length()
+        self.tags = _np.full((self.ways, self.num_sets), _EMPTY_TAG, dtype=_np.uint64)
+        self.keys = _np.arange(slots, dtype=_np.int64).reshape(self.ways, self.num_sets)
+        self.keys |= -2 << self.shift
+        self.clock = 0
+
+    def lockstep(
+        self,
+        sets: "_np.ndarray",
+        tags: "_np.ndarray",
+        fill_dirty: Optional["_np.ndarray"],
+        write_hits_dirty: bool,
+        writebacks: bool = False,
+    ) -> Tuple["_np.ndarray", Optional["_np.ndarray"]]:
+        """Run one window's input through this level, every set in lockstep.
+
+        Sets are independent, so step k serves the k-th access of every set
+        at once.  A hit is a tag match.  A miss fills the set's first empty
+        way, else evicts its least recently used one, and the fill is dirty
+        where ``fill_dirty`` says so (``None``: always clean).  With
+        ``write_hits_dirty`` a hit ORs its ``fill_dirty`` flag into the line
+        (L1's write hits); otherwise a hit keeps the line's bit (L3).
+
+        Returns the miss mask over the input and, with ``writebacks``, each
+        access's writeback address: the dirty victim's line address, or
+        :data:`WB_NONE`.  The counters advance by the window's deltas.
+        """
+        np = _np
+        n = len(sets)
+        counts = np.bincount(sets, minlength=self.num_sets)
+        by_set = np.argsort(_radix_key(sets, self.num_sets), kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_set] = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        del by_set
+        depth = int(counts.max())
+        order = np.argsort(_radix_key(rank, depth), kind="stable")
+        bounds = [0]
+        for end in np.cumsum(np.bincount(rank, minlength=depth)).tolist():
+            bounds.extend(range(bounds[-1] + _STEP_SETS, end, _STEP_SETS))
+            bounds.append(end)
+        shift = self.shift
+        dirty = 1 << shift
+        slot_mask = dirty - 1
+        hit_floor = -2 << shift
+        # Each access's new key, less its slot: its step's stamp and its
+        # fill's dirty bit.
+        fills = (rank[order] + self.clock) * 2
+        del rank
+        if fill_dirty is not None:
+            fills += fill_dirty[order]
+        fills <<= shift
+        step_sets = sets[order]
+        step_tags = tags[order]
+        chosen = np.empty(n, dtype=np.int64)
+        victims = np.empty(n, dtype=np.uint64) if writebacks else None
+        keys, way_tags = self.keys, self.tags
+        flat_keys, flat_tags = keys.reshape(-1), way_tags.reshape(-1)
+        for start, stop in zip(bounds, bounds[1:]):
+            at = step_sets[start:stop]
+            tag = step_tags[start:stop]
+            candidates = keys.take(at, axis=1)
+            np.subtract(candidates, _HIT, out=candidates, where=way_tags.take(at, axis=1) == tag)
+            best = np.minimum.reduce(candidates, axis=0, out=chosen[start:stop])
+            slot = best & slot_mask
+            if writebacks:
+                victims[start:stop] = flat_tags.take(slot)
+            flat_tags[slot] = tag
+            fill = fills[start:stop]
+            if write_hits_dirty:
+                # A hit (or an empty way, whose bit is clear) keeps its
+                # dirty bit; an evicted line's goes with it.
+                flat_keys[slot] = best & ((best >> 63) & dirty | slot_mask) | fill
+            else:
+                flat_keys[slot] = np.where(
+                    best < hit_floor, fill & ~dirty | best & (dirty | slot_mask), fill | slot
+                )
+        self.clock += depth
+        del fills, step_sets, step_tags
+        # Back to input order.
+        outcome = np.empty(n, dtype=np.int64)
+        outcome[order] = chosen
+        del chosen
+        missed = outcome >= hit_floor
+        evicted = outcome >= 0
+        dirty_evicted = evicted & (outcome & dirty != 0)
+        misses = int(np.count_nonzero(missed))
+        self.hits += n - misses
+        self.misses += misses
+        self.insertions += misses
+        self.evictions += int(np.count_nonzero(evicted))
+        self.dirty_evictions += int(np.count_nonzero(dirty_evicted))
+        if not writebacks:
+            return missed, None
+        victim_tags = np.empty(n, dtype=np.uint64)
+        victim_tags[order] = victims
+        lines = (victim_tags * self.num_sets + sets.astype(np.uint64)) * self.line_bytes
+        return missed, np.where(dirty_evicted, lines, np.uint64(WB_NONE))
 
     def stats(self) -> CacheStats:
         return CacheStats(
@@ -381,6 +549,13 @@ class HierarchyDistiller:
     counter deltas), keeping the cache state across calls -- which is how the
     sharded execution path distills each shard window exactly once while the
     windows still concatenate to the full-trace stream.
+
+    It has two passes and picks one at construction, from what it observes:
+    the numpy lockstep pass (:meth:`_lockstep`) whenever numpy imports
+    (:data:`HAVE_NUMPY`), as workers pick the batch kernels, and the dict
+    loop (:meth:`_run`) otherwise.  The dict loop is the oracle the lockstep
+    pass is pinned against, window by window; neither is ever a flag or a
+    store-key axis.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
@@ -391,6 +566,14 @@ class HierarchyDistiller:
         self.memory_accesses = 0
         self.writebacks = 0
         self.position = 0
+        levels = (self.l1, self.l2, self.l3)
+        #: Which pass this distiller runs: the lockstep pass, or the dict loop.
+        self.lockstep = HAVE_NUMPY and all(
+            level.num_sets * level.line_bytes > 1 for level in levels
+        )
+        if self.lockstep:
+            for level in levels:
+                level.to_lockstep()
 
     def distill(self, trace: Trace, num_accesses: Optional[int] = None) -> MissEventStream:
         """Distill a full trace from a cold hierarchy in one call."""
@@ -426,7 +609,10 @@ class HierarchyDistiller:
         memory_before = self.memory_accesses
         writebacks_before = self.writebacks
 
-        self._run(trace, start, stop, stream)
+        if self.lockstep:
+            self._lockstep(trace, start, stop, stream)
+        else:
+            self._run(trace, start, stop, stream)
         self.position = stop
 
         for name, level, prior in zip(LEVELS, (self.l1, self.l2, self.l3), before):
@@ -442,13 +628,69 @@ class HierarchyDistiller:
         stream.hierarchy_writebacks = self.writebacks - writebacks_before
         return stream
 
+    def _lockstep(self, trace: Trace, start: int, stop: int, stream: MissEventStream) -> None:
+        """The numpy pass: the window runs level by level, each level in lockstep.
+
+        Each level is a plain LRU cache over its own input -- L1 over every
+        access, L2 over L1's misses (always filled clean), L3 over L2's
+        misses -- so the window runs through L1 whole, then its misses
+        through L2, then theirs through L3, and within a level
+        :meth:`_LevelState.lockstep` serves every set at once.  An L3 miss
+        that evicts a dirty line is that event's writeback.  Exact: pinned
+        against :meth:`_run` window by window.
+        """
+        if stop == start:
+            return
+        np = _np
+        offset = start - trace.start_index
+        count = stop - start
+        addresses = np.frombuffer(trace.addresses, dtype=np.uint64, count=count, offset=8 * offset)
+        writes = np.frombuffer(trace.writes, dtype=np.uint8, count=count, offset=offset)
+        written = writes != 0
+        l1, l2, l3 = self.l1, self.l2, self.l3
+
+        blocks = addresses // l1.line_bytes
+        missed, _ = l1.lockstep(
+            (blocks % l1.num_sets).astype(np.intp), blocks // l1.num_sets, written, True
+        )
+        at = np.flatnonzero(missed)  # window offsets of the accesses reaching L2
+        lines = blocks[at] * l1.line_bytes
+        del blocks, missed
+
+        # L2 fills clean and is never dirtied, so either hit rule holds; the
+        # L1 one is cheaper.
+        blocks = lines // l2.line_bytes
+        missed, _ = l2.lockstep(
+            (blocks % l2.num_sets).astype(np.intp), blocks // l2.num_sets, None, True
+        )
+        at, lines = at[missed], lines[missed]
+
+        blocks = lines // l3.line_bytes
+        missed, writebacks = l3.lockstep(
+            (blocks % l3.num_sets).astype(np.intp),
+            blocks // l3.num_sets,
+            written[at],
+            False,
+            writebacks=True,
+        )
+        at, writebacks = at[missed], writebacks[missed]
+        del blocks, lines, missed
+
+        self.memory_accesses += len(at)
+        self.writebacks += int(np.count_nonzero(writebacks != np.uint64(WB_NONE)))
+        stream.indices.frombytes((at + start).astype(np.uint64).tobytes())
+        stream.addresses.frombytes(addresses[at].tobytes())
+        stream.writes.extend(writes[at].tobytes())
+        stream.writeback_addresses.frombytes(writebacks.tobytes())
+
     def _run(self, trace: Trace, start: int, stop: int, stream: MissEventStream) -> None:
-        """The rewritten hot loop.
+        """The dict pass: the rewritten hot loop, and the lockstep pass's oracle.
 
         Everything is bound to locals and inlined: one dict lookup per level,
         LRU via ``d[tag] = d.pop(tag)``, victim via ``next(iter(d))``.  The
         semantics (including every stat counter) are pinned against
-        :class:`CacheHierarchy` by the differential tests.
+        :class:`CacheHierarchy` by the differential tests, and it runs on
+        numpy-free installs.
         """
         offset = trace.start_index
         addresses = trace.addresses

@@ -64,7 +64,6 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -301,7 +300,10 @@ class SupervisedExecutor:
     A task's fault-plan index is the slot its submitter passes -- the
     pipelined driver passes each step's chain-major rank -- and retries
     keep the index of their task, so a :class:`FaultPlan` targets the same
-    steps however they are timed.
+    steps however they are timed.  The slot also orders the ready queue:
+    an idle worker takes the ready task with the lowest slot, so a producer
+    step released late (an ingest or tier step, whose chains rank first)
+    does not wait behind replay steps queued before it.
 
     A task's :func:`report_progress` values are relayed to the ``progress``
     callback of :meth:`run`, and each one re-arms the attempt's deadline:
@@ -318,7 +320,9 @@ class SupervisedExecutor:
         self.policy = policy
         self.manifest = manifest if manifest is not None else FailureManifest()
         self._ctx = _pool_context()
-        self._ready: deque = deque()
+        # Heaps: ready tasks by (slot, submission), waiting retries by
+        # (due time, submission).
+        self._ready: List[Tuple[int, int, _Job]] = []
         self._waiting: List[Tuple[float, int, _Job]] = []
         self._seq = 0
         self._outstanding = 0
@@ -382,9 +386,13 @@ class SupervisedExecutor:
     # -- the supervision loop ------------------------------------------------
 
     def submit(self, key: Any, func: Callable, args: tuple, index: int, label: str = "") -> None:
-        """Queue a task; ``index`` is its fault-plan slot."""
-        self._ready.append(_Job(key, func, args, label, index))
+        """Queue a task; ``index`` is its fault-plan slot, which orders it."""
+        self._make_ready(_Job(key, func, args, label, index))
         self._outstanding += 1
+
+    def _make_ready(self, job: _Job) -> None:
+        self._seq += 1
+        heapq.heappush(self._ready, (job.index, self._seq, job))
 
     def run(
         self,
@@ -452,7 +460,7 @@ class SupervisedExecutor:
         now = time.monotonic()
         while self._waiting and self._waiting[0][0] <= now:
             _, _, job = heapq.heappop(self._waiting)
-            self._ready.append(job)
+            self._make_ready(job)
 
     def _assign(self) -> None:
         for worker in list(self._workers):
@@ -460,13 +468,13 @@ class SupervisedExecutor:
                 return
             if worker.job is not None:
                 continue
-            job = self._ready.popleft()
+            _, _, job = heapq.heappop(self._ready)
             try:
                 worker.conn.send((job.index, job.attempts + 1, job.func, job.args))
             except (OSError, ValueError):
                 # The worker died while idle; the task never started, so it
                 # keeps its attempt count and goes straight back to ready.
-                self._ready.appendleft(job)
+                self._make_ready(job)
                 self._replace_worker(worker)
                 continue
             with self._state_lock:

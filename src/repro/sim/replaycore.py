@@ -66,7 +66,8 @@ are pinned against, and the event loop runs them alone on numpy-free
 installs.
 
 A stack replays through the kernels alone or without them: without numpy
-(:data:`HAVE_NUMPY` False) or with a component that has no kernel in the
+(:data:`repro.sim.distill.HAVE_NUMPY` False, which also puts the
+distiller on its dict pass) or with a component that has no kernel in the
 stack, :func:`vectorizable` returns False and callers run the event loop
 with no kernel (:meth:`SimulationEngine.replay_events`).  Third-party
 components opt in via :func:`register_batch_kernel`; a kernel replaces every
@@ -108,6 +109,7 @@ from repro.core.config import (
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
 from repro.crypto.rng import DRangeRng
+from repro.sim import distill
 from repro.sim.distill import (
     WB_NONE,
     MissEventStream,
@@ -138,13 +140,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.path import AccessContext
 
 try:  # numpy is deliberately optional: the package never requires it, the
-    # vectorized path simply switches itself off when it is absent.
+    # vectorized path simply switches itself off when it is absent
+    # (``distill.HAVE_NUMPY`` is the observation the switch reads).
     import numpy as np
 except ImportError:  # pragma: no cover - exercised only on numpy-free installs
     np = None
-
-#: Whether the vectorized replay path is available at all.
-HAVE_NUMPY = np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1319,7 +1319,7 @@ def vectorizable(components: Sequence[PathComponent]) -> bool:
     kernel.  Any other stack replays through ``replay_events``, the event
     loop with no kernel -- exact, just slower.
     """
-    return HAVE_NUMPY and all(type(c) in _BATCH_KERNELS for c in components)
+    return distill.HAVE_NUMPY and all(type(c) in _BATCH_KERNELS for c in components)
 
 
 # ---------------------------------------------------------------------------
@@ -1479,7 +1479,6 @@ def mode_vector_profile(params: "ModeParameters") -> str:
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "BatchReplayEngine",
     "EpcTier",
     "EpcTierSimulator",

@@ -340,14 +340,14 @@ def checkpoint_key(task: ShardTask) -> str:
     hierarchy statistics once, at its own stop, so a shard stop inside a
     slice has folded only the earlier slices' statistics, and how many
     depends on the width.  The other is whether numpy is importable
-    (``replaycore.HAVE_NUMPY``): a vectorized checkpoint leaves component
+    (``distill.HAVE_NUMPY``): a vectorized checkpoint leaves component
     caches untouched and must not seed a replay without the kernels (and
     vice versa), so a checkpoint written with numpy is never resumed
     without it.  The code fingerprint rides in through :func:`content_key`
     as always, so a source edit strands stale checkpoints exactly like
     every other entry.
     """
-    from repro.sim import replaycore
+    from repro.sim import distill
 
     return content_key(
         "checkpoint",
@@ -359,7 +359,7 @@ def checkpoint_key(task: ShardTask) -> str:
         config=task.config,
         options=task.options,
         stop=task.stop,
-        strategy={"window": task.window, "vector": replaycore.HAVE_NUMPY},
+        strategy={"window": task.window, "vector": distill.HAVE_NUMPY},
     )
 
 

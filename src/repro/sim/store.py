@@ -44,6 +44,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -358,21 +359,35 @@ class ResultStore:
         if not create and not self.db_path.exists():
             return None
         timeout_ms = _busy_timeout_ms()
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                self.db_path,
-                timeout=timeout_ms / 1000,
-                check_same_thread=False,
-            )
-            conn.execute(f"PRAGMA busy_timeout={timeout_ms}")
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            with conn:
-                for statement in _SCHEMA:
-                    conn.execute(statement)
-        except (sqlite3.Error, OSError):
-            return None
+        deadline = time.monotonic() + timeout_ms / 1000
+        while True:
+            conn = None
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+                conn = sqlite3.connect(
+                    self.db_path,
+                    timeout=timeout_ms / 1000,
+                    check_same_thread=False,
+                )
+                conn.execute(f"PRAGMA busy_timeout={timeout_ms}")
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                with conn:
+                    for statement in _SCHEMA:
+                        conn.execute(statement)
+                break
+            except (sqlite3.Error, OSError) as exc:
+                if conn is not None:
+                    conn.close()
+                # Switching a new index to WAL fails at once, without the
+                # busy handler's wait, while another connection holds the
+                # writer lock -- which is what two workers opening a fresh
+                # store at once do.  Returning None there would make this
+                # process's puts store nothing, silently, so wait the lock
+                # out like any other writer.
+                if not _is_busy_error(exc) or time.monotonic() >= deadline:
+                    return None
+                time.sleep(0.01)
         self._conn = conn
         self._conn_pid = os.getpid()
         return conn

@@ -11,15 +11,17 @@ event replay through the whole pipeline at every shard width.
 
 import dataclasses
 from array import array
+from itertools import cycle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.experiments.harness import run_benchmarks
+from repro.sim import distill
 from repro.sim.configs import registered_modes
 from repro.sim.distill import (
     WB_NONE,
@@ -91,6 +93,20 @@ def synthetic_trace(addresses, writes) -> Trace:
     )
 
 
+#: The distiller's two passes: the dict loop, which is the oracle, and
+#: the numpy lockstep pass, wherever numpy imports.
+PASSES = ("dict", "lockstep") if distill.HAVE_NUMPY else ("dict",)
+
+
+def make_distiller(config, hierarchy_pass):
+    """A distiller on the named pass; it picks its pass when constructed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill, "HAVE_NUMPY", hierarchy_pass == "lockstep")
+        distiller = HierarchyDistiller(config)
+    assert distiller.lockstep == (hierarchy_pass == "lockstep")
+    return distiller
+
+
 def reference_events(trace, config):
     """Ground truth: the real CacheHierarchy, access by access."""
     hierarchy = CacheHierarchy(config)
@@ -120,17 +136,18 @@ class TestDistilledReplayIsBitIdentical:
         assert distilled.to_dict() == serial.to_dict()
 
 
+@pytest.mark.parametrize("hierarchy_pass", PASSES)
 class TestDistillerMatchesCacheHierarchy:
-    """The rewritten pre-pass agrees with the reference model, counter for
-    counter, on real benchmark traces."""
+    """Both passes of the pre-pass agree with the reference model, counter
+    for counter, on real benchmark traces."""
 
     @pytest.mark.parametrize("name", ("bsw", "pr", "memcached"))
     @pytest.mark.parametrize("config", (None, SMALL_CONFIG), ids=("table3", "small"))
-    def test_events_and_stats_match(self, name, config):
+    def test_events_and_stats_match(self, name, config, hierarchy_pass):
         trace = get_workload(name, scale=0.002, seed=11).capture(3000)
         resolved = config if config is not None else SystemConfig()
         hierarchy, expected = reference_events(trace, resolved)
-        stream = HierarchyDistiller(config).distill(trace)
+        stream = make_distiller(config, hierarchy_pass).distill(trace)
         stream.validate()
         assert list(stream.events()) == expected
         for level, cache in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
@@ -138,14 +155,14 @@ class TestDistillerMatchesCacheHierarchy:
         assert stream.memory_accesses == hierarchy.memory_accesses
         assert stream.hierarchy_writebacks == hierarchy.writebacks
 
-    def test_distill_requires_fresh_distiller(self, trace):
-        distiller = HierarchyDistiller(SMALL_CONFIG)
+    def test_distill_requires_fresh_distiller(self, trace, hierarchy_pass):
+        distiller = make_distiller(SMALL_CONFIG, hierarchy_pass)
         distiller.advance(trace, 0, 10)
         with pytest.raises(ValueError, match="fresh distiller"):
             distiller.distill(trace)
 
-    def test_advance_rejects_non_contiguous_window(self, trace):
-        distiller = HierarchyDistiller(SMALL_CONFIG)
+    def test_advance_rejects_non_contiguous_window(self, trace, hierarchy_pass):
+        distiller = make_distiller(SMALL_CONFIG, hierarchy_pass)
         distiller.advance(trace, 0, 10)
         with pytest.raises(ValueError, match="cannot advance from"):
             distiller.advance(trace, 20, 30)
@@ -167,30 +184,32 @@ TINY_CONFIG = dataclasses.replace(
 )
 
 
+@pytest.mark.parametrize("hierarchy_pass", PASSES)
 class TestStreamProperties:
-    """Hypothesis property tests for the MissEventStream invariants."""
+    """Hypothesis property tests for the MissEventStream invariants, on both
+    passes."""
 
     @settings(max_examples=60, deadline=None)
     @given(accesses=ACCESS_STRATEGY)
-    def test_distillation_matches_reference_on_random_streams(self, accesses):
+    def test_distillation_matches_reference_on_random_streams(self, accesses, hierarchy_pass):
         trace = synthetic_trace(
             (block * 64 for block, _ in accesses),
             (1 if write else 0 for _, write in accesses),
         )
         hierarchy, expected = reference_events(trace, TINY_CONFIG)
-        stream = HierarchyDistiller(TINY_CONFIG).distill(trace)
+        stream = make_distiller(TINY_CONFIG, hierarchy_pass).distill(trace)
         stream.validate()
         assert list(stream.events()) == expected
         assert vars(stream.level_stats["l3"]) == vars(hierarchy.l3.stats)
 
     @settings(max_examples=60, deadline=None)
     @given(accesses=ACCESS_STRATEGY, data=st.data())
-    def test_indices_increase_and_count_equals_l3_misses(self, accesses, data):
+    def test_indices_increase_and_count_equals_l3_misses(self, accesses, data, hierarchy_pass):
         trace = synthetic_trace(
             (block * 64 for block, _ in accesses),
             (1 if write else 0 for _, write in accesses),
         )
-        stream = HierarchyDistiller(TINY_CONFIG).distill(trace)
+        stream = make_distiller(TINY_CONFIG, hierarchy_pass).distill(trace)
         indices = list(stream.indices)
         assert indices == sorted(set(indices))
         assert len(stream) == stream.level_stats["l3"].misses
@@ -198,7 +217,7 @@ class TestStreamProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(accesses=ACCESS_STRATEGY, data=st.data())
-    def test_windowed_stats_telescope_like_trace_shards(self, accesses, data):
+    def test_windowed_stats_telescope_like_trace_shards(self, accesses, data, hierarchy_pass):
         """concat(per-window streams) == one-shot distillation, exactly."""
         trace = synthetic_trace(
             (block * 64 for block, _ in accesses),
@@ -215,8 +234,8 @@ class TestStreamProperties:
             )
         ) if total > 1 else []
         bounds = list(zip([0] + cuts, cuts + [total]))
-        whole = HierarchyDistiller(TINY_CONFIG).distill(trace)
-        windowed = HierarchyDistiller(TINY_CONFIG)
+        whole = make_distiller(TINY_CONFIG, hierarchy_pass).distill(trace)
+        windowed = make_distiller(TINY_CONFIG, hierarchy_pass)
         parts = [windowed.advance(trace, start, stop) for start, stop in bounds]
         merged = MissEventStream.concat(parts)
         merged.validate()
@@ -229,18 +248,107 @@ class TestStreamProperties:
         assert merged.memory_accesses == whole.memory_accesses
         assert merged.hierarchy_writebacks == whole.hierarchy_writebacks
 
-    def test_concat_rejects_non_abutting_windows(self, trace):
-        distiller = HierarchyDistiller(SMALL_CONFIG)
+    def test_concat_rejects_non_abutting_windows(self, trace, hierarchy_pass):
+        distiller = make_distiller(SMALL_CONFIG, hierarchy_pass)
         first = distiller.advance(trace, 0, 100)
         distiller.advance(trace, 100, 200)
         tail = distiller.advance(trace, 200, TRACE_LEN)
         with pytest.raises(ValueError, match="abut"):
             MissEventStream.concat([first, tail])
 
-    def test_validate_catches_miscounted_events(self, events):
+
+#: Blocks in four contended sets (16 tags each) of both test geometries' L3
+#: -- 512 is a multiple of either's set count -- beside a small region that
+#: hits: every level evicts, and writes make dirty L3 victims.
+CONTENDED_ACCESSES = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=0, max_value=1023),
+            st.builds(lambda tag, at: tag * 512 + at, st.integers(0, 15), st.integers(0, 3)),
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+#: A write, then eight more tags in its L3 set: a dirty L3 eviction under
+#: either geometry.
+DIRTY_L3_EVICTION = [(0, True)] + [(tag * 512, False) for tag in range(1, 9)]
+
+
+@pytest.mark.skipif(not distill.HAVE_NUMPY, reason="the lockstep pass needs numpy")
+@pytest.mark.parametrize("config", (TINY_CONFIG, SMALL_CONFIG), ids=("tiny", "small"))
+class TestLockstepMatchesTheDictPass:
+    """The lockstep pass against its oracle, window by window: every
+    window's stream and the running level counters."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        accesses=CONTENDED_ACCESSES,
+        widths=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+    )
+    @example(accesses=DIRTY_L3_EVICTION, widths=[1])
+    def test_every_window_matches(self, config, accesses, widths):
+        trace = synthetic_trace(
+            (block * 64 for block, _ in accesses),
+            (1 if write else 0 for _, write in accesses),
+        )
+        oracle = make_distiller(config, "dict")
+        lockstep = make_distiller(config, "lockstep")
+        start = 0
+        for width in cycle(widths):
+            stop = min(start + width, len(trace))
+            expected = oracle.advance(trace, start, stop)
+            assert lockstep.advance(trace, start, stop).to_payload() == expected.to_payload()
+            for level in ("l1", "l2", "l3"):
+                assert vars(getattr(lockstep, level).stats()) == vars(
+                    getattr(oracle, level).stats()
+                ), level
+            if stop == len(trace):
+                break
+            start = stop
+
+    def test_the_example_evicts_a_dirty_l3_line(self, config):
+        trace = synthetic_trace(
+            (block * 64 for block, _ in DIRTY_L3_EVICTION),
+            (1 if write else 0 for _, write in DIRTY_L3_EVICTION),
+        )
+        stream = make_distiller(config, "lockstep").distill(trace)
+        assert stream.hierarchy_writebacks == 1
+        assert [wb for wb in stream.writeback_addresses if wb != WB_NONE] == [0]
+
+
+class TestValidateOnBothPaths:
+    """``validate`` checks the index order and the writeback count over the
+    column views where numpy imports, and event by event otherwise."""
+
+    @pytest.fixture(params=("columns", "loop") if distill.HAVE_NUMPY else ("loop",))
+    def numpy(self, request, monkeypatch):
+        monkeypatch.setattr(distill, "HAVE_NUMPY", request.param == "columns")
+
+    def test_validate_catches_miscounted_events(self, events, numpy):
         broken = MissEventStream.from_payload(events.to_payload())
         broken.indices.append(broken.stop_index - 1 + 1_000_000)
         with pytest.raises(ValueError):
+            broken.validate()
+
+    @pytest.mark.parametrize("at", (0, 5, -1), ids=("first", "middle", "last"))
+    def test_a_non_increasing_index_is_rejected(self, events, numpy, at):
+        broken = MissEventStream.from_payload(events.to_payload())
+        if at == 0:
+            # The first event now sits before the stream's window.
+            broken.start_index = broken.indices[0] + 1
+            broken.num_accesses -= broken.start_index
+        else:
+            broken.indices[at] = broken.indices[at - 1]
+        with pytest.raises(ValueError, match="not strictly increasing at"):
+            broken.validate()
+
+    def test_a_wrong_writeback_count_is_rejected(self, events, numpy):
+        broken = MissEventStream.from_payload(events.to_payload())
+        broken.hierarchy_writebacks += 1
+        with pytest.raises(ValueError, match="writeback events but"):
             broken.validate()
 
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.sim import replaycore
+from repro.sim import distill
 from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES
 from repro.sim.engine import run_suite
 from repro.sim.faults import (
@@ -25,6 +25,7 @@ from repro.sim.faults import (
 )
 from repro.sim.parallel import (
     DEFAULT_POLICY,
+    SupervisedExecutor,
     parallel_map,
     pipelined_map,
     report_progress,
@@ -424,7 +425,7 @@ class TestProgressGates:
         self, slot, label, monkeypatch, fresh_default_store
     ):
         # Chain-major slots: the run's ingest task, then its tier step.
-        if label.endswith("tiers") and not replaycore.HAVE_NUMPY:
+        if label.endswith("tiers") and not distill.HAVE_NUMPY:
             pytest.skip("a numpy-free run reads no verdict tier")
         plan = FaultPlan(faults=(FaultSpec(task_index=slot, kind="crash"),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
@@ -434,6 +435,23 @@ class TestProgressGates:
         )
         assert [record.label for record in manifest.records] == [label]
         assert "CI" not in suite.get("bsw", {})
+
+
+def _echo(task):
+    return task
+
+
+class TestReadyOrder:
+    def test_an_idle_worker_takes_the_lowest_slot(self):
+        # Ready in slots 5, 3, 1 before the one worker is free: it runs them
+        # as 1, 3, 5, so a producer step (whose chain ranks first) released
+        # late runs before the replay steps queued ahead of it.
+        executor = SupervisedExecutor(1, DEFAULT_POLICY)
+        for slot in (5, 3, 1):
+            executor.submit(slot, _echo, (slot,), slot)
+        delivered = []
+        executor.run(lambda key, value: delivered.append((key, value)))
+        assert delivered == [(1, 1), (3, 3), (5, 5)]
 
 
 class _Step(NamedTuple):

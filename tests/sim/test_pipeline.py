@@ -19,7 +19,7 @@ import pytest
 
 from repro.baselines.invisimem import InvisiMemModel
 from repro.core.config import SystemConfig
-from repro.sim import replaycore, shard
+from repro.sim import distill, replaycore, shard
 from repro.sim.configs import (
     CounterTreeSpec,
     EpcPagingSpec,
@@ -286,7 +286,7 @@ class TestProducerChains:
     def test_tiers_need_numpy_and_a_tiered_stack(
         self, modes, have_numpy, tiered, monkeypatch, fresh_default_store
     ):
-        monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
+        monkeypatch.setattr(distill, "HAVE_NUMPY", have_numpy)
         chains = prepare_suite(_plan(("bsw", "fmi"), modes, ACCESSES))
         producers, _ = producer_chains(chains)
         assert [chain[0].label for chain in producers] == ["bsw/ingest", "fmi/ingest"] + (
@@ -298,7 +298,7 @@ class TestProducerChains:
 
     def test_steps_wait_on_what_they_read(self, monkeypatch, fresh_default_store):
         # Planning only builds the stacks, so it needs no numpy to see tiers.
-        monkeypatch.setattr(replaycore, "HAVE_NUMPY", True)
+        monkeypatch.setattr(distill, "HAVE_NUMPY", True)
         chains = prepare_suite(_plan(("bsw",), ("C", "CI"), 500, stream=250))
         producers, waits = producer_chains(chains)
         ingest, tiers = producers
@@ -331,7 +331,7 @@ class TestProducerChains:
         shard.run_chains(chains, jobs=jobs, resume=False)
         puts = [key for key in log.read_text().split() if _kind_of(key) in PRODUCED]
         assert len(puts) == len(set(puts))
-        tiers = 1 if replaycore.HAVE_NUMPY else 0
+        tiers = 1 if distill.HAVE_NUMPY else 0
         # Two streamed runs of four slices, one unstreamed run of one.
         counts = {kind: len(fresh_default_store.query(kind=kind)) for kind in PRODUCED}
         assert counts == {
@@ -417,7 +417,7 @@ class TestReplayLoopSelection:
     def test_step_replays_through_the_loop_its_stack_allows(self, stack, monkeypatch):
         serial = self._serial("CI")
         # Without numpy no stack is vectorizable, so the scalar replay runs.
-        expected = "batch" if replaycore.HAVE_NUMPY else "events"
+        expected = "batch" if distill.HAVE_NUMPY else "events"
         if stack == "distillable":
             monkeypatch.setattr(replaycore, "vectorizable", lambda components: False)
             expected = "events"
@@ -434,7 +434,7 @@ class TestReplayLoopSelection:
         )
         assert self._run_chain(chain).to_dict() == serial.to_dict()
         # Shards [0,100) [100,200) [200,260) over slices of 64 accesses.
-        assert ran == ["batch" if replaycore.HAVE_NUMPY else "events"] * 7
+        assert ran == ["batch" if distill.HAVE_NUMPY else "events"] * 7
 
     def test_a_stream_covering_the_run_takes_the_batch_loop(self, monkeypatch):
         serial = self._serial("CI")
@@ -443,7 +443,7 @@ class TestReplayLoopSelection:
             "memcached", "CI", ShardSpec(100), 0.002, TRACE_LEN, 7, window=TRACE_LEN + 13
         )
         assert self._run_chain(chain).to_dict() == serial.to_dict()
-        assert ran == ["batch" if replaycore.HAVE_NUMPY else "events"] * 3
+        assert ran == ["batch" if distill.HAVE_NUMPY else "events"] * 3
 
     @pytest.mark.parametrize("window", (TRACE_LEN, 64))
     @pytest.mark.parametrize("shard_size", (TRACE_LEN, 100))

@@ -24,10 +24,9 @@ from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import mode_parameters, registered_modes
 from repro.sim.distill import WB_NONE, HierarchyDistiller, MissEventStream
 from repro.sim.engine import EngineOptions, EngineState, SimulationEngine
-from repro.sim import replaycore
+from repro.sim import distill, replaycore
 from repro.sim.path import MacIntegrityComponent, PathComponent, build_components
 from repro.sim.replaycore import (
-    HAVE_NUMPY,
     BatchReplayEngine,
     MacTier,
     compute_mac_tier,
@@ -277,7 +276,7 @@ class TestCapabilityRegistry:
 
     @pytest.mark.parametrize("mode", SHIPPED_MODES)
     def test_without_numpy_every_mode_profiles_scalar(self, mode, monkeypatch):
-        monkeypatch.setattr(replaycore, "HAVE_NUMPY", False)
+        monkeypatch.setattr(distill, "HAVE_NUMPY", False)
         assert mode_vector_profile(mode_parameters(mode)) == "scalar"
 
     def test_unknown_components_profile_scalar(self, monkeypatch):

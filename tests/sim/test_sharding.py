@@ -13,7 +13,7 @@ floats included, no tolerance.
 import pytest
 
 from repro.experiments.harness import run_benchmarks
-from repro.sim import replaycore
+from repro.sim import distill
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
 from repro.sim.shard import (
     RunPlan,
@@ -118,7 +118,7 @@ class TestCheckpointHandoff:
         )
         keys = set()
         for have_numpy in (True, False):
-            monkeypatch.setattr(replaycore, "HAVE_NUMPY", have_numpy)
+            monkeypatch.setattr(distill, "HAVE_NUMPY", have_numpy)
             keys.add(checkpoint_key(captured))
         keys.add(checkpoint_key(streamed))
         assert len(keys) == 3
@@ -129,10 +129,10 @@ class TestCheckpointHandoff:
         # the MAC cache the batch kernels never filled.
         store = ResultStore(tmp_path)
         chains = [shard_chain("bsw", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)]
-        monkeypatch.setattr(replaycore, "HAVE_NUMPY", True)
+        monkeypatch.setattr(distill, "HAVE_NUMPY", True)
         vectorized = checkpoint_key(chains[0][0])
         _CheckpointJournal(chains, store).on_carry(0, 0, b"vectorized")
-        monkeypatch.setattr(replaycore, "HAVE_NUMPY", False)
+        monkeypatch.setattr(distill, "HAVE_NUMPY", False)
         assert checkpoint_key(chains[0][0]) != vectorized
         assert _CheckpointJournal(chains, store).restore() == (chains, [None])
 

@@ -16,6 +16,7 @@ contention:
 """
 
 import sqlite3
+import threading
 
 from repro.sim.parallel import _pool_context
 from repro.sim.store import INLINE_LIMIT, ResultStore
@@ -121,3 +122,23 @@ class TestConcurrentWriters:
             for j in range(DISTINCT_PER_WORKER):
                 key = f"suite-w{worker}x{j}"
                 assert clean.get(key) == _distinct_payload(key, worker, j), key
+
+
+class TestFreshIndex:
+    def test_a_put_waits_out_a_writer_on_a_fresh_index(self, tmp_path):
+        # Opening a fresh index switches it to WAL, which fails at once --
+        # without the busy handler's wait -- while another connection holds
+        # the writer lock.  Two workers opening one new store race on exactly
+        # that, and the loser's puts stored nothing.
+        store = ResultStore(tmp_path)
+        holder = sqlite3.connect(store.db_path, isolation_level=None, check_same_thread=False)
+        holder.execute("CREATE TABLE held (x)")
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, holder.execute, ("COMMIT",))
+        release.start()
+        try:
+            store.put("suite-fresh", {"a": 1}, encoder=lambda value: value, keep_in_memory=False)
+        finally:
+            release.join()
+            holder.close()
+        assert ResultStore(tmp_path).get("suite-fresh") == {"a": 1}

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.baselines.invisimem import InvisiMemModel
 from repro.core.config import KIB, CacheConfig, SystemConfig
-from repro.sim import replaycore
+from repro.sim import distill
 from repro.sim.configs import (
     BASELINE_MODE,
     CounterTreeSpec,
@@ -105,7 +105,7 @@ widths = st.sampled_from((1, 7, N // 2, N)) | st.integers(1, N + 20)
 windows = st.sampled_from((1, 7, N // 3, N)) | st.integers(1, N + 20)
 
 #: A numpy-free install has only the event loop to draw.
-numpys = st.booleans() if replaycore.HAVE_NUMPY else st.just(False)
+numpys = st.booleans() if distill.HAVE_NUMPY else st.just(False)
 
 
 def corner(width, window, stack=None):
@@ -117,7 +117,7 @@ def corner(width, window, stack=None):
         width=width,
         window=window,
         jobs=2,
-        numpy=replaycore.HAVE_NUMPY,
+        numpy=distill.HAVE_NUMPY,
         resume=False,
         fault_seed=None,
     )
@@ -138,7 +138,7 @@ def run_pipeline(plan, jobs, numpy, resume, faults):
     manifest = FailureManifest()
     previous = default_store()
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(replaycore, "HAVE_NUMPY", numpy)
+        patch.setattr(distill, "HAVE_NUMPY", numpy)
         patch.delenv(FAULT_PLAN_ENV, raising=False)
         if faults is not None:
             patch.setenv(FAULT_PLAN_ENV, faults.to_json())
