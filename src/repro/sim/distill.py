@@ -49,15 +49,20 @@ either be fixed or become a separately-keyed, explicitly-opt-in path.
 
 from __future__ import annotations
 
-import base64
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import CacheStats
 from repro.core.config import CacheConfig, SystemConfig
-from repro.sim.store import ResultStore, content_key, default_store
+from repro.sim.store import (
+    ResultStore,
+    content_key,
+    default_store,
+    pack_columns,
+    unpack_columns,
+)
 from repro.workloads.base import Trace, calibrated_instruction_count
 
 try:  # numpy is optional: without it the column views (and the vectorized
@@ -299,9 +304,10 @@ class MissEventStream:
 
     # -- persistent-store serialisation -------------------------------------
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serialisable form: packed arrays as base64 of their bytes."""
-        return {
+    def to_payload(self) -> bytes:
+        """The store payload: a JSON header, then the four packed columns raw
+        (:func:`~repro.sim.store.pack_columns`)."""
+        header = {
             "name": self.name,
             "scale": self.scale,
             "seed": self.seed,
@@ -311,47 +317,48 @@ class MissEventStream:
             "num_accesses": self.num_accesses,
             "start_index": self.start_index,
             "byteorder": sys.byteorder,
-            "indices": base64.b64encode(self.indices.tobytes()).decode("ascii"),
-            "addresses": base64.b64encode(self.addresses.tobytes()).decode("ascii"),
-            "writes": base64.b64encode(bytes(self.writes)).decode("ascii"),
-            "writeback_addresses": base64.b64encode(self.writeback_addresses.tobytes()).decode(
-                "ascii"
-            ),
             "level_stats": {level: vars(stats).copy() for level, stats in self.level_stats.items()},
             "memory_accesses": self.memory_accesses,
             "hierarchy_writebacks": self.hierarchy_writebacks,
         }
+        return pack_columns(
+            header, (self.indices, self.addresses, self.writes, self.writeback_addresses)
+        )
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MissEventStream":
-        if payload.get("byteorder") != sys.byteorder:
+    def from_payload(cls, payload: bytes) -> "MissEventStream":
+        header, columns = unpack_columns(payload)
+        if header.get("byteorder") != sys.byteorder:
             # A cache directory shared across differently-endian machines;
             # ValueError degrades to a store miss and a local re-distillation.
             raise ValueError("event stream was packed on a different byte order")
+        if len(columns) != 4:
+            raise ValueError(f"an event stream has 4 columns, the payload {len(columns)}")
+        indices, addresses, writes, writebacks = columns
 
-        def unpack(encoded: str) -> array:
+        def unpack(column: memoryview) -> array:
             packed = array("Q")
-            packed.frombytes(base64.b64decode(encoded))
+            packed.frombytes(column)
             return packed
 
         stream = cls(
-            name=payload["name"],
-            scale=payload["scale"],
-            seed=payload["seed"],
-            footprint_bytes=payload["footprint_bytes"],
-            llc_mpki=payload["llc_mpki"],
-            instructions_per_access=payload["instructions_per_access"],
-            num_accesses=payload["num_accesses"],
-            start_index=payload["start_index"],
-            indices=unpack(payload["indices"]),
-            addresses=unpack(payload["addresses"]),
-            writes=bytearray(base64.b64decode(payload["writes"])),
-            writeback_addresses=unpack(payload["writeback_addresses"]),
+            name=header["name"],
+            scale=header["scale"],
+            seed=header["seed"],
+            footprint_bytes=header["footprint_bytes"],
+            llc_mpki=header["llc_mpki"],
+            instructions_per_access=header["instructions_per_access"],
+            num_accesses=header["num_accesses"],
+            start_index=header["start_index"],
+            indices=unpack(indices),
+            addresses=unpack(addresses),
+            writes=bytearray(writes),
+            writeback_addresses=unpack(writebacks),
             level_stats={
-                level: CacheStats(**stats) for level, stats in payload["level_stats"].items()
+                level: CacheStats(**stats) for level, stats in header["level_stats"].items()
             },
-            memory_accesses=payload["memory_accesses"],
-            hierarchy_writebacks=payload["hierarchy_writebacks"],
+            memory_accesses=header["memory_accesses"],
+            hierarchy_writebacks=header["hierarchy_writebacks"],
         )
         stream.validate()
         return stream

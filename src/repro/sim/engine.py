@@ -36,9 +36,10 @@ from __future__ import annotations
 import heapq
 import pickle
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.cache.cache import CacheStats
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CACHE_BLOCK_BYTES, SystemConfig
 from repro.memory.devices import RackMemory
@@ -74,13 +75,43 @@ class EngineOptions:
 
 
 @dataclass
+class LevelCounters:
+    """One cache level's statistics, without the cache."""
+
+    stats: CacheStats = field(default_factory=CacheStats)
+
+
+@dataclass
+class HierarchyCounters:
+    """The counters of a :class:`CacheHierarchy`, without its caches.
+
+    The event path never looks a line up -- the distiller already did -- so
+    a state begun on a :class:`MissEventStream` carries only what
+    :func:`fold_statistics` adds and :meth:`SimulationEngine.finish` reads,
+    under the hierarchy's own names: ``l1.stats`` to ``l3.stats``,
+    ``memory_accesses`` and ``writebacks``.  Building and pickling it is
+    nearly free, where a cold hierarchy is thousands of ``OrderedDict`` sets.
+    """
+
+    l1: LevelCounters = field(default_factory=LevelCounters)
+    l2: LevelCounters = field(default_factory=LevelCounters)
+    l3: LevelCounters = field(default_factory=LevelCounters)
+    memory_accesses: int = 0
+    writebacks: int = 0
+
+
+@dataclass
 class EngineState:
     """The complete mid-replay state of one simulation.
 
     Everything the replay loop mutates lives here: the cache hierarchy, the
     protection-path component stack (each component owning its caches, Toleo
     device and RNG) and the shared :class:`AccessContext` whose rack memory
-    and traffic/latency accumulators the components charge into.  ``position``
+    and traffic/latency accumulators the components charge into.  A state
+    begun on a trace holds a live :class:`CacheHierarchy`, which
+    :meth:`SimulationEngine.replay` runs every access through; one begun on
+    a :class:`MissEventStream` holds its :class:`HierarchyCounters` only,
+    since the event path folds the distiller's statistics instead.  ``position``
     is the global index of the next access to replay; ``num_accesses`` is the
     full run length the state was begun with (component construction -- e.g.
     the timeline sampling period -- depends on it, so resuming must preserve
@@ -95,7 +126,7 @@ class EngineState:
     bits).
     """
 
-    hierarchy: CacheHierarchy
+    hierarchy: Union[CacheHierarchy, HierarchyCounters]
     components: List[PathComponent]
     ctx: AccessContext
     llc_read_misses: int = 0
@@ -163,9 +194,16 @@ class SimulationEngine:
     # Resumable replay: begin / replay / finish
     # ------------------------------------------------------------------
 
-    def begin(self, workload: Workload | Trace, num_accesses: int) -> EngineState:
+    def begin(
+        self, workload: Workload | Trace | MissEventStream, num_accesses: int
+    ) -> EngineState:
         """Build the fresh :class:`EngineState` a full ``num_accesses`` run
-        starts from (position 0, cold caches, zeroed accumulators)."""
+        starts from (position 0, cold caches, zeroed accumulators).
+
+        On a :class:`MissEventStream` the state's hierarchy is its zeroed
+        :class:`HierarchyCounters`, which the event path folds into; on a
+        trace or workload it is a cold :class:`CacheHierarchy`, which
+        :meth:`replay` drives."""
         cfg = self.config
         components = build_components(
             self.params,
@@ -183,8 +221,9 @@ class SimulationEngine:
             options=self.options,
             footprint_bytes=workload.footprint_bytes,
         )
+        on_events = isinstance(workload, MissEventStream)
         return EngineState(
-            hierarchy=CacheHierarchy(cfg),
+            hierarchy=HierarchyCounters() if on_events else CacheHierarchy(cfg),
             components=components,
             ctx=ctx,
             num_accesses=num_accesses,
@@ -206,6 +245,12 @@ class SimulationEngine:
         bit-identical to ``replay(s, t, b)`` -- the invariant the sharded
         execution path rests on.
         """
+        if not isinstance(state.hierarchy, CacheHierarchy):
+            raise ValueError(
+                "this state was begun on a MissEventStream and holds hierarchy "
+                "counters only; replay it from events (replay_events), or "
+                "begin it on the trace to replay accesses"
+            )
         stop = state.num_accesses if stop is None else stop
         if not state.position <= stop <= state.num_accesses:
             raise ValueError(
@@ -470,8 +515,8 @@ def fold_statistics(state: EngineState, events: MissEventStream) -> None:
             "window order -- do not mix replay() and replay_events() "
             "within one run"
         )
-    for level, cache in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
-        cache.stats = cache.stats.merge(events.level_stats[level])
+    for level, counters in (("l1", hierarchy.l1), ("l2", hierarchy.l2), ("l3", hierarchy.l3)):
+        counters.stats = counters.stats.merge(events.level_stats[level])
     hierarchy.memory_accesses += events.memory_accesses
     hierarchy.writebacks += events.hierarchy_writebacks
 
@@ -677,6 +722,7 @@ def run_suite(
 __all__ = [
     "EngineOptions",
     "EngineState",
+    "HierarchyCounters",
     "SimulationEngine",
     "compare_modes",
     "event_loop",

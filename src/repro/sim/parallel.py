@@ -68,6 +68,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -188,7 +189,9 @@ def _supervised_worker_main(
     """Worker loop of the supervised executor: one process, many tasks.
 
     Messages are ``(task_index, attempt, func, args)``; ``None`` (or a
-    closed pipe) shuts the worker down.  While the task runs, each
+    closed pipe) shuts the worker down.  An argument that is a
+    :class:`_Pickled` result of an earlier task is loaded here, before the
+    call.  While the task runs, each
     :func:`report_progress` call sends ``("progress", task_index, attempt,
     value)``.  The reply is a checksummed
     envelope: the sha256 of the pickled result is computed *before* the
@@ -227,6 +230,9 @@ def _supervised_worker_main(
                 raise FaultInjectionError(
                     f"injected error at task {index} attempt {attempt}"
                 )
+            args = tuple(
+                pickle.loads(arg.data) if isinstance(arg, _Pickled) else arg for arg in args
+            )
             with _reporting_to(lambda value: conn.send(("progress", index, attempt, value))):
                 result = func(*args)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
@@ -245,19 +251,31 @@ def _supervised_worker_main(
             return
 
 
+class _Pickled:
+    """A task's result as its worker pickled it, which the parent passes on
+    unread: the worker that receives it among a later task's arguments
+    loads it (see ``forward`` in :meth:`SupervisedExecutor.submit`)."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
 class _Job:
     """One supervised task: its routing key, body, and attempt history."""
 
-    __slots__ = ("key", "func", "args", "label", "index", "attempts")
+    __slots__ = ("key", "func", "args", "label", "index", "forward", "attempts")
 
     def __init__(
-        self, key: Any, func: Callable, args: tuple, label: str, index: int
+        self, key: Any, func: Callable, args: tuple, label: str, index: int, forward: bool
     ) -> None:
         self.key = key
         self.func = func
         self.args = args
         self.label = label
         self.index = index
+        self.forward = forward
         self.attempts = 0
 
 
@@ -385,9 +403,24 @@ class SupervisedExecutor:
 
     # -- the supervision loop ------------------------------------------------
 
-    def submit(self, key: Any, func: Callable, args: tuple, index: int, label: str = "") -> None:
-        """Queue a task; ``index`` is its fault-plan slot, which orders it."""
-        self._make_ready(_Job(key, func, args, label, index))
+    def submit(
+        self,
+        key: Any,
+        func: Callable,
+        args: tuple,
+        index: int,
+        label: str = "",
+        forward: bool = False,
+    ) -> None:
+        """Queue a task; ``index`` is its fault-plan slot, which orders it.
+
+        With ``forward`` the task's result is delivered as the worker
+        pickled it, a :class:`_Pickled` the parent never loads, to be passed
+        among a later task's ``args``: the result crosses from one worker to
+        the next as bytes, and only the receiving worker loads it.  Its
+        checksum is still verified here.
+        """
+        self._make_ready(_Job(key, func, args, label, index, forward))
         self._outstanding += 1
 
     def _make_ready(self, job: _Job) -> None:
@@ -562,13 +595,16 @@ class SupervisedExecutor:
                 job, "corrupt-result", "result payload failed its checksum", deliver
             )
             return
-        try:
-            value = pickle.loads(payload)
-        except Exception as exc:
-            self._task_failed(
-                job, "corrupt-result", f"{type(exc).__name__}: {exc}", deliver
-            )
-            return
+        if job.forward:
+            value: Any = _Pickled(payload)
+        else:
+            try:
+                value = pickle.loads(payload)
+            except Exception as exc:
+                self._task_failed(
+                    job, "corrupt-result", f"{type(exc).__name__}: {exc}", deliver
+                )
+                return
         self._outstanding -= 1
         deliver(job.key, value)
 
@@ -755,6 +791,7 @@ def pipelined_map(
     initials: Optional[Sequence[Any]] = None,
     on_carry: Optional[Callable[[int, int, Any], None]] = None,
     waits: Optional[Mapping[int, Wait]] = None,
+    opaque: Collection[int] = (),
 ) -> List[Any]:
     """Run several sequential task chains concurrently over one worker pool.
 
@@ -794,6 +831,14 @@ def pipelined_map(
     propagates to the caller.  A chain whose step is quarantined in degrade
     mode yields a :class:`TaskFailure` in its final slot while every other
     chain runs to completion.
+
+    On the pool a carry passes through the parent, which loads it for
+    ``on_carry`` and the next step's dispatch.  ``opaque`` names chains
+    whose intermediate carries only the chain's next step reads: such a
+    carry goes from one worker to the next as the bytes the first one
+    pickled, neither loaded nor pickled again in the parent, and
+    ``on_carry`` does not fire for it (it does for the chain's final).
+    Steps return live objects either way, so one job pickles nothing.
     """
     chains = [list(chain) for chain in chains]
     starts: List[Any] = (
@@ -813,6 +858,11 @@ def pipelined_map(
     policy = resolve_supervision(policy)
     if manifest is None:
         manifest = FailureManifest()
+    opaque = frozenset(opaque)
+
+    def forwards(chain_index: int, step_index: int) -> bool:
+        """Whether a step's carry goes to the next step unread by the parent."""
+        return chain_index in opaque and step_index + 1 < len(chains[chain_index])
 
     if jobs <= 1 or total <= 1:
         finals: List[Any] = []
@@ -834,7 +884,7 @@ def pipelined_map(
                 outcome = carry
                 if isinstance(carry, TaskFailure):
                     break
-                if on_carry is not None:
+                if on_carry is not None and not forwards(chain_index, step_index):
                     on_carry(chain_index, step_index, carry)
             gates.end(chain_index, outcome)
             finals.append(outcome)
@@ -863,6 +913,7 @@ def pipelined_map(
                 (task, carry),
                 ranks[chain_index] + step_index,
                 label=_task_label(task),
+                forward=forwards(chain_index, step_index),
             )
 
     def release(producer: int) -> None:
@@ -879,7 +930,7 @@ def pipelined_map(
         if isinstance(value, TaskFailure):
             finish(chain_index, value)
             return
-        if on_carry is not None:
+        if on_carry is not None and not forwards(chain_index, step_index):
             on_carry(chain_index, step_index, value)
         advance(chain_index, step_index + 1, value)
 

@@ -76,7 +76,6 @@ hook of its component, ``on_access`` included.
 
 from __future__ import annotations
 
-import base64
 import sys
 from array import array
 from bisect import bisect_left
@@ -132,7 +131,13 @@ from repro.sim.path import (
     build_components,
 )
 from repro.sim.results import LatencyBreakdown
-from repro.sim.store import ResultStore, content_key, default_store
+from repro.sim.store import (
+    ResultStore,
+    content_key,
+    default_store,
+    pack_columns,
+    unpack_columns,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.configs import ModeParameters
@@ -223,27 +228,40 @@ class VerdictTier:
             return NotImplemented
         return self.to_payload() == other.to_payload()
 
-    def to_payload(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"num_events": self.num_events, "geometry": self.geometry}
+    def header(self) -> Dict[str, Any]:
+        """The payload's JSON header: everything but the columns."""
+        header: Dict[str, Any] = {"num_events": self.num_events, "geometry": self.geometry}
         if self.SPARSE:
-            payload["byteorder"] = sys.byteorder
-        for name in self.DENSE + self.SPARSE:
-            payload[name] = base64.b64encode(bytes(getattr(self, name))).decode("ascii")
-        return payload
+            header["byteorder"] = sys.byteorder
+        return header
+
+    def to_payload(self) -> bytes:
+        """The store payload: :meth:`header`, then the columns raw, dense
+        before sparse (:func:`~repro.sim.store.pack_columns`)."""
+        return pack_columns(
+            self.header(), [getattr(self, name) for name in self.DENSE + self.SPARSE]
+        )
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "VerdictTier":
-        if cls.SPARSE and payload.get("byteorder") != sys.byteorder:
+    def from_payload(cls, payload: bytes) -> "VerdictTier":
+        header, packed = unpack_columns(payload)
+        if cls.SPARSE and header.get("byteorder") != sys.byteorder:
             raise ValueError("tier was packed on a different byte order")
+        if len(packed) != len(cls.DENSE) + len(cls.SPARSE):
+            raise ValueError(f"{cls.__name__} payload has {len(packed)} columns")
         columns: Dict[str, Any] = {
-            name: bytearray(base64.b64decode(payload[name])) for name in cls.DENSE
+            name: bytearray(column) for name, column in zip(cls.DENSE, packed)
         }
-        for name in cls.SPARSE:
+        for name, column in zip(cls.SPARSE, packed[len(cls.DENSE) :]):
             columns[name] = array("Q")
-            columns[name].frombytes(base64.b64decode(payload[name]))
-        tier = cls(int(payload["num_events"]), dict(payload["geometry"]), **columns)
+            columns[name].frombytes(column)
+        tier = cls(int(header["num_events"]), dict(header["geometry"]), **columns)
+        tier.restore(header)
         tier.validate()
         return tier
+
+    def restore(self, header: Dict[str, Any]) -> None:
+        """Read what a family adds to :meth:`header` back from it."""
 
 
 class MacTier(VerdictTier):
@@ -336,15 +354,11 @@ class StealthTier(VerdictTier):
         super().__init__(num_events, geometry, **columns)
         self.at_stop: Dict[str, int] = dict.fromkeys(self.AT_STOP, 0)
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {**super().to_payload(), "at_stop": self.at_stop}
+    def header(self) -> Dict[str, Any]:
+        return {**super().header(), "at_stop": self.at_stop}
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "VerdictTier":
-        tier = super().from_payload(payload)
-        assert isinstance(tier, StealthTier)
-        tier.at_stop = {name: int(payload["at_stop"][name]) for name in cls.AT_STOP}
-        return tier
+    def restore(self, header: Dict[str, Any]) -> None:
+        self.at_stop = {name: int(header["at_stop"][name]) for name in self.AT_STOP}
 
     def samples(self, start: int, stop: int) -> List[Dict[str, int]]:
         """The timeline samples taken at accesses ``[start, stop)``."""

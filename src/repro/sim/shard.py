@@ -51,9 +51,8 @@ strategy-independent.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.core.config import SystemConfig
 from repro.sim.configs import ModeParameters, mode_parameters
@@ -247,7 +246,9 @@ def run_tier_step(task: TierTask, carry: Optional[List[Any]]) -> Optional[List[A
     list (``None`` at slice 0, which builds them cold).  The step puts each
     simulator's tier of its slice, reports the slice's stop and hands the
     simulators -- and nothing else -- to the next step; the last step
-    returns ``None``, since nothing would read them.
+    returns ``None``, since nothing would read them.  On the pool the
+    parent forwards them as the bytes this worker pickled (:func:`run_chains`
+    names the tier chains ``opaque``), never loading them itself.
     """
     from repro.sim import replaycore
     from repro.sim.distill import load_slice
@@ -363,12 +364,9 @@ def checkpoint_key(task: ShardTask) -> str:
     )
 
 
-def _encode_checkpoint(carry: bytes) -> Dict[str, str]:
-    return {"state": base64.b64encode(carry).decode("ascii")}
-
-
-def _decode_checkpoint(payload: Mapping) -> bytes:
-    return base64.b64decode(payload["state"])
+def _encode_checkpoint(carry: bytes) -> bytes:
+    """A checkpoint's store payload: the serialised state itself, stored raw."""
+    return carry
 
 
 class _CheckpointJournal:
@@ -416,8 +414,10 @@ class _CheckpointJournal:
             carry: Optional[bytes] = None
             for step in range(len(chain) - 2, -1, -1):
                 key = checkpoint_key(chain[step])
-                restored = self._store.get(key, decoder=_decode_checkpoint, promote=False)
-                if restored is not None:
+                # Decoder-less: a checkpoint is the stored bytes themselves,
+                # and anything else under its key (a hand-edited row) is a miss.
+                restored = self._store.get(key, promote=False)
+                if isinstance(restored, bytes):
                     self._active[chain_index] = chain[step + 1 :]
                     self._last[chain_index] = key
                     carry = restored
@@ -426,19 +426,23 @@ class _CheckpointJournal:
         return self._active, initials
 
     def on_carry(self, chain_index: int, step_index: int, carry: Any) -> None:
-        """Persist an intermediate checkpoint; spend it on chain completion."""
+        """Persist an intermediate checkpoint; spend it on chain completion.
+
+        The previous checkpoint is spent before the next is written: a run
+        killed between the two leaves its chain none, so the chain resumes
+        from its first shard, where the other order would leave two and the
+        older would never be spent.
+        """
         chain = self._active[chain_index]
-        previous = self._last[chain_index]
-        if step_index + 1 >= len(chain):
-            # Final step: ``carry`` is the chain's result, not a checkpoint,
-            # and the run it would have resumed is now complete.
-            self._last[chain_index] = None
-        elif isinstance(carry, (bytes, bytearray)):
+        previous, self._last[chain_index] = self._last[chain_index], None
+        if previous is not None and previous not in self._last:
+            self._store.invalidate(previous)
+        # The final step's ``carry`` is the chain's result, not a checkpoint,
+        # and the run it would have resumed is now complete.
+        if step_index + 1 < len(chain) and isinstance(carry, (bytes, bytearray)):
             key = checkpoint_key(chain[step_index])
             self._store.put(key, bytes(carry), encoder=_encode_checkpoint, keep_in_memory=False)
             self._last[chain_index] = key
-        if previous is not None and previous not in self._last:
-            self._store.invalidate(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +639,8 @@ def run_chains(
     quarantined one of its steps -- or the ingest or tier step it waited
     on, whose failure it then carries.  The ingest and tier chains come
     first (:func:`producer_chains`), so their steps take the lowest
-    fault-plan slots.  ``resume`` persists each replay chain's in-flight
+    fault-plan slots, and are ``opaque``: only their own next step reads
+    a tier chain's carry.  ``resume`` persists each replay chain's in-flight
     checkpoint through the :class:`_CheckpointJournal` and first resumes
     any chain a previous (killed) run left a checkpoint for.
     """
@@ -660,6 +665,7 @@ def run_chains(
         initials=[None] * offset + list(initials),
         on_carry=on_carry,
         waits=waits,
+        opaque=range(offset),
     )
     return finals[offset:]
 

@@ -22,13 +22,24 @@ roadmap: many writer processes must be able to hit the same store without
 racing (WAL + one writer transaction per :meth:`ResultStore.put`), and
 "what do I have cached?" must be answerable without ``stat``-ing thousands
 of files (:meth:`ResultStore.query`, :meth:`ResultStore.stats`).  Small
-payloads live inline in the index; large ones (event streams, MAC tiers)
+payloads live inline in the index; large ones (event streams, verdict tiers)
 spill to content-named blob files under ``blobs/`` whose name is the sha256
-of the payload text -- identical payloads share one blob, and a blob whose
+of the payload bytes -- identical payloads share one blob, and a blob whose
 content no longer matches its name reads as a miss, never as wrong data.
 
-Corrupt, version-mismatched or damaged entries (garbled payload text,
-truncated or missing blobs) are treated as misses, never errors; bumping
+A payload is JSON or raw bytes, as its encoder returns it.  A JSON payload
+is stored as text (inline) or a ``.json`` blob and reaches the decoder
+parsed.  An encoder that returns ``bytes`` -- the packed columns of an event
+slice or a verdict tier (:func:`pack_columns`), a checkpoint -- has them
+stored as they are, an inline sqlite BLOB or a ``.bin`` blob, and its
+decoder gets the same ``bytes`` back after the blob's digest check, with no
+text or JSON step.  Only blobs carry a digest: an inline entry is checked by
+its decoder alone.
+
+Corrupt, version-mismatched or damaged entries (garbled payload text or
+bytes, truncated or missing blobs, a blob column that is not a content
+name) are treated as misses, never errors, and a read deletes nothing but a
+content-named blob that failed its digest check.  Bumping
 ``FORMAT_VERSION`` invalidates every existing on-disk entry at once, and
 :meth:`ResultStore.gc` drops entries whose recorded code fingerprint no
 longer matches the source tree.
@@ -41,17 +52,19 @@ import enum
 import hashlib
 import json
 import os
+import re
 import sqlite3
+import struct
 import tempfile
 import threading
 import time
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Bump whenever the serialised payload layout changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default on-disk location, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -69,11 +82,18 @@ INDEX_FILENAME = "index.sqlite"
 #: Directory (inside the store root) holding spilled payload blobs.
 BLOB_DIR_NAME = "blobs"
 
-#: Payloads whose JSON text exceeds this many bytes spill to a blob file
-#: instead of living inline in the index -- the index stays small and fast to
-#: scan while event streams and MAC tiers (hundreds of KiB) stay on the
-#: filesystem where they belong.
+#: Payloads longer than this (JSON characters or raw bytes) spill to a blob
+#: file instead of living inline in the index -- the index stays small and
+#: fast to scan while event streams and verdict tiers (hundreds of KiB) stay
+#: on the filesystem where they belong.
 INLINE_LIMIT = 32 * 1024
+
+#: Blob file suffixes: a JSON payload's text, and a raw-bytes payload.
+_JSON_SUFFIX = ".json"
+_BINARY_SUFFIX = ".bin"
+
+#: The only blob names the store reads or deletes: a sha256 and a suffix.
+_CONTENT_NAME = re.compile(r"[0-9a-f]{64}(?:\.json|\.bin)")
 
 #: How long a writer waits for a competing writer's transaction (ms).
 _BUSY_TIMEOUT_MS = 30_000
@@ -263,8 +283,63 @@ def _kind_of(key: str) -> str:
     return key.rsplit("-", 1)[0]
 
 
-def _blob_name(digest: str) -> str:
-    return f"{digest}.json"
+def _blob_name(data: bytes, binary: bool) -> str:
+    """A blob's file name: the sha256 of its bytes, suffixed by its form."""
+    suffix = _BINARY_SUFFIX if binary else _JSON_SUFFIX
+    return hashlib.sha256(data).hexdigest() + suffix
+
+
+#: The length prefix of a :func:`pack_columns` header.
+_HEADER_SIZE = struct.Struct("<I")
+
+
+def pack_columns(header: Mapping[str, Any], columns: Sequence[Any]) -> bytes:
+    """A raw-bytes store payload: a small JSON header, then packed columns.
+
+    ``columns`` are bytes-like (``bytes``, ``bytearray``, ``array``); their
+    byte lengths ride in the header, so :func:`unpack_columns` can tell a
+    short, long or garbled payload from a whole one.  Byte order is the
+    caller's to record, as is everything else that describes the columns.
+    """
+    views = [memoryview(column).cast("B") for column in columns]
+    meta = json.dumps(
+        {**header, "columns": [view.nbytes for view in views]}, separators=(",", ":")
+    ).encode("utf-8")
+    return b"".join([_HEADER_SIZE.pack(len(meta)), meta, *views])
+
+
+def unpack_columns(payload: Any) -> Tuple[Dict[str, Any], List[memoryview]]:
+    """Split a :func:`pack_columns` payload into its header and column views.
+
+    The views share ``payload``'s buffer.  Anything that is not a whole
+    payload -- not bytes, a header that overruns the payload or does not
+    parse, column lengths that leave bytes short or over -- raises
+    ``ValueError``, which a store read turns into a miss.
+    """
+    if not isinstance(payload, bytes):
+        raise ValueError(f"expected a raw-bytes payload, got {type(payload).__name__}")
+    view = memoryview(payload)
+    if len(view) < _HEADER_SIZE.size:
+        raise ValueError("payload is shorter than its header length")
+    (size,) = _HEADER_SIZE.unpack_from(view)
+    cursor = _HEADER_SIZE.size + size
+    if cursor > len(view):
+        raise ValueError(f"a {size}-byte header overruns a {len(view)}-byte payload")
+    header = json.loads(bytes(view[_HEADER_SIZE.size : cursor]).decode("utf-8"))
+    lengths = header.pop("columns", None) if isinstance(header, dict) else None
+    if not isinstance(lengths, list) or not all(
+        type(length) is int and length >= 0 for length in lengths
+    ):
+        raise ValueError("payload header names no column lengths")
+    if sum(lengths) != len(view) - cursor:
+        raise ValueError(
+            f"columns of {sum(lengths)} bytes, but {len(view) - cursor} follow the header"
+        )
+    columns = []
+    for length in lengths:
+        columns.append(view[cursor : cursor + length])
+        cursor += length
+    return header, columns
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,8 +372,8 @@ class ResultStore:
     version-mismatched disk entries are treated as misses, never errors.
 
     **Decoder-less contract.**  ``get(key)`` *without* a decoder serves the
-    memory layer's live object when present, and otherwise the raw
-    JSON-decoded payload exactly as the encoder wrote it -- it cannot
+    memory layer's live object when present, and otherwise the payload
+    exactly as the encoder wrote it (parsed JSON, or raw bytes) -- it cannot
     reconstruct the domain object, so the raw form is returned as-is and is
     *not* promoted into the memory layer (a later decoded ``get`` must still
     see the payload, not a half-typed cache line).  ``key in store`` and
@@ -394,7 +469,7 @@ class ResultStore:
 
     # -- blob spill ----------------------------------------------------------
 
-    def _write_blob(self, payload_text: str) -> str:
+    def _write_blob(self, data: bytes, binary: bool) -> str:
         """Atomically persist a spilled payload; returns the blob file name.
 
         Blobs are named by the sha256 of their content, so identical payloads
@@ -403,8 +478,7 @@ class ResultStore:
         on read fails).  An existing blob of the same name *is* the payload
         already -- no rewrite needed.
         """
-        data = payload_text.encode("utf-8")
-        name = _blob_name(hashlib.sha256(data).hexdigest())
+        name = _blob_name(data, binary)
         target = self.blob_dir / name
         if target.exists():
             return name
@@ -419,6 +493,19 @@ class ResultStore:
                 os.unlink(tmp_name)
         return name
 
+    def _blob_path(self, name: Any) -> Optional[Path]:
+        """The file an index row's blob name stands for, or ``None``.
+
+        Only a content name -- 64 hex digits and a blob suffix, as
+        :meth:`_write_blob` makes -- names a file.  Anything else in a
+        damaged or hand-edited row (``../index.sqlite``, an absolute path)
+        names nothing: its entry reads as a miss, and no read, put or
+        invalidate reads or deletes a file for it.
+        """
+        if not isinstance(name, str) or _CONTENT_NAME.fullmatch(name) is None:
+            return None
+        return self.blob_dir / name
+
     def _release_blob(self, conn: sqlite3.Connection, name: str) -> None:
         """Drop a blob file once no index row references it.
 
@@ -427,12 +514,15 @@ class ResultStore:
         next read (missing blob), which recomputes and rewrites the blob --
         never a corrupt read.
         """
+        path = self._blob_path(name)
+        if path is None:
+            return
         (refs,) = conn.execute(
             "SELECT COUNT(*) FROM entries WHERE blob = ?", (name,)
         ).fetchone()
         if refs == 0:
             try:
-                (self.blob_dir / name).unlink(missing_ok=True)
+                path.unlink(missing_ok=True)
             except OSError:
                 pass
 
@@ -453,13 +543,19 @@ class ResultStore:
             pass
         self._pid_advertised = pid
 
-    def _write_row(self, conn: sqlite3.Connection, key: str, payload_text: str) -> None:
-        """One writer transaction: insert/replace a single entry."""
+    def _write_row(self, conn: sqlite3.Connection, key: str, payload: Any) -> None:
+        """One writer transaction: insert/replace a single entry.
+
+        ``payload`` is JSON text, stored inline as text, or raw ``bytes``,
+        stored inline as a BLOB; either spills to a blob file past
+        :data:`INLINE_LIMIT`.
+        """
         self._advertise_writer()
         blob: Optional[str] = None
-        inline: Optional[str] = payload_text
-        if len(payload_text) > INLINE_LIMIT:
-            blob = self._write_blob(payload_text)
+        inline: Optional[Any] = payload
+        if len(payload) > INLINE_LIMIT:
+            binary = isinstance(payload, bytes)
+            blob = self._write_blob(payload if binary else payload.encode("utf-8"), binary)
             inline = None
         old = conn.execute(
             "SELECT blob FROM entries WHERE key = ?", (key,)
@@ -473,7 +569,7 @@ class ResultStore:
                     _kind_of(key),
                     FORMAT_VERSION,
                     code_fingerprint(),
-                    len(payload_text),
+                    len(payload),
                     inline,
                     blob,
                 ),
@@ -484,7 +580,7 @@ class ResultStore:
     # -- lookup --------------------------------------------------------------
 
     def _read_payload(self, key: str) -> Any:
-        """The raw JSON payload of a disk entry, or ``_MISS``."""
+        """A disk entry's payload, or ``_MISS``: parsed JSON, or raw ``bytes``."""
         with self._lock:
             conn = self._connection(create=False)
             if conn is None:
@@ -509,26 +605,41 @@ class ResultStore:
                 return _MISS
         if row is None:
             return _MISS
-        fmt, payload_text, blob = row
+        fmt, payload, blob = row
         if fmt != FORMAT_VERSION:
             return _MISS
         if blob is not None:
+            path = self._blob_path(blob)
+            if path is None:
+                return _MISS
             try:
-                data = (self.blob_dir / blob).read_bytes()
+                data = path.read_bytes()
             except OSError:
                 return _MISS
             # The blob's name *is* its content hash: a truncated, corrupted
             # or swapped file fails the digest check and degrades to a miss.
-            if _blob_name(hashlib.sha256(data).hexdigest()) != blob:
+            # It can never be served, so it goes: a put of the recomputed
+            # payload skips a blob whose name exists, and would otherwise
+            # leave the damage -- and the miss -- in place.
+            binary = blob.endswith(_BINARY_SUFFIX)
+            if _blob_name(data, binary) != blob:
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError:
+                    pass
                 return _MISS
+            if binary:
+                return data
             try:
-                payload_text = data.decode("utf-8")
+                payload = data.decode("utf-8")
             except ValueError:
                 return _MISS
-        if not isinstance(payload_text, str):
+        if isinstance(payload, bytes):
+            return payload
+        if not isinstance(payload, str):
             return _MISS
         try:
-            return json.loads(payload_text)
+            return json.loads(payload)
         except ValueError:
             return _MISS
 
@@ -542,8 +653,9 @@ class ResultStore:
 
         With a ``decoder``, a disk hit is decoded, promoted into the memory
         layer and returned; a decoder that rejects the payload degrades to a
-        miss.  Without one (the decoder-less contract, see the class
-        docstring) a disk hit returns the raw JSON payload, un-promoted.
+        miss.  The decoder gets what the encoder returned: parsed JSON, or
+        the same ``bytes``.  Without one (the decoder-less contract, see the
+        class docstring) a disk hit returns that payload, un-promoted.
         ``promote=False`` skips the memory-layer insert (still serving
         memory hits): bulk streaming readers -- one event slice per window of
         a tera-scale run -- would otherwise grow the memory layer by the
@@ -575,11 +687,13 @@ class ResultStore:
     ) -> None:
         """Insert a value; with an encoder it is also written to disk.
 
-        The disk write is one sqlite transaction (plus an atomic blob write
-        for spilled payloads), so concurrent writers -- even hammering the
-        same key -- serialise cleanly and a killed worker never leaves a
-        half-written entry.  Any I/O failure degrades to memory-only caching
-        rather than failing the run.  ``keep_in_memory=False`` writes the
+        The encoder returns a JSON-serialisable payload, or ``bytes``, which
+        are stored raw (see the module docstring).  The disk write is one
+        sqlite transaction (plus an atomic blob write for spilled payloads),
+        so concurrent writers -- even hammering the same key -- serialise
+        cleanly and a killed worker never leaves a half-written entry.  Any
+        I/O failure degrades to memory-only caching rather than failing the
+        run.  ``keep_in_memory=False`` writes the
         disk layer only (requires an encoder -- a memory-less, encoder-less
         put would silently store nothing): streaming producers persist one
         window at a time without accumulating the run in the memory layer.
@@ -590,13 +704,15 @@ class ResultStore:
             self._memory[key] = value
         if encoder is None:
             return
-        payload_text = json.dumps(encoder(value), separators=(",", ":"))
+        payload = encoder(value)
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload, separators=(",", ":"))
         with self._lock:
             conn = self._connection(create=True)
             if conn is None:
                 return
             try:
-                self._write_row(conn, key, payload_text)
+                self._write_row(conn, key, payload)
             except (sqlite3.Error, OSError) as exc:
                 if _is_busy_error(exc):
                     # An exhausted busy timeout is not an I/O hiccup: some
@@ -665,12 +781,21 @@ class ResultStore:
                         conn.execute("DELETE FROM entries")
                 except (sqlite3.Error, OSError):
                     pass
-        if self.blob_dir.is_dir():
-            for path in self.blob_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        for path in self._blob_files():
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
+    def _blob_files(self) -> List[Path]:
+        """Every blob file, JSON and binary (never a half-written ``.tmp``)."""
+        if not self.blob_dir.is_dir():
+            return []
+        return [
+            path
+            for path in self.blob_dir.iterdir()
+            if path.suffix in (_JSON_SUFFIX, _BINARY_SUFFIX)
+        ]
 
     def gc(self) -> GcResult:
         """Compact the store: drop stale entries, orphaned blobs, vacuum.
@@ -700,14 +825,13 @@ class ResultStore:
                     )
                 }
                 dropped_blobs = 0
-                if self.blob_dir.is_dir():
-                    for path in self.blob_dir.glob("*.json"):
-                        if path.name not in live:
-                            try:
-                                path.unlink()
-                                dropped_blobs += 1
-                            except OSError:
-                                pass
+                for path in self._blob_files():
+                    if path.name not in live:
+                        try:
+                            path.unlink()
+                            dropped_blobs += 1
+                        except OSError:
+                            pass
                 (kept,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
                 conn.execute("VACUUM")
             except (sqlite3.Error, OSError):
@@ -811,7 +935,10 @@ class ResultStore:
                 return False
         if row is None or row[0] != FORMAT_VERSION:
             return False
-        return row[1] is None or (self.blob_dir / row[1]).exists()
+        if row[1] is None:
+            return True
+        path = self._blob_path(row[1])
+        return path is not None and path.exists()
 
     def __len__(self) -> int:
         disk = {row[0] for row in self._rows(None, None) if row[2] == FORMAT_VERSION}
@@ -863,5 +990,7 @@ __all__ = [
     "content_key",
     "default_store",
     "export_code_fingerprint",
+    "pack_columns",
     "set_default_store",
+    "unpack_columns",
 ]

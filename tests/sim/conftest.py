@@ -1,19 +1,29 @@
 """Fixtures shared by the simulation-pipeline tests.
 
-Besides the isolated default store, two helpers are shared as fixtures:
+Besides the isolated default store, three helpers are shared as fixtures:
 ``compute_tiers`` (every verdict tier a stack's kernels read, computed
-in-process) and the config leaf walk (``leaves``, ``replaced``,
+in-process), ``binary_damage`` (one way of damaging a stored raw-bytes
+payload per case) and the config leaf walk (``leaves``, ``replaced``,
 ``perturbed``) that the store-key completeness tests run over every field
 of a run description.  A test marked ``leaves_of(**roots)`` runs once per
 leaf of those roots instead, with the leaf as its ``leaf`` argument.
 """
 
 import dataclasses
+import sqlite3
+import struct
 
 import pytest
 
 from repro.sim import replaycore
-from repro.sim.store import ResultStore, default_store, set_default_store
+from repro.sim import store as store_module
+from repro.sim.store import (
+    ResultStore,
+    default_store,
+    pack_columns,
+    set_default_store,
+    unpack_columns,
+)
 
 #: The counter-tree schemes a perturbed ``scheme`` field cycles through.
 SCHEMES = ("client_sgx", "vault", "morphctr")
@@ -49,6 +59,78 @@ def _compute_tiers(components, events, config=None):
 @pytest.fixture(scope="session")
 def compute_tiers():
     return _compute_tiers
+
+
+def _blob_path(store, key):
+    with sqlite3.connect(store.db_path) as conn:
+        (name,) = conn.execute("SELECT blob FROM entries WHERE key = ?", (key,)).fetchone()
+    assert name is not None and name.endswith(".bin"), f"{key} is not a .bin blob"
+    return store.blob_dir / name
+
+
+def _edit_blob(edit):
+    """Damage an entry's ``.bin`` blob file in place (``None`` deletes it)."""
+
+    def damage(store, key):
+        path = _blob_path(store, key)
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_bytes(edit(path.read_bytes()))
+
+    return damage
+
+
+def _edit_inline(edit):
+    """Replace an entry's payload with an edited copy, as an inline BLOB."""
+
+    def damage(store, key):
+        payload = ResultStore(store.root).get(key)
+        assert isinstance(payload, bytes), f"{key} holds no raw-bytes payload"
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "UPDATE entries SET payload = ?, blob = NULL WHERE key = ?", (edit(payload), key)
+            )
+
+    return damage
+
+
+def _flip_a_bit(data):
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0x10
+    return bytes(flipped)
+
+
+def _other_byteorder(payload):
+    header, columns = unpack_columns(payload)
+    header["byteorder"] = "big" if header["byteorder"] == "little" else "little"
+    return pack_columns(header, columns)
+
+
+#: Damage to a stored raw-bytes payload, each of which must read as a miss:
+#: three to its ``.bin`` blob, which the digest check catches, and four to
+#: an inline copy of it, which the decoder must reject.
+BINARY_DAMAGES = {
+    "truncated-bin": _edit_blob(lambda data: data[: len(data) // 2]),
+    "bit-flipped-bin": _edit_blob(_flip_a_bit),
+    "missing-bin": _edit_blob(None),
+    "garbled-inline": _edit_inline(lambda payload: payload[:4] + bytes(len(payload) - 4)),
+    "header-overrun": _edit_inline(
+        lambda payload: struct.pack("<I", len(payload)) + payload[4:]
+    ),
+    "trailing-bytes": _edit_inline(lambda payload: payload + bytes(8)),
+    "wrong-byteorder": _edit_inline(_other_byteorder),
+}
+
+
+@pytest.fixture(params=sorted(BINARY_DAMAGES))
+def binary_damage(request, monkeypatch):
+    """One :data:`BINARY_DAMAGES` case, as ``damage(store, key)``.
+
+    Every put in a test that takes it spills to a ``.bin`` blob, so the blob
+    damages always find one; the inline damages rewrite the row inline."""
+    monkeypatch.setattr(store_module, "INLINE_LIMIT", 0)
+    return BINARY_DAMAGES[request.param]
 
 
 def _leaves(value, prefix):

@@ -28,11 +28,12 @@ from repro.sim.distill import (
     HierarchyDistiller,
     MissEventStream,
     events_key,
+    events_slice_key,
     load_slice,
 )
-from repro.sim.engine import SimulationEngine, run_suite
+from repro.sim.engine import EngineState, HierarchyCounters, SimulationEngine, run_suite
 from repro.sim.path import PathComponent, StealthFreshnessComponent
-from repro.sim.store import ResultStore
+from repro.sim.store import ResultStore, pack_columns, unpack_columns
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
 
@@ -359,10 +360,10 @@ class TestStreamPersistence:
         assert list(restored.events()) == list(events.events())
 
     def test_byteorder_mismatch_is_rejected(self, events):
-        payload = events.to_payload()
-        payload["byteorder"] = "big" if payload["byteorder"] == "little" else "little"
+        header, columns = unpack_columns(events.to_payload())
+        header["byteorder"] = "big" if header["byteorder"] == "little" else "little"
         with pytest.raises(ValueError, match="byte order"):
-            MissEventStream.from_payload(payload)
+            MissEventStream.from_payload(pack_columns(header, columns))
 
     def test_one_window_slice_persists_and_reloads(self, tmp_path):
         # A one-window run's single slice is its full ``events`` entry.
@@ -388,6 +389,18 @@ class TestStreamPersistence:
             )
         recomputed = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=ResultStore(tmp_path))
         assert recomputed.to_payload() == first.to_payload()
+
+    def test_damaged_binary_slice_is_recomputed(self, tmp_path, binary_damage):
+        run = ("memcached", 0.002, 7, TRACE_LEN, 64)
+        store = ResultStore(tmp_path)
+        first = load_slice(*run, 1, SMALL_CONFIG, store=store)
+        key = events_slice_key(*run, 1, SMALL_CONFIG)
+        binary_damage(store, key)
+        assert ResultStore(tmp_path).get(key, decoder=MissEventStream.from_payload) is None
+        recomputed = load_slice(*run, 1, SMALL_CONFIG, store=ResultStore(tmp_path))
+        assert recomputed.to_payload() == first.to_payload()
+        served = ResultStore(tmp_path).get(key, decoder=MissEventStream.from_payload)
+        assert served.to_payload() == first.to_payload()
 
 
 class TestEventKeySemantics:
@@ -548,6 +561,24 @@ class TestReplayEventsContract:
         engine.replay(state, trace, stop=100)
         with pytest.raises(ValueError, match="do not mix"):
             engine.replay_events(state, events)
+
+    def test_an_event_state_holds_counters_only(self, trace, events):
+        # Begun on events, a state carries the hierarchy's counters and no
+        # cache; begun on the trace, the live hierarchy the oracle drives.
+        engine = SimulationEngine.from_mode("NoProtect", config=SMALL_CONFIG, seed=7)
+        state = engine.begin(events, TRACE_LEN)
+        assert isinstance(state.hierarchy, HierarchyCounters)
+        assert isinstance(engine.begin(trace, TRACE_LEN).hierarchy, CacheHierarchy)
+        assert len(state.serialize()) < 4096
+        with pytest.raises(ValueError, match="hierarchy counters only"):
+            engine.replay(state, trace)
+        engine.replay_events(state, events)
+        restored = EngineState.deserialize(state.serialize())
+        assert vars(restored.hierarchy.l3.stats) == vars(events.level_stats["l3"])
+        assert restored.hierarchy.memory_accesses == events.memory_accesses
+        assert restored.hierarchy.writebacks == events.hierarchy_writebacks
+        oracle = engine.run(trace, num_accesses=TRACE_LEN)
+        assert engine.finish(restored, events).to_dict() == oracle.to_dict()
 
 
 class TestCliDistillFlags:

@@ -309,6 +309,17 @@ class TestPipelinedSupervision:
         ) == [3, 30]
         assert manifest.retries == 1
 
+    @pytest.mark.parametrize("kind", ("corrupt", "crash"))
+    def test_a_forwarded_carry_is_checked_and_retried(self, monkeypatch, kind):
+        # Slot 1 is the middle step of the opaque chain: its result goes on
+        # to step 2 unread by the parent, so only the checksum guards it.
+        _plan_env(monkeypatch, FaultPlan(faults=(FaultSpec(task_index=1, kind=kind),)))
+        manifest = FailureManifest()
+        assert pipelined_map(
+            _chain_step, [[1, 2, 3], [10]], jobs=2, policy=FAST, manifest=manifest, opaque=(0,)
+        ) == [6, 10]
+        assert manifest.retries == 1
+
     def test_failed_chain_does_not_block_siblings(self):
         # Chain A dies terminally at step 2; B and C must still complete and
         # land in the merged results (the degrade contract).

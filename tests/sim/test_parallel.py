@@ -320,6 +320,56 @@ class TestPipelinedMapContract:
         assert pipelined_map(_chain_step, [[], [1, 2], [3]], jobs) == [None, 3, 3]
 
 
+class _Loads:
+    """A carry that notes the pid of every process that unpickles it."""
+
+    def __init__(self, pids=()):
+        self.pids = list(pids)
+
+    def __reduce__(self):
+        return (_loaded, (self.pids,))
+
+
+def _loaded(pids):
+    return _Loads([*pids, os.getpid()])
+
+
+def _loads_step(task, carry):
+    return _Loads() if carry is None else carry
+
+
+class TestOpaqueChains:
+    """An opaque chain's intermediate carries go from worker to worker as
+    bytes: the parent loads only the final, and ``on_carry`` sees only it."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("opaque", ((), (0,)), ids=("plain", "opaque"))
+    def test_who_loads_each_carry(self, jobs, opaque):
+        seen = []
+        final, _ = pipelined_map(
+            _loads_step,
+            [[1, 2, 3], [4]],
+            jobs,
+            on_carry=lambda chain, step, carry: seen.append((chain, step)),
+            opaque=opaque,
+        )
+        parent = os.getpid()
+        loads = ["parent" if pid == parent else "worker" for pid in final.pids]
+        if jobs == 1:
+            assert loads == []  # in-process: nothing is pickled
+        elif opaque:
+            assert loads == ["worker", "worker", "parent"]
+        else:
+            assert loads == ["parent", "worker", "parent", "worker", "parent"]
+        finals_only = [(0, 2), (1, 0)]
+        assert sorted(seen) == (finals_only if opaque else [(0, 0), (0, 1), (0, 2), (1, 0)])
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_opaque_chains_return_what_plain_ones_do(self, jobs):
+        chains = [[1, 2, 3], [10, 20], [5]]
+        assert pipelined_map(_chain_step, chains, jobs, opaque=(0, 1, 2)) == [6, 30, 5]
+
+
 def _logged_step(task, carry):
     """A producer ``(log, stops)`` reports each stop after logging it; a
     waiter ``(log, step)`` logs its start."""

@@ -146,6 +146,10 @@ class TestCheckpointHandoff:
         assert [checkpoint_key(t) for t in rebuilt] == [checkpoint_key(t) for t in narrow]
 
 
+class _Killed(BaseException):
+    """Stands in for a SIGKILL landing inside a store call."""
+
+
 class TestCheckpointJournal:
     """The parent-side half of resume, driven through its ``on_carry`` hook."""
 
@@ -186,6 +190,29 @@ class TestCheckpointJournal:
         assert store.query(kind="checkpoint") == []
         trimmed, initials = _CheckpointJournal(chains, store).restore()
         assert trimmed == chains and initials == [None, None]
+
+    @pytest.mark.parametrize("killed_in", ["put", "invalidate"])
+    def test_a_kill_mid_handoff_leaves_at_most_one_checkpoint(
+        self, tmp_path, monkeypatch, killed_in
+    ):
+        # A run killed while the journal swaps a chain's checkpoint must not
+        # leave two: the older one would never be resumed from or spent.
+        store = ResultStore(tmp_path)
+        chains = self._chains()
+        journal = _CheckpointJournal(chains, store)
+        journal.on_carry(0, 0, b"a")
+
+        def kill(*args, **kwargs):
+            raise _Killed
+
+        monkeypatch.setattr(store, killed_in, kill)
+        with pytest.raises(_Killed):
+            journal.on_carry(0, 1, b"b")
+        monkeypatch.undo()
+        left = [task for task in chains[0] if checkpoint_key(task) in store]
+        assert len(left) <= 1
+        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        assert (trimmed[0], initials[0]) in ((chains[0], None), (chains[0][1:], b"a"))
 
     def test_a_checkpoint_another_chain_holds_survives(self, tmp_path):
         # One pair at widths 90 and 180 (a shard_size sweep): both chains

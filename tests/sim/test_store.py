@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import sqlite3
+import sys
+from array import array
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.sim.store import (
     ResultStore,
     StoreBusyError,
     content_key,
+    pack_columns,
+    unpack_columns,
 )
 
 
@@ -377,6 +381,118 @@ class TestSuitePersistence:
             ("bsw",), EVALUATED_MODES, 0.002, 4000, 1234, None, EngineOptions()
         )
         assert len({k_none, k_cfg, k_opts}) == 3
+
+
+def packed(n=16, *, values=None):
+    """A raw-bytes payload as the slice and tier encoders write one."""
+    column = array("Q", range(n) if values is None else values)
+    return pack_columns({"byteorder": sys.byteorder, "n": len(column)}, [column, bytes(n)])
+
+
+def decode_packed(payload):
+    """The decoder of :func:`packed` payloads: the header and first column."""
+    header, (column, flags) = unpack_columns(payload)
+    if header["byteorder"] != sys.byteorder:
+        raise ValueError("packed on a different byte order")
+    values = array("Q")
+    values.frombytes(column)
+    if len(values) != header["n"] or len(flags) != header["n"]:
+        raise ValueError("column lengths disagree with the header")
+    return list(values)
+
+
+class TestBinaryPayloads:
+    """An encoder that returns bytes has them stored raw: an inline BLOB or a
+    ``.bin`` blob, read back as the same bytes after the digest check."""
+
+    def test_small_bytes_stay_inline_and_round_trip(self, tmp_path):
+        payload = packed()
+        ResultStore(tmp_path).put("events-aa", payload, encoder=lambda v: v)
+        (entry,) = ResultStore(tmp_path).query()
+        assert entry.inline and entry.size == len(payload)
+        assert not ResultStore(tmp_path).blob_dir.exists()
+        assert ResultStore(tmp_path).get("events-aa") == payload
+        assert ResultStore(tmp_path).get("events-aa", decoder=decode_packed) == list(range(16))
+
+    def test_large_bytes_spill_to_a_bin_blob(self, tmp_path):
+        payload = packed(INLINE_LIMIT)
+        store = ResultStore(tmp_path)
+        store.put("events-bb", payload, encoder=lambda v: v)
+        (blob,) = store.blob_dir.iterdir()
+        assert blob.suffix == ".bin" and blob.read_bytes() == payload
+        received = []
+        cold = ResultStore(tmp_path)
+        assert cold.get("events-bb", decoder=lambda p: received.append(p) or len(p))
+        assert received == [payload] and type(received[0]) is bytes
+
+    def test_every_damage_is_a_miss_and_recomputed(self, tmp_path, binary_damage):
+        store = ResultStore(tmp_path)
+        store.put("events-cc", packed(), encoder=lambda v: v, keep_in_memory=False)
+        binary_damage(store, "events-cc")
+        assert ResultStore(tmp_path).get("events-cc", decoder=decode_packed) is None
+        store.put("events-cc", packed(), encoder=lambda v: v, keep_in_memory=False)
+        assert ResultStore(tmp_path).get("events-cc", decoder=decode_packed) == list(range(16))
+
+    @pytest.mark.parametrize("where", ["index", "outside", "absolute"])
+    def test_a_row_naming_a_file_outside_blobs_touches_nothing(self, tmp_path, where):
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes(b"not a blob")
+        store = ResultStore(tmp_path / "store")
+        store.put("events-dd", packed(INLINE_LIMIT), encoder=lambda v: v, keep_in_memory=False)
+        store.put("events-ee", packed(INLINE_LIMIT), encoder=lambda v: v, keep_in_memory=False)
+        target = {"index": store.db_path, "outside": outside, "absolute": outside}[where]
+        name = {"index": "../index.sqlite", "outside": "../../outside.bin"}.get(
+            where, str(outside)
+        )
+        before = target.read_bytes()
+        for key in ("events-dd", "events-ee"):
+            corrupt_entry(store, key, blob=name)
+        assert "events-dd" not in store
+        assert ResultStore(store.root).get("events-dd") is None
+        store.put("events-dd", packed(), encoder=lambda v: v)
+        store.invalidate("events-ee")
+        assert target.exists() and (where == "index" or target.read_bytes() == before)
+        assert ResultStore(store.root).get("events-dd") == packed()
+
+    def test_unpack_rejects_what_is_not_a_whole_payload(self):
+        payload = packed()
+        for broken in (payload[:3], payload[:-1], payload + b"\0", {"x": 1}, "text"):
+            with pytest.raises(ValueError):
+                unpack_columns(broken)
+
+    def test_identical_bytes_share_one_blob(self, tmp_path):
+        store = ResultStore(tmp_path)
+        payload = packed(INLINE_LIMIT)
+        store.put("events-a", payload, encoder=lambda v: v)
+        store.put("events-b", payload, encoder=lambda v: v)
+        assert len(list(store.blob_dir.glob("*.bin"))) == 1
+        store.invalidate("events-a")
+        assert ResultStore(tmp_path).get("events-b") == payload
+        store.invalidate("events-b")
+        assert list(store.blob_dir.iterdir()) == []
+
+    def test_gc_drops_stale_and_orphan_bin_blobs(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("events-keep", packed(INLINE_LIMIT), encoder=lambda v: v)
+        store.put("events-stale", packed(INLINE_LIMIT, values=[7] * INLINE_LIMIT),
+                  encoder=lambda v: v)
+        corrupt_entry(store, "events-stale", code="old-fingerprint")
+        (store.blob_dir / "orphan.bin").write_bytes(b"\0")
+        result = store.gc()
+        assert (result.dropped_entries, result.dropped_blobs, result.kept_entries) == (1, 2, 1)
+        (kept,) = store.blob_dir.iterdir()
+        assert ResultStore(tmp_path).get("events-keep") == kept.read_bytes()
+        store.clear()
+        assert list(store.blob_dir.iterdir()) == []
+
+    def test_stats_count_binary_entries(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("events-aa", packed(), encoder=lambda v: v)
+        store.put("events-bb", packed(INLINE_LIMIT), encoder=lambda v: v)
+        store.put("suite-cc", {"x": 1}, encoder=lambda v: v)
+        stats = store.stats()
+        assert (stats["entries"], stats["inline_entries"], stats["blob_entries"]) == (3, 2, 1)
+        assert stats["kinds"]["events"]["bytes"] == len(packed()) + len(packed(INLINE_LIMIT))
 
 
 class _BusyConnection:

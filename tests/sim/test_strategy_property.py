@@ -17,6 +17,9 @@ fresh store per example and draws the strategy space instead of listing it:
 * optionally a seeded fault plan, one crash and one error, under a policy
   that retries them.
 
+Every result must also conserve the run's misses: its LLC miss count is the
+number of events the run's stored slices hold, read back from the store.
+
 The four explicit examples run every shipped mode at the corners of the old
 per-seam width matrices, one of them beside a stack of Tiny-SGX's shape.
 """
@@ -41,6 +44,7 @@ from repro.sim.configs import (
     registered_modes,
     unregister_mode,
 )
+from repro.sim.distill import events_slice_key, load_slice, slice_bounds
 from repro.sim.engine import ordered_modes, run_suite
 from repro.sim.faults import FAULT_PLAN_ENV, FailureManifest, FaultPlan, SupervisionPolicy
 from repro.sim.shard import RunPlan, run_plans, shard_bounds
@@ -132,9 +136,24 @@ def serial():
     return {mode: result.to_dict() for mode, result in suite[BENCHMARK].items()}
 
 
+def stored_events(plan, store):
+    """How many miss events the run's stored slices hold, read back through
+    ``load_slice`` as a replay step reads them."""
+    window = min(plan.stream, N)
+    keys = [
+        events_slice_key(BENCHMARK, SCALE, SEED, N, window, index, SMALL_CONFIG)
+        for index in range(len(slice_bounds(N, window)))
+    ]
+    assert all(key in store for key in keys), "the run left a slice unstored"
+    return sum(
+        len(load_slice(BENCHMARK, SCALE, SEED, N, window, index, SMALL_CONFIG, store))
+        for index in range(len(keys))
+    )
+
+
 def run_pipeline(plan, jobs, numpy, resume, faults):
     """``plan`` through ``run_plans`` on a fresh default store; returns the
-    suite and the failure manifest."""
+    suite, the failure manifest and the event count of the stored slices."""
     manifest = FailureManifest()
     previous = default_store()
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
@@ -154,10 +173,11 @@ def run_pipeline(plan, jobs, numpy, resume, faults):
                 use_cache=False,
                 store=store,
             )
+            events = stored_events(plan, store)
         finally:
             set_default_store(previous)
             store.close()
-    return suite[BENCHMARK], manifest
+    return suite[BENCHMARK], manifest, events
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -196,7 +216,7 @@ def test_every_strategy_matches_the_serial_engine(
         faults = None
         if fault_seed is not None and tasks >= 2:  # two faults need two task slots
             faults = FaultPlan.generate(fault_seed, min(tasks, 12), crashes=1, errors=1)
-        results, manifest = run_pipeline(plan, jobs, numpy, resume, faults)
+        results, manifest, events = run_pipeline(plan, jobs, numpy, resume, faults)
     finally:
         if stack is not None:
             unregister_mode(DRAWN)
@@ -209,3 +229,6 @@ def test_every_strategy_matches_the_serial_engine(
     # The cache hierarchy is mode-independent: every mode sees the same
     # misses, writebacks and instructions.
     assert len({(r.llc_misses, r.writebacks, r.instructions) for r in results.values()}) == 1
+    # Conservation: each LLC miss is one stored event, and the replay folded
+    # every slice's counters exactly once.
+    assert all(result.llc_misses == events for result in results.values())

@@ -165,12 +165,17 @@ class TestEventSlices:
         try:
             keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
             if damage == "inline-payload":
+                # Cut the slice's inline BLOB to half its bytes.
                 with sqlite3.connect(store.db_path) as conn:
-                    conn.execute("UPDATE entries SET payload = '42' WHERE key = ?", (keys[1],))
+                    conn.execute(
+                        "UPDATE entries SET payload = substr(payload, 1, length(payload) / 2)"
+                        " WHERE key = ?",
+                        (keys[1],),
+                    )
             else:
                 (blob,) = store.query(prefix=keys[1])
                 assert not blob.inline
-                for path in store.blob_dir.glob("*.json"):
+                for path in store.blob_dir.glob("*.bin"):
                     path.write_bytes(path.read_bytes()[:100])
             assert keys[1] in store
             assert store.get(keys[1], decoder=MissEventStream.from_payload) is None

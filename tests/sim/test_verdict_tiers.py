@@ -41,6 +41,7 @@ from repro.sim.configs import (
     unregister_mode,
 )
 from repro.sim import distill, replaycore
+from repro.sim import store as store_module
 from repro.sim.distill import (
     HierarchyDistiller,
     MissEventStream,
@@ -75,7 +76,13 @@ from repro.sim.replaycore import (
 )
 from repro.sim.results import LatencyBreakdown
 from repro.sim.shard import ShardSpec, run_chains, shard_chain
-from repro.sim.store import ResultStore, default_store, set_default_store
+from repro.sim.store import (
+    ResultStore,
+    default_store,
+    pack_columns,
+    set_default_store,
+    unpack_columns,
+)
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
 
@@ -408,11 +415,27 @@ class TestWindowedAdvance:
         assert restored == tier
         assert restored.geometry == tier.geometry
 
+    @pytest.mark.parametrize("spill", (False, True), ids=("inline", "bin-blob"))
+    @pytest.mark.parametrize("family", ("mac", "tree", "epc", "stealth"))
+    def test_each_family_round_trips_through_the_store(
+        self, family, spill, events, tmp_path, monkeypatch
+    ):
+        if spill:
+            monkeypatch.setattr(store_module, "INLINE_LIMIT", 0)
+        tier = SIMULATORS[family]().advance(events)
+        ResultStore(tmp_path).put("tier-x", tier, encoder=type(tier).to_payload)
+        (entry,) = ResultStore(tmp_path).query()
+        assert entry.inline is not spill
+        served = ResultStore(tmp_path).get("tier-x", decoder=type(tier).from_payload)
+        assert served == tier and served.geometry == tier.geometry
+        if family == "stealth":
+            assert served.at_stop == tier.at_stop and any(tier.at_stop.values())
+
     def test_corrupt_payload_is_rejected(self, events):
-        payload = SIMULATORS["tree"]().advance(events).to_payload()
-        payload["num_events"] += 1
+        header, columns = unpack_columns(SIMULATORS["tree"]().advance(events).to_payload())
+        header["num_events"] += 1
         with pytest.raises(ValueError):
-            TreeTier.from_payload(payload)
+            TreeTier.from_payload(pack_columns(header, columns))
 
 
 class TestTierSlices:
@@ -466,6 +489,23 @@ class TestTierSlices:
             assert concatenated(served) == expected
         # Narrow tier slices, like narrow event slices, skip the memory layer.
         assert store._memory == {}
+
+    def test_a_damaged_tier_slice_is_recomputed(self, events, tmp_path, binary_damage):
+        window = TRACE_LEN // 3
+        store = ResultStore(tmp_path)
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
+        piece = load_slice(*self.RUN, window, 1, SMALL_CONFIG, store)
+        _, state = begin("Toleo", events)
+        component = only(state.components, StealthFreshnessComponent)
+        first = load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG, store)
+        key = tier_slice_key(component, *self.RUN, window, 1, SMALL_CONFIG)
+        binary_damage(store, key)
+        assert ResultStore(tmp_path).get(key, decoder=StealthTier.from_payload) is None
+        recomputed = load_tier_slice(
+            component, piece, TRACE_LEN, window, SMALL_CONFIG, ResultStore(tmp_path)
+        )
+        assert recomputed == first
+        assert ResultStore(tmp_path).get(key, decoder=StealthTier.from_payload) == first
 
     def test_a_miss_stops_at_its_slice_and_reads_only_stored_events(
         self, events, tmp_path, monkeypatch
