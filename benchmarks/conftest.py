@@ -45,6 +45,12 @@ def perf_suite():
 
 
 @pytest.fixture(scope="session")
+def perf_context():
+    """The context perf_suite runs at (run_benchmarks' default seed)."""
+    return dict(scale=SCALE, num_accesses=PERF_ACCESSES, seed=1234)
+
+
+@pytest.fixture(scope="session")
 def latency_suite():
     """Simulation results including the C-only configuration (Figure 9)."""
     return run_benchmarks(

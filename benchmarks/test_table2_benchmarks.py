@@ -12,12 +12,9 @@ def test_table2_reference_rows(benchmark):
     benchmark.extra_info["benchmarks"] = len(rows)
 
 
-def test_table2_measured_characteristics(benchmark):
+def test_table2_measured_characteristics(benchmark, perf_suite, perf_context):
     rows = benchmark.pedantic(
-        table2.measure,
-        kwargs=dict(benchmarks=("bsw", "pr", "memcached"), scale=0.002, num_accesses=10_000),
-        rounds=1,
-        iterations=1,
+        table2.compute, args=(perf_suite,), kwargs=perf_context, rounds=1, iterations=1
     )
     by_bench = {row["bench"]: row for row in rows}
     # The bandwidth-bound graph kernel misses far more than the DP kernel.

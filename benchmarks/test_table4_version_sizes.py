@@ -5,7 +5,6 @@ Reference ratios (Client SGX 9.14:1, VAULT 64:1, MorphCtr 128:1, Toleo flat
 entry size, which the paper reports as 17.08 B per page (240:1).
 """
 
-from repro.core.config import PAGE_BYTES
 from repro.experiments import table4
 
 
@@ -19,18 +18,8 @@ def test_table4_reference_ratios(benchmark):
     benchmark.extra_info["representations"] = len(rows)
 
 
-def measure(study):
-    """Average Toleo entry size over the study's Trip tables, from the
-    study's plain data (the same whether computed here, in a worker or
-    served from the store)."""
-    total_bytes = sum(sum(result.usage_bytes.values()) for result in study.values())
-    total_pages = sum(result.table_pages for result in study.values())
-    avg = total_bytes / max(1, total_pages)
-    return {"average_entry_bytes": avg, "data_to_version_ratio": PAGE_BYTES / avg}
-
-
 def test_table4_measured_toleo_average(benchmark, space_study):
-    measured = benchmark.pedantic(measure, args=(space_study,), rounds=1, iterations=1)
+    measured = benchmark.pedantic(table4.compute, args=(space_study,), rounds=1, iterations=1)
     # The measured average must land between the full and flat extremes and
     # beat every Merkle-tree baseline by a wide margin.
     assert 12.0 <= measured["average_entry_bytes"] <= 228.0
@@ -43,5 +32,7 @@ def test_table4_measured_toleo_average(benchmark, space_study):
 
 def test_table4_measured_on_a_store_served_study(benchmark, space_study, served_space_study):
     assert served_space_study is not space_study
-    measured = benchmark.pedantic(measure, args=(served_space_study,), rounds=1, iterations=1)
-    assert measured == measure(space_study)
+    measured = benchmark.pedantic(
+        table4.compute, args=(served_space_study,), rounds=1, iterations=1
+    )
+    assert measured == table4.compute(space_study)

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.harness import (
-    SPACE_STUDY_BUDGETS,
-    SpaceStudyResult,
-    run_space_study,
-    space_key,
-)
+from repro.experiments.harness import SPACE_STUDY_BUDGETS, SpaceStudyResult, space_stage
 from repro.experiments.report import format_table
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
 
@@ -62,21 +57,8 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
-    study = run_space_study(
-        ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed
-    )
-    return {
-        "payload": {"timelines": compute(study)},
-        "store_keys": [
-            space_key(
-                ctx.benchmarks,
-                scale=ctx.scale,
-                num_accesses=ctx.num_accesses,
-                seed=ctx.seed,
-            )
-        ],
-        "modes": ["Toleo"],
-    }
+    study, stamp = space_stage(ctx)
+    return {"payload": {"timelines": compute(study)}, **stamp}
 
 
 ARTIFACT = register_artifact(

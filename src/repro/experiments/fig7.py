@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
+from repro.experiments.harness import SuiteResults, suite_stage
 from repro.experiments.report import arithmetic_mean, format_percentage, format_table
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
-from repro.sim.configs import EVALUATED_MODES
 
 
 def compute(suite: SuiteResults) -> List[Dict[str, object]]:
@@ -60,19 +59,8 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
-    suite = run_benchmarks(
-        ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed
-    )
-    return {
-        "payload": {"rows": compute(suite)},
-        "store_keys": [
-            suite_key(
-                ctx.benchmarks, EVALUATED_MODES, ctx.scale, ctx.num_accesses, ctx.seed,
-                None, None,
-            )
-        ],
-        "modes": list(EVALUATED_MODES),
-    }
+    suite, stamp = suite_stage(ctx)
+    return {"payload": {"rows": compute(suite)}, **stamp}
 
 
 ARTIFACT = register_artifact(

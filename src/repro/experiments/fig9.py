@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.harness import SuiteResults, run_benchmarks, suite_key
+from repro.experiments.harness import SuiteResults, suite_stage
 from repro.experiments.report import format_table
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
 from repro.sim.configs import BASELINE_MODE, LATENCY_MODES
@@ -73,23 +73,8 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
-    suite = run_benchmarks(
-        ctx.benchmarks,
-        modes=LATENCY_MODES,
-        scale=ctx.scale,
-        num_accesses=ctx.num_accesses,
-        seed=ctx.seed,
-    )
-    return {
-        "payload": {"rows": compute(suite)},
-        "store_keys": [
-            suite_key(
-                ctx.benchmarks, LATENCY_MODES, ctx.scale, ctx.num_accesses, ctx.seed,
-                None, None,
-            )
-        ],
-        "modes": list(LATENCY_MODES),
-    }
+    suite, stamp = suite_stage(ctx, LATENCY_MODES)
+    return {"payload": {"rows": compute(suite)}, **stamp}
 
 
 ARTIFACT = register_artifact(

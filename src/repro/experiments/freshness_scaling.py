@@ -17,16 +17,14 @@ leaves the EPC, while ``Toleo`` stays near-flat.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.baselines.counter_trees import client_sgx_tree
-from repro.experiments import harness
-from repro.experiments.harness import suite_key
+from repro.experiments.harness import sweep_stage
 from repro.experiments.report import format_table
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
 from repro.sim.configs import BASELINE_MODE, FRESHNESS_MODES
-from repro.sim.shard import RunPlan
-from repro.sim.sweep import SweepAxis, run_sweep
+from repro.sim.sweep import SweepAxis, SweepResult
 from repro.sim.variants import VARIANT_MODES
 from repro.workloads.registry import get_workload
 
@@ -47,28 +45,11 @@ def sweep_scales(scale: float) -> Tuple[float, ...]:
     return tuple(scale * multiplier for multiplier in SCALE_MULTIPLIERS)
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 60_000,
-    seed: int = 1234,
-) -> List[Dict[str, object]]:
+def compute(sweep: SweepResult) -> List[Dict[str, object]]:
     """One row per (benchmark, footprint point) with per-scheme slowdowns."""
-    names = tuple(benchmarks) if benchmarks is not None else harness.QUICK_BENCHMARKS
-    defaults = harness.execution_defaults()
-    plan = RunPlan(
-        names, COMPARED_MODES, scale, num_accesses, seed,
-        config=None, options=None, shard_size=None, stream=None,
-    )
-    result = run_sweep(
-        [SweepAxis("scale", sweep_scales(scale))],
-        plan,
-        jobs=defaults["jobs"],
-        use_cache=defaults["use_cache"],
-    )
     tree = client_sgx_tree()
     rows: List[Dict[str, object]] = []
-    for point, suite in result:
+    for point, suite in sweep:
         for bench, per_mode in suite.items():
             footprint = get_workload(bench, scale=point.scale).footprint_bytes
             row: Dict[str, object] = {
@@ -122,23 +103,10 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
-    rows = run(
-        ctx.benchmarks, scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed
+    sweep, stamp = sweep_stage(
+        ctx, COMPARED_MODES, [SweepAxis("scale", sweep_scales(ctx.scale))]
     )
-    # One sweep point per footprint multiplier; each point shares its store
-    # entry with an identical `repro bench` / `repro sweep` run.
-    keys = [
-        suite_key(
-            ctx.benchmarks, COMPARED_MODES, point_scale, ctx.num_accesses, ctx.seed,
-            None, None,
-        )
-        for point_scale in sweep_scales(ctx.scale)
-    ]
-    return {
-        "payload": {"rows": rows},
-        "store_keys": keys,
-        "modes": list(COMPARED_MODES),
-    }
+    return {"payload": {"rows": compute(sweep)}, **stamp}
 
 
 ARTIFACT = register_artifact(
@@ -156,7 +124,7 @@ ARTIFACT = register_artifact(
 
 
 __all__ = [
-    "run",
+    "compute",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

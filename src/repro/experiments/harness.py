@@ -1,9 +1,10 @@
 """Shared driver that runs the benchmark suite once and feeds every figure.
 
 All the performance figures (6-9) and space figures (10-12) are projections
-of the same per-(benchmark, mode) simulation results, so the harness exposes
-one entry point, :func:`run_benchmarks`, backed by the persistent
-:class:`repro.sim.store.ResultStore`:
+of the same per-(benchmark, mode) simulation results, so every suite the
+harness runs -- :func:`run_benchmarks` for callers with their own flags,
+:func:`suite_stage` for an artifact's data stage -- takes one path, backed
+by the persistent :class:`repro.sim.store.ResultStore`:
 
 * results are cached under a content hash of the **complete** run
   description -- benchmark names, modes, scale, trace length, seed, and the
@@ -19,8 +20,12 @@ one entry point, :func:`run_benchmarks`, backed by the persistent
   unsharded) over ``jobs`` worker processes, or in-process at ``jobs=1``,
   with output bit-identical to the serial engine.
 
-The figure modules' ``compute`` functions take a precomputed suite or
-study; their data stages produce one from the artifact's context.
+The experiment modules' ``compute`` functions take a precomputed suite,
+study or sweep.  Their data stages get one from :func:`suite_stage`,
+:func:`space_stage` or :func:`sweep_stage`, which run it at the artifact's
+context and return it with the stamp fields of the run that made it: the
+store keys the runner looked it up under, and the modes involved.  No
+experiment module builds a store key itself.
 """
 
 from __future__ import annotations
@@ -31,13 +36,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
+from repro.report.artifacts import ReproContext
 from repro.sim.configs import EVALUATED_MODES
 from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy
 from repro.sim.parallel import parallel_map, resolve_supervision
-from repro.sim.results import SuiteResults, suite_key
+from repro.sim.results import SuiteResults
 from repro.sim.shard import RunPlan, run_plans
 from repro.sim.store import ResultStore, content_key, default_store
+from repro.sim.sweep import SweepAxis, SweepResult, run_sweep
 from repro.workloads.registry import WORKLOAD_NAMES
 
 #: All twelve paper benchmarks.
@@ -93,7 +100,6 @@ def run_benchmarks(
     stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    on_failure: Optional[str] = None,
     resume: bool = True,
 ) -> SuiteResults:
     """Run (or fetch from the persistent store) the benchmark suite.
@@ -103,9 +109,8 @@ def run_benchmarks(
     bit-identical to the serial run, so the cache key is deliberately
     independent of ``jobs``.  A failing task surfaces as
     :class:`~repro.sim.faults.TaskFailedError` at every ``jobs`` value;
-    ``policy``/``on_failure`` choose how failures are handled, and a run
-    that lost cells to degrade-mode quarantine is returned without them but
-    never cached.
+    ``policy`` chooses how failures are handled, and a run that lost cells
+    to degrade-mode quarantine is returned without them but never cached.
 
     Every pair pays the cache hierarchy once per benchmark -- a fast
     pre-pass distills the trace into a mode-independent miss-event stream
@@ -140,20 +145,73 @@ def run_benchmarks(
         shard_size,
         stream,
     )
-    if use_cache is None:
-        use_cache = bool(_EXECUTION_DEFAULTS["use_cache"])
-    if jobs is None:
-        jobs = int(_EXECUTION_DEFAULTS["jobs"])
+    return _run_plan(plan, jobs, use_cache, store, policy, manifest, resume)
+
+
+def _run_plan(
+    plan: RunPlan,
+    jobs: Optional[int] = None,
+    use_cache: Optional[bool] = None,
+    store: Optional[ResultStore] = None,
+    policy: Optional[SupervisionPolicy] = None,
+    manifest: Optional[FailureManifest] = None,
+    resume: bool = True,
+) -> SuiteResults:
+    """Run one plan through :func:`run_plans`; ``jobs``/``use_cache`` left
+    unset take the execution defaults."""
+    defaults = execution_defaults()
     (suite,), _ = run_plans(
         [plan],
-        jobs=jobs,
-        policy=resolve_supervision(policy, on_failure),
+        jobs=defaults["jobs"] if jobs is None else jobs,
+        policy=resolve_supervision(policy),
         manifest=manifest,
         resume=resume,
-        use_cache=use_cache,
+        use_cache=defaults["use_cache"] if use_cache is None else use_cache,
         store=store,
     )
     return suite
+
+
+def _artifact_plan(ctx: ReproContext, modes: Sequence[str]) -> RunPlan:
+    """The run an artifact's context describes (default config and options)."""
+    return RunPlan(
+        ctx.benchmarks, tuple(modes), ctx.scale, ctx.num_accesses, ctx.seed,
+        config=None, options=None, shard_size=None, stream=None,
+    )
+
+
+def suite_stage(
+    ctx: ReproContext, modes: Sequence[str] = EVALUATED_MODES
+) -> Tuple[SuiteResults, Dict[str, Any]]:
+    """The suite at an artifact's context, with its stamp fields.
+
+    The fields are a data stage's ``store_keys`` -- the
+    :attr:`~repro.sim.shard.RunPlan.key` :func:`run_plans` looked the suite
+    up under -- and ``modes``.  Artifacts at one context and mode set share
+    the run and its store entry (Table 2 and figures 6-8).
+    """
+    plan = _artifact_plan(ctx, modes)
+    return _run_plan(plan), {"store_keys": [plan.key], "modes": list(modes)}
+
+
+def sweep_stage(
+    ctx: ReproContext, modes: Sequence[str], axes: Sequence[SweepAxis]
+) -> Tuple[SweepResult, Dict[str, Any]]:
+    """The sweep over ``axes`` around an artifact's run, with its stamp
+    fields: every grid point's :attr:`~repro.sim.shard.RunPlan.key` (each
+    shared with an identical ``repro bench``/``repro sweep`` run) and
+    ``modes``."""
+    defaults = execution_defaults()
+    sweep = run_sweep(
+        axes,
+        _artifact_plan(ctx, modes),
+        jobs=defaults["jobs"],
+        use_cache=defaults["use_cache"],
+    )
+    return sweep, {
+        "store_keys": [point.key for point in sweep.points],
+        "modes": list(modes),
+    }
 
 
 def clear_cache(disk: bool = False) -> None:
@@ -273,11 +331,7 @@ def space_key(
     seed: int = 1234,
     timeline_samples: int = 40,
 ) -> str:
-    """Persistent-store key of one space study (figures 10-12, table 4).
-
-    Exposed so provenance stamps can name the store entry a space-backed
-    artifact came from without re-running the study.
-    """
+    """Persistent-store key of one space study (figures 10-12, table 4)."""
     return content_key(
         "space",
         benchmarks=list(benchmarks),
@@ -327,13 +381,25 @@ def run_space_study(
     return results
 
 
+def space_stage(
+    ctx: ReproContext,
+) -> Tuple[Dict[str, SpaceStudyResult], Dict[str, Any]]:
+    """The space study at an artifact's context, with its stamp fields: the
+    study's :func:`space_key` and the one mode it models, Toleo."""
+    run = dict(scale=ctx.scale, num_accesses=ctx.num_accesses, seed=ctx.seed)
+    study = run_space_study(ctx.benchmarks, **run)
+    return study, {"store_keys": [space_key(ctx.benchmarks, **run)], "modes": ["Toleo"]}
+
+
 __all__ = [
     "run_benchmarks",
     "run_space_study",
+    "suite_stage",
+    "space_stage",
+    "sweep_stage",
     "clear_cache",
     "configure",
     "execution_defaults",
-    "suite_key",
     "space_key",
     "SPACE_STUDY_BUDGETS",
     "SuiteResults",

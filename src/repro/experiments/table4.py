@@ -2,24 +2,22 @@
 
 Reference rows reproduce the paper's data-to-version ratios for Client SGX
 (9.14:1), VAULT (64:1), MorphCtr-128 (128:1) and Toleo's three formats
-(flat 341:1, uneven 60:1, full 18:1).  The measured row recomputes Toleo's
-workload-average entry size by replaying the benchmark write streams through
-the Trip page table (the paper reports 17.08 B per page, 240:1).
+(flat 341:1, uneven 60:1, full 18:1).  The measured row is Toleo's
+workload-average entry size (the paper reports 17.08 B per page, 240:1):
+the Trip-table bytes over the Trip pages of a space study at Table 4's own
+context, which replays every benchmark's write stream into a Toleo device
+as figures 10-12 do at theirs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.baselines.counter_trees import LEAF_REPRESENTATIONS
 from repro.core.config import PAGE_BYTES
-from repro.core.trip import TripPageTable
-from repro.core.versions import StealthVersionPolicy
-from repro.crypto.rng import DRangeRng
+from repro.experiments.harness import SpaceStudyResult, space_stage
 from repro.experiments.report import format_table
-from repro.memory.address import block_index_in_page, page_number
 from repro.report.artifacts import ArtifactSpec, ReproContext, register_artifact
-from repro.workloads.registry import BENCHMARKS, get_workload
 
 
 def reference_rows() -> List[Dict[str, object]]:
@@ -38,30 +36,11 @@ def reference_rows() -> List[Dict[str, object]]:
     return rows
 
 
-def measure_toleo_average(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: float = 0.002,
-    num_accesses: int = 40_000,
-    seed: int = 1234,
-) -> Dict[str, float]:
-    """Measured average Toleo entry size and data:version ratio.
-
-    Only write accesses reach the Trip table (versions change on dirty
-    writebacks), so the workloads' write streams are replayed directly.
-    """
-    names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
-    total_bytes = 0
-    total_pages = 0
-    for name in names:
-        workload = get_workload(name, scale=scale, seed=seed)
-        table = TripPageTable(
-            policy=StealthVersionPolicy(rng=DRangeRng(seed=seed))
-        )
-        for address, is_write in workload.access_stream(num_accesses):
-            if is_write:
-                table.update(page_number(address), block_index_in_page(address))
-        total_bytes += table.total_bytes()
-        total_pages += len(table)
+def compute(study: Dict[str, SpaceStudyResult]) -> Dict[str, float]:
+    """Measured average Toleo entry size and data:version ratio over the
+    study's Trip tables."""
+    total_bytes = sum(sum(result.usage_bytes.values()) for result in study.values())
+    total_pages = sum(result.table_pages for result in study.values())
     if total_pages == 0:
         return {"average_entry_bytes": 0.0, "data_to_version_ratio": 0.0}
     avg_entry = total_bytes / total_pages
@@ -86,18 +65,10 @@ def render_payload(payload: Dict[str, object]) -> str:
 
 
 def artifact_payload(ctx: ReproContext) -> Dict[str, object]:
+    study, stamp = space_stage(ctx)
     return {
-        "payload": {
-            "reference": reference_rows(),
-            "measured": measure_toleo_average(
-                ctx.benchmarks,
-                scale=ctx.scale,
-                num_accesses=ctx.num_accesses,
-                seed=ctx.seed,
-            ),
-        },
-        "store_keys": [],
-        "modes": ["Toleo"],
+        "payload": {"reference": reference_rows(), "measured": compute(study)},
+        **stamp,
     }
 
 
@@ -116,7 +87,7 @@ ARTIFACT = register_artifact(
 
 __all__ = [
     "reference_rows",
-    "measure_toleo_average",
+    "compute",
     "render_payload",
     "artifact_payload",
     "ARTIFACT",

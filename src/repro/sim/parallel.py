@@ -36,8 +36,7 @@ failure is handled, never which code runs:
 =============================  ==========================================
 caller passes                  policy
 =============================  ==========================================
-a ``SupervisionPolicy``        that policy (``on_failure`` overrides it)
-``on_failure`` alone           ``SupervisionPolicy(on_failure=...)``
+a ``SupervisionPolicy``        that policy
 nothing, ``REPRO_FAULT_PLAN``  ``SupervisionPolicy()``
 nothing at all                 :data:`DEFAULT_POLICY`: no deadline, no
                                retries, the first failure aborts
@@ -54,7 +53,6 @@ or plan ever enters a persistent-store key.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import heapq
@@ -125,9 +123,7 @@ def _task_label(task: Any) -> str:
 DEFAULT_POLICY = SupervisionPolicy(deadline=None, retries=0)
 
 
-def resolve_supervision(
-    policy: Optional[SupervisionPolicy] = None, on_failure: Optional[str] = None
-) -> SupervisionPolicy:
+def resolve_supervision(policy: Optional[SupervisionPolicy] = None) -> SupervisionPolicy:
     """The policy to run under (see the module docstring's table).
 
     An activated :class:`FaultPlan` (``REPRO_FAULT_PLAN``) implies
@@ -135,13 +131,9 @@ def resolve_supervision(
     chaos CI job sets the environment variable and every execution path
     self-arms, with no argument threading through harness/sweep/CLI.
     """
-    if policy is None:
-        if on_failure is None and FaultPlan.active() is None:
-            return DEFAULT_POLICY
-        policy = SupervisionPolicy()
-    if on_failure is not None:
-        policy = dataclasses.replace(policy, on_failure=on_failure)
-    return policy
+    if policy is not None:
+        return policy
+    return DEFAULT_POLICY if FaultPlan.active() is None else SupervisionPolicy()
 
 
 # ---------------------------------------------------------------------------

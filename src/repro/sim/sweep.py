@@ -218,7 +218,6 @@ def run_sweep(
     store: Optional[ResultStore] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    on_failure: Optional[str] = None,
     resume: bool = True,
 ) -> SweepResult:
     """Run the grid around ``plan``: every point is ``plan`` with its axis
@@ -230,8 +229,6 @@ def run_sweep(
     (with ``use_cache``; without it every point simulates, so a
     ``shard_size`` axis times each width), every other point's chains
     pipeline through one pool, and a degraded point is never cached.
-    ``on_failure`` overrides the policy's (see
-    :func:`~repro.sim.parallel.resolve_supervision`).
     """
     axis_keys = [axis.key for axis in axes]
     duplicates = sorted({key for key in axis_keys if axis_keys.count(key) > 1})
@@ -246,7 +243,7 @@ def run_sweep(
     suites, served = run_plans(
         points,
         jobs=jobs,
-        policy=resolve_supervision(policy, on_failure),
+        policy=resolve_supervision(policy),
         manifest=manifest,
         resume=resume,
         use_cache=use_cache,

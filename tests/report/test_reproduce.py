@@ -23,7 +23,7 @@ from repro.report.reproduce import (
     reproduce_all,
 )
 from repro.report.validate import validate_results_dir
-from repro.sim.store import code_fingerprint
+from repro.sim.store import code_fingerprint, default_store
 from repro.workloads.registry import BENCHMARKS
 
 #: The tiny cold run every test here shares; the seed is not the default
@@ -124,6 +124,22 @@ class TestColdRun:
         assert len(keys) == 3
         assert len(set(keys.values())) == 1
         assert all("-" in key for key in keys["fig10"])
+
+    def test_stamps_name_the_entries_their_runners_used(self, cold_run):
+        """Each stamp's keys are the ones its runner looked the result up
+        under, so the store holds every one.  Table 2 reads fig6's suite;
+        Table 4 runs its own space study, at the tier's context rather than
+        the space figures' budgets."""
+        _, _, report, _ = cold_run
+        store = default_store()
+        stamps = {a.name: a.stamp for a in report.artifacts}
+        for name, stamp in stamps.items():
+            for key in stamp.store_keys:
+                assert key in store, (name, key)
+        assert stamps["table2"].store_keys == stamps["fig6"].store_keys
+        (table4_key,) = stamps["table4"].store_keys
+        assert table4_key.startswith("space-")
+        assert stamps["table4"].store_keys != stamps["fig10"].store_keys
 
     def test_columns_keep_the_data_stages_order(self, cold_run):
         """Payloads keep the key order their data stage built, so a table

@@ -1,5 +1,6 @@
 """The suite pipeline must be bit-identical to the serial driver."""
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -222,7 +223,7 @@ class TestDefaultPolicy:
             _raise_on_odd,
             [0, 1, 2],
             jobs=jobs,
-            policy=resolve_supervision(policy, on_failure="degrade"),
+            policy=dataclasses.replace(policy, on_failure="degrade"),
             manifest=manifest,
         )
         assert results[0] == 0 and results[2] == 2
@@ -266,19 +267,6 @@ class TestResolveSupervision:
     def test_explicit_policy_is_used_as_given(self):
         policy = SupervisionPolicy(deadline=3.0, retries=5, backoff=0.5)
         assert resolve_supervision(policy) is policy
-
-    @pytest.mark.parametrize("on_failure", ("raise", "degrade"))
-    def test_on_failure_overrides_an_explicit_policy(self, on_failure):
-        policy = SupervisionPolicy(deadline=3.0, retries=5, backoff=0.5)
-        assert resolve_supervision(policy, on_failure) == SupervisionPolicy(
-            deadline=3.0, retries=5, backoff=0.5, on_failure=on_failure
-        )
-
-    @pytest.mark.parametrize("on_failure", ("raise", "degrade"))
-    def test_on_failure_alone_arms_the_standard_policy(self, on_failure):
-        assert resolve_supervision(on_failure=on_failure) == SupervisionPolicy(
-            on_failure=on_failure
-        )
 
     def test_active_fault_plan_arms_the_standard_policy(self, monkeypatch):
         self._activate_plan(monkeypatch)

@@ -200,8 +200,10 @@ class TestShippedVariants:
 
     def test_fresh_scale_experiment_covers_the_variants(self):
         from repro.experiments import freshness_scaling
+        from repro.report.artifacts import ReproContext
 
-        rows = freshness_scaling.run(("bsw",), scale=0.002, num_accesses=2000)
+        ctx = ReproContext("quick", ("bsw",), scale=0.002, num_accesses=2000, seed=1234)
+        rows = freshness_scaling.artifact_payload(ctx)["payload"]["rows"]
         assert rows
         for label in VARIANT_MODES:
             assert all(label in row for row in rows), label

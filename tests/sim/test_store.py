@@ -10,10 +10,10 @@ from array import array
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments.harness import run_benchmarks, suite_key
+from repro.experiments.harness import run_benchmarks
 from repro.sim.configs import EVALUATED_MODES
 from repro.sim.engine import EngineOptions, run_suite
-from repro.sim.results import SimulationResult
+from repro.sim.results import SimulationResult, suite_key
 from repro.sim.store import (
     BUSY_TIMEOUT_ENV,
     FORMAT_VERSION,
