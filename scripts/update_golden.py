@@ -97,7 +97,8 @@ def generate_pre_pr3() -> str:
         num_accesses=settings["num_accesses"],
         seed=settings["seed"],
     )
-    return _render({"settings": settings, "suite": encode_suite(suite)})
+    # The fixture holds the store payload's JSON, re-rendered like the golden suite.
+    return _render({"settings": settings, "suite": json.loads(encode_suite(suite))})
 
 
 def main() -> int:

@@ -269,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable failure manifest (retry count, "
         "quarantined tasks) to PATH after a bench/sweep run",
     )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resume an interrupted sharded bench/sweep run from its "
-        "persisted chain checkpoints (--no-resume replays every chain "
-        "from the start)",
-    )
     return parser
 
 
@@ -445,7 +437,6 @@ def run_bench(args: argparse.Namespace) -> str:
             jobs=args.jobs,
             policy=policy,
             manifest=manifest,
-            resume=args.resume,
             use_cache=not args.no_cache,
         )
     finally:
@@ -500,7 +491,6 @@ def run_sweep_command(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache,
             policy=policy,
             manifest=manifest,
-            resume=args.resume,
         )
     finally:
         if args.manifest:
@@ -618,8 +608,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--on-failure/--task-deadline/--task-retries/--manifest only "
             "apply to bench and sweep"
         )
-    if not args.resume and args.experiment not in ("bench", "sweep"):
-        parser.error("--no-resume only applies to bench and sweep")
     if args.quick and args.full:
         parser.error("--quick and --full are mutually exclusive")
     if args.from_store and args.experiment != "reproduce-all":

@@ -30,6 +30,7 @@ experiment module builds a store key itself.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -100,7 +101,6 @@ def run_benchmarks(
     stream: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    resume: bool = True,
 ) -> SuiteResults:
     """Run (or fetch from the persistent store) the benchmark suite.
 
@@ -145,7 +145,7 @@ def run_benchmarks(
         shard_size,
         stream,
     )
-    return _run_plan(plan, jobs, use_cache, store, policy, manifest, resume)
+    return _run_plan(plan, jobs, use_cache, store, policy, manifest)
 
 
 def _run_plan(
@@ -155,7 +155,6 @@ def _run_plan(
     store: Optional[ResultStore] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    resume: bool = True,
 ) -> SuiteResults:
     """Run one plan through :func:`run_plans`; ``jobs``/``use_cache`` left
     unset take the execution defaults."""
@@ -165,7 +164,6 @@ def _run_plan(
         jobs=defaults["jobs"] if jobs is None else jobs,
         policy=resolve_supervision(policy),
         manifest=manifest,
-        resume=resume,
         use_cache=defaults["use_cache"] if use_cache is None else use_cache,
         store=store,
     )
@@ -276,13 +274,15 @@ class SpaceStudyResult:
         return cls(**data)
 
 
-def _encode_space(study: Dict[str, SpaceStudyResult]) -> Dict[str, Any]:
-    return {name: result.to_dict() for name, result in study.items()}
+def _encode_space(study: Dict[str, SpaceStudyResult]) -> bytes:
+    payload = {name: result.to_dict() for name, result in study.items()}
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def _decode_space(payload: Dict[str, Any]) -> Dict[str, SpaceStudyResult]:
+def _decode_space(payload: bytes) -> Dict[str, SpaceStudyResult]:
     return {
-        name: SpaceStudyResult.from_dict(result) for name, result in payload.items()
+        name: SpaceStudyResult.from_dict(result)
+        for name, result in json.loads(payload).items()
     }
 
 

@@ -12,6 +12,7 @@ Every table and figure in the paper's evaluation reads one of these fields:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -223,26 +224,27 @@ class SimulationResult:
 SuiteResults = Dict[str, Dict[str, SimulationResult]]
 
 
-def encode_suite(suite: SuiteResults) -> Dict[str, Dict[str, Any]]:
-    """Serialise a suite for the persistent result store.
+def encode_suite(suite: SuiteResults) -> bytes:
+    """Serialise a suite for the persistent result store: compact JSON, UTF-8.
 
-    The on-disk layout is unchanged from the enum era: mode labels were
-    always written as their paper strings, so pre-PR3 entries decode as-is.
+    The JSON layout is unchanged from the enum era: mode labels were always
+    written as their paper strings, so enum-era payloads decode as-is.
     """
-    return {
+    payload = {
         name: {mode: result.to_dict() for mode, result in per_mode.items()}
         for name, per_mode in suite.items()
     }
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def decode_suite(payload: Dict[str, Dict[str, Any]]) -> SuiteResults:
+def decode_suite(payload: bytes) -> SuiteResults:
     """Inverse of :func:`encode_suite`."""
     return {
         name: {
             mode: SimulationResult.from_dict(result)
             for mode, result in per_mode.items()
         }
-        for name, per_mode in payload.items()
+        for name, per_mode in json.loads(payload).items()
     }
 
 

@@ -414,10 +414,11 @@ class _CheckpointJournal:
             carry: Optional[bytes] = None
             for step in range(len(chain) - 2, -1, -1):
                 key = checkpoint_key(chain[step])
-                # Decoder-less: a checkpoint is the stored bytes themselves,
-                # and anything else under its key (a hand-edited row) is a miss.
+                # Decoder-less: a checkpoint is the stored bytes themselves.
+                # A damaged one fails the store's digest check and is a miss,
+                # and only the latest is kept, so its chain starts over.
                 restored = self._store.get(key, promote=False)
-                if isinstance(restored, bytes):
+                if restored is not None:
                     self._active[chain_index] = chain[step + 1 :]
                     self._last[chain_index] = key
                     carry = restored
@@ -630,7 +631,6 @@ def run_chains(
     jobs: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    resume: bool = True,
 ) -> List[Any]:
     """Pipeline shard chains, and the chains that feed them, over one pool.
 
@@ -640,20 +640,18 @@ def run_chains(
     on, whose failure it then carries.  The ingest and tier chains come
     first (:func:`producer_chains`), so their steps take the lowest
     fault-plan slots, and are ``opaque``: only their own next step reads
-    a tier chain's carry.  ``resume`` persists each replay chain's in-flight
-    checkpoint through the :class:`_CheckpointJournal` and first resumes
-    any chain a previous (killed) run left a checkpoint for.
+    a tier chain's carry.  Each replay chain's in-flight checkpoint is
+    persisted through the :class:`_CheckpointJournal`, which first resumes
+    any chain a previous (killed) run left a readable checkpoint for.
     """
-    journal = _CheckpointJournal(chains) if resume else None
-    initials: List[Optional[bytes]] = [None] * len(chains)
-    if journal is not None:
-        chains, initials = journal.restore()
+    journal = _CheckpointJournal(chains)
+    chains, initials = journal.restore()
     producers, waits = producer_chains(chains)
     offset = len(producers)
 
     def on_carry(chain_index: int, step_index: int, carry: Any) -> None:
         # Only replay chains carry checkpoints.
-        if journal is not None and chain_index >= offset:
+        if chain_index >= offset:
             journal.on_carry(chain_index - offset, step_index, carry)
 
     finals = pipelined_map(
@@ -686,7 +684,6 @@ def run_plans(
     jobs: Optional[int] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    resume: bool = True,
     use_cache: bool = True,
     store: Optional[ResultStore] = None,
 ) -> Tuple[List[SuiteResults], List[bool]]:
@@ -705,8 +702,8 @@ def run_plans(
     then run in **one** :func:`run_chains` call -- one pool for the whole
     batch -- and each plan's suite is stitched from its own chains.
 
-    ``resume`` persists each chain's in-flight checkpoint and first resumes
-    any chain a previous (killed) run left one for; ``policy``/``manifest``
+    Each chain's in-flight checkpoint is persisted, and a chain a previous
+    (killed) run left one for resumes from it; ``policy``/``manifest``
     are the supervision policy (see
     :func:`~repro.sim.parallel.resolve_supervision`) and its failure record.
     A plan is degraded when one of its own chains ended in a
@@ -742,7 +739,7 @@ def run_plans(
         spans.append((i, len(chains), len(chains) + len(plan_chains)))
         chains.extend(plan_chains)
 
-    finals = run_chains(chains, jobs, policy, manifest, resume) if chains else []
+    finals = run_chains(chains, jobs, policy, manifest) if chains else []
     stored = set()
     for i, start, stop in spans:
         suites[i] = stitch_chains(chains[start:stop], finals[start:stop], plans[i].modes)

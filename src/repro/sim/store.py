@@ -21,28 +21,26 @@ one JSON file per entry.  The motivation is the distributed-execution
 roadmap: many writer processes must be able to hit the same store without
 racing (WAL + one writer transaction per :meth:`ResultStore.put`), and
 "what do I have cached?" must be answerable without ``stat``-ing thousands
-of files (:meth:`ResultStore.query`, :meth:`ResultStore.stats`).  Small
-payloads live inline in the index; large ones (event streams, verdict tiers)
-spill to content-named blob files under ``blobs/`` whose name is the sha256
-of the payload bytes -- identical payloads share one blob, and a blob whose
-content no longer matches its name reads as a miss, never as wrong data.
+of files (:meth:`ResultStore.query`, :meth:`ResultStore.stats`).
 
-A payload is JSON or raw bytes, as its encoder returns it.  A JSON payload
-is stored as text (inline) or a ``.json`` blob and reaches the decoder
-parsed.  An encoder that returns ``bytes`` -- the packed columns of an event
-slice or a verdict tier (:func:`pack_columns`), a checkpoint -- has them
-stored as they are, an inline sqlite BLOB or a ``.bin`` blob, and its
-decoder gets the same ``bytes`` back after the blob's digest check, with no
-text or JSON step.  Only blobs carry a digest: an inline entry is checked by
-its decoder alone.
+A payload is the ``bytes`` its encoder returns -- the packed columns of an
+event slice or a verdict tier (:func:`pack_columns`), a checkpoint, or the
+UTF-8 JSON text of a suite -- and its decoder gets the same ``bytes`` back.
+Every index row names its payload's content, ``<sha256>.bin``, whether the
+bytes sit inline in the row (small payloads) or spill to a blob file of
+that name under ``blobs/`` (event streams and verdict tiers past
+:data:`INLINE_LIMIT`); identical spilled payloads share one blob.  Every
+disk read hashes the bytes it serves against that name, so a payload that
+no longer matches it -- bit rot, a truncated or swapped blob, a hand edit
+that still parses -- reads as a miss, never as data.
 
-Corrupt, version-mismatched or damaged entries (garbled payload text or
-bytes, truncated or missing blobs, a blob column that is not a content
+Corrupt, version-mismatched or damaged entries (payload bytes that fail
+the digest, truncated or missing blobs, a blob column that is not a content
 name) are treated as misses, never errors, and a read deletes nothing but a
-content-named blob that failed its digest check.  Bumping
-``FORMAT_VERSION`` invalidates every existing on-disk entry at once, and
-:meth:`ResultStore.gc` drops entries whose recorded code fingerprint no
-longer matches the source tree.
+blob file that failed its digest check.  Bumping ``FORMAT_VERSION``
+invalidates every existing on-disk entry at once, and
+:meth:`ResultStore.gc` drops entries whose recorded code fingerprint or
+format no longer matches, with every blob file no row names.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Bump whenever the serialised payload layout changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Default on-disk location, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -82,18 +80,17 @@ INDEX_FILENAME = "index.sqlite"
 #: Directory (inside the store root) holding spilled payload blobs.
 BLOB_DIR_NAME = "blobs"
 
-#: Payloads longer than this (JSON characters or raw bytes) spill to a blob
-#: file instead of living inline in the index -- the index stays small and
-#: fast to scan while event streams and verdict tiers (hundreds of KiB) stay
-#: on the filesystem where they belong.
+#: Payloads longer than this (in bytes) spill to a blob file instead of
+#: living inline in the index -- the index stays small and fast to scan
+#: while event streams and verdict tiers (hundreds of KiB) stay on the
+#: filesystem where they belong.
 INLINE_LIMIT = 32 * 1024
 
-#: Blob file suffixes: a JSON payload's text, and a raw-bytes payload.
-_JSON_SUFFIX = ".json"
-_BINARY_SUFFIX = ".bin"
+#: The only content names the store writes, reads or deletes: a sha256.
+_CONTENT_NAME = re.compile(r"[0-9a-f]{64}\.bin")
 
-#: The only blob names the store reads or deletes: a sha256 and a suffix.
-_CONTENT_NAME = re.compile(r"[0-9a-f]{64}(?:\.json|\.bin)")
+#: The suffix of a blob file still being written (see ``_write_blob``).
+_PARTIAL_SUFFIX = ".tmp"
 
 #: How long a writer waits for a competing writer's transaction (ms).
 _BUSY_TIMEOUT_MS = 30_000
@@ -165,9 +162,6 @@ _SCHEMA = (
     """,
     "CREATE INDEX IF NOT EXISTS entries_by_kind ON entries(kind)",
 )
-
-#: Internal miss sentinel, distinct from a legitimately-stored ``null``.
-_MISS = object()
 
 #: Connections inherited across fork are never reused *or* closed (closing
 #: could interact with the parent's locks); parking them here keeps the
@@ -283,10 +277,9 @@ def _kind_of(key: str) -> str:
     return key.rsplit("-", 1)[0]
 
 
-def _blob_name(data: bytes, binary: bool) -> str:
-    """A blob's file name: the sha256 of its bytes, suffixed by its form."""
-    suffix = _BINARY_SUFFIX if binary else _JSON_SUFFIX
-    return hashlib.sha256(data).hexdigest() + suffix
+def _content_name(data: bytes) -> str:
+    """A payload's content name: the sha256 of its bytes, as a blob file name."""
+    return hashlib.sha256(data).hexdigest() + ".bin"
 
 
 #: The length prefix of a :func:`pack_columns` header.
@@ -366,19 +359,23 @@ class ResultStore:
     """Two-layer (memory + sqlite-indexed disk) result cache.
 
     The memory layer holds the live Python objects and preserves identity;
-    the disk layer holds their serialised form in a WAL-mode sqlite index
-    (inline for small payloads, content-named blob files for large ones).
-    Values without an encoder stay memory-only.  Corrupt or
-    version-mismatched disk entries are treated as misses, never errors.
+    the disk layer holds their encoded ``bytes`` in a WAL-mode sqlite index
+    (inline for small payloads, content-named blob files for large ones),
+    every entry named by the sha256 of its bytes and checked against it on
+    every read.  Values without an encoder stay memory-only.  Corrupt,
+    damaged or version-mismatched disk entries are treated as misses, never
+    errors.
 
     **Decoder-less contract.**  ``get(key)`` *without* a decoder serves the
     memory layer's live object when present, and otherwise the payload
-    exactly as the encoder wrote it (parsed JSON, or raw bytes) -- it cannot
-    reconstruct the domain object, so the raw form is returned as-is and is
-    *not* promoted into the memory layer (a later decoded ``get`` must still
-    see the payload, not a half-typed cache line).  ``key in store`` and
+    ``bytes`` exactly as the encoder returned them -- it cannot reconstruct
+    the domain object, so the bytes are returned as-is and are *not*
+    promoted into the memory layer (a later decoded ``get`` must still see
+    the payload, not a half-typed cache line).  ``key in store`` and
     ``len(store)`` cover exactly the keys ``get`` can serve: the union of the
-    memory layer and the readable disk index.
+    memory layer and the readable disk index.  Neither hashes a payload, so
+    an entry whose bytes fail the digest check still counts as present, as
+    one its decoder rejects does.
 
     **Concurrency.**  Any number of processes may ``put``/``get``/
     ``invalidate`` against the same directory: every write is one sqlite
@@ -469,21 +466,19 @@ class ResultStore:
 
     # -- blob spill ----------------------------------------------------------
 
-    def _write_blob(self, data: bytes, binary: bool) -> str:
-        """Atomically persist a spilled payload; returns the blob file name.
+    def _write_blob(self, data: bytes, name: str) -> None:
+        """Atomically persist a spilled payload under its content name.
 
-        Blobs are named by the sha256 of their content, so identical payloads
-        under different keys share one file and a partially-written or
-        damaged blob can never be mistaken for valid data (the digest check
-        on read fails).  An existing blob of the same name *is* the payload
-        already -- no rewrite needed.
+        Identical payloads under different keys share one file, and a
+        partially-written or damaged blob can never be mistaken for valid
+        data (the digest check on read fails).  An existing blob of the same
+        name *is* the payload already -- no rewrite needed.
         """
-        name = _blob_name(data, binary)
         target = self.blob_dir / name
         if target.exists():
-            return name
+            return
         self.blob_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.blob_dir, suffix=".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=self.blob_dir, suffix=_PARTIAL_SUFFIX)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
@@ -491,13 +486,12 @@ class ResultStore:
         finally:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
-        return name
 
     def _blob_path(self, name: Any) -> Optional[Path]:
-        """The file an index row's blob name stands for, or ``None``.
+        """The file an index row's content name stands for, or ``None``.
 
-        Only a content name -- 64 hex digits and a blob suffix, as
-        :meth:`_write_blob` makes -- names a file.  Anything else in a
+        Only a content name -- 64 hex digits and ``.bin``, as
+        :func:`_content_name` makes -- names a file.  Anything else in a
         damaged or hand-edited row (``../index.sqlite``, an absolute path)
         names nothing: its entry reads as a miss, and no read, put or
         invalidate reads or deletes a file for it.
@@ -507,7 +501,7 @@ class ResultStore:
         return self.blob_dir / name
 
     def _release_blob(self, conn: sqlite3.Connection, name: str) -> None:
-        """Drop a blob file once no index row references it.
+        """Drop a blob file once no spilled index row references it.
 
         A racing writer re-adding an entry for the same payload between the
         reference count and the unlink degrades that entry to a miss on its
@@ -518,7 +512,7 @@ class ResultStore:
         if path is None:
             return
         (refs,) = conn.execute(
-            "SELECT COUNT(*) FROM entries WHERE blob = ?", (name,)
+            "SELECT COUNT(*) FROM entries WHERE blob = ? AND payload IS NULL", (name,)
         ).fetchone()
         if refs == 0:
             try:
@@ -543,22 +537,21 @@ class ResultStore:
             pass
         self._pid_advertised = pid
 
-    def _write_row(self, conn: sqlite3.Connection, key: str, payload: Any) -> None:
+    def _write_row(self, conn: sqlite3.Connection, key: str, payload: bytes) -> None:
         """One writer transaction: insert/replace a single entry.
 
-        ``payload`` is JSON text, stored inline as text, or raw ``bytes``,
-        stored inline as a BLOB; either spills to a blob file past
-        :data:`INLINE_LIMIT`.
+        The row names the payload's content either way; the bytes are stored
+        inline as a BLOB, or past :data:`INLINE_LIMIT` in the blob file of
+        that name (and the row's ``payload`` is NULL).
         """
         self._advertise_writer()
-        blob: Optional[str] = None
-        inline: Optional[Any] = payload
+        name = _content_name(payload)
+        inline: Optional[bytes] = payload
         if len(payload) > INLINE_LIMIT:
-            binary = isinstance(payload, bytes)
-            blob = self._write_blob(payload if binary else payload.encode("utf-8"), binary)
+            self._write_blob(payload, name)
             inline = None
         old = conn.execute(
-            "SELECT blob FROM entries WHERE key = ?", (key,)
+            "SELECT blob, payload IS NULL FROM entries WHERE key = ?", (key,)
         ).fetchone()
         with conn:
             conn.execute(
@@ -571,20 +564,21 @@ class ResultStore:
                     code_fingerprint(),
                     len(payload),
                     inline,
-                    blob,
+                    name,
                 ),
             )
-        if old is not None and old[0] is not None and old[0] != blob:
+        if old is not None and old[1]:
             self._release_blob(conn, old[0])
 
     # -- lookup --------------------------------------------------------------
 
-    def _read_payload(self, key: str) -> Any:
-        """A disk entry's payload, or ``_MISS``: parsed JSON, or raw ``bytes``."""
+    def _read_payload(self, key: str) -> Optional[bytes]:
+        """A disk entry's payload ``bytes``, checked against its content
+        name, or ``None`` for a miss."""
         with self._lock:
             conn = self._connection(create=False)
             if conn is None:
-                return _MISS
+                return None
             try:
                 row = conn.execute(
                     "SELECT format, payload, blob FROM entries WHERE key = ?",
@@ -602,60 +596,50 @@ class ResultStore:
                         RuntimeWarning,
                         stacklevel=3,
                     )
-                return _MISS
+                return None
         if row is None:
-            return _MISS
-        fmt, payload, blob = row
+            return None
+        fmt, payload, name = row
         if fmt != FORMAT_VERSION:
-            return _MISS
-        if blob is not None:
-            path = self._blob_path(blob)
+            return None
+        path = None
+        if payload is None:
+            path = self._blob_path(name)
             if path is None:
-                return _MISS
+                return None
             try:
-                data = path.read_bytes()
+                payload = path.read_bytes()
             except OSError:
-                return _MISS
-            # The blob's name *is* its content hash: a truncated, corrupted
-            # or swapped file fails the digest check and degrades to a miss.
-            # It can never be served, so it goes: a put of the recomputed
-            # payload skips a blob whose name exists, and would otherwise
-            # leave the damage -- and the miss -- in place.
-            binary = blob.endswith(_BINARY_SUFFIX)
-            if _blob_name(data, binary) != blob:
+                return None
+        # The row's name *is* its payload's content hash, inline or spilled:
+        # bit rot, a truncated or swapped blob, or an edit that still parses
+        # fails the digest check and degrades to a miss.  A damaged blob can
+        # never be served, so it goes: a put of the recomputed payload skips
+        # a blob whose name exists, and would otherwise leave the damage --
+        # and the miss -- in place.
+        if not isinstance(payload, bytes) or _content_name(payload) != name:
+            if path is not None:
                 try:
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
-                return _MISS
-            if binary:
-                return data
-            try:
-                payload = data.decode("utf-8")
-            except ValueError:
-                return _MISS
-        if isinstance(payload, bytes):
-            return payload
-        if not isinstance(payload, str):
-            return _MISS
-        try:
-            return json.loads(payload)
-        except ValueError:
-            return _MISS
+            return None
+        return payload
 
     def get(
         self,
         key: str,
-        decoder: Optional[Callable[[Any], Any]] = None,
+        decoder: Optional[Callable[[bytes], Any]] = None,
         promote: bool = True,
     ) -> Optional[Any]:
         """Fetch a cached value, promoting decoded disk hits into memory.
 
-        With a ``decoder``, a disk hit is decoded, promoted into the memory
+        A disk hit is served only once its bytes match the row's content
+        name.  With a ``decoder``, it is decoded, promoted into the memory
         layer and returned; a decoder that rejects the payload degrades to a
-        miss.  The decoder gets what the encoder returned: parsed JSON, or
-        the same ``bytes``.  Without one (the decoder-less contract, see the
-        class docstring) a disk hit returns that payload, un-promoted.
+        miss.  The decoder gets the same ``bytes`` the encoder returned.
+        Without one (the decoder-less contract, see the class docstring) a
+        disk hit returns those bytes, un-promoted.
         ``promote=False`` skips the memory-layer insert (still serving
         memory hits): bulk streaming readers -- one event slice per window of
         a tera-scale run -- would otherwise grow the memory layer by the
@@ -664,7 +648,7 @@ class ResultStore:
         if key in self._memory:
             return self._memory[key]
         payload = self._read_payload(key)
-        if payload is _MISS:
+        if payload is None:
             return None
         if decoder is None:
             return payload
@@ -682,31 +666,35 @@ class ResultStore:
         self,
         key: str,
         value: Any,
-        encoder: Optional[Callable[[Any], Any]] = None,
+        encoder: Optional[Callable[[Any], bytes]] = None,
         keep_in_memory: bool = True,
     ) -> None:
         """Insert a value; with an encoder it is also written to disk.
 
-        The encoder returns a JSON-serialisable payload, or ``bytes``, which
-        are stored raw (see the module docstring).  The disk write is one
-        sqlite transaction (plus an atomic blob write for spilled payloads),
-        so concurrent writers -- even hammering the same key -- serialise
-        cleanly and a killed worker never leaves a half-written entry.  Any
-        I/O failure degrades to memory-only caching rather than failing the
-        run.  ``keep_in_memory=False`` writes the
-        disk layer only (requires an encoder -- a memory-less, encoder-less
-        put would silently store nothing): streaming producers persist one
-        window at a time without accumulating the run in the memory layer.
+        The encoder returns the payload ``bytes``, stored as they are under
+        their content name (see the module docstring); anything else raises
+        ``TypeError``.  The disk write is one sqlite transaction (plus an
+        atomic blob write for spilled payloads), so concurrent writers --
+        even hammering the same key -- serialise cleanly and a killed worker
+        never leaves a half-written entry.  Any I/O failure degrades to
+        memory-only caching rather than failing the run.
+        ``keep_in_memory=False`` writes the disk layer only (requires an
+        encoder -- a memory-less, encoder-less put would silently store
+        nothing): streaming producers persist one window at a time without
+        accumulating the run in the memory layer.
         """
         if not keep_in_memory and encoder is None:
             raise ValueError("keep_in_memory=False requires an encoder")
-        if keep_in_memory:
-            self._memory[key] = value
         if encoder is None:
+            self._memory[key] = value
             return
         payload = encoder(value)
         if not isinstance(payload, bytes):
-            payload = json.dumps(payload, separators=(",", ":"))
+            raise TypeError(
+                f"a store encoder returns bytes, {encoder!r} returned {type(payload).__name__}"
+            )
+        if keep_in_memory:
+            self._memory[key] = value
         with self._lock:
             conn = self._connection(create=True)
             if conn is None:
@@ -757,11 +745,11 @@ class ResultStore:
                 return
             try:
                 row = conn.execute(
-                    "SELECT blob FROM entries WHERE key = ?", (key,)
+                    "SELECT blob, payload IS NULL FROM entries WHERE key = ?", (key,)
                 ).fetchone()
                 with conn:
                     conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-                if row is not None and row[0] is not None:
+                if row is not None and row[1]:
                     self._release_blob(conn, row[0])
             except (sqlite3.Error, OSError):
                 pass
@@ -788,14 +776,11 @@ class ResultStore:
                 pass
 
     def _blob_files(self) -> List[Path]:
-        """Every blob file, JSON and binary (never a half-written ``.tmp``)."""
+        """Every file under ``blobs/`` but a half-written ``.tmp``: the
+        content-named blobs, and whatever an older store layout left there."""
         if not self.blob_dir.is_dir():
             return []
-        return [
-            path
-            for path in self.blob_dir.iterdir()
-            if path.suffix in (_JSON_SUFFIX, _BINARY_SUFFIX)
-        ]
+        return [path for path in self.blob_dir.iterdir() if path.suffix != _PARTIAL_SUFFIX]
 
     def gc(self) -> GcResult:
         """Compact the store: drop stale entries, orphaned blobs, vacuum.
@@ -803,9 +788,10 @@ class ResultStore:
         An entry is stale when its recorded code fingerprint no longer
         matches the current source tree (its key can never be looked up
         again -- :func:`content_key` folds the fingerprint in) or its format
-        version predates the current layout.  Orphaned blob files (no index
-        row references them) are removed, and the index file is vacuumed so
-        million-entry sweeps do not leave a bloated index behind.
+        version predates the current layout.  Orphaned blob files (no spilled
+        index row names them, which covers every blob an older layout wrote)
+        are removed, and the index file is vacuumed so million-entry sweeps
+        do not leave a bloated index behind.
         """
         current = code_fingerprint()
         with self._lock:
@@ -821,7 +807,7 @@ class ResultStore:
                 live = {
                     name
                     for (name,) in conn.execute(
-                        "SELECT DISTINCT blob FROM entries WHERE blob IS NOT NULL"
+                        "SELECT DISTINCT blob FROM entries WHERE payload IS NULL"
                     )
                 }
                 dropped_blobs = 0
@@ -929,16 +915,14 @@ class ResultStore:
                 return False
             try:
                 row = conn.execute(
-                    "SELECT format, blob FROM entries WHERE key = ?", (key,)
+                    "SELECT format, blob, payload IS NULL FROM entries WHERE key = ?", (key,)
                 ).fetchone()
             except sqlite3.Error:
                 return False
         if row is None or row[0] != FORMAT_VERSION:
             return False
-        if row[1] is None:
-            return True
         path = self._blob_path(row[1])
-        return path is not None and path.exists()
+        return path is not None and (not row[2] or path.exists())
 
     def __len__(self) -> int:
         disk = {row[0] for row in self._rows(None, None) if row[2] == FORMAT_VERSION}

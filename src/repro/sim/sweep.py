@@ -218,7 +218,6 @@ def run_sweep(
     store: Optional[ResultStore] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
-    resume: bool = True,
 ) -> SweepResult:
     """Run the grid around ``plan``: every point is ``plan`` with its axis
     values applied (:func:`resolve_point`), in the axes' cartesian order.
@@ -245,7 +244,6 @@ def run_sweep(
         jobs=jobs,
         policy=resolve_supervision(policy),
         manifest=manifest,
-        resume=resume,
         use_cache=use_cache,
         store=store,
     )

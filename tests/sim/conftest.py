@@ -2,8 +2,8 @@
 
 Besides the isolated default store, three helpers are shared as fixtures:
 ``compute_tiers`` (every verdict tier a stack's kernels read, computed
-in-process), ``binary_damage`` (one way of damaging a stored raw-bytes
-payload per case) and the config leaf walk (``leaves``, ``replaced``,
+in-process), ``binary_damage`` (one way of damaging a stored payload per
+case) and the config leaf walk (``leaves``, ``replaced``,
 ``perturbed``) that the store-key completeness tests run over every field
 of a run description.  A test marked ``leaves_of(**roots)`` runs once per
 leaf of those roots instead, with the leaf as its ``leaf`` argument.
@@ -82,15 +82,14 @@ def _edit_blob(edit):
 
 
 def _edit_inline(edit):
-    """Replace an entry's payload with an edited copy, as an inline BLOB."""
+    """Replace an entry's payload with an edited copy, as an inline BLOB,
+    keeping the row's content name, as damage to the row itself leaves it."""
 
     def damage(store, key):
         payload = ResultStore(store.root).get(key)
-        assert isinstance(payload, bytes), f"{key} holds no raw-bytes payload"
+        assert isinstance(payload, bytes), f"{key} holds no payload"
         with sqlite3.connect(store.db_path) as conn:
-            conn.execute(
-                "UPDATE entries SET payload = ?, blob = NULL WHERE key = ?", (edit(payload), key)
-            )
+            conn.execute("UPDATE entries SET payload = ? WHERE key = ?", (edit(payload), key))
 
     return damage
 
@@ -107,9 +106,20 @@ def _other_byteorder(payload):
     return pack_columns(header, columns)
 
 
-#: Damage to a stored raw-bytes payload, each of which must read as a miss:
-#: three to its ``.bin`` blob, which the digest check catches, and four to
-#: an inline copy of it, which the decoder must reject.
+def _tenfold_header_number(payload):
+    """The payload re-packed whole with one header float ten times over (a
+    slice's ``scale``, a tier geometry's reset probability): a well-formed
+    edit, which no decoder can tell from data."""
+    header, columns = unpack_columns(payload)
+    holder = header.get("geometry", header)
+    name = next(name for name, value in holder.items() if type(value) is float)
+    holder[name] *= 10
+    return pack_columns(header, columns)
+
+
+#: Damage to a stored payload, each of which must read as a miss: three to
+#: its ``.bin`` blob and five to an inline copy of it, all caught by the
+#: content name the row keeps -- the last even though it still decodes.
 BINARY_DAMAGES = {
     "truncated-bin": _edit_blob(lambda data: data[: len(data) // 2]),
     "bit-flipped-bin": _edit_blob(_flip_a_bit),
@@ -120,6 +130,7 @@ BINARY_DAMAGES = {
     ),
     "trailing-bytes": _edit_inline(lambda payload: payload + bytes(8)),
     "wrong-byteorder": _edit_inline(_other_byteorder),
+    "consistent-inline": _edit_inline(_tenfold_header_number),
 }
 
 
@@ -128,7 +139,8 @@ def binary_damage(request, monkeypatch):
     """One :data:`BINARY_DAMAGES` case, as ``damage(store, key)``.
 
     Every put in a test that takes it spills to a ``.bin`` blob, so the blob
-    damages always find one; the inline damages rewrite the row inline."""
+    damages always find one; the inline damages move the row's payload
+    inline, edited."""
     monkeypatch.setattr(store_module, "INLINE_LIMIT", 0)
     return BINARY_DAMAGES[request.param]
 

@@ -292,7 +292,7 @@ class TestProducerChains:
         assert [chain[0].label for chain in producers] == ["bsw/ingest", "fmi/ingest"] + (
             ["bsw/tiers", "fmi/tiers"] if tiered else []
         )
-        shard.run_chains(chains, jobs=1, resume=False)
+        shard.run_chains(chains, jobs=1)
         assert len(fresh_default_store.query(kind="events")) == 2
         assert len(fresh_default_store.query(kind="mactier")) == (2 if tiered else 0)
 
@@ -314,7 +314,7 @@ class TestProducerChains:
 
     def test_a_warm_store_needs_no_producer(self, fresh_default_store):
         chains = prepare_suite(_plan(("bsw",), ("CI", "Client-SGX"), 500, stream=250))
-        shard.run_chains(chains, jobs=1, resume=False)
+        shard.run_chains(chains, jobs=1)
         assert producer_chains(chains) == ([], {})
 
     @pytest.mark.parametrize("jobs", (1, 2))
@@ -328,7 +328,7 @@ class TestProducerChains:
             _plan(("bsw",), ("CI",), None),
         )
         chains = [chain for plan in plans for chain in prepare_suite(plan)]
-        shard.run_chains(chains, jobs=jobs, resume=False)
+        shard.run_chains(chains, jobs=jobs)
         puts = [key for key in log.read_text().split() if _kind_of(key) in PRODUCED]
         assert len(puts) == len(set(puts))
         tiers = 1 if distill.HAVE_NUMPY else 0
@@ -350,7 +350,7 @@ class TestProducerChains:
         # parent's memory layer, whatever the slice width.
         for stream in (None, 250):
             chains = prepare_suite(_plan(("bsw",), ("CI", "Client-SGX"), 500, stream=stream))
-            finals = shard.run_chains(chains, jobs=2, resume=False)
+            finals = shard.run_chains(chains, jobs=2)
             assert all(final.accesses == ACCESSES for final in finals)
         assert fresh_default_store.query(kind="events")
         assert fresh_default_store.query(kind="events-slice")
@@ -461,7 +461,7 @@ class TestReplayLoopSelection:
         with pytest.raises(
             ValueError, match="mode 'Toleo' .*StealthFreshnessComponent .*access_period"
         ):
-            shard.run_chains(chains, jobs=jobs, resume=False)
+            shard.run_chains(chains, jobs=jobs)
         # Raised in the parent before any task ran: no replay, no ingestion.
         assert ran == []
         assert list(fresh_default_store.disk_keys()) == []

@@ -10,6 +10,8 @@ from a clean serial one is part of the strategy property in
 ``test_strategy_property.py``.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.experiments.harness import run_benchmarks
@@ -117,16 +119,32 @@ class TestCheckpointLifecycle:
         assert _flatten(resumed) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
         assert _checkpoints(fresh_store) == []
 
-    def test_no_resume_ignores_stale_checkpoints(self, fresh_store, monkeypatch):
+    def test_a_damaged_checkpoint_restarts_its_chain(self, fresh_store, monkeypatch):
+        # Damage a kill can leave: one byte of an inline checkpoint flipped
+        # in the index.  It is a miss, so its chain replays from its first
+        # shard, and the run completes as a clean one does.  Without numpy a
+        # checkpoint holds the component caches too and would spill.
+        monkeypatch.setattr(store_module, "INLINE_LIMIT", 1 << 20)
         policy = SupervisionPolicy(deadline=30.0, retries=0, backoff=0.01)
         monkeypatch.setenv(FAULT_PLAN_ENV, _terminal_crash(10, 0).to_json())
         with pytest.raises(TaskFailedError):
             _sharded(policy=policy)
-        assert _checkpoints(fresh_store)
+        damaged = _checkpoints(fresh_store)[0]
+        assert damaged.inline
+        with sqlite3.connect(fresh_store.db_path) as conn:
+            (payload,) = conn.execute(
+                "SELECT payload FROM entries WHERE key = ?", (damaged.key,)
+            ).fetchone()
+            flipped = bytearray(payload)
+            flipped[len(flipped) // 2] ^= 0xFF
+            conn.execute(
+                "UPDATE entries SET payload = ? WHERE key = ?", (bytes(flipped), damaged.key)
+            )
 
         monkeypatch.delenv(FAULT_PLAN_ENV)
-        cold = _sharded(resume=False)
-        assert _flatten(cold) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
+        resumed = _sharded()
+        assert _flatten(resumed) == _flatten(run_suite(BENCH, num_accesses=ACCESSES))
+        assert _checkpoints(fresh_store) == []
 
     def test_quarantined_chain_keeps_checkpoint_for_next_attempt(
         self, fresh_store, monkeypatch

@@ -1,6 +1,7 @@
 """Tests for the persistent result store and its content-hash keys."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import sqlite3
@@ -15,15 +16,22 @@ from repro.sim.configs import EVALUATED_MODES
 from repro.sim.engine import EngineOptions, run_suite
 from repro.sim.results import SimulationResult, suite_key
 from repro.sim.store import (
+    _SCHEMA,
     BUSY_TIMEOUT_ENV,
     FORMAT_VERSION,
     INLINE_LIMIT,
     ResultStore,
     StoreBusyError,
+    code_fingerprint,
     content_key,
     pack_columns,
     unpack_columns,
 )
+
+
+def as_json(value):
+    """A JSON store encoder, as the suite and space-study encoders are one."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
 def corrupt_entry(store, key, **columns):
@@ -112,61 +120,67 @@ class TestResultStore:
 
     def test_disk_round_trip(self, tmp_path):
         first = ResultStore(tmp_path)
-        first.put("k", {"x": 1}, encoder=lambda v: v)
+        first.put("k", {"x": 1}, encoder=as_json)
         second = ResultStore(tmp_path)  # fresh process, cold memory layer
-        assert second.get("k", decoder=lambda p: p) == {"x": 1}
+        assert second.get("k", decoder=json.loads) == {"x": 1}
+
+    def test_put_rejects_an_encoder_that_returns_no_bytes(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for payload in ({"x": 1}, "text", bytearray(b"x"), None):
+            with pytest.raises(TypeError, match="returns bytes"):
+                store.put("k", 1, encoder=lambda value, payload=payload: payload)
+        assert "k" not in store and list(store.disk_keys()) == []
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         corrupt_entry(store, "k", payload="{ not json")
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
-        # Out-of-band damage can leave a prefix of the payload text behind;
-        # the store must recompute, not raise.
+        # Out-of-band damage can leave a prefix of the payload behind; the
+        # store must recompute, not raise.
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         full = ResultStore(tmp_path).get("k")
-        text = json.dumps(full)
-        corrupt_entry(store, "k", payload=text[: len(text) // 2])
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        corrupt_entry(store, "k", payload=full[: len(full) // 2])
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_null_payload_without_blob_is_a_miss(self, tmp_path):
         # A row that claims a spilled payload but names no blob (or lost its
         # inline text) must be a miss like any other corruption.
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         corrupt_entry(store, "k", payload=None, blob=None)
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_wrong_payload_shape_is_a_miss(self, tmp_path):
-        # The payload parses but no longer matches the decoder's
-        # expectations (e.g. a hand-edited entry).
+        # The payload is whole but no longer matches the decoder's
+        # expectations (e.g. an entry of an older layout under the same key).
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
-        corrupt_entry(store, "k", payload='["not", "a", "suite"]')
+        store.put("k", ["not", "a", "suite"], encoder=as_json)
+        store.clear_memory()
 
         def strict_decoder(payload):
-            return payload["x"]  # TypeError on a list
+            return json.loads(payload)["x"]  # TypeError on a list
 
         assert ResultStore(tmp_path).get("k", decoder=strict_decoder) is None
 
     def test_missing_blob_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
-        for blob in store.blob_dir.glob("*.json"):
+        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
+        for blob in store.blob_dir.glob("*.bin"):
             blob.unlink()
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_damaged_blob_is_a_miss(self, tmp_path):
         # A blob's name is its content hash: a truncated or bit-flipped blob
         # fails the digest check and degrades to a miss, never wrong data.
         store = ResultStore(tmp_path)
-        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
-        (blob,) = store.blob_dir.glob("*.json")
-        blob.write_text(blob.read_text()[:100])
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
+        (blob,) = store.blob_dir.glob("*.bin")
+        blob.write_bytes(blob.read_bytes()[:100])
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_corrupted_suite_entry_recomputes(self, tmp_path):
         # End to end: a corrupted on-disk suite entry behaves like a cold
@@ -183,47 +197,72 @@ class TestResultStore:
                 recomputed["hyrise"][mode].to_dict() == computed["hyrise"][mode].to_dict()
             )
 
+    def test_a_consistent_edit_of_the_suite_entry_recomputes(self, tmp_path):
+        # Valid JSON with Toleo's execution time doubled, written back in the
+        # row's own form: every field still decodes, so only the content
+        # name catches it, and run_benchmarks recomputes.
+        store = ResultStore(tmp_path)
+        computed = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
+        (key,) = store.disk_keys()
+        with sqlite3.connect(store.db_path) as conn:
+            (stored,) = conn.execute(
+                "SELECT payload FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        suite = json.loads(stored)
+        suite["hyrise"]["Toleo"]["execution_time_ns"] *= 2
+        edited = json.dumps(suite, separators=(",", ":"))
+        corrupt_entry(
+            store, key, payload=edited.encode("utf-8") if isinstance(stored, bytes) else edited
+        )
+        recomputed = run_benchmarks(
+            ("hyrise",), scale=0.002, num_accesses=4000, store=ResultStore(tmp_path)
+        )
+        for mode in computed["hyrise"]:
+            assert (
+                recomputed["hyrise"][mode].to_dict() == computed["hyrise"][mode].to_dict()
+            )
+
     def test_format_version_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         corrupt_entry(store, "k", format=FORMAT_VERSION + 1)
-        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) is None
+        assert ResultStore(tmp_path).get("k", decoder=json.loads) is None
 
     def test_invalidate_drops_both_layers(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         store.invalidate("k")
-        assert store.get("k", decoder=lambda p: p) is None
+        assert store.get("k", decoder=json.loads) is None
         assert "k" not in ResultStore(tmp_path)
 
     def test_invalidate_drops_unreferenced_blob(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
-        assert len(list(store.blob_dir.glob("*.json"))) == 1
+        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
+        assert len(list(store.blob_dir.glob("*.bin"))) == 1
         store.invalidate("k")
-        assert list(store.blob_dir.glob("*.json")) == []
+        assert list(store.blob_dir.glob("*.bin")) == []
 
     def test_shared_blob_survives_one_invalidate(self, tmp_path):
         # Identical payloads dedup to one content-named blob; dropping one
         # referencing key must not orphan the other.
         store = ResultStore(tmp_path)
         payload = {"data": "z" * (INLINE_LIMIT + 1)}
-        store.put("a", payload, encoder=lambda v: v)
-        store.put("b", payload, encoder=lambda v: v)
-        assert len(list(store.blob_dir.glob("*.json"))) == 1
+        store.put("a", payload, encoder=as_json)
+        store.put("b", payload, encoder=as_json)
+        assert len(list(store.blob_dir.glob("*.bin"))) == 1
         store.invalidate("a")
-        assert ResultStore(tmp_path).get("b", decoder=lambda p: p) == payload
+        assert ResultStore(tmp_path).get("b", decoder=json.loads) == payload
 
     def test_clear_memory_keeps_disk(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 1}, encoder=as_json)
         store.clear_memory()
-        assert store.get("k", decoder=lambda p: p) == {"x": 1}
+        assert store.get("k", decoder=json.loads) == {"x": 1}
 
     def test_disk_keys(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-aa", 1, encoder=lambda v: v)
-        store.put("space-bb", 2, encoder=lambda v: v)
+        store.put("suite-aa", 1, encoder=as_json)
+        store.put("space-bb", 2, encoder=as_json)
         assert set(store.disk_keys()) == {"suite-aa", "space-bb"}
 
 
@@ -236,34 +275,34 @@ class TestConsistentViews:
     """
 
     def test_decoderless_get_serves_disk(self, tmp_path):
-        ResultStore(tmp_path).put("k", {"x": 1}, encoder=lambda v: v)
+        ResultStore(tmp_path).put("k", {"x": 1}, encoder=as_json)
         cold = ResultStore(tmp_path)
         assert "k" in cold
-        assert cold.get("k") == {"x": 1}
+        assert cold.get("k") == as_json({"x": 1})
         assert len(cold) == 1
 
     def test_decoderless_disk_hit_not_promoted_to_memory(self, tmp_path):
         # The raw payload must not shadow the decoded object: a decoder-less
         # read followed by a decoded read still decodes.
-        ResultStore(tmp_path).put("k", {"x": 1}, encoder=lambda v: [v["x"]])
+        ResultStore(tmp_path).put("k", {"x": 1}, encoder=lambda v: as_json([v["x"]]))
         cold = ResultStore(tmp_path)
-        assert cold.get("k") == [1]  # raw, as the encoder wrote it
-        assert cold.get("k", decoder=lambda p: {"x": p[0]}) == {"x": 1}
+        assert cold.get("k") == b"[1]"  # the bytes, as the encoder returned them
+        assert cold.get("k", decoder=lambda p: {"x": json.loads(p)[0]}) == {"x": 1}
 
     def test_contains_false_for_unservable_entry(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
-        for blob in store.blob_dir.glob("*.json"):
+        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
+        for blob in store.blob_dir.glob("*.bin"):
             blob.unlink()
         cold = ResultStore(tmp_path)
         assert "k" not in cold
         assert cold.get("k") is None
 
     def test_len_unions_memory_and_disk(self, tmp_path):
-        ResultStore(tmp_path).put("disk-aa", 1, encoder=lambda v: v)
+        ResultStore(tmp_path).put("disk-aa", 1, encoder=as_json)
         store = ResultStore(tmp_path)
         store.put("mem-bb", 2)  # memory-only
-        store.put("disk-aa", 1, encoder=lambda v: v)  # in both layers
+        store.put("disk-aa", 1, encoder=as_json)  # in both layers
         assert len(store) == 2
         assert "mem-bb" in store and "disk-aa" in store
 
@@ -271,17 +310,17 @@ class TestConsistentViews:
 class TestQueryStatsGc:
     def test_query_filters_kind_and_prefix(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-aa", 1, encoder=lambda v: v)
-        store.put("suite-ab", 2, encoder=lambda v: v)
-        store.put("events-xx", 3, encoder=lambda v: v)
+        store.put("suite-aa", 1, encoder=as_json)
+        store.put("suite-ab", 2, encoder=as_json)
+        store.put("events-xx", 3, encoder=as_json)
         assert [e.key for e in store.query()] == ["events-xx", "suite-aa", "suite-ab"]
         assert [e.key for e in store.query(kind="suite")] == ["suite-aa", "suite-ab"]
         assert [e.key for e in store.query(prefix="suite-ab")] == ["suite-ab"]
 
     def test_query_reports_spill_and_staleness(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-aa", {"x": 1}, encoder=lambda v: v)
-        store.put("events-bb", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
+        store.put("suite-aa", {"x": 1}, encoder=as_json)
+        store.put("events-bb", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
         corrupt_entry(store, "suite-aa", code="other-fingerprint")
         by_key = {e.key: e for e in store.query()}
         assert by_key["suite-aa"].inline and by_key["suite-aa"].stale
@@ -289,9 +328,9 @@ class TestQueryStatsGc:
 
     def test_stats_aggregates_by_kind(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-aa", {"x": 1}, encoder=lambda v: v)
-        store.put("suite-ab", {"x": 2}, encoder=lambda v: v)
-        store.put("events-bb", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
+        store.put("suite-aa", {"x": 1}, encoder=as_json)
+        store.put("suite-ab", {"x": 2}, encoder=as_json)
+        store.put("events-bb", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
         stats = store.stats()
         assert stats["entries"] == 3
         assert stats["blob_entries"] == 1
@@ -302,29 +341,60 @@ class TestQueryStatsGc:
 
     def test_gc_drops_stale_entries_and_orphan_blobs(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-keep", {"x": 1}, encoder=lambda v: v)
-        store.put("events-stale", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
+        store.put("suite-keep", {"x": 1}, encoder=as_json)
+        store.put("events-stale", {"d": "z" * (INLINE_LIMIT + 1)}, encoder=as_json)
         corrupt_entry(store, "events-stale", code="old-fingerprint")
-        (store.blob_dir / "orphan.json").write_text("{}")
+        (store.blob_dir / "orphan.bin").write_bytes(b"{}")
         result = store.gc()
         assert result.dropped_entries == 1
         assert result.dropped_blobs == 2  # the stale entry's blob + the orphan
         assert result.kept_entries == 1
         assert list(ResultStore(tmp_path).disk_keys()) == ["suite-keep"]
-        assert list(store.blob_dir.glob("*.json")) == []
+        assert list(store.blob_dir.iterdir()) == []
 
     def test_gc_on_clean_store_drops_nothing(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("suite-aa", {"x": 1}, encoder=lambda v: v)
+        store.put("suite-aa", {"x": 1}, encoder=as_json)
         result = store.gc()
         assert result.dropped_entries == 0
         assert result.kept_entries == 1
-        assert ResultStore(tmp_path).get("suite-aa") == {"x": 1}
+        assert ResultStore(tmp_path).get("suite-aa") == as_json({"x": 1})
 
     def test_gc_on_empty_directory(self, tmp_path):
         result = ResultStore(tmp_path).gc()
         assert result.dropped_entries == 0
         assert result.kept_entries == 0
+
+
+class TestOlderLayouts:
+    def test_a_format_2_store_reads_as_misses_and_gc_empties_it(self, tmp_path):
+        # Format 2 stored a JSON payload as text: inline, or in a `.json`
+        # blob named by the sha256 of that text, with no name on inline rows.
+        text = json.dumps({"x": 1})
+        spilled = json.dumps({"d": "z" * (INLINE_LIMIT + 1)}).encode("utf-8")
+        name = hashlib.sha256(spilled).hexdigest() + ".json"
+        (tmp_path / "blobs").mkdir()
+        (tmp_path / "blobs" / name).write_bytes(spilled)
+        with sqlite3.connect(tmp_path / "index.sqlite") as conn:
+            for statement in _SCHEMA:
+                conn.execute(statement)
+            conn.executemany(
+                "INSERT INTO entries VALUES (?, ?, 2, ?, ?, ?, ?)",
+                [
+                    ("suite-old", "suite", code_fingerprint(), len(text), text, None),
+                    ("events-old", "events", code_fingerprint(), len(spilled), None, name),
+                ],
+            )
+        store = ResultStore(tmp_path)
+        for key in ("suite-old", "events-old"):
+            assert key not in store
+            assert store.get(key) is None
+            assert store.get(key, decoder=json.loads) is None
+        assert [entry.stale for entry in store.query()] == [True, True]
+        result = store.gc()
+        assert (result.dropped_entries, result.dropped_blobs, result.kept_entries) == (2, 1, 0)
+        assert list(store.disk_keys()) == []
+        assert list(store.blob_dir.iterdir()) == []
 
 
 class TestSuitePersistence:
@@ -384,9 +454,11 @@ class TestSuitePersistence:
 
 
 def packed(n=16, *, values=None):
-    """A raw-bytes payload as the slice and tier encoders write one."""
+    """A raw-bytes payload as the slice and tier encoders write one, with a
+    calibration number in its header that the decoder takes as it is."""
     column = array("Q", range(n) if values is None else values)
-    return pack_columns({"byteorder": sys.byteorder, "n": len(column)}, [column, bytes(n)])
+    header = {"byteorder": sys.byteorder, "n": len(column), "llc_mpki": 2.5}
+    return pack_columns(header, [column, bytes(n)])
 
 
 def decode_packed(payload):
@@ -489,7 +561,7 @@ class TestBinaryPayloads:
         store = ResultStore(tmp_path)
         store.put("events-aa", packed(), encoder=lambda v: v)
         store.put("events-bb", packed(INLINE_LIMIT), encoder=lambda v: v)
-        store.put("suite-cc", {"x": 1}, encoder=lambda v: v)
+        store.put("suite-cc", {"x": 1}, encoder=as_json)
         stats = store.stats()
         assert (stats["entries"], stats["inline_entries"], stats["blob_entries"]) == (3, 2, 1)
         assert stats["kinds"]["events"]["bytes"] == len(packed()) + len(packed(INLINE_LIMIT))
@@ -512,13 +584,13 @@ class TestBusyHandling:
         # silently stop persisting.
         monkeypatch.setenv(BUSY_TIMEOUT_ENV, "50")
         store = ResultStore(tmp_path)
-        store.put(content_key("busy", n=1), {"v": 1}, encoder=lambda v: v)
+        store.put(content_key("busy", n=1), {"v": 1}, encoder=as_json)
 
         blocker = sqlite3.connect(store.db_path)
         blocker.execute("BEGIN IMMEDIATE")
         try:
             with pytest.raises(StoreBusyError) as err:
-                store.put(content_key("busy", n=2), {"v": 2}, encoder=lambda v: v)
+                store.put(content_key("busy", n=2), {"v": 2}, encoder=as_json)
         finally:
             blocker.rollback()
             blocker.close()
@@ -529,18 +601,18 @@ class TestBusyHandling:
     def test_busy_read_warns_and_serves_a_miss(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         key = content_key("busy", n=3)
-        store.put(key, {"v": 3}, encoder=lambda v: v)
+        store.put(key, {"v": 3}, encoder=as_json)
         store.clear_memory()
         monkeypatch.setattr(
             store, "_connection", lambda create=False: _BusyConnection()
         )
         with pytest.warns(RuntimeWarning, match="cache miss"):
-            assert store.get(key, decoder=lambda p: p) is None
+            assert store.get(key, decoder=json.loads) is None
 
     def test_close_reopens_on_next_access(self, tmp_path):
         store = ResultStore(tmp_path)
         key = content_key("busy", n=4)
-        store.put(key, {"v": 4}, encoder=lambda v: v)
+        store.put(key, {"v": 4}, encoder=as_json)
         store.close()
         store.clear_memory()
-        assert store.get(key, decoder=lambda p: p) == {"v": 4}
+        assert store.get(key, decoder=json.loads) == {"v": 4}

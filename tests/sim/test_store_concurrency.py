@@ -15,6 +15,7 @@ contention:
   pass finds nothing stale.
 """
 
+import json
 import sqlite3
 import threading
 
@@ -47,6 +48,10 @@ def _blob_payload(key: str) -> dict:
     return {"key": key, "data": "b" * (INLINE_LIMIT + 64), "check": key}
 
 
+def _as_json(value: dict) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
 def _hammer(task):
     """Worker body: interleaved put/get/invalidate; returns observed anomalies."""
     root, worker = task
@@ -62,21 +67,19 @@ def _hammer(task):
 
     for t in range(ITERATIONS):
         shared = SHARED_KEYS[(worker + t) % len(SHARED_KEYS)]
-        store.put(shared, _shared_payload(shared, worker, t), encoder=lambda v: v)
-        store.put(
-            SHARED_BLOB_KEY, _blob_payload(SHARED_BLOB_KEY), encoder=lambda v: v
-        )
+        store.put(shared, _shared_payload(shared, worker, t), encoder=_as_json)
+        store.put(SHARED_BLOB_KEY, _blob_payload(SHARED_BLOB_KEY), encoder=_as_json)
 
         key = f"suite-w{worker}x{t % DISTINCT_PER_WORKER}"
         store.put(key, _distinct_payload(key, worker, t % DISTINCT_PER_WORKER),
-                  encoder=lambda v: v)
+                  encoder=_as_json)
 
         probe = SHARED_KEYS[t % len(SHARED_KEYS)]
         try:
             # A fresh store per probe defeats the memory layer: the read
             # must come through the index, where the contention is.
-            check_shared(probe, ResultStore(root).get(probe))
-            blob = ResultStore(root).get(SHARED_BLOB_KEY)
+            check_shared(probe, ResultStore(root).get(probe, decoder=json.loads))
+            blob = ResultStore(root).get(SHARED_BLOB_KEY, decoder=json.loads)
             if blob is not None and blob.get("check") != SHARED_BLOB_KEY:
                 anomalies.append(f"worker {worker}: corrupt blob read: {blob!r}")
         except Exception as exc:  # any raise under contention is a failure
@@ -106,7 +109,7 @@ class TestConcurrentWriters:
         for worker in range(WORKERS):
             for j in range(DISTINCT_PER_WORKER):
                 key = f"suite-w{worker}x{j}"
-                assert store.get(key) == _distinct_payload(key, worker, j), key
+                assert store.get(key, decoder=json.loads) == _distinct_payload(key, worker, j), key
 
         # The index survived the contention structurally intact...
         with sqlite3.connect(store.db_path) as conn:
@@ -121,7 +124,7 @@ class TestConcurrentWriters:
         for worker in range(WORKERS):
             for j in range(DISTINCT_PER_WORKER):
                 key = f"suite-w{worker}x{j}"
-                assert clean.get(key) == _distinct_payload(key, worker, j), key
+                assert clean.get(key, decoder=json.loads) == _distinct_payload(key, worker, j), key
 
 
 class TestFreshIndex:
@@ -137,8 +140,8 @@ class TestFreshIndex:
         release = threading.Timer(0.3, holder.execute, ("COMMIT",))
         release.start()
         try:
-            store.put("suite-fresh", {"a": 1}, encoder=lambda value: value, keep_in_memory=False)
+            store.put("suite-fresh", {"a": 1}, encoder=_as_json, keep_in_memory=False)
         finally:
             release.join()
             holder.close()
-        assert ResultStore(tmp_path).get("suite-fresh") == {"a": 1}
+        assert ResultStore(tmp_path).get("suite-fresh", decoder=json.loads) == {"a": 1}

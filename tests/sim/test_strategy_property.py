@@ -13,7 +13,7 @@ fresh store per example and draws the strategy space instead of listing it:
   take the evicting 2 KiB 2-way and 8-page geometries;
 * a shard width and a stream window, each a corner of the run or any width
   up to 20 past its end;
-* jobs 1 or 2, numpy as installed or off, checkpoint resume on or off;
+* jobs 1 or 2, numpy as installed or off;
 * optionally a seeded fault plan, one crash and one error, under a policy
   that retries them.
 
@@ -122,7 +122,6 @@ def corner(width, window, stack=None):
         window=window,
         jobs=2,
         numpy=distill.HAVE_NUMPY,
-        resume=False,
         fault_seed=None,
     )
 
@@ -151,7 +150,7 @@ def stored_events(plan, store):
     )
 
 
-def run_pipeline(plan, jobs, numpy, resume, faults):
+def run_pipeline(plan, jobs, numpy, faults):
     """``plan`` through ``run_plans`` on a fresh default store; returns the
     suite, the failure manifest and the event count of the stored slices."""
     manifest = FailureManifest()
@@ -169,7 +168,6 @@ def run_pipeline(plan, jobs, numpy, resume, faults):
                 jobs=jobs,
                 policy=FAST if faults is not None else None,
                 manifest=manifest,
-                resume=resume,
                 use_cache=False,
                 store=store,
             )
@@ -188,7 +186,6 @@ def run_pipeline(plan, jobs, numpy, resume, faults):
     window=windows,
     jobs=st.sampled_from((1, 2)),
     numpy=numpys,
-    resume=st.booleans(),
     fault_seed=st.none() | st.integers(0, 1000),
 )
 @corner(1, 1)
@@ -196,7 +193,7 @@ def run_pipeline(plan, jobs, numpy, resume, faults):
 @corner(N, 1)
 @corner(7, N // 3, stack=TINY_SGX)
 def test_every_strategy_matches_the_serial_engine(
-    serial, labels, stack, width, window, jobs, numpy, resume, fault_seed
+    serial, labels, stack, width, window, jobs, numpy, fault_seed
 ):
     expected = {label: serial[label] for label in labels}
     if stack is not None:
@@ -216,7 +213,7 @@ def test_every_strategy_matches_the_serial_engine(
         faults = None
         if fault_seed is not None and tasks >= 2:  # two faults need two task slots
             faults = FaultPlan.generate(fault_seed, min(tasks, 12), crashes=1, errors=1)
-        results, manifest, events = run_pipeline(plan, jobs, numpy, resume, faults)
+        results, manifest, events = run_pipeline(plan, jobs, numpy, faults)
     finally:
         if stack is not None:
             unregister_mode(DRAWN)

@@ -215,18 +215,16 @@ class TestEventSlices:
         store = ResultStore(tmp_path)
         store.put(
             "events-slice-demo",
-            {"x": 1},
+            b"demo",
             encoder=lambda value: value,
             keep_in_memory=False,
         )
         assert "events-slice-demo" not in store._memory
-        fetched = store.get(
-            "events-slice-demo", decoder=lambda payload: payload, promote=False
-        )
-        assert fetched == {"x": 1}
+        fetched = store.get("events-slice-demo", decoder=bytes.decode, promote=False)
+        assert fetched == "demo"
         assert "events-slice-demo" not in store._memory
-        promoted = store.get("events-slice-demo", decoder=lambda payload: payload)
-        assert promoted == {"x": 1}
+        promoted = store.get("events-slice-demo", decoder=bytes.decode)
+        assert promoted == "demo"
         assert "events-slice-demo" in store._memory
 
 

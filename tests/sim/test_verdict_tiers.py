@@ -575,7 +575,7 @@ class TestStealthTelemetryIsStackIndependent:
                             config=SMALL_CONFIG, window=num_accesses // 3)
                 for mode in modes
             ]
-            piped = run_chains(chains, jobs=1, resume=False)
+            piped = run_chains(chains, jobs=1)
         finally:
             unregister_mode(STEALTH_ONLY.label)
         reported = [
@@ -763,7 +763,7 @@ class TestTierProvenance:
         ]
         set_default_store(ResultStore(tmp_path / "cache"))
         try:
-            results = run_chains(chains, jobs=1, resume=False)
+            results = run_chains(chains, jobs=1)
         finally:
             set_default_store(previous)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]
@@ -782,7 +782,7 @@ class TestTierProvenance:
         chain = shard_chain(
             "memcached", "Toleo", ShardSpec(100), 0.002, TRACE_LEN, 7, SMALL_CONFIG, window=window
         )
-        (result,) = run_chains([chain], jobs=1, resume=False)
+        (result,) = run_chains([chain], jobs=1)
         misses = 0
         for index in range(len(slice_bounds(TRACE_LEN, window))):
             piece = load_slice(*run, window, index, SMALL_CONFIG)
