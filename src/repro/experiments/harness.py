@@ -18,7 +18,12 @@ by the persistent :class:`repro.sim.store.ResultStore`:
   :func:`repro.sim.shard.run_plans` runs it, as a one-point sweep: on a miss
   every (benchmark, mode) pair is a shard chain (one full-length shard when
   unsharded) over ``jobs`` worker processes, or in-process at ``jobs=1``,
-  with output bit-identical to the serial engine.
+  with output bit-identical to the serial engine;
+* a run reads and writes one store, the process's
+  :func:`~repro.sim.store.default_store` -- its suite, event slices,
+  verdict tiers and checkpoints, in the parent and in every worker -- so no
+  runner here takes a store, except :func:`run_benchmarks`, which installs
+  the one it is given as the default for the call.
 
 The experiment modules' ``compute`` functions take a precomputed suite,
 study or sweep.  Their data stages get one from :func:`suite_stage`,
@@ -34,17 +39,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
 from repro.report.artifacts import ReproContext
 from repro.sim.configs import EVALUATED_MODES
-from repro.sim.engine import EngineOptions
-from repro.sim.faults import FailureManifest, SupervisionPolicy
-from repro.sim.parallel import parallel_map, resolve_supervision
+from repro.sim.parallel import parallel_map
 from repro.sim.results import SuiteResults
 from repro.sim.shard import RunPlan, run_plans
-from repro.sim.store import ResultStore, content_key, default_store
+from repro.sim.store import ResultStore, content_key, default_store, set_default_store
 from repro.sim.sweep import SweepAxis, SweepResult, run_sweep
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -93,24 +95,27 @@ def run_benchmarks(
     num_accesses: int = 60_000,
     seed: int = 1234,
     use_cache: Optional[bool] = None,
-    config: Optional[SystemConfig] = None,
-    options: Optional[EngineOptions] = None,
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
     shard_size: Optional[int] = None,
     stream: Optional[int] = None,
-    policy: Optional[SupervisionPolicy] = None,
-    manifest: Optional[FailureManifest] = None,
 ) -> SuiteResults:
     """Run (or fetch from the persistent store) the benchmark suite.
 
-    ``jobs > 1`` distributes the (benchmark, mode) chains over worker
-    processes and ``jobs=1`` runs them in-process; the merged output is
-    bit-identical to the serial run, so the cache key is deliberately
-    independent of ``jobs``.  A failing task surfaces as
-    :class:`~repro.sim.faults.TaskFailedError` at every ``jobs`` value;
-    ``policy`` chooses how failures are handled, and a run that lost cells
-    to degrade-mode quarantine is returned without them but never cached.
+    The run is the default :class:`~repro.sim.shard.RunPlan` for these
+    arguments (default config and options).  ``jobs > 1`` distributes the
+    (benchmark, mode) chains over worker processes and ``jobs=1`` runs them
+    in-process; the merged output is bit-identical to the serial run, so
+    the cache key is deliberately independent of ``jobs``.  A failing task
+    surfaces as :class:`~repro.sim.faults.TaskFailedError` at every
+    ``jobs`` value; a caller with another config, options or supervision
+    policy builds the plan and calls :func:`~repro.sim.shard.run_plans`.
+
+    ``store``, when given, is installed as the process's default store for
+    the call, and the previous default is restored afterwards, on error
+    too.  So that store holds the whole run -- suite, event slices, verdict
+    tiers and checkpoints, whether the workers fork or spawn -- and a
+    killed run resumes from it.
 
     Every pair pays the cache hierarchy once per benchmark -- a fast
     pre-pass distills the trace into a mode-independent miss-event stream
@@ -140,21 +145,22 @@ def run_benchmarks(
         scale,
         num_accesses,
         seed,
-        config,
-        options,
-        shard_size,
-        stream,
+        config=None,
+        options=None,
+        shard_size=shard_size,
+        stream=stream,
     )
-    return _run_plan(plan, jobs, use_cache, store, policy, manifest)
+    previous = default_store()
+    if store is not None:
+        set_default_store(store)
+    try:
+        return _run_plan(plan, jobs, use_cache)
+    finally:
+        set_default_store(previous)
 
 
 def _run_plan(
-    plan: RunPlan,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    store: Optional[ResultStore] = None,
-    policy: Optional[SupervisionPolicy] = None,
-    manifest: Optional[FailureManifest] = None,
+    plan: RunPlan, jobs: Optional[int] = None, use_cache: Optional[bool] = None
 ) -> SuiteResults:
     """Run one plan through :func:`run_plans`; ``jobs``/``use_cache`` left
     unset take the execution defaults."""
@@ -162,10 +168,7 @@ def _run_plan(
     (suite,), _ = run_plans(
         [plan],
         jobs=defaults["jobs"] if jobs is None else jobs,
-        policy=resolve_supervision(policy),
-        manifest=manifest,
         use_cache=defaults["use_cache"] if use_cache is None else use_cache,
-        store=store,
     )
     return suite
 
@@ -212,16 +215,10 @@ def sweep_stage(
     }
 
 
-def clear_cache(disk: bool = False) -> None:
-    """Drop cached results from the default store's memory layer.
-
-    Pass ``disk=True`` to also remove the persisted ``.repro_cache/`` entries.
-    """
-    store = default_store()
-    if disk:
-        store.clear()
-    else:
-        store.clear_memory()
+def clear_cache() -> None:
+    """Drop cached results from the default store's memory layer; its disk
+    entries stay, to serve the next run (``repro store gc`` compacts them)."""
+    default_store().clear_memory()
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +283,23 @@ def _decode_space(payload: bytes) -> Dict[str, SpaceStudyResult]:
     }
 
 
-def _replay_space_study(task: Tuple[str, float, int, int, int]) -> SpaceStudyResult:
+#: Usage snapshots a space study's timeline takes over its run (one every
+#: ``num_accesses // SPACE_TIMELINE_SAMPLES`` accesses, plus the final
+#: state); :func:`space_key` folds it in.
+SPACE_TIMELINE_SAMPLES = 40
+
+
+def _replay_space_study(task: Tuple[str, float, int, int]) -> SpaceStudyResult:
     """Replay one benchmark's write stream into a fresh Toleo device."""
     from repro.crypto.rng import DRangeRng
     from repro.memory.address import block_index_in_page, page_number
     from repro.workloads.registry import get_workload
 
-    name, scale, num_accesses, seed, timeline_samples = task
+    name, scale, num_accesses, seed = task
     workload = get_workload(name, scale=scale, seed=seed)
     device = ToleoDevice(config=None, rng=DRangeRng(seed=seed), strict_capacity=False)
     timeline: List[Dict[str, int]] = []
-    sample_every = max(1, num_accesses // max(1, timeline_samples))
+    sample_every = max(1, num_accesses // SPACE_TIMELINE_SAMPLES)
     for i, (address, is_write) in enumerate(workload.access_stream(num_accesses)):
         if i % sample_every == 0:
             timeline.append(device.snapshot_usage())
@@ -329,7 +332,6 @@ def space_key(
     scale: float = 0.001,
     num_accesses: int = 150_000,
     seed: int = 1234,
-    timeline_samples: int = 40,
 ) -> str:
     """Persistent-store key of one space study (figures 10-12, table 4)."""
     return content_key(
@@ -338,7 +340,7 @@ def space_key(
         scale=scale,
         num_accesses=num_accesses,
         seed=seed,
-        timeline_samples=timeline_samples,
+        timeline_samples=SPACE_TIMELINE_SAMPLES,
     )
 
 
@@ -347,37 +349,27 @@ def run_space_study(
     scale: float = 0.001,
     num_accesses: int = 150_000,
     seed: int = 1234,
-    timeline_samples: int = 40,
-    use_cache: Optional[bool] = None,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
 ) -> Dict[str, SpaceStudyResult]:
-    """Replay each benchmark's write stream directly into a Toleo device."""
-    names = tuple(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS
-    if use_cache is None:
-        use_cache = bool(_EXECUTION_DEFAULTS["use_cache"])
-    if jobs is None:
-        jobs = int(_EXECUTION_DEFAULTS["jobs"])
-    if store is None:
-        store = default_store()
+    """Replay each benchmark's write stream directly into a Toleo device.
 
-    key = space_key(
-        names,
-        scale=scale,
-        num_accesses=num_accesses,
-        seed=seed,
-        timeline_samples=timeline_samples,
-    )
-    if use_cache:
-        cached = store.get(key, decoder=_decode_space)
+    Runs at the process-wide :func:`execution_defaults`, as
+    :func:`sweep_stage` does: ``jobs`` workers, and the study is served
+    from (and put in) the default store under its :func:`space_key` unless
+    ``use_cache`` is off.
+    """
+    names = tuple(benchmarks) if benchmarks is not None else QUICK_BENCHMARKS
+    defaults = execution_defaults()
+    key = space_key(names, scale=scale, num_accesses=num_accesses, seed=seed)
+    if defaults["use_cache"]:
+        cached = default_store().get(key, decoder=_decode_space)
         if cached is not None:
             return cached
 
-    tasks = [(name, scale, num_accesses, seed, timeline_samples) for name in names]
-    computed = parallel_map(_replay_space_study, tasks, jobs=jobs)
+    tasks = [(name, scale, num_accesses, seed) for name in names]
+    computed = parallel_map(_replay_space_study, tasks, jobs=defaults["jobs"])
     results = {name: result for name, result in zip(names, computed)}
-    if use_cache:
-        store.put(key, results, encoder=_encode_space)
+    if defaults["use_cache"]:
+        default_store().put(key, results, encoder=_encode_space)
     return results
 
 
@@ -402,6 +394,7 @@ __all__ = [
     "execution_defaults",
     "space_key",
     "SPACE_STUDY_BUDGETS",
+    "SPACE_TIMELINE_SAMPLES",
     "SuiteResults",
     "SpaceStudyResult",
     "DEFAULT_BENCHMARKS",

@@ -56,13 +56,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import CacheStats
 from repro.core.config import CacheConfig, SystemConfig
-from repro.sim.store import (
-    ResultStore,
-    content_key,
-    default_store,
-    pack_columns,
-    unpack_columns,
-)
+from repro.sim.store import content_key, default_store, pack_columns, unpack_columns
 from repro.workloads.base import Trace, calibrated_instruction_count
 
 try:  # numpy is optional: without it the column views (and the vectorized
@@ -914,7 +908,6 @@ def stream_event_slices(
     num_accesses: int,
     window: int,
     config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> List[str]:
     """Distill a run into windowed event-slice store entries, bounded-memory.
@@ -944,8 +937,7 @@ def stream_event_slices(
     from repro.workloads.registry import get_workload
 
     bounds = slice_bounds(num_accesses, window)
-    if store is None:
-        store = default_store()
+    store = default_store()
     keys = [
         events_slice_key(name, scale, seed, num_accesses, window, i, config)
         for i in range(len(bounds))
@@ -987,7 +979,6 @@ def load_slice(
     window: int,
     index: int,
     config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
 ) -> MissEventStream:
     """Slice ``index`` of a run's ``window``-wide partition, regenerated on a miss.
 
@@ -1006,14 +997,13 @@ def load_slice(
     fingerprint, so any change that could alter the trace or the hierarchy
     model already invalidates every stored slice.
     """
-    if store is None:
-        store = default_store()
+    store = default_store()
     whole = window >= num_accesses
     key = events_slice_key(name, scale, seed, num_accesses, window, index, config)
     events = store.get(key, decoder=MissEventStream.from_payload, promote=whole)
     if events is None:
         store.invalidate(key)
-        stream_event_slices(name, scale, seed, num_accesses, window, config, store)
+        stream_event_slices(name, scale, seed, num_accesses, window, config)
         events = store.get(key, decoder=MissEventStream.from_payload, promote=whole)
     if events is None:
         raise RuntimeError(

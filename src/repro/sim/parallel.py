@@ -90,7 +90,13 @@ from repro.sim.faults import (
     TaskFailureRecord,
 )
 from repro.sim.results import SuiteResults
-from repro.sim.store import close_default_connections, export_code_fingerprint
+from repro.sim.store import (
+    ResultStore,
+    close_default_connections,
+    default_store,
+    export_code_fingerprint,
+    set_default_store,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.shard import ShardTask
@@ -176,6 +182,7 @@ def _reporting_to(sink: Callable[[Any], None]) -> Iterator[None]:
 
 def _supervised_worker_main(
     conn: multiprocessing.connection.Connection,
+    store_root: os.PathLike,
     parent_ends: Sequence[multiprocessing.connection.Connection] = (),
 ) -> None:
     """Worker loop of the supervised executor: one process, many tasks.
@@ -191,6 +198,11 @@ def _supervised_worker_main(
     injected (or real) corruption is always detectable in the parent --
     the digest is the ground truth the corruption cannot touch.
 
+    ``store_root`` is the root of the parent's default store, the one store
+    a run reads and writes.  A forked worker inherits that store; a
+    spawned one would open ``REPRO_CACHE_DIR``, so a worker whose default
+    store has another root opens the parent's.
+
     ``parent_ends`` are the parent's ends of every worker pipe, this
     worker's own included.  A forked worker inherits copies of them and
     closes those first: a copy would keep its pipe open after the parent
@@ -201,6 +213,8 @@ def _supervised_worker_main(
 
     for end in parent_ends:
         end.close()
+    if default_store().root != store_root:
+        set_default_store(ResultStore(store_root))
     plan = FaultPlan.active()
     while True:
         try:
@@ -342,6 +356,7 @@ class SupervisedExecutor:
         # worker: the exported value rides the environment into every
         # worker's code_fingerprint().
         export_code_fingerprint()
+        self._store_root = default_store().root
         self._workers: List[_SupervisedWorker] = []
         for _ in range(max(1, jobs)):
             self._workers.append(self._spawn_worker())
@@ -353,7 +368,7 @@ class SupervisedExecutor:
         parent_ends = [worker.conn for worker in self._workers] + [parent_conn]
         process = self._ctx.Process(
             target=_supervised_worker_main,
-            args=(child_conn, parent_ends),
+            args=(child_conn, self._store_root, parent_ends),
             daemon=True,
         )
         process.start()

@@ -131,13 +131,7 @@ from repro.sim.path import (
     build_components,
 )
 from repro.sim.results import LatencyBreakdown
-from repro.sim.store import (
-    ResultStore,
-    content_key,
-    default_store,
-    pack_columns,
-    unpack_columns,
-)
+from repro.sim.store import content_key, default_store, pack_columns, unpack_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.configs import ModeParameters
@@ -948,7 +942,6 @@ def put_tier_slices(
     num_accesses: int,
     window: int,
     config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
 ) -> List[VerdictTier]:
     """Advance each simulator over ``events``, the run's next slice, and put
     each slice tier under its :func:`tier_slice_key`.
@@ -957,8 +950,7 @@ def put_tier_slices(
     tiers are written to disk only; a reader promotes a one-window run's
     tier into its memory layer (:func:`load_tier_slice`).
     """
-    if store is None:
-        store = default_store()
+    store = default_store()
     run = (events.name, events.scale, events.seed, num_accesses, window)
     index = events.start_index // window
     tiers = []
@@ -980,7 +972,6 @@ def load_tier_slice(
     num_accesses: int,
     window: int,
     config: Optional[SystemConfig] = None,
-    store: Optional[ResultStore] = None,
 ) -> VerdictTier:
     """``component``'s verdict tier over ``events``, one slice of a run, from the store.
 
@@ -999,13 +990,11 @@ def load_tier_slice(
             f"events [{start}, {stop}) are not a slice of the {window}-access "
             f"partition of a {num_accesses}-access run"
         )
-    if store is None:
-        store = default_store()
     simulator, geometry = _tier_geometry(component, config)
     whole = window >= num_accesses
     run = (events.name, events.scale, events.seed, num_accesses, window)
     wanted = start // window
-    cached = store.get(
+    cached = default_store().get(
         tier_slice_key(component, *run, wanted, config),
         decoder=simulator.TIER.from_payload,
         promote=whole,
@@ -1014,8 +1003,8 @@ def load_tier_slice(
         return cached
     running = simulator(**geometry)
     for index in range(wanted + 1):
-        piece = events if index == wanted else load_slice(*run, index, config, store)
-        (tier,) = put_tier_slices([running], piece, num_accesses, window, config, store)
+        piece = events if index == wanted else load_slice(*run, index, config)
+        (tier,) = put_tier_slices([running], piece, num_accesses, window, config)
     return tier
 
 
@@ -1356,23 +1345,20 @@ class BatchReplayEngine:
     run's partition (:func:`~repro.sim.distill.load_slice`).  The verdict
     tiers the kernels read are fetched lazily, once per instance: from
     ``tiers`` when supplied (``tier`` is the MAC-only spelling), else the
-    slice's tier from the result store (``store`` or the default store),
-    where the run's tier chain put it (:func:`load_tier_slice` computes a
-    missing one).
+    slice's tier from the default store, where the run's tier chain put it
+    (:func:`load_tier_slice` computes a missing one).
     """
 
     def __init__(
         self,
         engine: "SimulationEngine",
         events: MissEventStream,
-        store: Optional[ResultStore] = None,
         tier: Optional[MacTier] = None,
         tiers: Iterable[VerdictTier] = (),
         window: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.events = events
-        self.store = store
         self.window = window
         self._tiers: Dict[Tuple[str, Tuple], VerdictTier] = {
             _tier_slot(supplied.KIND, supplied.geometry): supplied for supplied in tiers
@@ -1392,9 +1378,7 @@ class BatchReplayEngine:
         if tier is None:
             run = self._num_accesses
             window = run if self.window is None else self.window
-            tier = load_tier_slice(
-                component, self.events, run, window, self.engine.config, self.store
-            )
+            tier = load_tier_slice(component, self.events, run, window, self.engine.config)
             self._tiers[slot] = tier
         return tier
 

@@ -70,7 +70,7 @@ from repro.sim.results import (
     encode_suite,
     suite_key,
 )
-from repro.sim.store import ResultStore, content_key, default_store
+from repro.sim.store import content_key, default_store
 
 
 @dataclass(frozen=True)
@@ -394,8 +394,8 @@ class _CheckpointJournal:
     chain still holds it as its resume point.
     """
 
-    def __init__(self, chains: Sequence[Sequence], store: Optional[ResultStore] = None):
-        self._store = store if store is not None else default_store()
+    def __init__(self, chains: Sequence[Sequence]):
+        self._store = default_store()
         self._active: List[List] = [list(chain) for chain in chains]
         self._last: List[Optional[str]] = [None] * len(self._active)
 
@@ -548,7 +548,7 @@ def _stack_tiers(task: ShardTask, footprint_bytes: int) -> List[Tuple[Type[Any],
 
 
 def producer_chains(
-    chains: Sequence[Sequence[ShardTask]], store: Optional[ResultStore] = None
+    chains: Sequence[Sequence[ShardTask]],
 ) -> Tuple[List[List[Any]], Dict[int, Wait]]:
     """The ingest and tier chains that feed replay ``chains``, and their gates.
 
@@ -558,8 +558,8 @@ def producer_chains(
     ``chains`` (benchmark order).  A run's tier chain computes the union of
     the tiers its replay chains read -- over every mode, config and options
     on the run, deduplicated by tier key, so a sweep over
-    ``mac_cache_bytes`` finds each point's tiers stored.  Only what
-    ``store`` lacks gets a producer: a run whose slices are all stored has
+    ``mac_cache_bytes`` finds each point's tiers stored.  Only what the
+    default store lacks gets a producer: a run whose slices are all stored has
     no ingest chain, and a tier family whose slices are all stored is left
     out of its tier chain.
 
@@ -572,8 +572,7 @@ def producer_chains(
     from repro.sim.distill import events_slice_key, slice_bounds
     from repro.workloads.registry import get_workload
 
-    if store is None:
-        store = default_store()
+    store = default_store()
     runs: Dict[str, List[int]] = {}
     for index, chain in enumerate(chains):
         if chain:
@@ -685,14 +684,15 @@ def run_plans(
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
     use_cache: bool = True,
-    store: Optional[ResultStore] = None,
 ) -> Tuple[List[SuiteResults], List[bool]]:
     """Run several plans as one pipeline; the one reader and writer of suites.
 
     Returns each plan's suite -- the nested shape of
     :func:`repro.sim.engine.run_suite`, and the same bits -- plus whether it
-    was served from ``store`` instead of simulated.  A ``repro bench`` run is
-    the one-plan case; a sweep passes every grid point.
+    was served from the store instead of simulated.  A ``repro bench`` run is
+    the one-plan case; a sweep passes every grid point.  The store is the
+    process's :func:`~repro.sim.store.default_store`, the one store the
+    whole run -- suites, slices, tiers and checkpoints -- reads and writes.
 
     With ``use_cache`` on, each plan is first looked up under its
     :attr:`RunPlan.key`, and plans sharing a key (shard widths and stream
@@ -711,8 +711,7 @@ def run_plans(
     suite lacks the quarantined cells, so it is returned but never stored,
     and neither it nor a plan sharing its key counts as served.
     """
-    if store is None:
-        store = default_store()
+    store = default_store()
     keys = [plan.key for plan in plans]
     suites: List[Optional[SuiteResults]] = [None] * len(plans)
     served = [False] * len(plans)

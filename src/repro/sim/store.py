@@ -933,7 +933,14 @@ _DEFAULT_STORE: Optional[ResultStore] = None
 
 
 def default_store() -> ResultStore:
-    """The process-wide store used by the experiment harness."""
+    """The process-wide store: the one store every run reads and writes.
+
+    Every layer of a run -- its suite, event slices, verdict tiers and
+    checkpoints -- goes through this store, and no layer takes a store of
+    its own; pool workers open the same one (same root), forked or
+    spawned.  Created on first use at ``REPRO_CACHE_DIR`` (or
+    ``.repro_cache/`` under the working directory).
+    """
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = ResultStore()
@@ -941,7 +948,9 @@ def default_store() -> ResultStore:
 
 
 def set_default_store(store: Optional[ResultStore]) -> None:
-    """Replace the process-wide store (tests point it at a temp directory)."""
+    """Replace the process-wide store, so every later run of this process
+    and of the pools it starts reads and writes ``store`` (``None`` goes
+    back to a store at ``REPRO_CACHE_DIR`` on next use)."""
     global _DEFAULT_STORE
     _DEFAULT_STORE = store
 

@@ -36,7 +36,6 @@ from repro.sim.faults import FailureManifest, SupervisionPolicy
 from repro.sim.parallel import resolve_supervision
 from repro.sim.results import SuiteResults
 from repro.sim.shard import RunPlan, run_plans
-from repro.sim.store import ResultStore
 
 #: Axis keys that override run parameters rather than dataclass fields,
 #: each with the :class:`RunPlan` field it sets and that field's type.
@@ -215,7 +214,6 @@ def run_sweep(
     *,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    store: Optional[ResultStore] = None,
     policy: Optional[SupervisionPolicy] = None,
     manifest: Optional[FailureManifest] = None,
 ) -> SweepResult:
@@ -224,7 +222,7 @@ def run_sweep(
 
     The points run through :func:`repro.sim.shard.run_plans`, the runner
     behind ``repro bench`` (a one-point sweep is a bench run): cached points
-    are served from ``store``, points sharing a suite key simulate once
+    are served from the default store, points sharing a suite key simulate once
     (with ``use_cache``; without it every point simulates, so a
     ``shard_size`` axis times each width), every other point's chains
     pipeline through one pool, and a degraded point is never cached.
@@ -245,7 +243,6 @@ def run_sweep(
         policy=resolve_supervision(policy),
         manifest=manifest,
         use_cache=use_cache,
-        store=store,
     )
     return SweepResult(
         benchmarks=tuple(plan.benchmarks),

@@ -10,6 +10,8 @@ from repro.experiments.harness import (
     run_benchmarks,
     run_space_study,
 )
+from repro.sim.configs import EVALUATED_MODES
+from repro.sim.shard import RunPlan, run_plans
 
 
 class TestBenchmarkSets:
@@ -69,17 +71,23 @@ class TestRunSpaceStudy:
 class TestConfigAwareCaching:
     """Regression tests for the key bug: config/options used to be omitted."""
 
+    @staticmethod
+    def _suite(config=None, options=None):
+        """``run_benchmarks``' hyrise run at ``config``/``options``."""
+        plan = RunPlan(
+            ("hyrise",), EVALUATED_MODES, 0.002, 4000, 1234, config, options, None, None
+        )
+        (suite,), _ = run_plans([plan], jobs=1)
+        return suite
+
     def test_different_config_not_served_same_entry(self):
         import dataclasses
 
         from repro.core.config import SystemConfig
 
         default = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000)
-        slow_aes = run_benchmarks(
-            ("hyrise",),
-            scale=0.002,
-            num_accesses=4000,
-            config=dataclasses.replace(SystemConfig(), aes_latency_cycles=400),
+        slow_aes = self._suite(
+            config=dataclasses.replace(SystemConfig(), aes_latency_cycles=400)
         )
         assert default is not slow_aes
         a = default["hyrise"]["Toleo"]
@@ -90,12 +98,7 @@ class TestConfigAwareCaching:
         from repro.sim.engine import EngineOptions
 
         default = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000)
-        tuned = run_benchmarks(
-            ("hyrise",),
-            scale=0.002,
-            num_accesses=4000,
-            options=EngineOptions(base_cpi=1.2),
-        )
+        tuned = self._suite(options=EngineOptions(base_cpi=1.2))
         assert default is not tuned
         a = default["hyrise"]["NoProtect"]
         b = tuned["hyrise"]["NoProtect"]

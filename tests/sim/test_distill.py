@@ -33,6 +33,7 @@ from repro.sim.distill import (
 )
 from repro.sim.engine import EngineState, HierarchyCounters, SimulationEngine, run_suite
 from repro.sim.path import PathComponent, StealthFreshnessComponent
+from repro.sim.shard import RunPlan, run_plans
 from repro.sim.store import ResultStore, pack_columns, unpack_columns
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
@@ -365,41 +366,41 @@ class TestStreamPersistence:
         with pytest.raises(ValueError, match="byte order"):
             MissEventStream.from_payload(pack_columns(header, columns))
 
-    def test_one_window_slice_persists_and_reloads(self, tmp_path):
+    def test_one_window_slice_persists_and_reloads(self, fresh_default_store):
         # A one-window run's single slice is its full ``events`` entry.
-        store = ResultStore(tmp_path)
-        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=store)
-        assert list(store.disk_keys()) == [events_key("bsw", 0.002, 1234, 1500, None)]
-        # A fresh store over the same directory: served from disk, and the
-        # stream replays to the same result as a fresh distillation.
-        reloaded = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=ResultStore(tmp_path))
+        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None)
+        assert list(fresh_default_store.disk_keys()) == [events_key("bsw", 0.002, 1234, 1500, None)]
+        # With the memory layer dropped: served from disk, and the stream
+        # replays to the same result as a fresh distillation.
+        fresh_default_store.clear_memory()
+        reloaded = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None)
         assert reloaded.to_payload() == first.to_payload()
         trace = get_workload("bsw", scale=0.002, seed=1234).capture(1500)
         assert first.to_payload() == HierarchyDistiller().distill(trace, 1500).to_payload()
 
-    def test_corrupt_disk_entry_degrades_to_recompute(self, tmp_path):
+    def test_corrupt_disk_entry_degrades_to_recompute(self, fresh_default_store):
         import sqlite3
 
-        store = ResultStore(tmp_path)
-        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=store)
+        first = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None)
         key = events_key("bsw", 0.002, 1234, 1500, None)
-        with sqlite3.connect(store.db_path) as conn:
+        with sqlite3.connect(fresh_default_store.db_path) as conn:
             conn.execute(
                 "UPDATE entries SET payload = '42', blob = NULL WHERE key = ?", (key,)
             )
-        recomputed = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None, store=ResultStore(tmp_path))
+        fresh_default_store.clear_memory()
+        recomputed = load_slice("bsw", 0.002, 1234, 1500, 1500, 0, None)
         assert recomputed.to_payload() == first.to_payload()
 
-    def test_damaged_binary_slice_is_recomputed(self, tmp_path, binary_damage):
+    def test_damaged_binary_slice_is_recomputed(self, binary_damage, fresh_default_store):
         run = ("memcached", 0.002, 7, TRACE_LEN, 64)
-        store = ResultStore(tmp_path)
-        first = load_slice(*run, 1, SMALL_CONFIG, store=store)
+        first = load_slice(*run, 1, SMALL_CONFIG)
         key = events_slice_key(*run, 1, SMALL_CONFIG)
-        binary_damage(store, key)
-        assert ResultStore(tmp_path).get(key, decoder=MissEventStream.from_payload) is None
-        recomputed = load_slice(*run, 1, SMALL_CONFIG, store=ResultStore(tmp_path))
+        binary_damage(fresh_default_store, key)
+        disk = ResultStore(fresh_default_store.root)
+        assert disk.get(key, decoder=MissEventStream.from_payload) is None
+        recomputed = load_slice(*run, 1, SMALL_CONFIG)
         assert recomputed.to_payload() == first.to_payload()
-        served = ResultStore(tmp_path).get(key, decoder=MissEventStream.from_payload)
+        served = disk.get(key, decoder=MissEventStream.from_payload)
         assert served.to_payload() == first.to_payload()
 
 
@@ -435,32 +436,17 @@ class TestEventKeySemantics:
 class TestSuiteStoreSharing:
     """Suite runs share persistent event-stream entries."""
 
-    def test_event_streams_shared_across_mode_sets(self, tmp_path):
+    def test_event_streams_shared_across_mode_sets(self, fresh_default_store):
         # A later run over *different* modes re-uses the first run's event
         # stream: after the cold run, no second events entry appears.  Every
         # jobs value runs the same pipeline, so the in-process jobs=1 run
         # persists its stream just as the pool path does.
-        from repro.experiments.harness import run_benchmarks
-        from repro.sim.store import default_store, set_default_store
-
-        previous = default_store()
-        store = ResultStore(tmp_path)
-        set_default_store(store)
-        try:
-            run_benchmarks(
-                ("bsw",), modes=("CI",), num_accesses=1500, store=store, jobs=1,
-            )
-            events_entries = [k for k in store.disk_keys() if k.startswith("events-")]
-            assert len(events_entries) == 1
-            run_benchmarks(
-                ("bsw",), modes=("Toleo", "CIF-Tree"), num_accesses=1500,
-                store=store, jobs=2,
-            )
-            assert [
-                k for k in store.disk_keys() if k.startswith("events-")
-            ] == events_entries
-        finally:
-            set_default_store(previous)
+        store = fresh_default_store
+        run_benchmarks(("bsw",), modes=("CI",), num_accesses=1500, jobs=1)
+        events_entries = [k for k in store.disk_keys() if k.startswith("events-")]
+        assert len(events_entries) == 1
+        run_benchmarks(("bsw",), modes=("Toleo", "CIF-Tree"), num_accesses=1500, jobs=2)
+        assert [k for k in store.disk_keys() if k.startswith("events-")] == events_entries
 
 
 class TestFallbackForUndeclaredSamplers:
@@ -500,6 +486,9 @@ class TestFallbackForUndeclaredSamplers:
             modes=("Toleo",), scale=0.002, num_accesses=TRACE_LEN, seed=7,
             config=SMALL_CONFIG,
         )
+        plan = RunPlan(
+            ("memcached",), ("Toleo",), 0.002, TRACE_LEN, 7, SMALL_CONFIG, None, shard_size, None
+        )
         reference = run_suite(("memcached",), **run)["memcached"]["Toleo"]
 
         original = StealthFreshnessComponent.__init__
@@ -513,10 +502,7 @@ class TestFallbackForUndeclaredSamplers:
         oracle = run_suite(("memcached",), **run)["memcached"]["Toleo"]
         assert oracle.to_dict() == reference.to_dict()
         with pytest.raises(ValueError, match="StealthFreshnessComponent .*access_period"):
-            run_benchmarks(
-                ("memcached",), jobs=jobs, shard_size=shard_size, use_cache=False,
-                store=fresh_default_store, **run
-            )
+            run_plans([plan], jobs=jobs, use_cache=False)
         # Raised in the parent, before any task ran: nothing was ingested.
         assert list(fresh_default_store.disk_keys()) == []
 

@@ -35,6 +35,7 @@ from repro.sim.parallel import (
     stitch_suite,
 )
 from repro.experiments.harness import run_benchmarks
+from repro.sim.shard import RunPlan, run_plans
 from repro.sim.store import (
     CODE_FINGERPRINT_ENV,
     code_fingerprint,
@@ -468,8 +469,9 @@ class TestProgressGates:
         plan = FaultPlan(faults=(FaultSpec(task_index=slot, kind="crash"),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         manifest = FailureManifest()
-        suite = _pipeline(
-            ("bsw",), jobs=2, modes=("CI",), policy=ONE_SHOT, manifest=manifest
+        plan = RunPlan(("bsw",), ("CI",), SCALE, ACCESSES, SEED, None, None, None, None)
+        (suite,), _ = run_plans(
+            [plan], jobs=2, policy=ONE_SHOT, manifest=manifest, use_cache=False
         )
         assert [record.label for record in manifest.records] == [label]
         assert "CI" not in suite.get("bsw", {})

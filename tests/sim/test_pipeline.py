@@ -13,13 +13,21 @@ strategy property in ``test_strategy_property.py``.
 """
 
 import dataclasses
+import importlib
+import inspect
+import multiprocessing
+import pkgutil
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import repro.experiments
+import repro.sim
 from repro.baselines.invisimem import InvisiMemModel
 from repro.core.config import SystemConfig
-from repro.sim import distill, replaycore, shard
+from repro.experiments.harness import run_benchmarks
+from repro.sim import distill, parallel, replaycore, shard
 from repro.sim.configs import (
     CounterTreeSpec,
     EpcPagingSpec,
@@ -365,6 +373,65 @@ class TestProducerChains:
         assert len(fresh_default_store.query(kind="events")) == 1
         assert len(fresh_default_store.query(kind="events-slice")) == 4
         assert capture_trace.cache_info().currsize == 0
+
+
+def _signatures():
+    """``(qualified name, signature)`` of every function, method and class
+    that ``repro.sim`` and ``repro.experiments`` define, private ones too."""
+
+    def members(module, namespace, prefix):
+        for name, value in vars(namespace).items():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            qualname = prefix + name
+            defined_here = getattr(value, "__module__", None) == module
+            if not (callable(value) and defined_here and value.__qualname__ == qualname):
+                continue  # imported, an alias, or not callable
+            if not inspect.isclass(value):
+                yield f"{module}.{qualname}", inspect.signature(value)
+                continue
+            try:
+                yield f"{module}.{qualname}", inspect.signature(value)
+            except ValueError:
+                pass  # a constructor inherited from a builtin: an exception's
+            yield from members(module, value, qualname + ".")
+
+    for package in (repro.sim, repro.experiments):
+        names = [package.__name__] + [
+            info.name for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
+        ]
+        for name in names:
+            yield from members(name, importlib.import_module(name), "")
+
+
+class TestOneStorePerRun:
+    """A run reads and writes one store, the process default, in the parent
+    and in every worker, forked or spawned; no layer takes a store."""
+
+    def test_only_run_benchmarks_takes_a_store(self):
+        # Besides the setter that installs the one store, only
+        # run_benchmarks takes one, and installs it for the call.
+        signatures = dict(_signatures())
+        assert "repro.sim.replaycore.BatchReplayEngine.__init__" in signatures
+        assert [name for name, sig in signatures.items() if "store" in sig.parameters] == [
+            "repro.sim.store.set_default_store",
+            "repro.experiments.harness.run_benchmarks",
+        ]
+
+    def test_spawned_workers_use_the_parents_store(self, monkeypatch, fresh_default_store):
+        # A spawned worker re-imports the package, and so would open the
+        # store at REPRO_CACHE_DIR rather than the parent's default.
+        monkeypatch.setattr(
+            parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
+        )
+        run_benchmarks(
+            ("bsw",), modes=("Toleo",), num_accesses=ACCESSES, shard_size=500, stream=500,
+            jobs=2,
+        )
+        expected = {"suite": 1, "events-slice": 2}
+        if distill.HAVE_NUMPY:
+            expected.update(mactier=2, stealthtier=2)
+        assert dict(Counter(entry.kind for entry in fresh_default_store.query())) == expected
 
 
 class TestReplayLoopSelection:

@@ -32,7 +32,6 @@ from repro.sim.path import (
 )
 from repro.experiments.harness import run_benchmarks
 from repro.sim.shard import RunPlan
-from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepAxis, run_sweep
 from repro.sim.variants import VARIANT_MODES
 
@@ -87,30 +86,28 @@ class TestRuntimeRegistrationEndToEnd:
         )
         assert _flatten(serial) == _flatten(spawned)
 
-    def test_flows_through_sweep_with_per_point_caching(self, runtime_mode, tmp_path):
-        store = ResultStore(tmp_path / "cache")
+    def test_flows_through_sweep_with_per_point_caching(self, runtime_mode, fresh_default_store):
         axes = [SweepAxis("scale", (0.001, 0.002))]
         plan = RunPlan(("bsw",), (runtime_mode,), 0.002, 2000, 1234, None, None, None, None)
 
-        cold = run_sweep(axes, plan, store=store)
+        cold = run_sweep(axes, plan)
         assert cold.simulated_points == 2
         for suite in cold.suites:
             assert list(suite["bsw"]) == [runtime_mode]
             assert suite["bsw"][runtime_mode].slowdown > 1.0
 
-        store.clear_memory()  # force the disk layer
-        warm = run_sweep(axes, plan, store=store)
+        fresh_default_store.clear_memory()  # force the disk layer
+        warm = run_sweep(axes, plan)
         assert warm.simulated_points == 0
         assert all(warm.served_from_store)
         assert _flatten(warm.suites[0]) == _flatten(cold.suites[0])
 
     def test_replacing_registration_invalidates_cached_points(
-        self, runtime_mode, tmp_path
+        self, runtime_mode, fresh_default_store
     ):
-        store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("scale", (0.001,))]
         plan = RunPlan(("bsw",), (runtime_mode,), 0.002, 2000, 1234, None, None, None, None)
-        first = run_sweep(axes, plan, store=store)
+        first = run_sweep(axes, plan)
         assert first.simulated_points == 1
 
         # Same label, different scheme: the suite key folds the registered
@@ -125,7 +122,7 @@ class TestRuntimeRegistrationEndToEnd:
             ),
             replace=True,
         )
-        replaced = run_sweep(axes, plan, store=store)
+        replaced = run_sweep(axes, plan)
         assert replaced.simulated_points == 1
         a = first.suites[0]["bsw"][runtime_mode]
         b = replaced.suites[0]["bsw"][runtime_mode]

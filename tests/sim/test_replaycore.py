@@ -36,7 +36,6 @@ from repro.sim.replaycore import (
     register_batch_kernel,
     vectorizable,
 )
-from repro.sim.store import ResultStore
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
 
@@ -204,35 +203,34 @@ class TestMacTier:
         (mac,) = [c for c in stack if isinstance(c, MacIntegrityComponent)]
         return mac
 
-    def test_stored_tier_persists_and_reloads(self, events, tier, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path)
+    def test_stored_tier_persists_and_reloads(
+        self, events, tier, monkeypatch, fresh_default_store
+    ):
         mac = self._mac(events)
-        first = load_tier_slice(mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG, store=store)
+        first = load_tier_slice(mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG)
         assert first == tier
         # A one-window run's tier keeps the full-run key.
-        assert mac_tier_key(events, SMALL_CONFIG) in store.disk_keys()
+        assert mac_tier_key(events, SMALL_CONFIG) in fresh_default_store.disk_keys()
 
-        # A fresh store over the same directory serves the tier from disk,
-        # not recomputed.
+        # With the memory layer dropped, the store serves the tier from
+        # disk, not recomputed.
         def recompute(*args):
             raise AssertionError("MAC tier recomputed instead of served from disk")
 
         monkeypatch.setattr(replaycore.MacTierSimulator, "advance", recompute)
-        reloaded = load_tier_slice(
-            mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG, store=ResultStore(tmp_path)
-        )
+        fresh_default_store.clear_memory()
+        reloaded = load_tier_slice(mac, events, TRACE_LEN, TRACE_LEN, SMALL_CONFIG)
         assert reloaded == first
 
-    def test_tier_slice_must_belong_to_its_partition(self, trace, events, tmp_path):
+    def test_tier_slice_must_belong_to_its_partition(self, trace, events, fresh_default_store):
         distiller = HierarchyDistiller(SMALL_CONFIG)
         distiller.advance(trace, 0, 10)
         window = distiller.advance(trace, 10, 20)
-        store = ResultStore(tmp_path)
         mac = self._mac(events)
         for stream, width in ((window, 7), (window, 20), (events, 64)):
             with pytest.raises(ValueError, match="not a slice"):
-                load_tier_slice(mac, stream, TRACE_LEN, width, SMALL_CONFIG, store=store)
-        assert list(store.disk_keys()) == []
+                load_tier_slice(mac, stream, TRACE_LEN, width, SMALL_CONFIG)
+        assert list(fresh_default_store.disk_keys()) == []
 
 
 class TestCapabilityRegistry:

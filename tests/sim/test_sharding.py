@@ -123,18 +123,17 @@ class TestCheckpointHandoff:
         keys.add(checkpoint_key(streamed))
         assert len(keys) == 3
 
-    def test_flipping_numpy_changes_the_captured_key(self, tmp_path, monkeypatch):
+    def test_flipping_numpy_changes_the_captured_key(self, fresh_default_store, monkeypatch):
         # A checkpoint written where numpy batched the replay must not be
         # resumed by a worker without numpy, whose scalar replay would read
         # the MAC cache the batch kernels never filled.
-        store = ResultStore(tmp_path)
         chains = [shard_chain("bsw", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)]
         monkeypatch.setattr(distill, "HAVE_NUMPY", True)
         vectorized = checkpoint_key(chains[0][0])
-        _CheckpointJournal(chains, store).on_carry(0, 0, b"vectorized")
+        _CheckpointJournal(chains).on_carry(0, 0, b"vectorized")
         monkeypatch.setattr(distill, "HAVE_NUMPY", False)
         assert checkpoint_key(chains[0][0]) != vectorized
-        assert _CheckpointJournal(chains, store).restore() == (chains, [None])
+        assert _CheckpointJournal(chains).restore() == (chains, [None])
 
     def test_checkpoint_key_tracks_stop_and_stream_window(self):
         spec = ShardSpec(90)
@@ -161,45 +160,43 @@ class TestCheckpointJournal:
             shard_chain("bsw", "Toleo", spec, 0.002, TRACE_LEN, 7),
         ]
 
-    def test_intermediate_carry_is_persisted_and_restored(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_intermediate_carry_is_persisted_and_restored(self, fresh_default_store):
         chains = self._chains()
-        journal = _CheckpointJournal(chains, store)
+        journal = _CheckpointJournal(chains)
         journal.on_carry(0, 0, b"after shard 0")
         journal.on_carry(0, 1, b"after shard 1")
-        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        trimmed, initials = _CheckpointJournal(chains).restore()
         assert trimmed == [chains[0][2:], chains[1]]
         assert initials == [b"after shard 1", None]
 
-    def test_only_the_latest_checkpoint_is_kept(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_only_the_latest_checkpoint_is_kept(self, fresh_default_store):
+        store = fresh_default_store
         chains = self._chains()
-        journal = _CheckpointJournal(chains, store)
+        journal = _CheckpointJournal(chains)
         journal.on_carry(0, 0, b"a")
         journal.on_carry(0, 1, b"b")
         assert checkpoint_key(chains[0][0]) not in store
         assert checkpoint_key(chains[0][1]) in store
 
-    def test_completion_spends_the_checkpoint(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_completion_spends_the_checkpoint(self, fresh_default_store):
         chains = self._chains()
-        journal = _CheckpointJournal(chains, store)
+        journal = _CheckpointJournal(chains)
         journal.on_carry(0, 0, b"a")
         journal.on_carry(0, 1, b"b")
         journal.on_carry(0, 2, "the chain's final result")
-        assert store.query(kind="checkpoint") == []
-        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        assert fresh_default_store.query(kind="checkpoint") == []
+        trimmed, initials = _CheckpointJournal(chains).restore()
         assert trimmed == chains and initials == [None, None]
 
     @pytest.mark.parametrize("killed_in", ["put", "invalidate"])
     def test_a_kill_mid_handoff_leaves_at_most_one_checkpoint(
-        self, tmp_path, monkeypatch, killed_in
+        self, fresh_default_store, monkeypatch, killed_in
     ):
         # A run killed while the journal swaps a chain's checkpoint must not
         # leave two: the older one would never be resumed from or spent.
-        store = ResultStore(tmp_path)
+        store = fresh_default_store
         chains = self._chains()
-        journal = _CheckpointJournal(chains, store)
+        journal = _CheckpointJournal(chains)
         journal.on_carry(0, 0, b"a")
 
         def kill(*args, **kwargs):
@@ -211,25 +208,25 @@ class TestCheckpointJournal:
         monkeypatch.undo()
         left = [task for task in chains[0] if checkpoint_key(task) in store]
         assert len(left) <= 1
-        trimmed, initials = _CheckpointJournal(chains, store).restore()
+        trimmed, initials = _CheckpointJournal(chains).restore()
         assert (trimmed[0], initials[0]) in ((chains[0], None), (chains[0][1:], b"a"))
 
-    def test_a_checkpoint_another_chain_holds_survives(self, tmp_path):
+    def test_a_checkpoint_another_chain_holds_survives(self, fresh_default_store):
         # One pair at widths 90 and 180 (a shard_size sweep): both chains
         # checkpoint the same state at access 180, under one key.
-        store = ResultStore(tmp_path)
+        store = fresh_default_store
         narrow = shard_chain("bsw", "CI", ShardSpec(90), 0.002, TRACE_LEN, 7)
         wide = shard_chain("bsw", "CI", ShardSpec(180), 0.002, TRACE_LEN, 7)
         shared = checkpoint_key(wide[0])
         assert checkpoint_key(narrow[1]) == shared
-        journal = _CheckpointJournal([narrow, wide], store)
+        journal = _CheckpointJournal([narrow, wide])
         journal.on_carry(1, 0, b"at 180")
         journal.on_carry(0, 0, b"at 90")
         journal.on_carry(0, 1, b"at 180")
         journal.on_carry(0, 2, "the narrow chain's final result")
         assert shared in store
         # Either width resumes from it: the state at 180 is the same.
-        trimmed, initials = _CheckpointJournal([narrow, wide], store).restore()
+        trimmed, initials = _CheckpointJournal([narrow, wide]).restore()
         assert trimmed == [narrow[2:], wide[1:]]
         assert initials == [b"at 180", b"at 180"]
         journal.on_carry(1, 1, "the wide chain's final result")
@@ -290,13 +287,12 @@ class TestShardSizeSweepAxis:
                 (("shard_size", 0),),
             )
 
-    def test_sweep_over_shard_size_is_result_invariant(self, tmp_path):
+    def test_sweep_over_shard_size_is_result_invariant(self, fresh_default_store):
         from repro.sim.sweep import SweepAxis, run_sweep
 
         result = run_sweep(
             [SweepAxis("shard_size", (300, 1000))],
             RunPlan(("bsw",), ("CI",), 0.002, 1000, 1234, None, None, None, None),
-            store=ResultStore(tmp_path),
             use_cache=False,
         )
         a, b = result.suites
@@ -304,7 +300,7 @@ class TestShardSizeSweepAxis:
             m: r.to_dict() for m, r in b["bsw"].items()
         }
 
-    def test_cached_shard_size_sweep_simulates_only_once(self, tmp_path):
+    def test_cached_shard_size_sweep_simulates_only_once(self, fresh_default_store):
         # All widths share one suite key (exact sharding is key-invariant),
         # so with the cache on, the first point's entry must serve every
         # later width instead of re-simulating the identical suite.
@@ -313,7 +309,6 @@ class TestShardSizeSweepAxis:
         result = run_sweep(
             [SweepAxis("shard_size", (300, 500, 1000))],
             RunPlan(("bsw",), ("CI",), 0.002, 1000, 1234, None, None, None, None),
-            store=ResultStore(tmp_path),
             use_cache=True,
         )
         assert result.simulated_points == 1

@@ -187,7 +187,7 @@ class TestResultStore:
         # cache for run_benchmarks -- same results, one extra simulation.
         store = ResultStore(tmp_path)
         computed = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
-        (key,) = store.disk_keys()
+        (key,) = [entry.key for entry in store.query(kind="suite")]
         corrupt_entry(store, key, payload="{ truncated", blob=None)
         recomputed = run_benchmarks(
             ("hyrise",), scale=0.002, num_accesses=4000, store=ResultStore(tmp_path)
@@ -203,7 +203,7 @@ class TestResultStore:
         # name catches it, and run_benchmarks recomputes.
         store = ResultStore(tmp_path)
         computed = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
-        (key,) = store.disk_keys()
+        (key,) = [entry.key for entry in store.query(kind="suite")]
         with sqlite3.connect(store.db_path) as conn:
             (stored,) = conn.execute(
                 "SELECT payload FROM entries WHERE key = ?", (key,)
@@ -435,12 +435,14 @@ class TestSuitePersistence:
         assert b["hyrise"]["NoProtect"].accesses == 4004
 
     def test_no_cache_bypasses_store(self, tmp_path):
+        # The suite is neither read nor written; the run's event slices and
+        # verdict tiers are derived artifacts and still go to its store.
         store = ResultStore(tmp_path)
         run_benchmarks(
             ("hyrise",), scale=0.002, num_accesses=4000, store=store, use_cache=False
         )
-        assert len(list(store.disk_keys())) == 0
-        assert len(store) == 0
+        assert store.query(kind="suite") == []
+        assert suite_key(("hyrise",), EVALUATED_MODES, 0.002, 4000, 1234, None, None) not in store
 
     def test_suite_key_distinguishes_configs(self):
         k_none = suite_key(("bsw",), EVALUATED_MODES, 0.002, 4000, 1234, None, None)

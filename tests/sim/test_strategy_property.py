@@ -137,7 +137,7 @@ def serial():
 
 def stored_events(plan, store):
     """How many miss events the run's stored slices hold, read back through
-    ``load_slice`` as a replay step reads them."""
+    ``load_slice`` as a replay step reads them (``store`` is the default)."""
     window = min(plan.stream, N)
     keys = [
         events_slice_key(BENCHMARK, SCALE, SEED, N, window, index, SMALL_CONFIG)
@@ -145,7 +145,7 @@ def stored_events(plan, store):
     ]
     assert all(key in store for key in keys), "the run left a slice unstored"
     return sum(
-        len(load_slice(BENCHMARK, SCALE, SEED, N, window, index, SMALL_CONFIG, store))
+        len(load_slice(BENCHMARK, SCALE, SEED, N, window, index, SMALL_CONFIG))
         for index in range(len(keys))
     )
 
@@ -169,7 +169,6 @@ def run_pipeline(plan, jobs, numpy, faults):
                 policy=FAST if faults is not None else None,
                 manifest=manifest,
                 use_cache=False,
-                store=store,
             )
             events = stored_events(plan, store)
         finally:

@@ -29,7 +29,7 @@ from repro.sim.distill import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import ShardSpec, run_shard_step, shard_chain
-from repro.sim.store import ResultStore, default_store, set_default_store
+from repro.sim.store import ResultStore, default_store
 from repro.workloads.registry import get_workload
 
 SMALL_CONFIG = dataclasses.replace(
@@ -64,14 +64,11 @@ class TestStreamedExecutionIsBitIdentical:
 
 
 class TestEventSlices:
-    def test_slices_telescope_to_one_shot_distillation(self):
+    def test_slices_telescope_to_one_shot_distillation(self, fresh_default_store):
         """concat(stored slices) == the PR 5 full-run stream, bit for bit."""
-        store = ResultStore(root=None)
-        keys = stream_event_slices(
-            "memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG, store
-        )
+        keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
         slices = [
-            store.get(key, decoder=MissEventStream.from_payload) for key in keys
+            fresh_default_store.get(key, decoder=MissEventStream.from_payload) for key in keys
         ]
         assert all(s is not None for s in slices)
         merged = MissEventStream.concat(slices)
@@ -79,9 +76,8 @@ class TestEventSlices:
         one_shot = HierarchyDistiller(SMALL_CONFIG).distill(trace, TRACE_LEN)
         assert merged.to_payload() == one_shot.to_payload()
 
-    def test_warm_store_skips_regeneration(self, monkeypatch):
-        store = ResultStore(root=None)
-        stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG, store)
+    def test_warm_store_skips_regeneration(self, monkeypatch, fresh_default_store):
+        stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("warm slices must not re-stream the workload")
@@ -89,9 +85,7 @@ class TestEventSlices:
         monkeypatch.setattr(
             "repro.workloads.registry.get_workload", boom
         )
-        keys = stream_event_slices(
-            "memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG, store
-        )
+        keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
         assert len(keys) == len(slice_bounds(TRACE_LEN, 64))
 
     def test_slice_key_adds_window_axis_to_events_identity(self):
@@ -138,55 +132,49 @@ class TestEventSlices:
         assert events_slice_key("bsw", 0.002, 7, 2000, 5000, 0, SMALL_CONFIG) == full
         assert events_slice_key("bsw", 0.002, 7, 2000, 1999, 0, SMALL_CONFIG) != full
 
-    def test_only_a_one_window_slice_enters_the_memory_layer(self, tmp_path):
+    def test_only_a_one_window_slice_enters_the_memory_layer(self, fresh_default_store):
         # Ingestion keeps no slice in memory; a reader promotes a one-window
         # run's slice, never a narrower one.
         run = ("memcached", 0.002, 7, TRACE_LEN)
-        store = ResultStore(tmp_path)
-        stream_event_slices(*run, 64, SMALL_CONFIG, store)
-        load_slice(*run, 64, 1, SMALL_CONFIG, store)
-        assert store._memory == {}
-        (whole,) = stream_event_slices(*run, TRACE_LEN, SMALL_CONFIG, store)
-        assert store._memory == {}
-        load_slice(*run, TRACE_LEN, 0, SMALL_CONFIG, store)
-        assert set(store._memory) == {whole}
+        stream_event_slices(*run, 64, SMALL_CONFIG)
+        load_slice(*run, 64, 1, SMALL_CONFIG)
+        assert fresh_default_store._memory == {}
+        (whole,) = stream_event_slices(*run, TRACE_LEN, SMALL_CONFIG)
+        assert fresh_default_store._memory == {}
+        load_slice(*run, TRACE_LEN, 0, SMALL_CONFIG)
+        assert set(fresh_default_store._memory) == {whole}
 
     @pytest.mark.parametrize("damage", ("inline-payload", "truncated-blob"))
-    def test_undecodable_slice_is_regenerated(self, damage, tmp_path, monkeypatch):
+    def test_undecodable_slice_is_regenerated(self, damage, monkeypatch, fresh_default_store):
         """A slice the store cannot decode is a miss like any other, even
         though its row still counts as present."""
         from repro.sim import store as store_module
 
         if damage == "truncated-blob":
             monkeypatch.setattr(store_module, "INLINE_LIMIT", 0)
-        store = ResultStore(tmp_path)
-        previous = default_store()
-        set_default_store(store)
-        try:
-            keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
-            if damage == "inline-payload":
-                # Cut the slice's inline BLOB to half its bytes.
-                with sqlite3.connect(store.db_path) as conn:
-                    conn.execute(
-                        "UPDATE entries SET payload = substr(payload, 1, length(payload) / 2)"
-                        " WHERE key = ?",
-                        (keys[1],),
-                    )
-            else:
-                (blob,) = store.query(prefix=keys[1])
-                assert not blob.inline
-                for path in store.blob_dir.glob("*.bin"):
-                    path.write_bytes(path.read_bytes()[:100])
-            assert keys[1] in store
-            assert store.get(keys[1], decoder=MissEventStream.from_payload) is None
-            chain = shard_chain(
-                "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, SMALL_CONFIG,
-                window=64,
-            )
-            result = run_shard_step(chain[0], None)
-            assert store.get(keys[1], decoder=MissEventStream.from_payload) is not None
-        finally:
-            set_default_store(previous)
+        store = fresh_default_store
+        keys = stream_event_slices("memcached", 0.002, 7, TRACE_LEN, 64, SMALL_CONFIG)
+        if damage == "inline-payload":
+            # Cut the slice's inline BLOB to half its bytes.
+            with sqlite3.connect(store.db_path) as conn:
+                conn.execute(
+                    "UPDATE entries SET payload = substr(payload, 1, length(payload) / 2)"
+                    " WHERE key = ?",
+                    (keys[1],),
+                )
+        else:
+            (blob,) = store.query(prefix=keys[1])
+            assert not blob.inline
+            for path in store.blob_dir.glob("*.bin"):
+                path.write_bytes(path.read_bytes()[:100])
+        assert keys[1] in store
+        assert store.get(keys[1], decoder=MissEventStream.from_payload) is None
+        chain = shard_chain(
+            "memcached", "CI", ShardSpec(TRACE_LEN), 0.002, TRACE_LEN, 7, SMALL_CONFIG,
+            window=64,
+        )
+        result = run_shard_step(chain[0], None)
+        assert store.get(keys[1], decoder=MissEventStream.from_payload) is not None
         serial = SimulationEngine.from_mode("CI", config=SMALL_CONFIG, seed=7).run(
             get_workload("memcached", scale=0.002, seed=7).capture(TRACE_LEN),
             num_accesses=TRACE_LEN,
@@ -305,20 +293,14 @@ class TestCliStreamFlag:
         )
         assert "stream 400 (windowed event slices)" in capsys.readouterr().out
 
-    def test_a_stream_covering_the_run_writes_no_slices(self, capsys, tmp_path):
+    def test_a_stream_covering_the_run_writes_no_slices(self, capsys, fresh_default_store):
         from repro.cli import main
 
-        store = ResultStore(tmp_path)
-        previous = default_store()
-        set_default_store(store)
-        try:
-            args = ["bench", "--benchmarks", "bsw", "--modes", "CI", "--accesses", "1200"]
-            assert main([*args, "--no-cache", "--stream", "1200"]) == 0
-        finally:
-            set_default_store(previous)
+        args = ["bench", "--benchmarks", "bsw", "--modes", "CI", "--accesses", "1200"]
+        assert main([*args, "--no-cache", "--stream", "1200"]) == 0
         assert "stream 1200 (one window)" in capsys.readouterr().out
-        assert store.query(kind="events-slice") == []
-        assert [entry.key for entry in store.query(kind="events")] == [
+        assert fresh_default_store.query(kind="events-slice") == []
+        assert [entry.key for entry in fresh_default_store.query(kind="events")] == [
             events_key("bsw", 0.002, 1234, 1200)
         ]
 

@@ -7,7 +7,6 @@ from repro.experiments.harness import run_benchmarks
 from repro.sim import shard
 from repro.sim.faults import TaskFailure, TaskFailureRecord
 from repro.sim.shard import RunPlan
-from repro.sim.store import ResultStore
 from repro.sim.sweep import (
     SweepAxis,
     SweepAxisError,
@@ -113,12 +112,11 @@ class TestAxisParsing:
         with pytest.raises(SweepAxisError, match="needs int values"):
             resolve_point(_plan(num_accesses=5000, seed=1), (("seed", 1.5),))
 
-    def test_duplicate_axis_keys_rejected(self, tmp_path):
+    def test_duplicate_axis_keys_rejected(self):
         with pytest.raises(SweepAxisError, match="duplicate sweep axis"):
             run_sweep(
                 [SweepAxis("scale", (0.001, 0.002)), SweepAxis("scale", (0.004,))],
                 _plan(),
-                store=ResultStore(tmp_path / "cache"),
             )
 
 
@@ -174,9 +172,8 @@ class TestRunSweep:
         SweepAxis("scale", (0.001, 0.002)),
     ]
 
-    def test_four_point_grid_through_parallel_map(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        result = run_sweep(self.AXES, _plan(), jobs=2, store=store)
+    def test_four_point_grid_through_parallel_map(self, fresh_default_store):
+        result = run_sweep(self.AXES, _plan(), jobs=2)
         assert len(result.points) == 4
         assert result.simulated_points == 4
         assert len(result.suites) == 4
@@ -187,54 +184,44 @@ class TestRunSweep:
                 for r in per_mode.values():
                     assert r.baseline_time_ns is not None
 
-    def test_warm_store_serves_identical_results(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        cold = run_sweep(self.AXES, _plan(), jobs=2, store=store)
-        store.clear_memory()  # force the disk layer
-        warm = run_sweep(self.AXES, _plan(), jobs=2, store=store)
+    def test_warm_store_serves_identical_results(self, fresh_default_store):
+        cold = run_sweep(self.AXES, _plan(), jobs=2)
+        fresh_default_store.clear_memory()  # force the disk layer
+        warm = run_sweep(self.AXES, _plan(), jobs=2)
         assert warm.simulated_points == 0
         assert all(warm.served_from_store)
         assert _flatten(cold) == _flatten(warm)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_sweep(
-            self.AXES, _plan(), jobs=1, use_cache=False, store=ResultStore(tmp_path / "a")
-        )
-        parallel = run_sweep(
-            self.AXES, _plan(), jobs=4, use_cache=False, store=ResultStore(tmp_path / "b")
-        )
+    def test_parallel_matches_serial(self, fresh_default_store):
+        serial = run_sweep(self.AXES, _plan(), jobs=1, use_cache=False)
+        parallel = run_sweep(self.AXES, _plan(), jobs=4, use_cache=False)
         assert _flatten(serial) == _flatten(parallel)
 
-    def test_new_axis_value_only_simulates_new_points(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        run_sweep([SweepAxis("scale", (0.001, 0.002))], _plan(), store=store)
-        extended = run_sweep([SweepAxis("scale", (0.001, 0.002, 0.004))], _plan(), store=store)
+    def test_new_axis_value_only_simulates_new_points(self, fresh_default_store):
+        run_sweep([SweepAxis("scale", (0.001, 0.002))], _plan())
+        extended = run_sweep([SweepAxis("scale", (0.001, 0.002, 0.004))], _plan())
         assert extended.simulated_points == 1
         assert extended.served_from_store == [True, True, False]
 
-    def test_point_results_differ_across_the_axis(self, tmp_path):
+    def test_point_results_differ_across_the_axis(self, fresh_default_store):
         result = run_sweep(
             [SweepAxis("options.memory_level_parallelism", (1.0, 8.0))],
             _plan(modes=("CI",)),
-            store=ResultStore(tmp_path / "cache"),
         )
         slow = result.suites[0]["bsw"]["CI"]
         fast = result.suites[1]["bsw"]["CI"]
         assert fast.execution_time_ns < slow.execution_time_ns
 
-    def test_a_bench_run_is_a_one_point_sweep(self, tmp_path):
+    def test_a_bench_run_is_a_one_point_sweep(self, fresh_default_store):
         # run_benchmarks and run_sweep share one runner: the sweep's only
         # point is the bench run's plan, served from the bench run's entry.
-        store = ResultStore(tmp_path / "cache")
-        suite = run_benchmarks(
-            BENCHES, modes=MODES, num_accesses=ACCESSES, jobs=1, store=store
-        )
-        result = run_sweep([SweepAxis("seed", (1234,))], _plan(), store=store)
+        suite = run_benchmarks(BENCHES, modes=MODES, num_accesses=ACCESSES, jobs=1)
+        result = run_sweep([SweepAxis("seed", (1234,))], _plan())
         assert result.served_from_store == [True]
         assert result.suites[0] is suite
-        assert len(store.query(kind="suite")) == 1
+        assert len(fresh_default_store.query(kind="suite")) == 1
 
-    def test_sharded_grid_starts_one_pool(self, tmp_path, monkeypatch):
+    def test_sharded_grid_starts_one_pool(self, fresh_default_store, monkeypatch):
         # Every uncached point's chains share one pipelined_map call, so a
         # two-point sharded grid starts one executor, not one per point.
         from repro.sim import parallel
@@ -251,56 +238,52 @@ class TestRunSweep:
             [SweepAxis("scale", (0.001, 0.002))],
             _plan(modes=("CI",), shard_size=1000),
             jobs=2,
-            store=ResultStore(tmp_path / "cache"),
         )
         assert result.simulated_points == 2
         assert len(started) == 1
 
-    def test_sweep_covers_new_modes(self, tmp_path):
+    def test_sweep_covers_new_modes(self, fresh_default_store):
         result = run_sweep(
             [SweepAxis("scale", (0.001,))],
             _plan(modes=("Toleo", "CIF-Tree")),
-            store=ResultStore(tmp_path / "cache"),
         )
         per_mode = result.suites[0]["bsw"]
         assert per_mode["CIF-Tree"].slowdown > 1.0
 
-    def test_degraded_point_is_returned_but_not_cached(self, tmp_path, monkeypatch):
+    def test_degraded_point_is_returned_but_not_cached(self, fresh_default_store, monkeypatch):
         # A point is degraded when any of its chains ended in a TaskFailure:
         # it comes back without the lost cell and stays out of the store,
         # while the clean point is cached as usual.
         run_chains = shard.run_chains
         axes = [SweepAxis("scale", (0.001, 0.002))]
         plan = _plan(modes=("CI",))
-        run = dict(jobs=1, store=ResultStore(tmp_path / "cache"))
         monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
-        degraded = run_sweep(axes, plan, **run)
+        degraded = run_sweep(axes, plan, jobs=1)
         assert "CI" in degraded.suites[0]["bsw"]
         assert degraded.suites[1] == {"bsw": {}}
 
         monkeypatch.setattr(shard, "run_chains", run_chains)
-        rerun = run_sweep(axes, plan, **run)
+        rerun = run_sweep(axes, plan, jobs=1)
         assert rerun.served_from_store == [True, False]
         assert "CI" in rerun.suites[1]["bsw"]
 
-    def test_twin_of_a_degraded_point_is_not_served(self, tmp_path, monkeypatch):
+    def test_twin_of_a_degraded_point_is_not_served(self, fresh_default_store, monkeypatch):
         # Both shard widths share one suite key, so only the first point
         # simulates.  When its chain is lost, the twin carries the same
         # TaskFailure gap: nothing was stored, so neither point counts as
         # served and a rerun simulates the key again.
         run_chains = shard.run_chains
-        store = ResultStore(tmp_path / "cache")
         axes = [SweepAxis("shard_size", (300, 1000))]
         plan = _plan(modes=("CI",))
         monkeypatch.setattr(shard, "run_chains", _losing_the_last_chain(run_chains))
-        degraded = run_sweep(axes, plan, jobs=1, store=store)
+        degraded = run_sweep(axes, plan, jobs=1)
         assert degraded.suites == [{"bsw": {}}, {"bsw": {}}]
         assert degraded.served_from_store == [False, False]
         assert degraded.simulated_points == 2
-        assert store.query(kind="suite") == []
+        assert fresh_default_store.query(kind="suite") == []
 
         monkeypatch.setattr(shard, "run_chains", run_chains)
-        rerun = run_sweep(axes, plan, jobs=1, store=store)
+        rerun = run_sweep(axes, plan, jobs=1)
         assert rerun.served_from_store == [False, True]
         assert rerun.suites[1] is rerun.suites[0]
         assert "CI" in rerun.suites[1]["bsw"]

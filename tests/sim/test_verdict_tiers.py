@@ -76,13 +76,7 @@ from repro.sim.replaycore import (
 )
 from repro.sim.results import LatencyBreakdown
 from repro.sim.shard import ShardSpec, run_chains, shard_chain
-from repro.sim.store import (
-    ResultStore,
-    default_store,
-    pack_columns,
-    set_default_store,
-    unpack_columns,
-)
+from repro.sim.store import ResultStore, pack_columns, unpack_columns
 from repro.workloads.base import Trace
 from repro.workloads.registry import get_workload
 
@@ -447,12 +441,11 @@ class TestTierSlices:
     @pytest.mark.parametrize("mode", ("Tiny-SGX", "Toleo+Tree"))
     @pytest.mark.parametrize("window", (7, TRACE_LEN // 3))
     def test_served_slices_concatenate_to_the_one_shot_tier(
-        self, window, mode, events, tmp_path, monkeypatch, compute_tiers
+        self, window, mode, events, monkeypatch, compute_tiers, fresh_default_store
     ):
-        store = ResultStore(tmp_path)
-        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG)
         slices = [
-            load_slice(*self.RUN, window, index, SMALL_CONFIG, store)
+            load_slice(*self.RUN, window, index, SMALL_CONFIG)
             for index in range(len(slice_bounds(TRACE_LEN, window)))
         ]
         engine, state = begin(mode, events)
@@ -473,50 +466,47 @@ class TestTierSlices:
             # A first need at a middle slice computes the slices up to it, and
             # one at the last slice the whole run.
             advances.clear()
-            load_tier_slice(component, slices[middle], TRACE_LEN, window, SMALL_CONFIG, store)
+            load_tier_slice(component, slices[middle], TRACE_LEN, window, SMALL_CONFIG)
             assert len(advances) == middle + 1
             advances.clear()
-            load_tier_slice(component, slices[-1], TRACE_LEN, window, SMALL_CONFIG, store)
+            load_tier_slice(component, slices[-1], TRACE_LEN, window, SMALL_CONFIG)
             assert len(advances) == len(slices)
             advances.clear()
             served = [
-                load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG,
-                                ResultStore(tmp_path))
+                load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG)
                 for piece in slices
             ]
             assert advances == []
             (expected,) = [tier for tier in one_shot if tier.KIND == KINDS[type(component)]]
             assert concatenated(served) == expected
         # Narrow tier slices, like narrow event slices, skip the memory layer.
-        assert store._memory == {}
+        assert fresh_default_store._memory == {}
 
-    def test_a_damaged_tier_slice_is_recomputed(self, events, tmp_path, binary_damage):
+    def test_a_damaged_tier_slice_is_recomputed(self, events, binary_damage, fresh_default_store):
         window = TRACE_LEN // 3
-        store = ResultStore(tmp_path)
-        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
-        piece = load_slice(*self.RUN, window, 1, SMALL_CONFIG, store)
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG)
+        piece = load_slice(*self.RUN, window, 1, SMALL_CONFIG)
         _, state = begin("Toleo", events)
         component = only(state.components, StealthFreshnessComponent)
-        first = load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG, store)
+        first = load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG)
         key = tier_slice_key(component, *self.RUN, window, 1, SMALL_CONFIG)
-        binary_damage(store, key)
-        assert ResultStore(tmp_path).get(key, decoder=StealthTier.from_payload) is None
-        recomputed = load_tier_slice(
-            component, piece, TRACE_LEN, window, SMALL_CONFIG, ResultStore(tmp_path)
-        )
+        binary_damage(fresh_default_store, key)
+        disk = ResultStore(fresh_default_store.root)
+        assert disk.get(key, decoder=StealthTier.from_payload) is None
+        recomputed = load_tier_slice(component, piece, TRACE_LEN, window, SMALL_CONFIG)
         assert recomputed == first
-        assert ResultStore(tmp_path).get(key, decoder=StealthTier.from_payload) == first
+        assert disk.get(key, decoder=StealthTier.from_payload) == first
 
     def test_a_miss_stops_at_its_slice_and_reads_only_stored_events(
-        self, events, tmp_path, monkeypatch
+        self, events, monkeypatch, fresh_default_store
     ):
         # Five slices, of which ingestion has stored the first three so far.
         window = TRACE_LEN // 5
-        store = ResultStore(tmp_path)
-        stream_event_slices(*self.RUN, window, SMALL_CONFIG, store)
+        store = fresh_default_store
+        stream_event_slices(*self.RUN, window, SMALL_CONFIG)
         for index in (3, 4):
             store.invalidate(events_slice_key(*self.RUN, window, index, SMALL_CONFIG))
-        wanted = load_slice(*self.RUN, window, 2, SMALL_CONFIG, store)
+        wanted = load_slice(*self.RUN, window, 2, SMALL_CONFIG)
 
         def no_ingestion(*args, **kwargs):
             raise AssertionError("a tier miss re-ran ingestion")
@@ -524,7 +514,7 @@ class TestTierSlices:
         monkeypatch.setattr(distill, "stream_event_slices", no_ingestion)
         _, state = begin("CI", events)
         (component,) = [c for c in state.components if type(c) is MacIntegrityComponent]
-        load_tier_slice(component, wanted, TRACE_LEN, window, SMALL_CONFIG, store)
+        load_tier_slice(component, wanted, TRACE_LEN, window, SMALL_CONFIG)
         assert [
             tier_slice_key(component, *self.RUN, window, index, SMALL_CONFIG) in store
             for index in range(5)
@@ -739,10 +729,11 @@ class TestTierProvenance:
     every shard reads its slices' tiers back."""
 
     @pytest.mark.parametrize("window", (TRACE_LEN, 64))
-    def test_shards_read_the_tier_chains_tiers(self, window, tmp_path, monkeypatch, trace):
+    def test_shards_read_the_tier_chains_tiers(
+        self, window, monkeypatch, trace, fresh_default_store
+    ):
         # A simulator built outside the tier chain means a replay step
         # missed a stored tier slice -- one that failed to decode, say.
-        previous = default_store()
         runs = []
         for simulator in (StealthTierSimulator, TreeTierSimulator, EpcTierSimulator):
             original = simulator.__init__
@@ -761,14 +752,10 @@ class TestTierProvenance:
             shard_chain("memcached", mode, ShardSpec(100), 0.002, TRACE_LEN, 7, window=window)
             for mode in modes
         ]
-        set_default_store(ResultStore(tmp_path / "cache"))
-        try:
-            results = run_chains(chains, jobs=1)
-        finally:
-            set_default_store(previous)
+        results = run_chains(chains, jobs=1)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]
         assert sorted(runs) == ["EpcTierSimulator", "StealthTierSimulator", "TreeTierSimulator"]
-        kinds = [key.rsplit("-", 1)[0] for key in ResultStore(tmp_path / "cache").disk_keys()]
+        kinds = [key.rsplit("-", 1)[0] for key in fresh_default_store.disk_keys()]
         slices = len(slice_bounds(TRACE_LEN, window))
         assert {kind: kinds.count(kind) for kind in KINDS.values()} == dict.fromkeys(
             KINDS.values(), slices
